@@ -3,18 +3,28 @@
 This module is the numeric oracle against which the closed forms are
 checked.  It builds the quadrature-level drift/diffusion description of
 either the full three-mode model (two cavities and the mirror) or the
-reduced mirror model obtained by adiabatic elimination, augments the state
-with one linear filter accumulator per temporal output mode, and integrates
-the joint second-moment equation
+reduced mirror model obtained by adiabatic elimination, and augments the
+state with linear filter accumulators for the temporal output modes.
 
-    dS/dt = M(t) S + S M(t)^T + B(t) Sigma B(t)^T
+Every kernel term is ``amp * exp(s t)`` acting on one system mode or noise
+channel, so the filter of a kernel whose terms share the rate ``s`` can be
+written ``F(t) = R(e^{s t}) h(t)`` with the time-invariant accumulator
 
-from the factorized initial state (cavities vacuum, mirror thermal) to the
-end of the pulse.  Filter accumulators integrate the matched exponential
-envelopes against the instantaneous output fields, which mix system state
-and direct input noise; the shared white-noise channels make the filter
-accumulators and the system state co-diffuse, and that cross-diffusion is
-exact in this formulation.
+    dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i,
+
+where ``R(c)`` is the 2x2 real form of multiplication by ``c`` and ``D_i =
+diag(1, -1)`` for creation-type (dagger) terms.  The augmented system ``dz
+= A z dt + B xi dt`` then has constant ``A`` and ``B``, one accumulator pair
+per kernel and rate, and ``F(tau) = T h(tau)`` with ``T = R(e^{s tau})``.
+Its step map over a time ``h`` -- the transition matrix ``Phi_h = e^{A h}``
+and the injected noise covariance ``Q_h`` -- follows exactly from Van
+Loan's block exponential (C. F. Van Loan, "Computing integrals involving
+the matrix exponential", IEEE Trans. Autom. Control 23 (1978) 395),
+evaluated by a fixed-degree Taylor series on a scaled step followed by
+exact doubling.  The deterministic oracle applies it once over the whole
+pulse from the factorized initial state (cavities vacuum, mirror thermal);
+the Monte Carlo sampler iterates it over equal steps.  No ODE is
+integrated, so the only error is floating-point rounding.
 
 Quadrature layout: system modes first, two rows (X, P) per mode, filters
 appended in kernel order.  Symmetric ordering, vacuum variance 1/2.
@@ -28,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     IntegratorFailure,
@@ -282,42 +291,47 @@ def input_kernels(rp: ReducedParams) -> list[TemporalKernel]:
     ]
 
 
+def _collective_weights(dq: DerivedQuantities,
+                        ) -> dict[str, tuple[tuple[str, float],
+                                             tuple[str, float], float]]:
+    """The one table of collective-mode weights.
+
+    ``label -> ((mode_1, c_1), (mode_2, c_2), b)`` defines ``label = c_1
+    mode_1 + c_2 mode_2 + i b B~^dag``; in quadratures ``X = c_1 X_1 + c_2
+    X_2 + b P_B~`` and ``P = c_1 P_1 + c_2 P_2 + b X_B~``.
+    """
+    G = dq.G
+    w1, w2, wg = (math.sqrt(dq.G1 / G), math.sqrt(dq.G2 / G),
+                  math.sqrt(dq.gamma / G))
+    return {
+        W_OUT: ((A_1_OUT, w1), (A_2_OUT, w2), wg),
+        U_OUT: ((A_1_OUT, w2), (A_2_OUT, -w1), wg),
+        W_TILDE_IN: ((A_TILDE_1_IN, w1), (A_TILDE_2_IN, w2), -wg),
+        U_TILDE_IN: ((A_TILDE_1_IN, w2), (A_TILDE_2_IN, -w1), -wg),
+    }
+
+
 def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
                               ) -> list[TemporalKernel]:
     """Direct filters for the collective modes W_out, U_out and the constant
     of motion U_tilde_in, bypassing the per-mode covariance transform."""
-    dq = derived_quantities(rp)
-    _, n_out = _norms(dq, rp.tau)
-    gamma = dq.gamma
-    G = dq.G
-    w1, w2, wg = (math.sqrt(dq.G1 / G), math.sqrt(dq.G2 / G),
-                  math.sqrt(gamma / G))
-    a1, a2, bt, t1, t2 = output_kernels(
-        rp, full=full,
-        which=(A_1_OUT, A_2_OUT, B_TILDE, A_TILDE_1_IN, A_TILDE_2_IN))
+    table = _collective_weights(derived_quantities(rp))
+    base = {k.label: k for k in output_kernels(rp, full=full)}
+    bath = base[B_TILDE].terms
 
-    def scaled(kern: TemporalKernel, w: float) -> tuple[KernelTerm, ...]:
-        return tuple(
-            KernelTerm(t.kind, t.target, t.dagger, w * t.amplitude, t.rate)
-            for t in kern.terms)
-
-    def conj_dag(kern: TemporalKernel, w: complex) -> tuple[KernelTerm, ...]:
-        # w * mode^dag : conjugate envelopes, flip dagger flags
-        return tuple(
+    def combine(label: str) -> TemporalKernel:
+        (m1, c1), (m2, c2), b = table[label]
+        terms = tuple(
+            KernelTerm(t.kind, t.target, t.dagger, c * t.amplitude, t.rate)
+            for mode, c in ((m1, c1), (m2, c2)) for t in base[mode].terms)
+        # i b B~^dag: conjugate envelopes, flip dagger flags
+        terms += tuple(
             KernelTerm(t.kind, t.target, not t.dagger,
-                       w * t.amplitude.conjugate(), t.rate.conjugate())
-            for t in kern.terms)
+                       1j * b * t.amplitude.conjugate(), t.rate.conjugate())
+            for t in bath)
+        return TemporalKernel(label, "output", terms)
 
-    w_out = TemporalKernel(W_OUT, "output",
-                           scaled(a1, w1) + scaled(a2, w2)
-                           + conj_dag(bt, 1j * wg))
-    u_out = TemporalKernel(U_OUT, "output",
-                           scaled(a1, w2) + scaled(a2, -w1)
-                           + conj_dag(bt, 1j * wg))
-    u_tilde = TemporalKernel(U_TILDE_IN, "output",
-                             scaled(t1, w2) + scaled(t2, -w1)
-                             + conj_dag(bt, -1j * wg))
-    return [w_out, u_out, u_tilde]
+    return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
 
 
 def mirror_output_phase(rp: ReducedParams) -> float:
@@ -391,75 +405,106 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(ev))[::2]
 
 
-class _Assembler:
-    """Precomputed routing for the augmented moment equation."""
+def _rot(c: complex) -> np.ndarray:
+    """2x2 real form of multiplication by ``c`` on (X, P)."""
+    return np.array([[c.real, -c.imag], [c.imag, c.real]])
 
-    def __init__(self, model: LinearModel, kernels: list[TemporalKernel]):
+
+_CONJ = np.diag([1.0, -1.0])  # (X, P) -> (X, -P): the dagger of a mode
+
+
+class _Assembler:
+    """Time-invariant augmented system ``(A, V)`` and its end map ``T``.
+
+    The terms of each kernel are grouped by rate ``s``; each group gets one
+    accumulator pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i``
+    and contributes ``R(e^{s tau}) h(tau)`` to the kernel's filter output.
+    Standard kernels (including the collective ones) have a single rate.
+    ``T`` maps the augmented state at ``tau`` to the modes ``labels``: the
+    terminal mirror rotated by ``phase``, then one mode per kernel.
+    """
+
+    def __init__(self, model: LinearModel, kernels: list[TemporalKernel],
+                 tau: float, phase: float):
         labels = [k.label for k in kernels]
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate kernel labels in {labels!r}")
-        self.model = model
-        self.kernels = kernels
-        self.n_sys = 2 * model.dimension
-        self.n = self.n_sys + 2 * len(kernels)
-        self.n_noise = 2 * len(model.noise_channels)
-        self.sig = model.noise_intensities
+        self.labels = (A_M_OUT,) + tuple(labels)
+        n_sys = 2 * model.dimension
+        groups = [(k, rate, [t for t in kern.terms if t.rate == rate])
+                  for k, kern in enumerate(kernels)
+                  for rate in dict.fromkeys(t.rate for t in kern.terms)]
+        self.n = n = n_sys + 2 * len(groups)
         sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
-        # (row_x, col_x, dagger, amplitude, rate, into_system?) per term
-        self.routes = []
-        for k, kern in enumerate(kernels):
-            row = self.n_sys + 2 * k
-            for t in kern.terms:
+        A = np.zeros((n, n))
+        B = np.zeros((n, 2 * len(model.noise_channels)))
+        A[:n_sys, :n_sys] = model.drift
+        B[:n_sys] = model.noise_input
+        T = np.zeros((2 + 2 * len(kernels), n))
+        # the mirror is the last system mode
+        T[:2, n_sys - 2:n_sys] = _rot(cmath.exp(-1j * phase))
+        for g, (k, rate, terms) in enumerate(groups):
+            row = slice(n_sys + 2 * g, n_sys + 2 * g + 2)
+            A[row, row] = -_rot(rate)
+            for t in terms:
                 if t.kind == "system":
-                    col = 2 * sys_index[t.target]
-                    self.routes.append((row, col, t.dagger, t.amplitude,
-                                        t.rate, True))
+                    tgt, col = A, 2 * sys_index[t.target]
                 elif t.kind == "noise":
-                    col = 2 * model.channel_index(t.target)
-                    self.routes.append((row, col, t.dagger, t.amplitude,
-                                        t.rate, False))
+                    tgt, col = B, 2 * model.channel_index(t.target)
                 else:
                     raise InvalidParams(f"unknown kernel term kind {t.kind!r}")
+                blk = _rot(t.amplitude)
+                if t.dagger:
+                    blk = blk @ _CONJ
+                tgt[row, col:col + 2] += blk
+            T[2 + 2 * k:4 + 2 * k, row] += _rot(cmath.exp(rate * tau))
+        self.drift = A
+        self.diffusion = (B * model.noise_intensities) @ B.T
+        self.end_map = T
+        self.initial_variances = np.zeros(n)
+        self.initial_variances[:n_sys] = np.repeat(
+            [occ + 0.5 for occ in model.initial_occupations], 2)
 
-    def matrices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M(t), B(t)) of the augmented linear system."""
-        M = np.zeros((self.n, self.n))
-        B = np.zeros((self.n, self.n_noise))
-        M[:self.n_sys, :self.n_sys] = self.model.drift
-        B[:self.n_sys, :] = self.model.noise_input
-        for row, col, dagger, amp, rate, into_sys in self.routes:
-            c = amp * cmath.exp(rate * t)
-            re, im = c.real, c.imag
-            tgt = M if into_sys else B
-            s = 1.0 if dagger else -1.0
-            tgt[row, col] += re
-            tgt[row, col + 1] += s * im
-            tgt[row + 1, col] += im
-            tgt[row + 1, col + 1] += -s * re
-        return M, B
 
-    def initial_covariance(self) -> np.ndarray:
-        S0 = np.zeros((self.n, self.n))
-        for i, occ in enumerate(self.model.initial_occupations):
-            S0[2 * i, 2 * i] = S0[2 * i + 1, 2 * i + 1] = occ + 0.5
-        return S0
+_TAYLOR_DEGREE = 18
 
-    def mirror_rotation(self, phase: float) -> np.ndarray:
-        """Rotation of the terminal mirror quadratures by ``phase``."""
-        R = np.eye(self.n)
-        i = self.n_sys - 2  # mirror is the last system mode
-        c, s = math.cos(phase), math.sin(phase)
-        R[i, i] = c
-        R[i, i + 1] = s
-        R[i + 1, i] = -s
-        R[i + 1, i + 1] = c
-        return R
 
-    def output_selection(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """Kept labels and quadrature indices: mirror-at-tau plus filters."""
-        idx = [self.n_sys - 2, self.n_sys - 1] + list(range(self.n_sys, self.n))
-        labels = (A_M_OUT,) + tuple(k.label for k in self.kernels)
-        return labels, np.asarray(idx)
+def _step_map(A: np.ndarray, V: np.ndarray, h: float,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact step map ``(Phi_h, Q_h)`` of ``dz = A z dt + noise`` with
+    constant diffusion ``V``: ``Phi_h = e^{A h}`` and ``Q_h = int_0^h e^{A s}
+    V e^{A^T s} ds``.
+
+    Van Loan: the exponential of ``[[-A, V], [0, A^T]] h0`` is ``[[., Phi^-1
+    Q], [0, Phi^T]]``.  It is summed by a degree-18 Taylor series (Horner)
+    on the step ``h0 = h / 2^k`` with ``||A h0|| <= 1``, where the truncation
+    error is below e/19! ~ 2e-17 relative; ``V`` enters the series linearly
+    and does not set the step.  ``k`` exact doublings ``Q <- Phi Q Phi^T +
+    Q``, ``Phi <- Phi^2`` then reach ``h``.  Squaring the block itself would
+    overflow through ``e^{-A h}`` on the stiff full model; the doubling
+    never forms it.  Raises ``IntegratorFailure`` on a non-finite result.
+    """
+    n = A.shape[0]
+    norm = float(np.abs(A).sum(axis=1).max()) * h
+    k = max(0, math.ceil(math.log2(norm))) if norm > 0.0 else 0
+    h0 = h / 2.0 ** k
+    C = np.zeros((2 * n, 2 * n))
+    C[:n, :n] = -A * h0
+    C[:n, n:] = V * h0
+    C[n:, n:] = A.T * h0
+    eye = np.eye(2 * n)
+    E = eye
+    for j in range(_TAYLOR_DEGREE, 0, -1):
+        E = eye + (C @ E) / j
+    phi = E[n:, n:].T
+    q = phi @ E[:n, n:]
+    for _ in range(k):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    if not (np.isfinite(phi).all() and np.isfinite(q).all()):
+        raise IntegratorFailure(
+            f"step map over h = {h!r} overflowed after {k} doublings")
+    return phi, 0.5 * (q + q.T)
 
 
 def propagate_output_covariance(model: LinearModel,
@@ -467,98 +512,54 @@ def propagate_output_covariance(model: LinearModel,
                                 tau: float, tol: float = 1e-9, *,
                                 terminal_phase: float = 0.0,
                                 ) -> OutputCovariance:
-    """Deterministic second-moment propagation over one pulse.
+    """Exact second-moment propagation over one pulse.
 
-    Integrates the joint covariance of the system state and the filter
-    accumulators with an adaptive embedded Runge-Kutta pair (DOP853) at
-    relative tolerance ``tol``; moments of a linear system are exact, so
-    the integration tolerance is the only error source.  The mirror state
-    at the end of the pulse is rotated by ``terminal_phase`` and returned
-    as the mode ``A_m_out`` alongside all filtered modes.
+    The joint covariance of the system state and the filter accumulators
+    at the end of the pulse is ``Phi S0 Phi^T + Q`` with the Van Loan step
+    map ``(Phi, Q)`` over the whole pulse (see ``_step_map``); the end map
+    turns accumulators into filter outputs.  No ODE is integrated, so
+    floating-point rounding is the only error source, and ``tol`` (kept for
+    compatibility and still required to be > 0) does not affect the
+    result.  The mirror state at the end of the pulse is rotated by
+    ``terminal_phase`` and returned as the mode ``A_m_out`` alongside all
+    filtered modes.
     """
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
     if not tol > 0.0:
         raise InvalidParams(f"tol must be > 0, got {tol!r}")
-    asm = _Assembler(model, kernels)
-    n = asm.n
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        S = y.reshape(n, n)
-        M, B = asm.matrices(t)
-        dS = M @ S + S @ M.T + (B * asm.sig) @ B.T
-        return dS.ravel()
-
-    sol = solve_ivp(rhs, (0.0, tau), asm.initial_covariance().ravel(),
-                    method="DOP853", rtol=tol, atol=tol * 1e-3)
-    if not sol.success:
-        raise IntegratorFailure(f"moment integration failed: {sol.message}")
-    S = sol.y[:, -1].reshape(n, n)
-    S = 0.5 * (S + S.T)
-    R = asm.mirror_rotation(terminal_phase)
-    S = R @ S @ R.T
-    labels, idx = asm.output_selection()
-    return OutputCovariance(labels, S[np.ix_(idx, idx)])
-
-
-def _transition_maps(asm: _Assembler, tau: float, n_steps: int,
-                     substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-step transition matrices and noise-injection square roots.
-
-    Over each grid step the pair (Phi, Q) solves dPhi/dt = M Phi and
-    dQ/dt = M Q + Q M^T + V with Phi = I, Q = 0 at the step start; a fixed
-    number of classical RK4 substeps integrates them to high accuracy.  The
-    sampled update ``z -> Phi z + sqrt(Q) eta`` then has the exact one-step
-    distribution for any step size.
-    """
-    n = asm.n
-    h = tau / n_steps
-    hs = h / substeps
-    phis = np.empty((n_steps, n, n))
-    sqrts = np.empty((n_steps, n, n))
-
-    def deriv(t: float, phi: np.ndarray, q: np.ndarray):
-        M, B = asm.matrices(t)
-        V = (B * asm.sig) @ B.T
-        return M @ phi, M @ q + q @ M.T + V
-
-    for k in range(n_steps):
-        phi = np.eye(n)
-        q = np.zeros((n, n))
-        t = k * h
-        for _ in range(substeps):
-            k1p, k1q = deriv(t, phi, q)
-            k2p, k2q = deriv(t + hs / 2, phi + hs / 2 * k1p, q + hs / 2 * k1q)
-            k3p, k3q = deriv(t + hs / 2, phi + hs / 2 * k2p, q + hs / 2 * k2q)
-            k4p, k4q = deriv(t + hs, phi + hs * k3p, q + hs * k3q)
-            phi = phi + hs / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            q = q + hs / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            t += hs
-        q = 0.5 * (q + q.T)
-        w, vec = np.linalg.eigh(q)
-        sqrts[k] = vec * np.sqrt(np.clip(w, 0.0, None))
-        phis[k] = phi
-    return phis, sqrts
+    asm = _Assembler(model, kernels, tau, terminal_phase)
+    phi, q = _step_map(asm.drift, asm.diffusion, tau)
+    T = asm.end_map
+    S = T @ ((phi * asm.initial_variances) @ phi.T + q) @ T.T
+    return OutputCovariance(asm.labels, 0.5 * (S + S.T))
 
 
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
-                                  n_steps: int = 256, substeps: int = 4,
+                                  n_steps: int = 256,
                                   batch_size: int = 512, threads: int = 1,
                                   terminal_phase: float = 0.0,
                                   se_bound: float | None = None,
                                   ) -> OutputCovariance:
-    """Stochastic cross-check of the deterministic propagation.
+    """Stochastic estimate of the output covariance.
 
     Classical complex Gaussian trajectories whose noise covariances equal
     the symmetric-ordered quantum intensities reproduce all symmetrized
-    moments of the linear dynamics.  Each trajectory draws from its own
+    moments of the linear dynamics.  Each trajectory starts from the
+    factorized initial state and takes ``n_steps`` exact Gaussian steps
+    ``z -> Phi_h z + sqrt(Q_h) eta`` with ``h = tau / n_steps``, in the
+    accumulator coordinates of the oracle; the end map and the mirror
+    rotation are applied at the end.  Each trajectory draws from its own
     counter-based Philox stream keyed by (seed, trajectory index), and
     batches are reduced in fixed index order, so the result is reproducible
-    bit for bit regardless of the thread count.  The per-step transition
-    maps are exact (see ``_transition_maps``), so the step count affects
+    bit for bit regardless of the thread count.  The step count affects
     only which random numbers are drawn, not the estimator's bias.
+
+    The step map ``(Phi_h, Q_h)`` is the one the deterministic oracle uses
+    (``_step_map``), so agreement between the two validates the estimator,
+    its standard errors and its reproducibility, not the model assembly.
 
     Raises ``InsufficientTrajectories`` for fewer than 10^3 trajectories or
     when the largest standard error exceeds ``se_bound``.
@@ -568,14 +569,15 @@ def monte_carlo_output_covariance(model: LinearModel,
             f"need >= 1000 trajectories, got {trajectories}")
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    asm = _Assembler(model, kernels)
+    asm = _Assembler(model, kernels, tau, terminal_phase)
     n = asm.n
-    phis, sqrts = _transition_maps(asm, tau, n_steps, substeps)
-    rot = asm.mirror_rotation(terminal_phase)
-    init_std = np.sqrt(np.diag(asm.initial_covariance()))
+    phi, q = _step_map(asm.drift, asm.diffusion, tau / n_steps)
+    w, vec = np.linalg.eigh(q)
+    sqrt_q = vec * np.sqrt(np.clip(w, 0.0, None))
+    init_std = np.sqrt(asm.initial_variances)
     key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
-    def run_batch(b0: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def run_batch(b0: int) -> tuple[np.ndarray, np.ndarray]:
         nb = min(batch_size, trajectories - b0)
         noise = np.empty((n_steps, n, nb))
         z = np.empty((n, nb))
@@ -585,10 +587,10 @@ def monte_carlo_output_covariance(model: LinearModel,
             z[:, j] = init_std * gen.standard_normal(n)
             noise[:, :, j] = gen.standard_normal((n_steps, n))
         for k in range(n_steps):
-            z = phis[k] @ z + sqrts[k] @ noise[k]
-        z = rot @ z
+            z = phi @ z + sqrt_q @ noise[k]
+        z = asm.end_map @ z
         prod = z[:, None, :] * z[None, :, :]
-        return prod.sum(axis=2), (prod ** 2).sum(axis=2), nb
+        return prod.sum(axis=2), (prod ** 2).sum(axis=2)
 
     starts = list(range(0, trajectories, batch_size))
     if threads > 1:
@@ -597,22 +599,30 @@ def monte_carlo_output_covariance(model: LinearModel,
     else:
         results = [run_batch(b0) for b0 in starts]
 
-    tot = np.zeros((n, n))
-    tot2 = np.zeros((n, n))
-    for s1, s2, _ in results:  # fixed index order
-        tot += s1
-        tot2 += s2
+    # summed in fixed batch order
+    tot = sum(s1 for s1, _ in results)
+    tot2 = sum(s2 for _, s2 in results)
     mean = tot / trajectories
-    se = np.sqrt(np.maximum(tot2 / trajectories - mean ** 2, 0.0)
-                 / trajectories)
-
-    labels, idx = asm.output_selection()
-    sigma = mean[np.ix_(idx, idx)]
-    errors = se[np.ix_(idx, idx)]
+    errors = np.sqrt(np.maximum(tot2 / trajectories - mean ** 2, 0.0)
+                     / trajectories)
     if se_bound is not None and float(errors.max()) > se_bound:
         raise InsufficientTrajectories(
             f"max standard error {errors.max():.3g} exceeds bound {se_bound}")
-    return OutputCovariance(labels, 0.5 * (sigma + sigma.T), errors)
+    return OutputCovariance(asm.labels, 0.5 * (mean + mean.T), errors)
+
+
+def _collective_rows(oc: OutputCovariance, dq: DerivedQuantities,
+                     labels: tuple[str, ...]) -> np.ndarray:
+    """Quadrature rows (X, P per label) of collective modes over ``oc``."""
+    table = _collective_weights(dq)
+    rows = np.zeros((2 * len(labels), oc.sigma.shape[0]))
+    for i, label in enumerate(labels):
+        (m1, c1), (m2, c2), b = table[label]
+        for j, (quad, bath_quad) in enumerate((("X", "P"), ("P", "X"))):
+            rows[2 * i + j, oc.index(m1, quad)] = c1
+            rows[2 * i + j, oc.index(m2, quad)] = c2
+            rows[2 * i + j, oc.index(B_TILDE, bath_quad)] = b
+    return rows
 
 
 def collective_transform(oc: OutputCovariance, dq: DerivedQuantities,
@@ -632,51 +642,20 @@ def collective_transform(oc: OutputCovariance, dq: DerivedQuantities,
     produce ``W_tilde_in``/``U_tilde_in`` when their constituents are
     present.
     """
-    needed = (A_1_OUT, A_2_OUT, B_TILDE)
-    for lab in needed:
+    for lab in (A_1_OUT, A_2_OUT, B_TILDE):
         if lab not in oc.mode_labels:
             raise MissingModes(f"collective transform needs {lab!r} "
                                f"(have {list(oc.mode_labels)})")
-    G = dq.G
-    w1, w2, wg = (math.sqrt(dq.G1 / G), math.sqrt(dq.G2 / G),
-                  math.sqrt(dq.gamma / G))
-
-    out_labels: list[str] = []
-    rows: list[np.ndarray] = []
-    nq = oc.sigma.shape[0]
-
-    def row(entries: list[tuple[str, str, float]]) -> np.ndarray:
-        v = np.zeros(nq)
-        for lab, quad, w in entries:
-            v[oc.index(lab, quad)] = w
-        return v
-
-    if A_M_OUT in oc.mode_labels:
-        out_labels.append(A_M_OUT)
-        rows.append(row([(A_M_OUT, "X", 1.0)]))
-        rows.append(row([(A_M_OUT, "P", 1.0)]))
-
-    out_labels.append(W_OUT)
-    rows.append(row([(A_1_OUT, "X", w1), (A_2_OUT, "X", w2), (B_TILDE, "P", wg)]))
-    rows.append(row([(A_1_OUT, "P", w1), (A_2_OUT, "P", w2), (B_TILDE, "X", wg)]))
-    out_labels.append(U_OUT)
-    rows.append(row([(A_1_OUT, "X", w2), (A_2_OUT, "X", -w1), (B_TILDE, "P", wg)]))
-    rows.append(row([(A_1_OUT, "P", w2), (A_2_OUT, "P", -w1), (B_TILDE, "X", wg)]))
-
+    labels = (W_OUT, U_OUT)
     if A_TILDE_1_IN in oc.mode_labels and A_TILDE_2_IN in oc.mode_labels:
-        out_labels.append(W_TILDE_IN)
-        rows.append(row([(A_TILDE_1_IN, "X", w1), (A_TILDE_2_IN, "X", w2),
-                         (B_TILDE, "P", -wg)]))
-        rows.append(row([(A_TILDE_1_IN, "P", w1), (A_TILDE_2_IN, "P", w2),
-                         (B_TILDE, "X", -wg)]))
-        out_labels.append(U_TILDE_IN)
-        rows.append(row([(A_TILDE_1_IN, "X", w2), (A_TILDE_2_IN, "X", -w1),
-                         (B_TILDE, "P", -wg)]))
-        rows.append(row([(A_TILDE_1_IN, "P", w2), (A_TILDE_2_IN, "P", -w1),
-                         (B_TILDE, "X", -wg)]))
-
+        labels += (W_TILDE_IN, U_TILDE_IN)
+    rows = [_collective_rows(oc, dq, labels)]
+    if A_M_OUT in oc.mode_labels:
+        labels = (A_M_OUT,) + labels
+        rows.insert(0, np.eye(oc.sigma.shape[0])[
+            [oc.index(A_M_OUT, "X"), oc.index(A_M_OUT, "P")]])
     T = np.vstack(rows)
-    return OutputCovariance(tuple(out_labels), T @ oc.sigma @ T.T)
+    return OutputCovariance(labels, T @ oc.sigma @ T.T)
 
 
 def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
@@ -685,9 +664,10 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
     """One-call oracle over the standard mode set.
 
     Builds the requested model and the standard output kernels, propagates
-    through the pulse, and (with ``collective=True``) appends the collective
-    modes W_out, U_out, W_tilde_in and U_tilde_in with exact cross moments
-    to everything else.
+    through the pulse exactly (``tol`` is validated but has no effect; see
+    ``propagate_output_covariance``), and (with ``collective=True``)
+    appends the collective modes W_out, U_out, W_tilde_in and U_tilde_in
+    with exact cross moments to everything else.
     """
     if engine == "reduced":
         model = build_reduced_model(rp)
@@ -700,41 +680,10 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
                                      terminal_phase=mirror_output_phase(rp))
     if not collective:
         return oc
-
-    dq = derived_quantities(rp)
-    G = dq.G
-    w1, w2, wg = (math.sqrt(dq.G1 / G), math.sqrt(dq.G2 / G),
-                  math.sqrt(dq.gamma / G))
-    nq = oc.sigma.shape[0]
-
-    def row(entries: list[tuple[str, str, float]]) -> np.ndarray:
-        v = np.zeros(nq)
-        for lab, quad, w in entries:
-            v[oc.index(lab, quad)] = w
-        return v
-
-    collective_rows = {
-        W_OUT: ([(A_1_OUT, "X", w1), (A_2_OUT, "X", w2), (B_TILDE, "P", wg)],
-                [(A_1_OUT, "P", w1), (A_2_OUT, "P", w2), (B_TILDE, "X", wg)]),
-        U_OUT: ([(A_1_OUT, "X", w2), (A_2_OUT, "X", -w1), (B_TILDE, "P", wg)],
-                [(A_1_OUT, "P", w2), (A_2_OUT, "P", -w1), (B_TILDE, "X", wg)]),
-        W_TILDE_IN: ([(A_TILDE_1_IN, "X", w1), (A_TILDE_2_IN, "X", w2),
-                      (B_TILDE, "P", -wg)],
-                     [(A_TILDE_1_IN, "P", w1), (A_TILDE_2_IN, "P", w2),
-                      (B_TILDE, "X", -wg)]),
-        U_TILDE_IN: ([(A_TILDE_1_IN, "X", w2), (A_TILDE_2_IN, "X", -w1),
-                      (B_TILDE, "P", -wg)],
-                     [(A_TILDE_1_IN, "P", w2), (A_TILDE_2_IN, "P", -w1),
-                      (B_TILDE, "X", -wg)]),
-    }
-    rows = [np.eye(nq)]
-    labels = list(oc.mode_labels)
-    for lab, (rx, rp_row) in collective_rows.items():
-        labels.append(lab)
-        rows.append(row(rx)[None, :])
-        rows.append(row(rp_row)[None, :])
-    T = np.vstack(rows)
-    return OutputCovariance(tuple(labels), T @ oc.sigma @ T.T)
+    labels = (W_OUT, U_OUT, W_TILDE_IN, U_TILDE_IN)
+    T = np.vstack([np.eye(oc.sigma.shape[0]),
+                   _collective_rows(oc, derived_quantities(rp), labels)])
+    return OutputCovariance(oc.mode_labels + labels, T @ oc.sigma @ T.T)
 
 
 def mode_cross_correlation(oc: OutputCovariance, label1: str, label2: str,

@@ -36,7 +36,7 @@ class ZeroVariance(SteerkitError):
 
 
 class IntegratorFailure(SteerkitError):
-    """Adaptive moment integration failed (step underflow or blow-up)."""
+    """Moment propagation overflowed to non-finite values."""
 
 
 class InsufficientTrajectories(SteerkitError):

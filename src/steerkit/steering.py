@@ -149,27 +149,45 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
     return SteeringReport(E, steered_mode, party_mode, ux, up, ts, tp)
 
 
+# A witness is a difference ``Var(s) - Cov^2/Var(p)`` of numbers of the size
+# of the steered variance, so its rounding error is a few ulps of that
+# variance: at the analytic tie E = 1/2 of equal couplings the oracle lands
+# within 3 eps Var(X_m) of 1/2 for r <= 8.  The margin allows 64 ulps.
+TIE_ULPS = 64
+
+
 @dataclass(frozen=True)
 class MonogamyReport:
-    """Single-party witnesses against the same steered mode."""
+    """Single-party witnesses against the same steered mode.
+
+    ``margin`` is the rounding resolution of the witnesses: a party counts
+    as steering only when its E lies below 1/2 by more than it.
+    """
 
     steered_mode: str
     parties: tuple[str, str]
     E_values: tuple[float, float]
+    margin: float = 0.0
 
     @property
     def is_consistent(self) -> bool:
         """Two parties may never steer the same mode simultaneously."""
-        return not (self.E_values[0] < 0.5 and self.E_values[1] < 0.5)
+        return not all(e < 0.5 - self.margin for e in self.E_values)
 
 
 def monogamy_check(oc: OutputCovariance, steered_mode: str,
                    parties: tuple[str, str]) -> MonogamyReport:
     """Evaluate both single-party witnesses; a violation signals a covariance
-    bug and is reported, never raised."""
+    bug and is reported, never raised.
+
+    The margin is ``TIE_ULPS`` ulps of the larger steered variance, so an
+    analytic tie at 1/2 (equal couplings) is never decided by rounding.
+    """
     e1 = steering_product(oc, steered_mode, parties[0]).E_value
     e2 = steering_product(oc, steered_mode, parties[1]).E_value
-    return MonogamyReport(steered_mode, tuple(parties), (e1, e2))
+    scale = max(oc.variance(steered_mode, "X"), oc.variance(steered_mode, "P"))
+    margin = TIE_ULPS * float(np.finfo(float).eps) * scale
+    return MonogamyReport(steered_mode, tuple(parties), (e1, e2), margin)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Model builders, kernels, deterministic propagation, collective modes."""
 
+import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from steerkit import (
+    TemporalKernel,
     build_full_model,
     build_reduced_model,
     collective_transform,
@@ -28,8 +33,10 @@ from steerkit.dynamics import (
     input_kernels,
     mirror_output_phase,
     output_kernels,
+    _Assembler,
+    _step_map,
 )
-from steerkit.errors import InvalidParams, MissingModes
+from steerkit.errors import IntegratorFailure, InvalidParams, MissingModes
 
 E2 = math.e ** 2
 
@@ -46,6 +53,64 @@ def lyapunov_endpoint(A, V, S0, t):
     Sp = solve_continuous_lyapunov(A, -V)
     F = expm(A * t)
     return F @ (S0 - Sp) @ F.T + Sp
+
+
+def time_dependent_reference(model, kernels, tau, phase):
+    """The moment equation in its original time-dependent form.
+
+    Filter accumulators integrate ``amp * e^{s t}`` times the system mode
+    or noise channel directly, so ``M(t)`` and ``B(t)`` depend on time, and
+    ``dS/dt = M S + S M^T + B Sigma B^T`` is integrated by DOP853 at rtol
+    1e-12.  Returns the covariance over the rotated terminal mirror and the
+    filters, in the layout of ``propagate_output_covariance``.
+    """
+    n_sys = 2 * model.dimension
+    n = n_sys + 2 * len(kernels)
+    sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
+    chan_index = {ch.name: i for i, ch in enumerate(model.noise_channels)}
+    conj = np.diag([1.0, -1.0])
+
+    def matrices(t):
+        M = np.zeros((n, n))
+        B = np.zeros((n, 2 * len(chan_index)))
+        M[:n_sys, :n_sys] = model.drift
+        B[:n_sys] = model.noise_input
+        for k, kern in enumerate(kernels):
+            row = n_sys + 2 * k
+            for term in kern.terms:
+                c = term.amplitude * cmath.exp(term.rate * t)
+                blk = np.array([[c.real, -c.imag], [c.imag, c.real]])
+                if term.dagger:
+                    blk = blk @ conj
+                if term.kind == "system":
+                    col = 2 * sys_index[term.target]
+                    M[row:row + 2, col:col + 2] += blk
+                else:
+                    col = 2 * chan_index[term.target]
+                    B[row:row + 2, col:col + 2] += blk
+        return M, B
+
+    sig = model.noise_intensities
+
+    def rhs(t, y):
+        S = y.reshape(n, n)
+        M, B = matrices(t)
+        return (M @ S + S @ M.T + (B * sig) @ B.T).ravel()
+
+    S0 = np.zeros((n, n))
+    for i, occ in enumerate(model.initial_occupations):
+        S0[2 * i, 2 * i] = S0[2 * i + 1, 2 * i + 1] = occ + 0.5
+    sol = solve_ivp(rhs, (0.0, tau), S0.ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert sol.success, sol.message
+    S = sol.y[:, -1].reshape(n, n)
+    c, s = math.cos(phase), math.sin(phase)
+    R = np.eye(n)
+    m = n_sys - 2  # the mirror is the last system mode
+    R[m:m + 2, m:m + 2] = [[c, s], [-s, c]]
+    S = R @ S @ R.T
+    idx = [m, m + 1] + list(range(n_sys, n))
+    return S[np.ix_(idx, idx)]
 
 
 class TestKernels:
@@ -199,6 +264,87 @@ class TestReducedPropagation:
             propagate_output_covariance(model, kernels + kernels, 1.0)
 
 
+class TestAgainstTimeDependentForm:
+    """The exact propagation against the retired time-dependent moment
+    equation, integrated independently at rtol 1e-12."""
+
+    @staticmethod
+    def worst_scaled_error(rp, full):
+        build = build_full_model if full else build_reduced_model
+        model = build(rp)
+        kernels = output_kernels(rp, full=full)
+        phase = mirror_output_phase(rp)
+        ref = time_dependent_reference(model, kernels, rp.tau, phase)
+        got = propagate_output_covariance(model, kernels, rp.tau,
+                                          terminal_phase=phase).sigma
+        # each entry against its natural scale sqrt(S_ii S_jj)
+        d = np.sqrt(np.diag(ref))
+        return float((np.abs(got - ref) / np.outer(d, d)).max())
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("ratio", [1.0, 1.5])
+    def test_reduced_model(self, r, ratio):
+        rp = reduced_from_ratios(r, 0.1, G1_over_G2=ratio, n0=0.5, n=5.0)
+        assert self.worst_scaled_error(rp, full=False) <= 1e-9
+
+    @pytest.mark.parametrize("kappa_over_g", [5.0, 40.0])
+    def test_full_model(self, kappa_over_g):
+        x = 0.01
+        rp = reduced_from_ratios(1.0, x, n0=0.5, n=5.0,
+                                 kappa=(1.0 + x) * kappa_over_g ** 2)
+        assert self.worst_scaled_error(rp, full=True) <= 1e-9
+
+
+    def test_kernel_with_two_rates(self):
+        # a kernel mixing the cavity-output rate G + i delta with the bath
+        # rate G - i delta needs two accumulator pairs
+        rp = reduced_from_ratios(1.5, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
+        a1, bt = output_kernels(rp, full=False, which=(A_1_OUT, B_TILDE))
+        assert a1.terms[0].rate != bt.terms[0].rate
+        mixed = TemporalKernel("mixed", "output", a1.terms + bt.terms)
+        model = build_reduced_model(rp)
+        kernels = [a1, mixed]
+        phase = mirror_output_phase(rp)
+        ref = time_dependent_reference(model, kernels, rp.tau, phase)
+        got = propagate_output_covariance(model, kernels, rp.tau,
+                                          terminal_phase=phase).sigma
+        d = np.sqrt(np.diag(ref))
+        assert (np.abs(got - ref) / np.outer(d, d)).max() <= 1e-9
+
+
+class TestStepMap:
+    @pytest.mark.parametrize("full, h", [(False, 0.01), (False, 0.3),
+                                         (False, 2.5), (True, 0.002),
+                                         (True, 0.1)])
+    def test_matches_van_loan_block_exponential(self, full, h):
+        rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
+        build = build_full_model if full else build_reduced_model
+        asm = _Assembler(build(rp), output_kernels(rp, full=full), rp.tau,
+                         0.0)
+        A, V = asm.drift, asm.diffusion
+        n = A.shape[0]
+        block = np.block([[-A, V], [np.zeros((n, n)), A.T]])
+        F = expm(block * h)
+        phi_ref = F[n:, n:].T
+        q_ref = phi_ref @ F[:n, n:]
+        phi, q = _step_map(A, V, h)
+        assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+
+
+    def test_overflow_is_reported(self):
+        with np.errstate(all="ignore"), pytest.raises(IntegratorFailure):
+            _step_map(np.array([[800.0]]), np.array([[1.0]]), 1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, steerkit; print(sorted(m for m in sys.modules " \
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestAdiabaticLimit:
     def test_full_model_approaches_reduced_at_high_kappa(self):
         rels = []
@@ -268,8 +414,9 @@ class TestCollectiveModes:
 class TestPhysicality:
     def test_canonical_blocks_stay_physical(self, oracle_cache):
         # the mirror with both cavity outputs forms a canonically commuting
-        # triple, as does the W/U pair; their symplectic spectra obey the
-        # uncertainty bound
+        # triple whose symplectic spectrum obeys the uncertainty bound; the
+        # W/U pair is canonical only without damping, so at x > 0 its bound
+        # is a consistency check, not a physicality statement
         for (r, x, n0, n) in ((0.5, 0.0, 0.0, 0.0), (1.0, 0.1, 0.0, 0.0),
                               (2.0, 0.1, 5.0, 100.0)):
             oc = oracle_cache.covariance(r, x, n0, n)

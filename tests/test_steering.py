@@ -139,6 +139,29 @@ class TestMonogamy:
         assert report.E_values[1] > 0.5
         assert report.is_consistent
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+    def test_analytic_tie_is_consistent(self, oracle_cache, r):
+        # G1 = G2, no damping, zero occupations: both single-party witnesses
+        # equal 1/2 exactly; rounding must not make both "steer"
+        oc = oracle_cache.covariance(r, 0.0, 0.0, 0.0)
+        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        assert report.E_values == pytest.approx((0.5, 0.5), abs=1e-9)
+        assert report.is_consistent
+
+    def test_both_parties_below_half_is_flagged(self):
+        # a corrupted covariance in which both cavity outputs infer the
+        # mirror to conditional variance 0.45: E = 0.45 for each party
+        c = math.sqrt(0.55)
+        sigma = np.eye(6)
+        for j in (2, 4):  # A_1_out, A_2_out
+            sigma[0, j + 1] = sigma[j + 1, 0] = c  # X_m with P_j
+            sigma[1, j] = sigma[j, 1] = c          # P_m with X_j
+        oc = OutputCovariance((A_M_OUT, A_1_OUT, A_2_OUT), sigma)
+        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        assert report.E_values == pytest.approx((0.45, 0.45), abs=1e-12)
+        assert 0.0 < report.margin < 1e-12
+        assert not report.is_consistent
+
     @settings(max_examples=200, deadline=None)
     @given(r=st.floats(0.01, 5.0), x=st.floats(0.0, 0.5),
            n0=st.floats(0.0, 100.0), n=st.floats(0.0, 1000.0),
