@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import ConfigError, SteerkitError
 from .model import (
     PhysicalParams,
     derive_working_point,
+    derived_from_ratios,
     derived_quantities,
     reduce as reduce_params,
     reduced_from_ratios,
@@ -51,9 +51,22 @@ SWEEP_VARIABLES = ("r", "tau", "n", "n0", "gamma_over_G", "G1_over_G2")
 _HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 
 
+def _number(value, what: str) -> float:
+    """A finite float from a scenario value; bools are not numbers here."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def parse_rate(value) -> float:
     """Angular rate in rad/s from a number or a '<value> <unit>' string."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         parts = value.split()
@@ -88,6 +101,9 @@ class Sweep:
                               f"{SWEEP_VARIABLES}")
         if self.points < 2:
             raise ConfigError(f"sweep needs >= 2 points, got {self.points}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"sweep range must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ConfigError(
                 f"sweep range must have start < stop, got "
@@ -149,6 +165,32 @@ class Scenario:
             raise ConfigError("heatmap mode requires a sweep2 block")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
+        if self.mode == "working-point":
+            physical_params(self.params)
+        elif self.mode == "validate-adiabatic":
+            _adiabatic_params(self.params)
+        else:
+            ratio_params(self.params)
+        for case in self.cases:
+            if not isinstance(case, dict):
+                raise ConfigError(f"cases entries must be objects, got "
+                                  f"{case!r}")
+            for key, val in case.items():
+                if key == "label":
+                    continue
+                if key not in _RATIO_DEFAULTS:
+                    raise ConfigError(f"unknown case override {key!r}")
+                _number(val, f"case override {key!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must be an object")
+        for key, val in self.tolerances.items():
+            _number(val, f"tolerance {key!r}")
+        if self.mode == "cross-correlation" and self.engine != "closedform" \
+                and self.trajectories < dynamics.MIN_TRAJECTORIES:
+            raise ConfigError(
+                f"the Monte Carlo sampler needs >= "
+                f"{dynamics.MIN_TRAJECTORIES} trajectories, got "
+                f"{self.trajectories}")
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -255,7 +297,7 @@ def ratio_params(params: dict) -> dict:
             raise ConfigError(f"unknown ratios params {sorted(unknown)}")
         for key in _RATIO_DEFAULTS:
             if key in params:
-                out[key] = float(params[key])
+                out[key] = _number(params[key], f"params {key!r}")
         return out
     if kind == "reduced":
         try:
@@ -264,8 +306,10 @@ def ratio_params(params: dict) -> dict:
                 g1=parse_rate(params["g1"]), g2=parse_rate(params["g2"]),
                 kappa=parse_rate(params["kappa"]),
                 Delta=parse_rate(params["Delta"]),
-                gamma=parse_rate(params["gamma"]), n0=float(params["n0"]),
-                n=float(params["n"]), tau=float(params["tau"]))
+                gamma=parse_rate(params["gamma"]),
+                n0=_number(params["n0"], "params 'n0'"),
+                n=_number(params["n"], "params 'n'"),
+                tau=_number(params["tau"], "params 'tau'"))
         except KeyError as exc:
             raise ConfigError(f"reduced params missing {exc}") from exc
         dq = derived_quantities(rp)
@@ -298,9 +342,9 @@ def physical_params(params: dict) -> PhysicalParams:
             g02=parse_rate(params["g02"]),
             E1=parse_rate(params["E1"]),
             E2=parse_rate(params["E2"]),
-            n0=float(params["n0"]),
-            n=float(params["n"]),
-            tau=float(params["tau"]),
+            n0=_number(params["n0"], "params 'n0'"),
+            n=_number(params["n"], "params 'n'"),
+            tau=_number(params["tau"], "params 'tau'"),
         )
     except KeyError as exc:
         raise ConfigError(f"physical params missing {exc}") from exc
@@ -330,80 +374,97 @@ def _oracle_E(knobs: dict, tol: float) -> float:
 # mode runners (each returns columns, points, warnings, summary)
 
 
+def _witness_error(knobs: dict) -> SteerkitError | None:
+    """Why the collective witness is NaN at one point: the error the float
+    call raises there, or None when the NaN is its value."""
+    try:
+        closedform.collective_steering_value(
+            knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"])
+    except SteerkitError as exc:
+        return exc
+    return None
+
+
+def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """The collective witness over a grid of knobs, in one array call."""
+    return closedform.collective_steering_value(
+        np.full(shape, knobs["r"]), knobs["gamma_over_G"], knobs["n0"],
+        knobs["n"])
+
+
 def _run_curve(sc: Scenario, threads: int):
     base = ratio_params(sc.params)
     cases = list(sc.cases) or [{}]
     tol = float(sc.tolerances.get("oracle_tol", 1e-9))
-    labels = []
-    for i, case in enumerate(cases):
-        labels.append(case.get("label", f"case{i}") if case else "E")
     var = sc.sweep.variable
     values = sc.sweep.values()
+    closed = sc.engine in ("closedform", "both")
+    oracle = sc.engine in ("oracle", "both")
+    labelled = len(cases) > 1 or "label" in cases[0]
+    series = []  # (label, E column, oracle column, overrides, E values)
+    for i, case in enumerate(cases):
+        lab = case.get("label", f"case{i}") if case else "E"
+        over = {k: float(v) for k, v in case.items() if k != "label"}
+        E = _witness_grid({**_apply(base, var, values), **over},
+                          values.shape) if closed else None
+        series.append((lab, f"E[{lab}]" if labelled else "E",
+                       f"E_oracle[{lab}]" if labelled else "E_oracle",
+                       over, E))
 
     def point(idx: int, warn) -> dict:
         v = float(values[idx])
         row = {var: v}
-        for lab, case in zip(labels, cases):
-            knobs = _apply(base, var, v)
-            for key, val in case.items():
-                if key == "label":
-                    continue
-                if key not in _RATIO_DEFAULTS:
-                    raise ConfigError(f"unknown case override {key!r}")
-                knobs[key] = float(val)
-            col = f"E[{lab}]" if len(cases) > 1 or "label" in (cases[0] or {}) \
-                else "E"
-            ocol = f"E_oracle[{lab}]" if col != "E" else "E_oracle"
-            try:
-                if sc.engine in ("closedform", "both"):
-                    row[col] = closedform.collective_steering_value(
-                        knobs["r"], knobs["gamma_over_G"], knobs["n0"],
-                        knobs["n"])
-                if sc.engine in ("oracle", "both"):
+        for lab, col, ocol, over, E in series:
+            knobs = {**_apply(base, var, v), **over}
+            exc = None
+            if closed:
+                row[col] = float(E[idx])
+                if math.isnan(row[col]):
+                    exc = _witness_error(knobs)
+            if exc is None and oracle:
+                try:
                     row[ocol] = _oracle_E(knobs, tol)
-            except SteerkitError as exc:
+                except SteerkitError as err:
+                    exc = err
+            if exc is not None:
                 warn(f"point {idx} ({var}={v:.6g}, {lab}): {exc}")
-                row.setdefault(col if sc.engine != "oracle" else ocol,
-                               math.nan)
-                if sc.engine == "both":
-                    row.setdefault(ocol, math.nan)
+                if oracle:
+                    row[ocol] = math.nan
         return row
 
-    points, warnings = _map_ordered(point, len(values), threads)
+    points, warnings = _map_ordered(point, len(values))
     columns = [var] + [k for k in points[0] if k != var]
     return columns, points, warnings, {}
 
 
 def _run_heatmap(sc: Scenario, threads: int):
     base = ratio_params(sc.params)
-    if sc.sweep.variable == sc.sweep2.variable:
+    var1, var2 = sc.sweep.variable, sc.sweep2.variable
+    if var1 == var2:
         raise ConfigError("heatmap axes must differ")
     v1 = sc.sweep.values()
     v2 = sc.sweep2.values()
-
-    def point(idx: int, warn) -> dict:
-        i, j = divmod(idx, len(v1))
-        knobs = _apply(_apply(base, sc.sweep.variable, float(v1[j])),
-                       sc.sweep2.variable, float(v2[i]))
-        row = {sc.sweep.variable: float(v1[j]),
-               sc.sweep2.variable: float(v2[i])}
-        try:
-            row["E"] = closedform.collective_steering_value(
-                knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"])
-        except SteerkitError as exc:
-            warn(f"point {idx}: {exc}")
-            row["E"] = math.nan
-        return row
-
-    points, warnings = _map_ordered(point, len(v1) * len(v2), threads)
     # contour of E = 1/2 along the first sweep axis, per second-axis row
     contour: list[tuple[float, float]] = []
-    if sc.sweep.variable == "r" and sc.sweep2.variable == "gamma_over_G":
+    if var1 == "r" and var2 == "gamma_over_G":
         region = steering.steering_region(v1, v2, base["n0"], base["n"])
-        contour = list(region.contour)
-    summary = {"contour": contour}
-    return ([sc.sweep.variable, sc.sweep2.variable, "E"], points,
-            warnings, summary)
+        E, contour = region.E, list(region.contour)
+    else:
+        a1, a2 = np.meshgrid(v1, v2)
+        E = _witness_grid(_apply(_apply(base, var1, a1), var2, a2), a1.shape)
+
+    x1s = v1.tolist()
+    points = [{var1: x1, var2: x2, "E": e}
+              for x2, row in zip(v2.tolist(), E.tolist())
+              for x1, e in zip(x1s, row)]
+    warnings = []
+    for idx in np.flatnonzero(np.isnan(E)).tolist():
+        p = points[idx]
+        exc = _witness_error(_apply(_apply(base, var1, p[var1]), var2,
+                                    p[var2]))
+        if exc is not None:
+            warnings.append(f"point {idx}: {exc}")
+    return [var1, var2, "E"], points, warnings, {"contour": contour}
 
 
 def _run_nthreshold(sc: Scenario, threads: int):
@@ -428,7 +489,7 @@ def _run_nthreshold(sc: Scenario, threads: int):
                         "bracket_lo": math.nan, "bracket_hi": math.nan})
         return row
 
-    points, warnings = _map_ordered(point, len(values), threads)
+    points, warnings = _map_ordered(point, len(values))
     return (["gamma_over_G", "n_threshold", "sup_r", "bracket_lo",
              "bracket_hi"], points, warnings, {})
 
@@ -439,7 +500,6 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
 
 def _oracle_moment_row(knobs: dict, tol: float) -> dict:
     """Closed-form vs oracle values and relative errors at one point."""
-    from .model import derived_from_ratios
     dq = derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
                              G1_over_G2=knobs["G1_over_G2"],
                              Delta_over_kappa=knobs["Delta_over_kappa"])
@@ -496,7 +556,7 @@ def _run_validate_oracle(sc: Scenario, threads: int):
             row["max_rel"] = math.nan
         return row
 
-    points, warnings = _map_ordered(point, len(values), threads)
+    points, warnings = _map_ordered(point, len(values))
     worst = max((p["max_rel"] for p in points), default=math.nan)
     ok = math.isfinite(worst) and worst <= tol
     summary = {"max_rel_discrepancy": worst, "tolerance": tol,
@@ -506,17 +566,25 @@ def _run_validate_oracle(sc: Scenario, threads: int):
     return columns, points, warnings, summary
 
 
-def _run_validate_adiabatic(sc: Scenario, threads: int):
-    base = ratio_params({k: v for k, v in sc.params.items()
-                         if k != "kappa_over_g"})
-    ratios = sc.params.get("kappa_over_g", [5.0, 10.0, 20.0, 40.0])
+def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
+    """Ratio knobs and kappa/g ladder of a validate-adiabatic params block."""
+    ratios = params.get("kappa_over_g", [5.0, 10.0, 20.0, 40.0])
     if not isinstance(ratios, list) or len(ratios) < 1:
         raise ConfigError("validate-adiabatic needs a kappa_over_g list")
+    ladder = [_number(v, "kappa_over_g entry") for v in ratios]
+    if min(ladder) <= 0.0:
+        raise ConfigError(f"kappa_over_g entries must be > 0, got {ratios!r}")
+    return ratio_params({k: v for k, v in params.items()
+                         if k != "kappa_over_g"}), ladder
+
+
+def _run_validate_adiabatic(sc: Scenario, threads: int):
+    base, ratios = _adiabatic_params(sc.params)
     tol = float(sc.tolerances.get("adiabatic_rel", 5e-2))
     itol = float(sc.tolerances.get("oracle_tol", 1e-10))
 
     def point(idx: int, warn) -> dict:
-        ratio = float(ratios[idx])
+        ratio = ratios[idx]
         # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
         kappa = (1.0 + base["gamma_over_G"]) * ratio ** 2
         rp = reduced_from_ratios(
@@ -531,7 +599,7 @@ def _run_validate_adiabatic(sc: Scenario, threads: int):
         rel = float(np.max(np.abs(got[mask] - ref[mask]) / np.abs(ref[mask])))
         return {"kappa_over_g": ratio, "max_rel_discrepancy": rel}
 
-    points, warnings = _map_ordered(point, len(ratios), threads)
+    points, warnings = _map_ordered(point, len(ratios))
     rels = [p["max_rel_discrepancy"] for p in points]
     decreasing = all(a > b for a, b in zip(rels[:-1], rels[1:]))
     ok = rels[-1] <= tol and decreasing
@@ -579,7 +647,6 @@ def _run_cross_correlation(sc: Scenario, threads: int):
     def point(idx: int, warn) -> dict:
         v = float(values[idx])
         knobs = _apply(base, sc.sweep.variable, v)
-        from .model import derived_from_ratios
         row = {sc.sweep.variable: v}
         try:
             dq = derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
@@ -601,6 +668,7 @@ def _run_cross_correlation(sc: Scenario, threads: int):
                 kernels = dynamics.output_kernels(rp, full=False)
                 oc = dynamics.monte_carlo_output_covariance(
                     model, kernels, rp.tau, sc.trajectories, sc.seed + idx,
+                    threads=threads,
                     terminal_phase=dynamics.mirror_output_phase(rp))
                 cc, se = dynamics.mode_cross_correlation(
                     oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
@@ -612,7 +680,7 @@ def _run_cross_correlation(sc: Scenario, threads: int):
                 row["cross_corr_mc_se"] = math.nan
         return row
 
-    points, warnings = _map_ordered(point, len(values), threads)
+    points, warnings = _map_ordered(point, len(values))
     columns = [sc.sweep.variable, "cross_corr"]
     if with_mc:
         columns += ["cross_corr_mc", "cross_corr_mc_se"]
@@ -630,20 +698,10 @@ _RUNNERS = {
 }
 
 
-def _map_ordered(fn, count: int, threads: int) -> tuple[list, list[str]]:
-    """Evaluate points in parallel; rows and warnings assemble strictly by
-    point index so the emitted artifacts never depend on the thread count."""
-    warn_lists: list[list[str]] = [[] for _ in range(count)]
-
-    def call(i: int):
-        return fn(i, warn_lists[i].append)
-
-    if threads <= 1 or count <= 1:
-        points = [call(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(call, range(count)))
-    return points, [w for per_point in warn_lists for w in per_point]
+def _map_ordered(fn, count: int) -> tuple[list, list[str]]:
+    """Evaluate points in index order, collecting their warnings in order."""
+    warnings: list[str] = []
+    return [fn(i, warnings.append) for i in range(count)], warnings
 
 
 def run(scenario: Scenario, *, output: str | None = None,
@@ -652,7 +710,8 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.
+    failed its tolerance.  ``threads`` (default ``STEERKIT_THREADS`` or 1)
+    caps the Monte Carlo sampler's thread pool; points run in order.
     """
     scenario.validate()
     if threads is None:
@@ -840,7 +899,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, help="Monte Carlo seed override")
         sp.add_argument("--threads", type=int,
-                        help="parallelism cap (default: STEERKIT_THREADS or 1)")
+                        help="parallelism cap of the Monte Carlo sampler "
+                             "(default: STEERKIT_THREADS or 1)")
         sp.add_argument("--svg", action="store_true",
                         help="also render a minimal SVG chart")
 

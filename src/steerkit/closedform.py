@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateVariance, GainNotPositive, InvalidParams
 from .model import DerivedQuantities
 
@@ -32,13 +34,19 @@ SERIES_CROSSOVER = 1e-4
 LARGE_R = 350.0
 
 
+def _gain_series(u):
+    """Taylor series of ``gain_filter_ratio`` in ``u = 2r``, for floats and
+    arrays alike."""
+    u2 = u * u
+    return 2.0 * (1.0 + u / 2.0 + u2 / 12.0 - u2 * u2 / 720.0
+                  + u2 * u2 * u2 / 30240.0)
+
+
 def gain_filter_ratio(r: float) -> float:
     """``4 r e^{2r} / (e^{2r} - 1)``, limit 2 at r = 0."""
     u = 2.0 * r
     if r < SERIES_CROSSOVER:
-        u2 = u * u
-        return 2.0 * (1.0 + u / 2.0 + u2 / 12.0 - u2 * u2 / 720.0
-                      + u2 * u2 * u2 / 30240.0)
+        return _gain_series(u)
     return 4.0 * r * math.exp(u) / math.expm1(u)
 
 
@@ -179,8 +187,36 @@ def cross_correlation(dq: DerivedQuantities, n0: float, n: float) -> float:
                                  + 2.0 * (n + 1.0) * x * coherence_factor(dq.r))
 
 
-def collective_steering_value(r: float, gamma_over_G: float, n0: float,
-                              n: float) -> float:
+def _plateau(x, b):
+    """Large-r limit of the collective witness for damping ratio ``x > 0``;
+    ``b = 1/2 + x (n + 1)``."""
+    return x * x * b / (1.0 + x) ** 2
+
+
+def _collective_terms(r, x, n0, n, u, kr):
+    """``(var_XW_out, numerator / u)`` of the collective witness.
+
+    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)`` are passed in, so
+    the same arithmetic serves floats and numpy arrays.  The numerator of
+    ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` is expanded so that no
+    catastrophic cancellation occurs anywhere in parameter space.
+    """
+    a = n0 + 1.0 + x * (n + 1.0)
+    b = 0.5 + x * (n + 1.0)
+    var_W = (1.0 + x) ** 2 * (a * u + b) \
+        + x * b * (x - (1.0 + x) * kr)
+    rterm = 16.0 * x * x * b * b * r * r \
+        + 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x) * r
+    num_over_u = (4.0 * x * x * a * b * u
+                  + 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0)
+                  - rterm * (1.0 + 1.0 / u))
+    return var_W, num_over_u
+
+
+def collective_steering_value(r: float | np.ndarray,
+                              gamma_over_G: float | np.ndarray,
+                              n0: float | np.ndarray, n: float | np.ndarray,
+                              ) -> float | np.ndarray:
     """Steering witness of the mirror given the collective mode W.
 
     Equals ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` from ``moment_set``,
@@ -199,30 +235,72 @@ def collective_steering_value(r: float, gamma_over_G: float, n0: float,
     quadratures when gamma > 0.  The README overview describes W as a
     combination of the cavity outputs alone; the README records this
     discrepancy as open.
+
+    Accepts numpy arrays: when ``r`` is an ``ndarray`` it carries the grid
+    shape (pass it at full shape, e.g. from ``np.meshgrid``), the other
+    arguments broadcast against it, and the result is an array of that
+    shape.  Cells outside the domain (a negative or NaN argument) or with
+    a non-positive ``var_XW_out`` come out NaN instead of raising; the
+    float call on such a cell raises the error that explains it.  Array
+    cells agree with the float calls to rounding: numpy's ``exp`` and
+    ``expm1`` are not the C library's.
     """
+    if isinstance(r, np.ndarray):
+        return _collective_array(r, gamma_over_G, n0, n)
     x = gamma_over_G
     _check_inputs(r, x, n0, n)
     if r == 0.0:
         return n0 + 0.5
-    b = 0.5 + x * (n + 1.0)
     if r > LARGE_R:
         # e^{2r} overflows; the witness has already reached its plateau
         if x == 0.0:
             return 0.0
-        return x * x * b / (1.0 + x) ** 2
+        return _plateau(x, 0.5 + x * (n + 1.0))
 
-    u = math.expm1(2.0 * r)
-    a = n0 + 1.0 + x * (n + 1.0)
-    var_W = (1.0 + x) ** 2 * (a * u + b) \
-        + x * b * (x - (1.0 + x) * gain_filter_ratio(r))
+    var_W, num_over_u = _collective_terms(
+        r, x, n0, n, math.expm1(2.0 * r), gain_filter_ratio(r))
     if not var_W > 0.0:
         raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
-    rterm = 16.0 * x * x * b * b * r * r \
-        + 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x) * r
-    num_over_u = (4.0 * x * x * a * b * u
-                  + 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0)
-                  - rterm * (1.0 + 1.0 / u))
     return num_over_u / (4.0 * var_W)
+
+
+def _collective_array(r, x, n0, n) -> np.ndarray:
+    """``collective_steering_value`` cell by cell over the shape of ``r``,
+    one masked numpy expression per branch.  Scalar arguments stay scalars,
+    which numpy combines with arrays faster than broadcast copies."""
+    r = np.asarray(r, dtype=float)
+    x, n0, n = (np.broadcast_to(np.asarray(v, dtype=float), r.shape)
+                if np.ndim(v) else float(v) for v in (x, n0, n))
+
+    def at(v, cells):
+        return v[cells] if isinstance(v, np.ndarray) else v
+
+    E = np.full(r.shape, np.nan)
+    ok = (r >= 0.0) & (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0)
+
+    zero = ok & (r == 0.0)
+    E[zero] = at(n0, zero) + 0.5
+
+    big = ok & (r > LARGE_R)
+    if big.any():
+        xb = at(x, big)
+        E[big] = np.where(xb == 0.0, 0.0,
+                          _plateau(xb, 0.5 + xb * (at(n, big) + 1.0)))
+
+    mid = ok & (r > 0.0) & (r <= LARGE_R)
+    rm = r[mid]
+    u2 = 2.0 * rm
+    u = np.expm1(u2)
+    series = rm < SERIES_CROSSOVER
+    kr = np.where(series, _gain_series(u2), 0.0)
+    direct = ~series
+    kr[direct] = 4.0 * rm[direct] * np.exp(u2[direct]) / u[direct]
+    # overflow to inf passes silently, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        var_W, num_over_u = _collective_terms(
+            rm, at(x, mid), at(n0, mid), at(n, mid), u, kr)
+        E[mid] = np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
+    return E
 
 
 def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,

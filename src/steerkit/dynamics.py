@@ -217,7 +217,12 @@ def _norms(dq: DerivedQuantities, tau: float) -> tuple[float, float]:
     """(input-side, output-side) kernel normalizations."""
     G = dq.G
     n_in = math.sqrt(2.0 * G / -math.expm1(-2.0 * G * tau))
-    n_out = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
+    try:
+        n_out = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
+    except OverflowError as exc:
+        raise IntegratorFailure(
+            f"output kernel normalization overflows at G*tau = "
+            f"{G * tau:.6g}") from exc
     return n_in, n_out
 
 
@@ -535,6 +540,9 @@ def propagate_output_covariance(model: LinearModel,
     return OutputCovariance(asm.labels, 0.5 * (S + S.T))
 
 
+MIN_TRAJECTORIES = 1000
+
+
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
@@ -561,14 +569,22 @@ def monte_carlo_output_covariance(model: LinearModel,
     (``_step_map``), so agreement between the two validates the estimator,
     its standard errors and its reproducibility, not the model assembly.
 
-    Raises ``InsufficientTrajectories`` for fewer than 10^3 trajectories or
-    when the largest standard error exceeds ``se_bound``.
+    ``threads`` caps the thread pool the batches are spread over; it
+    changes no bit of the result.
+
+    Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
+    trajectories or when the largest standard error exceeds ``se_bound``,
+    and ``InvalidParams`` for ``n_steps < 1`` or ``batch_size < 1``.
     """
-    if trajectories < 1000:
+    if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
-            f"need >= 1000 trajectories, got {trajectories}")
+            f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
+    if n_steps < 1:
+        raise InvalidParams(f"n_steps must be >= 1, got {n_steps!r}")
+    if batch_size < 1:
+        raise InvalidParams(f"batch_size must be >= 1, got {batch_size!r}")
     asm = _Assembler(model, kernels, tau, terminal_phase)
     n = asm.n
     phi, q = _step_map(asm.drift, asm.diffusion, tau / n_steps)

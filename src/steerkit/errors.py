@@ -36,7 +36,8 @@ class ZeroVariance(SteerkitError):
 
 
 class IntegratorFailure(SteerkitError):
-    """Moment propagation overflowed to non-finite values."""
+    """Moment propagation or a kernel normalization overflowed to non-finite
+    values."""
 
 
 class InsufficientTrajectories(SteerkitError):

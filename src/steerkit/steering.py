@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import collective_steering_value
+from .closedform import _check_inputs, collective_steering_value
 from .dynamics import OutputCovariance
 from .errors import InvalidParams, NoThreshold, ZeroVariance
 
@@ -209,13 +209,13 @@ def _sup_over_r(x: float, n0: float, n: float, r_max: float,
     the leftmost grid points where E -> n0 + 1/2 from below or above).
     """
     rs = np.logspace(-3, math.log10(r_max), scan_points)
-    vals = [collective_steering_value(r, x, n0, n) for r in rs]
+    vals = collective_steering_value(rs, x, n0, n)
     k = int(np.argmax(vals))
     lo = rs[k - 1] if k > 0 else rs[0] / 2.0
     hi = rs[k + 1] if k + 1 < scan_points else r_max
     r_best = _golden_minimize(
         lambda r: -collective_steering_value(r, x, n0, n), lo, hi, 1e-6)
-    candidates = [(vals[k], rs[k]),
+    candidates = [(float(vals[k]), rs[k]),
                   (collective_steering_value(r_best, x, n0, n), r_best)]
     return max(candidates)
 
@@ -270,19 +270,19 @@ def r_crossing(gamma_over_G: float, n0: float, n: float,
             f"crossing search needs n0 > 0 (witness starts above 1/2), "
             f"got n0 = {n0!r}")
 
+    _check_inputs(0.0, gamma_over_G, n0, n)
+
     def f(r: float) -> float:
         return collective_steering_value(r, gamma_over_G, n0, n) - 0.5
 
     rs = np.linspace(0.0, r_max, 4097)
-    lo, hi = None, None
-    for r0, r1 in zip(rs[:-1], rs[1:]):
-        if f(r0) > 0.0 >= f(r1):
-            lo, hi = r0, r1
-            break
-    if lo is None:
+    above = collective_steering_value(rs, gamma_over_G, n0, n) - 0.5
+    down = np.flatnonzero((above[:-1] > 0.0) & (above[1:] <= 0.0))
+    if down.size == 0:
         raise NoThreshold(
             f"witness never crosses 1/2 on (0, {r_max}] at "
             f"gamma/G = {gamma_over_G}, n0 = {n0}, n = {n}")
+    lo, hi = rs[down[0]], rs[down[0] + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -315,25 +315,26 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
         raise InvalidParams("grids must be nonempty")
     if (rs < 0).any() or (xs < 0).any():
         raise InvalidParams("grids must be nonnegative")
-    E = np.empty((xs.size, rs.size))
-    for i, x in enumerate(xs):
-        for j, r in enumerate(rs):
-            E[i, j] = collective_steering_value(r, x, n0, n)
+    _check_inputs(0.0, 0.0, n0, n)
+    r2, x2 = np.meshgrid(rs, xs)
+    E = collective_steering_value(r2, x2, n0, n)
 
-    contour: list[tuple[float, float]] = []
-    for i, x in enumerate(xs):
-        row = E[i] - 0.5
-        for j in range(rs.size - 1):
-            if row[j] == 0.0:
-                contour.append((float(rs[j]), float(x)))
-            elif row[j] * row[j + 1] < 0.0:
-                lo, hi = rs[j], rs[j + 1]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if (collective_steering_value(mid, x, n0, n) - 0.5) \
-                            * row[j] > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                contour.append((0.5 * (lo + hi), float(x)))
-    return SteeringRegion(rs, xs, E, tuple(contour))
+    # cells where E - 1/2 is zero or changes sign toward the next r, in
+    # row-major order; the sign changes are bisected together
+    row = E[:, :-1] - 0.5
+    zero = row == 0.0
+    cross = row * (E[:, 1:] - 0.5) < 0.0
+    i, j = np.nonzero(zero | cross)
+    bisect = cross[i, j]
+    lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
+    if lo.size:
+        x, sign = xs[i[bisect]], row[i[bisect], j[bisect]]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            up = (collective_steering_value(mid, x, n0, n) - 0.5) * sign > 0.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    r_cross = rs[j]
+    r_cross[bisect] = 0.5 * (lo + hi)
+    contour = tuple(zip(r_cross.tolist(), xs[i].tolist()))
+    return SteeringRegion(rs, xs, E, contour)

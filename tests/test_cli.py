@@ -2,10 +2,11 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from steerkit import cli
+from steerkit import cli, collective_steering_value, dynamics
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
 
@@ -122,6 +123,34 @@ class TestCurveRuns:
         assert "# warning:" in text
         assert "nan" in text.lower()
 
+    def test_out_of_domain_points_warn_once_and_skip_the_oracle(
+            self, monkeypatch):
+        oracle_n = []
+
+        def oracle_E(knobs, tol):
+            oracle_n.append(knobs["n"])
+            return 0.25
+
+        monkeypatch.setattr(cli, "_oracle_E", oracle_E)
+        sc = Scenario(
+            mode="curve",
+            params={"kind": "ratios", "gamma_over_G": 0.1, "r": 0.5},
+            sweep=Sweep("n", -1.0, 1.0, 3),
+            cases=({"label": "a", "n0": 0.0}, {"label": "b", "n": 2.0},
+                   {"label": "c", "n0": 1.0}),
+            engine="both",
+        )
+        record = run(sc)
+        assert record.warnings == [
+            "point 0 (n=-1, a): n must be >= 0, got -1.0",
+            "point 0 (n=-1, c): n must be >= 0, got -1.0",
+        ]
+        assert oracle_n == [2.0, 0.0, 2.0, 0.0, 1.0, 2.0, 1.0]
+        first = record.points[0]
+        for col in ("E[a]", "E_oracle[a]", "E[c]", "E_oracle[c]"):
+            assert math.isnan(first[col])
+        assert first["E_oracle[b]"] == 0.25
+
     def test_cold_curve_dips_then_recovers_toward_plateau(self):
         sc = Scenario(
             mode="curve",
@@ -174,6 +203,53 @@ class TestOtherModes:
         record = run(sc, output=str(out))
         assert len(record.points) == 45
         assert (tmp_path / "map.contour.csv").exists()
+
+    def test_heatmap_out_of_domain_cells_warn_in_point_order(self):
+        sc = Scenario(
+            mode="heatmap",
+            params={"kind": "ratios", "gamma_over_G": 0.1, "n0": 1.0},
+            sweep=Sweep("n", -1.0, 1.0, 3),
+            sweep2=Sweep("tau", -0.5, 1.0, 4),
+        )
+        record = run(sc)
+        assert record.warnings == [
+            "point 0: pulse area r must be >= 0, got -0.5",
+            "point 1: pulse area r must be >= 0, got -0.5",
+            "point 2: pulse area r must be >= 0, got -0.5",
+            "point 3: n must be >= 0, got -1.0",
+            "point 6: n must be >= 0, got -1.0",
+            "point 9: n must be >= 0, got -1.0",
+        ]
+        es = [p["E"] for p in record.points]
+        bad = {0, 1, 2, 3, 6, 9}
+        assert all(math.isnan(e) == (k in bad) for k, e in enumerate(es))
+        assert record.points[4]["E"] == collective_steering_value(
+            0.0, 0.1, 1.0, 0.0)
+
+    def test_cross_correlation_threads_reach_only_the_sampler_pool(
+            self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+        sc = Scenario(
+            mode="cross-correlation",
+            params={"kind": "ratios", "gamma_over_G": 0.1},
+            sweep=Sweep("r", 0.5, 1.0, 2),
+            engine="oracle",
+            trajectories=1000,
+        )
+        texts = []
+        for threads in (1, 2):
+            out = tmp_path / f"cc{threads}.csv"
+            run(sc, output=str(out), threads=threads)
+            texts.append(out.read_bytes())
+        assert pools == [2, 2]  # one sampler pool per point, at 2 threads
+        assert texts[0] == texts[1]
 
     def test_nthreshold_mode(self):
         sc = Scenario(
@@ -299,6 +375,46 @@ class TestEntryPoint:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("edit", [
+        {"cases": [1]},
+        {"params": {"kind": "ratios", "n0": "abc"}},
+        {"tolerances": {"r_max": "x"}},
+        {"mode": "validate-adiabatic", "params": {"kappa_over_g": ["a"]}},
+        {"sweep": {"variable": "r", "start": 0.0, "stop": math.inf,
+                   "points": 3}},
+        {"params": {"kind": "ratios", "n0": True}},
+        {"mode": "cross-correlation", "engine": "oracle",
+         "trajectories": 10},
+    ], ids=["case-not-object", "ratio-not-number", "tolerance-not-number",
+            "kappa-over-g-not-number", "infinite-sweep", "bool-occupation",
+            "too-few-trajectories"])
+    def test_malformed_scenarios_exit_2(self, tmp_path, capsys, edit):
+        doc = {**tiny_curve_scenario().to_dict(), **edit}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_oracle_overflow_becomes_nan_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "mode": "curve", "engine": "oracle",
+            "params": {"kind": "ratios", "gamma_over_G": 0.1},
+            "sweep": {"variable": "r", "start": 300.0, "stop": 400.0,
+                      "points": 5}}))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        warnings = [ln for ln in lines if ln.startswith("# warning:")]
+        assert [w.split(":")[1].strip() for w in warnings] == [
+            "point 3 (r=375, E)", "point 4 (r=400, E)"]
+        assert all("overflows" in w for w in warnings)
+        assert [row.split(",")[1] for row in lines[-2:]] == ["nan", "nan"]
 
     def test_preset_emission_and_execution(self, tmp_path):
         out = tmp_path / "scenario.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from steerkit import (
     threshold_r,
 )
 from steerkit.closedform import (
+    LARGE_R,
     SERIES_CROSSOVER,
     amplified_noise_factor,
     coherence_factor,
@@ -188,6 +190,49 @@ class TestCollectiveWitness:
                                 phi=0.0, r=1.0)
         with pytest.raises(GainNotPositive):
             steering_collective(bad, 0.0, 0.0)
+
+
+class TestArrayWitness:
+    """The array witness against the float witness, cell by cell."""
+
+    @pytest.mark.parametrize("branch, rs", [
+        ("zero", [0.0]),
+        ("series", np.geomspace(1e-12, SERIES_CROSSOVER * (1 - 1e-9), 9)),
+        ("direct", np.concatenate([
+            SERIES_CROSSOVER * (1 + np.geomspace(1e-9, 1.0, 4)),
+            np.geomspace(1e-3, LARGE_R, 12)])),
+        ("asymptote", LARGE_R * np.array([1 + 1e-12, 1.01, 1.5, 3.0])),
+    ])
+    def test_matches_float_witness(self, branch, rs):
+        xs = np.array([0.0, 0.05, 0.3, 1.5])
+        r, x = np.meshgrid(np.asarray(rs, dtype=float), xs)
+        for n0, n in ((0.0, 0.0), (0.5, 5.0), (5.0, 100.0)):
+            got = collective_steering_value(r, x, n0, n)
+            assert got.shape == r.shape
+            ref = np.array([collective_steering_value(float(a), float(b),
+                                                      n0, n)
+                            for a, b in zip(r.ravel(), x.ravel())])
+            np.testing.assert_allclose(got, ref.reshape(r.shape), rtol=1e-13,
+                                       atol=0.0, err_msg=branch)
+
+    def test_array_occupations_broadcast_against_r(self):
+        r = np.full(3, 0.7)
+        n = np.array([0.0, 5.0, 50.0])
+        got = collective_steering_value(r, 0.1, 1.0, n)
+        ref = [collective_steering_value(0.7, 0.1, 1.0, float(v)) for v in n]
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_out_of_domain_cells_are_nan(self):
+        r = np.array([1.0, -1.0, 1.0, 1.0, 1.0, math.nan, 0.0, 400.0])
+        x = np.array([0.1, 0.1, -0.1, 0.1, 0.1, 0.1, 0.1, -0.1])
+        n0 = np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+        n = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+        got = collective_steering_value(r, x, n0, n)
+        assert np.isfinite(got[0])
+        assert np.isnan(got[1:]).all()
+        for cell in zip(r[1:], x[1:], n0[1:], n[1:]):
+            with pytest.raises(InvalidParams):
+                collective_steering_value(*map(float, cell))
 
 
 class TestSingleModeWitness:

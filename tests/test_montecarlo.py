@@ -15,7 +15,7 @@ from steerkit.dynamics import (
     output_kernels,
     propagate_output_covariance,
 )
-from steerkit.errors import InsufficientTrajectories
+from steerkit.errors import InsufficientTrajectories, InvalidParams
 
 
 def mc_setup(r=1.0, x=0.1, n0=0.0, n=0.0, ratio=1.0):
@@ -84,6 +84,14 @@ class TestMonteCarlo:
         rp, model, kernels, phase = mc_setup()
         with pytest.raises(InsufficientTrajectories):
             monte_carlo_output_covariance(model, kernels, rp.tau, 999, 1)
+
+    @pytest.mark.parametrize("step_args", [{"n_steps": 0},
+                                           {"batch_size": 0}])
+    def test_rejects_empty_steps_and_batches(self, step_args):
+        rp, model, kernels, phase = mc_setup()
+        with pytest.raises(InvalidParams):
+            monte_carlo_output_covariance(model, kernels, rp.tau, 1_000, 1,
+                                          **step_args)
 
     def test_rejects_unreachable_error_bound(self):
         rp, model, kernels, phase = mc_setup()
