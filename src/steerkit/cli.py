@@ -711,11 +711,19 @@ def run(scenario: Scenario, *, output: str | None = None,
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
     failed its tolerance.  ``threads`` (default ``STEERKIT_THREADS`` or 1)
-    caps the Monte Carlo sampler's thread pool; points run in order.
+    caps the Monte Carlo sampler's thread pool; points run in order.  A
+    thread count that is not an integer >= 1 is a ``ConfigError``.
     """
     scenario.validate()
     if threads is None:
-        threads = int(os.environ.get("STEERKIT_THREADS", "1"))
+        env = os.environ.get("STEERKIT_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"STEERKIT_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads!r}")
     started = time.monotonic()
     columns, points, warnings, summary = _RUNNERS[scenario.mode](
         scenario, threads)

@@ -33,6 +33,11 @@ SERIES_CROSSOVER = 1e-4
 # Beyond this pulse area e^{2r} overflows; closed asymptotes take over.
 LARGE_R = 350.0
 
+# Above this pulse area the witnesses divide their terms by u = e^{2r} - 1
+# before multiplying: products such as a*u overflow short of LARGE_R once
+# the occupations are large.  Below it the terms are formed as written.
+SCALED_R = 100.0
+
 
 def _gain_series(u):
     """Taylor series of ``gain_filter_ratio`` in ``u = 2r``, for floats and
@@ -193,24 +198,29 @@ def _plateau(x, b):
     return x * x * b / (1.0 + x) ** 2
 
 
-def _collective_terms(r, x, n0, n, u, kr):
+def _collective_terms(r, x, n0, n, u, kr, scaled=False):
     """``(var_XW_out, numerator / u)`` of the collective witness.
 
     ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)`` are passed in, so
     the same arithmetic serves floats and numpy arrays.  The numerator of
     ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` is expanded so that no
-    catastrophic cancellation occurs anywhere in parameter space.
+    catastrophic cancellation occurs anywhere in parameter space.  With
+    ``scaled`` (for ``r > SCALED_R``) both terms come divided by ``u``, so
+    no product with ``u`` is formed and nothing overflows below
+    ``LARGE_R``.
     """
     a = n0 + 1.0 + x * (n + 1.0)
     b = 0.5 + x * (n + 1.0)
-    var_W = (1.0 + x) ** 2 * (a * u + b) \
-        + x * b * (x - (1.0 + x) * kr)
     rterm = 16.0 * x * x * b * b * r * r \
         + 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x) * r
-    num_over_u = (4.0 * x * x * a * b * u
-                  + 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0)
-                  - rterm * (1.0 + 1.0 / u))
-    return var_W, num_over_u
+    c = 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0)
+    if scaled:
+        return ((1.0 + x) ** 2 * (a + b / u)
+                + x * b * (x - (1.0 + x) * kr) / u,
+                4.0 * x * x * a * b + (c - rterm * (1.0 + 1.0 / u)) / u)
+    var_W = (1.0 + x) ** 2 * (a * u + b) \
+        + x * b * (x - (1.0 + x) * kr)
+    return var_W, 4.0 * x * x * a * b * u + c - rterm * (1.0 + 1.0 / u)
 
 
 def collective_steering_value(r: float | np.ndarray,
@@ -258,7 +268,7 @@ def collective_steering_value(r: float | np.ndarray,
         return _plateau(x, 0.5 + x * (n + 1.0))
 
     var_W, num_over_u = _collective_terms(
-        r, x, n0, n, math.expm1(2.0 * r), gain_filter_ratio(r))
+        r, x, n0, n, math.expm1(2.0 * r), gain_filter_ratio(r), r > SCALED_R)
     if not var_W > 0.0:
         raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
     return num_over_u / (4.0 * var_W)
@@ -288,18 +298,24 @@ def _collective_array(r, x, n0, n) -> np.ndarray:
                           _plateau(xb, 0.5 + xb * (at(n, big) + 1.0)))
 
     mid = ok & (r > 0.0) & (r <= LARGE_R)
-    rm = r[mid]
-    u2 = 2.0 * rm
-    u = np.expm1(u2)
-    series = rm < SERIES_CROSSOVER
-    kr = np.where(series, _gain_series(u2), 0.0)
-    direct = ~series
-    kr[direct] = 4.0 * rm[direct] * np.exp(u2[direct]) / u[direct]
-    # overflow to inf passes silently, as in float arithmetic
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        var_W, num_over_u = _collective_terms(
-            rm, at(x, mid), at(n0, mid), at(n, mid), u, kr)
-        E[mid] = np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
+    bands = [(mid, False)]
+    if (r > SCALED_R).any():  # only grids reaching SCALED_R pay the split
+        hi = mid & (r > SCALED_R)
+        bands = [(mid & ~hi, False), (hi, True)]
+    for cells, scaled in bands:
+        rm = r[cells]
+        u2 = 2.0 * rm
+        u = np.expm1(u2)
+        series = rm < SERIES_CROSSOVER
+        kr = np.where(series, _gain_series(u2), 0.0)
+        direct = ~series
+        kr[direct] = 4.0 * rm[direct] * np.exp(u2[direct]) / u[direct]
+        # overflow to inf passes silently, as in float arithmetic
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            var_W, num_over_u = _collective_terms(
+                rm, at(x, cells), at(n0, cells), at(n, cells), u, kr, scaled)
+            E[cells] = np.where(var_W > 0.0, num_over_u / (4.0 * var_W),
+                                np.nan)
     return E
 
 
@@ -324,16 +340,17 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
         return (2.0 * f * x * (n + 1.0) - f + 1.0) / (2.0 * f)
 
     u = math.expm1(2.0 * r)
+    s = u if r > SCALED_R else 1.0  # divides exactly by 1 below SCALED_R
     a = n0 + 1.0 + x * (n + 1.0)
-    var_j = 0.5 + f * (n0 + 1.0) * u \
-        + f * x * (n + 1.0) * amplified_noise_factor(r)
+    var_j = 0.5 / s + f * (n0 + 1.0) * (u / s) \
+        + f * x * (n + 1.0) * (amplified_noise_factor(r) / s)
     if not var_j > 0.0:
         raise DegenerateVariance(f"var_Xj_out = {var_j!r} is not positive")
     rterm = 16.0 * f * x * x * (n + 1.0) ** 2 * r * r \
         + 8.0 * f * x * (n + 1.0) * (2.0 * n0 + 1.0) * r
-    num_over_u3 = (2.0 * a * (2.0 * f * x * (n + 1.0) - f + 1.0) * u
-                   + (2.0 * n0 + 1.0) * (4.0 * f * x * (n + 1.0) + 1.0)
-                   - rterm - rterm / u)
+    num_over_u3 = (2.0 * a * (2.0 * f * x * (n + 1.0) - f + 1.0) * (u / s)
+                   + (2.0 * n0 + 1.0) * (4.0 * f * x * (n + 1.0) + 1.0) / s
+                   - rterm / s - rterm / u / s)
     return num_over_u3 / (4.0 * var_j)
 
 

@@ -543,6 +543,20 @@ def propagate_output_covariance(model: LinearModel,
 MIN_TRAJECTORIES = 1000
 
 
+def _noise_factor(q: np.ndarray) -> np.ndarray:
+    """Rank-revealing square root ``F`` of a noise covariance, ``F F^T = q``.
+
+    Keeps the eigen-directions above rounding level (``lambda > n eps
+    lambda_max``), each scaled by ``sqrt(lambda)``, so ``F`` has one column
+    per direction that carries noise and at most ``n``.  The dropped
+    eigenvalues are rounding residue (or negative), below ``n eps
+    ||q||``.
+    """
+    w, vec = np.linalg.eigh(q)
+    keep = w > q.shape[0] * np.finfo(float).eps * w[-1]
+    return vec[:, keep] * np.sqrt(w[keep])
+
+
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
@@ -557,70 +571,75 @@ def monte_carlo_output_covariance(model: LinearModel,
     the symmetric-ordered quantum intensities reproduce all symmetrized
     moments of the linear dynamics.  Each trajectory starts from the
     factorized initial state and takes ``n_steps`` exact Gaussian steps
-    ``z -> Phi_h z + sqrt(Q_h) eta`` with ``h = tau / n_steps``, in the
-    accumulator coordinates of the oracle; the end map and the mirror
-    rotation are applied at the end.  Each trajectory draws from its own
-    counter-based Philox stream keyed by (seed, trajectory index), and
-    batches are reduced in fixed index order, so the result is reproducible
-    bit for bit regardless of the thread count.  The step count affects
-    only which random numbers are drawn, not the estimator's bias.
+    ``z -> Phi_h z + F eta`` with ``h = tau / n_steps``, in the accumulator
+    coordinates of the oracle; the end map and the mirror rotation are
+    applied at the end.  ``F`` is the rank-revealing square root of
+    ``Q_h`` (``_noise_factor``): only its directions above rounding level
+    get a normal, 8 of the 12 for the reduced model's default modes.
+
+    Trajectories run in batches of ``batch_size``.  Batch ``b`` draws from
+    one counter-based Philox stream keyed by ``(seed, b)`` (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11): first the
+    initial state of all its trajectories, then one step's normals at a
+    time into a reused buffer.  Batches are reduced in fixed index order,
+    so the result is a pure function of ``(seed, trajectories, n_steps,
+    batch_size)`` and of the model, and is the same bit for bit at any
+    ``threads``.  The step count affects only which random numbers are
+    drawn, not the estimator's bias.
 
     The step map ``(Phi_h, Q_h)`` is the one the deterministic oracle uses
     (``_step_map``), so agreement between the two validates the estimator,
     its standard errors and its reproducibility, not the model assembly.
 
-    ``threads`` caps the thread pool the batches are spread over; it
-    changes no bit of the result.
+    ``threads`` caps the thread pool the batches are spread over; the
+    Philox fills and the matrix products release the GIL, so the pool
+    pays.  It changes no bit of the result.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
     trajectories or when the largest standard error exceeds ``se_bound``,
-    and ``InvalidParams`` for ``n_steps < 1`` or ``batch_size < 1``.
+    and ``InvalidParams`` for ``n_steps < 1``, ``batch_size < 1`` or
+    ``threads < 1``.
     """
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    if n_steps < 1:
-        raise InvalidParams(f"n_steps must be >= 1, got {n_steps!r}")
-    if batch_size < 1:
-        raise InvalidParams(f"batch_size must be >= 1, got {batch_size!r}")
+    for name, value in (("n_steps", n_steps), ("batch_size", batch_size),
+                        ("threads", threads)):
+        if value < 1:
+            raise InvalidParams(f"{name} must be >= 1, got {value!r}")
     asm = _Assembler(model, kernels, tau, terminal_phase)
     n = asm.n
     phi, q = _step_map(asm.drift, asm.diffusion, tau / n_steps)
-    w, vec = np.linalg.eigh(q)
-    sqrt_q = vec * np.sqrt(np.clip(w, 0.0, None))
-    init_std = np.sqrt(asm.initial_variances)
+    # one product per step: [z; eta] -> Phi_h z + F eta
+    step = np.hstack([phi, _noise_factor(q)])
+    init_std = np.sqrt(asm.initial_variances)[:, None]
     key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
-    def run_batch(b0: int) -> tuple[np.ndarray, np.ndarray]:
-        nb = min(batch_size, trajectories - b0)
-        noise = np.empty((n_steps, n, nb))
-        z = np.empty((n, nb))
-        for j in range(nb):
-            gen = np.random.Generator(np.random.Philox(
-                key=np.array([key_hi, np.uint64(b0 + j)], dtype=np.uint64)))
-            z[:, j] = init_std * gen.standard_normal(n)
-            noise[:, :, j] = gen.standard_normal((n_steps, n))
-        for k in range(n_steps):
-            z = phi @ z + sqrt_q @ noise[k]
-        z = asm.end_map @ z
-        prod = z[:, None, :] * z[None, :, :]
-        return prod.sum(axis=2), (prod ** 2).sum(axis=2)
+    def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([key_hi, np.uint64(b)], dtype=np.uint64)))
+        buf = np.empty((step.shape[1],
+                        min(batch_size, trajectories - b * batch_size)))
+        buf[:n] = init_std * gen.standard_normal(out=buf[:n])
+        for _ in range(n_steps):
+            gen.standard_normal(out=buf[n:])
+            buf[:n] = step @ buf
+        z = asm.end_map @ buf[:n]
+        sq = z * z
+        return z @ z.T, sq @ sq.T
 
-    starts = list(range(0, trajectories, batch_size))
+    batches = range(math.ceil(trajectories / batch_size))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_batch, starts))
+            results = list(pool.map(run_batch, batches))
     else:
-        results = [run_batch(b0) for b0 in starts]
+        results = [run_batch(b) for b in batches]
 
     # summed in fixed batch order
-    tot = sum(s1 for s1, _ in results)
-    tot2 = sum(s2 for _, s2 in results)
-    mean = tot / trajectories
-    errors = np.sqrt(np.maximum(tot2 / trajectories - mean ** 2, 0.0)
-                     / trajectories)
+    mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
+    errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
     if se_bound is not None and float(errors.max()) > se_bound:
         raise InsufficientTrajectories(
             f"max standard error {errors.max():.3g} exceeds bound {se_bound}")

@@ -399,6 +399,23 @@ class TestEntryPoint:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads_arg, env", [
+        (["--threads", "0"], None), (["--threads", "-3"], None),
+        ([], "abc"), ([], "0")],
+        ids=["zero", "negative", "env-not-integer", "env-zero"])
+    def test_bad_thread_counts_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      threads_arg, env):
+        if env is not None:
+            monkeypatch.setenv("STEERKIT_THREADS", env)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(tiny_curve_scenario().to_json())
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out),
+                         *threads_arg])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_oracle_overflow_becomes_nan_rows(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({

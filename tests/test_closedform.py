@@ -235,6 +235,33 @@ class TestArrayWitness:
                 collective_steering_value(*map(float, cell))
 
 
+class TestWitnessesBelowLargeR:
+    """Both witnesses stay finite up to ``LARGE_R``, where ``e^{2r} - 1``
+    times the occupation terms would overflow, and meet the asymptotes
+    that take over above it."""
+
+    RS = np.append(np.linspace(300.0, LARGE_R, 51), 349.99)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("n0", [0.0, 5.0])
+    @pytest.mark.parametrize("n", [0.0, 100.0])
+    def test_finite_and_joining_the_asymptote(self, x, n0, n):
+        above = math.nextafter(LARGE_R, math.inf)
+        cases = [([collective_steering_value(float(r), x, n0, n)
+                   for r in self.RS],
+                  collective_steering_value(above, x, n0, n)),
+                 (collective_steering_value(self.RS, x, n0, n),
+                  collective_steering_value(above, x, n0, n))]
+        for f in (0.5, 1.0):
+            cases.append(([single_steering_value(float(r), x, n0, n, f)
+                           for r in self.RS],
+                          single_steering_value(above, x, n0, n, f)))
+        for values, asymptote in cases:
+            assert np.isfinite(values).all()
+            np.testing.assert_allclose(values, asymptote, rtol=1e-13,
+                                       atol=1e-250)
+
+
 class TestSingleModeWitness:
     def test_equal_couplings_block_single_mode_steering_exactly(self):
         for r in (0.1, 0.5, 1.0, 2.0, 3.0):

@@ -1,6 +1,7 @@
 """Stochastic trajectory estimates against deterministic propagation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from steerkit import build_reduced_model, reduced_from_ratios
 from steerkit.dynamics import (
     A_1_OUT,
     A_M_OUT,
+    _Assembler,
+    _noise_factor,
+    _step_map,
     mirror_output_phase,
     mode_cross_correlation,
     monte_carlo_output_covariance,
@@ -72,6 +76,31 @@ class TestMonteCarlo:
         assert np.array_equal(runs[0].standard_errors,
                               runs[1].standard_errors)
 
+    def test_partial_last_batch_is_bit_identical_across_thread_counts(self):
+        # 1300 = 2 * 512 + 276: the last batch is partial
+        rp, model, kernels, phase = mc_setup(x=0.2, n0=1.0, n=3.0)
+        runs = [monte_carlo_output_covariance(model, kernels, rp.tau, 1_300,
+                                              9, threads=threads,
+                                              terminal_phase=phase)
+                for threads in (1, 2, 3)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].sigma, other.sigma)
+            assert np.array_equal(runs[0].standard_errors,
+                                  other.standard_errors)
+
+    def test_noise_buffer_does_not_grow_with_the_step_count(self):
+        # one step's normals are drawn at a time; an (n_steps, n, batch)
+        # noise array would take 1024 * 12 * 512 * 8 B = 50 MB here
+        rp, model, kernels, phase = mc_setup()
+        tracemalloc.start()
+        try:
+            monte_carlo_output_covariance(model, kernels, rp.tau, 1_000, 3,
+                                          n_steps=1024, terminal_phase=phase)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_seed_changes_the_sample(self):
         rp, model, kernels, phase = mc_setup()
         a = monte_carlo_output_covariance(model, kernels, rp.tau, 2_000, 1,
@@ -86,7 +115,9 @@ class TestMonteCarlo:
             monte_carlo_output_covariance(model, kernels, rp.tau, 999, 1)
 
     @pytest.mark.parametrize("step_args", [{"n_steps": 0},
-                                           {"batch_size": 0}])
+                                           {"batch_size": 0},
+                                           {"threads": 0},
+                                           {"threads": -3}])
     def test_rejects_empty_steps_and_batches(self, step_args):
         rp, model, kernels, phase = mc_setup()
         with pytest.raises(InvalidParams):
@@ -109,3 +140,30 @@ class TestMonteCarlo:
         assert se is not None
         assert abs(abs(value) - expect) < 3.5 * se
         assert abs(value.imag) < 6.0 * se  # coherence is real positive here
+
+
+class TestNoiseFactor:
+    @pytest.mark.parametrize("r, x, n0, n", [
+        (1e-4, 0.0, 0.0, 0.0), (0.3, 0.1, 1.0, 3.0), (1.0, 0.1, 0.0, 0.0),
+        (2.0, 0.3, 5.0, 100.0)])
+    @pytest.mark.parametrize("n_steps", [1, 256])
+    def test_factor_reproduces_the_step_noise(self, r, x, n0, n, n_steps):
+        rp, model, kernels, phase = mc_setup(r=r, x=x, n0=n0, n=n,
+                                             ratio=1.5)
+        asm = _Assembler(model, kernels, rp.tau, phase)
+        _, q = _step_map(asm.drift, asm.diffusion, rp.tau / n_steps)
+        factor = _noise_factor(q)
+        assert factor.shape[0] == q.shape[0]
+        assert factor.shape[1] <= q.shape[0]
+        err = np.abs(factor @ factor.T - q).max()
+        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(q, 2)
+
+    def test_factor_of_rank_deficient_covariance_drops_null_directions(self):
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((6, 3))
+        q = g @ g.T  # rank 3
+        factor = _noise_factor(q)
+        assert factor.shape == (6, 3)
+        np.testing.assert_allclose(factor @ factor.T, q, rtol=0.0,
+                                   atol=64 * np.finfo(float).eps
+                                   * np.linalg.norm(q, 2))
