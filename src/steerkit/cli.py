@@ -184,7 +184,16 @@ class Scenario:
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object")
         for key, val in self.tolerances.items():
-            _number(val, f"tolerance {key!r}")
+            x = _number(val, f"tolerance {key!r}")
+            if key == "oracle_tol" and not x > 0.0:
+                raise ConfigError(f"tolerance 'oracle_tol' must be > 0, got "
+                                  f"{val!r}")
+        for key in ("seed", "trajectories"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode == "cross-correlation" and self.engine != "closedform" \
                 and self.trajectories < dynamics.MIN_TRAJECTORIES:
             raise ConfigError(
@@ -237,8 +246,8 @@ class Scenario:
                 cases=tuple(d.get("cases", ())),
                 engine=d.get("engine", "closedform"),
                 output=d.get("output"),
-                seed=int(d.get("seed", 12345)),
-                trajectories=int(d.get("trajectories", 100_000)),
+                seed=d.get("seed", 12345),
+                trajectories=d.get("trajectories", 100_000),
                 tolerances=d.get("tolerances", {}),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -359,13 +368,13 @@ def _apply(knobs: dict, variable: str, value: float) -> dict:
     return out
 
 
-def _oracle_E(knobs: dict, tol: float) -> float:
+def _oracle_E(knobs: dict) -> float:
     """Collective witness from deterministic moment propagation."""
     rp = reduced_from_ratios(
         knobs["r"], knobs["gamma_over_G"], G1_over_G2=knobs["G1_over_G2"],
         n0=knobs["n0"], n=knobs["n"],
         Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
-    oc = dynamics.output_covariance(rp, engine="reduced", tol=tol)
+    oc = dynamics.output_covariance(rp, engine="reduced")
     return steering.steering_product(oc, dynamics.A_M_OUT,
                                      dynamics.W_OUT).E_value
 
@@ -392,10 +401,9 @@ def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
         knobs["n"])
 
 
-def _run_curve(sc: Scenario, threads: int):
+def _run_curve(sc: Scenario):
     base = ratio_params(sc.params)
     cases = list(sc.cases) or [{}]
-    tol = float(sc.tolerances.get("oracle_tol", 1e-9))
     var = sc.sweep.variable
     values = sc.sweep.values()
     closed = sc.engine in ("closedform", "both")
@@ -423,7 +431,7 @@ def _run_curve(sc: Scenario, threads: int):
                     exc = _witness_error(knobs)
             if exc is None and oracle:
                 try:
-                    row[ocol] = _oracle_E(knobs, tol)
+                    row[ocol] = _oracle_E(knobs)
                 except SteerkitError as err:
                     exc = err
             if exc is not None:
@@ -437,7 +445,7 @@ def _run_curve(sc: Scenario, threads: int):
     return columns, points, warnings, {}
 
 
-def _run_heatmap(sc: Scenario, threads: int):
+def _run_heatmap(sc: Scenario):
     base = ratio_params(sc.params)
     var1, var2 = sc.sweep.variable, sc.sweep2.variable
     if var1 == var2:
@@ -467,7 +475,7 @@ def _run_heatmap(sc: Scenario, threads: int):
     return [var1, var2, "E"], points, warnings, {"contour": contour}
 
 
-def _run_nthreshold(sc: Scenario, threads: int):
+def _run_nthreshold(sc: Scenario):
     base = ratio_params(sc.params)
     if sc.sweep.variable != "gamma_over_G":
         raise ConfigError("n-threshold mode sweeps gamma_over_G")
@@ -498,7 +506,7 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
                     "cov_Xm_P1", "cov_Xm_P2", "cov_Xm_PW", "E_mW", "E_m1")
 
 
-def _oracle_moment_row(knobs: dict, tol: float) -> dict:
+def _oracle_moment_row(knobs: dict) -> dict:
     """Closed-form vs oracle values and relative errors at one point."""
     dq = derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
                              G1_over_G2=knobs["G1_over_G2"],
@@ -508,7 +516,7 @@ def _oracle_moment_row(knobs: dict, tol: float) -> dict:
         knobs["r"], knobs["gamma_over_G"], G1_over_G2=knobs["G1_over_G2"],
         n0=knobs["n0"], n=knobs["n"],
         Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
-    oc = dynamics.output_covariance(rp, engine="reduced", tol=tol)
+    oc = dynamics.output_covariance(rp, engine="reduced")
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
     a1, a2 = dynamics.A_1_OUT, dynamics.A_2_OUT
     oracle = {
@@ -538,18 +546,17 @@ def _oracle_moment_row(knobs: dict, tol: float) -> dict:
     return row
 
 
-def _run_validate_oracle(sc: Scenario, threads: int):
+def _run_validate_oracle(sc: Scenario):
     base = ratio_params(sc.params)
     values = sc.sweep.values()
     tol = float(sc.tolerances.get("oracle_rel", 1e-6))
-    itol = float(sc.tolerances.get("oracle_tol", 1e-10))
 
     def point(idx: int, warn) -> dict:
         v = float(values[idx])
         knobs = _apply(base, sc.sweep.variable, v)
         row = {sc.sweep.variable: v}
         try:
-            row.update(_oracle_moment_row(knobs, itol))
+            row.update(_oracle_moment_row(knobs))
         except SteerkitError as exc:
             warn(f"point {idx}: {exc}")
             row.update({f"rel_{k}": math.nan for k in _ORACLE_COMPARED})
@@ -578,10 +585,9 @@ def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
                          if k != "kappa_over_g"}), ladder
 
 
-def _run_validate_adiabatic(sc: Scenario, threads: int):
+def _run_validate_adiabatic(sc: Scenario):
     base, ratios = _adiabatic_params(sc.params)
     tol = float(sc.tolerances.get("adiabatic_rel", 5e-2))
-    itol = float(sc.tolerances.get("oracle_tol", 1e-10))
 
     def point(idx: int, warn) -> dict:
         ratio = ratios[idx]
@@ -591,8 +597,8 @@ def _run_validate_adiabatic(sc: Scenario, threads: int):
             base["r"], base["gamma_over_G"], G1_over_G2=1.0,
             n0=base["n0"], n=base["n"],
             Delta_over_kappa=base["Delta_over_kappa"], kappa=kappa)
-        oc_full = dynamics.output_covariance(rp, engine="full", tol=itol)
-        oc_red = dynamics.output_covariance(rp, engine="reduced", tol=itol)
+        oc_full = dynamics.output_covariance(rp, engine="full")
+        oc_red = dynamics.output_covariance(rp, engine="reduced")
         ref = oc_red.sigma
         got = oc_full.sigma
         mask = np.abs(ref) > 1e-6
@@ -611,7 +617,7 @@ def _run_validate_adiabatic(sc: Scenario, threads: int):
     return ["kappa_over_g", "max_rel_discrepancy"], points, warnings, summary
 
 
-def _run_working_point(sc: Scenario, threads: int):
+def _run_working_point(sc: Scenario):
     import warnings as pywarnings
 
     p = physical_params(sc.params)
@@ -639,7 +645,7 @@ def _run_working_point(sc: Scenario, threads: int):
     return list(row), [row], warnings_out, {}
 
 
-def _run_cross_correlation(sc: Scenario, threads: int):
+def _run_cross_correlation(sc: Scenario):
     base = ratio_params(sc.params)
     values = sc.sweep.values()
     with_mc = sc.engine in ("oracle", "both")
@@ -666,9 +672,12 @@ def _run_cross_correlation(sc: Scenario, threads: int):
                     kappa=knobs["kappa"])
                 model = dynamics.build_reduced_model(rp)
                 kernels = dynamics.output_kernels(rp, full=False)
+                # hashing (seed, point index) keeps scenarios at adjacent
+                # seeds from sharing streams
+                seed = int(np.random.SeedSequence(
+                    sc.seed, spawn_key=(idx,)).generate_state(1, np.uint64)[0])
                 oc = dynamics.monte_carlo_output_covariance(
-                    model, kernels, rp.tau, sc.trajectories, sc.seed + idx,
-                    threads=threads,
+                    model, kernels, rp.tau, sc.trajectories, seed,
                     terminal_phase=dynamics.mirror_output_phase(rp))
                 cc, se = dynamics.mode_cross_correlation(
                     oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
@@ -710,8 +719,8 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.  ``threads`` (default ``STEERKIT_THREADS`` or 1)
-    caps the Monte Carlo sampler's thread pool; points run in order.  A
+    failed its tolerance.  Points run in order on one thread.  ``threads``
+    (default ``STEERKIT_THREADS`` or 1) is validated but has no effect: a
     thread count that is not an integer >= 1 is a ``ConfigError``.
     """
     scenario.validate()
@@ -725,8 +734,7 @@ def run(scenario: Scenario, *, output: str | None = None,
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads!r}")
     started = time.monotonic()
-    columns, points, warnings, summary = _RUNNERS[scenario.mode](
-        scenario, threads)
+    columns, points, warnings, summary = _RUNNERS[scenario.mode](scenario)
     record = RunRecord(
         scenario_digest=scenario.digest(),
         tool_version=__version__,
@@ -907,8 +915,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, help="Monte Carlo seed override")
         sp.add_argument("--threads", type=int,
-                        help="parallelism cap of the Monte Carlo sampler "
-                             "(default: STEERKIT_THREADS or 1)")
+                        help="accepted for compatibility and checked to be "
+                             ">= 1, but has no effect (default: "
+                             "STEERKIT_THREADS or 1)")
         sp.add_argument("--svg", action="store_true",
                         help="also render a minimal SVG chart")
 
@@ -959,6 +968,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 scenario = Scenario(**{**scenario.__dict__,
                                        "seed": args.seed})
+                scenario.validate()
             if not args.run:
                 text = scenario.to_json()
                 if args.output:

@@ -23,8 +23,9 @@ the matrix exponential", IEEE Trans. Autom. Control 23 (1978) 395),
 evaluated by a fixed-degree Taylor series on a scaled step followed by
 exact doubling.  The deterministic oracle applies it once over the whole
 pulse from the factorized initial state (cavities vacuum, mirror thermal);
-the Monte Carlo sampler iterates it over equal steps.  No ODE is
-integrated, so the only error is floating-point rounding.
+the Monte Carlo sampler steps its trajectories with it, by default
+once over the whole pulse.  No ODE is integrated, so the only error
+is floating-point rounding.
 
 Quadrature layout: system modes first, two rows (X, P) per mode, filters
 appended in kernel order.  Symmetric ordering, vacuum variance 1/2.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -560,7 +560,7 @@ def _noise_factor(q: np.ndarray) -> np.ndarray:
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
-                                  n_steps: int = 256,
+                                  n_steps: int = 1,
                                   batch_size: int = 512, threads: int = 1,
                                   terminal_phase: float = 0.0,
                                   se_bound: float | None = None,
@@ -581,19 +581,16 @@ def monte_carlo_output_covariance(model: LinearModel,
     one counter-based Philox stream keyed by ``(seed, b)`` (Salmon et al.,
     "Parallel random numbers: as easy as 1, 2, 3", SC'11): first the
     initial state of all its trajectories, then one step's normals at a
-    time into a reused buffer.  Batches are reduced in fixed index order,
+    time into a reused buffer.  Batches run and are reduced in index order,
     so the result is a pure function of ``(seed, trajectories, n_steps,
-    batch_size)`` and of the model, and is the same bit for bit at any
-    ``threads``.  The step count affects only which random numbers are
-    drawn, not the estimator's bias.
+    batch_size)`` and of the model.  The step map is exact, so one step
+    over the whole pulse (the default) samples the same distribution as
+    any finer walk; more steps only re-draw the noise.  ``threads`` is
+    validated but has no effect.
 
     The step map ``(Phi_h, Q_h)`` is the one the deterministic oracle uses
     (``_step_map``), so agreement between the two validates the estimator,
     its standard errors and its reproducibility, not the model assembly.
-
-    ``threads`` caps the thread pool the batches are spread over; the
-    Philox fills and the matrix products release the GIL, so the pool
-    pays.  It changes no bit of the result.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
     trajectories or when the largest standard error exceeds ``se_bound``,
@@ -630,12 +627,8 @@ def monte_carlo_output_covariance(model: LinearModel,
         sq = z * z
         return z @ z.T, sq @ sq.T
 
-    batches = range(math.ceil(trajectories / batch_size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_batch, batches))
-    else:
-        results = [run_batch(b) for b in batches]
+    results = [run_batch(b)
+               for b in range(math.ceil(trajectories / batch_size))]
 
     # summed in fixed batch order
     mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))

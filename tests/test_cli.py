@@ -1,12 +1,14 @@
 """Scenario schema, runners, determinism, file formats, entry point."""
 
+import ast
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from steerkit import cli, collective_steering_value, dynamics
+import steerkit
+from steerkit import cli, collective_steering_value
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
 
@@ -127,7 +129,7 @@ class TestCurveRuns:
             self, monkeypatch):
         oracle_n = []
 
-        def oracle_E(knobs, tol):
+        def oracle_E(knobs):
             oracle_n.append(knobs["n"])
             return 0.25
 
@@ -226,16 +228,8 @@ class TestOtherModes:
         assert record.points[4]["E"] == collective_steering_value(
             0.0, 0.1, 1.0, 0.0)
 
-    def test_cross_correlation_threads_reach_only_the_sampler_pool(
-            self, tmp_path, monkeypatch):
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+    def test_cross_correlation_is_byte_identical_across_thread_counts(
+            self, tmp_path):
         sc = Scenario(
             mode="cross-correlation",
             params={"kind": "ratios", "gamma_over_G": 0.1},
@@ -248,8 +242,18 @@ class TestOtherModes:
             out = tmp_path / f"cc{threads}.csv"
             run(sc, output=str(out), threads=threads)
             texts.append(out.read_bytes())
-        assert pools == [2, 2]  # one sampler pool per point, at 2 threads
         assert texts[0] == texts[1]
+
+    def test_adjacent_seeds_share_no_sampler_stream(self):
+        def mc_at_r1(seed, start, stop):
+            sc = Scenario(
+                mode="cross-correlation",
+                params={"kind": "ratios", "gamma_over_G": 0.1},
+                sweep=Sweep("r", start, stop, 2), engine="oracle",
+                seed=seed, trajectories=1000)
+            return {p["r"]: p["cross_corr_mc"] for p in run(sc).points}[1.0]
+
+        assert mc_at_r1(7, 0.5, 1.0) != mc_at_r1(8, 1.0, 1.5)
 
     def test_nthreshold_mode(self):
         sc = Scenario(
@@ -416,6 +420,39 @@ class TestEntryPoint:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, args", [
+        ({"seed": 1.7}, []), ({"seed": True}, []),
+        ({"seed": 2 ** 64 + 1}, []), ({"seed": -1}, []),
+        ({}, ["--seed", str(2 ** 64)]),
+        ({"trajectories": 1000.9}, []), ({"trajectories": False}, []),
+        ({"tolerances": {"oracle_tol": -1.0}, "engine": "oracle"}, []),
+        ({"tolerances": {"oracle_tol": 0}, "mode": "validate-adiabatic",
+          "params": {"kappa_over_g": [10.0, 20.0]}}, []),
+    ], ids=["seed-float", "seed-bool", "seed-above-64-bits", "seed-negative",
+            "seed-override-above-64-bits", "trajectories-float",
+            "trajectories-bool", "oracle-tol-negative-curve",
+            "oracle-tol-zero-adiabatic"])
+    def test_bad_seeds_trajectories_and_oracle_tol_exit_2(
+            self, tmp_path, capsys, edit, args):
+        doc = {**tiny_curve_scenario().to_dict(), **edit}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out),
+                         *args])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_preset_seed_override_is_validated_before_emission(
+            self, tmp_path, capsys):
+        out = tmp_path / "scenario.json"
+        code = cli.main(["preset", "inset", "--seed", str(2 ** 64),
+                         "--output", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_oracle_overflow_becomes_nan_rows(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({
@@ -473,3 +510,17 @@ class TestEntryPoint:
         svg = (tmp_path / "curve.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+
+def test_package_starts_no_threads_or_processes():
+    banned = {"concurrent", "threading", "multiprocessing"}
+    for path in sorted(Path(steerkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & banned, \
+                f"{path.name} imports {names}"
