@@ -674,8 +674,8 @@ def _run_cross_correlation(sc: Scenario):
                 kernels = dynamics.output_kernels(rp, full=False)
                 # hashing (seed, point index) keeps scenarios at adjacent
                 # seeds from sharing streams
-                seed = int(np.random.SeedSequence(
-                    sc.seed, spawn_key=(idx,)).generate_state(1, np.uint64)[0])
+                seed = int.from_bytes(hashlib.sha256(
+                    f"{sc.seed}:{idx}".encode()).digest()[:8], "little")
                 oc = dynamics.monte_carlo_output_covariance(
                     model, kernels, rp.tau, sc.trajectories, seed,
                     terminal_phase=dynamics.mirror_output_phase(rp))
