@@ -22,11 +22,9 @@ from .dynamics import (
     TemporalKernel,
     build_full_model,
     build_reduced_model,
-    collective_transform,
     monte_carlo_output_covariance,
     output_covariance,
     propagate_output_covariance,
-    symplectic_eigenvalues,
 )
 from .model import (
     DerivedQuantities,
@@ -42,8 +40,6 @@ from .model import (
 from .steering import (
     SteeringReport,
     ThresholdResult,
-    inferred_variance,
-    monogamy_check,
     noise_threshold,
     r_crossing,
     steering_product,
@@ -56,13 +52,11 @@ __all__ = [
     "moment_set", "single_steering_value", "steering_collective",
     "steering_single", "threshold_r",
     "LinearModel", "OutputCovariance", "TemporalKernel", "build_full_model",
-    "build_reduced_model", "collective_transform",
-    "monte_carlo_output_covariance", "output_covariance",
-    "propagate_output_covariance", "symplectic_eigenvalues",
+    "build_reduced_model", "monte_carlo_output_covariance",
+    "output_covariance", "propagate_output_covariance",
     "DerivedQuantities", "PhysicalParams", "ReducedParams", "WorkingPoint",
     "derive_working_point", "derived_from_ratios", "derived_quantities",
     "reduce", "reduced_from_ratios",
-    "SteeringReport", "ThresholdResult", "inferred_variance",
-    "monogamy_check", "noise_threshold", "r_crossing", "steering_product",
-    "steering_region",
+    "SteeringReport", "ThresholdResult", "noise_threshold", "r_crossing",
+    "steering_product", "steering_region",
 ]

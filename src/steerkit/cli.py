@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -31,7 +32,9 @@ import numpy as np
 from . import closedform, dynamics, steering
 from .errors import ConfigError, SteerkitError
 from .model import (
+    DerivedQuantities,
     PhysicalParams,
+    ReducedParams,
     derive_working_point,
     derived_from_ratios,
     derived_quantities,
@@ -48,17 +51,23 @@ MODES = ("curve", "heatmap", "n-threshold", "validate-oracle",
 ENGINES = ("closedform", "oracle", "both")
 SWEEP_VARIABLES = ("r", "tau", "n", "n0", "gamma_over_G", "G1_over_G2")
 
+# tolerances that must be > 0: ``n_tol`` and ``r_max`` set the resolution
+# and range of the threshold search; ``oracle_tol`` is checked although the
+# exact oracle does not use it
+_POSITIVE_TOLERANCES = ("oracle_tol", "n_tol", "r_max")
+
 _HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 
 
 def _number(value, what: str) -> float:
-    """A finite float from a scenario value; bools are not numbers here."""
-    if isinstance(value, bool):
+    """A finite float from a scenario value; bools and strings are not
+    numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return x
@@ -125,12 +134,22 @@ class Sweep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sweep":
-        try:
-            sweep = cls(variable=d["variable"], start=float(d["start"]),
-                        stop=float(d["stop"]), points=int(d["points"]),
-                        scale=d.get("scale", "linear"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sweep block {d!r}: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigError(f"sweep block must be an object, got {d!r}")
+        unknown = set(d) - {"variable", "start", "stop", "points", "scale"}
+        if unknown:
+            raise ConfigError(f"unknown sweep fields {sorted(unknown)}")
+        missing = {"variable", "start", "stop", "points"} - set(d)
+        if missing:
+            raise ConfigError(f"sweep block misses {sorted(missing)}")
+        points = d["points"]
+        if isinstance(points, bool) or not isinstance(points, int):
+            raise ConfigError(f"sweep points must be an integer, got "
+                              f"{points!r}")
+        sweep = cls(variable=d["variable"],
+                    start=_number(d["start"], "sweep start"),
+                    stop=_number(d["stop"], "sweep stop"), points=points,
+                    scale=d.get("scale", "linear"))
         sweep.validate()
         return sweep
 
@@ -185,8 +204,8 @@ class Scenario:
             raise ConfigError("tolerances must be an object")
         for key, val in self.tolerances.items():
             x = _number(val, f"tolerance {key!r}")
-            if key == "oracle_tol" and not x > 0.0:
-                raise ConfigError(f"tolerance 'oracle_tol' must be > 0, got "
+            if key in _POSITIVE_TOLERANCES and not x > 0.0:
+                raise ConfigError(f"tolerance {key!r} must be > 0, got "
                                   f"{val!r}")
         for key in ("seed", "trajectories"):
             val = getattr(self, key)
@@ -310,7 +329,6 @@ def ratio_params(params: dict) -> dict:
         return out
     if kind == "reduced":
         try:
-            from .model import ReducedParams
             rp = ReducedParams(
                 g1=parse_rate(params["g1"]), g2=parse_rate(params["g2"]),
                 kappa=parse_rate(params["kappa"]),
@@ -368,13 +386,24 @@ def _apply(knobs: dict, variable: str, value: float) -> dict:
     return out
 
 
-def _oracle_E(knobs: dict) -> float:
-    """Collective witness from deterministic moment propagation."""
-    rp = reduced_from_ratios(
+def _reduced(knobs: dict) -> ReducedParams:
+    """Reduced-model parameters of a set of ratio knobs."""
+    return reduced_from_ratios(
         knobs["r"], knobs["gamma_over_G"], G1_over_G2=knobs["G1_over_G2"],
         n0=knobs["n0"], n=knobs["n"],
         Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
-    oc = dynamics.output_covariance(rp, engine="reduced")
+
+
+def _derived(knobs: dict) -> DerivedQuantities:
+    """Derived quantities of a set of ratio knobs."""
+    return derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
+                               G1_over_G2=knobs["G1_over_G2"],
+                               Delta_over_kappa=knobs["Delta_over_kappa"])
+
+
+def _oracle_E(knobs: dict) -> float:
+    """Collective witness from deterministic moment propagation."""
+    oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
     return steering.steering_product(oc, dynamics.A_M_OUT,
                                      dynamics.W_OUT).E_value
 
@@ -508,15 +537,9 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
 
 def _oracle_moment_row(knobs: dict) -> dict:
     """Closed-form vs oracle values and relative errors at one point."""
-    dq = derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
-                             G1_over_G2=knobs["G1_over_G2"],
-                             Delta_over_kappa=knobs["Delta_over_kappa"])
+    dq = _derived(knobs)
     ms = closedform.moment_set(dq, knobs["n0"], knobs["n"])
-    rp = reduced_from_ratios(
-        knobs["r"], knobs["gamma_over_G"], G1_over_G2=knobs["G1_over_G2"],
-        n0=knobs["n0"], n=knobs["n"],
-        Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
-    oc = dynamics.output_covariance(rp, engine="reduced")
+    oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
     a1, a2 = dynamics.A_1_OUT, dynamics.A_2_OUT
     oracle = {
@@ -593,10 +616,7 @@ def _run_validate_adiabatic(sc: Scenario):
         ratio = ratios[idx]
         # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
         kappa = (1.0 + base["gamma_over_G"]) * ratio ** 2
-        rp = reduced_from_ratios(
-            base["r"], base["gamma_over_G"], G1_over_G2=1.0,
-            n0=base["n0"], n=base["n"],
-            Delta_over_kappa=base["Delta_over_kappa"], kappa=kappa)
+        rp = _reduced({**base, "G1_over_G2": 1.0, "kappa": kappa})
         oc_full = dynamics.output_covariance(rp, engine="full")
         oc_red = dynamics.output_covariance(rp, engine="reduced")
         ref = oc_red.sigma
@@ -655,21 +675,14 @@ def _run_cross_correlation(sc: Scenario):
         knobs = _apply(base, sc.sweep.variable, v)
         row = {sc.sweep.variable: v}
         try:
-            dq = derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
-                                     G1_over_G2=knobs["G1_over_G2"],
-                                     Delta_over_kappa=knobs["Delta_over_kappa"])
             row["cross_corr"] = closedform.cross_correlation(
-                dq, knobs["n0"], knobs["n"])
+                _derived(knobs), knobs["n0"], knobs["n"])
         except SteerkitError as exc:
             warn(f"point {idx}: {exc}")
             row["cross_corr"] = math.nan
         if with_mc:
             try:
-                rp = reduced_from_ratios(
-                    knobs["r"], knobs["gamma_over_G"],
-                    G1_over_G2=knobs["G1_over_G2"], n0=knobs["n0"],
-                    n=knobs["n"], Delta_over_kappa=knobs["Delta_over_kappa"],
-                    kappa=knobs["kappa"])
+                rp = _reduced(knobs)
                 model = dynamics.build_reduced_model(rp)
                 kernels = dynamics.output_kernels(rp, full=False)
                 # hashing (seed, point index) keeps scenarios at adjacent

@@ -23,9 +23,9 @@ the matrix exponential", IEEE Trans. Autom. Control 23 (1978) 395),
 evaluated by a fixed-degree Taylor series on a scaled step followed by
 exact doubling.  The deterministic oracle applies it once over the whole
 pulse from the factorized initial state (cavities vacuum, mirror thermal);
-the Monte Carlo sampler steps its trajectories with it, by default
-once over the whole pulse.  No ODE is integrated, so the only error
-is floating-point rounding.
+the Monte Carlo sampler draws its trajectories through it, also in one
+step over the whole pulse.  No ODE is integrated, so the only error is
+floating-point rounding.
 
 Quadrature layout: system modes first, two rows (X, P) per mode, filters
 appended in kernel order.  Symmetric ordering, vacuum variance 1/2.
@@ -121,9 +121,6 @@ class KernelTerm:
     dagger: bool
     amplitude: complex
     rate: complex
-
-    def envelope(self, t: float) -> complex:
-        return self.amplitude * cmath.exp(self.rate * t)
 
     def l2_norm(self, tau: float) -> float:
         """L2 norm of the envelope over [0, tau]."""
@@ -389,25 +386,16 @@ class OutputCovariance:
         return OutputCovariance(tuple(labels), self.sigma[np.ix_(idx, idx)], se)
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.sigma)
+        """Symplectic spectrum of ``sigma``.
 
-
-def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a quadrature covariance matrix.
-
-    Uses the symplectic form of 2x2 blocks [[0, 1], [-1, 0]]; a physical
-    state has every eigenvalue >= 1/2 in our units.
-    """
-    nq = sigma.shape[0]
-    if nq % 2 or sigma.shape != (nq, nq):
-        raise InvalidParams(f"covariance must be (2n, 2n), got {sigma.shape}")
-    omega = np.zeros((nq, nq))
-    for k in range(nq // 2):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    ev = np.linalg.eigvals(1j * omega @ sigma)
-    # eigenvalues come in +/- pairs; keep one of each
-    return np.sort(np.abs(ev))[::2]
+        Uses the symplectic form of 2x2 blocks [[0, 1], [-1, 0]]; a physical
+        state has every eigenvalue >= 1/2 in our units.
+        """
+        n = len(self.mode_labels)
+        omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+        ev = np.linalg.eigvals(1j * omega @ self.sigma)
+        # eigenvalues come in +/- pairs; keep one of each
+        return np.sort(np.abs(ev))[::2]
 
 
 def _rot(c: complex) -> np.ndarray:
@@ -514,8 +502,7 @@ def _step_map(A: np.ndarray, V: np.ndarray, h: float,
 
 def propagate_output_covariance(model: LinearModel,
                                 kernels: list[TemporalKernel],
-                                tau: float, tol: float = 1e-9, *,
-                                terminal_phase: float = 0.0,
+                                tau: float, *, terminal_phase: float = 0.0,
                                 ) -> OutputCovariance:
     """Exact second-moment propagation over one pulse.
 
@@ -523,16 +510,13 @@ def propagate_output_covariance(model: LinearModel,
     at the end of the pulse is ``Phi S0 Phi^T + Q`` with the Van Loan step
     map ``(Phi, Q)`` over the whole pulse (see ``_step_map``); the end map
     turns accumulators into filter outputs.  No ODE is integrated, so
-    floating-point rounding is the only error source, and ``tol`` (kept for
-    compatibility and still required to be > 0) does not affect the
-    result.  The mirror state at the end of the pulse is rotated by
+    floating-point rounding is the only error source.  The mirror state at
+    the end of the pulse is rotated by
     ``terminal_phase`` and returned as the mode ``A_m_out`` alongside all
     filtered modes.
     """
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be > 0, got {tol!r}")
     asm = _Assembler(model, kernels, tau, terminal_phase)
     phi, q = _step_map(asm.drift, asm.diffusion, tau)
     T = asm.end_map
@@ -541,6 +525,7 @@ def propagate_output_covariance(model: LinearModel,
 
 
 MIN_TRAJECTORIES = 1000
+_BATCH = 512  # trajectories per Philox stream
 
 
 def _noise_factor(q: np.ndarray) -> np.ndarray:
@@ -560,8 +545,6 @@ def _noise_factor(q: np.ndarray) -> np.ndarray:
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
-                                  n_steps: int = 1,
-                                  batch_size: int = 512, threads: int = 1,
                                   terminal_phase: float = 0.0,
                                   se_bound: float | None = None,
                                   ) -> OutputCovariance:
@@ -570,46 +553,37 @@ def monte_carlo_output_covariance(model: LinearModel,
     Classical complex Gaussian trajectories whose noise covariances equal
     the symmetric-ordered quantum intensities reproduce all symmetrized
     moments of the linear dynamics.  Each trajectory starts from the
-    factorized initial state and takes ``n_steps`` exact Gaussian steps
-    ``z -> Phi_h z + F eta`` with ``h = tau / n_steps``, in the accumulator
-    coordinates of the oracle; the end map and the mirror rotation are
-    applied at the end.  ``F`` is the rank-revealing square root of
-    ``Q_h`` (``_noise_factor``): only its directions above rounding level
-    get a normal, 8 of the 12 for the reduced model's default modes.
+    factorized initial state and takes one exact Gaussian step ``z -> Phi z
+    + F eta`` over the whole pulse, in the accumulator coordinates of the
+    oracle; the end map and the mirror rotation are applied at the end.
+    The step map is exact, so this samples the same distribution as any
+    finer walk.  ``F`` is the rank-revealing square root of ``Q``
+    (``_noise_factor``): only its directions above rounding level get a
+    normal, 8 of the 12 for the reduced model's default modes.
 
-    Trajectories run in batches of ``batch_size``.  Batch ``b`` draws from
-    one counter-based Philox stream keyed by ``(seed, b)`` (Salmon et al.,
+    Trajectories run in batches of 512.  Batch ``b`` draws from one
+    counter-based Philox stream keyed by ``(seed, b)`` (Salmon et al.,
     "Parallel random numbers: as easy as 1, 2, 3", SC'11): first the
-    initial state of all its trajectories, then one step's normals at a
-    time into a reused buffer.  Batches run and are reduced in index order,
-    so the result is a pure function of ``(seed, trajectories, n_steps,
-    batch_size)`` and of the model.  The step map is exact, so one step
-    over the whole pulse (the default) samples the same distribution as
-    any finer walk; more steps only re-draw the noise.  ``threads`` is
-    validated but has no effect.
+    initial state of all its trajectories, then the step's normals.
+    Batches run and are reduced in index order, so the result is a pure
+    function of ``(seed, trajectories)`` and of the model.
 
-    The step map ``(Phi_h, Q_h)`` is the one the deterministic oracle uses
+    The step map ``(Phi, Q)`` is the one the deterministic oracle uses
     (``_step_map``), so agreement between the two validates the estimator,
     its standard errors and its reproducibility, not the model assembly.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
-    trajectories or when the largest standard error exceeds ``se_bound``,
-    and ``InvalidParams`` for ``n_steps < 1``, ``batch_size < 1`` or
-    ``threads < 1``.
+    trajectories or when the largest standard error exceeds ``se_bound``.
     """
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    for name, value in (("n_steps", n_steps), ("batch_size", batch_size),
-                        ("threads", threads)):
-        if value < 1:
-            raise InvalidParams(f"{name} must be >= 1, got {value!r}")
     asm = _Assembler(model, kernels, tau, terminal_phase)
     n = asm.n
-    phi, q = _step_map(asm.drift, asm.diffusion, tau / n_steps)
-    # one product per step: [z; eta] -> Phi_h z + F eta
+    phi, q = _step_map(asm.drift, asm.diffusion, tau)
+    # one product: [z; eta] -> Phi z + F eta
     step = np.hstack([phi, _noise_factor(q)])
     init_std = np.sqrt(asm.initial_variances)[:, None]
     key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
@@ -617,18 +591,14 @@ def monte_carlo_output_covariance(model: LinearModel,
     def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
         gen = np.random.Generator(np.random.Philox(
             key=np.array([key_hi, np.uint64(b)], dtype=np.uint64)))
-        buf = np.empty((step.shape[1],
-                        min(batch_size, trajectories - b * batch_size)))
+        buf = np.empty((step.shape[1], min(_BATCH, trajectories - b * _BATCH)))
         buf[:n] = init_std * gen.standard_normal(out=buf[:n])
-        for _ in range(n_steps):
-            gen.standard_normal(out=buf[n:])
-            buf[:n] = step @ buf
-        z = asm.end_map @ buf[:n]
+        gen.standard_normal(out=buf[n:])
+        z = asm.end_map @ (step @ buf)
         sq = z * z
         return z @ z.T, sq @ sq.T
 
-    results = [run_batch(b)
-               for b in range(math.ceil(trajectories / batch_size))]
+    results = [run_batch(b) for b in range(math.ceil(trajectories / _BATCH))]
 
     # summed in fixed batch order
     mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
@@ -653,49 +623,23 @@ def _collective_rows(oc: OutputCovariance, dq: DerivedQuantities,
     return rows
 
 
-def collective_transform(oc: OutputCovariance, dq: DerivedQuantities,
-                         ) -> OutputCovariance:
-    """Exact quadrature-level combination into the collective W/U modes.
-
-    Consumes ``A_1_out``, ``A_2_out`` and the filtered mirror-bath mode
-    ``B~`` and returns the covariance over ``W_out = sqrt(G1/G) A_1_out
-    + sqrt(G2/G) A_2_out + i sqrt(gamma/G) B~^dag`` and ``U_out =
-    sqrt(G2/G) A_1_out - sqrt(G1/G) A_2_out + i sqrt(gamma/G) B~^dag`` (the
-    conjugated bath term swaps X and P roles).  For gamma > 0 the bath term
-    keeps W from commuting with the mirror output ``A_m_out``, and
-    ``[X_W, P_W]`` differs from i.  The README overview describes W as a
-    combination of the cavity outputs alone; the README records this
-    discrepancy.
-    ``A_m_out`` passes through when present, and the input-side aliases
-    produce ``W_tilde_in``/``U_tilde_in`` when their constituents are
-    present.
-    """
-    for lab in (A_1_OUT, A_2_OUT, B_TILDE):
-        if lab not in oc.mode_labels:
-            raise MissingModes(f"collective transform needs {lab!r} "
-                               f"(have {list(oc.mode_labels)})")
-    labels = (W_OUT, U_OUT)
-    if A_TILDE_1_IN in oc.mode_labels and A_TILDE_2_IN in oc.mode_labels:
-        labels += (W_TILDE_IN, U_TILDE_IN)
-    rows = [_collective_rows(oc, dq, labels)]
-    if A_M_OUT in oc.mode_labels:
-        labels = (A_M_OUT,) + labels
-        rows.insert(0, np.eye(oc.sigma.shape[0])[
-            [oc.index(A_M_OUT, "X"), oc.index(A_M_OUT, "P")]])
-    T = np.vstack(rows)
-    return OutputCovariance(labels, T @ oc.sigma @ T.T)
-
-
 def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
-                      tol: float = 1e-9, collective: bool = True,
                       ) -> OutputCovariance:
     """One-call oracle over the standard mode set.
 
     Builds the requested model and the standard output kernels, propagates
-    through the pulse exactly (``tol`` is validated but has no effect; see
-    ``propagate_output_covariance``), and (with ``collective=True``)
+    them through the pulse exactly (``propagate_output_covariance``), and
     appends the collective modes W_out, U_out, W_tilde_in and U_tilde_in
     with exact cross moments to everything else.
+
+    ``W_out = sqrt(G1/G) A_1_out + sqrt(G2/G) A_2_out + i sqrt(gamma/G)
+    B~^dag`` and ``U_out = sqrt(G2/G) A_1_out - sqrt(G1/G) A_2_out + i
+    sqrt(gamma/G) B~^dag`` (the conjugated bath term swaps X and P roles);
+    the input-side aliases combine the ``A_tilde_j_in`` modes the same way.
+    For gamma > 0 the bath term keeps W from commuting with the mirror
+    output ``A_m_out``, and ``[X_W, P_W]`` differs from i.  The README
+    overview describes W as a combination of the cavity outputs alone; the
+    README records this discrepancy.
     """
     if engine == "reduced":
         model = build_reduced_model(rp)
@@ -704,10 +648,8 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
     else:
         raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
     kernels = output_kernels(rp, full=(engine == "full"))
-    oc = propagate_output_covariance(model, kernels, rp.tau, tol,
+    oc = propagate_output_covariance(model, kernels, rp.tau,
                                      terminal_phase=mirror_output_phase(rp))
-    if not collective:
-        return oc
     labels = (W_OUT, U_OUT, W_TILDE_IN, U_TILDE_IN)
     T = np.vstack([np.eye(oc.sigma.shape[0]),
                    _collective_rows(oc, derived_quantities(rp), labels)])

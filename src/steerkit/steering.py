@@ -39,8 +39,8 @@ def _quadrature_vector(oc: OutputCovariance, selector: QuadratureSelector,
     return v
 
 
-def inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
-                      party: QuadratureSelector) -> tuple[float, float]:
+def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
+                       party: QuadratureSelector) -> tuple[float, float]:
     """Minimal inference variance of one quadrature given another.
 
     Returns ``(Var(steered) - Cov^2/Var(party), u)`` where ``u = -Cov /
@@ -86,10 +86,10 @@ def _product_witness(oc: OutputCovariance, steered: str, party: str,
     quadrature at ``theta_s + pi/2`` is inferred from ``theta_p``.  Angles
     zero reproduce the fixed X-against-P pairing.
     """
-    vx, ux = inferred_variance(oc, (steered, theta_s),
-                               (party, theta_p + 0.5 * math.pi))
-    vp, up = inferred_variance(oc, (steered, theta_s + 0.5 * math.pi),
-                               (party, theta_p))
+    vx, ux = _inferred_variance(oc, (steered, theta_s),
+                                (party, theta_p + 0.5 * math.pi))
+    vp, up = _inferred_variance(oc, (steered, theta_s + 0.5 * math.pi),
+                                (party, theta_p))
     vx = max(vx, 0.0)
     vp = max(vp, 0.0)
     return math.sqrt(vx) * math.sqrt(vp), ux, up
@@ -175,8 +175,8 @@ class MonogamyReport:
         return not all(e < 0.5 - self.margin for e in self.E_values)
 
 
-def monogamy_check(oc: OutputCovariance, steered_mode: str,
-                   parties: tuple[str, str]) -> MonogamyReport:
+def _monogamy_check(oc: OutputCovariance, steered_mode: str,
+                    parties: tuple[str, str]) -> MonogamyReport:
     """Evaluate both single-party witnesses; a violation signals a covariance
     bug and is reported, never raised.
 
@@ -220,20 +220,41 @@ def _sup_over_r(x: float, n0: float, n: float, r_max: float,
     return max(candidates)
 
 
+def _check_search(r_max: float, tol: float) -> None:
+    if not r_max > 0.0:
+        raise InvalidParams(f"r_max must be > 0, got {r_max!r}")
+    if not tol > 0.0:
+        raise InvalidParams(f"tol must be > 0, got {tol!r}")
+
+
+def _bisect(up, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` to width ``tol`` keeping ``up(lo)`` true and
+    ``up(hi)`` false, or until no float lies strictly between them."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
                     tol: float = 0.5, *, n_cap: float = 1e6,
                     ) -> ThresholdResult:
     """Largest bath occupation with collective steering at every pulse area.
 
-    Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``.
-    Raises ``NoThreshold`` when even n = 0 fails (too much damping) or when
+    Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``,
+    down to a bracket of width ``tol`` or of adjacent floats.  Raises
+    ``NoThreshold`` when even n = 0 fails (too much damping) or when
     steering survives past the search cap (damping too weak to set a bound).
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
             f"gamma_over_G must be in (0, 1), got {gamma_over_G!r}")
-    if not r_max > 0.0:
-        raise InvalidParams(f"r_max must be > 0, got {r_max!r}")
+    _check_search(r_max, tol)
 
     def ok(n: float) -> bool:
         return _sup_over_r(gamma_over_G, n0, n, r_max)[0] <= 0.5
@@ -251,12 +272,7 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
                 f"steering survives past the n = {n_cap:.3g} search cap for "
                 f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
                 "survives any bath occupation")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(ok, lo, hi, tol)
     value = 0.5 * (lo + hi)
     _, sup_r = _sup_over_r(gamma_over_G, n0, value, r_max)
     return ThresholdResult("n", value, (lo, hi), sup_r)
@@ -264,16 +280,17 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
 
 def r_crossing(gamma_over_G: float, n0: float, n: float,
                r_max: float = 10.0, tol: float = 1e-9) -> ThresholdResult:
-    """Smallest pulse area where the collective witness drops below 1/2."""
+    """Smallest pulse area where the collective witness drops below 1/2,
+    bracketed to width ``tol`` or to adjacent floats."""
     if not n0 > 0.0:
         raise InvalidParams(
             f"crossing search needs n0 > 0 (witness starts above 1/2), "
             f"got n0 = {n0!r}")
-
+    _check_search(r_max, tol)
     _check_inputs(0.0, gamma_over_G, n0, n)
 
-    def f(r: float) -> float:
-        return collective_steering_value(r, gamma_over_G, n0, n) - 0.5
+    def still_above(r: float) -> bool:
+        return collective_steering_value(r, gamma_over_G, n0, n) > 0.5
 
     rs = np.linspace(0.0, r_max, 4097)
     above = collective_steering_value(rs, gamma_over_G, n0, n) - 0.5
@@ -282,13 +299,7 @@ def r_crossing(gamma_over_G: float, n0: float, n: float,
         raise NoThreshold(
             f"witness never crosses 1/2 on (0, {r_max}] at "
             f"gamma/G = {gamma_over_G}, n0 = {n0}, n = {n}")
-    lo, hi = rs[down[0]], rs[down[0] + 1]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(still_above, rs[down[0]], rs[down[0] + 1], tol)
     return ThresholdResult("r", 0.5 * (lo + hi), (lo, hi), math.nan)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from steerkit import dynamics, reduced_from_ratios
@@ -24,13 +27,28 @@ class OracleCache:
         self._store: dict = {}
 
     def covariance(self, r, x, n0=0.0, n=0.0, ratio=1.0, engine="reduced",
-                   tol=1e-10) -> dynamics.OutputCovariance:
-        key = (r, x, n0, n, ratio, engine, tol)
+                   ) -> dynamics.OutputCovariance:
+        key = (r, x, n0, n, ratio, engine)
         if key not in self._store:
             rp = reduced_from_ratios(r, x, G1_over_G2=ratio, n0=n0, n=n)
-            self._store[key] = dynamics.output_covariance(
-                rp, engine=engine, tol=tol)
+            self._store[key] = dynamics.output_covariance(rp, engine=engine)
         return self._store[key]
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the enclosed block with ``TimeoutError`` instead of letting it
+    hang when it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

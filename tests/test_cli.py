@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import steerkit
+from conftest import deadline
 from steerkit import cli, collective_steering_value
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
@@ -388,10 +389,13 @@ class TestEntryPoint:
         {"sweep": {"variable": "r", "start": 0.0, "stop": math.inf,
                    "points": 3}},
         {"params": {"kind": "ratios", "n0": True}},
+        {"params": {"kind": "ratios", "n0": 10 ** 400}},
+        {"params": {"kind": "ratios", "n0": "0.5"}},
         {"mode": "cross-correlation", "engine": "oracle",
          "trajectories": 10},
     ], ids=["case-not-object", "ratio-not-number", "tolerance-not-number",
             "kappa-over-g-not-number", "infinite-sweep", "bool-occupation",
+            "huge-integer-occupation", "string-occupation",
             "too-few-trajectories"])
     def test_malformed_scenarios_exit_2(self, tmp_path, capsys, edit):
         doc = {**tiny_curve_scenario().to_dict(), **edit}
@@ -440,6 +444,45 @@ class TestEntryPoint:
         out = tmp_path / "result.csv"
         code = cli.main(["run", "--config", str(cfg), "--output", str(out),
                          *args])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", [
+        {"variable": "r", "start": 0.0, "stop": 2.0, "points": 3.7},
+        {"variable": "r", "start": 0.0, "stop": 2.0, "points": "4"},
+        {"variable": "r", "start": 0.0, "stop": 2.0, "points": True},
+        {"variable": "r", "start": True, "stop": 2.0, "points": 3},
+        {"variable": "r", "start": "0.5", "stop": 2.0, "points": 3},
+        {"variable": "r", "start": 0.1, "stop": 2.0, "points": 3,
+         "scael": "log"},
+        {"variable": "r", "start": 0.0, "stop": 2.0},
+        [0.0, 2.0, 3],
+    ], ids=["points-float", "points-string", "points-bool", "start-bool",
+            "start-string", "misspelt-scale", "points-missing",
+            "not-an-object"])
+    def test_malformed_sweep_blocks_exit_2(self, tmp_path, capsys, sweep):
+        doc = {**tiny_curve_scenario().to_dict(), "sweep": sweep}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerances", [
+        {"n_tol": 0}, {"n_tol": -0.5}, {"r_max": 0.0}, {"r_max": -1}],
+        ids=["n-tol-zero", "n-tol-negative", "r-max-zero", "r-max-negative"])
+    def test_threshold_search_bounds_exit_2(self, tmp_path, capsys,
+                                            tolerances):
+        doc = {**PRESETS["inset"]().to_dict(), "tolerances": tolerances}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        with deadline(20):
+            code = cli.main(["run", "--config", str(cfg), "--output",
+                             str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
@@ -510,6 +553,39 @@ class TestEntryPoint:
         svg = (tmp_path / "curve.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+
+def _collect_uses(node: ast.AST, defining: tuple[str, ...],
+                  used: set[str]) -> None:
+    """Add to ``used`` every name loaded, read as an attribute or imported
+    under ``node``, except inside a definition of that same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        defining += (node.name,)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name
+    else:
+        name = None
+    if name is not None and name not in defining:
+        used.add(name)
+    for child in ast.iter_child_nodes(node):
+        _collect_uses(child, defining, used)
+
+
+def test_every_export_is_used_outside_the_tests():
+    # the package exports only what it or its scripts use
+    package = Path(steerkit.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(scripts.glob("*.py"))
+    used: set[str] = set()
+    for path in paths:
+        _collect_uses(ast.parse(path.read_text(), str(path)), (), used)
+    assert sorted(set(steerkit.__all__) - used) == []
 
 
 def test_package_starts_no_threads_or_processes():

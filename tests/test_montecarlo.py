@@ -19,7 +19,7 @@ from steerkit.dynamics import (
     output_kernels,
     propagate_output_covariance,
 )
-from steerkit.errors import InsufficientTrajectories, InvalidParams
+from steerkit.errors import InsufficientTrajectories
 
 
 def mc_setup(r=1.0, x=0.1, n0=0.0, n=0.0, ratio=1.0):
@@ -45,57 +45,30 @@ class TestMonteCarlo:
         rp, model, kernels, phase = mc_setup()
         mc = monte_carlo_output_covariance(model, kernels, rp.tau, 20_000, 11,
                                            terminal_phase=phase)
-        det = propagate_output_covariance(model, kernels, rp.tau, 1e-11,
+        det = propagate_output_covariance(model, kernels, rp.tau,
                                           terminal_phase=phase)
         se = np.where(mc.standard_errors > 0, mc.standard_errors, np.inf)
         dev = np.abs(mc.sigma - det.sigma) / se
         assert dev.max() < 4.0
 
-    def test_step_count_does_not_bias_the_estimate(self):
-        # per-step transition maps are exact, so halving the step only
-        # re-draws noise; both runs must agree with the deterministic result
-        rp, model, kernels, phase = mc_setup()
-        det = propagate_output_covariance(model, kernels, rp.tau, 1e-11,
-                                          terminal_phase=phase)
-        for n_steps in (128, 256):
-            mc = monte_carlo_output_covariance(
-                model, kernels, rp.tau, 10_000, 13, n_steps=n_steps,
-                terminal_phase=phase)
-            se = np.where(mc.standard_errors > 0, mc.standard_errors, np.inf)
-            assert (np.abs(mc.sigma - det.sigma) / se).max() < 4.5
-
-    def test_bit_identical_across_thread_counts(self):
-        rp, model, kernels, phase = mc_setup()
-        runs = [
-            monte_carlo_output_covariance(model, kernels, rp.tau, 8_192, 42,
-                                          threads=threads,
-                                          terminal_phase=phase)
-            for threads in (1, 3)
-        ]
-        assert np.array_equal(runs[0].sigma, runs[1].sigma)
-        assert np.array_equal(runs[0].standard_errors,
-                              runs[1].standard_errors)
-
-    def test_partial_last_batch_is_bit_identical_across_thread_counts(self):
+    def test_partial_last_batch_matches_deterministic(self):
         # 1300 = 2 * 512 + 276: the last batch is partial
         rp, model, kernels, phase = mc_setup(x=0.2, n0=1.0, n=3.0)
-        runs = [monte_carlo_output_covariance(model, kernels, rp.tau, 1_300,
-                                              9, threads=threads,
-                                              terminal_phase=phase)
-                for threads in (1, 2, 3)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].sigma, other.sigma)
-            assert np.array_equal(runs[0].standard_errors,
-                                  other.standard_errors)
+        mc = monte_carlo_output_covariance(model, kernels, rp.tau, 1_300, 9,
+                                           terminal_phase=phase)
+        det = propagate_output_covariance(model, kernels, rp.tau,
+                                          terminal_phase=phase)
+        se = np.where(mc.standard_errors > 0, mc.standard_errors, np.inf)
+        assert (np.abs(mc.sigma - det.sigma) / se).max() < 4.0
 
-    def test_noise_buffer_does_not_grow_with_the_step_count(self):
-        # one step's normals are drawn at a time; an (n_steps, n, batch)
-        # noise array would take 1024 * 12 * 512 * 8 B = 50 MB here
+    def test_memory_does_not_grow_with_the_trajectory_count(self):
+        # trajectories run in batches of 512; one (n, 10^5) state array
+        # would take 12 * 10^5 * 8 B = 9.6 MB here
         rp, model, kernels, phase = mc_setup()
         tracemalloc.start()
         try:
-            monte_carlo_output_covariance(model, kernels, rp.tau, 1_000, 3,
-                                          n_steps=1024, terminal_phase=phase)
+            monte_carlo_output_covariance(model, kernels, rp.tau, 100_000, 3,
+                                          terminal_phase=phase)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -113,16 +86,6 @@ class TestMonteCarlo:
         rp, model, kernels, phase = mc_setup()
         with pytest.raises(InsufficientTrajectories):
             monte_carlo_output_covariance(model, kernels, rp.tau, 999, 1)
-
-    @pytest.mark.parametrize("step_args", [{"n_steps": 0},
-                                           {"batch_size": 0},
-                                           {"threads": 0},
-                                           {"threads": -3}])
-    def test_rejects_empty_steps_and_batches(self, step_args):
-        rp, model, kernels, phase = mc_setup()
-        with pytest.raises(InvalidParams):
-            monte_carlo_output_covariance(model, kernels, rp.tau, 1_000, 1,
-                                          **step_args)
 
     def test_rejects_unreachable_error_bound(self):
         rp, model, kernels, phase = mc_setup()

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from steerkit import (
     collective_steering_value,
-    inferred_variance,
-    monogamy_check,
     noise_threshold,
     r_crossing,
     single_steering_value,
@@ -20,6 +19,7 @@ from steerkit import (
 )
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
 from steerkit.errors import InvalidParams, NoThreshold, ZeroVariance
+from steerkit.steering import _inferred_variance, _monogamy_check
 
 E2 = math.e ** 2
 
@@ -39,38 +39,38 @@ def two_mode_squeezed(s: float) -> OutputCovariance:
 class TestInferredVariance:
     def test_uncorrelated_modes_gain_is_zero(self):
         oc = OutputCovariance(("alice", "bob"), np.diag([2.0, 2.0, 3.0, 3.0]))
-        var, gain = inferred_variance(oc, ("alice", "X"), ("bob", "X"))
+        var, gain = _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
         assert var == 2.0 and gain == 0.0
 
     def test_epr_limit_of_two_mode_squeezing(self):
         for s in (0.5, 1.0, 2.0):
             oc = two_mode_squeezed(s)
-            var, gain = inferred_variance(oc, ("alice", "X"), ("bob", "X"))
+            var, gain = _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
             assert var == pytest.approx(0.5 / math.cosh(2.0 * s), rel=1e-12)
             assert gain == pytest.approx(-math.tanh(2.0 * s), rel=1e-12)
-        assert inferred_variance(two_mode_squeezed(8.0),
+        assert _inferred_variance(two_mode_squeezed(8.0),
                                  ("alice", "X"), ("bob", "X"))[0] < 1e-6
 
     def test_collective_inference_value(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.0, 0.0, 0.0)
-        var, _ = inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
+        var, _ = _inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         assert var == pytest.approx(1.0 / (2.0 * (2.0 * E2 - 1.0)), rel=1e-9)
 
     def test_rotated_selector(self):
         oc = two_mode_squeezed(1.0)
-        var_x, _ = inferred_variance(oc, ("alice", "X"), ("bob", 0.0))
-        var_rot, _ = inferred_variance(oc, ("alice", 0.0), ("bob", "X"))
+        var_x, _ = _inferred_variance(oc, ("alice", "X"), ("bob", 0.0))
+        var_rot, _ = _inferred_variance(oc, ("alice", 0.0), ("bob", "X"))
         assert var_x == pytest.approx(var_rot, rel=1e-12)
 
     def test_zero_variance_party_rejected(self):
         sigma = np.diag([1.0, 1.0, 0.0, 1.0])
         oc = OutputCovariance(("alice", "bob"), sigma)
         with pytest.raises(ZeroVariance):
-            inferred_variance(oc, ("alice", "X"), ("bob", "X"))
+            _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
 
     def test_gain_is_optimal_against_grid_search(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.1, 0.5, 5.0)
-        var, gain = inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
+        var, gain = _inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         vs = np.zeros(oc.sigma.shape[0])
         vs[oc.index(A_M_OUT, "X")] = 1.0
         vp = np.zeros_like(vs)
@@ -126,7 +126,7 @@ class TestSteeringProduct:
 class TestMonogamy:
     def test_balanced_couplings_leave_both_parties_blocked(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.0, 0.0, 0.0)
-        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        report = _monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
         assert report.E_values[0] >= 0.5 - 1e-10
         assert report.E_values[1] >= 0.5 - 1e-10
         assert report.is_consistent
@@ -134,7 +134,7 @@ class TestMonogamy:
     def test_unbalanced_coupling_steers_through_one_party_only(self,
                                                                oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.0, 0.0, 0.0, ratio=2.0)
-        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        report = _monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
         assert report.E_values[0] < 0.5
         assert report.E_values[1] > 0.5
         assert report.is_consistent
@@ -144,7 +144,7 @@ class TestMonogamy:
         # G1 = G2, no damping, zero occupations: both single-party witnesses
         # equal 1/2 exactly; rounding must not make both "steer"
         oc = oracle_cache.covariance(r, 0.0, 0.0, 0.0)
-        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        report = _monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
         assert report.E_values == pytest.approx((0.5, 0.5), abs=1e-9)
         assert report.is_consistent
 
@@ -157,7 +157,7 @@ class TestMonogamy:
             sigma[0, j + 1] = sigma[j + 1, 0] = c  # X_m with P_j
             sigma[1, j] = sigma[j, 1] = c          # P_m with X_j
         oc = OutputCovariance((A_M_OUT, A_1_OUT, A_2_OUT), sigma)
-        report = monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
+        report = _monogamy_check(oc, A_M_OUT, (A_1_OUT, A_2_OUT))
         assert report.E_values == pytest.approx((0.45, 0.45), abs=1e-12)
         assert 0.0 < report.margin < 1e-12
         assert not report.is_consistent
@@ -212,6 +212,35 @@ class TestNoiseThreshold:
             noise_threshold(0.0, 0.0)
         with pytest.raises(InvalidParams):
             noise_threshold(1.5, 0.0)
+
+
+class TestSearchTermination:
+    """Both threshold searches end, or refuse, for any tolerance."""
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_tolerance_below_float_spacing_ends_at_adjacent_floats(self, tol):
+        with deadline(20):
+            results = [noise_threshold(0.1, 0.0, 10.0, tol),
+                       r_crossing(0.1, 5.0, 0.0, 10.0, tol)]
+        for res in results:
+            lo, hi = res.bracket
+            assert lo <= res.value <= hi
+            assert hi - lo <= 2.0 * np.spacing(hi)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with deadline(20):
+            with pytest.raises(InvalidParams):
+                noise_threshold(0.1, 0.0, 10.0, tol)
+            with pytest.raises(InvalidParams):
+                r_crossing(0.1, 5.0, 0.0, 10.0, tol)
+
+    @pytest.mark.parametrize("r_max", [0.0, -1.0])
+    def test_empty_pulse_area_range_rejected(self, r_max):
+        with pytest.raises(InvalidParams):
+            noise_threshold(0.1, 0.0, r_max)
+        with pytest.raises(InvalidParams):
+            r_crossing(0.1, 5.0, 0.0, r_max)
 
 
 class TestPulseAreaCrossing:
