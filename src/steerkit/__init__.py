@@ -12,8 +12,6 @@ from .closedform import (
     cross_correlation,
     moment_set,
     single_steering_value,
-    steering_collective,
-    steering_single,
     threshold_r,
 )
 from .dynamics import (
@@ -32,7 +30,6 @@ from .model import (
     ReducedParams,
     WorkingPoint,
     derive_working_point,
-    derived_from_ratios,
     derived_quantities,
     reduce,
     reduced_from_ratios,
@@ -49,14 +46,13 @@ from .steering import (
 __all__ = [
     "__version__",
     "MomentSet", "collective_steering_value", "cross_correlation",
-    "moment_set", "single_steering_value", "steering_collective",
-    "steering_single", "threshold_r",
+    "moment_set", "single_steering_value", "threshold_r",
     "LinearModel", "OutputCovariance", "TemporalKernel", "build_full_model",
     "build_reduced_model", "monte_carlo_output_covariance",
     "output_covariance", "propagate_output_covariance",
     "DerivedQuantities", "PhysicalParams", "ReducedParams", "WorkingPoint",
-    "derive_working_point", "derived_from_ratios", "derived_quantities",
-    "reduce", "reduced_from_ratios",
+    "derive_working_point", "derived_quantities", "reduce",
+    "reduced_from_ratios",
     "SteeringReport", "ThresholdResult", "noise_threshold", "r_crossing",
     "steering_product", "steering_region",
 ]

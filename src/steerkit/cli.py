@@ -32,11 +32,9 @@ import numpy as np
 from . import closedform, dynamics, steering
 from .errors import ConfigError, SteerkitError
 from .model import (
-    DerivedQuantities,
     PhysicalParams,
     ReducedParams,
     derive_working_point,
-    derived_from_ratios,
     derived_quantities,
     reduce as reduce_params,
     reduced_from_ratios,
@@ -49,12 +47,14 @@ SCHEMA_VERSION = 1
 MODES = ("curve", "heatmap", "n-threshold", "validate-oracle",
          "validate-adiabatic", "working-point", "cross-correlation")
 ENGINES = ("closedform", "oracle", "both")
+# modes that read ``engine``; the others run the closed form only
+_ENGINE_MODES = ("curve", "cross-correlation")
 SWEEP_VARIABLES = ("r", "tau", "n", "n0", "gamma_over_G", "G1_over_G2")
-
+TOLERANCES = ("oracle_rel", "adiabatic_rel", "n_tol", "r_max",
+              "fixed_point_tol")
 # tolerances that must be > 0: ``n_tol`` and ``r_max`` set the resolution
-# and range of the threshold search; ``oracle_tol`` is checked although the
-# exact oracle does not use it
-_POSITIVE_TOLERANCES = ("oracle_tol", "n_tol", "r_max")
+# and range of the threshold search
+_POSITIVE_TOLERANCES = ("n_tol", "r_max")
 
 _HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 
@@ -74,26 +74,26 @@ def _number(value, what: str) -> float:
 
 
 def parse_rate(value) -> float:
-    """Angular rate in rad/s from a number or a '<value> <unit>' string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        parts = value.split()
-        if len(parts) == 2:
-            num, unit = parts
-            key = unit.lower()
-            try:
-                x = float(num)
-            except ValueError as exc:
-                raise ConfigError(f"bad rate value {value!r}") from exc
-            if key in _HZ_UNITS:
-                return 2.0 * math.pi * x * _HZ_UNITS[key]
-            if key == "rad/s":
-                return x
-        raise ConfigError(
-            f"bad rate {value!r}; use a number (rad/s) or '<value> Hz|kHz|"
-            f"MHz|GHz|THz|rad/s'")
-    raise ConfigError(f"bad rate {value!r}")
+    """Finite angular rate in rad/s from a number or a '<value> <unit>'
+    string."""
+    if not isinstance(value, str):
+        return _number(value, "rate")
+    parts = value.split()
+    if len(parts) == 2:
+        num, unit = parts
+        key = unit.lower()
+        try:
+            x = float(num)
+        except ValueError as exc:
+            raise ConfigError(f"bad rate value {value!r}") from exc
+        if key in _HZ_UNITS:
+            return _number(2.0 * math.pi * x * _HZ_UNITS[key],
+                           f"rate {value!r}")
+        if key == "rad/s":
+            return _number(x, f"rate {value!r}")
+    raise ConfigError(
+        f"bad rate {value!r}; use a number (rad/s) or '<value> Hz|kHz|"
+        f"MHz|GHz|THz|rad/s'")
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,9 @@ class Scenario:
             raise ConfigError(f"mode {self.mode!r} not in {MODES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine {self.engine!r} not in {ENGINES}")
+        if self.engine != "closedform" and self.mode not in _ENGINE_MODES:
+            raise ConfigError(f"mode {self.mode!r} runs the closed form "
+                              f"only; engine {self.engine!r} is not allowed")
         if self.sweep is not None:
             self.sweep.validate()
         if self.sweep2 is not None:
@@ -190,10 +193,15 @@ class Scenario:
             _adiabatic_params(self.params)
         else:
             ratio_params(self.params)
-        for case in self.cases:
+        labels = set()
+        for i, case in enumerate(self.cases):
             if not isinstance(case, dict):
                 raise ConfigError(f"cases entries must be objects, got "
                                   f"{case!r}")
+            label = str(_case_label(i, case))
+            if label in labels:
+                raise ConfigError(f"cases label {label!r} is repeated")
+            labels.add(label)
             for key, val in case.items():
                 if key == "label":
                     continue
@@ -202,6 +210,10 @@ class Scenario:
                 _number(val, f"case override {key!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object")
+        unknown = set(self.tolerances) - set(TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
+                              f"known: {TOLERANCES}")
         for key, val in self.tolerances.items():
             x = _number(val, f"tolerance {key!r}")
             if key in _POSITIVE_TOLERANCES and not x > 0.0:
@@ -394,13 +406,6 @@ def _reduced(knobs: dict) -> ReducedParams:
         Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
 
 
-def _derived(knobs: dict) -> DerivedQuantities:
-    """Derived quantities of a set of ratio knobs."""
-    return derived_from_ratios(knobs["r"], knobs["gamma_over_G"],
-                               G1_over_G2=knobs["G1_over_G2"],
-                               Delta_over_kappa=knobs["Delta_over_kappa"])
-
-
 def _oracle_E(knobs: dict) -> float:
     """Collective witness from deterministic moment propagation."""
     oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
@@ -430,6 +435,12 @@ def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
         knobs["n"])
 
 
+def _case_label(i: int, case: dict):
+    """Label of curve case ``i``: its ``label``, else ``case{i}``; an empty
+    case is ``E``."""
+    return case.get("label", f"case{i}") if case else "E"
+
+
 def _run_curve(sc: Scenario):
     base = ratio_params(sc.params)
     cases = list(sc.cases) or [{}]
@@ -440,7 +451,7 @@ def _run_curve(sc: Scenario):
     labelled = len(cases) > 1 or "label" in cases[0]
     series = []  # (label, E column, oracle column, overrides, E values)
     for i, case in enumerate(cases):
-        lab = case.get("label", f"case{i}") if case else "E"
+        lab = _case_label(i, case)
         over = {k: float(v) for k, v in case.items() if k != "label"}
         E = _witness_grid({**_apply(base, var, values), **over},
                           values.shape) if closed else None
@@ -537,8 +548,9 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
 
 def _oracle_moment_row(knobs: dict) -> dict:
     """Closed-form vs oracle values and relative errors at one point."""
-    dq = _derived(knobs)
-    ms = closedform.moment_set(dq, knobs["n0"], knobs["n"])
+    r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0", "n",
+                                             "G1_over_G2"))
+    closed = closedform.moment_set(r, x, n0, n, G1_over_G2=ratio).as_dict()
     oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
     a1, a2 = dynamics.A_1_OUT, dynamics.A_2_OUT
@@ -553,9 +565,9 @@ def _oracle_moment_row(knobs: dict) -> dict:
         "E_mW": steering.steering_product(oc, m, w).E_value,
         "E_m1": steering.steering_product(oc, m, a1).E_value,
     }
-    closed = dict(ms.as_dict())
-    closed["E_mW"] = closedform.steering_collective(dq, knobs["n0"], knobs["n"])
-    closed["E_m1"] = closedform.steering_single(dq, knobs["n0"], knobs["n"], 1)
+    closed["E_mW"] = closedform.collective_steering_value(r, x, n0, n)
+    closed["E_m1"] = closedform.single_steering_value(
+        r, x, n0, n, closedform._gain_fractions(x, ratio)[0])
     row = {}
     worst = 0.0
     for key in _ORACLE_COMPARED:
@@ -676,7 +688,8 @@ def _run_cross_correlation(sc: Scenario):
         row = {sc.sweep.variable: v}
         try:
             row["cross_corr"] = closedform.cross_correlation(
-                _derived(knobs), knobs["n0"], knobs["n"])
+                knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"],
+                G1_over_G2=knobs["G1_over_G2"])
         except SteerkitError as exc:
             warn(f"point {idx}: {exc}")
             row["cross_corr"] = math.nan

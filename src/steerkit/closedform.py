@@ -1,7 +1,8 @@
 """Analytic second moments and steering values of the pulsed reduced model.
 
 Everything here is a function of the dimensionless pulse area ``r = G tau``,
-the damping ratio ``x = gamma/G``, the gain fractions ``G_j/G``, and the two
+the damping ratio ``x = gamma/G``, the gain split ``G1/G2`` (the single-mode
+witness takes the measured mode's fraction ``G_j/G`` instead), and the two
 thermal occupations ``(n0, n)``.  The moment formulas are definitions; the
 steering values are conditional variances computed from them, evaluated in
 an algebraically equivalent expanded form that stays accurate where the
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, GainNotPositive, InvalidParams
-from .model import DerivedQuantities
+from .errors import DegenerateVariance, InvalidParams
 
 # Factors of the form (polynomial in r) / (e^{2r}-1) are evaluated by short
 # Taylor series below this pulse area to dodge the removable singularity.
@@ -100,11 +100,13 @@ def _check_inputs(r: float, x: float, n0: float, n: float) -> None:
         raise InvalidParams(f"n must be >= 0, got {n!r}")
 
 
-def _ratios(dq: DerivedQuantities) -> tuple[float, float, float]:
-    """(gamma/G, G1/G, G2/G) with the gain-positivity guard."""
-    if not dq.G > 0.0:
-        raise GainNotPositive(f"net gain G = {dq.G!r} must be positive")
-    return (dq.G1 + dq.G2 - dq.G) / dq.G, dq.G1 / dq.G, dq.G2 / dq.G
+def _gain_fractions(x: float, G1_over_G2: float) -> tuple[float, float]:
+    """``(G1/G, G2/G)``: the gain sum ``1 + x`` split as ``G1_over_G2``."""
+    if not G1_over_G2 > 0.0:
+        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+    gsum = 1.0 + x
+    f2 = gsum / (1.0 + G1_over_G2)
+    return gsum - f2, f2
 
 
 @dataclass(frozen=True)
@@ -136,27 +138,27 @@ class MomentSet:
         }
 
 
-def moment_set(dq: DerivedQuantities, n0: float, n: float) -> MomentSet:
-    """Evaluate the full closed-form moment set at pulse area ``dq.r``.
+def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
+               G1_over_G2: float = 1.0) -> MomentSet:
+    """Evaluate the full closed-form moment set at pulse area ``r``.
 
     The mirror output mode is the mirror amplitude at the end of the pulse;
     the cavity output modes and the collective symmetric mode W are the
     matched exponential temporal modes of the emitted fields.
     """
-    x, f1, f2 = _ratios(dq)
-    r = dq.r
+    x = gamma_over_G
     _check_inputs(r, x, n0, n)
+    f1, f2 = _gain_fractions(x, G1_over_G2)
 
     u = math.expm1(2.0 * r)
     a = n0 + 1.0 + x * (n + 1.0)
     b = 0.5 + x * (n + 1.0)
-    kr = gain_filter_ratio(r)
     amp = amplified_noise_factor(r)
 
     var_m = (n0 + 0.5) + a * u
     var_1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
     var_2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
-    var_W = (1.0 + x) ** 2 * (a * u + b) + x * b * (x - (1.0 + x) * kr)
+    var_W = _var_W(x, a, b, u, gain_filter_ratio(r))
 
     if r == 0.0:
         cov_1 = cov_2 = cov_W = 0.0
@@ -179,23 +181,31 @@ def moment_set(dq: DerivedQuantities, n0: float, n: float) -> MomentSet:
     )
 
 
-def cross_correlation(dq: DerivedQuantities, n0: float, n: float) -> float:
+def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
+                      G1_over_G2: float = 1.0) -> float:
     """Magnitude of the inter-mode output coherence ``|<A1out^dag A2out>|``.
 
     Nonzero for any r > 0; both the mirror damping and the thermal noises
     feed it constructively.
     """
-    x, f1, f2 = _ratios(dq)
-    _check_inputs(dq.r, x, n0, n)
-    u = math.expm1(2.0 * dq.r)
+    x = gamma_over_G
+    _check_inputs(r, x, n0, n)
+    f1, f2 = _gain_fractions(x, G1_over_G2)
+    u = math.expm1(2.0 * r)
     return math.sqrt(f1 * f2) * ((n0 + 1.0) * u
-                                 + 2.0 * (n + 1.0) * x * coherence_factor(dq.r))
+                                 + 2.0 * (n + 1.0) * x * coherence_factor(r))
 
 
 def _plateau(x, b):
     """Large-r limit of the collective witness for damping ratio ``x > 0``;
     ``b = 1/2 + x (n + 1)``."""
     return x * x * b / (1.0 + x) ** 2
+
+
+def _var_W(x, a, b, u, kr):
+    """``var_XW_out`` with ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n + 1)``,
+    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``."""
+    return (1.0 + x) ** 2 * (a * u + b) + x * b * (x - (1.0 + x) * kr)
 
 
 def _collective_terms(r, x, n0, n, u, kr, scaled=False):
@@ -218,9 +228,8 @@ def _collective_terms(r, x, n0, n, u, kr, scaled=False):
         return ((1.0 + x) ** 2 * (a + b / u)
                 + x * b * (x - (1.0 + x) * kr) / u,
                 4.0 * x * x * a * b + (c - rterm * (1.0 + 1.0 / u)) / u)
-    var_W = (1.0 + x) ** 2 * (a * u + b) \
-        + x * b * (x - (1.0 + x) * kr)
-    return var_W, 4.0 * x * x * a * b * u + c - rterm * (1.0 + 1.0 / u)
+    return (_var_W(x, a, b, u, kr),
+            4.0 * x * x * a * b * u + c - rterm * (1.0 + 1.0 / u))
 
 
 def collective_steering_value(r: float | np.ndarray,
@@ -352,23 +361,6 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
                    + (2.0 * n0 + 1.0) * (4.0 * f * x * (n + 1.0) + 1.0) / s
                    - rterm / s - rterm / u / s)
     return num_over_u3 / (4.0 * var_j)
-
-
-def steering_collective(dq: DerivedQuantities, n0: float, n: float) -> float:
-    """Collective steering witness at the parameters of ``dq``."""
-    x, _, _ = _ratios(dq)
-    return collective_steering_value(dq.r, x, n0, n)
-
-
-def steering_single(dq: DerivedQuantities, n0: float, n: float,
-                    j: int) -> float:
-    """Single-mode steering witness for cavity output mode ``j`` (1 or 2)."""
-    x, f1, f2 = _ratios(dq)
-    if j == 1:
-        return single_steering_value(dq.r, x, n0, n, f1)
-    if j == 2:
-        return single_steering_value(dq.r, x, n0, n, f2)
-    raise InvalidParams(f"mode index j must be 1 or 2, got {j!r}")
 
 
 def threshold_r(n0: float) -> float:

@@ -396,29 +396,3 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
         tau=r,
     )
 
-
-def derived_from_ratios(r: float, gamma_over_G: float, *,
-        G1_over_G2: float = 1.0,
-        Delta_over_kappa: float = 1.0) -> DerivedQuantities:
-    """Derived quantities in units G = 1, straight from dimensionless targets.
-
-    Unlike ``reduced_from_ratios`` this admits ``r = 0`` (zero pulse area),
-    which closed-form evaluation supports but time propagation does not.
-    """
-    if r < 0:
-        raise InvalidParams(f"r must be >= 0, got {r!r}")
-    if gamma_over_G < 0:
-        raise InvalidParams(f"gamma_over_G must be >= 0, got {gamma_over_G!r}")
-    if G1_over_G2 <= 0:
-        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
-    gsum = 1.0 + gamma_over_G
-    G2 = gsum / (1.0 + G1_over_G2)
-    G1 = gsum - G2
-    return DerivedQuantities(
-        G1=G1,
-        G2=G2,
-        G=1.0,
-        delta=(G1 - G2) * Delta_over_kappa,
-        phi=math.atan2(Delta_over_kappa, 1.0),
-        r=r,
-    )

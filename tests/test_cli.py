@@ -9,7 +9,7 @@ import pytest
 
 import steerkit
 from conftest import deadline
-from steerkit import cli, collective_steering_value
+from steerkit import cli, closedform, collective_steering_value
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
 
@@ -26,6 +26,38 @@ def tiny_curve_scenario(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def device_params(**overrides) -> dict:
+    """A ``physical`` params block: a blue-sideband nanobeam device."""
+    kappa = TWO_PI * 5.0e8
+    omega0 = TWO_PI * 2.0e14
+    omega_m = TWO_PI * 3.68e9
+    g0 = TWO_PI * 1.0e3
+    alpha = TWO_PI * 40.7e6 / g0  # cavity amplitude for g = 2pi x 40.7 MHz
+    params = {
+        "kind": "physical",
+        "omega1": omega0 + kappa, "omega2": omega0 - kappa,
+        "omega_m": omega_m, "omega_L": omega0 + omega_m,
+        "kappa1": kappa, "kappa2": kappa, "gamma": "35 kHz",
+        "g01": g0, "g02": g0,
+        "E1": alpha * abs(kappa + 1j * (kappa - omega_m)),
+        "E2": alpha * abs(kappa + 1j * (-kappa - omega_m)),
+        "n0": 0.85, "n": 0.85, "tau": 1e-7,
+    }
+    params.update(overrides)
+    return params
+
+
+def assert_exit_2(tmp_path, capsys, doc: dict) -> None:
+    """Running ``doc`` exits 2 with a ConfigError and writes no output."""
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "result.csv"
+    code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 class TestRateParsing:
@@ -324,16 +356,54 @@ class TestOtherModes:
         assert point["max_residual"] < 1.0
 
     def test_cross_correlation_mode(self):
-        from steerkit import cross_correlation, derived_from_ratios
+        from steerkit import cross_correlation
         sc = Scenario(
             mode="cross-correlation",
             params={"kind": "ratios", "gamma_over_G": 0.1},
             sweep=Sweep("r", 0.5, 1.0, 2),
         )
         record = run(sc)
-        expect = cross_correlation(derived_from_ratios(0.5, 0.1), 0.0, 0.0)
+        expect = cross_correlation(0.5, 0.1, 0.0, 0.0)
         assert record.points[0]["cross_corr"] == pytest.approx(expect,
                                                                rel=1e-12)
+
+    def test_cross_corr_column_is_the_direct_closed_form(self):
+        # n = 100 makes the damping term large enough that evaluating at
+        # (1 + 0.1) - 1 instead of 0.1 moves every value
+        sc = Scenario(
+            mode="cross-correlation",
+            params={"kind": "ratios", "gamma_over_G": 0.1, "n": 100.0},
+            sweep=Sweep("r", 0.5, 1.0, 3),
+        )
+        got = [p["cross_corr"] for p in run(sc).points]
+        assert got == [closedform.cross_correlation(r, 0.1, 0.0, 100.0)
+                       for r in sc.sweep.values().tolist()]
+
+    def test_validate_oracle_closed_side_is_the_direct_closed_form(
+            self, monkeypatch):
+        seen = []
+        for name in ("moment_set", "collective_steering_value",
+                     "single_steering_value"):
+            def spy(*args, _fn=getattr(closedform, name), **kwargs):
+                seen.append(_fn(*args, **kwargs))
+                return seen[-1]
+            monkeypatch.setattr(closedform, name, spy)
+        sc = Scenario(
+            mode="validate-oracle",
+            params={"kind": "ratios", "gamma_over_G": 0.1,
+                    "G1_over_G2": 1.5, "n0": 0.5, "n": 5.0},
+            sweep=Sweep("r", 0.5, 1.0, 3),
+        )
+        run(sc)
+        monkeypatch.undo()
+        f1 = (1.0 + 0.1) - (1.0 + 0.1) / (1.0 + 1.5)
+        expect = []
+        for r in sc.sweep.values().tolist():
+            expect += [
+                closedform.moment_set(r, 0.1, 0.5, 5.0, G1_over_G2=1.5),
+                closedform.collective_steering_value(r, 0.1, 0.5, 5.0),
+                closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1)]
+        assert seen == expect
 
 
 class TestPresets:
@@ -486,6 +556,61 @@ class TestEntryPoint:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["reduced", "physical"])
+    @pytest.mark.parametrize("rate", ["inf MHz", "nan Hz", math.inf,
+                                      "1e300 THz"],
+                             ids=["inf-unit", "nan-unit", "json-infinity",
+                                  "overflowing-unit"])
+    def test_non_finite_rates_exit_2(self, tmp_path, capsys, kind, rate):
+        if kind == "reduced":
+            doc = {**tiny_curve_scenario().to_dict(), "params": {
+                "kind": "reduced", "g1": rate, "g2": "40.7 MHz",
+                "kappa": "500 MHz", "Delta": "500 MHz", "gamma": "35 kHz",
+                "n0": 0.85, "n": 0.85, "tau": 1e-7}}
+        else:
+            doc = {"schema_version": 1, "mode": "working-point",
+                   "params": device_params(gamma=rate)}
+        assert_exit_2(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("mode", ["heatmap", "n-threshold",
+                                      "validate-oracle", "validate-adiabatic",
+                                      "working-point"])
+    @pytest.mark.parametrize("engine", ["oracle", "both"])
+    def test_engine_in_a_closed_form_mode_exits_2(self, tmp_path, capsys,
+                                                  mode, engine):
+        if mode == "heatmap":
+            doc = PRESETS["fig4"]().to_dict()
+        elif mode == "n-threshold":
+            doc = PRESETS["inset"]().to_dict()
+        elif mode == "validate-oracle":
+            doc = {**tiny_curve_scenario().to_dict(), "mode": mode}
+            del doc["cases"]
+        elif mode == "validate-adiabatic":
+            doc = {"schema_version": 1, "mode": mode,
+                   "params": {"kind": "ratios", "kappa_over_g": [10.0, 20.0]}}
+        else:
+            doc = {"schema_version": 1, "mode": mode,
+                   "params": device_params()}
+        Scenario.from_dict(doc)  # valid with the default engine
+        assert_exit_2(tmp_path, capsys, {**doc, "engine": engine})
+
+    @pytest.mark.parametrize("tolerances", [
+        {"oracle_rell": 1e-3}, {"oracle_tol": 1e-9},
+        {"oracle_rel": 1e-6, "r_maks": 8.0}],
+        ids=["misspelt-oracle-rel", "oracle-tol", "one-of-two-misspelt"])
+    def test_unknown_tolerances_exit_2(self, tmp_path, capsys, tolerances):
+        doc = {**tiny_curve_scenario().to_dict(), "tolerances": tolerances}
+        assert_exit_2(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("cases", [
+        [{"label": "a", "n0": 0.0}, {"label": "a", "n0": 1.0}],
+        [{"label": "case1", "n0": 0.0}, {"n0": 1.0}],
+        [{}, {}]],
+        ids=["same-label", "label-equals-default", "two-empty-cases"])
+    def test_repeated_case_labels_exit_2(self, tmp_path, capsys, cases):
+        doc = {**tiny_curve_scenario().to_dict(), "cases": cases}
+        assert_exit_2(tmp_path, capsys, doc)
 
     def test_preset_seed_override_is_validated_before_emission(
             self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Closed-form moments, steering values, and thresholds."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,23 +12,21 @@ from hypothesis import strategies as st
 from steerkit import (
     collective_steering_value,
     cross_correlation,
-    derived_from_ratios,
     moment_set,
     single_steering_value,
-    steering_collective,
-    steering_single,
     threshold_r,
 )
+from steerkit import closedform
 from steerkit.closedform import (
     LARGE_R,
     SERIES_CROSSOVER,
+    _gain_fractions,
     amplified_noise_factor,
     coherence_factor,
     decay_filter_ratio,
     gain_filter_ratio,
 )
-from steerkit.errors import GainNotPositive, InvalidParams
-from steerkit.model import DerivedQuantities
+from steerkit.errors import InvalidParams
 
 E2 = math.e ** 2
 
@@ -37,8 +37,7 @@ def zero_damping_reference(r: float, n0: float) -> float:
 
 class TestSmallPulseLimits:
     def test_moments_at_zero_pulse_area(self):
-        dq = derived_from_ratios(0.0, 0.1)
-        ms = moment_set(dq, n0=3.0, n=50.0)
+        ms = moment_set(0.0, 0.1, n0=3.0, n=50.0)
         assert ms.var_Xm_out == pytest.approx(3.5, rel=1e-14)
         assert ms.var_X1_out == pytest.approx(0.5, rel=1e-14)
         assert ms.cov_Xm_PW == 0.0
@@ -56,24 +55,22 @@ class TestSmallPulseLimits:
             assert fn(r_lo) == pytest.approx(fn(r_hi), rel=1e-10)
 
     def test_moment_set_continuous_at_crossover(self):
-        lo = derived_from_ratios(SERIES_CROSSOVER * (1 - 1e-9), 0.1)
-        hi = derived_from_ratios(SERIES_CROSSOVER * (1 + 1e-9), 0.1)
-        m_lo = moment_set(lo, 1.0, 10.0).as_dict()
-        m_hi = moment_set(hi, 1.0, 10.0).as_dict()
+        lo = SERIES_CROSSOVER * (1 - 1e-9)
+        hi = SERIES_CROSSOVER * (1 + 1e-9)
+        m_lo = moment_set(lo, 0.1, 1.0, 10.0).as_dict()
+        m_hi = moment_set(hi, 0.1, 1.0, 10.0).as_dict()
         for key in m_lo:
             assert m_lo[key] == pytest.approx(m_hi[key], rel=1e-7, abs=1e-10)
 
 
 class TestMoments:
     def test_undamped_mirror_variance(self):
-        dq = derived_from_ratios(1.0, 0.0)
-        ms = moment_set(dq, 0.0, 0.0)
+        ms = moment_set(1.0, 0.0, 0.0, 0.0)
         assert ms.var_Xm_out == pytest.approx(E2 - 0.5, rel=1e-14)
 
     def test_damped_moments_match_oracle(self, oracle_cache):
         # independent check by moment propagation of the reduced dynamics
-        dq = derived_from_ratios(1.0, 0.1)
-        ms = moment_set(dq, 0.0, 100.0)
+        ms = moment_set(1.0, 0.1, 0.0, 100.0)
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 100.0)
         assert ms.var_Xm_out == pytest.approx(oc.variance("A_m_out"), rel=1e-6)
         assert ms.var_X1_out == pytest.approx(oc.variance("A_1_out"), rel=1e-6)
@@ -86,10 +83,9 @@ class TestMoments:
            n0=st.floats(0.0, 50.0), n=st.floats(0.0, 500.0),
            bump=st.floats(0.01, 5.0))
     def test_variances_nondecreasing_in_occupations(self, r, x, n0, n, bump):
-        dq = derived_from_ratios(r, x)
-        base = moment_set(dq, n0, n)
-        hot_mirror = moment_set(dq, n0 + bump, n)
-        hot_bath = moment_set(dq, n0, n + bump)
+        base = moment_set(r, x, n0, n)
+        hot_mirror = moment_set(r, x, n0 + bump, n)
+        hot_bath = moment_set(r, x, n0, n + bump)
         for field in ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out"):
             assert getattr(hot_mirror, field) >= getattr(base, field) - 1e-12
             assert getattr(hot_bath, field) >= getattr(base, field) - 1e-12
@@ -97,36 +93,38 @@ class TestMoments:
     def test_mirror_variance_never_below_vacuum(self):
         for r in (0.0, 0.3, 1.0, 3.0):
             for x in (0.0, 0.1, 0.5):
-                dq = derived_from_ratios(r, x)
-                assert moment_set(dq, 0.0, 0.0).var_Xm_out >= 0.5
+                assert moment_set(r, x, 0.0, 0.0).var_Xm_out >= 0.5
+
+    @pytest.mark.parametrize("fn", [moment_set, cross_correlation])
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    def test_rejects_a_gain_split_that_is_not_positive(self, fn, ratio):
+        with pytest.raises(InvalidParams, match="G1_over_G2"):
+            fn(1.0, 0.1, 0.0, 0.0, G1_over_G2=ratio)
 
 
 class TestCrossCorrelation:
     def test_zero_at_zero_pulse_area(self):
-        dq = derived_from_ratios(0.0, 0.1)
-        assert cross_correlation(dq, 5.0, 100.0) == 0.0
+        assert cross_correlation(0.0, 0.1, 5.0, 100.0) == 0.0
 
     def test_equal_coupling_undamped_value(self):
-        dq = derived_from_ratios(1.0, 0.0)
-        assert cross_correlation(dq, 0.0, 0.0) == pytest.approx(
+        assert cross_correlation(1.0, 0.0, 0.0, 0.0) == pytest.approx(
             0.5 * (E2 - 1.0), rel=1e-14)
 
     def test_damping_noise_feeds_coherence(self):
         # the bath acts constructively: damped value exceeds undamped
         for r in (0.3, 1.0, 2.0):
-            undamped = cross_correlation(derived_from_ratios(r, 0.0), 0.0, 0.0)
-            damped = cross_correlation(derived_from_ratios(r, 0.1), 0.0, 0.0)
+            undamped = cross_correlation(r, 0.0, 0.0, 0.0)
+            damped = cross_correlation(r, 0.1, 0.0, 0.0)
             assert damped > undamped
 
     def test_matches_monte_carlo_estimate(self, oracle_cache):
         # deterministic-oracle check here; the stochastic one runs in the
         # acceptance suite with full trajectory counts
         from steerkit.dynamics import mode_cross_correlation
-        dq = derived_from_ratios(1.0, 0.1, G1_over_G2=2.0)
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 5.0, ratio=2.0)
         value, _ = mode_cross_correlation(oc, "A_1_out", "A_2_out")
         assert abs(value) == pytest.approx(
-            cross_correlation(dq, 0.0, 5.0), rel=1e-6)
+            cross_correlation(1.0, 0.1, 0.0, 5.0, G1_over_G2=2.0), rel=1e-6)
 
 
 class TestCollectiveWitness:
@@ -142,19 +140,17 @@ class TestCollectiveWitness:
         # the expanded-numerator path is the same rational function
         for r in (0.2, 1.0, 2.5):
             for x in (0.01, 0.1, 0.4):
-                dq = derived_from_ratios(r, x)
-                ms = moment_set(dq, 1.5, 20.0)
+                ms = moment_set(r, x, 1.5, 20.0)
                 naive = ms.var_Xm_out - ms.cov_Xm_PW ** 2 / ms.var_XW_out
-                assert steering_collective(dq, 1.5, 20.0) == pytest.approx(
-                    naive, rel=1e-9)
+                assert collective_steering_value(r, x, 1.5, 20.0) \
+                    == pytest.approx(naive, rel=1e-9)
 
     def test_matches_oracle_with_damping(self, oracle_cache):
         from steerkit.steering import steering_product
-        dq = derived_from_ratios(1.0, 0.1)
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 100.0)
         report = steering_product(oc, "A_m_out", "W_out")
-        assert steering_collective(dq, 0.0, 100.0) == pytest.approx(
-            report.E_value, rel=1e-6)
+        assert collective_steering_value(1.0, 0.1, 0.0, 100.0) \
+            == pytest.approx(report.E_value, rel=1e-6)
 
     @settings(max_examples=150, deadline=None)
     @given(r=st.floats(0.01, 5.0), n0=st.floats(0.0, 1000.0))
@@ -186,10 +182,6 @@ class TestCollectiveWitness:
             collective_steering_value(-1.0, 0.1, 0.0, 0.0)
         with pytest.raises(InvalidParams):
             collective_steering_value(1.0, -0.1, 0.0, 0.0)
-        bad = DerivedQuantities(G1=0.4, G2=0.4, G=-0.2, delta=0.0,
-                                phi=0.0, r=1.0)
-        with pytest.raises(GainNotPositive):
-            steering_collective(bad, 0.0, 0.0)
 
 
 class TestArrayWitness:
@@ -289,12 +281,12 @@ class TestSingleModeWitness:
         assert got == pytest.approx(report.E_value, rel=1e-6)
 
     def test_swap_symmetry_is_exact(self):
-        dq = derived_from_ratios(1.3, 0.07, G1_over_G2=2.0)
-        dq_swapped = derived_from_ratios(1.3, 0.07, G1_over_G2=0.5)
-        assert steering_single(dq, 1.0, 3.0, 1) \
-            == steering_single(dq_swapped, 1.0, 3.0, 2)
-        assert steering_single(dq, 1.0, 3.0, 2) \
-            == steering_single(dq_swapped, 1.0, 3.0, 1)
+        f1, f2 = _gain_fractions(0.07, 2.0)
+        f1_swapped, f2_swapped = _gain_fractions(0.07, 0.5)
+        assert single_steering_value(1.3, 0.07, 1.0, 3.0, f1) \
+            == single_steering_value(1.3, 0.07, 1.0, 3.0, f2_swapped)
+        assert single_steering_value(1.3, 0.07, 1.0, 3.0, f2) \
+            == single_steering_value(1.3, 0.07, 1.0, 3.0, f1_swapped)
 
     def test_weak_damping_limit_matches_closed_expression(self):
         # explicit weak-damping form, with G1 <-> G2 exchange convention
@@ -310,11 +302,9 @@ class TestSingleModeWitness:
                                                 rel=1e-6)
 
     def test_mode_index_dispatch(self):
-        dq = derived_from_ratios(1.0, 0.0, G1_over_G2=3.0)
-        assert steering_single(dq, 0.0, 0.0, 1) \
+        f1, _ = _gain_fractions(0.0, 3.0)
+        assert single_steering_value(1.0, 0.0, 0.0, 0.0, f1) \
             == single_steering_value(1.0, 0.0, 0.0, 0.0, 0.75)
-        with pytest.raises(InvalidParams):
-            steering_single(dq, 0.0, 0.0, 3)
 
 
 class TestPulseAreaThreshold:
@@ -347,3 +337,17 @@ class TestPulseAreaThreshold:
     def test_rejects_negative_occupation(self):
         with pytest.raises(InvalidParams):
             threshold_r(-1.0)
+
+
+def test_closed_form_imports_nothing_from_the_model():
+    # the closed form takes the dimensionless knobs, not model objects
+    tree = ast.parse(Path(closedform.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        assert not any("model" in m.split(".") for m in modules), modules

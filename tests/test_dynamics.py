@@ -222,9 +222,8 @@ class TestReducedPropagation:
 
     def test_damped_mirror_variance_matches_closed_form(self, oracle_cache):
         from steerkit import moment_set
-        from steerkit.model import derived_from_ratios
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 100.0)
-        ms = moment_set(derived_from_ratios(1.0, 0.1), 0.0, 100.0)
+        ms = moment_set(1.0, 0.1, 0.0, 100.0)
         assert oc.variance(A_M_OUT) == pytest.approx(ms.var_Xm_out, rel=1e-6)
 
     def test_short_pulse_returns_inputs(self):
