@@ -25,6 +25,7 @@ import numbers
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +45,8 @@ from .model import (
 __version__ = "0.1.0"
 SCHEMA_VERSION = 1
 
-MODES = ("curve", "heatmap", "n-threshold", "validate-oracle",
-         "validate-adiabatic", "working-point", "cross-correlation")
 ENGINES = ("closedform", "oracle", "both")
-# modes that read ``engine``; the others run the closed form only
-_ENGINE_MODES = ("curve", "cross-correlation")
 SWEEP_VARIABLES = ("r", "tau", "n", "n0", "gamma_over_G", "G1_over_G2")
-TOLERANCES = ("oracle_rel", "adiabatic_rel", "n_tol", "r_max",
-              "fixed_point_tol")
-# tolerances that must be > 0: ``n_tol`` and ``r_max`` set the resolution
-# and range of the threshold search
-_POSITIVE_TOLERANCES = ("n_tol", "r_max")
 
 _HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 
@@ -168,31 +160,20 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode {self.mode!r} not in {MODES}")
+        """Check every field's value, then that the mode reads every field
+        that is set (``_MODES``): a field the mode would ignore is an
+        error."""
+        mode = _MODES.get(self.mode)
+        if mode is None:
+            raise ConfigError(f"mode {self.mode!r} not in {tuple(_MODES)}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine {self.engine!r} not in {ENGINES}")
-        if self.engine != "closedform" and self.mode not in _ENGINE_MODES:
-            raise ConfigError(f"mode {self.mode!r} runs the closed form "
-                              f"only; engine {self.engine!r} is not allowed")
-        if self.sweep is not None:
-            self.sweep.validate()
-        if self.sweep2 is not None:
-            self.sweep2.validate()
-        if self.mode in ("curve", "heatmap", "n-threshold",
-                         "validate-oracle", "cross-correlation") \
-                and self.sweep is None:
-            raise ConfigError(f"mode {self.mode!r} requires a sweep block")
-        if self.mode == "heatmap" and self.sweep2 is None:
-            raise ConfigError("heatmap mode requires a sweep2 block")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
-        if self.mode == "working-point":
-            physical_params(self.params)
-        elif self.mode == "validate-adiabatic":
-            _adiabatic_params(self.params)
-        else:
-            ratio_params(self.params)
+        mode.params(self.params)
+        for block in (self.sweep, self.sweep2):
+            if block is not None:
+                block.validate()
         labels = set()
         for i, case in enumerate(self.cases):
             if not isinstance(case, dict):
@@ -210,15 +191,13 @@ class Scenario:
                 _number(val, f"case override {key!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object")
-        unknown = set(self.tolerances) - set(TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
-                              f"known: {TOLERANCES}")
         for key, val in self.tolerances.items():
-            x = _number(val, f"tolerance {key!r}")
-            if key in _POSITIVE_TOLERANCES and not x > 0.0:
+            if not _number(val, f"tolerance {key!r}") > 0.0:
                 raise ConfigError(f"tolerance {key!r} must be > 0, got "
                                   f"{val!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a string, got "
+                              f"{self.output!r}")
         for key in ("seed", "trajectories"):
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, int):
@@ -231,6 +210,29 @@ class Scenario:
                 f"the Monte Carlo sampler needs >= "
                 f"{dynamics.MIN_TRAJECTORIES} trajectories, got "
                 f"{self.trajectories}")
+
+        if self.engine != "closedform" and not mode.engine:
+            raise ConfigError(f"mode {self.mode!r} runs the closed form "
+                              f"only; engine {self.engine!r} is not allowed")
+        for k, block in enumerate((self.sweep, self.sweep2)):
+            if (block is None) == (k < mode.sweeps):
+                raise ConfigError(f"mode {self.mode!r} takes " + (
+                    "no sweep block", "one sweep block",
+                    "a sweep and a sweep2 block")[mode.sweeps])
+            if block is not None and block.variable not in \
+                    mode.sweep_variables:
+                raise ConfigError(f"mode {self.mode!r} sweeps "
+                                  f"{' or '.join(mode.sweep_variables)}")
+        if mode.sweeps == 2 and self.sweep.variable == self.sweep2.variable:
+            raise ConfigError(f"mode {self.mode!r} needs two different "
+                              f"sweep variables")
+        if self.cases and not mode.cases:
+            raise ConfigError(f"mode {self.mode!r} reads no cases")
+        unread = set(self.tolerances) - set(mode.tolerances)
+        if unread:
+            raise ConfigError(f"mode {self.mode!r} reads no tolerances "
+                              f"{sorted(unread)}; it reads "
+                              f"{sorted(mode.tolerances)}")
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -258,7 +260,8 @@ class Scenario:
             raise ConfigError("scenario must be a JSON object")
         if "schema_version" not in d:
             raise ConfigError("scenario is missing mandatory schema_version")
-        if d["schema_version"] != SCHEMA_VERSION:
+        if type(d["schema_version"]) is not int \
+                or d["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {d['schema_version']!r} "
                 f"(tool speaks {SCHEMA_VERSION})")
@@ -414,18 +417,16 @@ def _oracle_E(knobs: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mode runners (each returns columns, points, warnings, summary)
+# mode runners: ``runner(scenario, parsed params, tolerances)`` returns
+# (columns, points, warnings, summary); ``run`` makes every column a point
+# lacks NaN
 
 
-def _witness_error(knobs: dict) -> SteerkitError | None:
-    """Why the collective witness is NaN at one point: the error the float
-    call raises there, or None when the NaN is its value."""
-    try:
-        closedform.collective_steering_value(
-            knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"])
-    except SteerkitError as exc:
-        return exc
-    return None
+def _witness(knobs: dict) -> float:
+    """The collective witness at one point by the float call, which raises
+    the error that explains a NaN cell of ``_witness_grid``."""
+    return closedform.collective_steering_value(
+        knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"])
 
 
 def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -441,55 +442,64 @@ def _case_label(i: int, case: dict):
     return case.get("label", f"case{i}") if case else "E"
 
 
-def _run_curve(sc: Scenario):
-    base = ratio_params(sc.params)
-    cases = list(sc.cases) or [{}]
+def _sweep_rows(sc: Scenario, steps) -> tuple[list[dict], list[str]]:
+    """The rows of a one-axis sweep, in point order.
+
+    ``steps`` is a list of ``(tag, fill)``; ``fill(i, v, row)`` writes its
+    columns of point ``i`` at sweep value ``v`` into ``row``.  A
+    ``SteerkitError`` from a fill adds the warning ``point i
+    (<variable>=v[, tag]): <error>`` and leaves the columns the fill did not
+    write to ``run``, which makes them NaN.
+    """
+    var = sc.sweep.variable
+    rows, warnings = [], []
+    for i, v in enumerate(sc.sweep.values().tolist()):
+        row = {var: v}
+        for tag, fill in steps:
+            try:
+                fill(i, v, row)
+            except SteerkitError as exc:
+                where = f"{var}={v:.6g}" + (f", {tag}" if tag else "")
+                warnings.append(f"point {i} ({where}): {exc}")
+        rows.append(row)
+    return rows, warnings
+
+
+def _run_curve(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
     values = sc.sweep.values()
     closed = sc.engine in ("closedform", "both")
     oracle = sc.engine in ("oracle", "both")
+    cases = list(sc.cases) or [{}]
     labelled = len(cases) > 1 or "label" in cases[0]
-    series = []  # (label, E column, oracle column, overrides, E values)
+
+    def case_fill(over: dict, col: str, ocol: str, E):
+        def fill(i: int, v: float, row: dict) -> None:
+            knobs = {**_apply(base, var, v), **over}
+            if closed:
+                row[col] = float(E[i])
+                if math.isnan(row[col]):
+                    _witness(knobs)  # raises unless NaN is the value
+            if oracle:
+                row[ocol] = _oracle_E(knobs)
+        return fill
+
+    columns, steps = [var], []
     for i, case in enumerate(cases):
         lab = _case_label(i, case)
         over = {k: float(v) for k, v in case.items() if k != "label"}
+        col, ocol = (f"E[{lab}]", f"E_oracle[{lab}]") if labelled \
+            else ("E", "E_oracle")
         E = _witness_grid({**_apply(base, var, values), **over},
                           values.shape) if closed else None
-        series.append((lab, f"E[{lab}]" if labelled else "E",
-                       f"E_oracle[{lab}]" if labelled else "E_oracle",
-                       over, E))
-
-    def point(idx: int, warn) -> dict:
-        v = float(values[idx])
-        row = {var: v}
-        for lab, col, ocol, over, E in series:
-            knobs = {**_apply(base, var, v), **over}
-            exc = None
-            if closed:
-                row[col] = float(E[idx])
-                if math.isnan(row[col]):
-                    exc = _witness_error(knobs)
-            if exc is None and oracle:
-                try:
-                    row[ocol] = _oracle_E(knobs)
-                except SteerkitError as err:
-                    exc = err
-            if exc is not None:
-                warn(f"point {idx} ({var}={v:.6g}, {lab}): {exc}")
-                if oracle:
-                    row[ocol] = math.nan
-        return row
-
-    points, warnings = _map_ordered(point, len(values))
-    columns = [var] + [k for k in points[0] if k != var]
+        columns += [col] * closed + [ocol] * oracle
+        steps.append((lab, case_fill(over, col, ocol, E)))
+    points, warnings = _sweep_rows(sc, steps)
     return columns, points, warnings, {}
 
 
-def _run_heatmap(sc: Scenario):
-    base = ratio_params(sc.params)
+def _run_heatmap(sc: Scenario, base: dict, tol: dict):
     var1, var2 = sc.sweep.variable, sc.sweep2.variable
-    if var1 == var2:
-        raise ConfigError("heatmap axes must differ")
     v1 = sc.sweep.values()
     v2 = sc.sweep2.values()
     # contour of E = 1/2 along the first sweep axis, per second-axis row
@@ -508,36 +518,22 @@ def _run_heatmap(sc: Scenario):
     warnings = []
     for idx in np.flatnonzero(np.isnan(E)).tolist():
         p = points[idx]
-        exc = _witness_error(_apply(_apply(base, var1, p[var1]), var2,
-                                    p[var2]))
-        if exc is not None:
+        try:
+            _witness(_apply(_apply(base, var1, p[var1]), var2, p[var2]))
+        except SteerkitError as exc:
             warnings.append(f"point {idx}: {exc}")
     return [var1, var2, "E"], points, warnings, {"contour": contour}
 
 
-def _run_nthreshold(sc: Scenario):
-    base = ratio_params(sc.params)
-    if sc.sweep.variable != "gamma_over_G":
-        raise ConfigError("n-threshold mode sweeps gamma_over_G")
-    values = sc.sweep.values()
-    r_max = float(sc.tolerances.get("r_max", 10.0))
-    tol = float(sc.tolerances.get("n_tol", 0.5))
+def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
+    def fill(i: int, x: float, row: dict) -> None:
+        res = steering.noise_threshold(x, base["n0"], tol["r_max"],
+                                       tol["n_tol"])
+        row.update({"n_threshold": res.value, "sup_r": res.sup_location,
+                    "bracket_lo": res.bracket[0],
+                    "bracket_hi": res.bracket[1]})
 
-    def point(idx: int, warn) -> dict:
-        x = float(values[idx])
-        row = {"gamma_over_G": x}
-        try:
-            res = steering.noise_threshold(x, base["n0"], r_max, tol)
-            row.update({"n_threshold": res.value, "sup_r": res.sup_location,
-                        "bracket_lo": res.bracket[0],
-                        "bracket_hi": res.bracket[1]})
-        except SteerkitError as exc:
-            warn(f"point {idx} (gamma_over_G={x:.6g}): {exc}")
-            row.update({"n_threshold": math.nan, "sup_r": math.nan,
-                        "bracket_lo": math.nan, "bracket_hi": math.nan})
-        return row
-
-    points, warnings = _map_ordered(point, len(values))
+    points, warnings = _sweep_rows(sc, [(None, fill)])
     return (["gamma_over_G", "n_threshold", "sup_r", "bracket_lo",
              "bracket_hi"], points, warnings, {})
 
@@ -581,30 +577,18 @@ def _oracle_moment_row(knobs: dict) -> dict:
     return row
 
 
-def _run_validate_oracle(sc: Scenario):
-    base = ratio_params(sc.params)
-    values = sc.sweep.values()
-    tol = float(sc.tolerances.get("oracle_rel", 1e-6))
+def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
+    var = sc.sweep.variable
 
-    def point(idx: int, warn) -> dict:
-        v = float(values[idx])
-        knobs = _apply(base, sc.sweep.variable, v)
-        row = {sc.sweep.variable: v}
-        try:
-            row.update(_oracle_moment_row(knobs))
-        except SteerkitError as exc:
-            warn(f"point {idx}: {exc}")
-            row.update({f"rel_{k}": math.nan for k in _ORACLE_COMPARED})
-            row["max_rel"] = math.nan
-        return row
+    def fill(i: int, v: float, row: dict) -> None:
+        row.update(_oracle_moment_row(_apply(base, var, v)))
 
-    points, warnings = _map_ordered(point, len(values))
-    worst = max((p["max_rel"] for p in points), default=math.nan)
-    ok = math.isfinite(worst) and worst <= tol
-    summary = {"max_rel_discrepancy": worst, "tolerance": tol,
-               "validated": ok}
-    columns = [sc.sweep.variable] + [f"rel_{k}" for k in _ORACLE_COMPARED] \
-        + ["max_rel"]
+    points, warnings = _sweep_rows(sc, [(None, fill)])
+    rels = [p.get("max_rel", math.nan) for p in points]
+    summary = {"max_rel_discrepancy": max(rels),
+               "tolerance": tol["oracle_rel"],
+               "validated": all(rel <= tol["oracle_rel"] for rel in rels)}
+    columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     return columns, points, warnings, summary
 
 
@@ -616,45 +600,45 @@ def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
     ladder = [_number(v, "kappa_over_g entry") for v in ratios]
     if min(ladder) <= 0.0:
         raise ConfigError(f"kappa_over_g entries must be > 0, got {ratios!r}")
-    return ratio_params({k: v for k, v in params.items()
-                         if k != "kappa_over_g"}), ladder
+    # the ladder sets kappa, and the comparison runs at equal gains
+    if params.get("kind", "ratios") == "ratios" and "kappa" in params:
+        raise ConfigError("validate-adiabatic takes kappa from its "
+                          "kappa_over_g ladder, not from params")
+    base = ratio_params({k: v for k, v in params.items()
+                         if k != "kappa_over_g"})
+    if base["G1_over_G2"] != 1.0:
+        raise ConfigError(f"validate-adiabatic runs at G1_over_G2 = 1, got "
+                          f"{base['G1_over_G2']!r}")
+    return base, ladder
 
 
-def _run_validate_adiabatic(sc: Scenario):
-    base, ratios = _adiabatic_params(sc.params)
-    tol = float(sc.tolerances.get("adiabatic_rel", 5e-2))
-
-    def point(idx: int, warn) -> dict:
-        ratio = ratios[idx]
+def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
+    base, ratios = params
+    points = []
+    for ratio in ratios:
         # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
         kappa = (1.0 + base["gamma_over_G"]) * ratio ** 2
-        rp = _reduced({**base, "G1_over_G2": 1.0, "kappa": kappa})
-        oc_full = dynamics.output_covariance(rp, engine="full")
-        oc_red = dynamics.output_covariance(rp, engine="reduced")
-        ref = oc_red.sigma
-        got = oc_full.sigma
+        rp = _reduced({**base, "kappa": kappa})
+        got = dynamics.output_covariance(rp, engine="full").sigma
+        ref = dynamics.output_covariance(rp, engine="reduced").sigma
         mask = np.abs(ref) > 1e-6
         rel = float(np.max(np.abs(got[mask] - ref[mask]) / np.abs(ref[mask])))
-        return {"kappa_over_g": ratio, "max_rel_discrepancy": rel}
-
-    points, warnings = _map_ordered(point, len(ratios))
+        points.append({"kappa_over_g": ratio, "max_rel_discrepancy": rel})
     rels = [p["max_rel_discrepancy"] for p in points]
     decreasing = all(a > b for a, b in zip(rels[:-1], rels[1:]))
-    ok = rels[-1] <= tol and decreasing
-    if not decreasing:
-        warnings.append("adiabatic discrepancy is not monotonically "
-                        "decreasing in kappa/g")
-    summary = {"final_discrepancy": rels[-1], "tolerance": tol,
+    ok = rels[-1] <= tol["adiabatic_rel"] and decreasing
+    warnings = [] if decreasing else [
+        "adiabatic discrepancy is not monotonically decreasing in kappa/g"]
+    summary = {"final_discrepancy": rels[-1],
+               "tolerance": tol["adiabatic_rel"],
                "monotone_decreasing": decreasing, "validated": ok}
     return ["kappa_over_g", "max_rel_discrepancy"], points, warnings, summary
 
 
-def _run_working_point(sc: Scenario):
+def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
     import warnings as pywarnings
 
-    p = physical_params(sc.params)
-    tol = float(sc.tolerances.get("fixed_point_tol", 1e-9))
-    wp = derive_working_point(p, tol=tol, max_iter=500)
+    wp = derive_working_point(p, tol=tol["fixed_point_tol"], max_iter=500)
     warnings_out: list[str] = []
     with pywarnings.catch_warnings(record=True) as caught:
         pywarnings.simplefilter("always")
@@ -677,66 +661,71 @@ def _run_working_point(sc: Scenario):
     return list(row), [row], warnings_out, {}
 
 
-def _run_cross_correlation(sc: Scenario):
-    base = ratio_params(sc.params)
-    values = sc.sweep.values()
-    with_mc = sc.engine in ("oracle", "both")
+def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
+    var = sc.sweep.variable
 
-    def point(idx: int, warn) -> dict:
-        v = float(values[idx])
-        knobs = _apply(base, sc.sweep.variable, v)
-        row = {sc.sweep.variable: v}
-        try:
-            row["cross_corr"] = closedform.cross_correlation(
-                knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"],
-                G1_over_G2=knobs["G1_over_G2"])
-        except SteerkitError as exc:
-            warn(f"point {idx}: {exc}")
-            row["cross_corr"] = math.nan
-        if with_mc:
-            try:
-                rp = _reduced(knobs)
-                model = dynamics.build_reduced_model(rp)
-                kernels = dynamics.output_kernels(rp, full=False)
-                # hashing (seed, point index) keeps scenarios at adjacent
-                # seeds from sharing streams
-                seed = int.from_bytes(hashlib.sha256(
-                    f"{sc.seed}:{idx}".encode()).digest()[:8], "little")
-                oc = dynamics.monte_carlo_output_covariance(
-                    model, kernels, rp.tau, sc.trajectories, seed,
-                    terminal_phase=dynamics.mirror_output_phase(rp))
-                cc, se = dynamics.mode_cross_correlation(
-                    oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
-                row["cross_corr_mc"] = abs(cc)
-                row["cross_corr_mc_se"] = se
-            except SteerkitError as exc:
-                warn(f"point {idx} (mc): {exc}")
-                row["cross_corr_mc"] = math.nan
-                row["cross_corr_mc_se"] = math.nan
-        return row
+    def closed(i: int, v: float, row: dict) -> None:
+        k = _apply(base, var, v)
+        row["cross_corr"] = closedform.cross_correlation(
+            k["r"], k["gamma_over_G"], k["n0"], k["n"],
+            G1_over_G2=k["G1_over_G2"])
 
-    points, warnings = _map_ordered(point, len(values))
-    columns = [sc.sweep.variable, "cross_corr"]
-    if with_mc:
+    def mc(i: int, v: float, row: dict) -> None:
+        rp = _reduced(_apply(base, var, v))
+        model = dynamics.build_reduced_model(rp)
+        kernels = dynamics.output_kernels(rp, full=False)
+        # hashing (seed, point index) keeps scenarios at adjacent seeds from
+        # sharing streams
+        seed = int.from_bytes(hashlib.sha256(
+            f"{sc.seed}:{i}".encode()).digest()[:8], "little")
+        oc = dynamics.monte_carlo_output_covariance(
+            model, kernels, rp.tau, sc.trajectories, seed,
+            terminal_phase=dynamics.mirror_output_phase(rp))
+        cc, se = dynamics.mode_cross_correlation(
+            oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
+        row.update({"cross_corr_mc": abs(cc), "cross_corr_mc_se": se})
+
+    columns, steps = [var, "cross_corr"], [(None, closed)]
+    if sc.engine != "closedform":
         columns += ["cross_corr_mc", "cross_corr_mc_se"]
+        steps.append(("mc", mc))
+    points, warnings = _sweep_rows(sc, steps)
     return columns, points, warnings, {}
 
 
-_RUNNERS = {
-    "curve": _run_curve,
-    "heatmap": _run_heatmap,
-    "n-threshold": _run_nthreshold,
-    "validate-oracle": _run_validate_oracle,
-    "validate-adiabatic": _run_validate_adiabatic,
-    "working-point": _run_working_point,
-    "cross-correlation": _run_cross_correlation,
+@dataclass(frozen=True)
+class _Mode:
+    """Everything the CLI knows about one scenario mode: its runner, the
+    parser of its params block, the sweep blocks it takes (0: none, 1:
+    ``sweep``, 2: ``sweep`` and ``sweep2`` on different variables) and the
+    variables they may sweep, whether it reads ``engine`` and ``cases``,
+    and the tolerances it reads with their defaults.  ``Scenario.validate``
+    refuses any field a mode does not read."""
+
+    runner: Callable
+    params: Callable
+    sweeps: int = 1
+    sweep_variables: tuple[str, ...] = SWEEP_VARIABLES
+    engine: bool = False
+    cases: bool = False
+    tolerances: dict = field(default_factory=dict)
+
+
+_MODES = {
+    "curve": _Mode(_run_curve, ratio_params, engine=True, cases=True),
+    "heatmap": _Mode(_run_heatmap, ratio_params, sweeps=2),
+    "n-threshold": _Mode(_run_nthreshold, ratio_params,
+                         sweep_variables=("gamma_over_G",),
+                         tolerances={"n_tol": 0.5, "r_max": 10.0}),
+    "validate-oracle": _Mode(_run_validate_oracle, ratio_params,
+                             tolerances={"oracle_rel": 1e-6}),
+    "validate-adiabatic": _Mode(_run_validate_adiabatic, _adiabatic_params,
+                                sweeps=0, tolerances={"adiabatic_rel": 5e-2}),
+    "working-point": _Mode(_run_working_point, physical_params, sweeps=0,
+                           tolerances={"fixed_point_tol": 1e-9}),
+    "cross-correlation": _Mode(_run_cross_correlation, ratio_params,
+                               engine=True),
 }
-
-
-def _map_ordered(fn, count: int) -> tuple[list, list[str]]:
-    """Evaluate points in index order, collecting their warnings in order."""
-    warnings: list[str] = []
-    return [fn(i, warnings.append) for i in range(count)], warnings
 
 
 def run(scenario: Scenario, *, output: str | None = None,
@@ -759,8 +748,14 @@ def run(scenario: Scenario, *, output: str | None = None,
                 f"STEERKIT_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads!r}")
+    mode = _MODES[scenario.mode]
+    tol = {k: float(v)
+           for k, v in {**mode.tolerances, **scenario.tolerances}.items()}
     started = time.monotonic()
-    columns, points, warnings, summary = _RUNNERS[scenario.mode](scenario)
+    columns, points, warnings, summary = mode.runner(
+        scenario, mode.params(scenario.params), tol)
+    points = [p if len(p) == len(columns)
+              else {c: p.get(c, math.nan) for c in columns} for p in points]
     record = RunRecord(
         scenario_digest=scenario.digest(),
         tool_version=__version__,
@@ -812,8 +807,7 @@ def _csv_text(record: RunRecord) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
     for p in record.points:
-        writer.writerow([_format_cell(p.get(c, math.nan))
-                         for c in record.columns])
+        writer.writerow([_format_cell(p[c]) for c in record.columns])
     return buf.getvalue()
 
 
@@ -861,8 +855,7 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
         return
     xcol = record.columns[0]
     xs = [p[xcol] for p in record.points]
-    series = {c: [p.get(c, math.nan) for p in record.points]
-              for c in record.columns[1:]}
+    series = {c: [p[c] for p in record.points] for c in record.columns[1:]}
     svgplot.line_chart(xs, series, path, x_label=xcol,
                        hline=0.5 if scenario.mode == "curve" else None)
 

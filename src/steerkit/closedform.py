@@ -100,6 +100,20 @@ def _check_inputs(r: float, x: float, n0: float, n: float) -> None:
         raise InvalidParams(f"n must be >= 0, got {n!r}")
 
 
+def _overflow(r: float) -> InvalidParams:
+    return InvalidParams(f"closed-form moments overflow at pulse area "
+                         f"r = {r!r}")
+
+
+def _growth(r: float) -> float:
+    """``u = e^{2r} - 1`` for the moment formulas, which have no asymptote:
+    past r ~ 354.9 it is not a float, and ``InvalidParams`` says so."""
+    try:
+        return math.expm1(2.0 * r)
+    except OverflowError:
+        raise _overflow(r) from None
+
+
 def _gain_fractions(x: float, G1_over_G2: float) -> tuple[float, float]:
     """``(G1/G, G2/G)``: the gain sum ``1 + x`` split as ``G1_over_G2``."""
     if not G1_over_G2 > 0.0:
@@ -144,13 +158,15 @@ def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
 
     The mirror output mode is the mirror amplitude at the end of the pulse;
     the cavity output modes and the collective symmetric mode W are the
-    matched exponential temporal modes of the emitted fields.
+    matched exponential temporal modes of the emitted fields.  Raises
+    ``InvalidParams`` where a moment is not a finite float (every r past
+    ~354.9, and somewhat below it at large occupations).
     """
     x = gamma_over_G
     _check_inputs(r, x, n0, n)
     f1, f2 = _gain_fractions(x, G1_over_G2)
 
-    u = math.expm1(2.0 * r)
+    u = _growth(r)
     a = n0 + 1.0 + x * (n + 1.0)
     b = 0.5 + x * (n + 1.0)
     amp = amplified_noise_factor(r)
@@ -170,7 +186,7 @@ def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
         cov_W = -(1.0 + x) * er_su * a \
             + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * b
 
-    return MomentSet(
+    moments = MomentSet(
         var_Xm_out=var_m,
         var_X1_out=var_1,
         var_X2_out=var_2,
@@ -179,6 +195,9 @@ def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
         cov_Xm_P2=cov_2,
         cov_Xm_PW=cov_W,
     )
+    if not all(map(math.isfinite, moments.as_dict().values())):
+        raise _overflow(r)
+    return moments
 
 
 def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
@@ -186,14 +205,17 @@ def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
     """Magnitude of the inter-mode output coherence ``|<A1out^dag A2out>|``.
 
     Nonzero for any r > 0; both the mirror damping and the thermal noises
-    feed it constructively.
+    feed it constructively.  Raises ``InvalidParams`` where the value is not
+    a finite float, as ``moment_set`` does.
     """
     x = gamma_over_G
     _check_inputs(r, x, n0, n)
     f1, f2 = _gain_fractions(x, G1_over_G2)
-    u = math.expm1(2.0 * r)
-    return math.sqrt(f1 * f2) * ((n0 + 1.0) * u
-                                 + 2.0 * (n + 1.0) * x * coherence_factor(r))
+    value = math.sqrt(f1 * f2) * ((n0 + 1.0) * _growth(r)
+                                  + 2.0 * (n + 1.0) * x * coherence_factor(r))
+    if not math.isfinite(value):
+        raise _overflow(r)
+    return value
 
 
 def _plateau(x, b):

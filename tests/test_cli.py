@@ -1,6 +1,7 @@
 """Scenario schema, runners, determinism, file formats, entry point."""
 
 import ast
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -47,6 +48,26 @@ def device_params(**overrides) -> dict:
     }
     params.update(overrides)
     return params
+
+
+SMALL_SWEEP = {"variable": "r", "start": 0.5, "stop": 1.0, "points": 2}
+
+
+def valid_doc(mode: str) -> dict:
+    """A small valid scenario document of ``mode``."""
+    doc = {"schema_version": 1, "mode": mode,
+           "params": {"kind": "ratios", "gamma_over_G": 0.1}}
+    if mode in ("curve", "validate-oracle", "cross-correlation"):
+        doc["sweep"] = SMALL_SWEEP
+    elif mode == "heatmap":
+        doc["sweep"] = SMALL_SWEEP
+        doc["sweep2"] = {**SMALL_SWEEP, "variable": "gamma_over_G",
+                         "start": 0.0}
+    elif mode == "validate-adiabatic":
+        doc["params"]["kappa_over_g"] = [10.0, 20.0]
+    elif mode == "working-point":
+        doc["params"] = device_params()
+    return doc
 
 
 def assert_exit_2(tmp_path, capsys, doc: dict) -> None:
@@ -463,10 +484,14 @@ class TestEntryPoint:
         {"params": {"kind": "ratios", "n0": "0.5"}},
         {"mode": "cross-correlation", "engine": "oracle",
          "trajectories": 10},
+        {"output": 1}, {"output": True}, {"output": 7}, {"output": ["a"]},
+        {"schema_version": True}, {"schema_version": 1.0},
     ], ids=["case-not-object", "ratio-not-number", "tolerance-not-number",
             "kappa-over-g-not-number", "infinite-sweep", "bool-occupation",
             "huge-integer-occupation", "string-occupation",
-            "too-few-trajectories"])
+            "too-few-trajectories", "output-one", "output-true",
+            "output-integer", "output-list", "schema-version-bool",
+            "schema-version-float"])
     def test_malformed_scenarios_exit_2(self, tmp_path, capsys, edit):
         doc = {**tiny_curve_scenario().to_dict(), **edit}
         cfg = tmp_path / "scenario.json"
@@ -612,6 +637,45 @@ class TestEntryPoint:
         doc = {**tiny_curve_scenario().to_dict(), "cases": cases}
         assert_exit_2(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize("mode, edit", [
+        ("working-point", {"sweep": SMALL_SWEEP}),
+        ("working-point", {"cases": [{"label": "a", "n0": 1.0}]}),
+        ("working-point", {"tolerances": {"r_max": 8.0}}),
+        ("heatmap", {"cases": [{"label": "a", "n0": 5.0}]}),
+        ("heatmap", {"tolerances": {"r_max": 8.0}}),
+        ("curve", {"sweep2": {**SMALL_SWEEP, "variable": "gamma_over_G"}}),
+        ("cross-correlation",
+         {"sweep2": {**SMALL_SWEEP, "variable": "gamma_over_G"}}),
+        ("validate-adiabatic", {"sweep": SMALL_SWEEP}),
+        ("validate-oracle", {"tolerances": {"oracle_rel": 0}}),
+        ("validate-oracle", {"tolerances": {"oracle_rel": -1}}),
+        ("validate-adiabatic", {"tolerances": {"adiabatic_rel": 0}}),
+        ("validate-adiabatic", {"tolerances": {"adiabatic_rel": -1}}),
+        ("working-point", {"tolerances": {"fixed_point_tol": 0}}),
+        ("working-point", {"tolerances": {"fixed_point_tol": -1}}),
+        # validate-adiabatic sets kappa from its ladder, at equal gains
+        ("validate-adiabatic", {"params": {
+            "kind": "ratios", "G1_over_G2": 3.0, "kappa_over_g": [10.0]}}),
+        ("validate-adiabatic", {"params": {
+            "kind": "ratios", "kappa": 20.0, "kappa_over_g": [10.0]}}),
+        ("validate-adiabatic", {"params": {
+            "kind": "reduced", "g1": "50 MHz", "g2": "40.7 MHz",
+            "kappa": "500 MHz", "Delta": "500 MHz", "gamma": "35 kHz",
+            "n0": 0.85, "n": 0.85, "tau": 1e-7, "kappa_over_g": [10.0]}}),
+    ], ids=["working-point-sweep", "working-point-cases",
+            "working-point-r-max", "heatmap-cases", "heatmap-r-max",
+            "curve-sweep2", "cross-correlation-sweep2",
+            "validate-adiabatic-sweep", "oracle-rel-zero",
+            "oracle-rel-negative", "adiabatic-rel-zero",
+            "adiabatic-rel-negative", "fixed-point-tol-zero",
+            "fixed-point-tol-negative", "adiabatic-unequal-gains",
+            "adiabatic-kappa-knob", "adiabatic-reduced-unequal-gains"])
+    def test_fields_the_mode_does_not_read_exit_2(self, tmp_path, capsys,
+                                                  mode, edit):
+        doc = valid_doc(mode)
+        Scenario.from_dict(doc)  # valid without the edit
+        assert_exit_2(tmp_path, capsys, {**doc, **edit})
+
     def test_preset_seed_override_is_validated_before_emission(
             self, tmp_path, capsys):
         out = tmp_path / "scenario.json"
@@ -637,6 +701,33 @@ class TestEntryPoint:
             "point 3 (r=375, E)", "point 4 (r=400, E)"]
         assert all("overflows" in w for w in warnings)
         assert [row.split(",")[1] for row in lines[-2:]] == ["nan", "nan"]
+
+    def test_closed_form_overflow_becomes_nan_rows(self, tmp_path):
+        for mode in ("cross-correlation", "validate-oracle"):
+            sc = Scenario(mode=mode,
+                          params={"kind": "ratios", "gamma_over_G": 0.1},
+                          sweep=Sweep("r", 300.0, 400.0, 5))
+            out = tmp_path / f"{mode}.csv"
+            record = run(sc, output=str(out))
+            assert record.warnings == [
+                f"point {i} (r={r}): closed-form moments overflow at pulse "
+                f"area r = {r}.0" for i, r in ((3, 375), (4, 400))]
+            for p in record.points:
+                assert all(math.isnan(p[c]) for c in record.columns[1:]) \
+                    == (p["r"] > 354.9)
+            assert out.read_text().splitlines()[-1].endswith(",nan")
+
+    def test_validate_oracle_with_a_failed_later_point_is_not_validated(
+            self):
+        sc = Scenario(mode="validate-oracle",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 1.0, 400.0, 2))
+        record = run(sc)
+        assert record.points[0]["max_rel"] < 1e-6
+        assert math.isnan(record.points[1]["max_rel"])
+        assert record.warnings[0].startswith("point 1 (r=400): ")
+        assert not record.summary["validated"]
+        assert record.exit_code == 3
 
     def test_preset_emission_and_execution(self, tmp_path):
         out = tmp_path / "scenario.json"
@@ -725,3 +816,17 @@ def test_package_starts_no_threads_or_processes():
                 continue
             assert not {n.split(".")[0] for n in names} & banned, \
                 f"{path.name} imports {names}"
+
+
+def test_every_benchmark_scenario_is_valid():
+    # the schema must keep accepting every document the benchmark emits
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [job["scenario"] for name in workloads.WORKLOADS
+            for seed in range(3)
+            for job in workloads.generate(name, seed, 15)]
+    assert len(docs) == 954
+    for doc in docs:
+        Scenario.from_dict(doc)

@@ -101,6 +101,20 @@ class TestMoments:
         with pytest.raises(InvalidParams, match="G1_over_G2"):
             fn(1.0, 0.1, 0.0, 0.0, G1_over_G2=ratio)
 
+    @pytest.mark.parametrize("fn", [moment_set, cross_correlation])
+    @pytest.mark.parametrize("r, n0", [(354.9, 0.0), (400.0, 0.0),
+                                       (1e6, 0.0), (352.0, 2000.0)])
+    def test_refuses_moments_past_the_float_range(self, fn, r, n0):
+        # e^{2r} itself overflows past r ~ 354.9; at n0 = 2000 the products
+        # with it do so a little earlier
+        with pytest.raises(InvalidParams, match=f"r = {r!r}"):
+            fn(r, 0.1, n0, 0.0)
+
+    def test_moments_below_the_float_range_are_finite(self):
+        values = moment_set(350.0, 0.1, 0.0, 0.0).as_dict().values()
+        assert all(math.isfinite(v) for v in values)
+        assert math.isfinite(cross_correlation(354.8, 0.1, 0.0, 0.0))
+
 
 class TestCrossCorrelation:
     def test_zero_at_zero_pulse_area(self):
