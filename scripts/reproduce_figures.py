@@ -17,10 +17,10 @@ def main() -> int:
     for name in ("fig3a", "fig3b", "inset", "fig4"):
         scenario: Scenario = PRESETS[name]()
         path = outdir / f"{name}.csv"
-        started = time.monotonic()
+        started = time.perf_counter()
         record = run(scenario, output=str(path), svg=True)
-        print(f"{name}: {len(record.points)} points -> {path} "
-              f"({time.monotonic() - started:.1f}s)")
+        ms = 1000.0 * (time.perf_counter() - started)
+        print(f"{name}: {len(record.points)} points -> {path} ({ms:.0f} ms)")
         for warning in record.warnings:
             print(f"  warning: {warning}")
     return 0

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 import time
@@ -683,7 +684,8 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
             terminal_phase=dynamics.mirror_output_phase(rp))
         cc, se = dynamics.mode_cross_correlation(
             oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
-        row.update({"cross_corr_mc": abs(cc), "cross_corr_mc_se": se})
+        row.update({"cross_corr_mc": float(abs(cc)),
+                    "cross_corr_mc_se": float(se)})
 
     columns, steps = [var, "cross_corr"], [(None, closed)]
     if sc.engine != "closedform":
@@ -788,10 +790,17 @@ def _with_suffix(path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.11e}"
-    return str(value)
+def _write_rows(out, columns: list[str], rows) -> None:
+    """Write a CSV header and one ``%.11e`` line per row of floats.
+
+    ``rows`` yields one float per column, as a tuple (a bare float for one
+    column).  The header goes through ``csv`` because labels such as
+    ``E[n0=0,n=0]`` need quoting; formatted floats never do.
+    """
+    csv.writer(out, lineterminator="\n").writerow(columns)
+    line = ",".join(["%.11e"] * len(columns)) + "\n"
+    for row in rows:
+        out.write(line % row)
 
 
 def _csv_text(record: RunRecord) -> str:
@@ -804,10 +813,8 @@ def _csv_text(record: RunRecord) -> str:
         if key == "contour":
             continue
         buf.write(f"# {key}: {val}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for p in record.points:
-        writer.writerow([_format_cell(p[c]) for c in record.columns])
+    _write_rows(buf, record.columns,
+                map(operator.itemgetter(*record.columns), record.points))
     return buf.getvalue()
 
 
@@ -835,10 +842,7 @@ def _write_contour(path: str, record: RunRecord, contour) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# scenario_digest: {record.scenario_digest}\n")
         fh.write(f"# tool: steerkit {record.tool_version}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "gamma_over_G"])
-        for rv, gv in contour:
-            writer.writerow([_format_cell(float(rv)), _format_cell(float(gv))])
+        _write_rows(fh, ["r", "gamma_over_G"], contour)
 
 
 def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
@@ -847,8 +851,7 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
     if scenario.mode == "heatmap":
         v1 = scenario.sweep.values()
         v2 = scenario.sweep2.values()
-        grid = [[record.points[i * len(v1) + j]["E"] for j in range(len(v1))]
-                for i in range(len(v2))]
+        grid = np.reshape([p["E"] for p in record.points], (len(v2), len(v1)))
         svgplot.heatmap(v1, v2, grid, path, x_label=scenario.sweep.variable,
                         y_label=scenario.sweep2.variable,
                         contour=tuple(record.summary.get("contour", ())))

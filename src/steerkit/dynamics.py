@@ -573,7 +573,9 @@ def monte_carlo_output_covariance(model: LinearModel,
     its standard errors and its reproducibility, not the model assembly.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
-    trajectories or when the largest standard error exceeds ``se_bound``.
+    trajectories or when the largest standard error exceeds ``se_bound``,
+    and ``IntegratorFailure`` when the moment sums or their standard errors
+    are not finite (fourth moments pass the float range first).
     """
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
@@ -598,11 +600,17 @@ def monte_carlo_output_covariance(model: LinearModel,
         sq = z * z
         return z @ z.T, sq @ sq.T
 
-    results = [run_batch(b) for b in range(math.ceil(trajectories / _BATCH))]
-
-    # summed in fixed batch order
-    mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
-    errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
+    # past the float range the sums go inf/NaN; that is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [run_batch(b)
+                   for b in range(math.ceil(trajectories / _BATCH))]
+        # summed in fixed batch order
+        mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
+        errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
+    if not (np.isfinite(mean).all() and np.isfinite(errors).all()):
+        raise IntegratorFailure(
+            f"Monte Carlo moment sums overflow over {trajectories} "
+            f"trajectories")
     if se_bound is not None and float(errors.max()) > se_bound:
         raise InsufficientTrajectories(
             f"max standard error {errors.max():.3g} exceeds bound {se_bound}")

@@ -215,8 +215,8 @@ def _sup_over_r(x: float, n0: float, n: float, r_max: float,
     hi = rs[k + 1] if k + 1 < scan_points else r_max
     r_best = _golden_minimize(
         lambda r: -collective_steering_value(r, x, n0, n), lo, hi, 1e-6)
-    candidates = [(float(vals[k]), rs[k]),
-                  (collective_steering_value(r_best, x, n0, n), r_best)]
+    candidates = [(float(vals[k]), float(rs[k])),
+                  (collective_steering_value(r_best, x, n0, n), float(r_best))]
     return max(candidates)
 
 

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -62,13 +65,14 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
         y = _fmt(sy(hline))
         parts.append(f'<line x1="{_ML}" y1="{y}" x2="{_W - _MR}" y2="{y}" '
                      f'stroke="#888888" stroke-dasharray="5,4"/>')
+    px = [_fmt(sx(xv)) for xv in xs]
     for k, (name, ys) in enumerate(series.items()):
         color = _COLORS[k % len(_COLORS)]
         chunk: list[str] = []
         chunks: list[list[str]] = []
-        for xv, yv in zip(xs, ys):
+        for xf, yv in zip(px, ys):
             if math.isfinite(yv):
-                chunk.append(f"{_fmt(sx(xv))},{_fmt(sy(yv))}")
+                chunk.append(f"{xf},{_fmt(sy(yv))}")
             elif chunk:
                 chunks.append(chunk)
                 chunk = []
@@ -94,33 +98,34 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     blue (low) to red (high) around white at 1/2.
     """
     xs, ys = list(x), list(y)
-    flat = _finite([v for row in values for v in row])
-    if not flat:
+    grid = np.asarray(values, dtype=float)
+    finite = np.isfinite(grid)
+    if not finite.any():
         raise ValueError("nothing to plot")
-    lo, hi = min(flat), max(flat)
+    lo, hi = float(grid[finite].min()), float(grid[finite].max())
     sx = _scale(min(xs), max(xs), _ML, _W - _MR)
     sy = _scale(min(ys), max(ys), _H - _MB, _MT)
     cw = (_W - _ML - _MR) / max(len(xs), 1)
     ch = (_H - _MT - _MB) / max(len(ys), 1)
 
-    def color(v: float) -> str:
-        if not math.isfinite(v):
-            return "#cccccc"
-        t = (v - lo) / (hi - lo) if hi > lo else 0.5
-        rch = int(255 * t)
-        bch = int(255 * (1.0 - t))
-        gch = int(255 * (1.0 - abs(2.0 * t - 1.0)))
-        return f"#{rch:02x}{gch:02x}{bch:02x}"
+    # the blue-white-red ramp over the whole grid; astype truncates toward
+    # zero as int() does, and t is in [0, 1].  Non-finite cells are #cccccc.
+    t = (np.where(finite, grid, lo) - lo) / (hi - lo) if hi > lo \
+        else np.full(grid.shape, 0.5)
+    channels = np.where(finite, _HEX[np.stack([
+        255 * t, 255 * (1.0 - np.abs(2.0 * t - 1.0)),
+        255 * (1.0 - t)]).astype(np.int64)], "cc").tolist()
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
              f'height="{_H}" viewBox="0 0 {_W} {_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    for i, yv in enumerate(ys):
-        for j, xv in enumerate(xs):
-            parts.append(
-                f'<rect x="{_fmt(sx(xv) - cw / 2)}" y="{_fmt(sy(yv) - ch / 2)}"'
-                f' width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" '
-                f'fill="{color(values[i][j])}"/>')
+    size = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="#'
+    heads = [f'<rect x="{_fmt(sx(xv) - cw / 2)}" y="' for xv in xs]
+    for yv, reds, greens, blues in zip(ys, *channels):
+        mid = f"{_fmt(sy(yv) - ch / 2)}{size}"
+        parts.append("\n".join([
+            f'{head}{mid}{r}{g}{b}"/>'
+            for head, r, g, b in zip(heads, reds, greens, blues)]))
     if contour:
         pts = " ".join(f"{_fmt(sx(rv))},{_fmt(sy(gv))}" for rv, gv in contour)
         parts.append(f'<polyline fill="none" stroke="black" '

@@ -1,16 +1,21 @@
 """Scenario schema, runners, determinism, file formats, entry point."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import steerkit
 from conftest import deadline
-from steerkit import cli, closedform, collective_steering_value
+from steerkit import cli, closedform, collective_steering_value, svgplot
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
 
@@ -63,6 +68,9 @@ def valid_doc(mode: str) -> dict:
         doc["sweep"] = SMALL_SWEEP
         doc["sweep2"] = {**SMALL_SWEEP, "variable": "gamma_over_G",
                          "start": 0.0}
+    elif mode == "n-threshold":
+        doc["sweep"] = {**SMALL_SWEEP, "variable": "gamma_over_G",
+                        "start": 0.05, "stop": 0.1}
     elif mode == "validate-adiabatic":
         doc["params"]["kappa_over_g"] = [10.0, 20.0]
     elif mode == "working-point":
@@ -425,6 +433,99 @@ class TestOtherModes:
                 closedform.collective_steering_value(r, 0.1, 0.5, 5.0),
                 closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1)]
         assert seen == expect
+
+    @pytest.mark.parametrize("mode", sorted(cli._MODES))
+    def test_every_cell_is_a_python_float(self, mode):
+        # the CSV writer formats every cell with %.11e
+        doc = valid_doc(mode)
+        if mode in ("curve", "cross-correlation"):
+            doc.update(engine="both", trajectories=1000)
+        record = run(Scenario.from_dict(doc))
+        assert record.points
+        for p in record.points:
+            assert {c: type(p[c]) for c in record.columns} \
+                == dict.fromkeys(record.columns, float)
+
+    def test_sampler_overflow_becomes_nan_rows(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "mode": "cross-correlation",
+            "engine": "both", "trajectories": 1000,
+            "params": {"kind": "ratios", "gamma_over_G": 0.1},
+            "sweep": {"variable": "r", "start": 150.0, "stop": 250.0,
+                      "points": 3}}))
+        out = tmp_path / "result.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--config", str(cfg), "--output",
+                             str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# warning:")] == [
+            f"# warning: point {i} (r={r}, mc): Monte Carlo moment sums "
+            f"overflow over 1000 trajectories" for i, r in ((1, 200),
+                                                            (2, 250))]
+        rows = [ln.split(",") for ln in lines[-3:]]
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        assert [row[2:] for row in rows[1:]] == [["nan", "nan"]] * 2
+
+
+class TestFileFormats:
+    def test_csv_bytes_at_the_edges(self):
+        nan, inf = math.nan, math.inf
+        record = cli.RunRecord(
+            scenario_digest="ab" * 32, tool_version="0.0", wall_time_s=0.0,
+            columns=["r", "E[n0=0,n=0]", "E_oracle[hot]"],
+            points=[{"r": 0.0, "E[n0=0,n=0]": nan, "E_oracle[hot]": inf},
+                    {"r": -0.0, "E[n0=0,n=0]": -inf,
+                     "E_oracle[hot]": 1e-300},
+                    {"r": 2.5, "E[n0=0,n=0]": 0.1,
+                     "E_oracle[hot]": -123456.789}],
+            warnings=["point 1 (r=0, hot): closed-form moments overflow"],
+            summary={"validated": False, "tolerance": 1e-6,
+                     "contour": [(1.0, 0.1)]})
+        assert cli._csv_text(record) == (
+            "# scenario_digest: " + "ab" * 32 + "\n"
+            "# tool: steerkit 0.0\n"
+            "# warning: point 1 (r=0, hot): closed-form moments overflow\n"
+            "# tolerance: 1e-06\n"
+            "# validated: False\n"
+            'r,"E[n0=0,n=0]",E_oracle[hot]\n'
+            "0.00000000000e+00,nan,inf\n"
+            "-0.00000000000e+00,-inf,1.00000000000e-300\n"
+            "2.50000000000e+00,1.00000000000e-01,-1.23456789000e+05\n")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fig4.svg",
+         "6aaafa86a9df6069dbe16b7f097f03a1bf8a84258b075b7e04cf61d783c7cfac"),
+        ("nonfinite.svg",
+         "97219722e3cce45a14242bdeeb76d5d0487e1418806698b36d588247ebc88495"),
+        ("constant.svg",
+         "5882c123db2e14db5522998bdf21d23829da9906e6a91d57c5884389881ac9eb"),
+        ("curve.svg",
+         "9f15bbd41f13c7ebac4506aaa713cb6329e3d6873af9adb0e588f7a4adfc1fc2"),
+    ])
+    def test_svg_bytes_are_pinned(self, tmp_path, name, digest):
+        nan, inf = math.nan, math.inf
+        path = tmp_path / name
+        if name == "fig4.svg":
+            run(PRESETS["fig4"](), output=str(tmp_path / "fig4.csv"),
+                svg=True)
+        elif name == "nonfinite.svg":
+            svgplot.heatmap([0.0, 0.5, 1.0, 1.5], [0.0, 0.1, 0.2],
+                            [[0.2, nan, 0.7, inf], [-inf, 0.5, 0.45, 1.3],
+                             [0.9, 0.25, nan, 0.6]],
+                            str(path), x_label="r", y_label="gamma_over_G",
+                            contour=((0.4, 0.05), (0.9, 0.15)))
+        elif name == "constant.svg":  # hi == lo: every finite cell is t = 1/2
+            svgplot.heatmap([1.0, 2.0, 3.0], [0.0, 1.0],
+                            [[0.5, 0.5, 0.5], [0.5, nan, 0.5]], str(path))
+        else:
+            svgplot.line_chart([0.0, 1.0, 2.0, 3.0, 4.0],
+                               {"a": [0.1, 0.4, nan, 0.6, 0.5],
+                                "b": [0.9, 0.7, 0.5, inf, 0.2]},
+                               str(path), x_label="r", hline=0.5)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestPresets:
@@ -830,3 +931,22 @@ def test_every_benchmark_scenario_is_valid():
     assert len(docs) == 954
     for doc in docs:
         Scenario.from_dict(doc)
+
+
+def test_reproduce_figures_script(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_figures.py"),
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        check=True, timeout=120)
+    names = ("fig3a", "fig3b", "inset", "fig4")
+    assert [ln.split(":")[0] for ln in out.stdout.splitlines()] == list(names)
+    assert all(ln.endswith(" ms)") for ln in out.stdout.splitlines())
+    for name in names:
+        csv_text = (tmp_path / f"{name}.csv").read_text()
+        assert csv_text.startswith(
+            f"# scenario_digest: {PRESETS[name]().digest()}\n")
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
