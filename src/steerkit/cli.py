@@ -419,8 +419,7 @@ def _oracle_E(knobs: dict) -> float:
 
 # ---------------------------------------------------------------------------
 # mode runners: ``runner(scenario, parsed params, tolerances)`` returns
-# (columns, points, warnings, summary); ``run`` makes every column a point
-# lacks NaN
+# (columns, points, warnings, summary) with every column in every point
 
 
 def _witness(knobs: dict) -> float:
@@ -443,14 +442,15 @@ def _case_label(i: int, case: dict):
     return case.get("label", f"case{i}") if case else "E"
 
 
-def _sweep_rows(sc: Scenario, steps) -> tuple[list[dict], list[str]]:
+def _sweep_rows(sc: Scenario, columns: list[str],
+                steps) -> tuple[list[dict], list[str]]:
     """The rows of a one-axis sweep, in point order.
 
     ``steps`` is a list of ``(tag, fill)``; ``fill(i, v, row)`` writes its
     columns of point ``i`` at sweep value ``v`` into ``row``.  A
     ``SteerkitError`` from a fill adds the warning ``point i
-    (<variable>=v[, tag]): <error>`` and leaves the columns the fill did not
-    write to ``run``, which makes them NaN.
+    (<variable>=v[, tag]): <error>``, and every column of ``columns`` that
+    no fill wrote is NaN.
     """
     var = sc.sweep.variable
     rows, warnings = [], []
@@ -462,7 +462,8 @@ def _sweep_rows(sc: Scenario, steps) -> tuple[list[dict], list[str]]:
             except SteerkitError as exc:
                 where = f"{var}={v:.6g}" + (f", {tag}" if tag else "")
                 warnings.append(f"point {i} ({where}): {exc}")
-        rows.append(row)
+        rows.append(row if len(row) == len(columns)
+                    else {c: row.get(c, math.nan) for c in columns})
     return rows, warnings
 
 
@@ -495,7 +496,7 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
                           values.shape) if closed else None
         columns += [col] * closed + [ocol] * oracle
         steps.append((lab, case_fill(over, col, ocol, E)))
-    points, warnings = _sweep_rows(sc, steps)
+    points, warnings = _sweep_rows(sc, columns, steps)
     return columns, points, warnings, {}
 
 
@@ -534,9 +535,10 @@ def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
                     "bracket_lo": res.bracket[0],
                     "bracket_hi": res.bracket[1]})
 
-    points, warnings = _sweep_rows(sc, [(None, fill)])
-    return (["gamma_over_G", "n_threshold", "sup_r", "bracket_lo",
-             "bracket_hi"], points, warnings, {})
+    columns = ["gamma_over_G", "n_threshold", "sup_r", "bracket_lo",
+               "bracket_hi"]
+    points, warnings = _sweep_rows(sc, columns, [(None, fill)])
+    return columns, points, warnings, {}
 
 
 _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
@@ -584,12 +586,12 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     def fill(i: int, v: float, row: dict) -> None:
         row.update(_oracle_moment_row(_apply(base, var, v)))
 
-    points, warnings = _sweep_rows(sc, [(None, fill)])
-    rels = [p.get("max_rel", math.nan) for p in points]
+    columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
+    points, warnings = _sweep_rows(sc, columns, [(None, fill)])
+    rels = [p["max_rel"] for p in points]
     summary = {"max_rel_discrepancy": max(rels),
                "tolerance": tol["oracle_rel"],
                "validated": all(rel <= tol["oracle_rel"] for rel in rels)}
-    columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     return columns, points, warnings, summary
 
 
@@ -674,7 +676,8 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
     def mc(i: int, v: float, row: dict) -> None:
         rp = _reduced(_apply(base, var, v))
         model = dynamics.build_reduced_model(rp)
-        kernels = dynamics.output_kernels(rp, full=False)
+        kernels = dynamics.output_kernels(
+            rp, full=False, which=(dynamics.A_1_OUT, dynamics.A_2_OUT))
         # hashing (seed, point index) keeps scenarios at adjacent seeds from
         # sharing streams
         seed = int.from_bytes(hashlib.sha256(
@@ -691,7 +694,7 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
     if sc.engine != "closedform":
         columns += ["cross_corr_mc", "cross_corr_mc_se"]
         steps.append(("mc", mc))
-    points, warnings = _sweep_rows(sc, steps)
+    points, warnings = _sweep_rows(sc, columns, steps)
     return columns, points, warnings, {}
 
 
@@ -756,8 +759,6 @@ def run(scenario: Scenario, *, output: str | None = None,
     started = time.monotonic()
     columns, points, warnings, summary = mode.runner(
         scenario, mode.params(scenario.params), tol)
-    points = [p if len(p) == len(columns)
-              else {c: p.get(c, math.nan) for c in columns} for p in points]
     record = RunRecord(
         scenario_digest=scenario.digest(),
         tool_version=__version__,

@@ -22,10 +22,10 @@ Loan's block exponential (C. F. Van Loan, "Computing integrals involving
 the matrix exponential", IEEE Trans. Autom. Control 23 (1978) 395),
 evaluated by a fixed-degree Taylor series on a scaled step followed by
 exact doubling.  The deterministic oracle applies it once over the whole
-pulse from the factorized initial state (cavities vacuum, mirror thermal);
-the Monte Carlo sampler draws its trajectories through it, also in one
-step over the whole pulse.  No ODE is integrated, so the only error is
-floating-point rounding.
+pulse from the factorized initial state (cavities vacuum, mirror thermal).
+No ODE is integrated, so the only error is floating-point rounding.  The
+Monte Carlo sampler draws each trajectory's output modes from the
+oracle's output covariance.
 
 Quadrature layout: system modes first, two rows (X, P) per mode, filters
 appended in kernel order.  Symmetric ordering, vacuum variance 1/2.
@@ -528,20 +528,6 @@ MIN_TRAJECTORIES = 1000
 _BATCH = 512  # trajectories per Philox stream
 
 
-def _noise_factor(q: np.ndarray) -> np.ndarray:
-    """Rank-revealing square root ``F`` of a noise covariance, ``F F^T = q``.
-
-    Keeps the eigen-directions above rounding level (``lambda > n eps
-    lambda_max``), each scaled by ``sqrt(lambda)``, so ``F`` has one column
-    per direction that carries noise and at most ``n``.  The dropped
-    eigenvalues are rounding residue (or negative), below ``n eps
-    ||q||``.
-    """
-    w, vec = np.linalg.eigh(q)
-    keep = w > q.shape[0] * np.finfo(float).eps * w[-1]
-    return vec[:, keep] * np.sqrt(w[keep])
-
-
 def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
@@ -550,63 +536,60 @@ def monte_carlo_output_covariance(model: LinearModel,
                                   ) -> OutputCovariance:
     """Stochastic estimate of the output covariance.
 
-    Classical complex Gaussian trajectories whose noise covariances equal
-    the symmetric-ordered quantum intensities reproduce all symmetrized
-    moments of the linear dynamics.  Each trajectory starts from the
-    factorized initial state and takes one exact Gaussian step ``z -> Phi z
-    + F eta`` over the whole pulse, in the accumulator coordinates of the
-    oracle; the end map and the mirror rotation are applied at the end.
-    The step map is exact, so this samples the same distribution as any
-    finer walk.  ``F`` is the rank-revealing square root of ``Q``
-    (``_noise_factor``): only its directions above rounding level get a
-    normal, 8 of the 12 for the reduced model's default modes.
+    The output quadratures of a classical Gaussian trajectory of the linear
+    dynamics are jointly Gaussian with the exact covariance ``Sigma_out``
+    of ``propagate_output_covariance``, so each trajectory is one draw from
+    N(0, Sigma_out): one normal per output quadrature, 6 for the mirror and
+    two cavity modes.  The draw factors the correlation matrix ``Sigma_ij /
+    (s_i s_j)``, ``s_i = sqrt(Sigma_ii)``, once by ``eigh`` with negative
+    (rounding) eigenvalues clipped to 0.  The second- and fourth-moment sums
+    run over these standardized draws and ``s_i s_j`` is put back at the
+    end, so they stay in the float range wherever ``Sigma_out`` does.
 
     Trajectories run in batches of 512.  Batch ``b`` draws from one
     counter-based Philox stream keyed by ``(seed, b)`` (Salmon et al.,
-    "Parallel random numbers: as easy as 1, 2, 3", SC'11): first the
-    initial state of all its trajectories, then the step's normals.
-    Batches run and are reduced in index order, so the result is a pure
-    function of ``(seed, trajectories)`` and of the model.
-
-    The step map ``(Phi, Q)`` is the one the deterministic oracle uses
-    (``_step_map``), so agreement between the two validates the estimator,
-    its standard errors and its reproducibility, not the model assembly.
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Batches run and
+    are reduced in index order, so the result is a pure function of
+    ``(seed, trajectories)`` and of the model.  ``Sigma_out`` is the
+    oracle's own result, so agreement between the two validates the
+    estimator, its standard errors and its reproducibility, not the model
+    assembly.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
     trajectories or when the largest standard error exceeds ``se_bound``,
-    and ``IntegratorFailure`` when the moment sums or their standard errors
-    are not finite (fourth moments pass the float range first).
+    and ``IntegratorFailure`` when ``Sigma_out``, the moment sums or their
+    standard errors are not finite.
     """
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
-    if not tau > 0.0:
-        raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    asm = _Assembler(model, kernels, tau, terminal_phase)
-    n = asm.n
-    phi, q = _step_map(asm.drift, asm.diffusion, tau)
-    # one product: [z; eta] -> Phi z + F eta
-    step = np.hstack([phi, _noise_factor(q)])
-    init_std = np.sqrt(asm.initial_variances)[:, None]
+    # from r ~ 354.5 (gamma/G = 0.1) Sigma_out passes the float range;
+    # that is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = propagate_output_covariance(model, kernels, tau,
+                                            terminal_phase=terminal_phase)
+    if not np.isfinite(exact.sigma).all():
+        raise IntegratorFailure("output covariance is not finite")
+    scale = np.sqrt(np.diag(exact.sigma))
+    w, vec = np.linalg.eigh(exact.sigma / scale[:, None] / scale)
+    factor = vec * np.sqrt(np.maximum(w, 0.0))
     key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
         gen = np.random.Generator(np.random.Philox(
             key=np.array([key_hi, np.uint64(b)], dtype=np.uint64)))
-        buf = np.empty((step.shape[1], min(_BATCH, trajectories - b * _BATCH)))
-        buf[:n] = init_std * gen.standard_normal(out=buf[:n])
-        gen.standard_normal(out=buf[n:])
-        z = asm.end_map @ (step @ buf)
+        z = factor @ gen.standard_normal(
+            (len(scale), min(_BATCH, trajectories - b * _BATCH)))
         sq = z * z
         return z @ z.T, sq @ sq.T
 
-    # past the float range the sums go inf/NaN; that is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = [run_batch(b)
-                   for b in range(math.ceil(trajectories / _BATCH))]
-        # summed in fixed batch order
-        mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
-        errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
+    results = [run_batch(b) for b in range(math.ceil(trajectories / _BATCH))]
+    # summed in fixed batch order
+    mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
+    mean = 0.5 * (mean + mean.T)
+    errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
+    outer = np.outer(scale, scale)
+    mean, errors = mean * outer, errors * outer
     if not (np.isfinite(mean).all() and np.isfinite(errors).all()):
         raise IntegratorFailure(
             f"Monte Carlo moment sums overflow over {trajectories} "
@@ -614,7 +597,7 @@ def monte_carlo_output_covariance(model: LinearModel,
     if se_bound is not None and float(errors.max()) > se_bound:
         raise InsufficientTrajectories(
             f"max standard error {errors.max():.3g} exceeds bound {se_bound}")
-    return OutputCovariance(asm.labels, 0.5 * (mean + mean.T), errors)
+    return OutputCovariance(exact.mode_labels, mean, errors)
 
 
 def _collective_rows(oc: OutputCovariance, dq: DerivedQuantities,
@@ -680,5 +663,6 @@ def mode_cross_correlation(oc: OutputCovariance, label1: str, label2: str,
     mag = abs(value)
     if mag == 0.0:
         return value, max(se_re, se_im)
-    se_mag = math.hypot(value.real * se_re, value.imag * se_im) / mag
-    return value, se_mag
+    # divided first: the value and its errors both grow like e^{2r}
+    return value, math.hypot(value.real / mag * se_re,
+                             value.imag / mag * se_im)

@@ -446,28 +446,27 @@ class TestOtherModes:
             assert {c: type(p[c]) for c in record.columns} \
                 == dict.fromkeys(record.columns, float)
 
-    def test_sampler_overflow_becomes_nan_rows(self, tmp_path):
-        cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps({
+    def test_sampler_reaches_the_end_of_the_float_range(self):
+        # the sampler's sums are standardized, so it reaches as far as
+        # Sigma_out and the closed form stay finite (r ~ 354.5)
+        sc = Scenario.from_dict({
             "schema_version": 1, "mode": "cross-correlation",
             "engine": "both", "trajectories": 1000,
             "params": {"kind": "ratios", "gamma_over_G": 0.1},
-            "sweep": {"variable": "r", "start": 150.0, "stop": 250.0,
-                      "points": 3}}))
-        out = tmp_path / "result.csv"
+            "sweep": {"variable": "r", "start": 10.0, "stop": 360.0,
+                      "points": 36}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["run", "--config", str(cfg), "--output",
-                             str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert [ln for ln in lines if ln.startswith("# warning:")] == [
-            f"# warning: point {i} (r={r}, mc): Monte Carlo moment sums "
-            f"overflow over 1000 trajectories" for i, r in ((1, 200),
-                                                            (2, 250))]
-        rows = [ln.split(",") for ln in lines[-3:]]
-        assert all(math.isfinite(float(row[1])) for row in rows)
-        assert [row[2:] for row in rows[1:]] == [["nan", "nan"]] * 2
+            record = run(sc)
+        assert record.exit_code == 0
+        *finite, last = record.points
+        for p in finite:
+            assert math.isfinite(p["cross_corr_mc"])
+            assert abs(p["cross_corr_mc"] - p["cross_corr"]) \
+                <= 4.0 * p["cross_corr_mc_se"]
+        assert all(math.isnan(last[c]) for c in record.columns[1:])
+        assert [w.split(":")[0] for w in record.warnings] == [
+            "point 35 (r=360)", "point 35 (r=360, mc)"]
 
 
 class TestFileFormats:

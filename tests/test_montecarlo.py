@@ -9,10 +9,10 @@ import pytest
 from steerkit import build_reduced_model, reduced_from_ratios
 from steerkit.dynamics import (
     A_1_OUT,
+    A_2_OUT,
     A_M_OUT,
-    _Assembler,
-    _noise_factor,
-    _step_map,
+    DEFAULT_OUTPUT_MODES,
+    OutputCovariance,
     mirror_output_phase,
     mode_cross_correlation,
     monte_carlo_output_covariance,
@@ -105,28 +105,43 @@ class TestMonteCarlo:
         assert abs(value.imag) < 6.0 * se  # coherence is real positive here
 
 
-class TestNoiseFactor:
-    @pytest.mark.parametrize("r, x, n0, n", [
-        (1e-4, 0.0, 0.0, 0.0), (0.3, 0.1, 1.0, 3.0), (1.0, 0.1, 0.0, 0.0),
-        (2.0, 0.3, 5.0, 100.0)])
-    @pytest.mark.parametrize("n_steps", [1, 256])
-    def test_factor_reproduces_the_step_noise(self, r, x, n0, n, n_steps):
-        rp, model, kernels, phase = mc_setup(r=r, x=x, n0=n0, n=n,
-                                             ratio=1.5)
-        asm = _Assembler(model, kernels, rp.tau, phase)
-        _, q = _step_map(asm.drift, asm.diffusion, rp.tau / n_steps)
-        factor = _noise_factor(q)
-        assert factor.shape[0] == q.shape[0]
-        assert factor.shape[1] <= q.shape[0]
-        err = np.abs(factor @ factor.T - q).max()
-        assert err <= 64 * np.finfo(float).eps * np.linalg.norm(q, 2)
+class TestStandardErrors:
+    @pytest.mark.parametrize("r, x, n0, n, ratio, which", [
+        (1.0, 0.1, 1.0, 3.0, 1.5, DEFAULT_OUTPUT_MODES),
+        (120.0, 0.1, 0.5, 5.0, 1.0, (A_1_OUT, A_2_OUT))])
+    def test_errors_match_isserlis(self, r, x, n0, n, ratio, which):
+        # for Gaussian z, Var(z_i z_j) = S_ii S_jj + S_ij^2 (Isserlis), so
+        # the errors follow from the exact covariance alone
+        rp = reduced_from_ratios(r, x, G1_over_G2=ratio, n0=n0, n=n)
+        model = build_reduced_model(rp)
+        kernels = output_kernels(rp, full=False, which=which)
+        phase = mirror_output_phase(rp)
+        trajectories = 100_000
+        mc = monte_carlo_output_covariance(model, kernels, rp.tau,
+                                           trajectories, 4,
+                                           terminal_phase=phase)
+        s = propagate_output_covariance(model, kernels, rp.tau,
+                                        terminal_phase=phase).sigma
+        d = np.diag(s)
+        expect = np.sqrt((np.outer(d, d) + s ** 2) / trajectories)
+        assert np.abs(mc.standard_errors / expect - 1.0).max() < 0.05
 
-    def test_factor_of_rank_deficient_covariance_drops_null_directions(self):
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((6, 3))
-        q = g @ g.T  # rank 3
-        factor = _noise_factor(q)
-        assert factor.shape == (6, 3)
-        np.testing.assert_allclose(factor @ factor.T, q, rtol=0.0,
-                                   atol=64 * np.finfo(float).eps
-                                   * np.linalg.norm(q, 2))
+    @pytest.mark.filterwarnings("error")
+    def test_cross_correlation_error_at_the_top_of_the_float_range(self):
+        # value ~1e200 and errors ~1e198: their product passes 1e308
+        labels = (A_1_OUT, A_2_OUT)
+        sigma = np.array([[2.0, 0.3, 1.5, 0.4],
+                          [0.3, 2.5, -0.6, 1.2],
+                          [1.5, -0.6, 3.0, 0.2],
+                          [0.4, 1.2, 0.2, 1.8]])
+        errors = np.array([[0.1, 0.2, 0.3, 0.4],
+                           [0.2, 0.5, 0.6, 0.7],
+                           [0.3, 0.6, 0.8, 0.9],
+                           [0.4, 0.7, 0.9, 1.0]])
+        unit = mode_cross_correlation(OutputCovariance(labels, sigma, errors),
+                                      A_1_OUT, A_2_OUT)
+        big = mode_cross_correlation(
+            OutputCovariance(labels, 1e200 * sigma, 1e198 * errors),
+            A_1_OUT, A_2_OUT)
+        assert big[0] == pytest.approx(1e200 * unit[0], rel=1e-14)
+        assert big[1] == pytest.approx(1e198 * unit[1], rel=1e-14)
