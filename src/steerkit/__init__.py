@@ -21,7 +21,6 @@ from .dynamics import (
     build_full_model,
     build_reduced_model,
     monte_carlo_output_covariance,
-    output_covariance,
     propagate_output_covariance,
 )
 from .model import (
@@ -49,7 +48,7 @@ __all__ = [
     "moment_set", "single_steering_value", "threshold_r",
     "LinearModel", "OutputCovariance", "TemporalKernel", "build_full_model",
     "build_reduced_model", "monte_carlo_output_covariance",
-    "output_covariance", "propagate_output_covariance",
+    "propagate_output_covariance",
     "DerivedQuantities", "PhysicalParams", "ReducedParams", "WorkingPoint",
     "derive_working_point", "derived_quantities", "reduce",
     "reduced_from_ratios",

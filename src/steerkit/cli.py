@@ -410,11 +410,33 @@ def _reduced(knobs: dict) -> ReducedParams:
         Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
 
 
-def _oracle_E(knobs: dict) -> float:
-    """Collective witness from deterministic moment propagation."""
-    oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
-    return steering.steering_product(oc, dynamics.A_M_OUT,
-                                     dynamics.W_OUT).E_value
+# the output kernels whose modes E_mW, E_m1 and the validate-oracle moments
+# read: the cavity outputs and the mirror bath, which make W_out and U_out
+_ORACLE_MODES = (dynamics.A_1_OUT, dynamics.A_2_OUT, dynamics.B_TILDE)
+
+
+def _oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
+                  which: tuple[str, ...] = _ORACLE_MODES) -> list:
+    """The oracle's output covariance at every point of a sweep, in one
+    stacked call; a point that fails holds its ``SteerkitError`` instead."""
+    points = []
+    for k in sweep_knobs:
+        try:
+            points.append(_reduced(k))
+        except SteerkitError as exc:
+            points.append(exc)
+    done = iter(dynamics.output_covariances(
+        [p for p in points if not isinstance(p, SteerkitError)],
+        engine=engine, which=which))
+    return [p if isinstance(p, SteerkitError) else next(done)
+            for p in points]
+
+
+def _raised(result):
+    """``result`` of ``_oracle_sweep``, or its point's error raised."""
+    if isinstance(result, SteerkitError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +497,17 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
     cases = list(sc.cases) or [{}]
     labelled = len(cases) > 1 or "label" in cases[0]
 
-    def case_fill(over: dict, col: str, ocol: str, E):
+    def case_fill(over: dict, col: str, ocol: str, E, ocs):
         def fill(i: int, v: float, row: dict) -> None:
-            knobs = {**_apply(base, var, v), **over}
             if closed:
                 row[col] = float(E[i])
                 if math.isnan(row[col]):
-                    _witness(knobs)  # raises unless NaN is the value
+                    # raises unless NaN is the value
+                    _witness({**_apply(base, var, v), **over})
             if oracle:
-                row[ocol] = _oracle_E(knobs)
+                row[ocol] = steering.steering_product(
+                    _raised(ocs[i]), dynamics.A_M_OUT,
+                    dynamics.W_OUT).E_value
         return fill
 
     columns, steps = [var], []
@@ -494,8 +518,10 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
             else ("E", "E_oracle")
         E = _witness_grid({**_apply(base, var, values), **over},
                           values.shape) if closed else None
+        ocs = _oracle_sweep([{**_apply(base, var, v), **over}
+                             for v in values.tolist()]) if oracle else None
         columns += [col] * closed + [ocol] * oracle
-        steps.append((lab, case_fill(over, col, ocol, E)))
+        steps.append((lab, case_fill(over, col, ocol, E, ocs)))
     points, warnings = _sweep_rows(sc, columns, steps)
     return columns, points, warnings, {}
 
@@ -545,12 +571,13 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
                     "cov_Xm_P1", "cov_Xm_P2", "cov_Xm_PW", "E_mW", "E_m1")
 
 
-def _oracle_moment_row(knobs: dict) -> dict:
-    """Closed-form vs oracle values and relative errors at one point."""
+def _oracle_moment_row(knobs: dict, oc) -> dict:
+    """Closed-form vs oracle values and relative errors at one point, from
+    its ``_oracle_sweep`` result ``oc``."""
     r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0", "n",
                                              "G1_over_G2"))
     closed = closedform.moment_set(r, x, n0, n, G1_over_G2=ratio).as_dict()
-    oc = dynamics.output_covariance(_reduced(knobs), engine="reduced")
+    oc = _raised(oc)
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
     a1, a2 = dynamics.A_1_OUT, dynamics.A_2_OUT
     oracle = {
@@ -582,9 +609,11 @@ def _oracle_moment_row(knobs: dict) -> dict:
 
 def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
+    ocs = _oracle_sweep([_apply(base, var, v)
+                         for v in sc.sweep.values().tolist()])
 
     def fill(i: int, v: float, row: dict) -> None:
-        row.update(_oracle_moment_row(_apply(base, var, v)))
+        row.update(_oracle_moment_row(_apply(base, var, v), ocs[i]))
 
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     points, warnings = _sweep_rows(sc, columns, [(None, fill)])
@@ -617,13 +646,16 @@ def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
 
 def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
     base, ratios = params
+    # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
+    ladder = [{**base, "kappa": (1.0 + base["gamma_over_G"]) * ratio ** 2}
+              for ratio in ratios]
+    # the whole covariance is compared, so every standard mode is kept
+    full, reduced = (_oracle_sweep(ladder, engine=engine,
+                                   which=dynamics.DEFAULT_OUTPUT_MODES)
+                     for engine in ("full", "reduced"))
     points = []
-    for ratio in ratios:
-        # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
-        kappa = (1.0 + base["gamma_over_G"]) * ratio ** 2
-        rp = _reduced({**base, "kappa": kappa})
-        got = dynamics.output_covariance(rp, engine="full").sigma
-        ref = dynamics.output_covariance(rp, engine="reduced").sigma
+    for ratio, got, ref in zip(ratios, full, reduced):
+        got, ref = _raised(got).sigma, _raised(ref).sigma
         mask = np.abs(ref) > 1e-6
         rel = float(np.max(np.abs(got[mask] - ref[mask]) / np.abs(ref[mask])))
         points.append({"kappa_over_g": ratio, "max_rel_discrepancy": rel})

@@ -129,7 +129,11 @@ class MomentSet:
 
     X and P variances coincide for every mode and the X-P cross covariances
     coincide pairwise (``<X_m, P_j> = <P_m, X_j>``), so one entry of each
-    pair is stored.  All other cross moments vanish.
+    pair is stored.  The mirror's X-X and P-P moments with the fields and
+    the X-P moments between fields vanish.  The set omits the field-field
+    moments ``<X_i, X_j> = <P_i, P_j>`` among A_1_out, A_2_out and W_out,
+    which do not: ``<X_1, X_2>`` is ``cross_correlation`` (3.7209 at r = 1,
+    gamma/G = 0.1).
     """
 
     var_Xm_out: float

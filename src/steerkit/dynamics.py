@@ -44,6 +44,7 @@ from .errors import (
     InsufficientTrajectories,
     InvalidParams,
     MissingModes,
+    SteerkitError,
 )
 from .model import DerivedQuantities, ReducedParams, derived_quantities
 
@@ -342,6 +343,15 @@ def mirror_output_phase(rp: ReducedParams) -> float:
     return dq.delta * rp.tau
 
 
+def _quad_index(mode_labels: tuple[str, ...], label: str, quad: str) -> int:
+    """Row of quadrature ``quad`` of mode ``label`` in the two-rows-per-mode
+    layout of ``mode_labels``."""
+    if label not in mode_labels:
+        raise MissingModes(f"mode {label!r} not in covariance "
+                           f"(have {list(mode_labels)})")
+    return 2 * mode_labels.index(label) + (0 if quad == "X" else 1)
+
+
 @dataclass(frozen=True)
 class OutputCovariance:
     """Symmetrized quadrature covariance over a declared list of modes.
@@ -363,10 +373,7 @@ class OutputCovariance:
                 f"{len(self.mode_labels)} modes")
 
     def index(self, label: str, quad: str = "X") -> int:
-        if label not in self.mode_labels:
-            raise MissingModes(f"mode {label!r} not in covariance "
-                               f"(have {list(self.mode_labels)})")
-        return 2 * self.mode_labels.index(label) + (0 if quad == "X" else 1)
+        return _quad_index(self.mode_labels, label, quad)
 
     def variance(self, label: str, quad: str = "X") -> float:
         i = self.index(label, quad)
@@ -398,75 +405,100 @@ class OutputCovariance:
         return np.sort(np.abs(ev))[::2]
 
 
-def _rot(c: complex) -> np.ndarray:
-    """2x2 real form of multiplication by ``c`` on (X, P)."""
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
+# 2x2 real forms on (X, P), as indices into a value's (re, im, -re, -im):
+# multiplication by c, its negative, and multiplication by c after the
+# dagger D = diag(1, -1)
+_FORMS = np.array([[[0, 3], [1, 0]], [[2, 1], [3, 2]], [[0, 1], [1, 2]]])
+_R, _NEG_R, _R_DAGGER = range(3)
 
 
-_CONJ = np.diag([1.0, -1.0])  # (X, P) -> (X, -P): the dagger of a mode
-
-
-class _Assembler:
-    """Time-invariant augmented system ``(A, V)`` and its end map ``T``.
+class _Stack:
+    """Time-invariant augmented systems ``(A, V)`` and end maps ``T`` of a
+    stack of points that share one structure: one model kind, and kernels
+    with the same labels and terms whose rates group as the first point's
+    do (every kernel of ``output_kernels`` has one rate).
 
     The terms of each kernel are grouped by rate ``s``; each group gets one
     accumulator pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i``
     and contributes ``R(e^{s tau}) h(tau)`` to the kernel's filter output.
     Standard kernels (including the collective ones) have a single rate.
     ``T`` maps the augmented state at ``tau`` to the modes ``labels``: the
-    terminal mirror rotated by ``phase``, then one mode per kernel.
+    terminal mirror rotated by ``phase``, then one mode per kernel.  Every
+    array has the point as its first axis; each 2x2 block is written for
+    the whole stack at once, and a term's block is added onto zeros.
     """
 
-    def __init__(self, model: LinearModel, kernels: list[TemporalKernel],
-                 tau: float, phase: float):
-        labels = [k.label for k in kernels]
+    def __init__(self, models: list[LinearModel],
+                 kernels: list[list[TemporalKernel]], taus: list[float],
+                 phases: list[float]):
+        model, first = models[0], kernels[0]
+        labels = [k.label for k in first]
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate kernel labels in {labels!r}")
         self.labels = (A_M_OUT,) + tuple(labels)
-        n_sys = 2 * model.dimension
-        groups = [(k, rate, [t for t in kern.terms if t.rate == rate])
-                  for k, kern in enumerate(kernels)
+        # (kernel index, term indices) of each accumulator pair
+        groups = [(k, tuple(i for i, t in enumerate(kern.terms)
+                            if t.rate == rate))
+                  for k, kern in enumerate(first)
                   for rate in dict.fromkeys(t.rate for t in kern.terms)]
-        self.n = n = n_sys + 2 * len(groups)
+        # per point: the mirror's phase factor, then per group its rate, its
+        # end factor e^{s tau} and its terms' amplitudes
+        values = []
+        for ks, tau, phase in zip(kernels, taus, phases):
+            row = [cmath.exp(-1j * phase)]
+            for k, terms in groups:
+                rate = ks[k].terms[terms[0]].rate
+                row += [rate, cmath.exp(rate * tau)]
+                row += [ks[k].terms[i].amplitude for i in terms]
+            values.append(row)
+        v = np.asarray(values, dtype=complex).view(float).reshape(
+            len(values), -1, 2)
+        blocks = np.concatenate([v, -v], axis=2)[:, :, _FORMS]
+        P, n_sys = len(models), 2 * model.dimension
+        n = n_sys + 2 * len(groups)
         sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
-        A = np.zeros((n, n))
-        B = np.zeros((n, 2 * len(model.noise_channels)))
-        A[:n_sys, :n_sys] = model.drift
-        B[:n_sys] = model.noise_input
-        T = np.zeros((2 + 2 * len(kernels), n))
+        A = np.zeros((P, n, n))
+        B = np.zeros((P, n, 2 * len(model.noise_channels)))
+        A[:, :n_sys, :n_sys] = [m.drift for m in models]
+        B[:, :n_sys] = [m.noise_input for m in models]
+        T = np.zeros((P, 2 + 2 * len(first), n))
         # the mirror is the last system mode
-        T[:2, n_sys - 2:n_sys] = _rot(cmath.exp(-1j * phase))
-        for g, (k, rate, terms) in enumerate(groups):
+        T[:, :2, n_sys - 2:n_sys] = blocks[:, 0, _R]
+        at = 1
+        for g, (k, terms) in enumerate(groups):
             row = slice(n_sys + 2 * g, n_sys + 2 * g + 2)
-            A[row, row] = -_rot(rate)
-            for t in terms:
+            A[:, row, row] = blocks[:, at, _NEG_R]
+            T[:, 2 + 2 * k:4 + 2 * k, row] += blocks[:, at + 1, _R]
+            for j, i in enumerate(terms, start=at + 2):
+                t = first[k].terms[i]
                 if t.kind == "system":
                     tgt, col = A, 2 * sys_index[t.target]
                 elif t.kind == "noise":
                     tgt, col = B, 2 * model.channel_index(t.target)
                 else:
                     raise InvalidParams(f"unknown kernel term kind {t.kind!r}")
-                blk = _rot(t.amplitude)
-                if t.dagger:
-                    blk = blk @ _CONJ
-                tgt[row, col:col + 2] += blk
-            T[2 + 2 * k:4 + 2 * k, row] += _rot(cmath.exp(rate * tau))
+                tgt[:, row, col:col + 2] += blocks[:, j, _R_DAGGER if t.dagger
+                                                   else _R]
+            at += 2 + len(terms)
+        intensities = np.array([m.noise_intensities for m in models])
         self.drift = A
-        self.diffusion = (B * model.noise_intensities) @ B.T
+        self.diffusion = (B * intensities[:, None, :]) @ B.swapaxes(1, 2)
         self.end_map = T
-        self.initial_variances = np.zeros(n)
-        self.initial_variances[:n_sys] = np.repeat(
-            [occ + 0.5 for occ in model.initial_occupations], 2)
+        self.initial_variances = np.zeros((P, n))
+        self.initial_variances[:, :n_sys] = [
+            [x for occ in m.initial_occupations for x in [occ + 0.5] * 2]
+            for m in models]
 
 
 _TAYLOR_DEGREE = 18
 
 
-def _step_map(A: np.ndarray, V: np.ndarray, h: float,
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact step map ``(Phi_h, Q_h)`` of ``dz = A z dt + noise`` with
-    constant diffusion ``V``: ``Phi_h = e^{A h}`` and ``Q_h = int_0^h e^{A s}
-    V e^{A^T s} ds``.
+def _step_maps(A: np.ndarray, V: np.ndarray, h: list[float],
+               ) -> tuple[np.ndarray, np.ndarray,
+                          dict[int, IntegratorFailure]]:
+    """Exact step maps ``(Phi_h, Q_h)`` of a stack of systems ``dz = A z dt
+    + noise`` with constant diffusion ``V``: ``Phi_h = e^{A h}`` and ``Q_h =
+    int_0^h e^{A s} V e^{A^T s} ds``, one slice per point and step ``h``.
 
     Van Loan: the exponential of ``[[-A, V], [0, A^T]] h0`` is ``[[., Phi^-1
     Q], [0, Phi^T]]``.  It is summed by a degree-18 Taylor series (Horner)
@@ -475,29 +507,63 @@ def _step_map(A: np.ndarray, V: np.ndarray, h: float,
     and does not set the step.  ``k`` exact doublings ``Q <- Phi Q Phi^T +
     Q``, ``Phi <- Phi^2`` then reach ``h``.  Squaring the block itself would
     overflow through ``e^{-A h}`` on the stiff full model; the doubling
-    never forms it.  Raises ``IntegratorFailure`` on a non-finite result.
+    never forms it.
+
+    Every slice has its own ``k``: the series runs on the whole stack, and
+    each doubling round on the slices that still need it.  A stacked matmul
+    computes each slice as the one-slice product would, so a slice's result
+    does not depend on the others.  Returns ``(Phi, Q, failures)``, where
+    ``failures`` maps the index of each slice whose result is not finite to
+    its ``IntegratorFailure``.
     """
-    n = A.shape[0]
-    norm = float(np.abs(A).sum(axis=1).max()) * h
-    k = max(0, math.ceil(math.log2(norm))) if norm > 0.0 else 0
-    h0 = h / 2.0 ** k
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, :n] = -A * h0
-    C[:n, n:] = V * h0
-    C[n:, n:] = A.T * h0
-    eye = np.eye(2 * n)
-    E = eye
+    n = A.shape[1]
+    norms = np.abs(A).sum(axis=2).max(axis=1).tolist()
+    ks = [max(0, math.ceil(math.log2(x * hp))) if x * hp > 0.0 else 0
+          for x, hp in zip(norms, h)]
+    h0 = np.array([hp / 2.0 ** k for hp, k in zip(h, ks)])[:, None, None]
+    C = np.zeros((len(ks), 2 * n, 2 * n))
+    C[:, :n, :n] = -A * h0
+    C[:, :n, n:] = V * h0
+    C[:, n:, n:] = A.swapaxes(1, 2) * h0
+    # a full stack of identities: adding it costs half a broadcast 2-d one
+    eye = np.tile(np.eye(2 * n), (len(ks), 1, 1))
+    E, F = eye.copy(), np.empty_like(C)
     for j in range(_TAYLOR_DEGREE, 0, -1):
-        E = eye + (C @ E) / j
-    phi = E[n:, n:].T
-    q = phi @ E[:n, n:]
-    for _ in range(k):
-        q = phi @ q @ phi.T + q
-        phi = phi @ phi
-    if not (np.isfinite(phi).all() and np.isfinite(q).all()):
-        raise IntegratorFailure(
-            f"step map over h = {h!r} overflowed after {k} doublings")
-    return phi, 0.5 * (q + q.T)
+        np.matmul(C, E, out=F)
+        F /= j
+        F += eye
+        E, F = F, E
+    phi = E[:, n:, n:].swapaxes(1, 2)
+    q = phi @ E[:, :n, n:]
+    for d in range(max(ks)):
+        if d < min(ks):  # every slice is due
+            q, phi = phi @ q @ phi.swapaxes(1, 2) + q, phi @ phi
+        else:
+            due = np.array(ks) > d
+            p, qd = phi[due], q[due]
+            q[due], phi[due] = p @ qd @ p.swapaxes(1, 2) + qd, p @ p
+    finite = (np.isfinite(phi).all(axis=(1, 2))
+              & np.isfinite(q).all(axis=(1, 2)))
+    failures = {
+        i: IntegratorFailure(f"step map over h = {h[i]!r} overflowed after "
+                             f"{ks[i]} doublings")
+        for i, ok in enumerate(finite.tolist()) if not ok}
+    return phi, 0.5 * (q + q.swapaxes(1, 2)), failures
+
+
+def _propagate(models: list[LinearModel], kernels: list[list[TemporalKernel]],
+               taus: list[float], phases: list[float],
+               ) -> tuple[tuple[str, ...], np.ndarray,
+                          dict[int, IntegratorFailure]]:
+    """Exact second-moment propagation of a stack of points (see
+    ``propagate_output_covariance``): the mode labels, the stacked output
+    covariances, and the failures of ``_step_maps``."""
+    st = _Stack(models, kernels, taus, phases)
+    phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
+    T = st.end_map
+    S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
+             + q) @ T.swapaxes(1, 2)
+    return st.labels, 0.5 * (S + S.swapaxes(1, 2)), failures
 
 
 def propagate_output_covariance(model: LinearModel,
@@ -508,7 +574,7 @@ def propagate_output_covariance(model: LinearModel,
 
     The joint covariance of the system state and the filter accumulators
     at the end of the pulse is ``Phi S0 Phi^T + Q`` with the Van Loan step
-    map ``(Phi, Q)`` over the whole pulse (see ``_step_map``); the end map
+    map ``(Phi, Q)`` over the whole pulse (see ``_step_maps``); the end map
     turns accumulators into filter outputs.  No ODE is integrated, so
     floating-point rounding is the only error source.  The mirror state at
     the end of the pulse is rotated by
@@ -517,11 +583,11 @@ def propagate_output_covariance(model: LinearModel,
     """
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    asm = _Assembler(model, kernels, tau, terminal_phase)
-    phi, q = _step_map(asm.drift, asm.diffusion, tau)
-    T = asm.end_map
-    S = T @ ((phi * asm.initial_variances) @ phi.T + q) @ T.T
-    return OutputCovariance(asm.labels, 0.5 * (S + S.T))
+    labels, sigma, failures = _propagate([model], [kernels], [tau],
+                                         [terminal_phase])
+    if failures:
+        raise failures[0]
+    return OutputCovariance(labels, sigma[0])
 
 
 MIN_TRAJECTORIES = 1000
@@ -600,18 +666,81 @@ def monte_carlo_output_covariance(model: LinearModel,
     return OutputCovariance(exact.mode_labels, mean, errors)
 
 
-def _collective_rows(oc: OutputCovariance, dq: DerivedQuantities,
+def _collective_rows(mode_labels: tuple[str, ...],
+                     dqs: list[DerivedQuantities],
                      labels: tuple[str, ...]) -> np.ndarray:
-    """Quadrature rows (X, P per label) of collective modes over ``oc``."""
-    table = _collective_weights(dq)
-    rows = np.zeros((2 * len(labels), oc.sigma.shape[0]))
+    """Quadrature rows (X, P per label) of collective modes over the modes
+    ``mode_labels``, one slice per point of ``dqs``."""
+    tables = [_collective_weights(dq) for dq in dqs]
+    # each label's weights (c_1, c_2, b) per point, and where each goes
+    weights = np.array([[w for lab in labels
+                         for w in (t[lab][0][1], t[lab][1][1], t[lab][2])]
+                        for t in tables]).reshape(len(dqs), -1)
+    rows, cols, picks = [], [], []
     for i, label in enumerate(labels):
-        (m1, c1), (m2, c2), b = table[label]
-        for j, (quad, bath_quad) in enumerate((("X", "P"), ("P", "X"))):
-            rows[2 * i + j, oc.index(m1, quad)] = c1
-            rows[2 * i + j, oc.index(m2, quad)] = c2
-            rows[2 * i + j, oc.index(B_TILDE, bath_quad)] = b
-    return rows
+        (m1, _), (m2, _), _ = tables[0][label]
+        x1, x2, xb = (_quad_index(mode_labels, m, "X")
+                      for m in (m1, m2, B_TILDE))
+        # the X row reads X_1, X_2 and P_B~; the P row P_1, P_2 and X_B~
+        rows += [2 * i] * 3 + [2 * i + 1] * 3
+        cols += [x1, x2, xb + 1, x1 + 1, x2 + 1, xb]
+        picks += [3 * i, 3 * i + 1, 3 * i + 2] * 2
+    out = np.zeros((len(dqs), 2 * len(labels), 2 * len(mode_labels)))
+    out[:, rows, cols] = weights[:, picks]
+    return out
+
+
+def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
+                       which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
+                       ) -> list[OutputCovariance | SteerkitError]:
+    """``output_covariance`` at every point of a sweep, propagated as one
+    stack.
+
+    ``which`` selects the output kernels as in ``output_kernels``; a
+    collective mode is appended only when its parts (the two modes it
+    combines and ``B_tilde_m``) are among them.  Returns, per point, its
+    ``OutputCovariance`` or the ``SteerkitError`` the point raises when run
+    alone.  A point that fails before propagation never enters the stack,
+    and every slice of the stack is computed as it would be alone, so each
+    result is bit for bit that of the point on its own.
+    """
+    if engine == "reduced":
+        build = build_reduced_model
+    elif engine == "full":
+        build = build_full_model
+    else:
+        raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
+    results: list = list(rps)
+    points = []
+    for i, rp in enumerate(rps):
+        try:
+            points.append((i, build(rp),
+                           output_kernels(rp, full=(engine == "full"),
+                                          which=which),
+                           mirror_output_phase(rp), derived_quantities(rp)))
+        except SteerkitError as exc:
+            results[i] = exc
+    if not points:
+        return results
+    index, models, kernels, phases, dqs = zip(*points)
+    try:
+        labels, sigma, failures = _propagate(
+            models, kernels, [rps[i].tau for i in index], phases)
+    except SteerkitError as exc:  # the same for every point
+        for i in index:
+            results[i] = exc
+        return results
+    extra = tuple(lab for lab, ((m1, _), (m2, _), _)
+                  in _collective_weights(dqs[0]).items()
+                  if {m1, m2, B_TILDE} <= set(labels))
+    N = sigma.shape[1]
+    T = np.concatenate([np.broadcast_to(np.eye(N), sigma.shape),
+                        _collective_rows(labels, dqs, extra)], axis=1)
+    out = T @ sigma @ T.swapaxes(1, 2)
+    for j, i in enumerate(index):
+        results[i] = failures.get(j) or OutputCovariance(labels + extra,
+                                                         out[j])
+    return results
 
 
 def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
@@ -619,9 +748,10 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
     """One-call oracle over the standard mode set.
 
     Builds the requested model and the standard output kernels, propagates
-    them through the pulse exactly (``propagate_output_covariance``), and
-    appends the collective modes W_out, U_out, W_tilde_in and U_tilde_in
-    with exact cross moments to everything else.
+    them through the pulse exactly (as ``propagate_output_covariance``
+    does), and appends the collective modes W_out, U_out, W_tilde_in and
+    U_tilde_in with exact cross moments to everything else.  It is the
+    one-point sweep of ``output_covariances``.
 
     ``W_out = sqrt(G1/G) A_1_out + sqrt(G2/G) A_2_out + i sqrt(gamma/G)
     B~^dag`` and ``U_out = sqrt(G2/G) A_1_out - sqrt(G1/G) A_2_out + i
@@ -632,19 +762,10 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
     overview describes W as a combination of the cavity outputs alone; the
     README records this discrepancy.
     """
-    if engine == "reduced":
-        model = build_reduced_model(rp)
-    elif engine == "full":
-        model = build_full_model(rp)
-    else:
-        raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
-    kernels = output_kernels(rp, full=(engine == "full"))
-    oc = propagate_output_covariance(model, kernels, rp.tau,
-                                     terminal_phase=mirror_output_phase(rp))
-    labels = (W_OUT, U_OUT, W_TILDE_IN, U_TILDE_IN)
-    T = np.vstack([np.eye(oc.sigma.shape[0]),
-                   _collective_rows(oc, derived_quantities(rp), labels)])
-    return OutputCovariance(oc.mode_labels + labels, T @ oc.sigma @ T.T)
+    (result,) = output_covariances([rp], engine=engine)
+    if isinstance(result, SteerkitError):
+        raise result
+    return result
 
 
 def mode_cross_correlation(oc: OutputCovariance, label1: str, label2: str,

@@ -15,7 +15,13 @@ import pytest
 
 import steerkit
 from conftest import deadline
-from steerkit import cli, closedform, collective_steering_value, svgplot
+from steerkit import (
+    cli,
+    closedform,
+    collective_steering_value,
+    dynamics,
+    svgplot,
+)
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
 from steerkit.errors import ConfigError
 
@@ -190,12 +196,15 @@ class TestCurveRuns:
     def test_out_of_domain_points_warn_once_and_skip_the_oracle(
             self, monkeypatch):
         oracle_n = []
+        sweep = dynamics.output_covariances
 
-        def oracle_E(knobs):
-            oracle_n.append(knobs["n"])
-            return 0.25
+        def output_covariances(rps, **kw):
+            results = sweep(rps, **kw)
+            oracle_n.append([rp.n for rp, oc in zip(rps, results)
+                             if isinstance(oc, dynamics.OutputCovariance)])
+            return results
 
-        monkeypatch.setattr(cli, "_oracle_E", oracle_E)
+        monkeypatch.setattr(dynamics, "output_covariances", output_covariances)
         sc = Scenario(
             mode="curve",
             params={"kind": "ratios", "gamma_over_G": 0.1, "r": 0.5},
@@ -209,11 +218,48 @@ class TestCurveRuns:
             "point 0 (n=-1, a): n must be >= 0, got -1.0",
             "point 0 (n=-1, c): n must be >= 0, got -1.0",
         ]
-        assert oracle_n == [2.0, 0.0, 2.0, 0.0, 1.0, 2.0, 1.0]
+        # one oracle sweep per case; the point that failed is not propagated
+        assert oracle_n == [[0.0, 1.0], [2.0, 2.0, 2.0], [0.0, 1.0]]
         first = record.points[0]
         for col in ("E[a]", "E_oracle[a]", "E[c]", "E_oracle[c]"):
             assert math.isnan(first[col])
-        assert first["E_oracle[b]"] == 0.25
+        assert first["E_oracle[b]"] == pytest.approx(first["E[b]"], rel=1e-9)
+
+    def test_oracle_refusal_inside_a_sweep(self):
+        # the points past the float range leave the stacked oracle sweep
+        # with their own warnings; the rows before them are unchanged
+        sc = Scenario(mode="curve",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 340.0, 370.0, 4), engine="both")
+        text = cli._csv_text(run(sc))
+        assert text.split("\n", 2)[2] == (
+            "# warning: point 2 (r=360, E): output kernel normalization "
+            "overflows at G*tau = 360\n"
+            "# warning: point 3 (r=370, E): output kernel normalization "
+            "overflows at G*tau = 370\n"
+            "r,E,E_oracle\n"
+            "3.40000000000e+02,4.95867768595e-03,0.00000000000e+00\n"
+            "3.50000000000e+02,4.95867768595e-03,0.00000000000e+00\n"
+            "3.60000000000e+02,4.95867768595e-03,nan\n"
+            "3.70000000000e+02,4.95867768595e-03,nan\n")
+
+    def test_one_oracle_call_per_case(self, monkeypatch):
+        calls = []
+        sweep = dynamics.output_covariances
+
+        def output_covariances(rps, **kw):
+            calls.append(len(rps))
+            return sweep(rps, **kw)
+
+        monkeypatch.setattr(dynamics, "output_covariances", output_covariances)
+        sc = Scenario(mode="curve",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 0.5, 2.5, 5), engine="both",
+                      cases=({"label": "a", "n": 0.0},
+                             {"label": "b", "n": 5.0}))
+        record = run(sc)
+        assert calls == [5, 5]
+        assert not record.warnings
 
     def test_cold_curve_dips_then_recovers_toward_plateau(self):
         sc = Scenario(

@@ -11,11 +11,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from steerkit import (
+    ReducedParams,
     TemporalKernel,
     build_full_model,
     build_reduced_model,
     derived_quantities,
-    output_covariance,
     propagate_output_covariance,
     reduced_from_ratios,
 )
@@ -31,12 +31,19 @@ from steerkit.dynamics import (
     collective_output_kernels,
     input_kernels,
     mirror_output_phase,
+    output_covariance,
+    output_covariances,
     output_kernels,
-    _Assembler,
     _collective_rows,
-    _step_map,
+    _Stack,
+    _step_maps,
 )
-from steerkit.errors import IntegratorFailure, InvalidParams, MissingModes
+from steerkit.errors import (
+    GainNotPositive,
+    IntegratorFailure,
+    InvalidParams,
+    MissingModes,
+)
 
 E2 = math.e ** 2
 
@@ -316,22 +323,101 @@ class TestStepMap:
     def test_matches_van_loan_block_exponential(self, full, h):
         rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
         build = build_full_model if full else build_reduced_model
-        asm = _Assembler(build(rp), output_kernels(rp, full=full), rp.tau,
-                         0.0)
-        A, V = asm.drift, asm.diffusion
+        st = _Stack([build(rp)], [output_kernels(rp, full=full)], [rp.tau],
+                    [0.0])
+        A, V = st.drift[0], st.diffusion[0]
         n = A.shape[0]
         block = np.block([[-A, V], [np.zeros((n, n)), A.T]])
         F = expm(block * h)
         phi_ref = F[n:, n:].T
         q_ref = phi_ref @ F[:n, n:]
-        phi, q = _step_map(A, V, h)
-        assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
-        assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+        phi, q, failures = _step_maps(st.drift, st.diffusion, [h])
+        assert not failures
+        assert np.abs(phi[0] - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        assert np.abs(q[0] - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
 
+    def test_stacked_steps_match_one_at_a_time(self):
+        # one stack mixes 0, 3 and 7 doublings; each slice takes its own
+        # and matches its one-slice map bit for bit
+        rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
+        st = _Stack([build_reduced_model(rp)], [output_kernels(rp, full=False)],
+                    [rp.tau], [0.0])
+        hs = [0.01, 0.3, 2.5, 40.0, 0.05]
+        A = np.repeat(st.drift, len(hs), axis=0)
+        V = np.repeat(st.diffusion, len(hs), axis=0)
+        phi, q, failures = _step_maps(A, V, hs)
+        assert not failures
+        for i, h in enumerate(hs):
+            phi1, q1, _ = _step_maps(st.drift, st.diffusion, [h])
+            assert phi[i].tobytes() == phi1[0].tobytes()
+            assert q[i].tobytes() == q1[0].tobytes()
 
     def test_overflow_is_reported(self):
-        with np.errstate(all="ignore"), pytest.raises(IntegratorFailure):
-            _step_map(np.array([[800.0]]), np.array([[1.0]]), 1.0)
+        with np.errstate(all="ignore"):
+            _, _, failures = _step_maps(np.array([[[800.0]]]),
+                                        np.array([[[1.0]]]), [1.0])
+        assert isinstance(failures[0], IntegratorFailure)
+
+    def test_overflow_stays_in_its_slice(self):
+        A = np.array([[[0.5]], [[800.0]], [[-0.3]]])
+        V = np.ones_like(A)
+        with np.errstate(all="ignore"):
+            phi, q, failures = _step_maps(A, V, [1.0, 1.0, 1.0])
+        assert list(failures) == [1]
+        assert isinstance(failures[1], IntegratorFailure)
+        assert "after 10 doublings" in str(failures[1])
+        for i in (0, 2):
+            phi1, q1, alone = _step_maps(A[i:i + 1], V[i:i + 1], [1.0])
+            assert not alone
+            assert phi[i].tobytes() == phi1[0].tobytes()
+            assert q[i].tobytes() == q1[0].tobytes()
+
+
+class TestSweeps:
+    """``output_covariances`` propagates a sweep as one stack; every point
+    must be bit for bit what it is alone."""
+
+    @staticmethod
+    def sweep(**kw):
+        # r from 0.05 to 12 takes from 0 to 4 doublings on the reduced
+        # model and from 8 to 16 on the full one
+        return [reduced_from_ratios(r, x, G1_over_G2=1.5, n0=0.5, n=5.0,
+                                    **kw)
+                for r in (0.05, 0.4, 1.0, 3.0, 7.5, 12.0) for x in (0.0, 0.3)]
+
+    @pytest.mark.parametrize("engine", ["reduced", "full"])
+    def test_stack_matches_one_point_at_a_time(self, engine):
+        sweep = self.sweep(**({"kappa": 1.3 * 40.0 ** 2}
+                              if engine == "full" else {}))
+        stacked = output_covariances(sweep, engine=engine)
+        for rp, oc in zip(sweep, stacked):
+            alone = output_covariance(rp, engine=engine)
+            assert oc.mode_labels == alone.mode_labels
+            assert oc.sigma.tobytes() == alone.sigma.tobytes()
+
+    def test_kernel_subset_keeps_its_entries(self):
+        subset = (A_1_OUT, A_2_OUT, B_TILDE)
+        sweep = self.sweep()
+        for full_set, part in zip(output_covariances(sweep),
+                                  output_covariances(sweep, which=subset)):
+            kept = (A_M_OUT,) + subset + (W_OUT, U_OUT)
+            assert part.mode_labels == kept
+            assert part.sigma.tobytes() == full_set.block(kept).sigma.tobytes()
+
+    def test_failed_points_keep_their_errors(self):
+        good = self.sweep()[6]
+        bad_gain = ReducedParams(kappa=1.0, Delta=0.0, g1=0.1, g2=0.1,
+                                 gamma=1.0, tau=1.0, n0=0.0, n=0.0)
+        huge = reduced_from_ratios(360.0, 0.1)
+        got = output_covariances([good, bad_gain, huge, good])
+        for rp, res in zip((bad_gain, huge), got[1:3]):
+            with pytest.raises(type(res)) as alone:
+                output_covariance(rp)
+            assert str(alone.value) == str(res)
+        assert isinstance(got[1], GainNotPositive)
+        assert isinstance(got[2], IntegratorFailure)
+        solo = output_covariance(good).sigma.tobytes()
+        assert got[0].sigma.tobytes() == got[3].sigma.tobytes() == solo
 
 
 def test_import_leaves_scipy_unloaded():
@@ -399,8 +485,8 @@ class TestCollectiveModes:
     def test_missing_modes_rejected(self):
         oc = OutputCovariance((A_M_OUT,), np.eye(2))
         with pytest.raises(MissingModes):
-            _collective_rows(oc, derived_quantities(
-                reduced_from_ratios(1.0, 0.1)), (W_OUT, U_OUT))
+            _collective_rows(oc.mode_labels, [derived_quantities(
+                reduced_from_ratios(1.0, 0.1))], (W_OUT, U_OUT))
 
 
 class TestPhysicality:
