@@ -20,6 +20,7 @@ from steerkit import (
     closedform,
     collective_steering_value,
     dynamics,
+    steering,
     svgplot,
 )
 from steerkit.cli import PRESETS, Scenario, Sweep, parse_rate, run
@@ -313,6 +314,19 @@ class TestOtherModes:
         record = run(sc, output=str(out))
         assert len(record.points) == 45
         assert (tmp_path / "map.contour.csv").exists()
+        # points read as one {r, gamma_over_G, E} dict of floats per cell,
+        # gamma_over_G outer and r inner
+        v1, v2 = sc.sweep.values(), sc.sweep2.values()
+        E = steering.steering_region(v1, v2, 5.0, 5.0).E.tolist()
+        cells = [{"r": x1, "gamma_over_G": x2, "E": e}
+                 for x2, row in zip(v2.tolist(), E)
+                 for x1, e in zip(v1.tolist(), row)]
+        points = record.points
+        assert (points[0], points[13], points[-1], points[44]) \
+            == (cells[0], cells[13], cells[-1], cells[-1])
+        assert [(p["r"], p["gamma_over_G"]) for p in points] \
+            == [(x1, x2) for x2 in v2.tolist() for x1 in v1.tolist()]
+        assert list(points) == cells
 
     def test_heatmap_out_of_domain_cells_warn_in_point_order(self):
         sc = Scenario(
@@ -539,6 +553,60 @@ class TestFileFormats:
             "0.00000000000e+00,nan,inf\n"
             "-0.00000000000e+00,-inf,1.00000000000e-300\n"
             "2.50000000000e+00,1.00000000000e-01,-1.23456789000e+05\n")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fig4.csv",
+         "ed2613f642d34eef57fa6a71420c6585e058024f7009224033122a452acdf724"),
+        ("fig4.contour.csv",
+         "89e3cb34cb5d2fa23fb48e5c4925db4e334d8778ce336dbeaea1624f89a20256"),
+    ])
+    def test_fig4_csv_bytes_are_pinned(self, tmp_path, name, digest):
+        run(PRESETS["fig4"](), output=str(tmp_path / "fig4.csv"))
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value
+    # (linspace makes a -0.0 start +0.0, so it is the stop), and a log r
+    # axis over the series (r < 1e-4), direct and asymptote (r > 350) cells
+    TINY_HEATMAP = Scenario(
+        mode="heatmap",
+        params={"kind": "ratios", "gamma_over_G": 0.1, "n0": 0.5},
+        sweep=Sweep("n", -0.5, -0.0, 2),
+        sweep2=Sweep("r", 5e-5, 400.0, 3, scale="log"))
+    TINY_WARNINGS = [f"point {k}: n must be >= 0, got -0.5" for k in (0, 2, 4)]
+
+    def test_heatmap_csv_bytes_at_the_edges(self):
+        assert cli._csv_text(run(self.TINY_HEATMAP)) == (
+            "# scenario_digest: 78f1487f1f27e2cecc0fef8e288e44ee838429b27b34d9"
+            "f2d0d5021eb9554d83\n"
+            "# tool: steerkit 0.1.0\n"
+            + "".join(f"# warning: {w}\n" for w in self.TINY_WARNINGS) +
+            "n,r,E\n"
+            "-5.00000000000e-01,5.00000000000e-05,nan\n"
+            "-0.00000000000e+00,5.00000000000e-05,9.99678417481e-01\n"
+            "-5.00000000000e-01,1.41421356237e-01,nan\n"
+            "-0.00000000000e+00,1.41421356237e-01,4.80022018116e-01\n"
+            "-5.00000000000e-01,4.00000000000e+02,nan\n"
+            "-0.00000000000e+00,4.00000000000e+02,4.95867768595e-03\n")
+
+    def test_heatmap_json_document(self, tmp_path):
+        out = tmp_path / "map.json"
+        run(self.TINY_HEATMAP, output=str(out), fmt="json")
+        doc = json.loads(out.read_text())
+        assert doc.pop("wall_time_s") >= 0.0
+        nan = math.nan
+        rs = (4.9999999999999996e-05, 0.1414213562373095, 400.0000000000001)
+        es = (0.9996784174811454, 0.4800220181164984, 0.0049586776859504135)
+        # NaN != NaN, so the documents are compared as canonical JSON text
+        assert json.dumps(doc, sort_keys=True) == json.dumps({
+            "columns": ["n", "r", "E"],
+            "points": [p for r, e in zip(rs, es)
+                       for p in ({"n": -0.5, "r": r, "E": nan},
+                                 {"n": -0.0, "r": r, "E": e})],
+            "scenario_digest": self.TINY_HEATMAP.digest(),
+            "summary": {},
+            "tool_version": "0.1.0",
+            "warnings": self.TINY_WARNINGS}, sort_keys=True)
 
     @pytest.mark.parametrize("name, digest", [
         ("fig4.svg",
