@@ -26,7 +26,7 @@ import operator
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,11 +308,15 @@ class Scenario:
 
 @dataclass
 class RunRecord:
+    """What one run computed.  ``points`` is a sequence of row dicts, one
+    per CSV row, keyed by ``columns`` and holding Python floats; a
+    heatmap's is a view over its grid (``_GridPoints``)."""
+
     scenario_digest: str
     tool_version: str
     wall_time_s: float
     columns: list[str]
-    points: list[dict]
+    points: Sequence[dict]
     warnings: list[str]
     summary: dict
     exit_code: int = 0
@@ -526,6 +530,34 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
     return columns, points, warnings, {}
 
 
+@dataclass(frozen=True, eq=False)
+class _GridPoints(Sequence):
+    """A heatmap's points as a view over its grid: ``E[i, j]`` is the cell
+    at ``var1 = v1[j]``, ``var2 = v2[i]`` (``v1`` and ``v2`` are lists of
+    floats).  Reads as one ``{var1, var2, "E"}`` dict of floats per cell,
+    row-major (``var2`` outer); the CSV and SVG writers read the grid."""
+
+    var1: str
+    var2: str
+    v1: list[float]
+    v2: list[float]
+    E: np.ndarray
+
+    def __len__(self) -> int:
+        return self.E.size
+
+    def __getitem__(self, k: int) -> dict:
+        i, j = divmod(range(self.E.size)[k], len(self.v1))
+        return {self.var1: self.v1[j], self.var2: self.v2[i],
+                "E": float(self.E[i, j])}
+
+    def __iter__(self):
+        var1, var2 = self.var1, self.var2
+        for x2, row in zip(self.v2, self.E.tolist()):
+            for x1, e in zip(self.v1, row):
+                yield {var1: x1, var2: x2, "E": e}
+
+
 def _run_heatmap(sc: Scenario, base: dict, tol: dict):
     var1, var2 = sc.sweep.variable, sc.sweep2.variable
     v1 = sc.sweep.values()
@@ -539,10 +571,7 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
         a1, a2 = np.meshgrid(v1, v2)
         E = _witness_grid(_apply(_apply(base, var1, a1), var2, a2), a1.shape)
 
-    x1s = v1.tolist()
-    points = [{var1: x1, var2: x2, "E": e}
-              for x2, row in zip(v2.tolist(), E.tolist())
-              for x1, e in zip(x1s, row)]
+    points = _GridPoints(var1, var2, v1.tolist(), v2.tolist(), E)
     warnings = []
     for idx in np.flatnonzero(np.isnan(E)).tolist():
         p = points[idx]
@@ -827,10 +856,19 @@ def _write_rows(out, columns: list[str], rows) -> None:
     """Write a CSV header and one ``%.11e`` line per row of floats.
 
     ``rows`` yields one float per column, as a tuple (a bare float for one
-    column).  The header goes through ``csv`` because labels such as
-    ``E[n0=0,n=0]`` need quoting; formatted floats never do.
+    column), or is a heatmap's ``_GridPoints``.  The header goes through
+    ``csv`` because labels such as ``E[n0=0,n=0]`` need quoting; formatted
+    floats never do.
     """
     csv.writer(out, lineterminator="\n").writerow(columns)
+    if isinstance(rows, _GridPoints):
+        # each x1 is formatted once per map and x2 once per grid row, so
+        # one template per grid row leaves only its E cells to format
+        s1 = ["%.11e" % x1 for x1 in rows.v1]
+        for x2, es in zip(rows.v2, rows.E.tolist()):
+            sep = ",%.11e,%%.11e\n" % x2
+            out.write((sep.join(s1) + sep) % tuple(es))
+        return
     line = ",".join(["%.11e"] * len(columns)) + "\n"
     for row in rows:
         out.write(line % row)
@@ -846,8 +884,10 @@ def _csv_text(record: RunRecord) -> str:
         if key == "contour":
             continue
         buf.write(f"# {key}: {val}\n")
-    _write_rows(buf, record.columns,
-                map(operator.itemgetter(*record.columns), record.points))
+    points = record.points
+    if not isinstance(points, _GridPoints):
+        points = map(operator.itemgetter(*record.columns), points)
+    _write_rows(buf, record.columns, points)
     return buf.getvalue()
 
 
@@ -862,7 +902,7 @@ def _write_json(path: str, record: RunRecord) -> None:
         "tool_version": record.tool_version,
         "wall_time_s": record.wall_time_s,
         "columns": record.columns,
-        "points": record.points,
+        "points": list(record.points),
         "warnings": record.warnings,
         "summary": {k: v for k, v in record.summary.items() if k != "contour"},
     }
@@ -882,11 +922,9 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
     from . import svgplot
 
     if scenario.mode == "heatmap":
-        v1 = scenario.sweep.values()
-        v2 = scenario.sweep2.values()
-        grid = np.reshape([p["E"] for p in record.points], (len(v2), len(v1)))
-        svgplot.heatmap(v1, v2, grid, path, x_label=scenario.sweep.variable,
-                        y_label=scenario.sweep2.variable,
+        grid = record.points
+        svgplot.heatmap(grid.v1, grid.v2, grid.E, path, x_label=grid.var1,
+                        y_label=grid.var2,
                         contour=tuple(record.summary.get("contour", ())))
         return
     xcol = record.columns[0]

@@ -557,13 +557,28 @@ def _propagate(models: list[LinearModel], kernels: list[list[TemporalKernel]],
                           dict[int, IntegratorFailure]]:
     """Exact second-moment propagation of a stack of points (see
     ``propagate_output_covariance``): the mode labels, the stacked output
-    covariances, and the failures of ``_step_maps``."""
+    covariances, and the failures of ``_step_maps``.  A slice that is not
+    finite and has no failure is left for the caller to refuse
+    (``_refuse_non_finite``)."""
     st = _Stack(models, kernels, taus, phases)
-    phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
     T = st.end_map
-    S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
-             + q) @ T.swapaxes(1, 2)
-    return st.labels, 0.5 * (S + S.swapaxes(1, 2)), failures
+    # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
+        S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
+                 + q) @ T.swapaxes(1, 2)
+        S = 0.5 * (S + S.swapaxes(1, 2))
+    return st.labels, S, failures
+
+
+def _refuse_non_finite(sigma: np.ndarray,
+                       failures: dict[int, IntegratorFailure]) -> None:
+    """Give each slice of ``sigma`` that is not finite and has no failure
+    yet an ``IntegratorFailure`` in ``failures``."""
+    for i, ok in enumerate(np.isfinite(sigma).all(axis=(1, 2)).tolist()):
+        if not ok:
+            failures.setdefault(
+                i, IntegratorFailure("output covariance is not finite"))
 
 
 def propagate_output_covariance(model: LinearModel,
@@ -585,6 +600,7 @@ def propagate_output_covariance(model: LinearModel,
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
     labels, sigma, failures = _propagate([model], [kernels], [tau],
                                          [terminal_phase])
+    _refuse_non_finite(sigma, failures)
     if failures:
         raise failures[0]
     return OutputCovariance(labels, sigma[0])
@@ -629,13 +645,8 @@ def monte_carlo_output_covariance(model: LinearModel,
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
-    # from r ~ 354.5 (gamma/G = 0.1) Sigma_out passes the float range;
-    # that is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = propagate_output_covariance(model, kernels, tau,
-                                            terminal_phase=terminal_phase)
-    if not np.isfinite(exact.sigma).all():
-        raise IntegratorFailure("output covariance is not finite")
+    exact = propagate_output_covariance(model, kernels, tau,
+                                        terminal_phase=terminal_phase)
     scale = np.sqrt(np.diag(exact.sigma))
     w, vec = np.linalg.eigh(exact.sigma / scale[:, None] / scale)
     factor = vec * np.sqrt(np.maximum(w, 0.0))
@@ -736,7 +747,9 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
     N = sigma.shape[1]
     T = np.concatenate([np.broadcast_to(np.eye(N), sigma.shape),
                         _collective_rows(labels, dqs, extra)], axis=1)
-    out = T @ sigma @ T.swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = T @ sigma @ T.swapaxes(1, 2)
+    _refuse_non_finite(out, failures)
     for j, i in enumerate(index):
         results[i] = failures.get(j) or OutputCovariance(labels + extra,
                                                          out[j])

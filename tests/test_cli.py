@@ -244,6 +244,35 @@ class TestCurveRuns:
             "3.60000000000e+02,4.95867768595e-03,nan\n"
             "3.70000000000e+02,4.95867768595e-03,nan\n")
 
+    @pytest.mark.parametrize("gamma_over_G, sweep, rows", [
+        # the covariance passes half the float maximum from r ~ 354.5, and
+        # its symmetrization overflows
+        (0.1, Sweep("r", 353.0, 354.8, 4),
+         "# warning: point 3 (r=354.8, E): output covariance is not finite\n"
+         "r,E,E_oracle\n"
+         "3.53000000000e+02,4.95867768595e-03,0.00000000000e+00\n"
+         "3.53600000000e+02,4.95867768595e-03,0.00000000000e+00\n"
+         "3.54200000000e+02,4.95867768595e-03,0.00000000000e+00\n"
+         "3.54800000000e+02,4.95867768595e-03,nan\n"),
+        # the covariance is finite and the collective rows overflow
+        (1.0, Sweep("r", 353.5, 354.0, 2),
+         "# warning: point 1 (r=354, E): output covariance is not finite\n"
+         "r,E,E_oracle\n"
+         "3.53500000000e+02,3.75000000000e-01,0.00000000000e+00\n"
+         "3.54000000000e+02,3.75000000000e-01,nan\n"),
+    ], ids=["symmetrization", "collective-rows"])
+    def test_oracle_refuses_an_overflowed_output_covariance(
+            self, gamma_over_G, sweep, rows):
+        # below the kernel normalization's limit (r ~ 354.9): a NaN row with
+        # a warning, and no numpy warning on stderr
+        sc = Scenario(mode="curve",
+                      params={"kind": "ratios", "gamma_over_G": gamma_over_G},
+                      sweep=sweep, engine="both")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = cli._csv_text(run(sc))
+        assert text.split("\n", 2)[2] == rows
+
     def test_one_oracle_call_per_case(self, monkeypatch):
         calls = []
         sweep = dynamics.output_covariances
