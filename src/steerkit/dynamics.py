@@ -52,9 +52,6 @@ from .model import DerivedQuantities, ReducedParams, derived_quantities
 A_M_OUT = "A_m_out"
 A_1_OUT = "A_1_out"
 A_2_OUT = "A_2_out"
-A_1_IN = "A_1_in"
-A_2_IN = "A_2_in"
-B_M = "B_m"
 B_TILDE = "B_tilde_m"
 A_TILDE_1_IN = "A_tilde_1_in"
 A_TILDE_2_IN = "A_tilde_2_in"
@@ -123,32 +120,17 @@ class KernelTerm:
     amplitude: complex
     rate: complex
 
-    def l2_norm(self, tau: float) -> float:
-        """L2 norm of the envelope over [0, tau]."""
-        g2 = 2.0 * self.rate.real
-        mag2 = abs(self.amplitude) ** 2
-        if abs(g2 * tau) < 1e-12:
-            return math.sqrt(mag2 * tau)
-        return math.sqrt(mag2 * math.expm1(g2 * tau) / g2)
-
 
 @dataclass(frozen=True)
 class TemporalKernel:
-    """A temporal output (or input) mode: a labelled list of kernel terms.
+    """A temporal output mode: a labelled list of kernel terms.
 
-    ``direction`` records whether the defining envelope decays from the
-    front of the pulse (input side) or grows toward its end (output side).
-    The defining envelope of every standard mode is normalized to unit L2
-    norm over the pulse, which ``normalization_norm`` exposes for checking.
+    The defining (first) envelope of every standard mode grows toward the
+    end of the pulse and has unit L2 norm over it.
     """
 
     label: str
-    direction: str
     terms: tuple[KernelTerm, ...]
-
-    def normalization_norm(self, tau: float) -> float:
-        """L2 norm of the defining (first) envelope over [0, tau]."""
-        return self.terms[0].l2_norm(tau)
 
 
 def build_full_model(rp: ReducedParams) -> LinearModel:
@@ -211,17 +193,15 @@ def build_reduced_model(rp: ReducedParams) -> LinearModel:
     )
 
 
-def _norms(dq: DerivedQuantities, tau: float) -> tuple[float, float]:
-    """(input-side, output-side) kernel normalizations."""
+def _output_norm(dq: DerivedQuantities, tau: float) -> float:
+    """Normalization of the growing envelope ``e^{G t}`` over [0, tau]."""
     G = dq.G
-    n_in = math.sqrt(2.0 * G / -math.expm1(-2.0 * G * tau))
     try:
-        n_out = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
+        return math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
     except OverflowError as exc:
         raise IntegratorFailure(
             f"output kernel normalization overflows at G*tau = "
             f"{G * tau:.6g}") from exc
-    return n_in, n_out
 
 
 def output_kernels(rp: ReducedParams, *, full: bool,
@@ -233,65 +213,43 @@ def output_kernels(rp: ReducedParams, *, full: bool,
     a_j``; for the reduced model the eliminated cavity turns it into a
     reflected input plus a phase-conjugated mirror contribution.  Both
     decompositions filter the same physical signal, so either model feeds
-    the identical mode definitions.
+    the identical mode definitions.  ``which`` names the modes, in order,
+    from ``DEFAULT_OUTPUT_MODES``.
     """
     dq = derived_quantities(rp)
-    _, n_out = _norms(dq, rp.tau)
+    n_out = _output_norm(dq, rp.tau)
     zout = complex(dq.G, dq.delta)
     zmir = complex(dq.G, -dq.delta)
-    ph1 = cmath.exp(-1j * dq.phi)   # e^{(-1)^j i phi} for j = 1
-    ph2 = cmath.exp(+1j * dq.phi)
+    # e^{(-1)^j i phi} per cavity j
+    ph = {1: cmath.exp(-1j * dq.phi), 2: cmath.exp(+1j * dq.phi)}
     sqk = math.sqrt(2.0 * rp.kappa)
-
-    def cavity_out(j: int) -> TemporalKernel:
-        ph = ph1 if j == 1 else ph2
-        G_j = dq.G1 if j == 1 else dq.G2
-        if full:
+    unknown = set(which) - set(DEFAULT_OUTPUT_MODES)
+    if unknown:
+        raise InvalidParams(f"unknown output modes {sorted(unknown)!r}")
+    kernels = []
+    for name in which:
+        j = 1 if name in (A_1_OUT, A_TILDE_1_IN) else 2
+        if name == B_TILDE:
+            terms = (KernelTerm("noise", "b_in", False, complex(n_out), zmir),)
+        elif name in (A_TILDE_1_IN, A_TILDE_2_IN):
+            terms = (KernelTerm("noise", f"a{j}_in", False, ph[j] * n_out,
+                                zout),)
+        elif full:
             terms = (
-                KernelTerm("noise", f"a{j}_in", False, ph.conjugate() * n_out, zout),
-                KernelTerm("system", f"a_{j}", False, ph.conjugate() * n_out * sqk, zout),
+                KernelTerm("noise", f"a{j}_in", False,
+                           ph[j].conjugate() * n_out, zout),
+                KernelTerm("system", f"a_{j}", False,
+                           ph[j].conjugate() * n_out * sqk, zout),
             )
         else:
+            G_j = dq.G1 if j == 1 else dq.G2
             terms = (
-                KernelTerm("noise", f"a{j}_in", False, -ph * n_out, zout),
+                KernelTerm("noise", f"a{j}_in", False, -ph[j] * n_out, zout),
                 KernelTerm("system", "b_m", True,
                            -1j * math.sqrt(2.0 * G_j) * n_out, zout),
             )
-        return TemporalKernel(f"A_{j}_out", "output", terms)
-
-    catalog = {
-        A_1_OUT: lambda: cavity_out(1),
-        A_2_OUT: lambda: cavity_out(2),
-        B_TILDE: lambda: TemporalKernel(B_TILDE, "output", (
-            KernelTerm("noise", "b_in", False, complex(n_out), zmir),)),
-        A_TILDE_1_IN: lambda: TemporalKernel(A_TILDE_1_IN, "output", (
-            KernelTerm("noise", "a1_in", False, ph1 * n_out, zout),)),
-        A_TILDE_2_IN: lambda: TemporalKernel(A_TILDE_2_IN, "output", (
-            KernelTerm("noise", "a2_in", False, ph2 * n_out, zout),)),
-    }
-    unknown = set(which) - set(catalog)
-    if unknown:
-        raise InvalidParams(f"unknown output modes {sorted(unknown)!r}")
-    return [catalog[name]() for name in which]
-
-
-def input_kernels(rp: ReducedParams) -> list[TemporalKernel]:
-    """Decaying-envelope temporal modes of the incident fields (front-loaded):
-    ``A_1_in``, ``A_2_in`` and the mirror-bath mode ``B_m``."""
-    dq = derived_quantities(rp)
-    n_in, _ = _norms(dq, rp.tau)
-    zin = complex(-dq.G, dq.delta)
-    zbath = complex(-dq.G, -dq.delta)
-    ph1 = cmath.exp(-1j * dq.phi)
-    ph2 = cmath.exp(+1j * dq.phi)
-    return [
-        TemporalKernel(A_1_IN, "input", (
-            KernelTerm("noise", "a1_in", False, ph1 * n_in, zin),)),
-        TemporalKernel(A_2_IN, "input", (
-            KernelTerm("noise", "a2_in", False, ph2 * n_in, zin),)),
-        TemporalKernel(B_M, "input", (
-            KernelTerm("noise", "b_in", False, complex(n_in), zbath),)),
-    ]
+        kernels.append(TemporalKernel(name, terms))
+    return kernels
 
 
 def _collective_weights(dq: DerivedQuantities,
@@ -332,7 +290,7 @@ def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
             KernelTerm(t.kind, t.target, not t.dagger,
                        1j * b * t.amplitude.conjugate(), t.rate.conjugate())
             for t in bath)
-        return TemporalKernel(label, "output", terms)
+        return TemporalKernel(label, terms)
 
     return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
 

@@ -1,10 +1,11 @@
-"""Steering witnesses from covariance matrices, optimization, and thresholds.
+"""Steering witnesses from covariance entries, and thresholds.
 
 A witness ``E`` below 1/2 certifies steering of the steered mode by the
 measured party.  Witnesses are products of two minimized inference standard
-deviations; for the covariances produced by this model the X and P inference
-variances coincide, so the product equals the single conditional variance
-(asserted, not assumed, where it matters).
+deviations, each read off the covariance entries of one steered and one
+party quadrature.  The party measures P against the steered X and X against
+the steered P: the model's only mirror-field correlations are of X-P type,
+so no rotated pairing does better (a test scans the angles).
 """
 
 from __future__ import annotations
@@ -18,25 +19,9 @@ from .closedform import _check_inputs, collective_steering_value
 from .dynamics import OutputCovariance
 from .errors import InvalidParams, NoThreshold, ZeroVariance
 
-QuadratureSelector = tuple[str, "str | float"]
+QuadratureSelector = tuple[str, str]  # (mode label, "X" | "P")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _quadrature_vector(oc: OutputCovariance, selector: QuadratureSelector,
-                       ) -> np.ndarray:
-    """Row vector picking a (possibly rotated) quadrature of one mode."""
-    label, quad = selector
-    v = np.zeros(oc.sigma.shape[0])
-    if quad == "X":
-        v[oc.index(label, "X")] = 1.0
-    elif quad == "P":
-        v[oc.index(label, "P")] = 1.0
-    else:
-        theta = float(quad)
-        v[oc.index(label, "X")] = math.cos(theta)
-        v[oc.index(label, "P")] = math.sin(theta)
-    return v
 
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
@@ -47,15 +32,13 @@ def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
     Var(party)`` is the optimal linear gain: the exact minimum over gain of
     ``Var(steered + u * party)``.
     """
-    vs = _quadrature_vector(oc, steered)
-    vp = _quadrature_vector(oc, party)
-    var_s = float(vs @ oc.sigma @ vs)
-    var_p = float(vp @ oc.sigma @ vp)
-    cov = float(vs @ oc.sigma @ vp)
+    s, p = oc.index(*steered), oc.index(*party)
+    var_p = float(oc.sigma[p, p])
+    cov = float(oc.sigma[s, p])
     if var_p < 1e-15:
         raise ZeroVariance(
             f"party quadrature {party!r} has variance {var_p!r}")
-    return var_s - cov * cov / var_p, -cov / var_p
+    return float(oc.sigma[s, s]) - cov * cov / var_p, -cov / var_p
 
 
 @dataclass(frozen=True)
@@ -67,32 +50,11 @@ class SteeringReport:
     steering_party: str
     gain_X: float
     gain_P: float
-    angle_steered: float
-    angle_party: float
 
     @property
     def is_steering(self) -> bool:
         """Strict criterion: E exactly 1/2 does not count as steering."""
         return self.E_value < 0.5
-
-
-def _product_witness(oc: OutputCovariance, steered: str, party: str,
-                     theta_s: float, theta_p: float,
-                     ) -> tuple[float, float, float]:
-    """E and the two gains for given steered/party quadrature angles.
-
-    The X-type steered quadrature sits at ``theta_s`` and is inferred from
-    the party quadrature at ``theta_p + pi/2``; the conjugate steered
-    quadrature at ``theta_s + pi/2`` is inferred from ``theta_p``.  Angles
-    zero reproduce the fixed X-against-P pairing.
-    """
-    vx, ux = _inferred_variance(oc, (steered, theta_s),
-                                (party, theta_p + 0.5 * math.pi))
-    vp, up = _inferred_variance(oc, (steered, theta_s + 0.5 * math.pi),
-                                (party, theta_p))
-    vx = max(vx, 0.0)
-    vp = max(vp, 0.0)
-    return math.sqrt(vx) * math.sqrt(vp), ux, up
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
@@ -114,39 +76,19 @@ def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
 
 
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
-                     optimize_angles: bool = False) -> SteeringReport:
+                     ) -> SteeringReport:
     """Steering witness of ``steered_mode`` given ``party_mode``.
 
-    With ``optimize_angles=False`` the party measures P against the steered
-    X and X against the steered P, which is optimal here because the only
-    nonzero mirror-field correlations are of X-P type.  With
-    ``optimize_angles=True`` both quadrature frames are additionally
-    minimized over, by a 64-point coarse grid per angle followed by
-    golden-section refinement; for this system the optimized witness must
-    reproduce the fixed-quadrature one.
+    ``E = sqrt(V_X) sqrt(V_P)``, where ``V_X`` is the inference variance of
+    the steered X from the party's P and ``V_P`` that of the steered P from
+    the party's X (each clipped at 0 against rounding); ``gain_X`` and
+    ``gain_P`` are their optimal gains.  This pairing is optimal because
+    the only nonzero mirror-field correlations are of X-P type.
     """
-    if not optimize_angles:
-        E, ux, up = _product_witness(oc, steered_mode, party_mode, 0.0, 0.0)
-        return SteeringReport(E, steered_mode, party_mode, ux, up, 0.0, 0.0)
-
-    grid = np.linspace(0.0, math.pi, 64, endpoint=False)
-    best = (math.inf, 0.0, 0.0)
-    for ts in grid:
-        for tp in grid:
-            E, _, _ = _product_witness(oc, steered_mode, party_mode, ts, tp)
-            if E < best[0]:
-                best = (E, ts, tp)
-    _, ts, tp = best
-    h = math.pi / 64
-    for _ in range(2):  # alternate golden-section refinements per angle
-        ts = _golden_minimize(
-            lambda a: _product_witness(oc, steered_mode, party_mode, a, tp)[0],
-            ts - h, ts + h, 1e-10)
-        tp = _golden_minimize(
-            lambda a: _product_witness(oc, steered_mode, party_mode, ts, a)[0],
-            tp - h, tp + h, 1e-10)
-    E, ux, up = _product_witness(oc, steered_mode, party_mode, ts, tp)
-    return SteeringReport(E, steered_mode, party_mode, ux, up, ts, tp)
+    vx, ux = _inferred_variance(oc, (steered_mode, "X"), (party_mode, "P"))
+    vp, up = _inferred_variance(oc, (steered_mode, "P"), (party_mode, "X"))
+    E = math.sqrt(max(vx, 0.0)) * math.sqrt(max(vp, 0.0))
+    return SteeringReport(E, steered_mode, party_mode, ux, up)
 
 
 # A witness is a difference ``Var(s) - Cov^2/Var(p)`` of numbers of the size

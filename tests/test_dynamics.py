@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, trapezoid
 from scipy.linalg import expm
 
 from steerkit import (
@@ -29,7 +29,6 @@ from steerkit.dynamics import (
     W_OUT,
     OutputCovariance,
     collective_output_kernels,
-    input_kernels,
     mirror_output_phase,
     output_covariance,
     output_covariances,
@@ -126,23 +125,18 @@ class TestKernels:
         rp = reduced_from_ratios(1.3, 0.1, G1_over_G2=2.0)
         ts = np.linspace(0.0, rp.tau, 20001)
         for full in (False, True):
-            for kern in output_kernels(rp, full=full) + input_kernels(rp):
+            for kern in output_kernels(rp, full=full):
                 term = kern.terms[0]
                 env2 = np.abs(term.amplitude
                               * np.exp(term.rate * ts)) ** 2
-                norm = math.sqrt(np.trapezoid(env2, ts))
+                norm = math.sqrt(trapezoid(env2, ts))
                 assert norm == pytest.approx(1.0, abs=1e-8), kern.label
-                assert kern.normalization_norm(rp.tau) == pytest.approx(
-                    1.0, abs=1e-12)
 
-    def test_input_kernels_decay_and_output_kernels_grow(self):
+    def test_output_kernels_grow(self):
         rp = reduced_from_ratios(1.0, 0.0)
-        for kern in input_kernels(rp):
-            assert kern.direction == "input"
-            assert kern.terms[0].rate.real < 0.0
-        for kern in output_kernels(rp, full=False):
-            assert kern.direction == "output"
-            assert kern.terms[0].rate.real > 0.0
+        for full in (False, True):
+            for kern in output_kernels(rp, full=full):
+                assert kern.terms[0].rate.real > 0.0, kern.label
 
 
 class TestModelBuilders:
@@ -305,7 +299,7 @@ class TestAgainstTimeDependentForm:
         rp = reduced_from_ratios(1.5, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
         a1, bt = output_kernels(rp, full=False, which=(A_1_OUT, B_TILDE))
         assert a1.terms[0].rate != bt.terms[0].rate
-        mixed = TemporalKernel("mixed", "output", a1.terms + bt.terms)
+        mixed = TemporalKernel("mixed", a1.terms + bt.terms)
         model = build_reduced_model(rp)
         kernels = [a1, mixed]
         phase = mirror_output_phase(rp)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from conftest import deadline
 from steerkit import (
@@ -56,12 +57,6 @@ class TestInferredVariance:
         var, _ = _inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         assert var == pytest.approx(1.0 / (2.0 * (2.0 * E2 - 1.0)), rel=1e-9)
 
-    def test_rotated_selector(self):
-        oc = two_mode_squeezed(1.0)
-        var_x, _ = _inferred_variance(oc, ("alice", "X"), ("bob", 0.0))
-        var_rot, _ = _inferred_variance(oc, ("alice", 0.0), ("bob", "X"))
-        assert var_x == pytest.approx(var_rot, rel=1e-12)
-
     def test_zero_variance_party_rejected(self):
         sigma = np.diag([1.0, 1.0, 0.0, 1.0])
         oc = OutputCovariance(("alice", "bob"), sigma)
@@ -78,6 +73,29 @@ class TestInferredVariance:
         for u in gain + np.linspace(-0.1, 0.1, 41):
             trial = (vs + u * vp) @ oc.sigma @ (vs + u * vp)
             assert trial >= var - 1e-10
+
+
+def rotated_witness(oc: OutputCovariance, steered: str, party: str,
+                    theta_s, theta_p):
+    """E with the steered frame rotated by ``theta_s`` and the party frame
+    by ``theta_p`` (broadcasting arrays): the steered quadrature at
+    ``theta_s`` is inferred from the party's at ``theta_p + pi/2``, its
+    conjugate at ``theta_s + pi/2`` from the party's at ``theta_p``."""
+    idx = [oc.index(steered, "X"), oc.index(steered, "P"),
+           oc.index(party, "X"), oc.index(party, "P")]
+    sig = oc.sigma[np.ix_(idx, idx)]
+
+    def inferred(ts, tp):
+        vs = np.stack([np.cos(ts), np.sin(ts)], axis=-1)
+        vp = np.stack([np.cos(tp), np.sin(tp)], axis=-1)
+        var_s = np.einsum("...i,ij,...j", vs, sig[:2, :2], vs)
+        var_p = np.einsum("...i,ij,...j", vp, sig[2:, 2:], vp)
+        cov = np.einsum("...i,ij,...j", vs, sig[:2, 2:], vp)
+        return np.maximum(var_s - cov * cov / var_p, 0.0)
+
+    half = 0.5 * math.pi
+    return np.sqrt(inferred(theta_s, theta_p + half)
+                   * inferred(theta_s + half, theta_p))
 
 
 class TestSteeringProduct:
@@ -104,16 +122,48 @@ class TestSteeringProduct:
                                                               oracle_cache):
         # the X-against-P pairing is already optimal for every covariance
         # this model generates, including skewed gain splits with rotation
+        # (a 64 x 64 scan of both frames, then Nelder-Mead from its best
+        # cell; the scan starts at the fixed pairing's angles (0, 0))
+        grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+        ts, tp = np.meshgrid(grid, grid, indexing="ij")
         for (r, x, n0, n, ratio) in ((1.0, 0.1, 0.5, 5.0, 2.0),
                                      (0.5, 0.0, 0.0, 0.0, 1.0),
                                      (2.0, 0.05, 5.0, 100.0, 2.0)):
             oc = oracle_cache.covariance(r, x, n0, n, ratio=ratio)
             for party in (W_OUT, A_1_OUT):
-                fixed = steering_product(oc, A_M_OUT, party,
-                                         optimize_angles=False)
-                opt = steering_product(oc, A_M_OUT, party,
-                                       optimize_angles=True)
-                assert opt.E_value == pytest.approx(fixed.E_value, abs=1e-8)
+                fixed = steering_product(oc, A_M_OUT, party).E_value
+                scan = rotated_witness(oc, A_M_OUT, party, ts, tp)
+                assert scan[0, 0] == pytest.approx(fixed, rel=1e-12)
+                best = np.unravel_index(np.argmin(scan), scan.shape)
+                opt = minimize(
+                    lambda a: float(rotated_witness(oc, A_M_OUT, party,
+                                                    a[0], a[1])),
+                    [grid[best[0]], grid[best[1]]], method="Nelder-Mead",
+                    options={"xatol": 1e-10, "fatol": 1e-14})
+                assert opt.fun == pytest.approx(fixed, abs=1e-8)
+
+    # E recorded with float.hex: reading the witness from covariance
+    # entries must keep every bit, from both engines, at the float floor
+    # (r = 15) and with the roles reversed
+    @pytest.mark.parametrize("point, steered, party, bits", [
+        ((1.0, 0.1, 0.0, 0.0, 1.0, "reduced"), A_M_OUT, W_OUT,
+         "0x1.b633f4bee3401p-6"),
+        ((1.0, 0.1, 0.0, 0.0, 1.0, "reduced"), W_OUT, A_M_OUT,
+         "0x1.03ec3a06b0d01p-5"),
+        ((1.3, 0.1, 0.5, 5.0, 1.5, "reduced"), A_M_OUT, A_1_OUT,
+         "0x1.7c8f532070590p-1"),
+        ((2.0, 0.05, 5.0, 100.0, 1.5, "reduced"), A_M_OUT, W_OUT,
+         "0x1.58b1b3345e001p-5"),
+        ((1.0, 0.1, 0.5, 5.0, 1.5, "full"), A_M_OUT, W_OUT,
+         "0x1.663cb66e90080p-4"),
+        ((1.0, 0.0, 0.0, 0.0, 1.0, "full"), A_M_OUT, A_1_OUT,
+         "0x1.20994cfb68e9bp-1"),
+        ((15.0, 0.1, 0.0, 0.0, 1.0, "reduced"), A_M_OUT, W_OUT,
+         "0x1.0000000000001p-8"),
+    ])
+    def test_witness_bits(self, oracle_cache, point, steered, party, bits):
+        oc = oracle_cache.covariance(*point)
+        assert steering_product(oc, steered, party).E_value.hex() == bits
 
     def test_report_contents(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.0, 0.0, 0.0)
