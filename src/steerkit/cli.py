@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -122,27 +122,25 @@ class Sweep:
         return np.linspace(self.start, self.stop, self.points)
 
     def to_dict(self) -> dict:
-        return {"variable": self.variable, "start": self.start,
-                "stop": self.stop, "points": self.points, "scale": self.scale}
+        return dict(vars(self))  # the fields, in declaration order
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sweep":
         if not isinstance(d, dict):
             raise ConfigError(f"sweep block must be an object, got {d!r}")
-        unknown = set(d) - {"variable", "start", "stop", "points", "scale"}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown sweep fields {sorted(unknown)}")
-        missing = {"variable", "start", "stop", "points"} - set(d)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"sweep block misses {sorted(missing)}")
         points = d["points"]
         if isinstance(points, bool) or not isinstance(points, int):
             raise ConfigError(f"sweep points must be an integer, got "
                               f"{points!r}")
-        sweep = cls(variable=d["variable"],
-                    start=_number(d["start"], "sweep start"),
-                    stop=_number(d["stop"], "sweep stop"), points=points,
-                    scale=d.get("scale", "linear"))
+        sweep = cls(**{**d, "start": _number(d["start"], "sweep start"),
+                       "stop": _number(d["stop"], "sweep stop")})
         sweep.validate()
         return sweep
 
@@ -150,7 +148,7 @@ class Sweep:
 @dataclass(frozen=True)
 class Scenario:
     mode: str
-    params: dict
+    params: dict = field(default_factory=dict)
     sweep: Sweep | None = None
     sweep2: Sweep | None = None
     cases: tuple[dict, ...] = ()
@@ -266,25 +264,17 @@ class Scenario:
             raise ConfigError(
                 f"unsupported schema_version {d['schema_version']!r} "
                 f"(tool speaks {SCHEMA_VERSION})")
-        known = {"schema_version", "mode", "engine", "params", "sweep",
-                 "sweep2", "cases", "output", "seed", "trajectories",
-                 "tolerances"}
-        unknown = set(d) - known
+        kwargs = {k: v for k, v in d.items() if k != "schema_version"}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
         try:
-            scenario = cls(
-                mode=d["mode"],
-                params=d.get("params", {}),
-                sweep=Sweep.from_dict(d["sweep"]) if "sweep" in d else None,
-                sweep2=Sweep.from_dict(d["sweep2"]) if "sweep2" in d else None,
-                cases=tuple(d.get("cases", ())),
-                engine=d.get("engine", "closedform"),
-                output=d.get("output"),
-                seed=d.get("seed", 12345),
-                trajectories=d.get("trajectories", 100_000),
-                tolerances=d.get("tolerances", {}),
-            )
+            for key in ("sweep", "sweep2"):
+                if key in kwargs:
+                    kwargs[key] = Sweep.from_dict(kwargs[key])
+            if "cases" in kwargs:
+                kwargs["cases"] = tuple(kwargs["cases"])
+            scenario = cls(**kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
         scenario.validate()
@@ -702,7 +692,7 @@ def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
 def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
     import warnings as pywarnings
 
-    wp = derive_working_point(p, tol=tol["fixed_point_tol"], max_iter=500)
+    wp = derive_working_point(p, tol=tol["fixed_point_tol"])
     warnings_out: list[str] = []
     with pywarnings.catch_warnings(record=True) as caught:
         pywarnings.simplefilter("always")
@@ -782,7 +772,8 @@ _MODES = {
     "heatmap": _Mode(_run_heatmap, ratio_params, sweeps=2),
     "n-threshold": _Mode(_run_nthreshold, ratio_params,
                          sweep_variables=("gamma_over_G",),
-                         tolerances={"n_tol": 0.5, "r_max": 10.0}),
+                         tolerances={"n_tol": steering.N_TOL,
+                                     "r_max": steering.R_MAX}),
     "validate-oracle": _Mode(_run_validate_oracle, ratio_params,
                              tolerances={"oracle_rel": 1e-6}),
     "validate-adiabatic": _Mode(_run_validate_adiabatic, _adiabatic_params,

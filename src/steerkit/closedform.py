@@ -145,15 +145,7 @@ class MomentSet:
     cov_Xm_PW: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "var_Xm_out": self.var_Xm_out,
-            "var_X1_out": self.var_X1_out,
-            "var_X2_out": self.var_X2_out,
-            "var_XW_out": self.var_XW_out,
-            "cov_Xm_P1": self.cov_Xm_P1,
-            "cov_Xm_P2": self.cov_Xm_P2,
-            "cov_Xm_PW": self.cov_Xm_PW,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
 
 def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,

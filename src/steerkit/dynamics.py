@@ -7,15 +7,16 @@ reduced mirror model obtained by adiabatic elimination, and augments the
 state with linear filter accumulators for the temporal output modes.
 
 Every kernel term is ``amp * exp(s t)`` acting on one system mode or noise
-channel, so the filter of a kernel whose terms share the rate ``s`` can be
-written ``F(t) = R(e^{s t}) h(t)`` with the time-invariant accumulator
+channel, and the terms of a kernel share its rate ``s``: one linear filter
+per matched exponential temporal mode.  Its output can be written ``F(t) =
+R(e^{s t}) h(t)`` with the time-invariant accumulator
 
     dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i,
 
 where ``R(c)`` is the 2x2 real form of multiplication by ``c`` and ``D_i =
 diag(1, -1)`` for creation-type (dagger) terms.  The augmented system ``dz
 = A z dt + B xi dt`` then has constant ``A`` and ``B``, one accumulator pair
-per kernel and rate, and ``F(tau) = T h(tau)`` with ``T = R(e^{s tau})``.
+per kernel, and ``F(tau) = T h(tau)`` with ``T = R(e^{s tau})``.
 Its step map over a time ``h`` -- the transition matrix ``Phi_h = e^{A h}``
 and the injected noise covariance ``Q_h`` -- follows exactly from Van
 Loan's block exponential (C. F. Van Loan, "Computing integrals involving
@@ -373,17 +374,17 @@ _R, _NEG_R, _R_DAGGER = range(3)
 class _Stack:
     """Time-invariant augmented systems ``(A, V)`` and end maps ``T`` of a
     stack of points that share one structure: one model kind, and kernels
-    with the same labels and terms whose rates group as the first point's
-    do (every kernel of ``output_kernels`` has one rate).
+    with the same labels and terms as the first point's.
 
-    The terms of each kernel are grouped by rate ``s``; each group gets one
-    accumulator pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i``
-    and contributes ``R(e^{s tau}) h(tau)`` to the kernel's filter output.
-    Standard kernels (including the collective ones) have a single rate.
-    ``T`` maps the augmented state at ``tau`` to the modes ``labels``: the
-    terminal mirror rotated by ``phase``, then one mode per kernel.  Every
-    array has the point as its first axis; each 2x2 block is written for
-    the whole stack at once, and a term's block is added onto zeros.
+    The terms of a kernel share one rate ``s`` (as every kernel of
+    ``output_kernels`` and ``collective_output_kernels`` does; a kernel
+    whose terms mix rates is refused).  Each kernel gets one accumulator
+    pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i``, and its
+    filter output is ``R(e^{s tau}) h(tau)``.  ``T`` maps the augmented
+    state at ``tau`` to the modes ``labels``: the terminal mirror rotated
+    by ``phase``, then one mode per kernel.  Every array has the point as
+    its first axis; each 2x2 block is written for the whole stack at once,
+    and a term's block is added onto zeros.
     """
 
     def __init__(self, models: list[LinearModel],
@@ -394,26 +395,24 @@ class _Stack:
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate kernel labels in {labels!r}")
         self.labels = (A_M_OUT,) + tuple(labels)
-        # (kernel index, term indices) of each accumulator pair
-        groups = [(k, tuple(i for i, t in enumerate(kern.terms)
-                            if t.rate == rate))
-                  for k, kern in enumerate(first)
-                  for rate in dict.fromkeys(t.rate for t in kern.terms)]
-        # per point: the mirror's phase factor, then per group its rate, its
+        # per point: the mirror's phase factor, then per kernel its rate, its
         # end factor e^{s tau} and its terms' amplitudes
         values = []
         for ks, tau, phase in zip(kernels, taus, phases):
             row = [cmath.exp(-1j * phase)]
-            for k, terms in groups:
-                rate = ks[k].terms[terms[0]].rate
+            for kern in ks:
+                if len({t.rate for t in kern.terms}) != 1:
+                    raise InvalidParams(
+                        f"kernel {kern.label!r} needs terms of one rate")
+                rate = kern.terms[0].rate
                 row += [rate, cmath.exp(rate * tau)]
-                row += [ks[k].terms[i].amplitude for i in terms]
+                row += [t.amplitude for t in kern.terms]
             values.append(row)
         v = np.asarray(values, dtype=complex).view(float).reshape(
             len(values), -1, 2)
         blocks = np.concatenate([v, -v], axis=2)[:, :, _FORMS]
         P, n_sys = len(models), 2 * model.dimension
-        n = n_sys + 2 * len(groups)
+        n = n_sys + 2 * len(first)
         sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
         A = np.zeros((P, n, n))
         B = np.zeros((P, n, 2 * len(model.noise_channels)))
@@ -423,12 +422,11 @@ class _Stack:
         # the mirror is the last system mode
         T[:, :2, n_sys - 2:n_sys] = blocks[:, 0, _R]
         at = 1
-        for g, (k, terms) in enumerate(groups):
-            row = slice(n_sys + 2 * g, n_sys + 2 * g + 2)
+        for k, kern in enumerate(first):
+            row = slice(n_sys + 2 * k, n_sys + 2 * k + 2)
             A[:, row, row] = blocks[:, at, _NEG_R]
             T[:, 2 + 2 * k:4 + 2 * k, row] += blocks[:, at + 1, _R]
-            for j, i in enumerate(terms, start=at + 2):
-                t = first[k].terms[i]
+            for j, t in enumerate(kern.terms, start=at + 2):
                 if t.kind == "system":
                     tgt, col = A, 2 * sys_index[t.target]
                 elif t.kind == "noise":
@@ -437,7 +435,7 @@ class _Stack:
                     raise InvalidParams(f"unknown kernel term kind {t.kind!r}")
                 tgt[:, row, col:col + 2] += blocks[:, j, _R_DAGGER if t.dagger
                                                    else _R]
-            at += 2 + len(terms)
+            at += 2 + len(kern.terms)
         intensities = np.array([m.noise_intensities for m in models])
         self.drift = A
         self.diffusion = (B * intensities[:, None, :]) @ B.swapaxes(1, 2)
@@ -572,7 +570,6 @@ def monte_carlo_output_covariance(model: LinearModel,
                                   kernels: list[TemporalKernel],
                                   tau: float, trajectories: int, seed: int, *,
                                   terminal_phase: float = 0.0,
-                                  se_bound: float | None = None,
                                   ) -> OutputCovariance:
     """Stochastic estimate of the output covariance.
 
@@ -596,9 +593,8 @@ def monte_carlo_output_covariance(model: LinearModel,
     assembly.
 
     Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
-    trajectories or when the largest standard error exceeds ``se_bound``,
-    and ``IntegratorFailure`` when ``Sigma_out``, the moment sums or their
-    standard errors are not finite.
+    trajectories, and ``IntegratorFailure`` when ``Sigma_out``, the moment
+    sums or their standard errors are not finite.
     """
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
@@ -629,9 +625,6 @@ def monte_carlo_output_covariance(model: LinearModel,
         raise IntegratorFailure(
             f"Monte Carlo moment sums overflow over {trajectories} "
             f"trajectories")
-    if se_bound is not None and float(errors.max()) > se_bound:
-        raise InsufficientTrajectories(
-            f"max standard error {errors.max():.3g} exceeds bound {se_bound}")
     return OutputCovariance(exact.mode_labels, mean, errors)
 
 

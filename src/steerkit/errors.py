@@ -10,7 +10,8 @@ class InvalidParams(SteerkitError):
 
 
 class NonConvergence(SteerkitError):
-    """The working-point solver did not converge (bistable or marginal point)."""
+    """The working-point solver could not resolve x_s to its tolerance: the
+    tolerance is finer than the float spacing at the root."""
 
 
 class OffResonance(SteerkitError):
@@ -41,7 +42,7 @@ class IntegratorFailure(SteerkitError):
 
 
 class InsufficientTrajectories(SteerkitError):
-    """Monte Carlo trajectory count too small for the requested precision."""
+    """Fewer Monte Carlo trajectories than ``dynamics.MIN_TRAJECTORIES``."""
 
 
 class MissingModes(SteerkitError):

@@ -29,6 +29,11 @@ from .errors import (
 )
 
 SQRT2 = math.sqrt(2.0)
+MAX_ITER = 500  # steps of each stage of ``derive_working_point``
+# the gates of ``reduce``; its docstring says what each bounds
+RESONANCE_RTOL = 1e-6
+DAMPING_RTOL = 0.01
+WARN_RATIO = 0.2
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ class DerivedQuantities:
 
 
 def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
-                         max_iter: int = 200) -> WorkingPoint:
+                         ) -> WorkingPoint:
     """Solve the classical self-consistency for the driven working point.
 
     The fixed point couples the static mirror displacement to the cavity
@@ -192,23 +197,23 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
     - ``alpha_j = E_j / (kappa_j + i Delta_j)``
     - ``x_s = -sqrt(2) (g01 |alpha1|^2 + g02 |alpha2|^2) / omega_m``
 
-    Damped Picard iteration on ``x_s``, with a guaranteed bisection fallback
-    on the scalar self-consistency equation (the displacement map is bounded,
-    so a bracket always exists).
+    Damped Picard iteration on ``x_s``, with a bisection fallback on the
+    scalar self-consistency equation (the displacement map is bounded, so a
+    bracket always exists).  Each stage runs at most ``MAX_ITER`` steps.
 
     Raises
     ------
     InvalidParams
-        If ``p`` violates its invariants or ``tol``/``max_iter`` are invalid.
+        If ``p`` violates its invariants or ``tol`` is not positive.
     NonConvergence
-        If the iteration budget is exhausted, which signals a bistable or
-        marginal working point.
+        If the bisection cannot shrink its bracket below ``tol``.  Its
+        bracket always exists, so this happens only where ``tol`` is finer
+        than the float spacing at the root it closes in on (about ``eps *
+        |x_s|``); a bistable map still yields one of its roots.
     """
     p.validate()
     if not tol > 0.0:
         raise InvalidParams(f"tol must be > 0, got {tol!r}")
-    if max_iter < 1:
-        raise InvalidParams(f"max_iter must be >= 1, got {max_iter!r}")
 
     d01 = p.omega1 - p.omega_L
     d02 = p.omega2 - p.omega_L
@@ -227,7 +232,7 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
     x = 0.0
     converged = False
     damping = 0.5
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         x_new = (1.0 - damping) * x + damping * displacement(x)
         if abs(x_new - x) < tol:
             x = x_new
@@ -244,7 +249,7 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
         g_hi = displacement(hi) - hi
         if g_lo * g_hi > 0.0:
             raise NonConvergence("no bracket for the working-point equation")
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             mid = 0.5 * (lo + hi)
             g_mid = displacement(mid) - mid
             if g_lo * g_mid <= 0.0:
@@ -257,7 +262,7 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
         x = 0.5 * (lo + hi)
         if not converged:
             raise NonConvergence(
-                f"working point not converged after {max_iter} iterations")
+                f"working point not converged after {MAX_ITER} iterations")
 
     a1, a2, D1, D2 = amplitudes(x)
     return WorkingPoint(
@@ -286,40 +291,38 @@ def working_point_residuals(p: PhysicalParams, wp: WorkingPoint) -> tuple[float,
             abs(wp.alpha2 - a2_target))
 
 
-def reduce(p: PhysicalParams, wp: WorkingPoint, *,
-           resonance_rtol: float = 1e-6,
-           damping_rtol: float = 0.01,
-           warn_ratio: float = 0.2) -> ReducedParams:
+def reduce(p: PhysicalParams, wp: WorkingPoint) -> ReducedParams:
     """Collapse validated physical parameters onto the rotating-frame model.
 
     Requires the drive on the blue sideband of the average cavity frequency,
-    ``omega_L = (omega1 + omega2)/2 + omega_m``, within ``resonance_rtol *
-    omega_m``, and near-equal cavity damping rates.  Emits ``RegimeWarning``
-    (never an error) when the weak-coupling or resolved-sideband ratios
-    ``g_j/kappa`` and ``kappa/omega_m`` exceed ``warn_ratio``.
+    ``omega_L = (omega1 + omega2)/2 + omega_m``, within ``RESONANCE_RTOL *
+    omega_m``, and cavity damping rates within ``DAMPING_RTOL`` of their
+    mean.  Emits ``RegimeWarning`` (never an error) when the weak-coupling
+    or resolved-sideband ratios ``g_j/kappa`` and ``kappa/omega_m`` exceed
+    ``WARN_RATIO``.
     """
     p.validate()
     omega0 = 0.5 * (p.omega1 + p.omega2)
     offset = p.omega_L - omega0 - p.omega_m
-    if abs(offset) > resonance_rtol * p.omega_m:
+    if abs(offset) > RESONANCE_RTOL * p.omega_m:
         raise OffResonance(
             f"drive offset from blue sideband is {offset:.6g} rad/s "
-            f"(tolerance {resonance_rtol * p.omega_m:.6g} rad/s)")
-    if abs(p.kappa1 - p.kappa2) > damping_rtol * 0.5 * (p.kappa1 + p.kappa2):
+            f"(tolerance {RESONANCE_RTOL * p.omega_m:.6g} rad/s)")
+    if abs(p.kappa1 - p.kappa2) > DAMPING_RTOL * 0.5 * (p.kappa1 + p.kappa2):
         raise AsymmetricDamping(
             f"kappa1={p.kappa1:.6g} and kappa2={p.kappa2:.6g} differ beyond "
-            f"{damping_rtol:.0%}; the reduced model assumes a common kappa")
+            f"{DAMPING_RTOL:.0%}; the reduced model assumes a common kappa")
 
     kappa = 0.5 * (p.kappa1 + p.kappa2)
     for name, g in (("g1", wp.g1), ("g2", wp.g2)):
-        if g / kappa > warn_ratio:
+        if g / kappa > WARN_RATIO:
             warnings.warn(
-                f"{name}/kappa = {g / kappa:.3g} exceeds {warn_ratio}; "
+                f"{name}/kappa = {g / kappa:.3g} exceeds {WARN_RATIO}; "
                 "adiabatic elimination of the cavities is marginal",
                 RegimeWarning, stacklevel=2)
-    if kappa / p.omega_m > warn_ratio:
+    if kappa / p.omega_m > WARN_RATIO:
         warnings.warn(
-            f"kappa/omega_m = {kappa / p.omega_m:.3g} exceeds {warn_ratio}; "
+            f"kappa/omega_m = {kappa / p.omega_m:.3g} exceeds {WARN_RATIO}; "
             "the rotating-wave approximation is marginal",
             RegimeWarning, stacklevel=2)
 

@@ -23,6 +23,13 @@ QuadratureSelector = tuple[str, str]  # (mode label, "X" | "P")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# settings of the threshold searches; the CLI's defaults read R_MAX and N_TOL
+R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
+N_TOL = 0.5  # width of the n bracket of noise_threshold
+N_CAP = 1e6  # noise_threshold gives up past this n
+SCAN_POINTS = 128  # log-spaced pulse areas behind each sup over r
+CROSSING_TOL = 1e-9  # width of the r bracket of r_crossing
+
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
                        party: QuadratureSelector) -> tuple[float, float]:
@@ -143,18 +150,18 @@ class ThresholdResult:
 
 
 def _sup_over_r(x: float, n0: float, n: float, r_max: float,
-                scan_points: int = 128) -> tuple[float, float]:
+                ) -> tuple[float, float]:
     """Supremum of the collective witness over r in (0, r_max].
 
     Coarse log-spaced scan, then golden-section refinement around the best
     grid point (the witness is smooth; the boundary r -> 0 is included via
     the leftmost grid points where E -> n0 + 1/2 from below or above).
     """
-    rs = np.logspace(-3, math.log10(r_max), scan_points)
+    rs = np.logspace(-3, math.log10(r_max), SCAN_POINTS)
     vals = collective_steering_value(rs, x, n0, n)
     k = int(np.argmax(vals))
     lo = rs[k - 1] if k > 0 else rs[0] / 2.0
-    hi = rs[k + 1] if k + 1 < scan_points else r_max
+    hi = rs[k + 1] if k + 1 < SCAN_POINTS else r_max
     r_best = _golden_minimize(
         lambda r: -collective_steering_value(r, x, n0, n), lo, hi, 1e-6)
     candidates = [(float(vals[k]), float(rs[k])),
@@ -183,15 +190,14 @@ def _bisect(up, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
-                    tol: float = 0.5, *, n_cap: float = 1e6,
-                    ) -> ThresholdResult:
+def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
+                    tol: float = N_TOL) -> ThresholdResult:
     """Largest bath occupation with collective steering at every pulse area.
 
     Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``,
     down to a bracket of width ``tol`` or of adjacent floats.  Raises
     ``NoThreshold`` when even n = 0 fails (too much damping) or when
-    steering survives past the search cap (damping too weak to set a bound).
+    steering survives past ``N_CAP`` (damping too weak to set a bound).
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
@@ -209,9 +215,9 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
     while ok(hi):
         lo = hi
         hi *= 2.0
-        if hi > n_cap:
+        if hi > N_CAP:
             raise NoThreshold(
-                f"steering survives past the n = {n_cap:.3g} search cap for "
+                f"steering survives past the n = {N_CAP:.3g} search cap for "
                 f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
                 "survives any bath occupation")
     lo, hi = _bisect(ok, lo, hi, tol)
@@ -220,34 +226,34 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = 10.0,
     return ThresholdResult("n", value, (lo, hi), sup_r)
 
 
-def r_crossing(gamma_over_G: float, n0: float, n: float,
-               r_max: float = 10.0, tol: float = 1e-9) -> ThresholdResult:
-    """Smallest pulse area where the collective witness drops below 1/2,
-    bracketed to width ``tol`` or to adjacent floats."""
+def r_crossing(gamma_over_G: float, n0: float, n: float) -> ThresholdResult:
+    """Smallest pulse area in (0, ``R_MAX``] where the collective witness
+    drops below 1/2, bracketed to width ``CROSSING_TOL`` or to adjacent
+    floats."""
     if not n0 > 0.0:
         raise InvalidParams(
             f"crossing search needs n0 > 0 (witness starts above 1/2), "
             f"got n0 = {n0!r}")
-    _check_search(r_max, tol)
     _check_inputs(0.0, gamma_over_G, n0, n)
 
     def still_above(r: float) -> bool:
         return collective_steering_value(r, gamma_over_G, n0, n) > 0.5
 
-    rs = np.linspace(0.0, r_max, 4097)
+    rs = np.linspace(0.0, R_MAX, 4097)
     above = collective_steering_value(rs, gamma_over_G, n0, n) - 0.5
     down = np.flatnonzero((above[:-1] > 0.0) & (above[1:] <= 0.0))
     if down.size == 0:
         raise NoThreshold(
-            f"witness never crosses 1/2 on (0, {r_max}] at "
+            f"witness never crosses 1/2 on (0, {R_MAX}] at "
             f"gamma/G = {gamma_over_G}, n0 = {n0}, n = {n}")
-    lo, hi = _bisect(still_above, rs[down[0]], rs[down[0] + 1], tol)
+    lo, hi = _bisect(still_above, rs[down[0]], rs[down[0] + 1], CROSSING_TOL)
     return ThresholdResult("r", 0.5 * (lo + hi), (lo, hi), math.nan)
 
 
 @dataclass(frozen=True)
 class SteeringRegion:
-    """Collective witness over a (pulse area, damping ratio) grid."""
+    """Collective witness over a (pulse area, damping ratio) grid; a cell
+    outside the witness's domain is NaN."""
 
     r_values: np.ndarray
     gamma_over_G_values: np.ndarray
@@ -259,16 +265,15 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
                     ) -> SteeringRegion:
     """Evaluate the collective witness on a grid and trace its 1/2 contour.
 
-    The contour is found per damping-ratio row by bisection between grid
-    points with opposite sign of E - 1/2.
+    Cells are those of the array ``collective_steering_value``: NaN where
+    an argument leaves the domain (a negative r, gamma/G, n0 or n).  The
+    contour is found per damping-ratio row by bisection between adjacent
+    finite cells with opposite sign of E - 1/2; NaN cells never join it.
     """
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
     if rs.size == 0 or xs.size == 0:
         raise InvalidParams("grids must be nonempty")
-    if (rs < 0).any() or (xs < 0).any():
-        raise InvalidParams("grids must be nonnegative")
-    _check_inputs(0.0, 0.0, n0, n)
     r2, x2 = np.meshgrid(rs, xs)
     E = collective_steering_value(r2, x2, n0, n)
 

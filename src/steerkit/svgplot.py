@@ -29,9 +29,34 @@ def _scale(lo: float, hi: float, a: float, b: float):
     return lambda v: a + (v - lo) / span * (b - a)
 
 
+def _write(path: str, parts: list[str], sx, sy, x_ticks, y_ticks,
+           x_label: str, y_label: str = "", after: list[str] | tuple = (),
+           ) -> None:
+    """Write an SVG on a white background, one element per line: ``parts``,
+    the tick values below the x axis and left of the y axis, the axis
+    labels that are set, then ``after``."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+             f'<rect width="{_W}" height="{_H}" fill="white"/>', *parts]
+    parts += [f'<text x="{_fmt(sx(t))}" y="{_H - _MB + 18}" '
+              f'font-size="11" text-anchor="middle">{_fmt(t)}</text>'
+              for t in x_ticks]
+    parts += [f'<text x="{_ML - 6}" y="{_fmt(sy(t) + 4)}" '
+              f'font-size="11" text-anchor="end">{_fmt(t)}</text>'
+              for t in y_ticks]
+    if x_label:
+        parts.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" '
+                     f'font-size="12" text-anchor="middle">{x_label}</text>')
+    if y_label:
+        parts.append(f'<text x="16" y="{(_MT + _H - _MB) // 2}" '
+                     f'font-size="12" text-anchor="middle" transform='
+                     f'"rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>')
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([*parts, *after, "</svg>\n"]))
+
+
 def line_chart(x, series: dict[str, list[float]], path: str, *,
-               x_label: str = "", y_label: str = "",
-               hline: float | None = None) -> None:
+               x_label: str = "", hline: float | None = None) -> None:
     """Write a multi-curve line chart; NaN points break the polyline."""
     xs = list(x)
     all_y = _finite([v for ys in series.values() for v in ys])
@@ -41,26 +66,11 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
     sy = _scale(min(all_y + ([hline] if hline is not None else [])),
                 max(all_y + ([hline] if hline is not None else [])),
                 _H - _MB, _MT)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-             f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" '
-             f'y2="{_H - _MB}" stroke="black"/>',
-             f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
-             f'stroke="black"/>']
-    for t in (min(xs), 0.5 * (min(xs) + max(xs)), max(xs)):
-        parts.append(f'<text x="{_fmt(sx(t))}" y="{_H - _MB + 18}" '
-                     f'font-size="11" text-anchor="middle">{_fmt(t)}</text>')
-    for t in (min(all_y), 0.5 * (min(all_y) + max(all_y)), max(all_y)):
-        parts.append(f'<text x="{_ML - 6}" y="{_fmt(sy(t) + 4)}" '
-                     f'font-size="11" text-anchor="end">{_fmt(t)}</text>')
-    if x_label:
-        parts.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" '
-                     f'font-size="12" text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="16" y="{(_MT + _H - _MB) // 2}" '
-                     f'font-size="12" text-anchor="middle" transform='
-                     f'"rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>')
+    axes = [f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" '
+            f'y2="{_H - _MB}" stroke="black"/>',
+            f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
+            f'stroke="black"/>']
+    parts = []
     if hline is not None:
         y = _fmt(sy(hline))
         parts.append(f'<line x1="{_ML}" y1="{y}" x2="{_W - _MR}" y2="{y}" '
@@ -84,9 +94,9 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
         parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 16 * k}" '
                      f'font-size="12" text-anchor="end" fill="{color}">'
                      f'{name}</text>')
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
+    _write(path, axes, sx, sy, (min(xs), 0.5 * (min(xs) + max(xs)), max(xs)),
+           (min(all_y), 0.5 * (min(all_y) + max(all_y)), max(all_y)), x_label,
+           after=parts)
 
 
 def heatmap(x, y, values, path: str, *, x_label: str = "",
@@ -116,9 +126,7 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
         255 * t, 255 * (1.0 - np.abs(2.0 * t - 1.0)),
         255 * (1.0 - t)]).astype(np.int64)], "cc").tolist()
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    parts = []
     size = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="#'
     heads = [f'<rect x="{_fmt(sx(xv) - cw / 2)}" y="' for xv in xs]
     for yv, reds, greens, blues in zip(ys, *channels):
@@ -130,19 +138,5 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
         pts = " ".join(f"{_fmt(sx(rv))},{_fmt(sy(gv))}" for rv, gv in contour)
         parts.append(f'<polyline fill="none" stroke="black" '
                      f'stroke-width="1.5" points="{pts}"/>')
-    for t in (min(xs), max(xs)):
-        parts.append(f'<text x="{_fmt(sx(t))}" y="{_H - _MB + 18}" '
-                     f'font-size="11" text-anchor="middle">{_fmt(t)}</text>')
-    for t in (min(ys), max(ys)):
-        parts.append(f'<text x="{_ML - 6}" y="{_fmt(sy(t) + 4)}" '
-                     f'font-size="11" text-anchor="end">{_fmt(t)}</text>')
-    if x_label:
-        parts.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" '
-                     f'font-size="12" text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="16" y="{(_MT + _H - _MB) // 2}" '
-                     f'font-size="12" text-anchor="middle" transform='
-                     f'"rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>')
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
+    _write(path, parts, sx, sy, (min(xs), max(xs)), (min(ys), max(ys)),
+           x_label, y_label)

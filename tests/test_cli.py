@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steerkit
@@ -378,6 +379,33 @@ class TestOtherModes:
         assert all(math.isnan(e) == (k in bad) for k, e in enumerate(es))
         assert record.points[4]["E"] == collective_steering_value(
             0.0, 0.1, 1.0, 0.0)
+
+    def test_negative_pulse_areas_in_a_steering_region_map(
+            self, tmp_path, capsys):
+        # the (r, gamma/G) pair goes through steering_region: its cells
+        # outside the domain are NaN with a warning, as on every other pair
+        doc = {"schema_version": 1, "mode": "heatmap",
+               "params": {"kind": "ratios", "n0": 0.5, "n": 0.5},
+               "sweep": {"variable": "r", "start": -1.0, "stop": 2.0,
+                         "points": 4},
+               "sweep2": {"variable": "gamma_over_G", "start": 0.0,
+                          "stop": 0.3, "points": 3}}
+        cfg, out = tmp_path / "map.json", tmp_path / "map.csv"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg), "--output",
+                         str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "map.contour.csv").exists()
+        record = run(Scenario.from_dict(doc))
+        assert record.warnings == [
+            f"point {i}: pulse area r must be >= 0, got -1.0"
+            for i in (0, 4, 8)]
+        ref = run(Scenario.from_dict(
+            {**doc, "sweep": {**doc["sweep"], "start": 0.0, "points": 3}}))
+        E, E_ref = record.points.E, ref.points.E
+        assert np.isnan(E[:, 0]).all()
+        assert E[:, 1:].tobytes() == E_ref.tobytes()
+        assert record.summary["contour"] == ref.summary["contour"] != []
 
     def test_cross_correlation_is_byte_identical_across_thread_counts(
             self, tmp_path):
@@ -1092,3 +1120,41 @@ def test_reproduce_figures_script(tmp_path):
         assert csv_text.startswith(
             f"# scenario_digest: {PRESETS[name]().digest()}\n")
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+
+
+# stdout of scripts/feasibility.py: it reads r_crossing and prints the
+# search-cap message of noise_threshold, so it pins both searches' settings
+FEASIBILITY_STDOUT = "\n".join([
+    "== nanobeam (optical, 3.68 GHz mechanics) ==",
+    "  G1 = G2 = 2pi x 1.656 MHz",
+    "  gamma/G = 1.068e-02",
+    "  minimal pulse area for steering (undamped): r_th = 0.1890",
+    "  witness crosses 1/2 at r = 0.1894 with damping and bath noise",
+    "  E(r = 0.5) = 0.1826",
+    "  E(r = 1.0) = 0.0537",
+    "  E(r = 2.0) = 0.0064",
+    "  bath threshold (ground-state mirror): n = 419528; operating n = 0.85 "
+    "is inside the all-pulse-area window",
+    "",
+    "== microwave electromechanics ==",
+    "  gamma/G = 1.75e-3 (given)",
+    "  minimal pulse area for steering (undamped): r_th = 0.1438",
+    "  witness crosses 1/2 at r = 0.1540 with damping and bath noise",
+    "  E(r = 0.5) = 0.1733",
+    "  E(r = 1.0) = 0.0532",
+    "  E(r = 2.0) = 0.0066",
+    "  bath threshold: steering survives past the n = 1e+06 search cap for "
+    "gamma/G = 0.00175; in the zero-damping limit it survives any bath "
+    "occupation",
+    "", ""])
+
+
+def test_feasibility_script_output_is_pinned():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "feasibility.py")],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout == FEASIBILITY_STDOUT

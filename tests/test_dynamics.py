@@ -293,21 +293,16 @@ class TestAgainstTimeDependentForm:
         assert self.worst_scaled_error(rp, full=True) <= 1e-9
 
 
-    def test_kernel_with_two_rates(self):
-        # a kernel mixing the cavity-output rate G + i delta with the bath
-        # rate G - i delta needs two accumulator pairs
+    def test_kernel_mixing_rates_is_refused(self):
+        # one accumulator pair per kernel needs one rate per kernel: the
+        # cavity-output rate G + i delta and the bath rate G - i delta differ
         rp = reduced_from_ratios(1.5, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
         a1, bt = output_kernels(rp, full=False, which=(A_1_OUT, B_TILDE))
         assert a1.terms[0].rate != bt.terms[0].rate
         mixed = TemporalKernel("mixed", a1.terms + bt.terms)
-        model = build_reduced_model(rp)
-        kernels = [a1, mixed]
-        phase = mirror_output_phase(rp)
-        ref = time_dependent_reference(model, kernels, rp.tau, phase)
-        got = propagate_output_covariance(model, kernels, rp.tau,
-                                          terminal_phase=phase).sigma
-        d = np.sqrt(np.diag(ref))
-        assert (np.abs(got - ref) / np.outer(d, d)).max() <= 1e-9
+        with pytest.raises(InvalidParams, match="one rate"):
+            propagate_output_covariance(build_reduced_model(rp), [a1, mixed],
+                                        rp.tau)
 
 
 class TestStepMap:

@@ -87,12 +87,6 @@ class TestMonteCarlo:
         with pytest.raises(InsufficientTrajectories):
             monte_carlo_output_covariance(model, kernels, rp.tau, 999, 1)
 
-    def test_rejects_unreachable_error_bound(self):
-        rp, model, kernels, phase = mc_setup()
-        with pytest.raises(InsufficientTrajectories):
-            monte_carlo_output_covariance(model, kernels, rp.tau, 1_000, 1,
-                                          se_bound=1e-9)
-
     def test_cross_correlation_estimate(self):
         from steerkit import cross_correlation
         rp, model, kernels, phase = mc_setup()
