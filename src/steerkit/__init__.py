@@ -34,7 +34,6 @@ from .model import (
     reduced_from_ratios,
 )
 from .steering import (
-    SteeringReport,
     ThresholdResult,
     noise_threshold,
     r_crossing,
@@ -52,6 +51,6 @@ __all__ = [
     "DerivedQuantities", "PhysicalParams", "ReducedParams", "WorkingPoint",
     "derive_working_point", "derived_quantities", "reduce",
     "reduced_from_ratios",
-    "SteeringReport", "ThresholdResult", "noise_threshold", "r_crossing",
-    "steering_product", "steering_region",
+    "ThresholdResult", "noise_threshold", "r_crossing", "steering_product",
+    "steering_region",
 ]

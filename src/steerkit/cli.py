@@ -162,7 +162,7 @@ class Scenario:
         """Check every field's value, then that the mode reads every field
         that is set (``_MODES``): a field the mode would ignore is an
         error."""
-        mode = _MODES.get(self.mode)
+        mode = _MODES.get(self.mode) if isinstance(self.mode, str) else None
         if mode is None:
             raise ConfigError(f"mode {self.mode!r} not in {tuple(_MODES)}")
         if self.engine not in ENGINES:
@@ -338,17 +338,7 @@ def ratio_params(params: dict) -> dict:
                 out[key] = _number(params[key], f"params {key!r}")
         return out
     if kind == "reduced":
-        try:
-            rp = ReducedParams(
-                g1=parse_rate(params["g1"]), g2=parse_rate(params["g2"]),
-                kappa=parse_rate(params["kappa"]),
-                Delta=parse_rate(params["Delta"]),
-                gamma=parse_rate(params["gamma"]),
-                n0=_number(params["n0"], "params 'n0'"),
-                n=_number(params["n"], "params 'n'"),
-                tau=_number(params["tau"], "params 'tau'"))
-        except KeyError as exc:
-            raise ConfigError(f"reduced params missing {exc}") from exc
+        rp = _rate_block(ReducedParams, params, kind)
         dq = derived_quantities(rp)
         out.update({
             "r": dq.r,
@@ -366,25 +356,22 @@ def ratio_params(params: dict) -> dict:
 def physical_params(params: dict) -> PhysicalParams:
     if params.get("kind") != "physical":
         raise ConfigError("this mode needs a params block with kind 'physical'")
+    return _rate_block(PhysicalParams, params, "physical")
+
+
+def _rate_block(cls, params: dict, kind: str):
+    """``cls`` from a params block that sets each of its fields and nothing
+    else, in field order: ``n0``, ``n`` and ``tau`` are numbers, every other
+    field a rate (``parse_rate``)."""
+    unknown = set(params) - {f.name for f in fields(cls)} - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown {kind} params {sorted(unknown)}")
     try:
-        return PhysicalParams(
-            omega1=parse_rate(params["omega1"]),
-            omega2=parse_rate(params["omega2"]),
-            omega_m=parse_rate(params["omega_m"]),
-            omega_L=parse_rate(params["omega_L"]),
-            kappa1=parse_rate(params["kappa1"]),
-            kappa2=parse_rate(params["kappa2"]),
-            gamma=parse_rate(params["gamma"]),
-            g01=parse_rate(params["g01"]),
-            g02=parse_rate(params["g02"]),
-            E1=parse_rate(params["E1"]),
-            E2=parse_rate(params["E2"]),
-            n0=_number(params["n0"], "params 'n0'"),
-            n=_number(params["n"], "params 'n'"),
-            tau=_number(params["tau"], "params 'tau'"),
-        )
+        return cls(**{f.name: _number(params[f.name], f"params {f.name!r}")
+                      if f.name in ("n0", "n", "tau")
+                      else parse_rate(params[f.name]) for f in fields(cls)})
     except KeyError as exc:
-        raise ConfigError(f"physical params missing {exc}") from exc
+        raise ConfigError(f"{kind} params missing {exc}") from exc
 
 
 def _apply(knobs: dict, variable: str, value: float) -> dict:
@@ -500,8 +487,7 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
                     _witness({**_apply(base, var, v), **over})
             if oracle:
                 row[ocol] = steering.steering_product(
-                    _raised(ocs[i]), dynamics.A_M_OUT,
-                    dynamics.W_OUT).E_value
+                    _raised(ocs[i]), dynamics.A_M_OUT, dynamics.W_OUT)
         return fill
 
     columns, steps = [var], []
@@ -607,8 +593,8 @@ def _oracle_moment_row(knobs: dict, oc) -> dict:
         "cov_Xm_P1": oc.covariance((m, "X"), (a1, "P")),
         "cov_Xm_P2": oc.covariance((m, "X"), (a2, "P")),
         "cov_Xm_PW": oc.covariance((m, "X"), (w, "P")),
-        "E_mW": steering.steering_product(oc, m, w).E_value,
-        "E_m1": steering.steering_product(oc, m, a1).E_value,
+        "E_mW": steering.steering_product(oc, m, w),
+        "E_m1": steering.steering_product(oc, m, a1),
     }
     closed["E_mW"] = closedform.collective_steering_value(r, x, n0, n)
     closed["E_m1"] = closedform.single_steering_value(
@@ -643,8 +629,9 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     return columns, points, warnings, summary
 
 
-def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
-    """Ratio knobs and kappa/g ladder of a validate-adiabatic params block."""
+def _adiabatic_params(params: dict) -> tuple[list[float], list[dict]]:
+    """The kappa/g ladder of a validate-adiabatic params block and the
+    ratio knobs of each rung."""
     ratios = params.get("kappa_over_g", [5.0, 10.0, 20.0, 40.0])
     if not isinstance(ratios, list) or len(ratios) < 1:
         raise ConfigError("validate-adiabatic needs a kappa_over_g list")
@@ -660,16 +647,20 @@ def _adiabatic_params(params: dict) -> tuple[dict, list[float]]:
     if base["G1_over_G2"] != 1.0:
         raise ConfigError(f"validate-adiabatic runs at G1_over_G2 = 1, got "
                           f"{base['G1_over_G2']!r}")
-    return base, ladder
+    # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
+    try:
+        rungs = [{**base, "kappa": (1.0 + base["gamma_over_G"]) * ratio ** 2}
+                 for ratio in ladder]
+    except OverflowError:
+        raise ConfigError(f"kappa_over_g entries {ratios!r} put kappa past "
+                          f"the float range") from None
+    return ladder, rungs
 
 
 def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
-    base, ratios = params
-    # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
-    ladder = [{**base, "kappa": (1.0 + base["gamma_over_G"]) * ratio ** 2}
-              for ratio in ratios]
+    ratios, rungs = params
     # the whole covariance is compared, so every standard mode is kept
-    full, reduced = (_oracle_sweep(ladder, engine=engine,
+    full, reduced = (_oracle_sweep(rungs, engine=engine,
                                    which=dynamics.DEFAULT_OUTPUT_MODES)
                      for engine in ("full", "reduced"))
     points = []
@@ -910,19 +901,26 @@ def _write_contour(path: str, record: RunRecord, contour) -> None:
 
 
 def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
+    """Draw the record's chart; when it has no finite value, write no file
+    and say so in one line on stderr."""
     from . import svgplot
 
-    if scenario.mode == "heatmap":
-        grid = record.points
-        svgplot.heatmap(grid.v1, grid.v2, grid.E, path, x_label=grid.var1,
-                        y_label=grid.var2,
-                        contour=tuple(record.summary.get("contour", ())))
-        return
-    xcol = record.columns[0]
-    xs = [p[xcol] for p in record.points]
-    series = {c: [p[c] for p in record.points] for c in record.columns[1:]}
-    svgplot.line_chart(xs, series, path, x_label=xcol,
-                       hline=0.5 if scenario.mode == "curve" else None)
+    try:
+        if scenario.mode == "heatmap":
+            grid = record.points
+            svgplot.heatmap(grid.v1, grid.v2, grid.E, path, x_label=grid.var1,
+                            y_label=grid.var2,
+                            contour=tuple(record.summary.get("contour", ())))
+        else:
+            xcol = record.columns[0]
+            xs = [p[xcol] for p in record.points]
+            series = {c: [p[c] for p in record.points]
+                      for c in record.columns[1:]}
+            svgplot.line_chart(xs, series, path, x_label=xcol,
+                               hline=0.5 if scenario.mode == "curve" else None)
+    except svgplot.NothingToPlot:
+        sys.stderr.write(f"steerkit: warning: no finite value to plot; {path} "
+                         f"not written\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1023,48 +1021,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: str, args) -> Scenario:
+def _load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            scenario = Scenario.from_json(fh.read())
+            return Scenario.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path!r}: {exc}") from exc
-    if args.seed is not None:
-        scenario = Scenario(**{**scenario.__dict__, "seed": args.seed})
-    return scenario
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "validate"):
-            scenario = _load_scenario(args.config, args)
-            if args.command == "validate" \
-                    and not scenario.mode.startswith("validate-"):
-                raise ConfigError(
-                    f"validate expects a validate-* scenario, got "
-                    f"{scenario.mode!r}")
-            record = run(scenario, output=args.output, fmt=args.format,
-                         threads=args.threads, svg=args.svg)
-            return record.exit_code
         if args.command == "preset":
             scenario = PRESETS[args.name]()
-            if args.seed is not None:
-                scenario = Scenario(**{**scenario.__dict__,
-                                       "seed": args.seed})
-                scenario.validate()
-            if not args.run:
-                text = scenario.to_json()
-                if args.output:
-                    with open(args.output, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                else:
-                    sys.stdout.write(text)
-                return 0
-            record = run(scenario, output=args.output, fmt=args.format,
-                         threads=args.threads, svg=args.svg)
-            return record.exit_code
-        raise ConfigError(f"unknown command {args.command!r}")
+        else:
+            scenario = _load_scenario(args.config)
+        if args.seed is not None:
+            scenario = Scenario(**{**scenario.__dict__, "seed": args.seed})
+            scenario.validate()
+        if args.command == "validate" \
+                and not scenario.mode.startswith("validate-"):
+            raise ConfigError(
+                f"validate expects a validate-* scenario, got "
+                f"{scenario.mode!r}")
+        if args.command == "preset" and not args.run:
+            text = scenario.to_json()
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return 0
+        record = run(scenario, output=args.output, fmt=args.format,
+                     threads=args.threads, svg=args.svg)
+        return record.exit_code
     except SteerkitError as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,

@@ -98,11 +98,6 @@ class LinearModel:
         """Per-quadrature symmetric-ordering intensities, length 2c."""
         return np.repeat([ch.occupation + 0.5 for ch in self.noise_channels], 2)
 
-    @property
-    def diffusion(self) -> np.ndarray:
-        """Symmetric noise-intensity matrix ``B Sigma B^T``."""
-        return (self.noise_input * self.noise_intensities) @ self.noise_input.T
-
     def channel_index(self, name: str) -> int:
         for i, ch in enumerate(self.noise_channels):
             if ch.name == name:
@@ -273,29 +268,6 @@ def _collective_weights(dq: DerivedQuantities,
     }
 
 
-def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
-                              ) -> list[TemporalKernel]:
-    """Direct filters for the collective modes W_out, U_out and the constant
-    of motion U_tilde_in, bypassing the per-mode covariance transform."""
-    table = _collective_weights(derived_quantities(rp))
-    base = {k.label: k for k in output_kernels(rp, full=full)}
-    bath = base[B_TILDE].terms
-
-    def combine(label: str) -> TemporalKernel:
-        (m1, c1), (m2, c2), b = table[label]
-        terms = tuple(
-            KernelTerm(t.kind, t.target, t.dagger, c * t.amplitude, t.rate)
-            for mode, c in ((m1, c1), (m2, c2)) for t in base[mode].terms)
-        # i b B~^dag: conjugate envelopes, flip dagger flags
-        terms += tuple(
-            KernelTerm(t.kind, t.target, not t.dagger,
-                       1j * b * t.amplitude.conjugate(), t.rate.conjugate())
-            for t in bath)
-        return TemporalKernel(label, terms)
-
-    return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
-
-
 def mirror_output_phase(rp: ReducedParams) -> float:
     """Rotation angle delta*tau that defines the mirror output mode."""
     dq = derived_quantities(rp)
@@ -341,28 +313,6 @@ class OutputCovariance:
     def covariance(self, sel1: tuple[str, str], sel2: tuple[str, str]) -> float:
         return float(self.sigma[self.index(*sel1), self.index(*sel2)])
 
-    def block(self, labels: tuple[str, ...]) -> "OutputCovariance":
-        idx = []
-        for lab in labels:
-            idx.extend((self.index(lab, "X"), self.index(lab, "P")))
-        idx = np.asarray(idx)
-        se = None
-        if self.standard_errors is not None:
-            se = self.standard_errors[np.ix_(idx, idx)]
-        return OutputCovariance(tuple(labels), self.sigma[np.ix_(idx, idx)], se)
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic spectrum of ``sigma``.
-
-        Uses the symplectic form of 2x2 blocks [[0, 1], [-1, 0]]; a physical
-        state has every eigenvalue >= 1/2 in our units.
-        """
-        n = len(self.mode_labels)
-        omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
-        ev = np.linalg.eigvals(1j * omega @ self.sigma)
-        # eigenvalues come in +/- pairs; keep one of each
-        return np.sort(np.abs(ev))[::2]
-
 
 # 2x2 real forms on (X, P), as indices into a value's (re, im, -re, -im):
 # multiplication by c, its negative, and multiplication by c after the
@@ -377,14 +327,14 @@ class _Stack:
     with the same labels and terms as the first point's.
 
     The terms of a kernel share one rate ``s`` (as every kernel of
-    ``output_kernels`` and ``collective_output_kernels`` does; a kernel
-    whose terms mix rates is refused).  Each kernel gets one accumulator
-    pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i y_i``, and its
-    filter output is ``R(e^{s tau}) h(tau)``.  ``T`` maps the augmented
-    state at ``tau`` to the modes ``labels``: the terminal mirror rotated
-    by ``phase``, then one mode per kernel.  Every array has the point as
-    its first axis; each 2x2 block is written for the whole stack at once,
-    and a term's block is added onto zeros.
+    ``output_kernels`` does; a kernel whose terms mix rates is refused).
+    Each kernel gets one accumulator pair ``h`` with ``dh/dt = -R(s) h +
+    sum_i R(amp_i) D_i y_i``, and its filter output is ``R(e^{s tau})
+    h(tau)``.  ``T`` maps the augmented state at ``tau`` to the modes
+    ``labels``: the terminal mirror rotated by ``phase``, then one mode per
+    kernel.  Every array has the point as its first axis; each 2x2 block is
+    written for the whole stack at once, and a term's block is added onto
+    zeros.
     """
 
     def __init__(self, models: list[LinearModel],

@@ -345,17 +345,25 @@ def derived_quantities(rp: ReducedParams) -> DerivedQuantities:
     ``delta = (g1^2 - g2^2) Delta / (kappa^2 + Delta^2)``,
     ``G = G1 + G2 - gamma``, ``phi = arctan(Delta/kappa)``, ``r = G tau``.
 
-    Raises ``GainNotPositive`` when ``G <= 0``.
+    Raises ``InvalidParams`` when a rate leaves the float range and
+    ``GainNotPositive`` when ``G <= 0``.
     """
     rp.validate()
-    c2 = rp.kappa ** 2 + rp.Delta ** 2
-    G1 = rp.g1 ** 2 * rp.kappa / c2
-    G2 = rp.g2 ** 2 * rp.kappa / c2
+    try:
+        c2 = rp.kappa ** 2 + rp.Delta ** 2
+        G1 = rp.g1 ** 2 * rp.kappa / c2
+        G2 = rp.g2 ** 2 * rp.kappa / c2
+        delta = (rp.g1 ** 2 - rp.g2 ** 2) * rp.Delta / c2
+        if not all(map(math.isfinite, (c2, G1, G2, delta))):
+            raise OverflowError  # a sum or product rounded to inf
+    except ArithmeticError:  # an overflow, or c2 underflowing to 0
+        raise InvalidParams(
+            f"rates leave the float range at g1 = {rp.g1!r}, g2 = "
+            f"{rp.g2!r}, kappa = {rp.kappa!r}, Delta = {rp.Delta!r}") from None
     G = G1 + G2 - rp.gamma
     if not G > 0.0:
         raise GainNotPositive(
             f"net gain G = G1 + G2 - gamma = {G:.6g} rad/s must be positive")
-    delta = (rp.g1 ** 2 - rp.g2 ** 2) * rp.Delta / c2
     return DerivedQuantities(
         G1=G1,
         G2=G2,
@@ -375,6 +383,7 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
     time unit, so ``tau = r`` exactly, and distributes ``G1 + G2 = 1 +
     gamma_over_G`` according to ``G1_over_G2``.  The cavity scale ``kappa``
     only sets how deep in the adiabatic regime the companion full model is.
+    Raises ``InvalidParams`` when a rate leaves the float range.
     """
     if r < 0:
         raise InvalidParams(f"r must be >= 0, got {r!r}")
@@ -382,12 +391,19 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
         raise InvalidParams(f"gamma_over_G must be >= 0, got {gamma_over_G!r}")
     if G1_over_G2 <= 0:
         raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+    if not kappa > 0:
+        raise InvalidParams(f"kappa must be > 0, got {kappa!r}")
     gamma = gamma_over_G  # G = 1
     gsum = 1.0 + gamma
     G2 = gsum / (1.0 + G1_over_G2)
     G1 = gsum - G2
     Delta = Delta_over_kappa * kappa
-    c2 = kappa ** 2 + Delta ** 2
+    try:
+        c2 = kappa ** 2 + Delta ** 2
+    except OverflowError:
+        raise InvalidParams(
+            f"rates leave the float range at kappa = {kappa!r}, "
+            f"Delta_over_kappa = {Delta_over_kappa!r}") from None
     return ReducedParams(
         g1=math.sqrt(G1 * c2 / kappa),
         g2=math.sqrt(G2 * c2 / kappa),

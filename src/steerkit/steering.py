@@ -32,12 +32,12 @@ CROSSING_TOL = 1e-9  # width of the r bracket of r_crossing
 
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
-                       party: QuadratureSelector) -> tuple[float, float]:
+                       party: QuadratureSelector) -> float:
     """Minimal inference variance of one quadrature given another.
 
-    Returns ``(Var(steered) - Cov^2/Var(party), u)`` where ``u = -Cov /
-    Var(party)`` is the optimal linear gain: the exact minimum over gain of
-    ``Var(steered + u * party)``.
+    ``Var(steered) - Cov^2/Var(party)``: the exact minimum over the gain
+    ``u`` of ``Var(steered + u * party)``, reached at ``u = -Cov /
+    Var(party)``.
     """
     s, p = oc.index(*steered), oc.index(*party)
     var_p = float(oc.sigma[p, p])
@@ -45,23 +45,7 @@ def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
     if var_p < 1e-15:
         raise ZeroVariance(
             f"party quadrature {party!r} has variance {var_p!r}")
-    return float(oc.sigma[s, s]) - cov * cov / var_p, -cov / var_p
-
-
-@dataclass(frozen=True)
-class SteeringReport:
-    """Result of a steering evaluation between two modes."""
-
-    E_value: float
-    steered_mode: str
-    steering_party: str
-    gain_X: float
-    gain_P: float
-
-    @property
-    def is_steering(self) -> bool:
-        """Strict criterion: E exactly 1/2 does not count as steering."""
-        return self.E_value < 0.5
+    return float(oc.sigma[s, s]) - cov * cov / var_p
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
@@ -83,67 +67,24 @@ def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
 
 
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
-                     ) -> SteeringReport:
-    """Steering witness of ``steered_mode`` given ``party_mode``.
+                     ) -> float:
+    """Steering witness E of ``steered_mode`` given ``party_mode``.
 
     ``E = sqrt(V_X) sqrt(V_P)``, where ``V_X`` is the inference variance of
     the steered X from the party's P and ``V_P`` that of the steered P from
-    the party's X (each clipped at 0 against rounding); ``gain_X`` and
-    ``gain_P`` are their optimal gains.  This pairing is optimal because
-    the only nonzero mirror-field correlations are of X-P type.
+    the party's X (each clipped at 0 against rounding).  This pairing is
+    optimal because the only nonzero mirror-field correlations are of X-P
+    type.
     """
-    vx, ux = _inferred_variance(oc, (steered_mode, "X"), (party_mode, "P"))
-    vp, up = _inferred_variance(oc, (steered_mode, "P"), (party_mode, "X"))
-    E = math.sqrt(max(vx, 0.0)) * math.sqrt(max(vp, 0.0))
-    return SteeringReport(E, steered_mode, party_mode, ux, up)
-
-
-# A witness is a difference ``Var(s) - Cov^2/Var(p)`` of numbers of the size
-# of the steered variance, so its rounding error is a few ulps of that
-# variance: at the analytic tie E = 1/2 of equal couplings the oracle lands
-# within 3 eps Var(X_m) of 1/2 for r <= 8.  The margin allows 64 ulps.
-TIE_ULPS = 64
-
-
-@dataclass(frozen=True)
-class MonogamyReport:
-    """Single-party witnesses against the same steered mode.
-
-    ``margin`` is the rounding resolution of the witnesses: a party counts
-    as steering only when its E lies below 1/2 by more than it.
-    """
-
-    steered_mode: str
-    parties: tuple[str, str]
-    E_values: tuple[float, float]
-    margin: float = 0.0
-
-    @property
-    def is_consistent(self) -> bool:
-        """Two parties may never steer the same mode simultaneously."""
-        return not all(e < 0.5 - self.margin for e in self.E_values)
-
-
-def _monogamy_check(oc: OutputCovariance, steered_mode: str,
-                    parties: tuple[str, str]) -> MonogamyReport:
-    """Evaluate both single-party witnesses; a violation signals a covariance
-    bug and is reported, never raised.
-
-    The margin is ``TIE_ULPS`` ulps of the larger steered variance, so an
-    analytic tie at 1/2 (equal couplings) is never decided by rounding.
-    """
-    e1 = steering_product(oc, steered_mode, parties[0]).E_value
-    e2 = steering_product(oc, steered_mode, parties[1]).E_value
-    scale = max(oc.variance(steered_mode, "X"), oc.variance(steered_mode, "P"))
-    margin = TIE_ULPS * float(np.finfo(float).eps) * scale
-    return MonogamyReport(steered_mode, tuple(parties), (e1, e2), margin)
+    vx = _inferred_variance(oc, (steered_mode, "X"), (party_mode, "P"))
+    vp = _inferred_variance(oc, (steered_mode, "P"), (party_mode, "X"))
+    return math.sqrt(max(vx, 0.0)) * math.sqrt(max(vp, 0.0))
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
     """Root of a witness-equals-1/2 condition in one variable."""
 
-    variable: str
     value: float
     bracket: tuple[float, float]
     sup_location: float
@@ -223,7 +164,7 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
     lo, hi = _bisect(ok, lo, hi, tol)
     value = 0.5 * (lo + hi)
     _, sup_r = _sup_over_r(gamma_over_G, n0, value, r_max)
-    return ThresholdResult("n", value, (lo, hi), sup_r)
+    return ThresholdResult(value, (lo, hi), sup_r)
 
 
 def r_crossing(gamma_over_G: float, n0: float, n: float) -> ThresholdResult:
@@ -247,7 +188,7 @@ def r_crossing(gamma_over_G: float, n0: float, n: float) -> ThresholdResult:
             f"witness never crosses 1/2 on (0, {R_MAX}] at "
             f"gamma/G = {gamma_over_G}, n0 = {n0}, n = {n}")
     lo, hi = _bisect(still_above, rs[down[0]], rs[down[0] + 1], CROSSING_TOL)
-    return ThresholdResult("r", 0.5 * (lo + hi), (lo, hi), math.nan)
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi), math.nan)
 
 
 @dataclass(frozen=True)
@@ -255,9 +196,7 @@ class SteeringRegion:
     """Collective witness over a (pulse area, damping ratio) grid; a cell
     outside the witness's domain is NaN."""
 
-    r_values: np.ndarray
-    gamma_over_G_values: np.ndarray
-    E: np.ndarray  # shape (len(gamma_over_G_values), len(r_values))
+    E: np.ndarray  # shape (len(gamma_over_G_grid), len(r_grid))
     contour: tuple[tuple[float, float], ...]  # (r, gamma/G) where E = 1/2
 
 
@@ -295,4 +234,4 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     r_cross = rs[j]
     r_cross[bisect] = 0.5 * (lo + hi)
     contour = tuple(zip(r_cross.tolist(), xs[i].tolist()))
-    return SteeringRegion(rs, xs, E, contour)
+    return SteeringRegion(E, contour)

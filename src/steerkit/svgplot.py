@@ -16,6 +16,10 @@ _HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+class NothingToPlot(ValueError):
+    """A chart has no finite value; it is not written."""
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -61,7 +65,7 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
     xs = list(x)
     all_y = _finite([v for ys in series.values() for v in ys])
     if not xs or not all_y:
-        raise ValueError("nothing to plot")
+        raise NothingToPlot("nothing to plot")
     sx = _scale(min(xs), max(xs), _ML, _W - _MR)
     sy = _scale(min(all_y + ([hline] if hline is not None else [])),
                 max(all_y + ([hline] if hline is not None else [])),
@@ -111,7 +115,7 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     grid = np.asarray(values, dtype=float)
     finite = np.isfinite(grid)
     if not finite.any():
-        raise ValueError("nothing to plot")
+        raise NothingToPlot("nothing to plot")
     lo, hi = float(grid[finite].min()), float(grid[finite].max())
     sx = _scale(min(xs), max(xs), _ML, _W - _MR)
     sy = _scale(min(ys), max(ys), _H - _MB, _MT)

@@ -1,0 +1,132 @@
+"""Reference helpers that only the tests use.
+
+Each one checks a result of ``steerkit`` by a second route: direct
+collective-mode filters against the oracle's collective rows, the
+``B Sigma B^T`` diffusion of a model against its stacked propagation, the
+symplectic spectrum of a covariance block (physicality), the optimal
+inference gain, and the monogamy of single-party witnesses.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from steerkit import steering_product
+from steerkit.dynamics import (
+    B_TILDE,
+    U_OUT,
+    U_TILDE_IN,
+    W_OUT,
+    KernelTerm,
+    LinearModel,
+    OutputCovariance,
+    TemporalKernel,
+    _collective_weights,
+    output_kernels,
+)
+from steerkit.model import ReducedParams, derived_quantities
+
+
+def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
+                              ) -> list[TemporalKernel]:
+    """Direct filters for the collective modes W_out, U_out and the constant
+    of motion U_tilde_in, bypassing the per-mode covariance transform (the
+    kernel-side reference for ``dynamics._collective_rows``)."""
+    table = _collective_weights(derived_quantities(rp))
+    base = {k.label: k for k in output_kernels(rp, full=full)}
+    bath = base[B_TILDE].terms
+
+    def combine(label: str) -> TemporalKernel:
+        (m1, c1), (m2, c2), b = table[label]
+        terms = tuple(
+            KernelTerm(t.kind, t.target, t.dagger, c * t.amplitude, t.rate)
+            for mode, c in ((m1, c1), (m2, c2)) for t in base[mode].terms)
+        # i b B~^dag: conjugate envelopes, flip dagger flags
+        terms += tuple(
+            KernelTerm(t.kind, t.target, not t.dagger,
+                       1j * b * t.amplitude.conjugate(), t.rate.conjugate())
+            for t in bath)
+        return TemporalKernel(label, terms)
+
+    return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
+
+
+def diffusion(model: LinearModel) -> np.ndarray:
+    """Symmetric noise-intensity matrix ``B Sigma B^T`` of a model."""
+    return (model.noise_input * model.noise_intensities) @ model.noise_input.T
+
+
+def block(oc: OutputCovariance, labels: tuple[str, ...]) -> OutputCovariance:
+    """The covariance (and standard errors) of the modes ``labels`` only."""
+    idx = []
+    for lab in labels:
+        idx.extend((oc.index(lab, "X"), oc.index(lab, "P")))
+    idx = np.asarray(idx)
+    se = None
+    if oc.standard_errors is not None:
+        se = oc.standard_errors[np.ix_(idx, idx)]
+    return OutputCovariance(tuple(labels), oc.sigma[np.ix_(idx, idx)], se)
+
+
+def symplectic_eigenvalues(oc: OutputCovariance) -> np.ndarray:
+    """Symplectic spectrum of ``oc.sigma``.
+
+    Uses the symplectic form of 2x2 blocks [[0, 1], [-1, 0]]; a physical
+    state has every eigenvalue >= 1/2 in our units.
+    """
+    n = len(oc.mode_labels)
+    omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    ev = np.linalg.eigvals(1j * omega @ oc.sigma)
+    # eigenvalues come in +/- pairs; keep one of each
+    return np.sort(np.abs(ev))[::2]
+
+
+def optimal_gain(oc: OutputCovariance, steered: tuple[str, str],
+                 party: tuple[str, str]) -> float:
+    """The gain ``u = -Cov / Var(party)`` that minimizes ``Var(steered + u *
+    party)``, whose minimum is ``steering._inferred_variance``."""
+    s, p = oc.index(*steered), oc.index(*party)
+    return -float(oc.sigma[s, p]) / float(oc.sigma[p, p])
+
+
+# A witness is a difference ``Var(s) - Cov^2/Var(p)`` of numbers of the size
+# of the steered variance, so its rounding error is a few ulps of that
+# variance: at the analytic tie E = 1/2 of equal couplings the oracle lands
+# within 3 eps Var(X_m) of 1/2 for r <= 8.  The margin allows 64 ulps.
+TIE_ULPS = 64
+
+
+@dataclass(frozen=True)
+class MonogamyReport:
+    """Single-party witnesses against the same steered mode.
+
+    ``margin`` is the rounding resolution of the witnesses: a party counts
+    as steering only when its E lies below 1/2 by more than it.
+    """
+
+    steered_mode: str
+    parties: tuple[str, str]
+    E_values: tuple[float, float]
+    margin: float = 0.0
+
+    @property
+    def is_consistent(self) -> bool:
+        """Two parties may never steer the same mode simultaneously."""
+        return not all(e < 0.5 - self.margin for e in self.E_values)
+
+
+def monogamy_check(oc: OutputCovariance, steered_mode: str,
+                   parties: tuple[str, str]) -> MonogamyReport:
+    """Evaluate both single-party witnesses; a violation signals a covariance
+    bug and is reported, never raised.
+
+    The margin is ``TIE_ULPS`` ulps of the larger steered variance, so an
+    analytic tie at 1/2 (equal couplings) is never decided by rounding.
+    """
+    e1 = steering_product(oc, steered_mode, parties[0])
+    e2 = steering_product(oc, steered_mode, parties[1])
+    scale = max(oc.variance(steered_mode, "X"), oc.variance(steered_mode, "P"))
+    margin = TIE_ULPS * float(np.finfo(float).eps) * scale
+    return MonogamyReport(steered_mode, tuple(parties), (e1, e2), margin)

@@ -16,6 +16,7 @@ import pytest
 
 import steerkit
 from conftest import deadline
+from test_readme import quick_start
 from steerkit import (
     cli,
     closedform,
@@ -757,12 +758,13 @@ class TestEntryPoint:
          "trajectories": 10},
         {"output": 1}, {"output": True}, {"output": 7}, {"output": ["a"]},
         {"schema_version": True}, {"schema_version": 1.0},
+        {"mode": ["curve"]},
     ], ids=["case-not-object", "ratio-not-number", "tolerance-not-number",
             "kappa-over-g-not-number", "infinite-sweep", "bool-occupation",
             "huge-integer-occupation", "string-occupation",
             "too-few-trajectories", "output-one", "output-true",
             "output-integer", "output-list", "schema-version-bool",
-            "schema-version-float"])
+            "schema-version-float", "mode-not-string"])
     def test_malformed_scenarios_exit_2(self, tmp_path, capsys, edit):
         doc = {**tiny_curve_scenario().to_dict(), **edit}
         cfg = tmp_path / "scenario.json"
@@ -867,6 +869,20 @@ class TestEntryPoint:
         else:
             doc = {"schema_version": 1, "mode": "working-point",
                    "params": device_params(gamma=rate)}
+        assert_exit_2(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("kind", ["reduced", "physical"])
+    def test_unknown_rate_params_exit_2(self, tmp_path, capsys, kind):
+        # a key the block does not define, such as a misspelt occupation,
+        # is refused as in a ratios block, not ignored
+        if kind == "reduced":
+            doc = {**tiny_curve_scenario().to_dict(), "params": {
+                "kind": "reduced", "g1": "40.7 MHz", "g2": "40.7 MHz",
+                "kappa": "500 MHz", "Delta": "500 MHz", "gamma": "35 kHz",
+                "n0": 0.85, "n": 0.85, "tau": 1e-7, "n_bath": 5.0}}
+        else:
+            doc = {"schema_version": 1, "mode": "working-point",
+                   "params": {**device_params(), "n_bath": 5.0}}
         assert_exit_2(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize("mode", ["heatmap", "n-threshold",
@@ -1041,11 +1057,93 @@ class TestEntryPoint:
         assert svg.startswith("<svg")
         assert "polyline" in svg
 
+    @pytest.mark.parametrize("doc", [
+        {"mode": "heatmap", "sweep": {**SMALL_SWEEP, "start": -2.0,
+                                      "stop": -1.0},
+         "sweep2": {**SMALL_SWEEP, "variable": "n", "start": 0.0,
+                    "stop": 0.3}},
+        {"mode": "curve", "sweep": {**SMALL_SWEEP, "start": -2.0,
+                                    "stop": -1.0}},
+    ], ids=["heatmap", "curve"])
+    def test_svg_with_nothing_to_plot_is_skipped(self, tmp_path, capsys,
+                                                 doc):
+        # every cell is NaN (r < 0): the run writes its CSV and contour as
+        # without --svg, no SVG, and one warning line on stderr
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**valid_doc(doc["mode"]), **doc}))
+        outputs = {}
+        for flags in ([], ["--svg"]):
+            out = tmp_path / f"plain{len(flags)}.csv"
+            code = cli.main(["run", "--config", str(cfg), "--output",
+                             str(out), *flags])
+            assert code == 0
+            outputs[tuple(flags)] = sorted(
+                (p.name.replace("plain0", "plain1"), p.read_bytes())
+                for p in tmp_path.glob(f"plain{len(flags)}*"))
+            err = capsys.readouterr().err
+        assert outputs[()] == outputs[("--svg",)]
+        assert not list(tmp_path.glob("*.svg"))
+        assert err == (f"steerkit: warning: no finite value to plot; "
+                       f"{tmp_path / 'plain1.svg'} not written\n")
+        lines = (tmp_path / "plain1.csv").read_text().splitlines()
+        assert lines[-1].endswith(",nan")
+
+    def test_oracle_rate_overflow_becomes_nan_rows(self, tmp_path):
+        # kappa^2 overflows in reduced_from_ratios at every point
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            **valid_doc("curve"), "engine": "oracle",
+            "params": {"kind": "ratios", "gamma_over_G": 0.1,
+                       "kappa": 1e308}}))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# warning:")] == [
+            f"# warning: point {i} (r={r}, E): rates leave the float range "
+            f"at kappa = 1e+308, Delta_over_kappa = 1.0"
+            for i, r in ((0, 0.5), (1, 1))]
+        assert [row.split(",")[1] for row in lines[-2:]] == ["nan", "nan"]
+
+    def test_reduced_rate_overflow_is_a_typed_error(self, tmp_path, capsys):
+        # kappa^2 overflows in derived_quantities while the params parse
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**valid_doc("curve"), "params": {
+            "kind": "reduced", "g1": "40.7 MHz", "g2": "40.7 MHz",
+            "kappa": 1e200, "Delta": "500 MHz", "gamma": "35 kHz",
+            "n0": 0.85, "n": 0.85, "tau": 1e-7}}))
+        out = tmp_path / "result.csv"
+        code = cli.main(["run", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParams"
+        assert err["message"].startswith("rates leave the float range")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio, code, error", [
+        (1e150, 1, "InvalidParams"), (1e155, 2, "ConfigError")],
+        ids=["kappa-squared", "kappa"])
+    def test_adiabatic_ladder_overflow_is_a_typed_error(
+            self, tmp_path, capsys, ratio, code, error):
+        # kappa = (1 + gamma/G) (kappa/g)^2 is 1.1e300 at kappa/g = 1e150,
+        # and kappa^2 overflows in reduced_from_ratios; at 1e155 kappa
+        # itself overflows while the params parse
+        doc = valid_doc("validate-adiabatic")
+        doc["params"] = {**doc["params"], "kappa_over_g": [ratio]}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        assert cli.main(["run", "--config", str(cfg), "--output",
+                         str(out)]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
 
 def _collect_uses(node: ast.AST, defining: tuple[str, ...],
-                  used: set[str]) -> None:
-    """Add to ``used`` every name loaded, read as an attribute or imported
-    under ``node``, except inside a definition of that same name."""
+                  names: set[str], attributes: set[str]) -> None:
+    """Add to ``names`` every name loaded, read as an attribute or imported
+    under ``node``, and to ``attributes`` every name read as an attribute,
+    except inside a definition of that same name."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
         defining += (node.name,)
@@ -1053,26 +1151,53 @@ def _collect_uses(node: ast.AST, defining: tuple[str, ...],
         name = node.id
     elif isinstance(node, ast.Attribute):
         name = node.attr
+        if name not in defining:
+            attributes.add(name)
     elif isinstance(node, ast.alias):
         name = node.name
     else:
         name = None
     if name is not None and name not in defining:
-        used.add(name)
+        names.add(name)
     for child in ast.iter_child_nodes(node):
-        _collect_uses(child, defining, used)
+        _collect_uses(child, defining, names, attributes)
+
+
+def _definitions(tree: ast.Module):
+    """``(name, is_member)`` of each module-level function and class, and of
+    each method and property of those classes but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", True
 
 
 def test_every_export_is_used_outside_the_tests():
-    # the package exports only what it or its scripts use
+    # every def of the package is used by the package, its scripts, the
+    # benchmark or the README quick start; a method or property only
+    # counts as used when it is read as an attribute
+    root = Path(__file__).resolve().parents[1]
     package = Path(steerkit.__file__).parent
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(scripts.glob("*.py"))
-    used: set[str] = set()
-    for path in paths:
-        _collect_uses(ast.parse(path.read_text(), str(path)), (), used)
-    assert sorted(set(steerkit.__all__) - used) == []
+    modules = [p for p in sorted(package.glob("*.py"))
+               if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in modules
+             + sorted((root / "scripts").glob("*.py"))
+             + sorted((root / "benchmark").glob("*.py"))}
+    trees["README.md"] = ast.parse(quick_start(), "README.md")
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for tree in trees.values():
+        _collect_uses(tree, (), names, attributes)
+    unused = [f"{path.stem}.{qualname}" for path in modules
+              for qualname, member in _definitions(trees[path])
+              if qualname.rsplit(".", 1)[-1]
+              not in (attributes if member else names)]
+    assert unused == []
+    assert sorted(set(steerkit.__all__) - names) == []
 
 
 def test_package_starts_no_threads_or_processes():

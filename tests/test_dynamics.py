@@ -10,6 +10,12 @@ import pytest
 from scipy.integrate import solve_ivp, trapezoid
 from scipy.linalg import expm
 
+from _reference import (
+    block,
+    collective_output_kernels,
+    diffusion,
+    symplectic_eigenvalues,
+)
 from steerkit import (
     ReducedParams,
     TemporalKernel,
@@ -28,7 +34,6 @@ from steerkit.dynamics import (
     U_TILDE_IN,
     W_OUT,
     OutputCovariance,
-    collective_output_kernels,
     mirror_output_phase,
     output_covariance,
     output_covariances,
@@ -182,7 +187,7 @@ class TestModelBuilders:
                            n0=0.5, n=0.0, tau=3.0)
         model = build_full_model(rp)
         S0 = np.diag([0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
-        ref = lyapunov_endpoint(model.drift, model.diffusion, S0, rp.tau)
+        ref = lyapunov_endpoint(model.drift, diffusion(model), S0, rp.tau)
         oc = propagate_output_covariance(
             model, output_kernels(rp, full=True), rp.tau)
         assert oc.variance(A_M_OUT) == pytest.approx(ref[4, 4], rel=1e-8)
@@ -192,7 +197,7 @@ class TestModelBuilders:
         model = build_reduced_model(rp)
         assert [ch.occupation for ch in model.noise_channels] == [0.0, 0.0, 7.0]
         dq = derived_quantities(rp)
-        D = model.diffusion
+        D = diffusion(model)
         expect = dq.G1 + dq.G2 + 2.0 * rp.gamma * (rp.n + 0.5)
         assert D[0, 0] == pytest.approx(expect, rel=1e-12)
         assert D[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -316,8 +321,8 @@ class TestStepMap:
                     [0.0])
         A, V = st.drift[0], st.diffusion[0]
         n = A.shape[0]
-        block = np.block([[-A, V], [np.zeros((n, n)), A.T]])
-        F = expm(block * h)
+        generator = np.block([[-A, V], [np.zeros((n, n)), A.T]])
+        F = expm(generator * h)
         phi_ref = F[n:, n:].T
         q_ref = phi_ref @ F[:n, n:]
         phi, q, failures = _step_maps(st.drift, st.diffusion, [h])
@@ -391,7 +396,7 @@ class TestSweeps:
                                   output_covariances(sweep, which=subset)):
             kept = (A_M_OUT,) + subset + (W_OUT, U_OUT)
             assert part.mode_labels == kept
-            assert part.sigma.tobytes() == full_set.block(kept).sigma.tobytes()
+            assert part.sigma.tobytes() == block(full_set, kept).sigma.tobytes()
 
     def test_failed_points_keep_their_errors(self):
         good = self.sweep()[6]
@@ -487,16 +492,16 @@ class TestPhysicality:
         for (r, x, n0, n) in ((0.5, 0.0, 0.0, 0.0), (1.0, 0.1, 0.0, 0.0),
                               (2.0, 0.1, 5.0, 100.0)):
             oc = oracle_cache.covariance(r, x, n0, n)
-            triple = oc.block((A_M_OUT, A_1_OUT, A_2_OUT))
-            assert triple.symplectic_eigenvalues().min() >= 0.5 - 1e-9
-            pair = oc.block((W_OUT, U_OUT))
-            assert pair.symplectic_eigenvalues().min() >= 0.5 - 1e-9
+            triple = block(oc, (A_M_OUT, A_1_OUT, A_2_OUT))
+            assert symplectic_eigenvalues(triple).min() >= 0.5 - 1e-9
+            pair = block(oc, (W_OUT, U_OUT))
+            assert symplectic_eigenvalues(pair).min() >= 0.5 - 1e-9
 
     def test_symplectic_eigenvalues_reference_values(self):
         vacuum = OutputCovariance((A_M_OUT,), 0.5 * np.eye(2))
-        assert vacuum.symplectic_eigenvalues() == pytest.approx([0.5])
+        assert symplectic_eigenvalues(vacuum) == pytest.approx([0.5])
         thermal = OutputCovariance((A_M_OUT, A_1_OUT),
                                    np.diag([1.5, 1.5, 0.5, 0.5]))
-        assert thermal.symplectic_eigenvalues() == pytest.approx([0.5, 1.5])
+        assert symplectic_eigenvalues(thermal) == pytest.approx([0.5, 1.5])
         with pytest.raises(InvalidParams):
             OutputCovariance((A_M_OUT,), np.eye(3))

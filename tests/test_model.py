@@ -177,6 +177,17 @@ class TestDerivedQuantities:
         with pytest.raises(GainNotPositive):
             derived_quantities(rp)
 
+    @pytest.mark.parametrize("rates", [
+        {"kappa": 1e200}, {"g1": 1e200}, {"g1": 1e150, "kappa": 1e10},
+        {"kappa": 1e-200, "Delta": 0.0}],
+        ids=["kappa-squared", "g-squared", "gain-product", "kappa-underflow"])
+    def test_rates_past_the_float_range_are_refused(self, rates):
+        rp = ReducedParams(**{"g1": 1.0, "g2": 1.0, "kappa": 100.0,
+                              "Delta": 0.0, "gamma": 0.0, "n0": 0.0,
+                              "n": 0.0, "tau": 1.0, **rates})
+        with pytest.raises(InvalidParams, match="float range"):
+            derived_quantities(rp)
+
     @settings(max_examples=100, deadline=None)
     @given(
         g1=st.floats(0.1, 50.0),
@@ -220,3 +231,10 @@ class TestRatioConstructors:
             reduced_from_ratios(1.0, -0.1)
         with pytest.raises(InvalidParams):
             reduced_from_ratios(1.0, 0.1, G1_over_G2=0.0)
+
+    @pytest.mark.parametrize("kappa, message", [
+        (0.0, "kappa must be > 0"), (-1.0, "kappa must be > 0"),
+        (1e308, "float range")])
+    def test_rejects_bad_cavity_scales(self, kappa, message):
+        with pytest.raises(InvalidParams, match=message):
+            reduced_from_ratios(1.0, 0.1, kappa=kappa)
