@@ -623,6 +623,39 @@ class TestFileFormats:
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_inset_csv_bytes_are_pinned(self, tmp_path):
+        run(PRESETS["inset"](), output=str(tmp_path / "inset.csv"))
+        data = (tmp_path / "inset.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "f91210fe678c19e40385f945414981be0b50f484e0c84dd8dcf8b30261be46ec")
+
+    # fig4's contour brackets lie in the direct band only.  CROSSINGS has
+    # 263 contour cells; LOG_R's 4-point r axis makes wide brackets whose
+    # midpoints take the series (r < 1e-4), direct, scaled (r > 100) and
+    # plateau (r > 350) branches.  A bracket reaches past 350 only when its
+    # upper end does: E sits on its plateau to the last bit well below
+    # r = 100, so no crossing lies there.
+    CROSSINGS = Scenario(
+        mode="heatmap", params={"kind": "ratios", "n0": 0.5, "n": 0.5},
+        sweep=Sweep("r", 0.0, 3.0, 201),
+        sweep2=Sweep("gamma_over_G", 0.0, 1.5, 201))
+    LOG_R = Scenario(
+        mode="heatmap", params={"kind": "ratios", "n0": 1e-5, "n": 5.0},
+        sweep=Sweep("r", 1e-7, 800.0, 4, scale="log"),
+        sweep2=Sweep("gamma_over_G", 0.0, 1.5, 61))
+
+    @pytest.mark.parametrize("name, cells, digest", [
+        ("CROSSINGS", 263,
+         "2b76cceac5b9e4190a55f1ffce55f1528dbf7fd0374299dac6632c779672912c"),
+        ("LOG_R", 99,
+         "69c0411cb13736256926f2735d62f5a728ef23e41d5d7cfd23d7fadc1ba58aa7"),
+    ])
+    def test_contour_bytes_are_pinned(self, tmp_path, name, cells, digest):
+        record = run(getattr(self, name), output=str(tmp_path / "map.csv"))
+        assert len(record.summary["contour"]) == cells
+        data = (tmp_path / "map.contour.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value
     # (linspace makes a -0.0 start +0.0, so it is the stop), and a log r
     # axis over the series (r < 1e-4), direct and asymptote (r > 350) cells
