@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,9 @@ SERIES_CROSSOVER = 1e-4
 
 # Beyond this pulse area e^{2r} overflows; closed asymptotes take over.
 LARGE_R = 350.0
+
+# Below this pulse area sinh(r) - r is summed as its Taylor series.
+SINH_SERIES_R = 0.5
 
 # Above this pulse area the witnesses divide their terms by u = e^{2r} - 1
 # before multiplying: products such as a*u overflow short of LARGE_R once
@@ -163,14 +167,14 @@ def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
     f1, f2 = _gain_fractions(x, G1_over_G2)
 
     u = _growth(r)
-    a = n0 + 1.0 + x * (n + 1.0)
-    b = 0.5 + x * (n + 1.0)
+    co = _coefficients(x, n0, n)
+    a, b = co.a, co.b
     amp = amplified_noise_factor(r)
 
     var_m = (n0 + 0.5) + a * u
     var_1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
     var_2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
-    var_W = _var_W(x, a, b, u, gain_filter_ratio(r))
+    var_W = _var_W(co, u, gain_filter_ratio(r))
 
     if r == 0.0:
         cov_1 = cov_2 = cov_W = 0.0
@@ -220,14 +224,42 @@ def _plateau(x, b):
     return x * x * b / (1.0 + x) ** 2
 
 
-def _var_W(x, a, b, u, kr):
-    """``var_XW_out`` with ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n + 1)``,
-    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``."""
-    return (1.0 + x) ** 2 * (a * u + b) + x * b * (x - (1.0 + x) * kr)
+class _Coefficients(NamedTuple):
+    """The factors of the collective witness that do not depend on r, with
+    ``a = n0 + 1 + x (n + 1)`` and ``b = 1/2 + x (n + 1)``.  Each is the
+    left-to-right prefix of a product in ``_collective_terms``, so hoisting
+    it out of a loop over r changes no bit."""
+
+    x: float | np.ndarray
+    n0: float | np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray  # 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)
+    k_rr: float | np.ndarray  # 16 x^2 b^2, the r^2 factor of rterm
+    k_r: float | np.ndarray  # 8 x b (2 n0 + 1) (1 + x), the r factor
+    k_u: float | np.ndarray  # 4 x^2 a b, the u factor of the numerator
+    g2: float | np.ndarray  # (1 + x)^2
+    xb: float | np.ndarray  # x b
 
 
-def _collective_terms(r, x, n0, n, u, kr, scaled=False):
-    """``(var_XW_out, numerator / u)`` of the collective witness.
+def _coefficients(x, n0, n) -> _Coefficients:
+    """``_Coefficients`` for floats or numpy arrays alike."""
+    a = n0 + 1.0 + x * (n + 1.0)
+    b = 0.5 + x * (n + 1.0)
+    return _Coefficients(
+        x, n0, a, b, 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0),
+        16.0 * x * x * b * b, 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x),
+        4.0 * x * x * a * b, (1.0 + x) ** 2, x * b)
+
+
+def _var_W(co: _Coefficients, u, kr):
+    """``var_XW_out`` with ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``."""
+    return co.g2 * (co.a * u + co.b) + co.xb * (co.x - (1.0 + co.x) * kr)
+
+
+def _collective_terms(co: _Coefficients, r, u, kr, scaled=False):
+    """``(var_XW_out, numerator / u)`` of the collective witness: the part
+    that depends on r.
 
     ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)`` are passed in, so
     the same arithmetic serves floats and numpy arrays.  The numerator of
@@ -237,17 +269,13 @@ def _collective_terms(r, x, n0, n, u, kr, scaled=False):
     no product with ``u`` is formed and nothing overflows below
     ``LARGE_R``.
     """
-    a = n0 + 1.0 + x * (n + 1.0)
-    b = 0.5 + x * (n + 1.0)
-    rterm = 16.0 * x * x * b * b * r * r \
-        + 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x) * r
-    c = 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0)
+    rterm = co.k_rr * r * r + co.k_r * r
     if scaled:
-        return ((1.0 + x) ** 2 * (a + b / u)
-                + x * b * (x - (1.0 + x) * kr) / u,
-                4.0 * x * x * a * b + (c - rterm * (1.0 + 1.0 / u)) / u)
-    return (_var_W(x, a, b, u, kr),
-            4.0 * x * x * a * b * u + c - rterm * (1.0 + 1.0 / u))
+        return (co.g2 * (co.a + co.b / u)
+                + co.xb * (co.x - (1.0 + co.x) * kr) / u,
+                co.k_u + (co.c - rterm * (1.0 + 1.0 / u)) / u)
+    return (_var_W(co, u, kr),
+            co.k_u * u + co.c - rterm * (1.0 + 1.0 / u))
 
 
 def collective_steering_value(r: float | np.ndarray,
@@ -295,34 +323,52 @@ def collective_steering_value(r: float | np.ndarray,
         return _plateau(x, 0.5 + x * (n + 1.0))
 
     var_W, num_over_u = _collective_terms(
-        r, x, n0, n, math.expm1(2.0 * r), gain_filter_ratio(r), r > SCALED_R)
+        _coefficients(x, n0, n), r, math.expm1(2.0 * r),
+        gain_filter_ratio(r), r > SCALED_R)
     if not var_W > 0.0:
         raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
     return num_over_u / (4.0 * var_W)
 
 
 def _collective_array(r, x, n0, n) -> np.ndarray:
-    """``collective_steering_value`` cell by cell over the shape of ``r``,
-    one masked numpy expression per branch.  Scalar arguments stay scalars,
-    which numpy combines with arrays faster than broadcast copies."""
+    """``collective_steering_value`` cell by cell over the shape of ``r``.
+    Scalar arguments stay scalars, which numpy combines with arrays faster
+    than broadcast copies."""
     r = np.asarray(r, dtype=float)
-    x, n0, n = (np.broadcast_to(np.asarray(v, dtype=float), r.shape)
-                if np.ndim(v) else float(v) for v in (x, n0, n))
-
-    def at(v, cells):
-        return v[cells] if isinstance(v, np.ndarray) else v
-
-    E = np.full(r.shape, np.nan)
+    knobs = [np.broadcast_to(np.asarray(v, dtype=float), r.shape)
+             if np.ndim(v) else float(v) for v in (x, n0, n)]
+    x, n0, n = knobs
     ok = (r >= 0.0) & (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0)
 
+    def coefficients(cells):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _coefficients(*_select(knobs, cells))
+
+    return _collective_cells(r, ok, coefficients)
+
+
+def _select(values, cells) -> list:
+    """Each of ``values`` at ``cells``: arrays are indexed, scalars kept."""
+    return [v[cells] if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
+    """The collective witness at the cells of ``r``, one masked numpy
+    expression per branch; cells outside ``ok`` are NaN.  ``coefficients``
+    maps a boolean mask or slice of ``r``'s cells to their
+    ``_Coefficients``, so a caller may compute them once for many r."""
+    if ok is True and 0.0 < r.min() and r.max() <= SCALED_R:
+        return _collective_band(coefficients(slice(None)), r, False)
+
+    E = np.full(r.shape, np.nan)
     zero = ok & (r == 0.0)
-    E[zero] = at(n0, zero) + 0.5
+    if zero.any():
+        E[zero] = coefficients(zero).n0 + 0.5
 
     big = ok & (r > LARGE_R)
     if big.any():
-        xb = at(x, big)
-        E[big] = np.where(xb == 0.0, 0.0,
-                          _plateau(xb, 0.5 + xb * (at(n, big) + 1.0)))
+        co = coefficients(big)
+        E[big] = np.where(co.x == 0.0, 0.0, _plateau(co.x, co.b))
 
     mid = ok & (r > 0.0) & (r <= LARGE_R)
     bands = [(mid, False)]
@@ -330,20 +376,25 @@ def _collective_array(r, x, n0, n) -> np.ndarray:
         hi = mid & (r > SCALED_R)
         bands = [(mid & ~hi, False), (hi, True)]
     for cells, scaled in bands:
-        rm = r[cells]
-        u2 = 2.0 * rm
-        u = np.expm1(u2)
-        series = rm < SERIES_CROSSOVER
-        kr = np.where(series, _gain_series(u2), 0.0)
-        direct = ~series
-        kr[direct] = 4.0 * rm[direct] * np.exp(u2[direct]) / u[direct]
-        # overflow to inf passes silently, as in float arithmetic
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            var_W, num_over_u = _collective_terms(
-                rm, at(x, cells), at(n0, cells), at(n, cells), u, kr, scaled)
-            E[cells] = np.where(var_W > 0.0, num_over_u / (4.0 * var_W),
-                                np.nan)
+        E[cells] = _collective_band(coefficients(cells), r[cells], scaled)
     return E
+
+
+def _collective_band(co: _Coefficients, r: np.ndarray, scaled: bool,
+                     ) -> np.ndarray:
+    """The witness at pulse areas in (0, ``LARGE_R``]: the series or direct
+    ``gain_filter_ratio`` and ``_collective_terms``, NaN where
+    ``var_XW_out`` is not positive."""
+    u2 = 2.0 * r
+    u = np.expm1(u2)
+    # overflow to inf passes silently, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kr = 4.0 * r * np.exp(u2) / u
+        series = r < SERIES_CROSSOVER
+        if series.any():
+            kr[series] = _gain_series(u2[series])
+        var_W, num_over_u = _collective_terms(co, r, u, kr, scaled)
+        return np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
 
 
 def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
@@ -391,3 +442,86 @@ def threshold_r(n0: float) -> float:
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
     return 0.5 * math.log1p(n0 / (n0 + 1.0))
+
+
+def _sinh_excess(r):
+    """Taylor series of ``sinh(r) - r`` through r^13, for floats and arrays
+    alike; accurate to rounding below ``SINH_SERIES_R``."""
+    r2 = r * r
+    return r * r2 * (1.0 / 6.0 + r2 * (1.0 / 120.0 + r2 * (
+        1.0 / 5040.0 + r2 * (1.0 / 362880.0 + r2 * (
+            1.0 / 39916800.0 + r2 / 6227020800.0)))))
+
+
+def _occupation_quadratic(r, x, n0, t, er, dm):
+    """``(A, B, C)`` with ``E <= 1/2`` exactly where ``A b^2 + B b + C <= 0``,
+    ``b = 1/2 + x (n + 1)``.
+
+    This is ``(numerator / u - 2 var_XW_out) / e^{2r}`` of
+    ``_collective_terms``, each factor written as a polynomial in b (with
+    ``a = b + n0 + 1/2``).  The r-dependent parts are ``t = 1 - e^{-2r}``,
+    ``er = e^{-r}``, ``h = r / (e^{2r} - 1)`` and ``dm = t - 2 r e^{-r}
+    = 2 e^{-r} (sinh r - r)``, passed in so that the same arithmetic serves
+    floats and numpy arrays; none overflows, so no r needs an asymptote.
+    ``A = 4 x^2 (t - 4 r h)``, written as a product so that its r^3
+    behaviour at small r is not a difference, is positive and ``C`` is
+    negative: one root is positive, and it bounds b.
+    """
+    d = n0 + 0.5
+    g2 = (1.0 + x) ** 2
+    v = er * er
+    h = r * v / t
+    A = 4.0 * x * x * dm * (t + 2.0 * r * er) / t
+    B = (4.0 * n0 * (2.0 * x * x + 2.0 * x + 1.0) * v
+         + (4.0 * x * x * d - 2.0 * g2) * t
+         - 16.0 * x * (1.0 + x) * n0 * h)
+    C = -2.0 * g2 * d * t
+    return A, B, C
+
+
+def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
+                   n0: float | np.ndarray) -> float | np.ndarray:
+    """Largest bath occupation n with collective steering at pulse area r.
+
+    ``E(r, gamma/G, n0, n) <= 1/2`` exactly for ``n <= max_occupation``: at
+    fixed r the condition is a quadratic inequality in n
+    (``_occupation_quadratic``), and this is its positive root, taken in
+    the cancellation-free form ``q = -(B + sign(B) sqrt(disc)) / 2``.  A
+    negative value means no steering even at n = 0.  As r grows it falls
+    toward ``n_inf = (1 + 2x) / (2 x^3) - 1`` (x = gamma/G), the bath the
+    plateau ``_plateau`` allows; n_inf is 0 at the root x* = 1.1915 of
+    ``2x^3 - 2x - 1``.
+
+    Needs r > 0 and gamma/G > 0.  Accepts numpy arrays as
+    ``collective_steering_value`` does: out-of-domain cells are NaN, where
+    the float call raises ``InvalidParams``.
+    """
+    x = gamma_over_G
+    if isinstance(r, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                         under="ignore"):
+            er = np.exp(-r)
+            t = -np.expm1(-2.0 * r)
+            dm = np.where(r < SINH_SERIES_R, 2.0 * er * _sinh_excess(r),
+                          t - 2.0 * r * er)
+            A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
+            S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
+            b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)
+            return np.where((r > 0.0) & (x > 0.0) & (n0 >= 0.0),
+                            (b - 0.5) / x - 1.0, np.nan)
+    _check_inputs(r, x, n0, 0.0)
+    if not (r > 0.0 and x > 0.0):
+        raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
+                            f"> 0, got r = {r!r}, gamma_over_G = {x!r}")
+    er = math.exp(-r)
+    t = -math.expm1(-2.0 * r)
+    dm = 2.0 * er * _sinh_excess(r) if r < SINH_SERIES_R else t - 2.0 * r * er
+    A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
+    S = math.sqrt(B * B - 4.0 * A * C) + abs(B)
+    if B >= 0.0:
+        b = -2.0 * C / S
+    elif A > 0.0:
+        b = S / (2.0 * A)
+    else:  # A underflows below r ~ 1e-100, where the bound passes every float
+        return math.inf
+    return (b - 0.5) / x - 1.0

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import _check_inputs, collective_steering_value
+from .closedform import (
+    _check_inputs,
+    _Coefficients,
+    _coefficients,
+    _collective_cells,
+    _select,
+    collective_steering_value,
+    max_occupation,
+)
 from .dynamics import OutputCovariance
 from .errors import InvalidParams, NoThreshold, ZeroVariance
 
@@ -29,6 +37,8 @@ N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up past this n
 SCAN_POINTS = 128  # log-spaced pulse areas behind each sup over r
 CROSSING_TOL = 1e-9  # width of the r bracket of r_crossing
+BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
+NEAR_REL = 1e-6  # noise_threshold evaluates the sup this close to n*
 
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
@@ -90,24 +100,27 @@ class ThresholdResult:
     sup_location: float
 
 
-def _sup_over_r(x: float, n0: float, n: float, r_max: float,
-                ) -> tuple[float, float]:
-    """Supremum of the collective witness over r in (0, r_max].
-
-    Coarse log-spaced scan, then golden-section refinement around the best
-    grid point (the witness is smooth; the boundary r -> 0 is included via
-    the leftmost grid points where E -> n0 + 1/2 from below or above).
-    """
+def _window_min(f, r_max: float) -> tuple[float, float, float]:
+    """Where ``f`` is least over r in (0, r_max]: the log-spaced scan's
+    least value and its location, and the golden-section refinement around
+    that grid point (for r -> 0 the leftmost cell reaches down to half the
+    first grid point).  ``f`` takes floats and numpy arrays."""
     rs = np.logspace(-3, math.log10(r_max), SCAN_POINTS)
-    vals = collective_steering_value(rs, x, n0, n)
-    k = int(np.argmax(vals))
+    vals = f(rs)
+    k = int(np.argmin(vals))
     lo = rs[k - 1] if k > 0 else rs[0] / 2.0
     hi = rs[k + 1] if k + 1 < SCAN_POINTS else r_max
-    r_best = _golden_minimize(
-        lambda r: -collective_steering_value(r, x, n0, n), lo, hi, 1e-6)
-    candidates = [(float(vals[k]), float(rs[k])),
-                  (collective_steering_value(r_best, x, n0, n), float(r_best))]
-    return max(candidates)
+    return float(vals[k]), float(rs[k]), _golden_minimize(f, lo, hi, 1e-6)
+
+
+def _sup_over_r(x: float, n0: float, n: float, r_max: float,
+                ) -> tuple[float, float]:
+    """Supremum of the collective witness over r in (0, r_max], and where:
+    the larger of ``_window_min``'s grid point and refinement."""
+    low, r_k, r_best = _window_min(
+        lambda r: -collective_steering_value(r, x, n0, n), r_max)
+    return max((-low, r_k),
+               (collective_steering_value(r_best, x, n0, n), float(r_best)))
 
 
 def _check_search(r_max: float, tol: float) -> None:
@@ -136,17 +149,39 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
     """Largest bath occupation with collective steering at every pulse area.
 
     Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``,
-    down to a bracket of width ``tol`` or of adjacent floats.  Raises
-    ``NoThreshold`` when even n = 0 fails (too much damping) or when
-    steering survives past ``N_CAP`` (damping too weak to set a bound).
+    after doubling n from 1, down to a bracket of width ``tol`` or of
+    adjacent floats.  Raises ``NoThreshold`` when even n = 0 fails (too
+    much damping) or when steering survives past ``N_CAP`` (damping too
+    weak to set a bound).  ``sup_location`` is where the sup lies at the
+    result.
+
+    The sup over r is a scan and a golden refinement (``_sup_over_r``).
+    For a ground-state mirror the search answers the condition without it:
+    E <= 1/2 holds exactly up to ``closedform.max_occupation``, so the
+    condition holds up to n*, its infimum over the window, found by the
+    same scan and refinement (``_window_min``).  The search takes
+    ``n <= n*``, and the sup itself only within ``NEAR_REL`` of n*, so it
+    makes the same steps as on the sup.  With n0 > 0 the witness starts at
+    n0 + 1/2 > 1/2 and the sup is decided at the scan's edge near r = 0,
+    where it need not rise with n; there every step takes the sup.
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
             f"gamma_over_G must be in (0, 1), got {gamma_over_G!r}")
     _check_search(r_max, tol)
 
-    def ok(n: float) -> bool:
+    def sup_ok(n: float) -> bool:
         return _sup_over_r(gamma_over_G, n0, n, r_max)[0] <= 0.5
+
+    ok = sup_ok
+    if not n0 > 0.0:
+        low, _, r_best = _window_min(
+            lambda r: max_occupation(r, gamma_over_G, n0), r_max)
+        n_star = min(low, max_occupation(r_best, gamma_over_G, n0))
+        near = NEAR_REL * max(abs(n_star), 1.0)
+
+        def ok(n: float) -> bool:
+            return sup_ok(n) if abs(n - n_star) <= near else n <= n_star
 
     if not ok(0.0):
         raise NoThreshold(
@@ -225,10 +260,17 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     bisect = cross[i, j]
     lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
     if lo.size:
-        x, sign = xs[i[bisect]], row[i[bisect], j[bisect]]
-        for _ in range(60):
+        # the r-free factors once; each round evaluates only the part of
+        # the witness that depends on r
+        co = _coefficients(xs[i[bisect]], float(n0), float(n))
+        sign = row[i[bisect], j[bisect]]
+        for _ in range(BISECTION_ROUNDS):
             mid = 0.5 * (lo + hi)
-            up = (collective_steering_value(mid, x, n0, n) - 0.5) * sign > 0.0
+            if not ((lo < mid) & (mid < hi)).any():
+                break  # every bracket is down to adjacent floats
+            E_mid = _collective_cells(
+                mid, True, lambda cells: _Coefficients._make(_select(co, cells)))
+            up = (E_mid - 0.5) * sign > 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
     r_cross = rs[j]
