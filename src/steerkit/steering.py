@@ -242,7 +242,14 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     Cells are those of the array ``collective_steering_value``: NaN where
     an argument leaves the domain (a negative r, gamma/G, n0 or n).  The
     contour is found per damping-ratio row by bisection between adjacent
-    finite cells with opposite sign of E - 1/2; NaN cells never join it.
+    finite cells with opposite sign of E - 1/2; NaN cells never join it,
+    and a cell where E is exactly 1/2 joins it as it is.  All crossing
+    cells are bisected together.  The factors of the witness that do not
+    depend on r are computed once (``closedform._coefficients``), so a
+    round evaluates only its r-dependent part; a midpoint where it is NaN
+    counts as past the crossing.  The rounds stop once no bracket has a
+    float strictly inside it, or after ``BISECTION_ROUNDS``; each contour
+    point is its bracket's midpoint.
     """
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)

@@ -4,7 +4,8 @@ Each one checks a result of ``steerkit`` by a second route: direct
 collective-mode filters against the oracle's collective rows, the
 ``B Sigma B^T`` diffusion of a model against its stacked propagation, the
 symplectic spectrum of a covariance block (physicality), the optimal
-inference gain, and the monogamy of single-party witnesses.
+inference gain, the monogamy of single-party witnesses, and the noise
+threshold searched on the sup over r alone.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from steerkit import steering_product
+from steerkit.steering import (
+    N_CAP,
+    ThresholdResult,
+    _bisect,
+    _sup_over_r,
+)
 from steerkit.dynamics import (
     B_TILDE,
     U_OUT,
@@ -130,3 +137,23 @@ def monogamy_check(oc: OutputCovariance, steered_mode: str,
     scale = max(oc.variance(steered_mode, "X"), oc.variance(steered_mode, "P"))
     margin = TIE_ULPS * float(np.finfo(float).eps) * scale
     return MonogamyReport(steered_mode, tuple(parties), (e1, e2), margin)
+
+
+def sup_threshold(x: float, n0: float, r_max: float,
+                  tol: float) -> ThresholdResult | None:
+    """``noise_threshold``'s doubling and bisection on n with every step
+    taking ``_sup_over_r``; None where it finds no threshold."""
+
+    def ok(n: float) -> bool:
+        return _sup_over_r(x, n0, n, r_max)[0] <= 0.5
+
+    if not ok(0.0):
+        return None
+    lo, hi = 0.0, 1.0
+    while ok(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > N_CAP:
+            return None
+    lo, hi = _bisect(ok, lo, hi, tol)
+    value = 0.5 * (lo + hi)
+    return ThresholdResult(value, (lo, hi), _sup_over_r(x, n0, value, r_max)[1])

@@ -26,7 +26,8 @@ from steerkit.closedform import (
     decay_filter_ratio,
     gain_filter_ratio,
 )
-from steerkit.errors import InvalidParams
+from steerkit.errors import InvalidParams, NoThreshold
+from steerkit.steering import N_CAP, noise_threshold
 
 E2 = math.e ** 2
 
@@ -351,6 +352,90 @@ class TestPulseAreaThreshold:
     def test_rejects_negative_occupation(self):
         with pytest.raises(InvalidParams):
             threshold_r(-1.0)
+
+
+
+def n_inf(x: float) -> float:
+    """The plateau's bath bound: x^2 (1/2 + x (n + 1)) / (1 + x)^2 = 1/2."""
+    return (1.0 + 2.0 * x) / (2.0 * x ** 3) - 1.0
+
+
+class TestMaxOccupation:
+    # At r >= 1 the float witness is good to a few ulps at the occupations
+    # the bound reaches; below, those occupations grow like 1/r^2 and the
+    # witness's own rounding takes over (the bound itself stays within
+    # 2 ulps of E = 1/2 in 80-digit arithmetic).
+    RS = (1.0, 2.0, 3.0, 10.0, 50.0, 150.0, 349.0, 400.0)
+    ULPS = 8 * np.spacing(0.5)
+
+    @pytest.mark.parametrize("x", [0.02, 0.1, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("n0", [0.0, 0.01, 1.0])
+    def test_witness_is_half_at_the_bound(self, x, n0):
+        for r in self.RS:
+            n = closedform.max_occupation(r, x, n0)
+            if n >= 0.0:
+                assert abs(collective_steering_value(r, x, n0, n) - 0.5) \
+                    <= self.ULPS
+
+    @pytest.mark.parametrize("x", [0.02, 0.1, 0.7])
+    def test_array_bound_matches_the_float_bound(self, x):
+        rs = np.array(self.RS)
+        n = closedform.max_occupation(rs, x, 0.0)
+        assert n.shape == rs.shape
+        for r, n_r in zip(self.RS, n.tolist()):
+            assert n_r == pytest.approx(closedform.max_occupation(r, x, 0.0),
+                                        rel=1e-13)
+        assert np.all(np.abs(collective_steering_value(rs, x, 0.0, n) - 0.5)
+                      <= self.ULPS)
+
+    def test_steering_holds_below_the_bound_only(self):
+        for r, x, n0 in [(0.5, 0.1, 0.0), (2.0, 0.3, 0.5), (8.0, 0.05, 0.2)]:
+            n = closedform.max_occupation(r, x, n0)
+            assert collective_steering_value(r, x, n0, n * (1 - 1e-9)) < 0.5
+            assert collective_steering_value(r, x, n0, n * (1 + 1e-9)) > 0.5
+
+    def test_falls_toward_the_plateau_bound(self):
+        # strictly falling until it meets n_inf to rounding, past r ~ 18
+        rs = np.linspace(0.5, 12.0, 60)
+        n = closedform.max_occupation(rs, 0.1, 0.0)
+        assert np.all(np.diff(n) < 0.0)
+        assert n_inf(0.1) == pytest.approx(599.0, rel=1e-14)
+        assert closedform.max_occupation(10.0, 0.1, 0.0) - 599.0 \
+            == pytest.approx(4.947e-4, rel=1e-3)
+        for r in (40.0, LARGE_R, 500.0):
+            assert closedform.max_occupation(r, 0.1, 0.0) \
+                == pytest.approx(599.0, rel=1e-14)
+
+    def test_plateau_bound_vanishes_at_criterion_14s_root(self):
+        roots = np.roots([2.0, 0.0, -2.0, -1.0])
+        x_star = float(max(roots[np.abs(roots.imag) < 1e-12].real))
+        assert x_star == pytest.approx(1.1915, abs=1e-4)
+        assert n_inf(x_star) == pytest.approx(0.0, abs=1e-14)
+        assert closedform.max_occupation(400.0, x_star, 0.0) \
+            == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n0", [0.5, 5.0])
+    def test_warm_mirror_bound_is_negative_near_r_zero(self, n0):
+        # E starts at n0 + 1/2 > 1/2: no occupation steers at small r, and
+        # the all-pulse-area threshold does not exist
+        assert closedform.max_occupation(1e-3, 0.1, n0) < 0.0
+        with pytest.raises(NoThreshold):
+            noise_threshold(0.1, n0)
+
+    def test_weak_damping_bound_passes_the_search_cap(self):
+        n = closedform.max_occupation(np.logspace(-3, 1, 50), 1e-4, 0.0)
+        assert n.min() > N_CAP
+        with pytest.raises(NoThreshold):
+            noise_threshold(1e-4, 0.0)
+
+    @pytest.mark.parametrize("r, x, n0", [(0.0, 0.1, 0.0), (-1.0, 0.1, 0.0),
+                                          (1.0, 0.0, 0.0), (1.0, 0.1, -1.0),
+                                          (math.nan, 0.1, 0.0)])
+    def test_out_of_domain(self, r, x, n0):
+        with pytest.raises(InvalidParams):
+            closedform.max_occupation(r, x, n0)
+        cell = closedform.max_occupation(np.array([r, 1.0]), x, n0)
+        assert math.isnan(cell[0])
 
 
 def test_closed_form_imports_nothing_from_the_model():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from _reference import monogamy_check, optimal_gain
+from _reference import monogamy_check, optimal_gain, sup_threshold
 from conftest import deadline
 from steerkit import (
     collective_steering_value,
@@ -252,6 +252,20 @@ class TestNoiseThreshold:
         with pytest.raises(NoThreshold):
             noise_threshold(0.1, 5.0)
 
+    @pytest.mark.parametrize("x, n0, r_max", [
+        (0.1, 0.0, 10.0), (0.05, 0.0, 6.0), (0.3, 0.0, 50.0),
+        (0.0049, 0.0, 10.0), (0.9, 0.0, 0.3), (0.3, 1e-3, 10.0)])
+    @pytest.mark.parametrize("tol", [0.5, 1e-9])
+    def test_same_result_as_the_search_on_the_sup(self, x, n0, r_max, tol):
+        # the closed-form bound answers the doubling and bisection steps
+        # exactly as the sup over r does, down to a 1e-9 bracket; at
+        # n0 = 1e-3 the sup's scan edge decides and the search takes it
+        try:
+            got = noise_threshold(x, n0, r_max, tol)
+        except NoThreshold:
+            got = None
+        assert got == sup_threshold(x, n0, r_max, tol)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParams):
             noise_threshold(0.0, 0.0)
@@ -321,6 +335,33 @@ class TestSteeringRegion:
         for r, x in region.contour:
             assert collective_steering_value(r, x, 5.0, 5.0) \
                 == pytest.approx(0.5, abs=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n0=st.floats(0.05, 5.0), n=st.floats(0.0, 50.0),
+           r_top=st.floats(0.5, 4.0), r_points=st.integers(9, 40),
+           x_top=st.floats(0.05, 1.5), x_points=st.integers(2, 12))
+    def test_bisected_contour_points_end_at_adjacent_floats(
+            self, n0, n, r_top, r_points, x_top, x_points):
+        # every contour point off the grid is the midpoint of a bracket of
+        # adjacent floats across which E - 1/2 changes sign: it is nonzero
+        # at one end, and of the other sign or zero (a midpoint where E is
+        # 1/2 exactly closes the bracket from above) at the other.  The
+        # crossings lie above r_th(0.05) = 0.024, so 60 rounds get there.
+        # E is evaluated as the bisection does, with gamma/G per cell: a
+        # scalar gamma/G squares 1 + x with pow, which can round otherwise.
+        rs = np.linspace(0.0, r_top, r_points)
+        region = steering_region(rs, np.linspace(0.0, x_top, x_points), n0, n)
+        grid = set(rs.tolist())
+        for r, x in region.contour:
+            if r in grid:
+                continue
+            brackets = [(np.nextafter(r, -np.inf), r),
+                        (r, np.nextafter(r, np.inf))]
+            ends = [collective_steering_value(np.array(b), np.full(2, x),
+                                              n0, n) - 0.5
+                    for b in brackets]
+            assert any(lo * hi <= 0.0 and (lo, hi) != (0.0, 0.0)
+                       for lo, hi in ends)
 
     def test_small_damping_region_is_steerable(self):
         region = steering_region(np.linspace(0.1, 3.0, 30), [0.01, 0.05],
