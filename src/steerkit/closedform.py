@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,7 +167,7 @@ def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
 
     u = _growth(r)
     co = _coefficients(x, n0, n)
-    a, b = co.a, co.b
+    a, b = co[2], co[3]
     amp = amplified_noise_factor(r)
 
     var_m = (n0 + 0.5) + a * u
@@ -224,42 +223,32 @@ def _plateau(x, b):
     return x * x * b / (1.0 + x) ** 2
 
 
-class _Coefficients(NamedTuple):
-    """The factors of the collective witness that do not depend on r, with
-    ``a = n0 + 1 + x (n + 1)`` and ``b = 1/2 + x (n + 1)``.  Each is the
-    left-to-right prefix of a product in ``_collective_terms``, so hoisting
-    it out of a loop over r changes no bit."""
-
-    x: float | np.ndarray
-    n0: float | np.ndarray
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray  # 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)
-    k_rr: float | np.ndarray  # 16 x^2 b^2, the r^2 factor of rterm
-    k_r: float | np.ndarray  # 8 x b (2 n0 + 1) (1 + x), the r factor
-    k_u: float | np.ndarray  # 4 x^2 a b, the u factor of the numerator
-    g2: float | np.ndarray  # (1 + x)^2
-    xb: float | np.ndarray  # x b
-
-
-def _coefficients(x, n0, n) -> _Coefficients:
-    """``_Coefficients`` for floats or numpy arrays alike."""
+def _coefficients(x, n0, n) -> tuple:
+    """The factors of the collective witness that do not depend on r, for
+    floats or numpy arrays alike: ``(x, n0, a, b, c, 16 x^2 b^2,
+    8 x b (2 n0 + 1) (1 + x), 4 x^2 a b, (1 + x)^2, x b)`` with
+    ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n + 1)`` and
+    ``c = 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)``.  Each is the left-to-right
+    prefix of a product in ``_collective_terms``, so computing it once for
+    many r changes no bit."""
     a = n0 + 1.0 + x * (n + 1.0)
     b = 0.5 + x * (n + 1.0)
-    return _Coefficients(
-        x, n0, a, b, 2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0),
-        16.0 * x * x * b * b, 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x),
-        4.0 * x * x * a * b, (1.0 + x) ** 2, x * b)
+    return (x, n0, a, b,
+            2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0),
+            16.0 * x * x * b * b, 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x),
+            4.0 * x * x * a * b, (1.0 + x) ** 2, x * b)
 
 
-def _var_W(co: _Coefficients, u, kr):
-    """``var_XW_out`` with ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``."""
-    return co.g2 * (co.a * u + co.b) + co.xb * (co.x - (1.0 + co.x) * kr)
+def _var_W(co: tuple, u, kr):
+    """``var_XW_out`` from ``_coefficients``, with ``u = e^{2r} - 1`` and
+    ``kr = gain_filter_ratio(r)``."""
+    x, _, a, b, _, _, _, _, g2, xb = co
+    return g2 * (a * u + b) + xb * (x - (1.0 + x) * kr)
 
 
-def _collective_terms(co: _Coefficients, r, u, kr, scaled=False):
+def _collective_terms(co: tuple, r, u, kr, scaled=False):
     """``(var_XW_out, numerator / u)`` of the collective witness: the part
-    that depends on r.
+    that depends on r, from the ``_coefficients`` ``co``.
 
     ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)`` are passed in, so
     the same arithmetic serves floats and numpy arrays.  The numerator of
@@ -269,13 +258,12 @@ def _collective_terms(co: _Coefficients, r, u, kr, scaled=False):
     no product with ``u`` is formed and nothing overflows below
     ``LARGE_R``.
     """
-    rterm = co.k_rr * r * r + co.k_r * r
+    x, _, a, b, c, k_rr, k_r, k_u, g2, xb = co
+    rterm = k_rr * r * r + k_r * r
     if scaled:
-        return (co.g2 * (co.a + co.b / u)
-                + co.xb * (co.x - (1.0 + co.x) * kr) / u,
-                co.k_u + (co.c - rterm * (1.0 + 1.0 / u)) / u)
-    return (_var_W(co, u, kr),
-            co.k_u * u + co.c - rterm * (1.0 + 1.0 / u))
+        return (g2 * (a + b / u) + xb * (x - (1.0 + x) * kr) / u,
+                k_u + (c - rterm * (1.0 + 1.0 / u)) / u)
+    return _var_W(co, u, kr), k_u * u + c - rterm * (1.0 + 1.0 / u)
 
 
 def collective_steering_value(r: float | np.ndarray,
@@ -356,19 +344,19 @@ def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
     """The collective witness at the cells of ``r``, one masked numpy
     expression per branch; cells outside ``ok`` are NaN.  ``coefficients``
     maps a boolean mask or slice of ``r``'s cells to their
-    ``_Coefficients``, so a caller may compute them once for many r."""
+    ``_coefficients``, so a caller may compute those once for many r."""
     if ok is True and 0.0 < r.min() and r.max() <= SCALED_R:
         return _collective_band(coefficients(slice(None)), r, False)
 
     E = np.full(r.shape, np.nan)
     zero = ok & (r == 0.0)
     if zero.any():
-        E[zero] = coefficients(zero).n0 + 0.5
+        E[zero] = coefficients(zero)[1] + 0.5  # n0 + 1/2
 
     big = ok & (r > LARGE_R)
     if big.any():
-        co = coefficients(big)
-        E[big] = np.where(co.x == 0.0, 0.0, _plateau(co.x, co.b))
+        x, _, _, b, *_ = coefficients(big)
+        E[big] = np.where(x == 0.0, 0.0, _plateau(x, b))
 
     mid = ok & (r > 0.0) & (r <= LARGE_R)
     bands = [(mid, False)]
@@ -380,7 +368,7 @@ def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
     return E
 
 
-def _collective_band(co: _Coefficients, r: np.ndarray, scaled: bool,
+def _collective_band(co, r: np.ndarray, scaled: bool,
                      ) -> np.ndarray:
     """The witness at pulse areas in (0, ``LARGE_R``]: the series or direct
     ``gain_filter_ratio`` and ``_collective_terms``, NaN where

@@ -17,7 +17,6 @@ import numpy as np
 
 from .closedform import (
     _check_inputs,
-    _Coefficients,
     _coefficients,
     _collective_cells,
     _select,
@@ -275,8 +274,8 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
-            E_mid = _collective_cells(
-                mid, True, lambda cells: _Coefficients._make(_select(co, cells)))
+            E_mid = _collective_cells(mid, True,
+                                      lambda cells: _select(co, cells))
             up = (E_mid - 0.5) * sign > 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
