@@ -368,8 +368,7 @@ def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
     return E
 
 
-def _collective_band(co, r: np.ndarray, scaled: bool,
-                     ) -> np.ndarray:
+def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
     """The witness at pulse areas in (0, ``LARGE_R``]: the series or direct
     ``gain_filter_ratio`` and ``_collective_terms``, NaN where
     ``var_XW_out`` is not positive."""

@@ -268,14 +268,18 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     if lo.size:
         # the r-free factors once; each round evaluates only the part of
         # the witness that depends on r
-        co = _coefficients(xs[i[bisect]], float(n0), float(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            co = _coefficients(xs[i[bisect]], float(n0), float(n))
+
+        def coefficients(cells):
+            return _select(co, cells)
+
         sign = row[i[bisect], j[bisect]]
         for _ in range(BISECTION_ROUNDS):
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
-            E_mid = _collective_cells(mid, True,
-                                      lambda cells: _select(co, cells))
+            E_mid = _collective_cells(mid, True, coefficients)
             up = (E_mid - 0.5) * sign > 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)

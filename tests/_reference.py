@@ -156,4 +156,5 @@ def sup_threshold(x: float, n0: float, r_max: float,
             return None
     lo, hi = _bisect(ok, lo, hi, tol)
     value = 0.5 * (lo + hi)
-    return ThresholdResult(value, (lo, hi), _sup_over_r(x, n0, value, r_max)[1])
+    _, sup_r = _sup_over_r(x, n0, value, r_max)
+    return ThresholdResult(value, (lo, hi), sup_r)
