@@ -327,12 +327,9 @@ def _collective_array(r, x, n0, n) -> np.ndarray:
              if np.ndim(v) else float(v) for v in (x, n0, n)]
     x, n0, n = knobs
     ok = (r >= 0.0) & (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0)
-
-    def coefficients(cells):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _coefficients(*_select(knobs, cells))
-
-    return _collective_cells(r, ok, coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):
+        co = _coefficients(x, n0, n)
+    return _collective_cells(r, co, ok)
 
 
 def _select(values, cells) -> list:
@@ -340,22 +337,23 @@ def _select(values, cells) -> list:
     return [v[cells] if isinstance(v, np.ndarray) else v for v in values]
 
 
-def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
+def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     """The collective witness at the cells of ``r``, one masked numpy
-    expression per branch; cells outside ``ok`` are NaN.  ``coefficients``
-    maps a boolean mask or slice of ``r``'s cells to their
-    ``_coefficients``, so a caller may compute those once for many r."""
-    if ok is True and 0.0 < r.min() and r.max() <= SCALED_R:
-        return _collective_band(coefficients(slice(None)), r, False)
+    expression per branch.  ``co`` is ``_coefficients`` with each entry a
+    scalar or an array of ``r``'s shape, so a caller may compute it once
+    for many r; cells outside the mask ``ok`` (all are in when it is
+    True) are NaN."""
+    if 0.0 < r.min() and r.max() <= SCALED_R and np.all(ok):
+        return _collective_band(co, r, False)
 
     E = np.full(r.shape, np.nan)
     zero = ok & (r == 0.0)
     if zero.any():
-        E[zero] = coefficients(zero)[1] + 0.5  # n0 + 1/2
+        E[zero] = _select([co[1]], zero)[0] + 0.5  # n0 + 1/2
 
     big = ok & (r > LARGE_R)
     if big.any():
-        x, _, _, b, *_ = coefficients(big)
+        x, b = _select([co[0], co[3]], big)
         E[big] = np.where(x == 0.0, 0.0, _plateau(x, b))
 
     mid = ok & (r > 0.0) & (r <= LARGE_R)
@@ -364,7 +362,7 @@ def _collective_cells(r: np.ndarray, ok, coefficients) -> np.ndarray:
         hi = mid & (r > SCALED_R)
         bands = [(mid & ~hi, False), (hi, True)]
     for cells, scaled in bands:
-        E[cells] = _collective_band(coefficients(cells), r[cells], scaled)
+        E[cells] = _collective_band(_select(co, cells), r[cells], scaled)
     return E
 
 
@@ -484,31 +482,23 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     the float call raises ``InvalidParams``.
     """
     x = gamma_over_G
-    if isinstance(r, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
-                         under="ignore"):
-            er = np.exp(-r)
-            t = -np.expm1(-2.0 * r)
-            dm = np.where(r < SINH_SERIES_R, 2.0 * er * _sinh_excess(r),
-                          t - 2.0 * r * er)
-            A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
-            S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
-            b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)
-            return np.where((r > 0.0) & (x > 0.0) & (n0 >= 0.0),
-                            (b - 0.5) / x - 1.0, np.nan)
-    _check_inputs(r, x, n0, 0.0)
-    if not (r > 0.0 and x > 0.0):
-        raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
-                            f"> 0, got r = {r!r}, gamma_over_G = {x!r}")
-    er = math.exp(-r)
-    t = -math.expm1(-2.0 * r)
-    dm = 2.0 * er * _sinh_excess(r) if r < SINH_SERIES_R else t - 2.0 * r * er
-    A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
-    S = math.sqrt(B * B - 4.0 * A * C) + abs(B)
-    if B >= 0.0:
-        b = -2.0 * C / S
-    elif A > 0.0:
-        b = S / (2.0 * A)
-    else:  # A underflows below r ~ 1e-100, where the bound passes every float
-        return math.inf
-    return (b - 0.5) / x - 1.0
+    array = isinstance(r, np.ndarray)
+    if not array:
+        _check_inputs(r, x, n0, 0.0)
+        if not (r > 0.0 and x > 0.0):
+            raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
+                                f"> 0, got r = {r!r}, gamma_over_G = {x!r}")
+    # A underflows to 0 below r ~ 1e-100, where the bound is inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                     under="ignore"):
+        er = np.exp(-r)
+        t = -np.expm1(-2.0 * r)
+        dm = np.where(r < SINH_SERIES_R, 2.0 * er * _sinh_excess(r),
+                      t - 2.0 * r * er)
+        A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
+        S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
+        b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)
+        n_max = (b - 0.5) / x - 1.0
+    if not array:
+        return float(n_max)
+    return np.where((r > 0.0) & (x > 0.0) & (n0 >= 0.0), n_max, np.nan)

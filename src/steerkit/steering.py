@@ -19,7 +19,6 @@ from .closedform import (
     _check_inputs,
     _coefficients,
     _collective_cells,
-    _select,
     collective_steering_value,
     max_occupation,
 )
@@ -150,37 +149,39 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
     Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``,
     after doubling n from 1, down to a bracket of width ``tol`` or of
     adjacent floats.  Raises ``NoThreshold`` when even n = 0 fails (too
-    much damping) or when steering survives past ``N_CAP`` (damping too
-    weak to set a bound).  ``sup_location`` is where the sup lies at the
-    result.
+    much damping, or a warm mirror: with n0 > 0 the witness tends to
+    n0 + 1/2 > 1/2 as r -> 0, so the sup exceeds 1/2 at every n) or when
+    steering survives past ``N_CAP`` (damping too weak to set a bound).
+    ``sup_location`` is where the sup lies at the result.
 
     The sup over r is a scan and a golden refinement (``_sup_over_r``).
-    For a ground-state mirror the search answers the condition without it:
-    E <= 1/2 holds exactly up to ``closedform.max_occupation``, so the
-    condition holds up to n*, its infimum over the window, found by the
-    same scan and refinement (``_window_min``).  The search takes
+    The search answers the condition without it: for a ground-state
+    mirror E <= 1/2 holds exactly up to ``closedform.max_occupation``, so
+    the condition holds up to n*, its infimum over the window, found by
+    the same scan and refinement (``_window_min``).  The search takes
     ``n <= n*``, and the sup itself only within ``NEAR_REL`` of n*, so it
-    makes the same steps as on the sup.  With n0 > 0 the witness starts at
-    n0 + 1/2 > 1/2 and the sup is decided at the scan's edge near r = 0,
-    where it need not rise with n; there every step takes the sup.
+    makes the same steps as on the sup.
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
             f"gamma_over_G must be in (0, 1), got {gamma_over_G!r}")
     _check_search(r_max, tol)
+    if not n0 >= 0.0:
+        raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
+    if n0 > 0.0:
+        raise NoThreshold(
+            f"no collective steering over all of (0, {r_max}] for a warm "
+            f"mirror: E tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = {n0})")
 
-    def sup_ok(n: float) -> bool:
-        return _sup_over_r(gamma_over_G, n0, n, r_max)[0] <= 0.5
+    low, _, r_best = _window_min(
+        lambda r: max_occupation(r, gamma_over_G, n0), r_max)
+    n_star = min(low, max_occupation(r_best, gamma_over_G, n0))
+    near = NEAR_REL * max(abs(n_star), 1.0)
 
-    ok = sup_ok
-    if not n0 > 0.0:
-        low, _, r_best = _window_min(
-            lambda r: max_occupation(r, gamma_over_G, n0), r_max)
-        n_star = min(low, max_occupation(r_best, gamma_over_G, n0))
-        near = NEAR_REL * max(abs(n_star), 1.0)
-
-        def ok(n: float) -> bool:
-            return sup_ok(n) if abs(n - n_star) <= near else n <= n_star
+    def ok(n: float) -> bool:
+        if abs(n - n_star) <= near:
+            return _sup_over_r(gamma_over_G, n0, n, r_max)[0] <= 0.5
+        return n <= n_star
 
     if not ok(0.0):
         raise NoThreshold(
@@ -271,15 +272,12 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
         with np.errstate(over="ignore", invalid="ignore"):
             co = _coefficients(xs[i[bisect]], float(n0), float(n))
 
-        def coefficients(cells):
-            return _select(co, cells)
-
         sign = row[i[bisect], j[bisect]]
         for _ in range(BISECTION_ROUNDS):
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
-            E_mid = _collective_cells(mid, True, coefficients)
+            E_mid = _collective_cells(mid, co)
             up = (E_mid - 0.5) * sign > 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)

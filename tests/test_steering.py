@@ -252,14 +252,22 @@ class TestNoiseThreshold:
         with pytest.raises(NoThreshold):
             noise_threshold(0.1, 5.0)
 
-    @pytest.mark.parametrize("x, n0, r_max", [
-        (0.1, 0.0, 10.0), (0.05, 0.0, 6.0), (0.3, 0.0, 50.0),
-        (0.0049, 0.0, 10.0), (0.9, 0.0, 0.3), (0.3, 1e-3, 10.0)])
+    @pytest.mark.parametrize("n0", [1e-3, 1e-9])
+    def test_barely_warm_mirror_has_no_threshold(self, n0):
+        # the sup's scan starts at r = 1e-3 and misses the rise to
+        # n0 + 1/2 closer to r = 0, so the search on the sup alone finds a
+        # threshold at n0 = 1e-3; there is none
+        assert collective_steering_value(1e-12, 0.3, n0, 5.0) > 0.5
+        with pytest.raises(NoThreshold):
+            noise_threshold(0.3, n0)
+
+    @pytest.mark.parametrize("x, r_max", [
+        (0.1, 10.0), (0.05, 6.0), (0.3, 50.0), (0.0049, 10.0), (0.9, 0.3)])
     @pytest.mark.parametrize("tol", [0.5, 1e-9])
-    def test_same_result_as_the_search_on_the_sup(self, x, n0, r_max, tol):
+    def test_same_result_as_the_search_on_the_sup(self, x, r_max, tol):
         # the closed-form bound answers the doubling and bisection steps
-        # exactly as the sup over r does, down to a 1e-9 bracket; at
-        # n0 = 1e-3 the sup's scan edge decides and the search takes it
+        # exactly as the sup over r does, down to a 1e-9 bracket
+        n0 = 0.0
         try:
             got = noise_threshold(x, n0, r_max, tol)
         except NoThreshold:
