@@ -786,6 +786,8 @@ def run(scenario: Scenario, *, output: str | None = None,
     (default ``STEERKIT_THREADS`` or 1) is validated but has no effect: a
     thread count that is not an integer >= 1 is a ``ConfigError``.
     """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format {fmt!r} not csv|json")
     scenario.validate()
     if threads is None:
         env = os.environ.get("STEERKIT_THREADS", "1")
@@ -816,10 +818,8 @@ def run(scenario: Scenario, *, output: str | None = None,
     if path:
         if fmt == "csv":
             _write_csv(path, record)
-        elif fmt == "json":
-            _write_json(path, record)
         else:
-            raise ConfigError(f"format {fmt!r} not csv|json")
+            _write_json(path, record)
         contour = summary.get("contour")
         if contour is not None:
             _write_contour(_with_suffix(path, ".contour.csv"), record, contour)
@@ -834,26 +834,125 @@ def _with_suffix(path: str, suffix: str) -> str:
     return stem + suffix
 
 
+# A CSV cell as the kernel writes it: "%.11e" and its separator in 20
+# bytes, the sign (byte 0) and the exponent's hundreds digit (byte 16) NUL
+# when absent, as three little-endian words:
+#   head  bytes 0-7    sign, d.dd (the first three digits), three digits
+#   body  bytes 8-15   six digits, "e" and the exponent's sign
+#   tail  bytes 16-19  the exponent's digits and the separator
+_CELL = np.dtype([("head", "<u8"), ("body", "<u8"), ("tail", "<u4")])
+# _P10[k + 297] is 10**k, correctly rounded by the float parser
+_P10 = np.array([float(f"1e{k}") for k in range(-297, 309)])
+# by three-digit group g: its three ASCII digits, and "d.dd" at bytes 1-4
+_G = np.arange(1000, dtype="<u8")
+_DIGITS = 48 + _G // 100 | (48 + _G // 10 % 10) << 8 | (48 + _G % 10) << 16
+_LEAD = (_DIGITS & 0xFF) << 8 | 46 << 16 | (_DIGITS >> 8) << 24
+# by exponent e + 308: "e" and its sign at bytes 14-15, and its digits
+# (the hundreds NUL below 100)
+_E = np.arange(-308, 309)
+_E_SIGN = (101 | np.where(_E < 0, 45, 43).astype("<u8") << 8) << 48
+_E_ABS = np.abs(_E).astype("<u4")
+_E_DIGITS = (np.where(_E_ABS >= 100, 48 + _E_ABS // 100, 0).astype("<u4")
+             | (48 + _E_ABS // 10 % 10) << 8 | (48 + _E_ABS % 10) << 16)
+# below about this many cells one "%" template per row is faster than the
+# kernel, whose numpy calls cost ~0.1 ms per table whatever its size
+_KERNEL_MIN_CELLS = 200
+# the kernel formats about this many cells at a time
+_BLOCK_CELLS = 1 << 14
+
+
+def _cells(x: np.ndarray, seps) -> np.ndarray:
+    """``"%.11e" % v`` for each ``v`` of ``x``, followed by its separator
+    byte (``seps`` broadcast against ``x``), as NUL-padded records of dtype
+    ``V20`` and shape ``x.shape``.
+
+    Cells the exact fast path (see ``_write_rows``) does not accept go
+    through ``%`` one by one.
+    """
+    flat = x.ravel()
+    ax = np.abs(flat)
+    fast = (ax >= 1e-296) & (ax < math.inf)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    s = ax * _P10[308 - e]
+    m = np.rint(s)
+    fast &= (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.5 - 1e-3)
+    m = np.where(fast, m, 0.0)  # so that every cell indexes the tables
+    # m's digits in groups of three; the quotients are exact
+    q9, q6, q3 = np.floor(m / 1e9), np.floor(m / 1e6), np.floor(m / 1e3)
+    groups = [g.astype(np.intp)
+              for g in (q9, q6 - 1e3 * q9, q3 - 1e3 * q6, m - 1e3 * q3)]
+    e += 308
+    buf = np.empty(flat.shape, _CELL)
+    buf["head"] = (_LEAD.take(groups[0]) | np.signbit(flat) * np.uint64(45)
+                   | _DIGITS.take(groups[1]) << np.uint64(40))
+    buf["body"] = (_DIGITS.take(groups[2]) | _E_SIGN.take(e)
+                   | _DIGITS.take(groups[3]) << np.uint64(24))
+    buf["tail"] = _E_DIGITS.take(e) | np.broadcast_to(
+        np.asarray(seps, "<u4"), x.shape).ravel() << np.uint32(24)
+    slow = ~fast & (flat != 0.0)  # a zero is m = 0 at e = 0
+    if slow.any():
+        buf.view(np.uint8).reshape(-1, 20)[slow, :19] = np.array(
+            ["%.11e" % v for v in flat[slow].tolist()],
+            dtype="S19").view(np.uint8).reshape(-1, 19)
+    return buf.view("V20").reshape(x.shape)
+
+
+def _text(cells: np.ndarray) -> str:
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_rows(out, columns: list[str], rows) -> None:
     """Write a CSV header and one ``%.11e`` line per row of floats.
 
-    ``rows`` yields one float per column, as a tuple (a bare float for one
-    column), or is a heatmap's ``_GridPoints``.  The header goes through
-    ``csv`` because labels such as ``E[n0=0,n=0]`` need quoting; formatted
-    floats never do.
+    ``rows`` is a list with one float per column per row, as a tuple (a
+    bare float for one column), or a heatmap's ``_GridPoints``.  The header
+    goes through ``csv`` because labels such as ``E[n0=0,n=0]`` need
+    quoting; formatted floats never do.
+
+    A table of fewer than ``_KERNEL_MIN_CELLS`` cells is written with one
+    ``%`` template per row, which is faster there.  A larger one is
+    formatted by ``_cells`` in blocks of about ``_BLOCK_CELLS`` cells, so
+    that its temporaries stay a small fraction of the text; in a heatmap
+    each x1 and x2 is formatted once per map.  ``_cells`` writes what
+    ``%`` writes, byte for byte.  For a finite x with ``|x| >= 1e-296`` it
+    takes ``e = floor(log10|x|)`` and ``s = |x| * P``, where ``P`` is
+    ``10**(11 - e)`` correctly rounded.  The product is correctly rounded
+    too, so ``s`` is within ``2**-52`` relative, under 2.3e-4 absolute for
+    ``s < 1e12``, of the exact ``t = |x| * 10**(11 - e)``.  A cell is
+    accepted when ``1e11 <= s``, ``m = rint(s) < 1e12`` and
+    ``|s - m| < 0.5 - 1e-3``.  Then ``|t - m| < 0.5``, so ``m`` is ``t``
+    rounded to nearest, as correctly rounded ``%`` rounds it, and the cell
+    is m's 12 digits and ``e`` (a ``t`` just under ``1e11`` rounds to 12
+    digits as ``1e11 * 10**(e - 11)``, which is this ``m``).  A zero is
+    written as ``m = 0`` at ``e = 0``.  Every other cell (NaN, infinities,
+    subnormals, ``|x| < 1e-296``, near-ties and a ``log10`` off by one)
+    goes through ``%``.
     """
     csv.writer(out, lineterminator="\n").writerow(columns)
-    if isinstance(rows, _GridPoints):
-        # each x1 is formatted once per map and x2 once per grid row, so
-        # one template per grid row leaves only its E cells to format
-        s1 = ["%.11e" % x1 for x1 in rows.v1]
-        for x2, es in zip(rows.v2, rows.E.tolist()):
-            sep = ",%.11e,%%.11e\n" % x2
-            out.write((sep.join(s1) + sep) % tuple(es))
-        return
-    line = ",".join(["%.11e"] * len(columns)) + "\n"
-    for row in rows:
-        out.write(line % row)
+    grid = isinstance(rows, _GridPoints)
+    if len(rows) * len(columns) < _KERNEL_MIN_CELLS:
+        line = ",".join(["%.11e"] * len(columns)) + "\n"
+        for row in map(operator.itemgetter(*columns), rows) if grid \
+                else rows:
+            out.write(line % row)
+    elif grid:
+        axes = _cells(np.array(rows.v1 + rows.v2), ord(","))
+        x1, x2 = axes[:len(rows.v1)], axes[len(rows.v1):, None]
+        step = max(1, _BLOCK_CELLS // len(x1))
+        for i in range(0, len(x2), step):
+            E = rows.E[i:i + step]
+            block = np.empty(E.shape + (3,), axes.dtype)
+            block[..., 0] = x1
+            block[..., 1] = x2[i:i + step]
+            block[..., 2] = _cells(E, ord("\n"))
+            out.write(_text(block))
+    else:
+        x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+        seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+        step = max(1, _BLOCK_CELLS // len(columns))
+        for i in range(0, len(x), step):
+            out.write(_text(_cells(x[i:i + step], seps)))
 
 
 def _csv_text(record: RunRecord) -> str:
@@ -868,7 +967,7 @@ def _csv_text(record: RunRecord) -> str:
         buf.write(f"# {key}: {val}\n")
     points = record.points
     if not isinstance(points, _GridPoints):
-        points = map(operator.itemgetter(*record.columns), points)
+        points = list(map(operator.itemgetter(*record.columns), points))
     _write_rows(buf, record.columns, points)
     return buf.getvalue()
 

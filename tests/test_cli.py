@@ -8,11 +8,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import steerkit
 from conftest import deadline
@@ -656,6 +661,46 @@ class TestFileFormats:
         data = (tmp_path / "map.contour.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # tables above the writer's size threshold: out-of-domain NaN cells, a
+    # -0.0 axis, exact zeros and three-digit exponents (E decays like e^-2r
+    # at gamma = 0), and a curve whose first rows are NaN
+    BIG_HEATMAP = Scenario(
+        mode="heatmap",
+        params={"kind": "ratios", "gamma_over_G": 0.0, "n0": 0.5},
+        sweep=Sweep("r", 0.0, 400.0, 64),
+        sweep2=Sweep("n", -1.0, -0.0, 16))
+    BIG_CURVE = Scenario(
+        mode="curve",
+        params={"kind": "ratios", "r": 1.5, "gamma_over_G": 0.1},
+        sweep=Sweep("n", -5.0, 50.0, 221),
+        cases=({"label": "cold", "n0": 0.0}, {"label": "warm", "n0": 0.5},
+               {"label": "hot", "n0": 3.0}))
+
+    @pytest.mark.parametrize("name, digest", [
+        ("BIG_HEATMAP",
+         "6a6c74cecf9e0d1948c38e8e43b784bebc0bc0a032747d25e920a038574b61eb"),
+        ("BIG_CURVE",
+         "49110ec9913c1e2af9a02b9c01423ce74333cc7820e3f3c6321ae949fdd6dd41"),
+    ])
+    def test_large_csv_bytes_are_pinned(self, tmp_path, name, digest):
+        record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
+        assert record.exit_code == 0
+        data = (tmp_path / "t.csv").read_bytes()
+        cells = [line.split(b",") for line in data.splitlines()[
+            len(record.warnings) + 3:]]
+        assert len(cells) * len(cells[0]) >= 600
+        if name == "BIG_HEATMAP":
+            es = [c[2] for c in cells]
+            assert len(es) == 1024 and len(record.warnings) == 960
+            assert es.count(b"nan") == 960
+            assert es.count(b"0.00000000000e+00") == 8
+            assert sum(e[-5:-4] == b"e" for e in es) == 38
+            assert cells[-1][1] == b"-0.00000000000e+00"
+        else:
+            assert len(record.warnings) == 60
+            assert cells[0][1:] == [b"nan"] * 3
+        assert hashlib.sha256(data).hexdigest() == digest
+
     # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value
     # (linspace makes a -0.0 start +0.0, so it is the stop), and a log r
     # axis over the series (r < 1e-4), direct and asymptote (r > 350) cells
@@ -699,6 +744,18 @@ class TestFileFormats:
             "tool_version": "0.1.0",
             "warnings": self.TINY_WARNINGS}, sort_keys=True)
 
+    @pytest.mark.parametrize("output", [None, "fig4.xml"])
+    def test_unknown_format_fails_before_computing(self, tmp_path,
+                                                   monkeypatch, output):
+        def computed(*args, **kwargs):
+            pytest.fail("the scenario ran")
+
+        monkeypatch.setattr(steering, "steering_region", computed)
+        with pytest.raises(ConfigError, match=r"format 'xml' not csv\|json"):
+            run(PRESETS["fig4"](), fmt="xml",
+                output=output and str(tmp_path / output))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name, digest", [
         ("fig4.svg",
          "6aaafa86a9df6069dbe16b7f097f03a1bf8a84258b075b7e04cf61d783c7cfac"),
@@ -730,6 +787,69 @@ class TestFileFormats:
                                 "b": [0.9, 0.7, 0.5, inf, 0.2]},
                                str(path), x_label="r", hline=0.5)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCellKernel:
+    """``cli._cells`` writes what ``"%.11e" % v`` writes, value by value."""
+
+    @staticmethod
+    def assert_exact(values):
+        x = np.asarray(values, dtype=float)
+        cells = [c.replace(b"\0", b"").decode()
+                 for c in cli._cells(x, 0).tolist()]
+        assert cells == ["%.11e" % v for v in x.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64), elements=st.floats()))
+    def test_any_floats(self, x):
+        self.assert_exact(x)
+
+    def test_twelve_digit_ties(self):
+        # decimal ties in the 13th significant digit: the nearest float
+        # lies within 2**-53 relative of the tie, on either side
+        rng = np.random.default_rng(18)
+        ties = [float(f"{lead}.{rest:011d}5e{k}")
+                for k in range(-300, 301)
+                for lead, rest in zip(rng.integers(1, 10, 8).tolist(),
+                                      rng.integers(0, 10**11, 8).tolist())]
+        # exact binary ties, which "%" rounds half to even: 13-digit
+        # integers ending in 5, and odd multiples of 2**-p with 13 digits
+        ties += [1234567890125.0, 1234567890135.0, 9999999999995.0]
+        ties += [x for x in (k * 2.0**-p for p in range(64)
+                             for k in range(1, 64, 2))
+                 if len(Decimal(x).normalize().as_tuple().digits) == 13]
+        self.assert_exact(ties + [-t for t in ties])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-307, 309)])
+        x = np.concatenate([p, np.nextafter(p, 0.0),
+                            np.nextafter(p, math.inf)])
+        self.assert_exact(np.concatenate([x, -x]))
+
+    def test_special_values(self):
+        tiny = np.finfo(float).tiny
+        self.assert_exact([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0),
+                           tiny, np.finfo(float).max, -np.finfo(float).max,
+                           math.nan, math.inf, -math.inf])
+
+    def test_a_large_grid_peaks_at_the_size_of_its_text(self):
+        # the writer formats in blocks, so only the text and its copy in
+        # the StringIO are of the grid's size
+        v = np.linspace(0.0, 3.0, 1001).tolist()
+        E = np.random.default_rng(7).uniform(0.0, 2.0, (1001, 1001))
+        record = cli.RunRecord(
+            scenario_digest="ab" * 32, tool_version="0.0", wall_time_s=0.0,
+            columns=["r", "gamma_over_G", "E"],
+            points=cli._GridPoints("r", "gamma_over_G", v, v, E),
+            warnings=[], summary={})
+        tracemalloc.start()
+        try:
+            text = cli._csv_text(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 1001 * 1001 + 3
+        assert peak < 2.5 * len(text)
 
 
 class TestPresets:
