@@ -43,7 +43,7 @@ def report_ratios(x: float, n0: float, n: float) -> None:
     rth = threshold_r(n0)
     print(f"  minimal pulse area for steering (undamped): r_th = {rth:.4f}")
     if n0 > 0:
-        crossing = r_crossing(x, n0, n).value
+        crossing = r_crossing(x, n0, n)
         print(f"  witness crosses 1/2 at r = {crossing:.4f} "
               f"with damping and bath noise")
     for r in (0.5, 1.0, 2.0):

@@ -16,9 +16,9 @@ and everything is stored in rad/s internally.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -822,7 +822,7 @@ def run(scenario: Scenario, *, output: str | None = None,
             _write_json(path, record)
         contour = summary.get("contour")
         if contour is not None:
-            _write_contour(_with_suffix(path, ".contour.csv"), record, contour)
+            _write_csv(_with_suffix(path, ".contour.csv"), record, contour)
         if svg:
             _write_svg(_with_suffix(path, ".svg"), scenario, record)
     return record
@@ -912,8 +912,9 @@ def _write_rows(out, columns: list[str], rows) -> None:
 
     A table of fewer than ``_KERNEL_MIN_CELLS`` cells is written with one
     ``%`` template per row, which is faster there.  A larger one is
-    formatted by ``_cells`` in blocks of about ``_BLOCK_CELLS`` cells, so
-    that its temporaries stay a small fraction of the text; in a heatmap
+    formatted by ``_cells`` in blocks of about ``_BLOCK_CELLS`` cells that
+    go straight to ``out``, so no text of the table's size is ever held
+    and the temporaries stay a fraction of the file's size; in a heatmap
     each x1 and x2 is formatted once per map.  ``_cells`` writes what
     ``%`` writes, byte for byte.  For a finite x with ``|x| >= 1e-296`` it
     takes ``e = floor(log10|x|)`` and ``s = |x| * P``, where ``P`` is
@@ -955,26 +956,34 @@ def _write_rows(out, columns: list[str], rows) -> None:
             out.write(_text(_cells(x[i:i + step], seps)))
 
 
-def _csv_text(record: RunRecord) -> str:
-    buf = io.StringIO()
-    buf.write(f"# scenario_digest: {record.scenario_digest}\n")
-    buf.write(f"# tool: steerkit {record.tool_version}\n")
-    for w in record.warnings:
-        buf.write(f"# warning: {w}\n")
-    for key, val in sorted(record.summary.items()):
-        if key == "contour":
-            continue
-        buf.write(f"# {key}: {val}\n")
-    points = record.points
-    if not isinstance(points, _GridPoints):
-        points = list(map(operator.itemgetter(*record.columns), points))
-    _write_rows(buf, record.columns, points)
-    return buf.getvalue()
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened for writing; an ``OSError`` in opening, writing or
+    closing it becomes a ``ConfigError`` that names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _write_csv(path: str, record: RunRecord) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(record))
+def _write_csv(path: str, record: RunRecord, contour=None) -> None:
+    """Write the record's table, or its E = 1/2 ``contour`` (a list of
+    ``(r, gamma/G)``), to a CSV file as it is formatted: the digest and
+    tool lines, the table's warning and summary lines, then the rows."""
+    with _output(path) as fh:
+        fh.write(f"# scenario_digest: {record.scenario_digest}\n"
+                 f"# tool: steerkit {record.tool_version}\n")
+        if contour is not None:
+            _write_rows(fh, ["r", "gamma_over_G"], contour)
+            return
+        fh.writelines(f"# warning: {w}\n" for w in record.warnings)
+        fh.writelines(f"# {key}: {val}\n" for key, val
+                      in sorted(record.summary.items()) if key != "contour")
+        points = record.points
+        if not isinstance(points, _GridPoints):
+            points = list(map(operator.itemgetter(*record.columns), points))
+        _write_rows(fh, record.columns, points)
 
 
 def _write_json(path: str, record: RunRecord) -> None:
@@ -987,16 +996,9 @@ def _write_json(path: str, record: RunRecord) -> None:
         "warnings": record.warnings,
         "summary": {k: v for k, v in record.summary.items() if k != "contour"},
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
-
-
-def _write_contour(path: str, record: RunRecord, contour) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# scenario_digest: {record.scenario_digest}\n")
-        fh.write(f"# tool: steerkit {record.tool_version}\n")
-        _write_rows(fh, ["r", "gamma_over_G"], contour)
 
 
 def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
@@ -1020,6 +1022,8 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
     except svgplot.NothingToPlot:
         sys.stderr.write(f"steerkit: warning: no finite value to plot; {path} "
                          f"not written\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -1146,7 +1150,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "preset" and not args.run:
             text = scenario.to_json()
             if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
+                with _output(args.output) as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)

@@ -34,7 +34,6 @@ R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up past this n
 SCAN_POINTS = 128  # log-spaced pulse areas behind each sup over r
-CROSSING_TOL = 1e-9  # width of the r bracket of r_crossing
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
 NEAR_REL = 1e-6  # noise_threshold evaluates the sup this close to n*
 
@@ -91,7 +90,7 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Root of a witness-equals-1/2 condition in one variable."""
+    """``noise_threshold``'s occupation, its bracket and where the sup lies."""
 
     value: float
     bracket: tuple[float, float]
@@ -202,28 +201,23 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
     return ThresholdResult(value, (lo, hi), sup_r)
 
 
-def r_crossing(gamma_over_G: float, n0: float, n: float) -> ThresholdResult:
+def r_crossing(gamma_over_G: float, n0: float, n: float) -> float:
     """Smallest pulse area in (0, ``R_MAX``] where the collective witness
-    drops below 1/2, bracketed to width ``CROSSING_TOL`` or to adjacent
-    floats."""
+    drops to 1/2: the first point of ``steering_region``'s contour over
+    4097 pulse areas in [0, ``R_MAX``].  A first point at r = 0 (n0 below
+    ~1e-16, so that E(0) = n0 + 1/2 rounds to 1/2) is not a crossing."""
     if not n0 > 0.0:
         raise InvalidParams(
             f"crossing search needs n0 > 0 (witness starts above 1/2), "
             f"got n0 = {n0!r}")
     _check_inputs(0.0, gamma_over_G, n0, n)
-
-    def still_above(r: float) -> bool:
-        return collective_steering_value(r, gamma_over_G, n0, n) > 0.5
-
-    rs = np.linspace(0.0, R_MAX, 4097)
-    above = collective_steering_value(rs, gamma_over_G, n0, n) - 0.5
-    down = np.flatnonzero((above[:-1] > 0.0) & (above[1:] <= 0.0))
-    if down.size == 0:
+    contour = steering_region(np.linspace(0.0, R_MAX, 4097), [gamma_over_G],
+                              n0, n).contour
+    if not contour or contour[0][0] == 0.0:
         raise NoThreshold(
             f"witness never crosses 1/2 on (0, {R_MAX}] at "
             f"gamma/G = {gamma_over_G}, n0 = {n0}, n = {n}")
-    lo, hi = _bisect(still_above, rs[down[0]], rs[down[0] + 1], CROSSING_TOL)
-    return ThresholdResult(0.5 * (lo + hi), (lo, hi), math.nan)
+    return contour[0][0]
 
 
 @dataclass(frozen=True)

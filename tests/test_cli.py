@@ -92,6 +92,13 @@ def valid_doc(mode: str) -> dict:
     return doc
 
 
+def csv_text(record, tmp_path) -> str:
+    """The CSV file that ``cli._write_csv`` writes for ``record``."""
+    path = tmp_path / "record.csv"
+    cli._write_csv(str(path), record)
+    return path.read_bytes().decode("utf-8")
+
+
 def assert_exit_2(tmp_path, capsys, doc: dict) -> None:
     """Running ``doc`` exits 2 with a ConfigError and writes no output."""
     cfg = tmp_path / "scenario.json"
@@ -233,13 +240,13 @@ class TestCurveRuns:
             assert math.isnan(first[col])
         assert first["E_oracle[b]"] == pytest.approx(first["E[b]"], rel=1e-9)
 
-    def test_oracle_refusal_inside_a_sweep(self):
+    def test_oracle_refusal_inside_a_sweep(self, tmp_path):
         # the points past the float range leave the stacked oracle sweep
         # with their own warnings; the rows before them are unchanged
         sc = Scenario(mode="curve",
                       params={"kind": "ratios", "gamma_over_G": 0.1},
                       sweep=Sweep("r", 340.0, 370.0, 4), engine="both")
-        text = cli._csv_text(run(sc))
+        text = csv_text(run(sc), tmp_path)
         assert text.split("\n", 2)[2] == (
             "# warning: point 2 (r=360, E): output kernel normalization "
             "overflows at G*tau = 360\n"
@@ -269,7 +276,7 @@ class TestCurveRuns:
          "3.54000000000e+02,3.75000000000e-01,nan\n"),
     ], ids=["symmetrization", "collective-rows"])
     def test_oracle_refuses_an_overflowed_output_covariance(
-            self, gamma_over_G, sweep, rows):
+            self, tmp_path, gamma_over_G, sweep, rows):
         # below the kernel normalization's limit (r ~ 354.9): a NaN row with
         # a warning, and no numpy warning on stderr
         sc = Scenario(mode="curve",
@@ -277,7 +284,7 @@ class TestCurveRuns:
                       sweep=sweep, engine="both")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            text = cli._csv_text(run(sc))
+            text = csv_text(run(sc), tmp_path)
         assert text.split("\n", 2)[2] == rows
 
     def test_one_oracle_call_per_case(self, monkeypatch):
@@ -593,7 +600,7 @@ class TestOtherModes:
 
 
 class TestFileFormats:
-    def test_csv_bytes_at_the_edges(self):
+    def test_csv_bytes_at_the_edges(self, tmp_path):
         nan, inf = math.nan, math.inf
         record = cli.RunRecord(
             scenario_digest="ab" * 32, tool_version="0.0", wall_time_s=0.0,
@@ -606,7 +613,7 @@ class TestFileFormats:
             warnings=["point 1 (r=0, hot): closed-form moments overflow"],
             summary={"validated": False, "tolerance": 1e-6,
                      "contour": [(1.0, 0.1)]})
-        assert cli._csv_text(record) == (
+        assert csv_text(record, tmp_path) == (
             "# scenario_digest: " + "ab" * 32 + "\n"
             "# tool: steerkit 0.0\n"
             "# warning: point 1 (r=0, hot): closed-form moments overflow\n"
@@ -711,8 +718,8 @@ class TestFileFormats:
         sweep2=Sweep("r", 5e-5, 400.0, 3, scale="log"))
     TINY_WARNINGS = [f"point {k}: n must be >= 0, got -0.5" for k in (0, 2, 4)]
 
-    def test_heatmap_csv_bytes_at_the_edges(self):
-        assert cli._csv_text(run(self.TINY_HEATMAP)) == (
+    def test_heatmap_csv_bytes_at_the_edges(self, tmp_path):
+        assert csv_text(run(self.TINY_HEATMAP), tmp_path) == (
             "# scenario_digest: 78f1487f1f27e2cecc0fef8e288e44ee838429b27b34d9"
             "f2d0d5021eb9554d83\n"
             "# tool: steerkit 0.1.0\n"
@@ -832,9 +839,9 @@ class TestCellKernel:
                            tiny, np.finfo(float).max, -np.finfo(float).max,
                            math.nan, math.inf, -math.inf])
 
-    def test_a_large_grid_peaks_at_the_size_of_its_text(self):
-        # the writer formats in blocks, so only the text and its copy in
-        # the StringIO are of the grid's size
+    def test_a_large_grid_peaks_far_below_its_file_size(self, tmp_path):
+        # the writer sends each formatted block to the file, so nothing of
+        # the grid's text size is held
         v = np.linspace(0.0, 3.0, 1001).tolist()
         E = np.random.default_rng(7).uniform(0.0, 2.0, (1001, 1001))
         record = cli.RunRecord(
@@ -842,14 +849,16 @@ class TestCellKernel:
             columns=["r", "gamma_over_G", "E"],
             points=cli._GridPoints("r", "gamma_over_G", v, v, E),
             warnings=[], summary={})
+        path = tmp_path / "grid.csv"
         tracemalloc.start()
         try:
-            text = cli._csv_text(record)
+            cli._write_csv(str(path), record)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count("\n") == 1001 * 1001 + 3
-        assert peak < 2.5 * len(text)
+        with path.open("rb") as fh:
+            assert sum(1 for _ in fh) == 1001 * 1001 + 3
+        assert peak < 0.25 * path.stat().st_size
 
 
 class TestPresets:
@@ -896,6 +905,30 @@ class TestEntryPoint:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("args, path", [
+        (["inset", "--run"], "missing/x.csv"),
+        (["inset", "--run", "--format", "json"], "missing/x.csv"),
+        (["inset", "--run", "--svg"], "missing/x.csv"),
+        (["inset"], "missing/x.csv"),
+        (["inset", "--run", "--svg"], "x.svg"),
+        (["fig4", "--run"], "x.contour.csv"),
+    ], ids=["csv", "json", "svg-missing-dir", "scenario", "svg", "contour"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       args, path):
+        # a missing directory, or a directory where an output file goes, is
+        # one JSON line on stderr that names the path, not a traceback
+        monkeypatch.chdir(tmp_path)
+        missing = path.startswith("missing/")
+        if not missing:
+            Path(path).mkdir()
+        output = path if missing else "x.csv"
+        assert cli.main(["preset", *args, "--output", output]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"cannot write {path!r}: ")
 
     @pytest.mark.parametrize("edit", [
         {"cases": [1]},

@@ -21,7 +21,7 @@ from steerkit import (
 )
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
 from steerkit.errors import InvalidParams, NoThreshold, ZeroVariance
-from steerkit.steering import _inferred_variance
+from steerkit.steering import R_MAX, _inferred_variance
 
 E2 = math.e ** 2
 
@@ -305,17 +305,40 @@ class TestSearchTermination:
 class TestPulseAreaCrossing:
     def test_undamped_crossing_matches_analytic_threshold(self):
         for n0 in (0.5, 5.0, 50.0):
-            res = r_crossing(0.0, n0, 0.0)
-            assert res.value == pytest.approx(threshold_r(n0), abs=1e-9)
+            r = r_crossing(0.0, n0, 0.0)
+            assert r == pytest.approx(threshold_r(n0), abs=1e-9)
+
+    def test_undamped_crossing_is_the_analytic_threshold(self):
+        # the contour bisection runs to adjacent floats, so even a crossing
+        # at r ~ 5e-7 is exact to the witness's rounding
+        for n0 in np.geomspace(1e-6, 50.0).tolist():
+            r = r_crossing(0.0, n0, 0.0)
+            assert r == pytest.approx(threshold_r(n0), rel=1e-9, abs=0.0)
 
     def test_noise_delays_the_crossing(self):
-        res = r_crossing(0.1, 5.0, 5.0)
-        assert res.value > threshold_r(5.0)
+        assert r_crossing(0.1, 5.0, 5.0) > threshold_r(5.0)
 
     def test_witness_is_half_at_the_crossing(self):
-        res = r_crossing(0.1, 5.0, 5.0)
-        assert collective_steering_value(res.value, 0.1, 5.0, 5.0) \
+        r = r_crossing(0.1, 5.0, 5.0)
+        assert collective_steering_value(r, 0.1, 5.0, 5.0) \
             == pytest.approx(0.5, abs=1e-7)
+
+    def test_crossing_is_the_first_on_the_grid(self):
+        rs = np.linspace(0.0, R_MAX, 4097)
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            x = float(rng.uniform(0.0, 1.5))
+            n0 = float(5.0 * (1.0 - rng.uniform()))  # in (0, 5]
+            n = float(rng.uniform(0.0, 50.0))
+            grid = collective_steering_value(rs, np.full(rs.shape, x), n0, n)
+            try:
+                r = r_crossing(x, n0, n)
+            except NoThreshold:
+                assert (grid > 0.5).all()
+                continue
+            E = collective_steering_value(np.array([r]), np.array([x]), n0, n)
+            assert abs(float(E[0]) - 0.5) <= 1e-12
+            assert (grid[rs < r] > 0.5).all()
 
 
 class TestSteeringRegion:
