@@ -562,7 +562,8 @@ def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
     def fill(i: int, x: float, row: dict) -> None:
         res = steering.noise_threshold(x, base["n0"], tol["r_max"],
                                        tol["n_tol"])
-        row.update({"n_threshold": res.value, "sup_r": res.sup_location,
+        # n_max(r) is least at the window's end, where the bound binds
+        row.update({"n_threshold": res.value, "sup_r": tol["r_max"],
                     "bracket_lo": res.bracket[0],
                     "bracket_hi": res.bracket[1]})
 

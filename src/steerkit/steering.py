@@ -6,6 +6,9 @@ deviations, each read off the covariance entries of one steered and one
 party quadrature.  The party measures P against the steered X and X against
 the steered P: the model's only mirror-field correlations are of X-P type,
 so no rotated pairing does better (a test scans the angles).
+
+The bath threshold over a window of pulse areas is the closed-form bound
+``closedform.max_occupation`` at the window's end, where the bound is least.
 """
 
 from __future__ import annotations
@@ -27,15 +30,11 @@ from .errors import InvalidParams, NoThreshold, ZeroVariance
 
 QuadratureSelector = tuple[str, str]  # (mode label, "X" | "P")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # settings of the threshold searches; the CLI's defaults read R_MAX and N_TOL
 R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up past this n
-SCAN_POINTS = 128  # log-spaced pulse areas behind each sup over r
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
-NEAR_REL = 1e-6  # noise_threshold evaluates the sup this close to n*
 
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
@@ -55,24 +54,6 @@ def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
     return float(oc.sigma[s, s]) - cov * cov / var_p
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum location of a unimodal scalar function."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
                      ) -> float:
     """Steering witness E of ``steered_mode`` given ``party_mode``.
@@ -90,39 +71,15 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """``noise_threshold``'s occupation, its bracket and where the sup lies."""
+    """``noise_threshold``'s occupation and its bracket."""
 
     value: float
     bracket: tuple[float, float]
-    sup_location: float
-
-
-def _window_min(f, r_max: float) -> tuple[float, float, float]:
-    """Where ``f`` is least over r in (0, r_max]: the log-spaced scan's
-    least value and its location, and the golden-section refinement around
-    that grid point (for r -> 0 the leftmost cell reaches down to half the
-    first grid point).  ``f`` takes floats and numpy arrays."""
-    rs = np.logspace(-3, math.log10(r_max), SCAN_POINTS)
-    vals = f(rs)
-    k = int(np.argmin(vals))
-    lo = rs[k - 1] if k > 0 else rs[0] / 2.0
-    hi = rs[k + 1] if k + 1 < SCAN_POINTS else r_max
-    return float(vals[k]), float(rs[k]), _golden_minimize(f, lo, hi, 1e-6)
-
-
-def _sup_over_r(x: float, n0: float, n: float, r_max: float,
-                ) -> tuple[float, float]:
-    """Supremum of the collective witness over r in (0, r_max], and where:
-    the larger of ``_window_min``'s grid point and refinement."""
-    low, r_k, r_best = _window_min(
-        lambda r: -collective_steering_value(r, x, n0, n), r_max)
-    return max((-low, r_k),
-               (collective_steering_value(r_best, x, n0, n), float(r_best)))
 
 
 def _check_search(r_max: float, tol: float) -> None:
-    if not r_max > 0.0:
-        raise InvalidParams(f"r_max must be > 0, got {r_max!r}")
+    if not 0.0 < r_max < math.inf:
+        raise InvalidParams(f"r_max must be finite and > 0, got {r_max!r}")
     if not tol > 0.0:
         raise InvalidParams(f"tol must be > 0, got {tol!r}")
 
@@ -145,21 +102,17 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
                     tol: float = N_TOL) -> ThresholdResult:
     """Largest bath occupation with collective steering at every pulse area.
 
-    Bisect on n for the condition ``sup over r in (0, r_max] of E <= 1/2``,
+    Bisect on n for the condition ``E <= 1/2 at every r in (0, r_max]``,
     after doubling n from 1, down to a bracket of width ``tol`` or of
     adjacent floats.  Raises ``NoThreshold`` when even n = 0 fails (too
     much damping, or a warm mirror: with n0 > 0 the witness tends to
-    n0 + 1/2 > 1/2 as r -> 0, so the sup exceeds 1/2 at every n) or when
+    n0 + 1/2 > 1/2 as r -> 0, so the condition fails at every n) or when
     steering survives past ``N_CAP`` (damping too weak to set a bound).
-    ``sup_location`` is where the sup lies at the result.
 
-    The sup over r is a scan and a golden refinement (``_sup_over_r``).
-    The search answers the condition without it: for a ground-state
-    mirror E <= 1/2 holds exactly up to ``closedform.max_occupation``, so
-    the condition holds up to n*, its infimum over the window, found by
-    the same scan and refinement (``_window_min``).  The search takes
-    ``n <= n*``, and the sup itself only within ``NEAR_REL`` of n*, so it
-    makes the same steps as on the sup.
+    For a ground-state mirror E <= 1/2 holds at pulse area r exactly up to
+    ``closedform.max_occupation``, which falls monotonically in r.  The
+    condition thus holds exactly for n <= n*, the bound at ``r_max``, and
+    every step of the search takes that comparison.
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
@@ -172,14 +125,9 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
             f"no collective steering over all of (0, {r_max}] for a warm "
             f"mirror: E tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = {n0})")
 
-    low, _, r_best = _window_min(
-        lambda r: max_occupation(r, gamma_over_G, n0), r_max)
-    n_star = min(low, max_occupation(r_best, gamma_over_G, n0))
-    near = NEAR_REL * max(abs(n_star), 1.0)
+    n_star = max_occupation(r_max, gamma_over_G, n0)
 
     def ok(n: float) -> bool:
-        if abs(n - n_star) <= near:
-            return _sup_over_r(gamma_over_G, n0, n, r_max)[0] <= 0.5
         return n <= n_star
 
     if not ok(0.0):
@@ -196,9 +144,7 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
                 f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
                 "survives any bath occupation")
     lo, hi = _bisect(ok, lo, hi, tol)
-    value = 0.5 * (lo + hi)
-    _, sup_r = _sup_over_r(gamma_over_G, n0, value, r_max)
-    return ThresholdResult(value, (lo, hi), sup_r)
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi))
 
 
 def r_crossing(gamma_over_G: float, n0: float, n: float) -> float:

@@ -10,17 +10,13 @@ threshold searched on the sup over r alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from steerkit import steering_product
-from steerkit.steering import (
-    N_CAP,
-    ThresholdResult,
-    _bisect,
-    _sup_over_r,
-)
+from steerkit import collective_steering_value, steering_product
+from steerkit.steering import N_CAP, ThresholdResult, _bisect
 from steerkit.dynamics import (
     B_TILDE,
     U_OUT,
@@ -139,6 +135,53 @@ def monogamy_check(oc: OutputCovariance, steered_mode: str,
     return MonogamyReport(steered_mode, tuple(parties), (e1, e2), margin)
 
 
+# the noise-threshold search on the sup over r: a log-spaced scan and a
+# golden-section refinement, independent of the closed-form bound
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SCAN_POINTS = 128  # log-spaced pulse areas behind each sup over r
+
+
+def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimum location of a unimodal scalar function."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _window_min(f, r_max: float) -> tuple[float, float, float]:
+    """Where ``f`` is least over r in (0, r_max]: the log-spaced scan's
+    least value and its location, and the golden-section refinement around
+    that grid point (for r -> 0 the leftmost cell reaches down to half the
+    first grid point).  ``f`` takes floats and numpy arrays."""
+    rs = np.logspace(-3, math.log10(r_max), SCAN_POINTS)
+    vals = f(rs)
+    k = int(np.argmin(vals))
+    lo = rs[k - 1] if k > 0 else rs[0] / 2.0
+    hi = rs[k + 1] if k + 1 < SCAN_POINTS else r_max
+    return float(vals[k]), float(rs[k]), _golden_minimize(f, lo, hi, 1e-6)
+
+
+def _sup_over_r(x: float, n0: float, n: float, r_max: float,
+                ) -> tuple[float, float]:
+    """Supremum of the collective witness over r in (0, r_max], and where:
+    the larger of ``_window_min``'s grid point and refinement."""
+    low, r_k, r_best = _window_min(
+        lambda r: -collective_steering_value(r, x, n0, n), r_max)
+    return max((-low, r_k),
+               (collective_steering_value(r_best, x, n0, n), float(r_best)))
+
+
 def sup_threshold(x: float, n0: float, r_max: float,
                   tol: float) -> ThresholdResult | None:
     """``noise_threshold``'s doubling and bisection on n with every step
@@ -155,6 +198,4 @@ def sup_threshold(x: float, n0: float, r_max: float,
         if hi > N_CAP:
             return None
     lo, hi = _bisect(ok, lo, hi, tol)
-    value = 0.5 * (lo + hi)
-    _, sup_r = _sup_over_r(x, n0, value, r_max)
-    return ThresholdResult(value, (lo, hi), sup_r)
+    return ThresholdResult(0.5 * (lo + hi), (lo, hi))

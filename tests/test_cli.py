@@ -1414,14 +1414,20 @@ def test_every_benchmark_scenario_is_valid():
         Scenario.from_dict(doc)
 
 
-def test_reproduce_figures_script(tmp_path):
-    root = Path(__file__).resolve().parents[1]
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_reproduce_figures_script(tmp_path):
+    root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "reproduce_figures.py"),
-         str(tmp_path)], capture_output=True, text=True, env=env,
+         str(tmp_path)], capture_output=True, text=True, env=src_env(),
         check=True, timeout=120)
     names = ("fig3a", "fig3b", "inset", "fig4")
     assert [ln.split(":")[0] for ln in out.stdout.splitlines()] == list(names)
@@ -1431,6 +1437,20 @@ def test_reproduce_figures_script(tmp_path):
         assert csv_text.startswith(
             f"# scenario_digest: {PRESETS[name]().digest()}\n")
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the package runs as a module, silently even with warnings as errors,
+    # and writes what cli.run writes
+    out = tmp_path / "inset.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "steerkit", "preset", "inset",
+         "--run", "--output", str(out)], capture_output=True, text=True,
+        env=src_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    ref = tmp_path / "ref.csv"
+    run(PRESETS["inset"](), output=str(ref))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 # stdout of scripts/feasibility.py: it reads r_crossing and prints the
@@ -1462,10 +1482,8 @@ FEASIBILITY_STDOUT = "\n".join([
 
 def test_feasibility_script_output_is_pinned():
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "feasibility.py")],
-        capture_output=True, text=True, env=env, check=True, timeout=120)
+        capture_output=True, text=True, env=src_env(), check=True,
+        timeout=120)
     assert out.stdout == FEASIBILITY_STDOUT

@@ -406,6 +406,20 @@ class TestMaxOccupation:
             assert closedform.max_occupation(r, 0.1, 0.0) \
                 == pytest.approx(599.0, rel=1e-14)
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           r1=st.floats(0.0, 60.0, exclude_min=True),
+           r2=st.floats(0.0, 60.0, exclude_min=True))
+    def test_ground_state_bound_never_rises_in_r(self, x, r1, r2):
+        # noise_threshold reads the bound over (0, r_max] at r_max alone.
+        # On the plateau near gamma/G = 1, (b - 1/2)/x carries b's rounding
+        # into n: up to 10 ulps over 20000 random damping ratios, each at
+        # 600 pulse areas; 16 are allowed.
+        r1, r2 = sorted((r1, r2))
+        n1 = closedform.max_occupation(r1, x, 0.0)
+        n2 = closedform.max_occupation(r2, x, 0.0)
+        assert n2 <= n1 or n2 - n1 <= 16 * np.spacing(n1)
+
     def test_plateau_bound_vanishes_at_criterion_14s_root(self):
         roots = np.roots([2.0, 0.0, -2.0, -1.0])
         x_star = float(max(roots[np.abs(roots.imag) < 1e-12].real))

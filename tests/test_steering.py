@@ -296,7 +296,7 @@ class TestSearchTermination:
             with pytest.raises(InvalidParams):
                 noise_threshold(0.1, 0.0, 10.0, tol)
 
-    @pytest.mark.parametrize("r_max", [0.0, -1.0])
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf])
     def test_empty_pulse_area_range_rejected(self, r_max):
         with pytest.raises(InvalidParams):
             noise_threshold(0.1, 0.0, r_max)
