@@ -5,7 +5,8 @@ oracle (deterministic and Monte Carlo), steering witnesses with threshold
 solvers, and a scenario-driven CLI.
 """
 
-from .cli import __version__
+__version__ = "0.1.0"
+
 from .closedform import (
     MomentSet,
     collective_steering_value,

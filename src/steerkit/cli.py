@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import closedform, dynamics, steering
+from . import __version__, closedform, dynamics, steering
 from .errors import ConfigError, SteerkitError
 from .model import (
     PhysicalParams,
@@ -43,7 +43,6 @@ from .model import (
     working_point_residuals,
 )
 
-__version__ = "0.1.0"
 SCHEMA_VERSION = 1
 
 ENGINES = ("closedform", "oracle", "both")

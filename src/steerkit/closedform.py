@@ -220,23 +220,23 @@ def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
 def _plateau(x, b):
     """Large-r limit of the collective witness for damping ratio ``x > 0``;
     ``b = 1/2 + x (n + 1)``."""
-    return x * x * b / (1.0 + x) ** 2
+    return x * x * b / ((1.0 + x) * (1.0 + x))
 
 
 def _coefficients(x, n0, n) -> tuple:
-    """The factors of the collective witness that do not depend on r, for
-    floats or numpy arrays alike: ``(x, n0, a, b, c, 16 x^2 b^2,
-    8 x b (2 n0 + 1) (1 + x), 4 x^2 a b, (1 + x)^2, x b)`` with
-    ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n + 1)`` and
-    ``c = 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)``.  Each is the left-to-right
-    prefix of a product in ``_collective_terms``, so computing it once for
-    many r changes no bit."""
+    """The factors of the collective witness that do not depend on r:
+    ``(x, n0, a, b, c, 16 x^2 b^2, 8 x b (2 n0 + 1) (1 + x), 4 x^2 a b,
+    (1 + x)^2, x b)`` with ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n +
+    1)`` and ``c = 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)``.  Each is the
+    left-to-right prefix of a product in ``_collective_terms``, so computing
+    it once for many r changes no bit.  Squares are products, as a float
+    ``**`` is C ``pow``: it rounds otherwise and raises ``OverflowError``."""
     a = n0 + 1.0 + x * (n + 1.0)
     b = 0.5 + x * (n + 1.0)
     return (x, n0, a, b,
             2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0),
             16.0 * x * x * b * b, 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x),
-            4.0 * x * x * a * b, (1.0 + x) ** 2, x * b)
+            4.0 * x * x * a * b, (1.0 + x) * (1.0 + x), x * b)
 
 
 def _var_W(co: tuple, u, kr):
@@ -246,17 +246,14 @@ def _var_W(co: tuple, u, kr):
     return g2 * (a * u + b) + xb * (x - (1.0 + x) * kr)
 
 
-def _collective_terms(co: tuple, r, u, kr, scaled=False):
+def _collective_terms(co: tuple, r, u, kr, scaled: bool):
     """``(var_XW_out, numerator / u)`` of the collective witness: the part
-    that depends on r, from the ``_coefficients`` ``co``.
-
-    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)`` are passed in, so
-    the same arithmetic serves floats and numpy arrays.  The numerator of
+    that depends on r, from the ``_coefficients`` ``co``, with
+    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``.  The numerator of
     ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` is expanded so that no
     catastrophic cancellation occurs anywhere in parameter space.  With
     ``scaled`` (for ``r > SCALED_R``) both terms come divided by ``u``, so
-    no product with ``u`` is formed and nothing overflows below
-    ``LARGE_R``.
+    no product with ``u`` is formed and nothing overflows below ``LARGE_R``.
     """
     x, _, a, b, c, k_rr, k_r, k_u, g2, xb = co
     rterm = k_rr * r * r + k_r * r
@@ -292,30 +289,21 @@ def collective_steering_value(r: float | np.ndarray,
     Accepts numpy arrays: when ``r`` is an ``ndarray`` it carries the grid
     shape (pass it at full shape, e.g. from ``np.meshgrid``), the other
     arguments broadcast against it, and the result is an array of that
-    shape.  Cells outside the domain (a negative or NaN argument) or with
-    a non-positive ``var_XW_out`` come out NaN instead of raising; the
-    float call on such a cell raises the error that explains it.  Array
-    cells agree with the float calls to rounding: numpy's ``exp`` and
-    ``expm1`` are not the C library's.
+    shape.  A cell outside the domain (a negative or NaN argument), with a
+    non-positive ``var_XW_out`` or past the float range is NaN.  A float
+    call is one cell: it raises ``InvalidParams`` outside the domain and
+    ``DegenerateVariance`` where the cell is NaN.
     """
     if isinstance(r, np.ndarray):
         return _collective_array(r, gamma_over_G, n0, n)
-    x = gamma_over_G
-    _check_inputs(r, x, n0, n)
-    if r == 0.0:
-        return n0 + 0.5
-    if r > LARGE_R:
-        # e^{2r} overflows; the witness has already reached its plateau
-        if x == 0.0:
-            return 0.0
-        return _plateau(x, 0.5 + x * (n + 1.0))
-
-    var_W, num_over_u = _collective_terms(
-        _coefficients(x, n0, n), r, math.expm1(2.0 * r),
-        gain_filter_ratio(r), r > SCALED_R)
-    if not var_W > 0.0:
-        raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
-    return num_over_u / (4.0 * var_W)
+    _check_inputs(r, gamma_over_G, n0, n)
+    E = _collective_cells(np.float64(r), _coefficients(
+        float(gamma_over_G), float(n0), float(n)))
+    if np.isnan(E):
+        raise DegenerateVariance(
+            f"var_XW_out is not positive or a term leaves the float range "
+            f"at (r, gamma_over_G, n0, n) = {(r, gamma_over_G, n0, n)!r}")
+    return float(E)
 
 
 def _collective_array(r, x, n0, n) -> np.ndarray:
@@ -338,11 +326,11 @@ def _select(values, cells) -> list:
 
 
 def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
-    """The collective witness at the cells of ``r``, one masked numpy
-    expression per branch.  ``co`` is ``_coefficients`` with each entry a
-    scalar or an array of ``r``'s shape, so a caller may compute it once
-    for many r; cells outside the mask ``ok`` (all are in when it is
-    True) are NaN."""
+    """The collective witness at the cells of ``r`` (a numpy float is one
+    cell), one masked numpy expression per branch.  ``co`` is
+    ``_coefficients`` with each entry a scalar or an array of ``r``'s
+    shape, so a caller may compute it once for many r; cells outside the
+    mask ``ok`` (all are in when it is True) are NaN."""
     if 0.0 < r.min() and r.max() <= SCALED_R and np.all(ok):
         return _collective_band(co, r, False)
 
@@ -354,7 +342,8 @@ def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     big = ok & (r > LARGE_R)
     if big.any():
         x, b = _select([co[0], co[3]], big)
-        E[big] = np.where(x == 0.0, 0.0, _plateau(x, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E[big] = np.where(x == 0.0, 0.0, _plateau(x, b))
 
     mid = ok & (r > 0.0) & (r <= LARGE_R)
     bands = [(mid, False)]
@@ -377,7 +366,7 @@ def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
         kr = 4.0 * r * np.exp(u2) / u
         series = r < SERIES_CROSSOVER
         if series.any():
-            kr[series] = _gain_series(u2[series])
+            kr = np.where(series, _gain_series(u2), kr)
         var_W, num_over_u = _collective_terms(co, r, u, kr, scaled)
         return np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
 
@@ -453,10 +442,10 @@ def _occupation_quadratic(r, x, n0, t, er, dm):
     negative: one root is positive, and it bounds b.
     """
     d = n0 + 0.5
-    g2 = (1.0 + x) ** 2
+    g2 = (1.0 + x) * (1.0 + x)
     v = er * er
     h = r * v / t
-    A = 4.0 * x * x * dm * (t + 2.0 * r * er) / t
+    A = 4.0 * x * x * dm * (t + 2.0 * (r * er)) / t
     B = (4.0 * n0 * (2.0 * x * x + 2.0 * x + 1.0) * v
          + (4.0 * x * x * d - 2.0 * g2) * t
          - 16.0 * x * (1.0 + x) * n0 * h)
@@ -494,7 +483,7 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
         er = np.exp(-r)
         t = -np.expm1(-2.0 * r)
         dm = np.where(r < SINH_SERIES_R, 2.0 * er * _sinh_excess(r),
-                      t - 2.0 * r * er)
+                      t - 2.0 * (r * er))
         A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
         S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
         b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)

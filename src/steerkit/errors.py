@@ -29,7 +29,7 @@ class GainNotPositive(SteerkitError):
 
 
 class DegenerateVariance(SteerkitError):
-    """A conditioning variance is non-positive; signals formula misuse."""
+    """A conditioning variance is non-positive, or a witness overflows."""
 
 
 class ZeroVariance(SteerkitError):

@@ -204,7 +204,8 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
     Raises
     ------
     InvalidParams
-        If ``p`` violates its invariants or ``tol`` is not positive.
+        If ``p`` violates its invariants, ``tol`` is not positive, or the
+        drives put ``|alpha_j|^2`` or ``x_s`` past the float range.
     NonConvergence
         If the bisection cannot shrink its bracket below ``tol``.  Its
         bracket always exists, so this happens only where ``tol`` is finer
@@ -225,9 +226,19 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
         a2 = p.E2 / (p.kappa2 + 1j * D2)
         return a1, a2, D1, D2
 
+    def shift(m1: float, m2: float) -> float:  # x_s at |alpha_j| = m_j
+        try:
+            x_s = -SQRT2 * (p.g01 * m1 ** 2 + p.g02 * m2 ** 2) / p.omega_m
+        except OverflowError:
+            x_s = math.inf
+        if math.isfinite(x_s):
+            return x_s
+        raise InvalidParams(f"the drives put the working point past the "
+                            f"float range at E1 = {p.E1!r}, E2 = {p.E2!r}")
+
     def displacement(x: float) -> float:
         a1, a2, _, _ = amplitudes(x)
-        return -SQRT2 * (p.g01 * abs(a1) ** 2 + p.g02 * abs(a2) ** 2) / p.omega_m
+        return shift(abs(a1), abs(a2))
 
     x = 0.0
     converged = False
@@ -242,8 +253,7 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
 
     if not converged:
         # the map is bounded below, so g(x) = displacement(x) - x brackets a root
-        lo = -SQRT2 * (p.g01 * (p.E1 / p.kappa1) ** 2
-                       + p.g02 * (p.E2 / p.kappa2) ** 2) / p.omega_m - tol
+        lo = shift(p.E1 / p.kappa1, p.E2 / p.kappa2) - tol
         hi = tol
         g_lo = displacement(lo) - lo
         g_hi = displacement(hi) - hi

@@ -4,8 +4,9 @@ Each one checks a result of ``steerkit`` by a second route: direct
 collective-mode filters against the oracle's collective rows, the
 ``B Sigma B^T`` diffusion of a model against its stacked propagation, the
 symplectic spectrum of a covariance block (physicality), the optimal
-inference gain, the monogamy of single-party witnesses, and the noise
-threshold searched on the sup over r alone.
+inference gain, the monogamy of single-party witnesses, the noise
+threshold searched on the sup over r alone, and the collective witness
+evaluated in float arithmetic with its own branches.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from steerkit import collective_steering_value, steering_product
+from steerkit.closedform import (
+    LARGE_R,
+    SCALED_R,
+    _check_inputs,
+    _coefficients,
+    _collective_terms,
+    _plateau,
+    gain_filter_ratio,
+)
+from steerkit.errors import DegenerateVariance
 from steerkit.steering import N_CAP, ThresholdResult, _bisect
 from steerkit.dynamics import (
     B_TILDE,
@@ -199,3 +210,26 @@ def sup_threshold(x: float, n0: float, r_max: float,
             return None
     lo, hi = _bisect(ok, lo, hi, tol)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
+
+
+def float_witness(r: float, gamma_over_G: float, n0: float,
+                  n: float) -> float:
+    """``collective_steering_value`` at one point in float arithmetic, with
+    the C library's ``expm1`` and ``exp`` and a branch of its own at r = 0
+    and above ``LARGE_R``: the reference the array witness is held to."""
+    x = gamma_over_G
+    _check_inputs(r, x, n0, n)
+    if r == 0.0:
+        return n0 + 0.5
+    if r > LARGE_R:
+        # e^{2r} overflows; the witness has already reached its plateau
+        if x == 0.0:
+            return 0.0
+        return _plateau(x, 0.5 + x * (n + 1.0))
+
+    var_W, num_over_u = _collective_terms(
+        _coefficients(x, n0, n), r, math.expm1(2.0 * r),
+        gain_filter_ratio(r), r > SCALED_R)
+    if not var_W > 0.0:
+        raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
+    return num_over_u / (4.0 * var_W)

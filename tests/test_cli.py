@@ -1324,6 +1324,37 @@ class TestEntryPoint:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert not out.exists()
 
+    def test_damping_past_the_float_range_becomes_nan_rows(self, tmp_path):
+        # (1 + gamma/G)^2 is not a float: each point is NaN with a warning
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            **valid_doc("curve"),
+            "params": {"kind": "ratios", "gamma_over_G": 1e200}}))
+        out = tmp_path / "result.csv"
+        assert cli.main(["run", "--config", str(cfg), "--output",
+                         str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# warning:")] == [
+            f"# warning: point {i} (r={r}, E): var_XW_out is not positive "
+            f"or a term leaves the float range at (r, gamma_over_G, n0, n) "
+            f"= ({float(r)}, 1e+200, 0.0, 0.0)" for i, r in ((0, 0.5), (1, 1))]
+        assert [row.split(",")[1] for row in lines[-2:]] == ["nan", "nan"]
+
+    def test_working_point_past_the_float_range_is_a_typed_error(
+            self, tmp_path, capsys):
+        # |alpha_j|^2 overflows for drives of 1e200
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**valid_doc("working-point"), "params":
+                                   device_params(E1=1e200, E2=1e200)}))
+        out = tmp_path / "result.csv"
+        assert cli.main(["run", "--config", str(cfg), "--output",
+                         str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidParams", "message":
+                       "the drives put the working point past the float "
+                       "range at E1 = 1e+200, E2 = 1e+200"}
+        assert not out.exists()
+
 
 def _collect_uses(node: ast.AST, defining: tuple[str, ...],
                   names: set[str], attributes: set[str]) -> None:
@@ -1451,6 +1482,22 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     ref = tmp_path / "ref.csv"
     run(PRESETS["inset"](), output=str(ref))
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli_module(tmp_path):
+    # steerkit.cli runs as a module too, with no runpy warning, and writes
+    # the bytes that python -m steerkit writes
+    outputs = {}
+    for module in ("steerkit.cli", "steerkit"):
+        out = tmp_path / f"{module}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "preset", "fig4",
+             "--run", "--output", str(out)], capture_output=True, text=True,
+            env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs[module] = [out.read_bytes(), out.with_suffix(
+            ".contour.csv").read_bytes()]
+    assert outputs["steerkit.cli"] == outputs["steerkit"]
 
 
 # stdout of scripts/feasibility.py: it reads r_crossing and prints the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import float_witness
 from steerkit import (
     collective_steering_value,
     cross_correlation,
@@ -26,7 +27,7 @@ from steerkit.closedform import (
     decay_filter_ratio,
     gain_filter_ratio,
 )
-from steerkit.errors import InvalidParams, NoThreshold
+from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit.steering import N_CAP, noise_threshold
 
 E2 = math.e ** 2
@@ -200,7 +201,8 @@ class TestCollectiveWitness:
 
 
 class TestArrayWitness:
-    """The array witness against the float witness, cell by cell."""
+    """The array witness against the float-arithmetic reference, cell by
+    cell."""
 
     @pytest.mark.parametrize("branch, rs", [
         ("zero", [0.0]),
@@ -216,8 +218,7 @@ class TestArrayWitness:
         for n0, n in ((0.0, 0.0), (0.5, 5.0), (5.0, 100.0)):
             got = collective_steering_value(r, x, n0, n)
             assert got.shape == r.shape
-            ref = np.array([collective_steering_value(float(a), float(b),
-                                                      n0, n)
+            ref = np.array([float_witness(float(a), float(b), n0, n)
                             for a, b in zip(r.ravel(), x.ravel())])
             np.testing.assert_allclose(got, ref.reshape(r.shape), rtol=1e-13,
                                        atol=0.0, err_msg=branch)
@@ -226,7 +227,7 @@ class TestArrayWitness:
         r = np.full(3, 0.7)
         n = np.array([0.0, 5.0, 50.0])
         got = collective_steering_value(r, 0.1, 1.0, n)
-        ref = [collective_steering_value(0.7, 0.1, 1.0, float(v)) for v in n]
+        ref = [float_witness(0.7, 0.1, 1.0, float(v)) for v in n]
         assert got == pytest.approx(ref, rel=1e-13)
 
     def test_out_of_domain_cells_are_nan(self):
@@ -240,6 +241,38 @@ class TestArrayWitness:
         for cell in zip(r[1:], x[1:], n0[1:], n[1:]):
             with pytest.raises(InvalidParams):
                 collective_steering_value(*map(float, cell))
+
+    def test_float_and_array_calls_round_alike(self):
+        # one arithmetic path: a float call is one cell of the array
+        # expression, and a scalar gamma/G rounds as an array of them does
+        rng = np.random.default_rng(20131219)
+        groups, size = 100, 100
+        r = np.exp(rng.uniform(math.log(1e-8), math.log(500.0),
+                               (groups, size)))
+        x = rng.uniform(0.0, 2.0, groups)
+        n0 = rng.uniform(0.0, 3.0, (groups, size))
+        n = rng.uniform(0.0, 50.0, (groups, size))
+        grid = collective_steering_value(
+            r, np.broadcast_to(x[:, None], r.shape).copy(), n0, n)
+        for g in range(groups):
+            row = collective_steering_value(r[g], float(x[g]), n0[g], n[g])
+            floats = [collective_steering_value(a, float(x[g]), b, c)
+                      for a, b, c in zip(r[g].tolist(), n0[g].tolist(),
+                                         n[g].tolist())]
+            assert row.tolist() == floats == grid[g].tolist()
+
+    def test_float_cell_past_the_float_range_is_a_typed_error(self):
+        # (1 + x)^2 is not a float at x = 1e200: the cell is NaN, and the
+        # float call says why
+        r = np.array([0.0, 1.0, 400.0])
+        for x in (1e200, np.full(3, 1e200)):
+            got = collective_steering_value(r, x, 0.0, 0.0)
+            assert got[0] == 0.5 and np.isnan(got[1:]).all()
+        for cell in ((1.0, 1e200, 0.0, 0.0), (400.0, 1e200, 0.0, 0.0),
+                     (1.0, 0.1, 0.0, 1e307)):
+            with pytest.raises(DegenerateVariance,
+                               match="leaves the float range"):
+                collective_steering_value(*cell)
 
 
 class TestWitnessesBelowLargeR:
@@ -441,6 +474,16 @@ class TestMaxOccupation:
         assert n.min() > N_CAP
         with pytest.raises(NoThreshold):
             noise_threshold(1e-4, 0.0)
+
+    @pytest.mark.parametrize("r_max", [1e308, 1.7976931348623157e308])
+    def test_bound_at_the_largest_pulse_areas(self, r_max):
+        # r e^{-r} underflows to 0 there instead of meeting an inf
+        assert closedform.max_occupation(r_max, 0.1, 0.0) \
+            == pytest.approx(599.0, rel=1e-14)
+        assert noise_threshold(0.1, 0.0, r_max) == noise_threshold(0.1, 0.0)
+
+    def test_damping_past_the_float_range_is_nan(self):
+        assert math.isnan(closedform.max_occupation(1.0, 1e200, 0.0))
 
     @pytest.mark.parametrize("r, x, n0", [(0.0, 0.1, 0.0), (-1.0, 0.1, 0.0),
                                           (1.0, 0.0, 0.0), (1.0, 0.1, -1.0),
