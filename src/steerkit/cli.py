@@ -1011,14 +1011,18 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
             grid = record.points
             svgplot.heatmap(grid.v1, grid.v2, grid.E, path, x_label=grid.var1,
                             y_label=grid.var2,
-                            contour=tuple(record.summary.get("contour", ())))
+                            contour=tuple(record.summary.get("contour", ())),
+                            x_scale=scenario.sweep.scale,
+                            y_scale=scenario.sweep2.scale)
         else:
             xcol = record.columns[0]
             xs = [p[xcol] for p in record.points]
             series = {c: [p[c] for p in record.points]
                       for c in record.columns[1:]}
             svgplot.line_chart(xs, series, path, x_label=xcol,
-                               hline=0.5 if scenario.mode == "curve" else None)
+                               hline=0.5 if scenario.mode == "curve" else None,
+                               x_scale=scenario.sweep.scale
+                               if scenario.sweep else "linear")
     except svgplot.NothingToPlot:
         sys.stderr.write(f"steerkit: warning: no finite value to plot; {path} "
                          f"not written\n")

@@ -398,7 +398,15 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
         + f * x * (n + 1.0) * (amplified_noise_factor(r) / s)
     if not var_j > 0.0:
         raise DegenerateVariance(f"var_Xj_out = {var_j!r} is not positive")
-    rterm = 16.0 * f * x * x * (n + 1.0) ** 2 * r * r \
+    try:
+        # C pow, not a product, which would move E_m1's last digits; past
+        # the float range it raises OverflowError
+        bath2 = (n + 1.0) ** 2
+    except OverflowError:
+        raise DegenerateVariance(
+            f"(n + 1)^2 leaves the float range at (r, gamma_over_G, n0, n, "
+            f"Gj_over_G) = {(r, x, n0, n, f)!r}") from None
+    rterm = 16.0 * f * x * x * bath2 * r * r \
         + 8.0 * f * x * (n + 1.0) * (2.0 * n0 + 1.0) * r
     num_over_u3 = (2.0 * a * (2.0 * f * x * (n + 1.0) - f + 1.0) * (u / s)
                    + (2.0 * n0 + 1.0) * (4.0 * f * x * (n + 1.0) + 1.0) / s

@@ -1,15 +1,19 @@
 """Scenario schema, runners, determinism, file formats, entry point."""
 
 import ast
+import base64
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
@@ -97,6 +101,34 @@ def csv_text(record, tmp_path) -> str:
     path = tmp_path / "record.csv"
     cli._write_csv(str(path), record)
     return path.read_bytes().decode("utf-8")
+
+
+def svg_png(text: str) -> tuple[str, bytes, np.ndarray]:
+    """The SVG text with its one PNG's base64 payload cut out, the PNG's
+    decoded scanlines and its ``(height, width, 3)`` pixels, read with
+    zlib: 8-bit RGB, unfiltered rows, every chunk's CRC checked."""
+    head, rest = text.split('href="data:image/png;base64,')
+    payload, tail = rest.split('"', 1)
+    png = base64.b64decode(payload, validate=True)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (size,) = struct.unpack(">I", png[pos:pos + 4])
+        tag, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + size]
+        (crc,) = struct.unpack(">I", png[pos + 8 + size:pos + 12 + size])
+        assert crc == zlib.crc32(tag + data)
+        chunks.append((tag, data))
+        pos += 12 + size
+    tags = [tag for tag, _ in chunks]
+    assert tags[0] == b"IHDR" and tags[-1] == b"IEND"
+    assert set(tags[1:-1]) == {b"IDAT"}
+    w, h, *kind = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert kind == [8, 2, 0, 0, 0]
+    scanlines = zlib.decompress(b"".join(d for t, d in chunks if t == b"IDAT"))
+    rows = np.frombuffer(scanlines, dtype=np.uint8).reshape(h, 1 + 3 * w)
+    assert not rows[:, 0].any()
+    return (head + 'href="data:image/png;base64,"' + tail, scanlines,
+            rows[:, 1:].reshape(h, w, 3))
 
 
 def assert_exit_2(tmp_path, capsys, doc: dict) -> None:
@@ -764,36 +796,149 @@ class TestFileFormats:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, digest", [
-        ("fig4.svg",
-         "6aaafa86a9df6069dbe16b7f097f03a1bf8a84258b075b7e04cf61d783c7cfac"),
-        ("nonfinite.svg",
-         "97219722e3cce45a14242bdeeb76d5d0487e1418806698b36d588247ebc88495"),
-        ("constant.svg",
-         "5882c123db2e14db5522998bdf21d23829da9906e6a91d57c5884389881ac9eb"),
         ("curve.svg",
          "9f15bbd41f13c7ebac4506aaa713cb6329e3d6873af9adb0e588f7a4adfc1fc2"),
+        ("long.svg",
+         "bc43cceded7eadf7e744169e7a62ae23fb9294a911db5c9e17b36d9439810caf"),
     ])
     def test_svg_bytes_are_pinned(self, tmp_path, name, digest):
         nan, inf = math.nan, math.inf
         path = tmp_path / name
-        if name == "fig4.svg":
-            run(PRESETS["fig4"](), output=str(tmp_path / "fig4.csv"),
-                svg=True)
-        elif name == "nonfinite.svg":
-            svgplot.heatmap([0.0, 0.5, 1.0, 1.5], [0.0, 0.1, 0.2],
-                            [[0.2, nan, 0.7, inf], [-inf, 0.5, 0.45, 1.3],
-                             [0.9, 0.25, nan, 0.6]],
-                            str(path), x_label="r", y_label="gamma_over_G",
-                            contour=((0.4, 0.05), (0.9, 0.15)))
-        elif name == "constant.svg":  # hi == lo: every finite cell is t = 1/2
-            svgplot.heatmap([1.0, 2.0, 3.0], [0.0, 1.0],
-                            [[0.5, 0.5, 0.5], [0.5, nan, 0.5]], str(path))
-        else:
+        if name == "curve.svg":
             svgplot.line_chart([0.0, 1.0, 2.0, 3.0, 4.0],
                                {"a": [0.1, 0.4, nan, 0.6, 0.5],
                                 "b": [0.9, 0.7, 0.5, inf, 0.2]},
                                str(path), x_label="r", hline=0.5)
+        else:
+            # 450 points from -0.0, three series with leading, inner and
+            # trailing NaN runs and lone +-inf; every value comes from
+            # correctly rounded IEEE operations, so no libm sets the bytes
+            xs = [-0.0] + [0.01 * k for k in range(1, 450)]
+            a = [0.5 + 0.4 * ((k * 37) % 101 - 50) / 50 for k in range(450)]
+            b = [1.0 / (1.0 + 0.05 * k) for k in range(450)]
+            c = [0.25 + ((k * k) % 97) / 97 for k in range(450)]
+            a[100:120] = [nan] * 20
+            a[300:303] = [nan] * 3
+            b[50], b[51] = inf, -inf
+            b[400:] = [nan] * 50
+            c[:10] = [nan] * 10
+            c[200] = inf
+            svgplot.line_chart(xs, {"a": a, "b": b, "c": c}, str(path),
+                               x_label="tau", hline=0.5)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def draw_heatmap(name: str, tmp_path) -> tuple[str, np.ndarray]:
+        """Write the heatmap case ``name``; return its SVG text and grid."""
+        nan, inf = math.nan, math.inf
+        path = tmp_path / f"{name}.svg"
+        if name == "fig4":
+            record = run(PRESETS["fig4"](), output=str(tmp_path / "fig4.csv"),
+                         svg=True)
+            grid = record.points.E
+        elif name == "nonfinite":
+            grid = np.array([[0.2, nan, 0.7, inf], [-inf, 0.5, 0.45, 1.3],
+                             [0.9, 0.25, nan, 0.6]])
+            svgplot.heatmap([0.0, 0.5, 1.0, 1.5], [0.0, 0.1, 0.2], grid,
+                            str(path), x_label="r", y_label="gamma_over_G",
+                            contour=((0.4, 0.05), (0.9, 0.15)))
+        else:  # hi == lo: every finite cell is t = 1/2
+            grid = np.array([[0.5, 0.5, 0.5], [0.5, nan, 0.5]])
+            svgplot.heatmap([1.0, 2.0, 3.0], [0.0, 1.0], grid, str(path))
+        return path.read_text(), grid
+
+    # The PNG's compressed bytes depend on the zlib build, so a heatmap is
+    # pinned by its SVG text with the base64 payload cut out and by the
+    # PNG's decoded scanlines
+    @pytest.mark.parametrize("name, text_digest, scanline_digest", [
+        ("fig4",
+         "e94c72a63fb2434771e50b2986a08faf8622cc3bd92ff00f9797e0fdbca38b21",
+         "5f1ccee4644fe6226459ab259f8c8c11b7cd6b10ae24029759f368b6a0d18db9"),
+        ("nonfinite",
+         "dc57153ed8970d19c2266c742ad0a2864d3320fcc3aa1fc59331871df29bc409",
+         "64cf6b5970572fd62d7d51388254506c99f2b29ff58ee1e3d174a4f1fc9f98f8"),
+        ("constant",
+         "32500da3d87d51979114b1386300c0baffec7f131b80d0ff32b5b1f25b1ea8e0",
+         "e68260c73fe74f3435ee1b200e27517941dc3d63d22702d7b914a107779556e5"),
+    ], ids=["fig4", "nonfinite", "constant"])
+    def test_heatmap_svg_is_pinned(self, tmp_path, name, text_digest,
+                                   scanline_digest):
+        text, _ = self.draw_heatmap(name, tmp_path)
+        cut, scanlines, _ = svg_png(text)
+        assert text.count("<image ") == 1 and text.count("<rect ") == 1
+        assert hashlib.sha256(cut.encode()).hexdigest() == text_digest
+        assert hashlib.sha256(scanlines).hexdigest() == scanline_digest
+
+    @pytest.mark.parametrize("name", ["fig4", "nonfinite", "constant"])
+    def test_heatmap_pixels_are_the_ramp_colors(self, tmp_path, name):
+        text, grid = self.draw_heatmap(name, tmp_path)
+        _, _, pixels = svg_png(text)
+        finite = [v for v in grid.ravel().tolist() if math.isfinite(v)]
+        lo, hi = min(finite), max(finite)
+
+        def ramp(v: float) -> list[int]:
+            if not math.isfinite(v):
+                return [0xcc] * 3
+            t = (v - lo) / (hi - lo) if hi > lo else 0.5
+            return [int(255 * t), int(255 * (1.0 - abs(2.0 * t - 1.0))),
+                    int(255 * (1.0 - t))]
+
+        # row 0 of the image is the largest y, the last row of the grid
+        assert pixels.shape == (*grid.shape, 3)
+        assert pixels.tolist() == [[ramp(v) for v in row]
+                                   for row in grid.tolist()[::-1]]
+
+    def test_log_axes_place_pixels_contour_and_ticks_in_log10(self, tmp_path):
+        # a log-r map from 1e-7 to 800 (r on x, as cli draws it): pixel
+        # centres, contour points and the end ticks sit at log10 positions
+        record = run(self.LOG_R, output=str(tmp_path / "map.csv"), svg=True)
+        text = (tmp_path / "map.svg").read_text()
+        image = dict(re.findall(r'(\w+)="([\d.e+-]+)"',
+                                text.split("<image ")[1].split("href")[0]))
+        nx = self.LOG_R.sweep.points
+        width = float(image["width"])
+        centres = [float(image["x"]) + (j + 0.5) * width / nx
+                   for j in (0, nx - 1)]
+        lg0, lg1 = math.log10(1e-7), math.log10(800.0)
+
+        def at(r: float) -> float:
+            return 70 + (math.log10(r) - lg0) / (lg1 - lg0) * 550
+
+        assert centres == pytest.approx([at(1e-7), at(800.0)], abs=1e-3)
+        ticks = re.findall(r'<text x="([\d.]+)" y="408"[^>]*>([^<]*)<', text)
+        assert ticks == [("70", "1e-07"), ("620", "800")]
+        points = text.split('points="')[1].split('"')[0].split()
+        contour = record.summary["contour"]
+        assert len(points) == len(contour) == 99
+        for pt, (r, _) in zip(points, contour):
+            assert float(pt.split(",")[0]) == pytest.approx(at(r), abs=1e-3)
+
+    def test_log_line_chart_puts_the_geometric_mean_at_the_centre(
+            self, tmp_path):
+        sc = tiny_curve_scenario(sweep=Sweep("r", 1e-8, 10.0, 41,
+                                             scale="log"))
+        run(sc, output=str(tmp_path / "curve.csv"), svg=True)
+        text = (tmp_path / "curve.svg").read_text()
+        ticks = re.findall(r'<text x="([\d.]+)" y="408"[^>]*>([^<]*)<', text)
+        assert ticks == [("70", "1e-08"), ("345", "0.000316228"),
+                         ("620", "10")]
+        # the 41 points are evenly spaced on the log axis
+        first = text.split('points="')[1].split('"')[0].split()
+        assert [float(p.split(",")[0]) for p in first] == pytest.approx(
+            [70 + 550 * k / 40 for k in range(41)], abs=1e-3)
+
+    def test_heatmap_contour_line_is_pinned(self, tmp_path):
+        path = tmp_path / "contour.svg"
+        svgplot.heatmap([0.0, 0.5, 1.0, 1.5, 3.0], [0.0, 0.1, 0.3],
+                        [[0.2, 0.4, 0.6, 0.8, 1.0]] * 3, str(path),
+                        contour=((0.123456789, 0.0), (0.7, 0.05),
+                                 (1.25, 0.1), (2.9999, 0.3), (-0.0, 0.2)))
+        lines = [ln for ln in path.read_text().splitlines()
+                 if ln.startswith("<polyline")]
+        assert lines == [
+            '<polyline fill="none" stroke="black" stroke-width="1.5" '
+            'points="92.6337,390 198.333,328.333 299.167,266.667 619.982,20 '
+            '70,143.333"/>']
 
 
 class TestCellKernel:
@@ -1189,6 +1334,28 @@ class TestEntryPoint:
                 assert all(math.isnan(p[c]) for c in record.columns[1:]) \
                     == (p["r"] > 354.9)
             assert out.read_text().splitlines()[-1].endswith(",nan")
+
+    def test_single_witness_overflow_becomes_nan_rows(self, tmp_path):
+        # (n + 1)^2 leaves the float range in the single-mode witness while
+        # the collective witness is still finite: NaN rows, no traceback
+        n = 1.5e154
+        assert math.isfinite(collective_steering_value(0.5, 0.1, 0.0, n))
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**valid_doc("validate-oracle"), "params": {
+            "kind": "ratios", "gamma_over_G": 0.1, "n0": 0.0, "n": n}}))
+        out = tmp_path / "result.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "steerkit", "run",
+             "--config", str(cfg), "--output", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# warning:")] == [
+            f"# warning: point {i} (r={r:g}): (n + 1)^2 leaves the float "
+            f"range at (r, gamma_over_G, n0, n, Gj_over_G) = "
+            f"({r!r}, 0.1, 0.0, 1.5e+154, 0.55)"
+            for i, r in ((0, 0.5), (1, 1.0))]
+        assert all(row.split(",")[1:] == ["nan"] * 10 for row in lines[-2:])
 
     def test_validate_oracle_with_a_failed_later_point_is_not_validated(
             self):
