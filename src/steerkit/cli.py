@@ -432,10 +432,14 @@ def _witness(knobs: dict) -> float:
 
 
 def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """The collective witness over a grid of knobs, in one array call."""
+    """The collective witness over a grid of knobs, in one array call.
+    Each knob is a float or an array on its own axes of the grid; r goes
+    in as a ``np.broadcast_to`` view of the grid's ``shape``, which copies
+    nothing, so the result has that shape also where the witness ignores
+    an axis and the call's r counts the grid's cells."""
     return closedform.collective_steering_value(
-        np.full(shape, knobs["r"]), knobs["gamma_over_G"], knobs["n0"],
-        knobs["n"])
+        np.broadcast_to(knobs["r"], shape), knobs["gamma_over_G"],
+        knobs["n0"], knobs["n"])
 
 
 def _case_label(i: int, case: dict):
@@ -543,8 +547,8 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
         region = steering.steering_region(v1, v2, base["n0"], base["n"])
         E, contour = region.E, list(region.contour)
     else:
-        a1, a2 = np.meshgrid(v1, v2)
-        E = _witness_grid(_apply(_apply(base, var1, a1), var2, a2), a1.shape)
+        E = _witness_grid(_apply(_apply(base, var1, v1), var2, v2[:, None]),
+                          (len(v2), len(v1)))
 
     points = _GridPoints(var1, var2, v1.tolist(), v2.tolist(), E)
     warnings = []
@@ -576,9 +580,10 @@ _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
                     "cov_Xm_P1", "cov_Xm_P2", "cov_Xm_PW", "E_mW", "E_m1")
 
 
-def _oracle_moment_row(knobs: dict, oc) -> dict:
+def _oracle_moment_row(knobs: dict, oc, E_mW: float) -> dict:
     """Closed-form vs oracle values and relative errors at one point, from
-    its ``_oracle_sweep`` result ``oc``."""
+    its ``_oracle_sweep`` result ``oc`` and its ``_witness_grid`` cell
+    ``E_mW``."""
     r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0", "n",
                                              "G1_over_G2"))
     closed = closedform.moment_set(r, x, n0, n, G1_over_G2=ratio).as_dict()
@@ -596,7 +601,9 @@ def _oracle_moment_row(knobs: dict, oc) -> dict:
         "E_mW": steering.steering_product(oc, m, w),
         "E_m1": steering.steering_product(oc, m, a1),
     }
-    closed["E_mW"] = closedform.collective_steering_value(r, x, n0, n)
+    if math.isnan(E_mW):
+        _witness(knobs)  # raises the cell's error
+    closed["E_mW"] = E_mW
     closed["E_m1"] = closedform.single_steering_value(
         r, x, n0, n, closedform._gain_fractions(x, ratio)[0])
     row = {}
@@ -614,11 +621,12 @@ def _oracle_moment_row(knobs: dict, oc) -> dict:
 
 def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
-    ocs = _oracle_sweep([_apply(base, var, v)
-                         for v in sc.sweep.values().tolist()])
+    values = sc.sweep.values()
+    ocs = _oracle_sweep([_apply(base, var, v) for v in values.tolist()])
+    E = _witness_grid(_apply(base, var, values), values.shape).tolist()
 
     def fill(i: int, v: float, row: dict) -> None:
-        row.update(_oracle_moment_row(_apply(base, var, v), ocs[i]))
+        row.update(_oracle_moment_row(_apply(base, var, v), ocs[i], E[i]))
 
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     points, warnings = _sweep_rows(sc, columns, [(None, fill)])
@@ -940,7 +948,7 @@ def _write_rows(out, columns: list[str], rows) -> None:
     elif grid:
         axes = _cells(np.array(rows.v1 + rows.v2), ord(","))
         x1, x2 = axes[:len(rows.v1)], axes[len(rows.v1):, None]
-        step = max(1, _BLOCK_CELLS // len(x1))
+        step = max(1, _BLOCK_CELLS // (len(columns) * len(x1)))
         for i in range(0, len(x2), step):
             E = rows.E[i:i + step]
             block = np.empty(E.shape + (3,), axes.dtype)

@@ -286,83 +286,86 @@ def collective_steering_value(r: float | np.ndarray,
     combination of the cavity outputs alone; the README records this
     discrepancy as open.
 
-    Accepts numpy arrays: when ``r`` is an ``ndarray`` it carries the grid
-    shape (pass it at full shape, e.g. from ``np.meshgrid``), the other
-    arguments broadcast against it, and the result is an array of that
-    shape.  A cell outside the domain (a negative or NaN argument), with a
-    non-positive ``var_XW_out`` or past the float range is NaN.  A float
-    call is one cell: it raises ``InvalidParams`` outside the domain and
+    Accepts numpy arrays: when any argument is an ``ndarray`` the four
+    broadcast against each other by numpy's rules and the result is a new
+    array of their broadcast shape, so a grid is passed on its axes (r as
+    a row, gamma/G as a column), or with r as a ``np.broadcast_to`` view
+    of the grid's shape, which copies nothing.  An argument is evaluated
+    on its own axes: an axis that a broadcast view repeats (stride 0)
+    counts once.  The factors that depend on r alone are computed on r's
+    axes and those that do not on those of ``(gamma_over_G, n0, n)``; only
+    the final expression takes the full shape, so each cell rounds as the
+    float call does.  A cell outside the
+    domain (a negative or NaN argument), with a non-positive
+    ``var_XW_out`` or past the float range is NaN.  A float call is one
+    cell: it raises ``InvalidParams`` outside the domain and
     ``DegenerateVariance`` where the cell is NaN.
     """
-    if isinstance(r, np.ndarray):
-        return _collective_array(r, gamma_over_G, n0, n)
-    _check_inputs(r, gamma_over_G, n0, n)
-    E = _collective_cells(np.float64(r), _coefficients(
-        float(gamma_over_G), float(n0), float(n)))
-    if np.isnan(E):
-        raise DegenerateVariance(
-            f"var_XW_out is not positive or a term leaves the float range "
-            f"at (r, gamma_over_G, n0, n) = {(r, gamma_over_G, n0, n)!r}")
-    return float(E)
-
-
-def _collective_array(r, x, n0, n) -> np.ndarray:
-    """``collective_steering_value`` cell by cell over the shape of ``r``.
-    Scalar arguments stay scalars, which numpy combines with arrays faster
-    than broadcast copies."""
-    r = np.asarray(r, dtype=float)
-    knobs = [np.broadcast_to(np.asarray(v, dtype=float), r.shape)
-             if np.ndim(v) else float(v) for v in (x, n0, n)]
-    x, n0, n = knobs
-    ok = (r >= 0.0) & (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0)
+    if not any(isinstance(v, np.ndarray) for v in (r, gamma_over_G, n0, n)):
+        _check_inputs(r, gamma_over_G, n0, n)
+        E = _collective_cells(np.float64(r), _coefficients(
+            float(gamma_over_G), float(n0), float(n)))
+        if np.isnan(E):
+            raise DegenerateVariance(
+                f"var_XW_out is not positive or a term leaves the float "
+                f"range at (r, gamma_over_G, n0, n) = "
+                f"{(r, gamma_over_G, n0, n)!r}")
+        return float(E)
+    args = [np.asarray(v, dtype=float) for v in (r, gamma_over_G, n0, n)]
+    shape = np.broadcast(*args).shape
+    # a float knob stays a float, which numpy combines with arrays faster
+    r = _own_axes(args[0])
+    x, n0, n = (_own_axes(a) if a.ndim else float(a) for a in args[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         co = _coefficients(x, n0, n)
-    return _collective_cells(r, co, ok)
+    E = _collective_cells(r, co, (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0))
+    if E.shape != shape:  # a view's repeated axis the knobs do not span
+        E = np.broadcast_to(E, shape).copy()
+    return E
 
 
-def _select(values, cells) -> list:
-    """Each of ``values`` at ``cells``: arrays are indexed, scalars kept."""
-    return [v[cells] if isinstance(v, np.ndarray) else v for v in values]
+def _own_axes(a: np.ndarray) -> np.ndarray:
+    """``a`` with each axis of stride 0, which a broadcast view repeats,
+    cut to its first entry; the result broadcasts back to ``a``."""
+    if all(a.strides):
+        return a
+    return a[tuple(slice(None, 1) if s == 0 else slice(None)
+                   for s in a.strides)]
 
 
 def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
-    """The collective witness at the cells of ``r`` (a numpy float is one
-    cell), one masked numpy expression per branch.  ``co`` is
-    ``_coefficients`` with each entry a scalar or an array of ``r``'s
-    shape, so a caller may compute it once for many r; cells outside the
-    mask ``ok`` (all are in when it is True) are NaN."""
-    if 0.0 < r.min() and r.max() <= SCALED_R and np.all(ok):
-        return _collective_band(co, r, False)
-
-    E = np.full(r.shape, np.nan)
-    zero = ok & (r == 0.0)
-    if zero.any():
-        E[zero] = _select([co[1]], zero)[0] + 0.5  # n0 + 1/2
-
-    big = ok & (r > LARGE_R)
-    if big.any():
-        x, b = _select([co[0], co[3]], big)
+    """The collective witness over the broadcast of ``r`` (a numpy float is
+    one cell) and ``co``, the ``_coefficients`` with each entry a scalar or
+    an array, so a caller may compute them once for many r.  Each branch of
+    r is one numpy expression over the whole broadcast, kept where r lies
+    in it; cells outside the mask ``ok`` (all are in when it is True), or
+    with r negative or NaN, are NaN."""
+    mid = (0.0 < r) & (r <= LARGE_R)  # the branch masks, on r's shape
+    hi = mid & (r > SCALED_R)
+    E = _collective_band(co, r, False)
+    if hi.any():  # only grids reaching SCALED_R pay the second band
+        np.copyto(E, _collective_band(co, r, True), where=hi)
+    if not mid.all():
+        x, n0, _, b = co[:4]
+        np.copyto(E, n0 + 0.5, where=r == 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            E[big] = np.where(x == 0.0, 0.0, _plateau(x, b))
-
-    mid = ok & (r > 0.0) & (r <= LARGE_R)
-    bands = [(mid, False)]
-    if (r > SCALED_R).any():  # only grids reaching SCALED_R pay the split
-        hi = mid & (r > SCALED_R)
-        bands = [(mid & ~hi, False), (hi, True)]
-    for cells, scaled in bands:
-        E[cells] = _collective_band(_select(co, cells), r[cells], scaled)
+            np.copyto(E, np.where(x == 0.0, 0.0, _plateau(x, b)),
+                      where=r > LARGE_R)
+        np.copyto(E, np.nan, where=~(r >= 0.0))
+    if not np.all(ok):
+        np.copyto(E, np.nan, where=~np.asarray(ok))
     return E
 
 
 def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
-    """The witness at pulse areas in (0, ``LARGE_R``]: the series or direct
-    ``gain_filter_ratio`` and ``_collective_terms``, NaN where
-    ``var_XW_out`` is not positive."""
+    """The witness as at pulse areas in (0, ``LARGE_R``]: the series or
+    direct ``gain_filter_ratio`` on r's shape and ``_collective_terms``
+    over the broadcast, NaN where ``var_XW_out`` is not positive.  Cells
+    outside that range hold values of no meaning."""
     u2 = 2.0 * r
-    u = np.expm1(u2)
     # overflow to inf passes silently, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.expm1(u2)
         kr = 4.0 * r * np.exp(u2) / u
         series = r < SERIES_CROSSOVER
         if series.any():

@@ -179,24 +179,28 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
                     ) -> SteeringRegion:
     """Evaluate the collective witness on a grid and trace its 1/2 contour.
 
-    Cells are those of the array ``collective_steering_value``: NaN where
-    an argument leaves the domain (a negative r, gamma/G, n0 or n).  The
-    contour is found per damping-ratio row by bisection between adjacent
-    finite cells with opposite sign of E - 1/2; NaN cells never join it,
-    and a cell where E is exactly 1/2 joins it as it is.  All crossing
-    cells are bisected together.  The factors of the witness that do not
-    depend on r are computed once (``closedform._coefficients``), so a
-    round evaluates only its r-dependent part; a midpoint where it is NaN
-    counts as past the crossing.  The rounds stop once no bracket has a
-    float strictly inside it, or after ``BISECTION_ROUNDS``; each contour
-    point is its bracket's midpoint.
+    Cells are those of the array ``collective_steering_value``, called
+    with gamma/G as a column and r as a ``np.broadcast_to`` view of the
+    grid's shape, so that no argument is copied to the grid's shape and
+    the call's r still counts the grid's cells, as ``benchmark/tracer.py``
+    counts a witness call's evaluations: NaN where an argument leaves the
+    domain (a negative r, gamma/G, n0 or n).  The contour is found per
+    damping-ratio row by bisection between adjacent finite cells with
+    opposite sign of E - 1/2; NaN cells never join it, and a cell where E
+    is exactly 1/2 joins it as it is.  All crossing cells are bisected
+    together.  The factors of the witness that do not depend on r are
+    computed once (``closedform._coefficients``), so a round evaluates
+    only its r-dependent part; a midpoint where it is NaN counts as past
+    the crossing.  The rounds stop once no bracket has a float strictly
+    inside it, or after ``BISECTION_ROUNDS``; each contour point is its
+    bracket's midpoint.
     """
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
     if rs.size == 0 or xs.size == 0:
         raise InvalidParams("grids must be nonempty")
-    r2, x2 = np.meshgrid(rs, xs)
-    E = collective_steering_value(r2, x2, n0, n)
+    E = collective_steering_value(np.broadcast_to(rs, (xs.size, rs.size)),
+                                  xs[:, None], n0, n)
 
     # cells where E - 1/2 is zero or changes sign toward the next r, in
     # row-major order; the sign changes are bisected together

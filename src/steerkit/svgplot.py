@@ -173,12 +173,15 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     cw = (_W - _ML - _MR) / max(len(xs) - 1, 1)
     ch = (_H - _MT - _MB) / max(len(ys) - 1, 1)
 
-    # the blue-white-red ramp over the whole grid; astype truncates toward
-    # zero as int() does, and t is in [0, 1].  Non-finite cells are #cccccc.
+    # the blue-white-red ramp over the whole grid, each channel written
+    # straight into the uint8 image, which truncates toward zero as int()
+    # does; t is in [0, 1].  Non-finite cells are #cccccc.
     t = (np.where(finite, grid, lo) - lo) / (hi - lo) if hi > lo \
         else np.full(grid.shape, 0.5)
-    rgb = np.stack([255 * t, 255 * (1.0 - np.abs(2.0 * t - 1.0)),
-                    255 * (1.0 - t)], axis=-1).astype(np.uint8)
+    rgb = np.empty(grid.shape + (3,), np.uint8)
+    rgb[..., 0] = 255 * t
+    rgb[..., 1] = 255 * (1.0 - np.abs(2.0 * t - 1.0))
+    rgb[..., 2] = 255 * (1.0 - t)
     rgb[~finite] = 0xcc
     png = base64.b64encode(_png(rgb[::-1])).decode("ascii")
     parts = [f'<image x="{_fmt(_ML - cw / 2)}" y="{_fmt(_MT - ch / 2)}" '

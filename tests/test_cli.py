@@ -572,12 +572,15 @@ class TestOtherModes:
 
     def test_validate_oracle_closed_side_is_the_direct_closed_form(
             self, monkeypatch):
+        # the moments and E_m1 are float calls per point; E_mW is one
+        # array call per sweep whose every cell is the point's float call
         seen = []
         for name in ("moment_set", "collective_steering_value",
                      "single_steering_value"):
-            def spy(*args, _fn=getattr(closedform, name), **kwargs):
-                seen.append(_fn(*args, **kwargs))
-                return seen[-1]
+            def spy(*args, _fn=getattr(closedform, name), _name=name,
+                    **kwargs):
+                seen.append((_name, _fn(*args, **kwargs)))
+                return seen[-1][1]
             monkeypatch.setattr(closedform, name, spy)
         sc = Scenario(
             mode="validate-oracle",
@@ -587,14 +590,20 @@ class TestOtherModes:
         )
         run(sc)
         monkeypatch.undo()
+        rs = sc.sweep.values().tolist()
         f1 = (1.0 + 0.1) - (1.0 + 0.1) / (1.0 + 1.5)
         expect = []
-        for r in sc.sweep.values().tolist():
+        for r in rs:
             expect += [
-                closedform.moment_set(r, 0.1, 0.5, 5.0, G1_over_G2=1.5),
-                closedform.collective_steering_value(r, 0.1, 0.5, 5.0),
-                closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1)]
-        assert seen == expect
+                ("moment_set",
+                 closedform.moment_set(r, 0.1, 0.5, 5.0, G1_over_G2=1.5)),
+                ("single_steering_value",
+                 closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1))]
+        (name, E), *rest = seen
+        assert name == "collective_steering_value" and rest == expect
+        assert E.tolist() == [
+            closedform.collective_steering_value(r, 0.1, 0.5, 5.0)
+            for r in rs]
 
     @pytest.mark.parametrize("mode", sorted(cli._MODES))
     def test_every_cell_is_a_python_float(self, mode):
@@ -1032,6 +1041,29 @@ class TestPresets:
         assert sc.mode == "heatmap"
         assert sc.sweep.points == sc.sweep2.points == 201
         assert sc.sweep2.variable == "gamma_over_G"
+
+
+    def test_fig4_stages_peak_far_below_the_grid_copies(self, tmp_path):
+        # the witness runs on the grid's axes, the CSV blocks count every
+        # column and the heatmap ramp goes straight into the image, so no
+        # stage holds copies of the 201 x 201 grid (one is 0.32 MB)
+        sc = PRESETS["fig4"]()
+        record = run(sc, output=str(tmp_path / "run.csv"))
+
+        def peak_mb(fn, *args) -> float:
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb(steering.steering_region, sc.sweep.values(),
+                       sc.sweep2.values(), 0.0, 0.0) < 3.0
+        assert peak_mb(cli._write_csv, str(tmp_path / "fig4.csv"),
+                       record) < 1.5
+        assert peak_mb(cli._write_svg, str(tmp_path / "fig4.svg"), sc,
+                       record) < 1.5
 
 
 class TestEntryPoint:

@@ -20,6 +20,7 @@ from steerkit import (
 from steerkit import closedform
 from steerkit.closedform import (
     LARGE_R,
+    SCALED_R,
     SERIES_CROSSOVER,
     _gain_fractions,
     amplified_noise_factor,
@@ -222,6 +223,54 @@ class TestArrayWitness:
                             for a, b in zip(r.ravel(), x.ravel())])
             np.testing.assert_allclose(got, ref.reshape(r.shape), rtol=1e-13,
                                        atol=0.0, err_msg=branch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rs=st.lists(st.sampled_from([0.0])
+                       | st.floats(1e-12, SERIES_CROSSOVER, exclude_max=True)
+                       | st.floats(SERIES_CROSSOVER, SCALED_R)
+                       | st.floats(SCALED_R, LARGE_R, exclude_min=True)
+                       | st.floats(LARGE_R, 1e3, exclude_min=True),
+                       min_size=1, max_size=8),
+           knobs=st.lists(st.tuples(*[st.floats(-0.5, 60.0)
+                                      | st.just(math.nan)] * 3),
+                          min_size=1, max_size=6))
+    def test_axes_evaluation_is_the_meshgrid_evaluation(self, rs, knobs):
+        # r as a row and (gamma/G, n0, n) as columns give every cell the
+        # bits of the call at full shape, in both orientations, and so do
+        # broadcast views of full shape; a view of r with float knobs
+        # fills its shape; a scalar r gives its column, and a float call
+        # its cell or its error
+        r = np.array(rs)
+        x, n0, n = (np.array(col)[:, None] for col in zip(*knobs))
+        got = collective_steering_value(r, x, n0, n)
+        r2, x2 = np.meshgrid(r, x)
+        full = collective_steering_value(
+            r2, x2, *(np.broadcast_to(v, r2.shape).copy() for v in (n0, n)))
+
+        def same(a, b):
+            nan = np.isnan(a)
+            assert a.shape == b.shape
+            assert (nan == np.isnan(b)).all()
+            assert (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all()
+
+        same(got, full)
+        same(collective_steering_value(r[:, None], x.T, n0.T, n.T), full.T)
+        same(collective_steering_value(
+            *(np.broadcast_to(v, full.shape) for v in (r, x, n0, n))), full)
+        rows = collective_steering_value(np.broadcast_to(r, full.shape),
+                                         0.1, 0.5, 2.0)
+        assert rows.flags.writeable
+        same(rows, np.broadcast_to(
+            collective_steering_value(r, 0.1, 0.5, 2.0), full.shape))
+        for j, rj in enumerate(rs):
+            same(collective_steering_value(rj, x, n0, n), full[:, j:j + 1])
+            for i, cell in enumerate(knobs):
+                if np.isnan(full[i, j]):
+                    with pytest.raises((InvalidParams, DegenerateVariance)):
+                        collective_steering_value(rj, *cell)
+                else:
+                    same(np.array(collective_steering_value(rj, *cell)),
+                         full[i, j])
 
     def test_array_occupations_broadcast_against_r(self):
         r = np.full(3, 0.7)
