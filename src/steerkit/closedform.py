@@ -338,38 +338,44 @@ def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     one cell) and ``co``, the ``_coefficients`` with each entry a scalar or
     an array, so a caller may compute them once for many r.  Each branch of
     r is one numpy expression over the whole broadcast, kept where r lies
-    in it; cells outside the mask ``ok`` (all are in when it is True), or
-    with r negative or NaN, are NaN."""
-    mid = (0.0 < r) & (r <= LARGE_R)  # the branch masks, on r's shape
-    hi = mid & (r > SCALED_R)
-    E = _collective_band(co, r, False)
-    if hi.any():  # only grids reaching SCALED_R pay the second band
-        np.copyto(E, _collective_band(co, r, True), where=hi)
-    if not mid.all():
+    in it.  The least and greatest r decide which branches a call needs (a
+    NaN r needs them all), so a call whose r lies in the direct band
+    ``[SERIES_CROSSOVER, SCALED_R]`` builds no per-cell branch mask.  Cells
+    outside the mask ``ok`` (skipped when it is True), or with r negative
+    or NaN, are NaN."""
+    # the least and greatest r, NaN if any r is
+    r_lo, r_hi = r.min(initial=np.inf), r.max(initial=-np.inf)
+    E = _collective_band(co, r, False, not r_lo >= SERIES_CROSSOVER)
+    if not r_hi <= SCALED_R:  # only grids reaching SCALED_R pay this band
+        hi = (r > SCALED_R) & (r <= LARGE_R)
+        if hi.any():
+            np.copyto(E, _collective_band(co, r, True, False), where=hi)
+    if not (r_lo > 0.0 and r_hi <= LARGE_R):
         x, n0, _, b = co[:4]
         np.copyto(E, n0 + 0.5, where=r == 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             np.copyto(E, np.where(x == 0.0, 0.0, _plateau(x, b)),
                       where=r > LARGE_R)
         np.copyto(E, np.nan, where=~(r >= 0.0))
-    if not np.all(ok):
+    if ok is not True and not np.all(ok):
         np.copyto(E, np.nan, where=~np.asarray(ok))
     return E
 
 
-def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
-    """The witness as at pulse areas in (0, ``LARGE_R``]: the series or
-    direct ``gain_filter_ratio`` on r's shape and ``_collective_terms``
-    over the broadcast, NaN where ``var_XW_out`` is not positive.  Cells
-    outside that range hold values of no meaning."""
+def _collective_band(co, r: np.ndarray, scaled: bool,
+                     series: bool) -> np.ndarray:
+    """The witness as at pulse areas in (0, ``LARGE_R``]: the direct
+    ``gain_filter_ratio`` on r's shape, its series where r is below
+    ``SERIES_CROSSOVER`` if ``series`` (some r may be), and
+    ``_collective_terms`` over the broadcast, NaN where ``var_XW_out`` is
+    not positive.  Cells outside that range hold values of no meaning."""
     u2 = 2.0 * r
     # overflow to inf passes silently, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = np.expm1(u2)
         kr = 4.0 * r * np.exp(u2) / u
-        series = r < SERIES_CROSSOVER
-        if series.any():
-            kr = np.where(series, _gain_series(u2), kr)
+        if series:
+            kr = np.where(r < SERIES_CROSSOVER, _gain_series(u2), kr)
         var_W, num_over_u = _collective_terms(co, r, u, kr, scaled)
         return np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
 

@@ -35,6 +35,7 @@ R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up past this n
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
+PASS_ROUNDS = 3  # bisection rounds per witness pass of steering_region
 
 
 def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
@@ -175,6 +176,37 @@ class SteeringRegion:
     contour: tuple[tuple[float, float], ...]  # (r, gamma/G) where E = 1/2
 
 
+def _bisection_pass(lo: np.ndarray, hi: np.ndarray, co: tuple,
+                    sign: np.ndarray, rounds: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``rounds`` rounds of the contour bisection from one witness pass.
+
+    The pass evaluates every midpoint the rounds can reach, ``2**rounds -
+    1`` per bracket, built level by level as ``0.5 * (lo + hi)`` of the
+    bracket each one splits.  Each bracket then walks the rounds on the
+    signs of those cells: it keeps the midpoint as its lower end where
+    ``E - 1/2`` has the lower end's ``sign`` there, and as its upper end
+    otherwise (a NaN midpoint counts as past the crossing).  So it meets
+    the midpoints and ends that one round per pass would.
+    """
+    width, m = 1 << rounds, lo.size
+    ends = np.empty((width + 1, m))  # row k: each bracket's k-th point
+    ends[0], ends[width] = lo, hi
+    for level in range(rounds):
+        step = width >> level
+        ends[step >> 1::step] = 0.5 * (ends[:-1:step] + ends[step::step])
+    up = ((_collective_cells(ends[1:-1], co) - 0.5) * sign > 0.0).ravel()
+    # walk each bracket down the rounds, as a flat index into ends: the
+    # bracket (ends[k], ends[k + 2 step]) has its midpoint at ends[k + step],
+    # row k + step - 1 of up
+    at = np.arange(m)
+    for level in range(rounds - 1, -1, -1):
+        step = 1 << level
+        at += step * m * up[at + (step - 1) * m]
+    flat = ends.ravel()
+    return flat[at], flat[at + m]
+
+
 def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
                     ) -> SteeringRegion:
     """Evaluate the collective witness on a grid and trace its 1/2 contour.
@@ -184,21 +216,37 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     grid's shape, so that no argument is copied to the grid's shape and
     the call's r still counts the grid's cells, as ``benchmark/tracer.py``
     counts a witness call's evaluations: NaN where an argument leaves the
-    domain (a negative r, gamma/G, n0 or n).  The contour is found per
-    damping-ratio row by bisection between adjacent finite cells with
-    opposite sign of E - 1/2; NaN cells never join it, and a cell where E
-    is exactly 1/2 joins it as it is.  All crossing cells are bisected
-    together.  The factors of the witness that do not depend on r are
-    computed once (``closedform._coefficients``), so a round evaluates
-    only its r-dependent part; a midpoint where it is NaN counts as past
-    the crossing.  The rounds stop once no bracket has a float strictly
-    inside it, or after ``BISECTION_ROUNDS``; each contour point is its
-    bracket's midpoint.
+    domain (a negative r, gamma/G, n0 or n).  The r grid must increase
+    strictly.  The contour is found per damping-ratio row by bisection
+    between adjacent finite cells with opposite sign of E - 1/2; NaN cells
+    never join it, and a cell where E is exactly 1/2 joins it as it is.
+    All crossing cells are bisected together.  The factors of the witness
+    that do not depend on r are computed once (``closedform._coefficients``),
+    so a round evaluates only its r-dependent part; a midpoint where it is
+    NaN counts as past the crossing.  Each witness pass serves
+    ``PASS_ROUNDS`` rounds: it evaluates the 7 midpoints per bracket that
+    the next three rounds can reach, and each bracket walks those rounds
+    on their signs (``_bisection_pass``).  The rounds stop once no bracket
+    has a float strictly inside it, checked before each pass, or after
+    ``BISECTION_ROUNDS``, the last pass taking the rounds left; each
+    contour point is its bracket's midpoint.
+
+    The contour is bit for bit that of one round per pass.  A pass builds
+    its midpoints with the same ``0.5 * (lo + hi)`` from the same ends and
+    evaluates each with the arithmetic of its own cell, so each walk
+    replays the one-round path.  A pass may run up to two rounds past the
+    stop, and those change no bracket: a bracket with no float inside has
+    its midpoint at one of its ends, where E - 1/2 has that end's sign (a
+    grid end's is the grid cell's, which rounds as the pass does), so the
+    round keeps both ends.
     """
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
     if rs.size == 0 or xs.size == 0:
         raise InvalidParams("grids must be nonempty")
+    if np.isnan(rs).any() or not (np.diff(rs) > 0.0).all():
+        raise InvalidParams(
+            "the pulse-area grid must increase strictly, with no NaN")
     E = collective_steering_value(np.broadcast_to(rs, (xs.size, rs.size)),
                                   xs[:, None], n0, n)
 
@@ -211,20 +259,20 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     bisect = cross[i, j]
     lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
     if lo.size:
-        # the r-free factors once; each round evaluates only the part of
-        # the witness that depends on r
+        # the r-free factors once; each pass evaluates only the part of the
+        # witness that depends on r
         with np.errstate(over="ignore", invalid="ignore"):
             co = _coefficients(xs[i[bisect]], float(n0), float(n))
 
         sign = row[i[bisect], j[bisect]]
-        for _ in range(BISECTION_ROUNDS):
+        done = 0
+        while done < BISECTION_ROUNDS:
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
-            E_mid = _collective_cells(mid, co)
-            up = (E_mid - 0.5) * sign > 0.0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
+            rounds = min(PASS_ROUNDS, BISECTION_ROUNDS - done)
+            lo, hi = _bisection_pass(lo, hi, co, sign, rounds)
+            done += rounds
     r_cross = rs[j]
     r_cross[bisect] = 0.5 * (lo + hi)
     contour = tuple(zip(r_cross.tolist(), xs[i].tolist()))

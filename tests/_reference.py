@@ -5,8 +5,9 @@ collective-mode filters against the oracle's collective rows, the
 ``B Sigma B^T`` diffusion of a model against its stacked propagation, the
 symplectic spectrum of a covariance block (physicality), the optimal
 inference gain, the monogamy of single-party witnesses, the noise
-threshold searched on the sup over r alone, and the collective witness
-evaluated in float arithmetic with its own branches.
+threshold searched on the sup over r alone, the collective witness
+evaluated in float arithmetic with its own branches, and the steering
+contour bisected one round per witness pass.
 """
 
 from __future__ import annotations
@@ -22,12 +23,18 @@ from steerkit.closedform import (
     SCALED_R,
     _check_inputs,
     _coefficients,
+    _collective_cells,
     _collective_terms,
     _plateau,
     gain_filter_ratio,
 )
 from steerkit.errors import DegenerateVariance
-from steerkit.steering import N_CAP, ThresholdResult, _bisect
+from steerkit.steering import (
+    BISECTION_ROUNDS,
+    N_CAP,
+    ThresholdResult,
+    _bisect,
+)
 from steerkit.dynamics import (
     B_TILDE,
     U_OUT,
@@ -233,3 +240,34 @@ def float_witness(r: float, gamma_over_G: float, n0: float,
     if not var_W > 0.0:
         raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
     return num_over_u / (4.0 * var_W)
+
+
+def one_round_contour(r_grid, gamma_over_G_grid, n0: float,
+                      n: float) -> tuple[tuple[float, float], ...]:
+    """``steering_region``'s contour with one bisection round per witness
+    pass: each round evaluates every bracket's midpoint, and the rounds stop
+    once no bracket has a float strictly inside it, or after
+    ``BISECTION_ROUNDS``."""
+    rs = np.asarray(r_grid, dtype=float)
+    xs = np.asarray(gamma_over_G_grid, dtype=float)
+    E = collective_steering_value(np.broadcast_to(rs, (xs.size, rs.size)),
+                                  xs[:, None], n0, n)
+    row = E[:, :-1] - 0.5
+    cross = row * (E[:, 1:] - 0.5) < 0.0
+    i, j = np.nonzero((row == 0.0) | cross)
+    bisect = cross[i, j]
+    lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
+    if lo.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            co = _coefficients(xs[i[bisect]], float(n0), float(n))
+        sign = row[i[bisect], j[bisect]]
+        for _ in range(BISECTION_ROUNDS):
+            mid = 0.5 * (lo + hi)
+            if not ((lo < mid) & (mid < hi)).any():
+                break
+            up = (_collective_cells(mid, co) - 0.5) * sign > 0.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    r_cross = rs[j]
+    r_cross[bisect] = 0.5 * (lo + hi)
+    return tuple(zip(r_cross.tolist(), xs[i].tolist()))

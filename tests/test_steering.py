@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from _reference import monogamy_check, optimal_gain, sup_threshold
+import _reference
+from _reference import (
+    monogamy_check,
+    one_round_contour,
+    optimal_gain,
+    sup_threshold,
+)
 from conftest import deadline
 from steerkit import (
     collective_steering_value,
@@ -21,7 +27,14 @@ from steerkit import (
 )
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
 from steerkit.errors import InvalidParams, NoThreshold, ZeroVariance
-from steerkit.steering import R_MAX, _inferred_variance
+from steerkit import steering
+from steerkit.closedform import LARGE_R, SCALED_R
+from steerkit.steering import (
+    BISECTION_ROUNDS,
+    PASS_ROUNDS,
+    R_MAX,
+    _inferred_variance,
+)
 
 E2 = math.e ** 2
 
@@ -403,3 +416,83 @@ class TestSteeringRegion:
         # cells outside the domain are NaN, as in the array witness
         region = steering_region([0.1], [-0.2], 0.0, 0.0)
         assert np.isnan(region.E).all() and not region.contour
+
+    @pytest.mark.parametrize("rs", [np.linspace(3.0, 0.0, 31),
+                                    [0.0, 1.0, 1.0, 2.0],
+                                    [0.0, math.nan, 1.0], [math.nan]],
+                             ids=["descending", "repeated", "nan", "lone-nan"])
+    def test_rejects_an_r_grid_not_strictly_increasing(self, rs):
+        # a descending grid read every bracket as converged and returned
+        # each cell's midpoint (r = 0.15 here, not 0.1750 and 0.1730)
+        with pytest.raises(InvalidParams, match="increase strictly"):
+            steering_region(rs, [0.1, 0.2], 0.5, 5.0)
+
+
+# the map of many crossings: 21 contour points, each bracket down to
+# adjacent floats after 58 rounds
+MANY_CROSSINGS = (np.linspace(0.0, 500.0, 70), np.linspace(0.0, 1.5, 70),
+                  1.0, 10.0)
+
+
+class TestContourBisection:
+    def _passes(self, monkeypatch, module, region, *args) -> int:
+        calls = []
+        cells = module._collective_cells
+
+        def counted(*a):
+            calls.append(1)
+            return cells(*a)
+
+        monkeypatch.setattr(module, "_collective_cells", counted)
+        region(*args)
+        return len(calls)
+
+    def test_three_rounds_per_witness_pass(self, monkeypatch):
+        one_round = self._passes(monkeypatch, _reference, one_round_contour,
+                                 *MANY_CROSSINGS)
+        passes = self._passes(monkeypatch, steering, steering_region,
+                              *MANY_CROSSINGS)
+        assert one_round == 58
+        assert passes <= math.ceil(BISECTION_ROUNDS / PASS_ROUNDS) == 20
+
+    @pytest.mark.parametrize("cap", [7, 8])
+    def test_a_cap_off_the_pass_size_ends_with_a_shorter_pass(
+            self, monkeypatch, cap):
+        # 7 and 8 rounds end with a pass of one and of two rounds; no
+        # bracket of the map is down to adjacent floats by then
+        monkeypatch.setattr(steering, "BISECTION_ROUNDS", cap)
+        monkeypatch.setattr(_reference, "BISECTION_ROUNDS", cap)
+        assert self._passes(monkeypatch, steering, steering_region,
+                            *MANY_CROSSINGS) == 3
+        assert steering_region(*MANY_CROSSINGS).contour \
+            == one_round_contour(*MANY_CROSSINGS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_r=st.booleans(), r_lo=st.floats(-1.0, 0.0),
+           r_top=st.one_of(st.floats(0.5, 10.0),
+                           st.floats(0.9 * SCALED_R, 1.2 * SCALED_R),
+                           st.floats(0.9 * LARGE_R, 800.0)),
+           r_points=st.integers(2, 40), x_lo=st.floats(-0.3, 0.0),
+           x_top=st.floats(0.0, 1.5), x_points=st.integers(1, 8),
+           n0=st.one_of(st.just(1e-12), st.floats(1e-12, 5.0),
+                        st.floats(-0.5, 0.0)),
+           n=st.one_of(st.floats(0.0, 50.0), st.floats(-1.0, 0.0)))
+    # the cap binds where a bracket is wider than 2**8 times the crossing:
+    # n0 = 1e-12 at gamma = 0 crosses near r = 5e-13, inside (0, 0.025),
+    # and n0 = 1e-3 near r = 5e-4, inside (1e-7, 800)
+    @example(log_r=False, r_lo=0.0, r_top=1.0, r_points=41, x_lo=0.0,
+             x_top=0.5, x_points=5, n0=1e-12, n=0.0)
+    @example(log_r=True, r_lo=0.0, r_top=800.0, r_points=2, x_lo=0.0,
+             x_top=0.2, x_points=3, n0=1e-3, n=1.0)
+    @example(log_r=False, r_lo=0.0, r_top=500.0, r_points=70, x_lo=0.0,
+             x_top=1.5, x_points=70, n0=1.0, n=10.0)  # MANY_CROSSINGS
+    @example(log_r=True, r_lo=0.0, r_top=800.0, r_points=61, x_lo=0.0,
+             x_top=1.5, x_points=4, n0=1e-5, n=5.0)  # brackets in every band
+    def test_contour_is_that_of_one_round_per_pass(
+            self, log_r, r_lo, r_top, r_points, x_lo, x_top, x_points, n0,
+            n):
+        rs = (np.geomspace(1e-7, r_top, r_points) if log_r
+              else np.linspace(r_lo, r_top, r_points))
+        xs = np.linspace(x_lo, x_top, x_points)
+        assert steering_region(rs, xs, n0, n).contour \
+            == one_round_contour(rs, xs, n0, n)
