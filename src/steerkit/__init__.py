@@ -8,10 +8,8 @@ solvers, and a scenario-driven CLI.
 __version__ = "0.1.0"
 
 from .closedform import (
-    MomentSet,
     collective_steering_value,
-    cross_correlation,
-    moment_set,
+    output_block,
     single_steering_value,
     threshold_r,
 )
@@ -44,8 +42,8 @@ from .steering import (
 
 __all__ = [
     "__version__",
-    "MomentSet", "collective_steering_value", "cross_correlation",
-    "moment_set", "single_steering_value", "threshold_r",
+    "collective_steering_value", "output_block", "single_steering_value",
+    "threshold_r",
     "LinearModel", "OutputCovariance", "TemporalKernel", "build_full_model",
     "build_reduced_model", "monte_carlo_output_covariance",
     "propagate_output_covariance",

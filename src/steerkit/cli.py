@@ -579,6 +579,12 @@ def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
 _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
                     "cov_Xm_P1", "cov_Xm_P2", "cov_Xm_PW", "E_mW", "E_m1")
 
+# the compared moments that are entries (i, j) of closedform.output_block,
+# whose layout (X and P of A_m_out, A_1_out, A_2_out) the oracle's shares
+_BLOCK_MOMENTS = {"var_Xm_out": (0, 0), "var_X1_out": (2, 2),
+                  "var_X2_out": (4, 4), "cov_Xm_P1": (0, 3),
+                  "cov_Xm_P2": (0, 5)}
+
 
 def _oracle_moment_row(knobs: dict, oc, E_mW: float) -> dict:
     """Closed-form vs oracle values and relative errors at one point, from
@@ -586,36 +592,27 @@ def _oracle_moment_row(knobs: dict, oc, E_mW: float) -> dict:
     ``E_mW``."""
     r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0", "n",
                                              "G1_over_G2"))
-    closed = closedform.moment_set(r, x, n0, n, G1_over_G2=ratio).as_dict()
+    block = closedform.output_block(r, x, n0, n, G1_over_G2=ratio)
+    var_W, cov_W = closedform._w_moments(r, x, n0, n)
     oc = _raised(oc)
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
-    a1, a2 = dynamics.A_1_OUT, dynamics.A_2_OUT
-    oracle = {
-        "var_Xm_out": oc.variance(m),
-        "var_X1_out": oc.variance(a1),
-        "var_X2_out": oc.variance(a2),
-        "var_XW_out": oc.variance(w),
-        "cov_Xm_P1": oc.covariance((m, "X"), (a1, "P")),
-        "cov_Xm_P2": oc.covariance((m, "X"), (a2, "P")),
-        "cov_Xm_PW": oc.covariance((m, "X"), (w, "P")),
-        "E_mW": steering.steering_product(oc, m, w),
-        "E_m1": steering.steering_product(oc, m, a1),
-    }
+    # (closed, oracle) per compared value
+    pairs = {key: (float(block[ij]), float(oc.sigma[ij]))
+             for key, ij in _BLOCK_MOMENTS.items()}
+    pairs["var_XW_out"] = var_W, oc.variance(w)
+    pairs["cov_Xm_PW"] = cov_W, oc.covariance((m, "X"), (w, "P"))
+    E_mW_oracle = steering.steering_product(oc, m, w)
+    E_m1_oracle = steering.steering_product(oc, m, dynamics.A_1_OUT)
     if math.isnan(E_mW):
         _witness(knobs)  # raises the cell's error
-    closed["E_mW"] = E_mW
-    closed["E_m1"] = closedform.single_steering_value(
-        r, x, n0, n, closedform._gain_fractions(x, ratio)[0])
+    pairs["E_mW"] = E_mW, E_mW_oracle
+    pairs["E_m1"] = closedform.single_steering_value(
+        r, x, n0, n, closedform._gain_fractions(x, ratio)[0]), E_m1_oracle
     row = {}
-    worst = 0.0
     for key in _ORACLE_COMPARED:
-        ref = closed[key]
-        got = oracle[key]
-        scale = max(abs(ref), 1e-9)
-        rel = abs(got - ref) / scale
-        row[f"rel_{key}"] = rel
-        worst = max(worst, rel)
-    row["max_rel"] = worst
+        ref, got = pairs[key]
+        row[f"rel_{key}"] = abs(got - ref) / max(abs(ref), 1e-9)
+    row["max_rel"] = max(0.0, *row.values())
     return row
 
 
@@ -719,9 +716,9 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
 
     def closed(i: int, v: float, row: dict) -> None:
         k = _apply(base, var, v)
-        row["cross_corr"] = closedform.cross_correlation(
+        row["cross_corr"] = float(closedform.output_block(
             k["r"], k["gamma_over_G"], k["n0"], k["n"],
-            G1_over_G2=k["G1_over_G2"])
+            G1_over_G2=k["G1_over_G2"])[2, 4])
 
     def mc(i: int, v: float, row: dict) -> None:
         rp = _reduced(_apply(base, var, v))

@@ -20,7 +20,6 @@ the two minimized inference standard deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +50,14 @@ def _gain_series(u):
 
 
 def gain_filter_ratio(r: float) -> float:
-    """``4 r e^{2r} / (e^{2r} - 1)``, limit 2 at r = 0."""
+    """``4 r e^{2r} / (e^{2r} - 1)``, limit 2 at r = 0; past ``LARGE_R``
+    written as ``4 r / (1 - e^{-2r})``, as ``4 r e^{2r}`` leaves the float
+    range near r = 351.27."""
     u = 2.0 * r
     if r < SERIES_CROSSOVER:
         return _gain_series(u)
+    if r > LARGE_R:
+        return 4.0 * r / -math.expm1(-u)
     return 4.0 * r * math.exp(u) / math.expm1(u)
 
 
@@ -126,95 +129,55 @@ def _gain_fractions(x: float, G1_over_G2: float) -> tuple[float, float]:
     return gsum - f2, f2
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Named second moments of the output modes, symmetric ordering.
+def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
+                 G1_over_G2: float = 1.0) -> np.ndarray:
+    """The (6, 6) covariance of the output modes (A_m_out, A_1_out, A_2_out).
 
-    X and P variances coincide for every mode and the X-P cross covariances
-    coincide pairwise (``<X_m, P_j> = <P_m, X_j>``), so one entry of each
-    pair is stored.  The mirror's X-X and P-P moments with the fields and
-    the X-P moments between fields vanish.  The set omits the field-field
-    moments ``<X_i, X_j> = <P_i, P_j>`` among A_1_out, A_2_out and W_out,
-    which do not: ``<X_1, X_2>`` is ``cross_correlation`` (3.7209 at r = 1,
-    gamma/G = 0.1).
-    """
+    Rows and columns are X and P per mode, in that mode order: the layout
+    of the oracle's ``dynamics.OutputCovariance`` over the same modes, so
+    ``S[0, 3]`` is ``<X_m, P_1>`` and ``S[2, 4]`` is ``<X_1, X_2>``.  The
+    mirror output mode is the mirror amplitude at the end of the pulse; the
+    cavity output modes are the matched exponential temporal modes of the
+    emitted fields.  The three commute with each other.  By the phase
+    symmetry of the model every mode has equal X and P variance,
+    ``<X_m, P_j> = <P_m, X_j>`` and ``<X_1, X_2> = <P_1, P_2>``; the
+    mirror's X-X and P-P moments with the fields, and the X-P moments
+    between or within the fields, vanish.  ``<X_1, X_2>`` is the inter-mode
+    output coherence ``|<A1out^dag A2out>|`` (3.7209 at r = 1,
+    gamma/G = 0.1), nonzero for any r > 0: the mirror damping and the
+    thermal noises feed it constructively.  The collective mode W is not a
+    mode of the block, as it carries the mirror's bath input (``_w_moments``
+    gives its two moments).
 
-    var_Xm_out: float
-    var_X1_out: float
-    var_X2_out: float
-    var_XW_out: float
-    cov_Xm_P1: float
-    cov_Xm_P2: float
-    cov_Xm_PW: float
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))  # the fields, in declaration order
-
-
-def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
-               G1_over_G2: float = 1.0) -> MomentSet:
-    """Evaluate the full closed-form moment set at pulse area ``r``.
-
-    The mirror output mode is the mirror amplitude at the end of the pulse;
-    the cavity output modes and the collective symmetric mode W are the
-    matched exponential temporal modes of the emitted fields.  Raises
-    ``InvalidParams`` where a moment is not a finite float (every r past
-    ~354.9, and somewhat below it at large occupations).
+    Raises ``InvalidParams`` outside the domain and where an entry is not a
+    finite float: every r past ~354.9, and somewhat below it at large
+    occupations.
     """
     x = gamma_over_G
     _check_inputs(r, x, n0, n)
     f1, f2 = _gain_fractions(x, G1_over_G2)
-
     u = _growth(r)
-    co = _coefficients(x, n0, n)
-    a, b = co[2], co[3]
     amp = amplified_noise_factor(r)
-
-    var_m = (n0 + 0.5) + a * u
-    var_1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
-    var_2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
-    var_W = _var_W(co, u, gain_filter_ratio(r))
-
+    m = (n0 + 0.5) + (n0 + 1.0 + x * (n + 1.0)) * u
+    v1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
+    v2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
     if r == 0.0:
-        cov_1 = cov_2 = cov_W = 0.0
+        c1 = c2 = 0.0
     else:
         er_su = math.exp(r) * math.sqrt(u)
         common = n0 + 1.0 + x * (n + 1.0) * (1.0 - decay_filter_ratio(r))
-        cov_1 = -math.sqrt(f1) * er_su * common
-        cov_2 = -math.sqrt(f2) * er_su * common
-        cov_W = -(1.0 + x) * er_su * a \
-            + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * b
-
-    moments = MomentSet(
-        var_Xm_out=var_m,
-        var_X1_out=var_1,
-        var_X2_out=var_2,
-        var_XW_out=var_W,
-        cov_Xm_P1=cov_1,
-        cov_Xm_P2=cov_2,
-        cov_Xm_PW=cov_W,
-    )
-    if not all(map(math.isfinite, moments.as_dict().values())):
+        c1 = -math.sqrt(f1) * er_su * common
+        c2 = -math.sqrt(f2) * er_su * common
+    c12 = math.sqrt(f1 * f2) * ((n0 + 1.0) * u
+                                + 2.0 * (n + 1.0) * x * coherence_factor(r))
+    if not all(map(math.isfinite, (m, v1, v2, c1, c2, c12))):
         raise _overflow(r)
-    return moments
-
-
-def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
-                      G1_over_G2: float = 1.0) -> float:
-    """Magnitude of the inter-mode output coherence ``|<A1out^dag A2out>|``.
-
-    Nonzero for any r > 0; both the mirror damping and the thermal noises
-    feed it constructively.  Raises ``InvalidParams`` where the value is not
-    a finite float, as ``moment_set`` does.
-    """
-    x = gamma_over_G
-    _check_inputs(r, x, n0, n)
-    f1, f2 = _gain_fractions(x, G1_over_G2)
-    value = math.sqrt(f1 * f2) * ((n0 + 1.0) * _growth(r)
-                                  + 2.0 * (n + 1.0) * x * coherence_factor(r))
-    if not math.isfinite(value):
-        raise _overflow(r)
-    return value
+    return np.array([[m, 0.0, 0.0, c1, 0.0, c2],
+                     [0.0, m, c1, 0.0, c2, 0.0],
+                     [0.0, c1, v1, 0.0, c12, 0.0],
+                     [c1, 0.0, 0.0, v1, 0.0, c12],
+                     [0.0, c2, c12, 0.0, v2, 0.0],
+                     [c2, 0.0, 0.0, c12, 0.0, v2]])
 
 
 def _plateau(x, b):
@@ -246,6 +209,24 @@ def _var_W(co: tuple, u, kr):
     return g2 * (a * u + b) + xb * (x - (1.0 + x) * kr)
 
 
+def _w_moments(r: float, x: float, n0: float, n: float) -> tuple[float, float]:
+    """``(var_XW_out, cov_Xm_PW)`` of the collective mode W at a point that
+    ``output_block`` accepts, or ``InvalidParams`` where one is not a finite
+    float.  W is no mode of that block: it carries the mirror's bath input
+    (``collective_steering_value``)."""
+    u = _growth(r)
+    co = _coefficients(x, n0, n)
+    var_W = _var_W(co, u, gain_filter_ratio(r))
+    if r == 0.0:
+        cov_W = 0.0
+    else:
+        cov_W = -(1.0 + x) * (math.exp(r) * math.sqrt(u)) * co[2] \
+            + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * co[3]
+    if not (math.isfinite(var_W) and math.isfinite(cov_W)):
+        raise _overflow(r)
+    return var_W, cov_W
+
+
 def _collective_terms(co: tuple, r, u, kr, scaled: bool):
     """``(var_XW_out, numerator / u)`` of the collective witness: the part
     that depends on r, from the ``_coefficients`` ``co``, with
@@ -269,9 +250,10 @@ def collective_steering_value(r: float | np.ndarray,
                               ) -> float | np.ndarray:
     """Steering witness of the mirror given the collective mode W.
 
-    Equals ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` from ``moment_set``,
-    evaluated through the expanded numerator of that rational function so
-    no catastrophic cancellation occurs anywhere in parameter space.  For
+    Equals ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` (``S[0, 0]`` of
+    ``output_block``, and ``_w_moments``), evaluated through the expanded
+    numerator of that rational function so no catastrophic cancellation
+    occurs anywhere in parameter space.  For
     zero damping the expression reduces exactly to
 
         ``(n0 + 1/2) / (2 (n0 + 1) (e^{2r} - 1) + 1)``.

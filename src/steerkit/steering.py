@@ -216,10 +216,11 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     grid's shape, so that no argument is copied to the grid's shape and
     the call's r still counts the grid's cells, as ``benchmark/tracer.py``
     counts a witness call's evaluations: NaN where an argument leaves the
-    domain (a negative r, gamma/G, n0 or n).  The r grid must increase
-    strictly.  The contour is found per damping-ratio row by bisection
-    between adjacent finite cells with opposite sign of E - 1/2; NaN cells
-    never join it, and a cell where E is exactly 1/2 joins it as it is.
+    domain (a negative r, gamma/G, n0 or n).  Both grids are 1-D, and the
+    r grid must increase strictly.  The contour is found per damping-ratio
+    row by bisection between adjacent finite cells with opposite sign of
+    E - 1/2; NaN cells never join it, and a cell where E is exactly 1/2
+    joins it as it is.
     All crossing cells are bisected together.  The factors of the witness
     that do not depend on r are computed once (``closedform._coefficients``),
     so a round evaluates only its r-dependent part; a midpoint where it is
@@ -242,6 +243,9 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     """
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
+    if rs.ndim != 1 or xs.ndim != 1:
+        raise InvalidParams(f"grids must be 1-D, got shapes {rs.shape} and "
+                            f"{xs.shape}")
     if rs.size == 0 or xs.size == 0:
         raise InvalidParams("grids must be nonempty")
     if np.isnan(rs).any() or not (np.diff(rs) > 0.0).all():

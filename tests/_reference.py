@@ -3,11 +3,12 @@
 Each one checks a result of ``steerkit`` by a second route: direct
 collective-mode filters against the oracle's collective rows, the
 ``B Sigma B^T`` diffusion of a model against its stacked propagation, the
-symplectic spectrum of a covariance block (physicality), the optimal
-inference gain, the monogamy of single-party witnesses, the noise
-threshold searched on the sup over r alone, the collective witness
-evaluated in float arithmetic with its own branches, and the steering
-contour bisected one round per witness pass.
+symplectic spectrum of a covariance block (physicality), the named
+closed-form moments and the cavity cross-correlation read off
+``output_block``, the optimal inference gain, the monogamy of single-party
+witnesses, the noise threshold searched on the sup over r alone, the
+collective witness evaluated in float arithmetic with its own branches, and
+the steering contour bisected one round per witness pass.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from steerkit.closedform import (
     _collective_cells,
     _collective_terms,
     _plateau,
+    _w_moments,
     gain_filter_ratio,
+    output_block,
 )
+from steerkit.cli import _BLOCK_MOMENTS
 from steerkit.errors import DegenerateVariance
 from steerkit.steering import (
     BISECTION_ROUNDS,
@@ -102,6 +106,26 @@ def symplectic_eigenvalues(oc: OutputCovariance) -> np.ndarray:
     ev = np.linalg.eigvals(1j * omega @ oc.sigma)
     # eigenvalues come in +/- pairs; keep one of each
     return np.sort(np.abs(ev))[::2]
+
+
+def moment_set(r: float, gamma_over_G: float, n0: float, n: float, *,
+               G1_over_G2: float = 1.0) -> dict[str, float]:
+    """The seven closed-form moments that validate-oracle compares, by
+    name: the entries of ``output_block`` at ``cli._BLOCK_MOMENTS`` and
+    W's two from ``closedform._w_moments``."""
+    S = output_block(r, gamma_over_G, n0, n, G1_over_G2=G1_over_G2)
+    moments = {key: float(S[ij]) for key, ij in _BLOCK_MOMENTS.items()}
+    moments["var_XW_out"], moments["cov_Xm_PW"] = _w_moments(
+        r, gamma_over_G, n0, n)
+    return moments
+
+
+def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
+                      G1_over_G2: float = 1.0) -> float:
+    """``<X_1, X_2> = |<A1out^dag A2out>|``, entry [2, 4] of
+    ``output_block``."""
+    return float(output_block(r, gamma_over_G, n0, n,
+                              G1_over_G2=G1_over_G2)[2, 4])
 
 
 def optimal_gain(oc: OutputCovariance, steered: tuple[str, str],

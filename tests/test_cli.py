@@ -547,14 +547,13 @@ class TestOtherModes:
         assert point["max_residual"] < 1.0
 
     def test_cross_correlation_mode(self):
-        from steerkit import cross_correlation
         sc = Scenario(
             mode="cross-correlation",
             params={"kind": "ratios", "gamma_over_G": 0.1},
             sweep=Sweep("r", 0.5, 1.0, 2),
         )
         record = run(sc)
-        expect = cross_correlation(0.5, 0.1, 0.0, 0.0)
+        expect = closedform.output_block(0.5, 0.1, 0.0, 0.0)[2, 4]
         assert record.points[0]["cross_corr"] == pytest.approx(expect,
                                                                rel=1e-12)
 
@@ -567,7 +566,7 @@ class TestOtherModes:
             sweep=Sweep("r", 0.5, 1.0, 3),
         )
         got = [p["cross_corr"] for p in run(sc).points]
-        assert got == [closedform.cross_correlation(r, 0.1, 0.0, 100.0)
+        assert got == [closedform.output_block(r, 0.1, 0.0, 100.0)[2, 4]
                        for r in sc.sweep.values().tolist()]
 
     def test_validate_oracle_closed_side_is_the_direct_closed_form(
@@ -575,8 +574,8 @@ class TestOtherModes:
         # the moments and E_m1 are float calls per point; E_mW is one
         # array call per sweep whose every cell is the point's float call
         seen = []
-        for name in ("moment_set", "collective_steering_value",
-                     "single_steering_value"):
+        for name in ("output_block", "_w_moments",
+                     "collective_steering_value", "single_steering_value"):
             def spy(*args, _fn=getattr(closedform, name), _name=name,
                     **kwargs):
                 seen.append((_name, _fn(*args, **kwargs)))
@@ -595,12 +594,15 @@ class TestOtherModes:
         expect = []
         for r in rs:
             expect += [
-                ("moment_set",
-                 closedform.moment_set(r, 0.1, 0.5, 5.0, G1_over_G2=1.5)),
+                ("output_block", closedform.output_block(
+                    r, 0.1, 0.5, 5.0, G1_over_G2=1.5).tolist()),
+                ("_w_moments", closedform._w_moments(r, 0.1, 0.5, 5.0)),
                 ("single_steering_value",
                  closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1))]
         (name, E), *rest = seen
-        assert name == "collective_steering_value" and rest == expect
+        assert name == "collective_steering_value"
+        assert [(name, v.tolist() if name == "output_block" else v)
+                for name, v in rest] == expect
         assert E.tolist() == [
             closedform.collective_steering_value(r, 0.1, 0.5, 5.0)
             for r in rs]
@@ -747,6 +749,34 @@ class TestFileFormats:
         else:
             assert len(record.warnings) == 60
             assert cells[0][1:] == [b"nan"] * 3
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    # the two modes whose closed side is closedform.output_block: a
+    # validate-oracle sweep with unequal gains and warm inputs (exit 3: the
+    # oracle's float floor at large r, ROADMAP item 1), and a closed-form
+    # cross-correlation sweep
+    VALIDATE_ORACLE = Scenario(
+        mode="validate-oracle",
+        params={"kind": "ratios", "gamma_over_G": 0.1, "G1_over_G2": 1.5,
+                "n0": 0.5, "n": 5.0},
+        sweep=Sweep("r", 0.5, 9.9, 48))
+    CLOSED_CROSS_CORRELATION = Scenario(
+        mode="cross-correlation", engine="closedform",
+        params={"kind": "ratios", "gamma_over_G": 0.3, "G1_over_G2": 2.0,
+                "n0": 1.0, "n": 50.0},
+        sweep=Sweep("r", 0.0, 12.0, 49))
+
+    @pytest.mark.parametrize("name, exit_code, digest", [
+        ("VALIDATE_ORACLE", 3,
+         "ada821d35a9f4e6f973ce4c8a8836c6c25af789e1b5c8f6de5d0022b142f034a"),
+        ("CLOSED_CROSS_CORRELATION", 0,
+         "43443e4a40c0410a63c38a35b795dc6493f9008b0f8fd31d0ae6386a5328ebde"),
+    ])
+    def test_block_mode_csv_bytes_are_pinned(self, tmp_path, name, exit_code,
+                                             digest):
+        record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
+        assert record.exit_code == exit_code and not record.warnings
+        data = (tmp_path / "t.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
     # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value

@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import float_witness
+from _reference import (
+    block,
+    cross_correlation,
+    float_witness,
+    moment_set,
+)
 from steerkit import (
     collective_steering_value,
-    cross_correlation,
-    moment_set,
+    output_block,
     single_steering_value,
     threshold_r,
 )
@@ -41,10 +45,10 @@ def zero_damping_reference(r: float, n0: float) -> float:
 class TestSmallPulseLimits:
     def test_moments_at_zero_pulse_area(self):
         ms = moment_set(0.0, 0.1, n0=3.0, n=50.0)
-        assert ms.var_Xm_out == pytest.approx(3.5, rel=1e-14)
-        assert ms.var_X1_out == pytest.approx(0.5, rel=1e-14)
-        assert ms.cov_Xm_PW == 0.0
-        assert ms.cov_Xm_P1 == 0.0
+        assert ms["var_Xm_out"] == pytest.approx(3.5, rel=1e-14)
+        assert ms["var_X1_out"] == pytest.approx(0.5, rel=1e-14)
+        assert ms["cov_Xm_PW"] == 0.0
+        assert ms["cov_Xm_P1"] == 0.0
 
     def test_witness_at_zero_pulse_area(self):
         assert collective_steering_value(0.0, 0.1, 3.0, 50.0) == 3.5
@@ -60,8 +64,8 @@ class TestSmallPulseLimits:
     def test_moment_set_continuous_at_crossover(self):
         lo = SERIES_CROSSOVER * (1 - 1e-9)
         hi = SERIES_CROSSOVER * (1 + 1e-9)
-        m_lo = moment_set(lo, 0.1, 1.0, 10.0).as_dict()
-        m_hi = moment_set(hi, 0.1, 1.0, 10.0).as_dict()
+        m_lo = moment_set(lo, 0.1, 1.0, 10.0)
+        m_hi = moment_set(hi, 0.1, 1.0, 10.0)
         for key in m_lo:
             assert m_lo[key] == pytest.approx(m_hi[key], rel=1e-7, abs=1e-10)
 
@@ -69,16 +73,16 @@ class TestSmallPulseLimits:
 class TestMoments:
     def test_undamped_mirror_variance(self):
         ms = moment_set(1.0, 0.0, 0.0, 0.0)
-        assert ms.var_Xm_out == pytest.approx(E2 - 0.5, rel=1e-14)
+        assert ms["var_Xm_out"] == pytest.approx(E2 - 0.5, rel=1e-14)
 
     def test_damped_moments_match_oracle(self, oracle_cache):
         # independent check by moment propagation of the reduced dynamics
         ms = moment_set(1.0, 0.1, 0.0, 100.0)
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 100.0)
-        assert ms.var_Xm_out == pytest.approx(oc.variance("A_m_out"), rel=1e-6)
-        assert ms.var_X1_out == pytest.approx(oc.variance("A_1_out"), rel=1e-6)
-        assert ms.var_XW_out == pytest.approx(oc.variance("W_out"), rel=1e-6)
-        assert ms.cov_Xm_PW == pytest.approx(
+        for key, label in (("var_Xm_out", "A_m_out"),
+                           ("var_X1_out", "A_1_out"), ("var_XW_out", "W_out")):
+            assert ms[key] == pytest.approx(oc.variance(label), rel=1e-6)
+        assert ms["cov_Xm_PW"] == pytest.approx(
             oc.covariance(("A_m_out", "X"), ("W_out", "P")), rel=1e-6)
 
     @settings(max_examples=60, deadline=None)
@@ -90,13 +94,13 @@ class TestMoments:
         hot_mirror = moment_set(r, x, n0 + bump, n)
         hot_bath = moment_set(r, x, n0, n + bump)
         for field in ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out"):
-            assert getattr(hot_mirror, field) >= getattr(base, field) - 1e-12
-            assert getattr(hot_bath, field) >= getattr(base, field) - 1e-12
+            assert hot_mirror[field] >= base[field] - 1e-12
+            assert hot_bath[field] >= base[field] - 1e-12
 
     def test_mirror_variance_never_below_vacuum(self):
         for r in (0.0, 0.3, 1.0, 3.0):
             for x in (0.0, 0.1, 0.5):
-                assert moment_set(r, x, 0.0, 0.0).var_Xm_out >= 0.5
+                assert moment_set(r, x, 0.0, 0.0)["var_Xm_out"] >= 0.5
 
     @pytest.mark.parametrize("fn", [moment_set, cross_correlation])
     @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
@@ -114,9 +118,17 @@ class TestMoments:
             fn(r, 0.1, n0, 0.0)
 
     def test_moments_below_the_float_range_are_finite(self):
-        values = moment_set(350.0, 0.1, 0.0, 0.0).as_dict().values()
+        values = moment_set(350.0, 0.1, 0.0, 0.0).values()
         assert all(math.isfinite(v) for v in values)
         assert math.isfinite(cross_correlation(354.8, 0.1, 0.0, 0.0))
+
+    def test_gain_filter_ratio_is_finite_past_large_r(self):
+        # 4 r e^{2r} leaves the float range near r = 351.27, which refused
+        # every moment past it; 4 r / (1 - e^{-2r}) does not
+        assert gain_filter_ratio(352.0) == 4.0 * 352.0
+        assert gain_filter_ratio(LARGE_R) == 4.0 * LARGE_R * math.exp(
+            2.0 * LARGE_R) / math.expm1(2.0 * LARGE_R)
+        assert np.isfinite(output_block(354.8, 0.1, 0.0, 0.0)).all()
 
 
 class TestCrossCorrelation:
@@ -144,6 +156,58 @@ class TestCrossCorrelation:
             cross_correlation(1.0, 0.1, 0.0, 5.0, G1_over_G2=2.0), rel=1e-6)
 
 
+# the points of ROADMAP item 12, and the top of validate-oracle's r range
+# with unequal gains: (r, gamma/G, n0, n, G1/G2)
+BLOCK_POINTS = [(1.0, 0.1, 0.0, 0.0, 1.0), (0.5, 0.3, 0.5, 5.0, 1.5),
+                (3.0, 0.1, 1.0, 10.0, 0.7), (6.0, 2.0, 0.0, 0.0, 1.0),
+                (0.05, 0.1, 0.0, 100.0, 2.0), (9.9, 0.1, 0.0, 0.0, 2.0)]
+
+
+class TestOutputBlock:
+    @pytest.mark.parametrize("r, x, n0, n, ratio", BLOCK_POINTS)
+    def test_every_entry_matches_the_oracle(self, oracle_cache, r, x, n0, n,
+                                            ratio):
+        # relative to sqrt(S_ii S_jj), the scale of entry (i, j), so the
+        # structural zeros are compared too
+        S = output_block(r, x, n0, n, G1_over_G2=ratio)
+        oc = block(oracle_cache.covariance(r, x, n0, n, ratio),
+                   ("A_m_out", "A_1_out", "A_2_out"))
+        scale = np.sqrt(np.outer(np.diag(S), np.diag(S)))
+        assert (np.abs(S - oc.sigma) <= 1e-13 * scale).all()
+
+    def test_layout_and_symmetry(self):
+        S = output_block(1.0, 0.1, 0.5, 5.0, G1_over_G2=1.5)
+        assert (S == S.T).all()
+        assert S[0, 0] == S[1, 1] and S[2, 2] == S[3, 3] and S[4, 4] == S[5, 5]
+        assert S[0, 3] == S[1, 2] < 0.0 and S[0, 5] == S[1, 4] < 0.0
+        assert S[2, 4] == S[3, 5] == cross_correlation(1.0, 0.1, 0.5, 5.0,
+                                                       G1_over_G2=1.5)
+        zeros = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 5),
+                 (3, 4), (4, 5)]
+        assert [S[ij] for ij in zeros] == [0.0] * len(zeros)
+
+    @pytest.mark.parametrize("args", [(-0.1, 0.1, 0.0, 0.0),
+                                      (1.0, math.nan, 0.0, 0.0),
+                                      (1.0, 0.1, -1.0, 0.0),
+                                      (1.0, 0.1, 0.0, -1.0)])
+    def test_refuses_knobs_outside_the_domain(self, args):
+        with pytest.raises(InvalidParams, match="must be >= 0"):
+            output_block(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.floats(0.0, 340.0), x=st.floats(0.0, 3.0),
+           n0=st.floats(0.0, 20.0), n=st.floats(0.0, 1000.0),
+           ratio=st.floats(0.1, 10.0))
+    def test_is_physical(self, r, x, n0, n, ratio):
+        # S + i Omega / 2 >= 0, the uncertainty principle of the three
+        # modes; a pure cavity input sits on the bound, so rounding may put
+        # the least eigenvalue a few ulps of max|S| below 0
+        S = output_block(r, x, n0, n, G1_over_G2=ratio)
+        omega = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+        least = np.linalg.eigvalsh(S + 0.5j * omega)[0]
+        assert least >= -1e-12 * np.abs(S).max()
+
+
 class TestCollectiveWitness:
     def test_undamped_ground_state_value(self):
         got = collective_steering_value(1.0, 0.0, 0.0, 0.0)
@@ -158,7 +222,8 @@ class TestCollectiveWitness:
         for r in (0.2, 1.0, 2.5):
             for x in (0.01, 0.1, 0.4):
                 ms = moment_set(r, x, 1.5, 20.0)
-                naive = ms.var_Xm_out - ms.cov_Xm_PW ** 2 / ms.var_XW_out
+                naive = ms["var_Xm_out"] \
+                    - ms["cov_Xm_PW"] ** 2 / ms["var_XW_out"]
                 assert collective_steering_value(r, x, 1.5, 20.0) \
                     == pytest.approx(naive, rel=1e-9)
 

@@ -227,10 +227,10 @@ class TestReducedPropagation:
             oc_s.variance(A_M_OUT), rel=1e-9)
 
     def test_damped_mirror_variance_matches_closed_form(self, oracle_cache):
-        from steerkit import moment_set
+        from steerkit import output_block
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 100.0)
-        ms = moment_set(1.0, 0.1, 0.0, 100.0)
-        assert oc.variance(A_M_OUT) == pytest.approx(ms.var_Xm_out, rel=1e-6)
+        S = output_block(1.0, 0.1, 0.0, 100.0)
+        assert oc.variance(A_M_OUT) == pytest.approx(S[0, 0], rel=1e-6)
 
     def test_short_pulse_returns_inputs(self):
         rp = reduced_from_ratios(1e-7, 0.1, n0=2.0, n=9.0)

@@ -12,7 +12,8 @@ import math
 import pytest
 
 from heisenberg_reference import pulse
-from steerkit import moment_set, threshold_r
+from steerkit import output_block, threshold_r
+from steerkit.closedform import _w_moments
 
 BINS = 2000
 
@@ -56,6 +57,7 @@ def test_unit_gain_misses_pulse_area_threshold():
     # Without damping the optimal-gain witness crosses 1/2 at r_th; the
     # unit-gain EPR variance Var(X_m + P_W) does not.
     n0 = 5.0
-    m = moment_set(threshold_r(n0), 0.0, n0, 0.0)
-    unit_gain = m.var_Xm_out + m.var_XW_out + 2.0 * m.cov_Xm_PW
+    r = threshold_r(n0)
+    var_W, cov_W = _w_moments(r, 0.0, n0, 0.0)
+    unit_gain = output_block(r, 0.0, n0, 0.0)[0, 0] + var_W + 2.0 * cov_W
     assert unit_gain == pytest.approx(1.17, abs=5e-3)

@@ -88,12 +88,12 @@ class TestMonteCarlo:
             monte_carlo_output_covariance(model, kernels, rp.tau, 999, 1)
 
     def test_cross_correlation_estimate(self):
-        from steerkit import cross_correlation
+        from steerkit import output_block
         rp, model, kernels, phase = mc_setup()
         mc = monte_carlo_output_covariance(model, kernels, rp.tau, 20_000, 5,
                                            terminal_phase=phase)
         value, se = mode_cross_correlation(mc, "A_1_out", "A_2_out")
-        expect = cross_correlation(1.0, 0.1, 0.0, 0.0)
+        expect = output_block(1.0, 0.1, 0.0, 0.0)[2, 4]
         assert se is not None
         assert abs(abs(value) - expect) < 3.5 * se
         assert abs(value.imag) < 6.0 * se  # coherence is real positive here

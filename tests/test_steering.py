@@ -427,6 +427,16 @@ class TestSteeringRegion:
         with pytest.raises(InvalidParams, match="increase strictly"):
             steering_region(rs, [0.1, 0.2], 0.5, 5.0)
 
+    @pytest.mark.parametrize("rs, xs", [
+        ([[0.0, 1.0], [2.0, 3.0]], [0.1]),
+        ([0.0, 1.0], [[0.1], [0.2]]),
+    ], ids=["2-D r", "2-D gamma"])
+    def test_rejects_a_grid_that_is_not_1d(self, rs, xs):
+        # a 2-D r grid ended in numpy's broadcast ValueError, a 2-D gamma/G
+        # grid in "too many values to unpack"
+        with pytest.raises(InvalidParams, match="1-D"):
+            steering_region(rs, xs, 0.5, 5.0)
+
 
 # the map of many crossings: 21 contour points, each bracket down to
 # adjacent floats after 58 rounds
