@@ -25,10 +25,6 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidParams
 
-# Factors of the form (polynomial in r) / (e^{2r}-1) are evaluated by short
-# Taylor series below this pulse area to dodge the removable singularity.
-SERIES_CROSSOVER = 1e-4
-
 # Beyond this pulse area e^{2r} overflows; closed asymptotes take over.
 LARGE_R = 350.0
 
@@ -41,57 +37,45 @@ SINH_SERIES_R = 0.5
 SCALED_R = 100.0
 
 
-def _gain_series(u):
-    """Taylor series of ``gain_filter_ratio`` in ``u = 2r``, for floats and
-    arrays alike."""
-    u2 = u * u
-    return 2.0 * (1.0 + u / 2.0 + u2 / 12.0 - u2 * u2 / 720.0
-                  + u2 * u2 * u2 / 30240.0)
+def _sinh_series(y2):
+    """``(sinh y - y) / y^3`` as its Taylor polynomial in ``y2 = y^2``
+    through y^10, for floats and arrays alike; within 1.1e-15 relative
+    below ``y = SINH_SERIES_R``."""
+    return 1.0 / 6.0 + y2 * (1.0 / 120.0 + y2 * (
+        1.0 / 5040.0 + y2 * (1.0 / 362880.0 + y2 * (
+            1.0 / 39916800.0 + y2 / 6227020800.0))))
 
 
 def gain_filter_ratio(r: float) -> float:
     """``4 r e^{2r} / (e^{2r} - 1)``, limit 2 at r = 0; past ``LARGE_R``
     written as ``4 r / (1 - e^{-2r})``, as ``4 r e^{2r}`` leaves the float
-    range near r = 351.27."""
+    range near r = 351.27.  ``expm1`` keeps both forms within 2 ulps at
+    every r > 0."""
+    if r == 0.0:
+        return 2.0
     u = 2.0 * r
-    if r < SERIES_CROSSOVER:
-        return _gain_series(u)
     if r > LARGE_R:
         return 4.0 * r / -math.expm1(-u)
     return 4.0 * r * math.exp(u) / math.expm1(u)
 
 
-def decay_filter_ratio(r: float) -> float:
-    """``2 r / (e^{2r} - 1)``, limit 1 at r = 0."""
-    u = 2.0 * r
-    if r < SERIES_CROSSOVER:
-        u2 = u * u
-        return 1.0 - u / 2.0 + u2 / 12.0 - u2 * u2 / 720.0 \
-            + u2 * u2 * u2 / 30240.0
-    return u / math.expm1(u)
-
-
-def amplified_noise_factor(r: float) -> float:
-    """``e^{2r} + 1 - 4 r e^{2r}/(e^{2r}-1)``, vanishing like (4/3) r^2."""
-    u = 2.0 * r
-    if r < SERIES_CROSSOVER:
-        u2 = u * u
-        return u2 / 3.0 + u2 * u / 6.0 + 2.0 * u2 * u2 / 45.0 \
-            + u2 * u2 * u / 120.0
-    return 2.0 + math.expm1(u) - gain_filter_ratio(r)
-
-
 def coherence_factor(r: float) -> float:
     """``e^{2r} (sinh 2r - 2r) / (e^{2r} - 1)``, vanishing like (2/3) r^2.
 
-    Written as ``(sinh u - u) / (1 - e^{-u})`` to avoid the e^{4r}
-    intermediate that would overflow long before the value itself does.
+    Written as ``(sinh u - u) / (1 - e^{-u})`` with ``u = 2r`` to avoid the
+    e^{4r} intermediate that would overflow long before the value itself
+    does.  Below ``SINH_SERIES_R``, where ``sinh u - u`` cancels, it is
+    ``r^2 ((sinh r - r)/r^3 cosh r + 2 (sinh(r/2)/r)^2) gain_filter_ratio(r)
+    / 2``, a sum of positive terms.  Twice this is the amplified noise
+    ``e^{2r} + 1 - gain_filter_ratio(r)`` of the cavity output variances.
     """
+    if r == 0.0:
+        return 0.0
+    if r < SINH_SERIES_R:
+        h = math.sinh(0.5 * r) / r
+        return r * r * (_sinh_series(r * r) * math.cosh(r) + 2.0 * h * h) \
+            * (gain_filter_ratio(r) / 2.0)
     u = 2.0 * r
-    if r < SERIES_CROSSOVER:
-        u2 = u * u
-        return u2 / 6.0 + u2 * u / 12.0 + u2 * u2 / 45.0 \
-            + u2 * u2 * u / 240.0
     return (math.sinh(u) - u) / (-math.expm1(-u))
 
 
@@ -157,7 +141,7 @@ def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
     _check_inputs(r, x, n0, n)
     f1, f2 = _gain_fractions(x, G1_over_G2)
     u = _growth(r)
-    amp = amplified_noise_factor(r)
+    amp = 2.0 * coherence_factor(r)
     m = (n0 + 0.5) + (n0 + 1.0 + x * (n + 1.0)) * u
     v1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
     v2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
@@ -165,7 +149,7 @@ def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
         c1 = c2 = 0.0
     else:
         er_su = math.exp(r) * math.sqrt(u)
-        common = n0 + 1.0 + x * (n + 1.0) * (1.0 - decay_filter_ratio(r))
+        common = n0 + 1.0 + x * (n + 1.0) * (1.0 - 2.0 * r / u)
         c1 = -math.sqrt(f1) * er_su * common
         c2 = -math.sqrt(f2) * er_su * common
     c12 = math.sqrt(f1 * f2) * ((n0 + 1.0) * u
@@ -322,16 +306,16 @@ def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     r is one numpy expression over the whole broadcast, kept where r lies
     in it.  The least and greatest r decide which branches a call needs (a
     NaN r needs them all), so a call whose r lies in the direct band
-    ``[SERIES_CROSSOVER, SCALED_R]`` builds no per-cell branch mask.  Cells
-    outside the mask ``ok`` (skipped when it is True), or with r negative
-    or NaN, are NaN."""
+    ``(0, SCALED_R]`` builds no per-cell branch mask.  Cells outside the
+    mask ``ok`` (skipped when it is True), or with r negative or NaN, are
+    NaN."""
     # the least and greatest r, NaN if any r is
     r_lo, r_hi = r.min(initial=np.inf), r.max(initial=-np.inf)
-    E = _collective_band(co, r, False, not r_lo >= SERIES_CROSSOVER)
+    E = _collective_band(co, r, False)
     if not r_hi <= SCALED_R:  # only grids reaching SCALED_R pay this band
         hi = (r > SCALED_R) & (r <= LARGE_R)
         if hi.any():
-            np.copyto(E, _collective_band(co, r, True, False), where=hi)
+            np.copyto(E, _collective_band(co, r, True), where=hi)
     if not (r_lo > 0.0 and r_hi <= LARGE_R):
         x, n0, _, b = co[:4]
         np.copyto(E, n0 + 0.5, where=r == 0.0)
@@ -344,20 +328,16 @@ def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     return E
 
 
-def _collective_band(co, r: np.ndarray, scaled: bool,
-                     series: bool) -> np.ndarray:
-    """The witness as at pulse areas in (0, ``LARGE_R``]: the direct
-    ``gain_filter_ratio`` on r's shape, its series where r is below
-    ``SERIES_CROSSOVER`` if ``series`` (some r may be), and
-    ``_collective_terms`` over the broadcast, NaN where ``var_XW_out`` is
-    not positive.  Cells outside that range hold values of no meaning."""
+def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
+    """The witness as at pulse areas in (0, ``LARGE_R``]:
+    ``gain_filter_ratio`` on r's shape and ``_collective_terms`` over the
+    broadcast, NaN where ``var_XW_out`` is not positive.  Cells outside
+    that range hold values of no meaning."""
     u2 = 2.0 * r
     # overflow to inf passes silently, as in float arithmetic
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = np.expm1(u2)
         kr = 4.0 * r * np.exp(u2) / u
-        if series:
-            kr = np.where(r < SERIES_CROSSOVER, _gain_series(u2), kr)
         var_W, num_over_u = _collective_terms(co, r, u, kr, scaled)
         return np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
 
@@ -386,7 +366,7 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
     s = u if r > SCALED_R else 1.0  # divides exactly by 1 below SCALED_R
     a = n0 + 1.0 + x * (n + 1.0)
     var_j = 0.5 / s + f * (n0 + 1.0) * (u / s) \
-        + f * x * (n + 1.0) * (amplified_noise_factor(r) / s)
+        + f * x * (n + 1.0) * (2.0 * coherence_factor(r) / s)
     if not var_j > 0.0:
         raise DegenerateVariance(f"var_Xj_out = {var_j!r} is not positive")
     try:
@@ -415,15 +395,6 @@ def threshold_r(n0: float) -> float:
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
     return 0.5 * math.log1p(n0 / (n0 + 1.0))
-
-
-def _sinh_excess(r):
-    """Taylor series of ``sinh(r) - r`` through r^13, for floats and arrays
-    alike; accurate to rounding below ``SINH_SERIES_R``."""
-    r2 = r * r
-    return r * r2 * (1.0 / 6.0 + r2 * (1.0 / 120.0 + r2 * (
-        1.0 / 5040.0 + r2 * (1.0 / 362880.0 + r2 * (
-            1.0 / 39916800.0 + r2 / 6227020800.0)))))
 
 
 def _occupation_quadratic(r, x, n0, t, er, dm):
@@ -481,7 +452,8 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
                      under="ignore"):
         er = np.exp(-r)
         t = -np.expm1(-2.0 * r)
-        dm = np.where(r < SINH_SERIES_R, 2.0 * er * _sinh_excess(r),
+        dm = np.where(r < SINH_SERIES_R,
+                      2.0 * er * (r * (r * r) * _sinh_series(r * r)),
                       t - 2.0 * (r * er))
         A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
         S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)

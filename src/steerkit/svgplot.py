@@ -158,8 +158,10 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     ascend and are evenly spaced on their axis, linear or log10
     (``x_scale``, ``y_scale``), as a sweep's values are.  Each pixel is
     centred on its cell's position on both axes, and row 0 of the image
-    holds the largest y.  The color ramp runs blue (low) to red (high)
-    around white at 1/2; non-finite cells are grey.
+    holds the largest y.  The color ramp runs blue at the map's least
+    finite value through green (127, 255, 127) midway to red at its
+    greatest; the E = 1/2 level shows only as the contour.  Non-finite
+    cells are grey.
     """
     xs, ys = list(x), list(y)
     grid = np.asarray(values, dtype=float)
@@ -173,7 +175,7 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     cw = (_W - _ML - _MR) / max(len(xs) - 1, 1)
     ch = (_H - _MT - _MB) / max(len(ys) - 1, 1)
 
-    # the blue-white-red ramp over the whole grid, each channel written
+    # the blue-green-red ramp over [lo, hi], each channel written
     # straight into the uint8 image, which truncates toward zero as int()
     # does; t is in [0, 1].  Non-finite cells are #cccccc.
     t = (np.where(finite, grid, lo) - lo) / (hi - lo) if hi > lo \

@@ -678,6 +678,17 @@ class TestFileFormats:
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, digest", [
+        ("fig3a",
+         "d0769d7f281ab3b57012c30651776371d006f5eaf0845f720e68fb42f1828eef"),
+        ("fig3b",
+         "a5029650f4569d95d26b117cfd539b0a0f020e75986e545528661fcbff3ce86c"),
+    ])
+    def test_fig3_csv_bytes_are_pinned(self, tmp_path, name, digest):
+        run(PRESETS[name](), output=str(tmp_path / f"{name}.csv"))
+        data = (tmp_path / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_inset_csv_bytes_are_pinned(self, tmp_path):
         run(PRESETS["inset"](), output=str(tmp_path / "inset.csv"))
         data = (tmp_path / "inset.csv").read_bytes()
@@ -686,8 +697,8 @@ class TestFileFormats:
 
     # fig4's contour brackets lie in the direct band only.  CROSSINGS has
     # 263 contour cells; LOG_R's 4-point r axis makes wide brackets whose
-    # midpoints take the series (r < 1e-4), direct, scaled (r > 100) and
-    # plateau (r > 350) branches.  A bracket reaches past 350 only when its
+    # midpoints reach below r = 1e-4 and take the direct, scaled (r > 100)
+    # and plateau (r > 350) branches.  A bracket reaches past 350 only when its
     # upper end does: E sits on its plateau to the last bit well below
     # r = 100, so no crossing lies there.
     CROSSINGS = Scenario(
@@ -703,7 +714,7 @@ class TestFileFormats:
         ("CROSSINGS", 263,
          "2b76cceac5b9e4190a55f1ffce55f1528dbf7fd0374299dac6632c779672912c"),
         ("LOG_R", 99,
-         "69c0411cb13736256926f2735d62f5a728ef23e41d5d7cfd23d7fadc1ba58aa7"),
+         "996bfee97bfae647c49dc72d4e0189e8ca4e7ceb39b8cacb49b3bc51bab4f7e2"),
     ])
     def test_contour_bytes_are_pinned(self, tmp_path, name, cells, digest):
         record = run(getattr(self, name), output=str(tmp_path / "map.csv"))
@@ -768,7 +779,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("name, exit_code, digest", [
         ("VALIDATE_ORACLE", 3,
-         "ada821d35a9f4e6f973ce4c8a8836c6c25af789e1b5c8f6de5d0022b142f034a"),
+         "34284e433f4d4c52069f03d0eeb2bc81ef4ab37867c73b75279dcc4d1930cf43"),
         ("CLOSED_CROSS_CORRELATION", 0,
          "43443e4a40c0410a63c38a35b795dc6493f9008b0f8fd31d0ae6386a5328ebde"),
     ])
@@ -781,7 +792,7 @@ class TestFileFormats:
 
     # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value
     # (linspace makes a -0.0 start +0.0, so it is the stop), and a log r
-    # axis over the series (r < 1e-4), direct and asymptote (r > 350) cells
+    # axis over small (r < 1e-4), direct and asymptote (r > 350) cells
     TINY_HEATMAP = Scenario(
         mode="heatmap",
         params={"kind": "ratios", "gamma_over_G": 0.1, "n0": 0.5},

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,9 @@ from steerkit import closedform
 from steerkit.closedform import (
     LARGE_R,
     SCALED_R,
-    SERIES_CROSSOVER,
+    SINH_SERIES_R,
     _gain_fractions,
-    amplified_noise_factor,
     coherence_factor,
-    decay_filter_ratio,
     gain_filter_ratio,
 )
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
@@ -40,6 +39,24 @@ E2 = math.e ** 2
 
 def zero_damping_reference(r: float, n0: float) -> float:
     return (n0 + 0.5) / (2.0 * (n0 + 1.0) * math.expm1(2.0 * r) + 1.0)
+
+
+def coherence_reference(r: float) -> mpmath.mpf:
+    """``coherence_factor`` in 50-digit mpmath, as ``(sinh u - u) / (1 -
+    e^{-u})`` with ``u = 2r``.  Below u = 1 ``sinh u - u`` is its Taylor
+    sum: at 50 digits the difference cancels to 0 near r = 1e-150."""
+    with mpmath.workdps(50):
+        u = 2 * mpmath.mpf(r)
+        if u < 1:
+            term = excess = u ** 3 / 6
+            k = 2
+            while term > excess * mpmath.mpf(10) ** -50:
+                term *= u * u / ((2 * k) * (2 * k + 1))
+                excess += term
+                k += 1
+        else:
+            excess = mpmath.sinh(u) - u
+        return excess / -mpmath.expm1(-u)
 
 
 class TestSmallPulseLimits:
@@ -55,19 +72,64 @@ class TestSmallPulseLimits:
         assert single_steering_value(0.0, 0.1, 3.0, 50.0, 0.55) == 3.5
 
     def test_series_and_direct_agree_at_crossover(self):
-        r_lo = SERIES_CROSSOVER * (1.0 - 1e-9)
-        r_hi = SERIES_CROSSOVER * (1.0 + 1e-9)
-        for fn in (gain_filter_ratio, decay_filter_ratio,
-                   amplified_noise_factor, coherence_factor):
-            assert fn(r_lo) == pytest.approx(fn(r_hi), rel=1e-10)
+        # the one crossover, r = SINH_SERIES_R: the float below it takes
+        # the series and SINH_SERIES_R itself the direct form
+        r_lo = math.nextafter(SINH_SERIES_R, 0.0)
+        assert coherence_factor(r_lo) == pytest.approx(
+            coherence_factor(SINH_SERIES_R), rel=4e-15, abs=0.0)
 
     def test_moment_set_continuous_at_crossover(self):
-        lo = SERIES_CROSSOVER * (1 - 1e-9)
-        hi = SERIES_CROSSOVER * (1 + 1e-9)
+        lo = SINH_SERIES_R * (1 - 1e-9)
+        hi = SINH_SERIES_R * (1 + 1e-9)
         m_lo = moment_set(lo, 0.1, 1.0, 10.0)
         m_hi = moment_set(hi, 0.1, 1.0, 10.0)
         for key in m_lo:
             assert m_lo[key] == pytest.approx(m_hi[key], rel=1e-7, abs=1e-10)
+
+
+class TestSmallPulseAccuracy:
+    """The factors of r that the moments share, against mpmath."""
+
+    def test_coherence_factor_is_within_a_few_ulps(self):
+        # log-uniform over r, and densely around the crossover, where the
+        # direct form's sinh u - u still cancels about sevenfold
+        rng = np.random.default_rng(1)
+        rs = np.exp(rng.uniform(math.log(1e-150), math.log(350.0), 2000))
+        rs = np.concatenate([rs, SINH_SERIES_R + np.linspace(-0.1, 0.2, 301)])
+        for r in rs.tolist():
+            ref = float(coherence_reference(r))
+            assert abs(coherence_factor(r) - ref) <= 4e-15 * ref, r
+
+    def test_gain_filter_ratio_is_within_2_ulps(self):
+        assert gain_filter_ratio(0.0) == 2.0
+        rng = np.random.default_rng(2)
+        rs = np.exp(rng.uniform(math.log(1e-300), math.log(1e4), 2000))
+        for r in [*rs.tolist(), LARGE_R, math.nextafter(LARGE_R, 1e4)]:
+            with mpmath.workdps(50):
+                u = 2 * mpmath.mpf(r)
+                ref = float(2 * u / -mpmath.expm1(-u))
+            assert abs(gain_filter_ratio(r) - ref) <= 2 * math.ulp(ref), r
+
+    @pytest.mark.parametrize("r", [1e-6, 0.1, 0.5, 3.0, 40.0])
+    def test_amplified_noise_is_twice_the_coherence_factor(self, r):
+        # e^{2r} + 1 - gain_filter_ratio(r), the amplified noise of the
+        # cavity output variances, is 2 coherence_factor(r) identically
+        with mpmath.workdps(60):
+            u = 2 * mpmath.mpf(r)
+            e = mpmath.exp(u)
+            amplified = e + 1 - 2 * u * e / (e - 1)
+            twice = 2 * e * (mpmath.sinh(u) - u) / (e - 1)
+            assert abs(amplified - twice) <= mpmath.mpf(10) ** -40 * twice
+
+    @pytest.mark.parametrize("r", [1.5e-4, 3e-4, 1e-3])
+    def test_small_pulse_cross_correlation(self, r):
+        # a warm bath at strong damping, where the coherence term is as
+        # large as the gain term; equal gains give G1/G = G2/G = 2
+        with mpmath.workdps(50):
+            ref = 2 * (mpmath.expm1(2 * mpmath.mpf(r))
+                       + 2 * 1001 * 3 * coherence_reference(r))
+        assert output_block(r, 3.0, 0.0, 1000.0)[2, 4] == pytest.approx(
+            float(ref), rel=1e-13, abs=0.0)
 
 
 class TestMoments:
@@ -272,9 +334,9 @@ class TestArrayWitness:
 
     @pytest.mark.parametrize("branch, rs", [
         ("zero", [0.0]),
-        ("series", np.geomspace(1e-12, SERIES_CROSSOVER * (1 - 1e-9), 9)),
+        ("small", np.geomspace(1e-12, 1e-4 * (1 - 1e-9), 9)),
         ("direct", np.concatenate([
-            SERIES_CROSSOVER * (1 + np.geomspace(1e-9, 1.0, 4)),
+            1e-4 * (1 + np.geomspace(1e-9, 1.0, 4)),
             np.geomspace(1e-3, LARGE_R, 12)])),
         ("asymptote", LARGE_R * np.array([1 + 1e-12, 1.01, 1.5, 3.0])),
     ])
@@ -291,8 +353,8 @@ class TestArrayWitness:
 
     @settings(max_examples=150, deadline=None)
     @given(rs=st.lists(st.sampled_from([0.0])
-                       | st.floats(1e-12, SERIES_CROSSOVER, exclude_max=True)
-                       | st.floats(SERIES_CROSSOVER, SCALED_R)
+                       | st.floats(1e-12, 1e-4, exclude_max=True)
+                       | st.floats(1e-4, SCALED_R)
                        | st.floats(SCALED_R, LARGE_R, exclude_min=True)
                        | st.floats(LARGE_R, 1e3, exclude_min=True),
                        min_size=1, max_size=8),
