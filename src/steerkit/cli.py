@@ -23,7 +23,6 @@ import json
 import math
 import numbers
 import operator
-import os
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -788,21 +787,11 @@ def run(scenario: Scenario, *, output: str | None = None,
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
     failed its tolerance.  Points run in order on one thread.  ``threads``
-    (default ``STEERKIT_THREADS`` or 1) is validated but has no effect: a
-    thread count that is not an integer >= 1 is a ``ConfigError``.
+    is not read: it stays only because ``benchmark/worker.py`` passes it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format {fmt!r} not csv|json")
     scenario.validate()
-    if threads is None:
-        env = os.environ.get("STEERKIT_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"STEERKIT_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads!r}")
     mode = _MODES[scenario.mode]
     tol = {k: float(v)
            for k, v in {**mode.tolerances, **scenario.tolerances}.items()}
@@ -1108,10 +1097,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", "-o", help="output path override")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, help="Monte Carlo seed override")
-        sp.add_argument("--threads", type=int,
-                        help="accepted for compatibility and checked to be "
-                             ">= 1, but has no effect (default: "
-                             "STEERKIT_THREADS or 1)")
         sp.add_argument("--svg", action="store_true",
                         help="also render a minimal SVG chart")
 
@@ -1165,7 +1150,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(text)
             return 0
         record = run(scenario, output=args.output, fmt=args.format,
-                     threads=args.threads, svg=args.svg)
+                     svg=args.svg)
         return record.exit_code
     except SteerkitError as exc:
         sys.stderr.write(json.dumps({

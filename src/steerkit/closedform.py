@@ -149,7 +149,14 @@ def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
         c1 = c2 = 0.0
     else:
         er_su = math.exp(r) * math.sqrt(u)
-        common = n0 + 1.0 + x * (n + 1.0) * (1.0 - 2.0 * r / u)
+        if 2.0 * r < SINH_SERIES_R:
+            # 1 - 2r/u = (e^{2r} - 1 - 2r)/u, summed as (sinh 2r - 2r)
+            # + (cosh 2r - 1), both positive, not as a difference near 1
+            y, sh = 2.0 * r, math.sinh(r)
+            excess = (y * (y * y) * _sinh_series(y * y) + 2.0 * sh * sh) / u
+        else:
+            excess = 1.0 - 2.0 * r / u
+        common = n0 + 1.0 + x * (n + 1.0) * excess
         c1 = -math.sqrt(f1) * er_su * common
         c2 = -math.sqrt(f2) * er_su * common
     c12 = math.sqrt(f1 * f2) * ((n0 + 1.0) * u
@@ -441,7 +448,7 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     the float call raises ``InvalidParams``.
     """
     x = gamma_over_G
-    array = isinstance(r, np.ndarray)
+    array = any(isinstance(v, np.ndarray) for v in (r, x, n0))
     if not array:
         _check_inputs(r, x, n0, 0.0)
         if not (r > 0.0 and x > 0.0):

@@ -555,18 +555,16 @@ def monte_carlo_output_covariance(model: LinearModel,
     w, vec = np.linalg.eigh(exact.sigma / scale[:, None] / scale)
     factor = vec * np.sqrt(np.maximum(w, 0.0))
     key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-
-    def run_batch(b: int) -> tuple[np.ndarray, np.ndarray]:
+    sums, sums2 = 0.0, 0.0  # second- and fourth-moment sums, in batch order
+    for b in range(math.ceil(trajectories / _BATCH)):
         gen = np.random.Generator(np.random.Philox(
             key=np.array([key_hi, np.uint64(b)], dtype=np.uint64)))
         z = factor @ gen.standard_normal(
             (len(scale), min(_BATCH, trajectories - b * _BATCH)))
         sq = z * z
-        return z @ z.T, sq @ sq.T
-
-    results = [run_batch(b) for b in range(math.ceil(trajectories / _BATCH))]
-    # summed in fixed batch order
-    mean, mean2 = (sum(sums) / trajectories for sums in zip(*results))
+        sums = sums + z @ z.T
+        sums2 = sums2 + sq @ sq.T
+    mean, mean2 = sums / trajectories, sums2 / trajectories
     mean = 0.5 * (mean + mean.T)
     errors = np.sqrt(np.maximum(mean2 - mean ** 2, 0.0) / trajectories)
     outer = np.outer(scale, scale)

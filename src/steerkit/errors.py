@@ -32,10 +32,6 @@ class DegenerateVariance(SteerkitError):
     """A conditioning variance is non-positive, or a witness overflows."""
 
 
-class ZeroVariance(SteerkitError):
-    """The measured party quadrature has (numerically) zero variance."""
-
-
 class IntegratorFailure(SteerkitError):
     """Moment propagation or a kernel normalization overflowed to non-finite
     values."""

@@ -26,9 +26,7 @@ from .closedform import (
     max_occupation,
 )
 from .dynamics import OutputCovariance
-from .errors import InvalidParams, NoThreshold, ZeroVariance
-
-QuadratureSelector = tuple[str, str]  # (mode label, "X" | "P")
+from .errors import DegenerateVariance, InvalidParams, NoThreshold
 
 # settings of the threshold searches; the CLI's defaults read R_MAX and N_TOL
 R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
@@ -36,23 +34,6 @@ N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up past this n
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
 PASS_ROUNDS = 3  # bisection rounds per witness pass of steering_region
-
-
-def _inferred_variance(oc: OutputCovariance, steered: QuadratureSelector,
-                       party: QuadratureSelector) -> float:
-    """Minimal inference variance of one quadrature given another.
-
-    ``Var(steered) - Cov^2/Var(party)``: the exact minimum over the gain
-    ``u`` of ``Var(steered + u * party)``, reached at ``u = -Cov /
-    Var(party)``.
-    """
-    s, p = oc.index(*steered), oc.index(*party)
-    var_p = float(oc.sigma[p, p])
-    cov = float(oc.sigma[s, p])
-    if var_p < 1e-15:
-        raise ZeroVariance(
-            f"party quadrature {party!r} has variance {var_p!r}")
-    return float(oc.sigma[s, s]) - cov * cov / var_p
 
 
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
@@ -63,11 +44,22 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
     the steered X from the party's P and ``V_P`` that of the steered P from
     the party's X (each clipped at 0 against rounding).  This pairing is
     optimal because the only nonzero mirror-field correlations are of X-P
-    type.
+    type.  Each inference variance is ``Var(s) - Cov(s, p)^2 / Var(p)``,
+    the minimum over u of ``Var(s + u p)``.  Raises ``DegenerateVariance``
+    when a party variance is below 1e-15.
     """
-    vx = _inferred_variance(oc, (steered_mode, "X"), (party_mode, "P"))
-    vp = _inferred_variance(oc, (steered_mode, "P"), (party_mode, "X"))
-    return math.sqrt(max(vx, 0.0)) * math.sqrt(max(vp, 0.0))
+    sig = oc.sigma
+    vs = []
+    for sq, pq in (("X", "P"), ("P", "X")):
+        s, p = oc.index(steered_mode, sq), oc.index(party_mode, pq)
+        var_p = float(sig[p, p])
+        if var_p < 1e-15:
+            raise DegenerateVariance(
+                f"party quadrature {(party_mode, pq)!r} has variance "
+                f"{var_p!r}")
+        cov = float(sig[s, p])
+        vs.append(max(float(sig[s, s]) - cov * cov / var_p, 0.0))
+    return math.sqrt(vs[0]) * math.sqrt(vs[1])
 
 
 @dataclass(frozen=True)

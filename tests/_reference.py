@@ -128,10 +128,19 @@ def cross_correlation(r: float, gamma_over_G: float, n0: float, n: float, *,
                               G1_over_G2=G1_over_G2)[2, 4])
 
 
+def inferred_variance(oc: OutputCovariance, steered: tuple[str, str],
+                      party: tuple[str, str]) -> float:
+    """``Var(steered) - Cov^2 / Var(party)`` for any pair of quadratures,
+    each a (mode label, "X" | "P")."""
+    s, p = oc.index(*steered), oc.index(*party)
+    cov = float(oc.sigma[s, p])
+    return float(oc.sigma[s, s]) - cov * cov / float(oc.sigma[p, p])
+
+
 def optimal_gain(oc: OutputCovariance, steered: tuple[str, str],
                  party: tuple[str, str]) -> float:
     """The gain ``u = -Cov / Var(party)`` that minimizes ``Var(steered + u *
-    party)``, whose minimum is ``steering._inferred_variance``."""
+    party)``, whose minimum is ``inferred_variance``."""
     s, p = oc.index(*steered), oc.index(*party)
     return -float(oc.sigma[s, p]) / float(oc.sigma[p, p])
 

@@ -349,15 +349,6 @@ class TestCurveRuns:
         assert min(es) < 0.01
         assert es[-1] > min(es)  # slow rise toward the damping plateau
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STEERKIT_THREADS", "2")
-        out = tmp_path / "env.csv"
-        run(tiny_curve_scenario(), output=str(out))
-        ref = tmp_path / "ref.csv"
-        monkeypatch.delenv("STEERKIT_THREADS")
-        run(tiny_curve_scenario(), output=str(ref))
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_oracle_engine_agrees_with_closed_form(self):
         sc = Scenario(
             mode="curve",
@@ -1179,21 +1170,15 @@ class TestEntryPoint:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads_arg, env", [
-        (["--threads", "0"], None), (["--threads", "-3"], None),
-        ([], "abc"), ([], "0")],
-        ids=["zero", "negative", "env-not-integer", "env-zero"])
-    def test_bad_thread_counts_exit_2(self, tmp_path, capsys, monkeypatch,
-                                      threads_arg, env):
-        if env is not None:
-            monkeypatch.setenv("STEERKIT_THREADS", env)
+    def test_threads_flag_is_not_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(tiny_curve_scenario().to_json())
         out = tmp_path / "result.csv"
-        code = cli.main(["run", "--config", str(cfg), "--output", str(out),
-                         *threads_arg])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--output", str(out),
+                      "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, args", [
@@ -1449,8 +1434,7 @@ class TestEntryPoint:
         assert sc.mode == "n-threshold"
 
         result = tmp_path / "curve.csv"
-        code = cli.main(["preset", "fig3a", "--run", "--output", str(result),
-                         "--threads", "2"])
+        code = cli.main(["preset", "fig3a", "--run", "--output", str(result)])
         assert code == 0
         assert result.exists()
 
@@ -1669,6 +1653,20 @@ def test_package_starts_no_threads_or_processes():
                 continue
             assert not {n.split(".")[0] for n in names} & banned, \
                 f"{path.name} imports {names}"
+
+
+def test_package_reads_no_environment_variable():
+    for path in sorted(Path(steerkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os":
+                assert node.attr not in ("environ", "getenv"), \
+                    f"{path.name}:{node.lineno} reads os.{node.attr}"
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                assert not names & {"environ", "getenv"}, \
+                    f"{path.name}:{node.lineno} imports {sorted(names)}"
 
 
 def test_every_benchmark_scenario_is_valid():

@@ -121,6 +121,32 @@ class TestSmallPulseAccuracy:
             twice = 2 * e * (mpmath.sinh(u) - u) / (e - 1)
             assert abs(amplified - twice) <= mpmath.mpf(10) ** -40 * twice
 
+    def test_mirror_field_moments_are_within_a_few_ulps(self):
+        # <X_m, P_j> = -sqrt(G_j/G) e^r sqrt(u) (n0 + 1 + x (n + 1) (1 -
+        # 2r/u)), u = e^{2r} - 1: at small r the bracket's 1 - 2r/u cancels
+        # unless it is summed as a series, worst at a hot bath and strong
+        # damping; log-uniform r, gains split log-uniformly in [0.1, 10]
+        rng = np.random.default_rng(4)
+        size = 3000
+        points = zip(
+            np.exp(rng.uniform(math.log(1e-12), math.log(12.0), size)),
+            rng.uniform(0.0, 3.0, size), rng.uniform(0.0, 20.0, size),
+            10.0 ** rng.uniform(-2.0, 6.0, size),
+            np.exp(rng.uniform(math.log(0.1), math.log(10.0), size)))
+        for r, x, n0, n, ratio in [(1e-8, 3.0, 0.0, 1e6, 1.0),
+                                   *(map(float, p) for p in points)]:
+            S = output_block(r, x, n0, n, G1_over_G2=ratio)
+            with mpmath.workdps(60):
+                R, X, N0, N, Q = map(mpmath.mpf, (r, x, n0, n, ratio))
+                u = mpmath.expm1(2 * R)
+                scale = -mpmath.exp(R) * mpmath.sqrt(u) \
+                    * (N0 + 1 + X * (N + 1) * (1 - 2 * R / u))
+                refs = [float(mpmath.sqrt((1 + X) * f / (1 + Q)) * scale)
+                        for f in (Q, 1)]
+            for got, ref in zip((S[0, 3], S[0, 5]), refs):
+                assert abs(got - ref) <= 2e-15 * abs(ref), (r, x, n0, n,
+                                                            ratio)
+
     @pytest.mark.parametrize("r", [1.5e-4, 3e-4, 1e-3])
     def test_small_pulse_cross_correlation(self, r):
         # a warm bath at strong damping, where the coherence term is as
@@ -596,6 +622,19 @@ class TestMaxOccupation:
                                         rel=1e-13)
         assert np.all(np.abs(collective_steering_value(rs, x, 0.0, n) - 0.5)
                       <= self.ULPS)
+
+    def test_float_pulse_area_with_array_knobs(self):
+        # an ndarray damping ratio or mirror occupation takes the array
+        # path, as in collective_steering_value; each cell is its float call
+        xs, n0s = np.array([0.1, 0.2]), np.array([0.0, 0.5])
+        n = closedform.max_occupation(1.0, xs, 0.0)
+        assert n.tolist() == closedform.max_occupation(
+            np.array([1.0, 1.0]), xs, 0.0).tolist()
+        assert n.tolist() == pytest.approx([2173.43, 316.15], abs=5e-3)
+        assert n.tolist() == [closedform.max_occupation(1.0, x, 0.0)
+                              for x in xs.tolist()]
+        assert closedform.max_occupation(1.0, 0.1, n0s).tolist() \
+            == [closedform.max_occupation(1.0, 0.1, n0) for n0 in n0s.tolist()]
 
     def test_steering_holds_below_the_bound_only(self):
         for r, x, n0 in [(0.5, 0.1, 0.0), (2.0, 0.3, 0.5), (8.0, 0.05, 0.2)]:

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 import _reference
 from _reference import (
+    inferred_variance,
     monogamy_check,
     one_round_contour,
     optimal_gain,
@@ -26,15 +27,10 @@ from steerkit import (
     threshold_r,
 )
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
-from steerkit.errors import InvalidParams, NoThreshold, ZeroVariance
+from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit import steering
 from steerkit.closedform import LARGE_R, SCALED_R
-from steerkit.steering import (
-    BISECTION_ROUNDS,
-    PASS_ROUNDS,
-    R_MAX,
-    _inferred_variance,
-)
+from steerkit.steering import BISECTION_ROUNDS, PASS_ROUNDS, R_MAX
 
 E2 = math.e ** 2
 
@@ -54,34 +50,28 @@ def two_mode_squeezed(s: float) -> OutputCovariance:
 class TestInferredVariance:
     def test_uncorrelated_modes_gain_is_zero(self):
         oc = OutputCovariance(("alice", "bob"), np.diag([2.0, 2.0, 3.0, 3.0]))
-        var = _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
+        var = inferred_variance(oc, ("alice", "X"), ("bob", "X"))
         gain = optimal_gain(oc, ("alice", "X"), ("bob", "X"))
         assert var == 2.0 and gain == 0.0
 
     def test_epr_limit_of_two_mode_squeezing(self):
         for s in (0.5, 1.0, 2.0):
             oc = two_mode_squeezed(s)
-            var = _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
+            var = inferred_variance(oc, ("alice", "X"), ("bob", "X"))
             gain = optimal_gain(oc, ("alice", "X"), ("bob", "X"))
             assert var == pytest.approx(0.5 / math.cosh(2.0 * s), rel=1e-12)
             assert gain == pytest.approx(-math.tanh(2.0 * s), rel=1e-12)
-        assert _inferred_variance(two_mode_squeezed(8.0),
-                                  ("alice", "X"), ("bob", "X")) < 1e-6
+        assert inferred_variance(two_mode_squeezed(8.0),
+                                 ("alice", "X"), ("bob", "X")) < 1e-6
 
     def test_collective_inference_value(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.0, 0.0, 0.0)
-        var = _inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
+        var = inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         assert var == pytest.approx(1.0 / (2.0 * (2.0 * E2 - 1.0)), rel=1e-9)
-
-    def test_zero_variance_party_rejected(self):
-        sigma = np.diag([1.0, 1.0, 0.0, 1.0])
-        oc = OutputCovariance(("alice", "bob"), sigma)
-        with pytest.raises(ZeroVariance):
-            _inferred_variance(oc, ("alice", "X"), ("bob", "X"))
 
     def test_gain_is_optimal_against_grid_search(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.1, 0.5, 5.0)
-        var = _inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
+        var = inferred_variance(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         gain = optimal_gain(oc, (A_M_OUT, "X"), (W_OUT, "P"))
         vs = np.zeros(oc.sigma.shape[0])
         vs[oc.index(A_M_OUT, "X")] = 1.0
@@ -121,6 +111,16 @@ class TestSteeringProduct:
         E = steering_product(oc, "alice", "bob")
         assert E == pytest.approx(0.5, rel=1e-12)
         assert not E < 0.5
+
+    def test_zero_variance_party_rejected(self):
+        # a party quadrature of either pairing; a steered one is no error
+        for zero in (2, 3):
+            sigma = np.eye(4)
+            sigma[zero, zero] = 0.0
+            oc = OutputCovariance(("alice", "bob"), sigma)
+            with pytest.raises(DegenerateVariance, match="'bob'"):
+                steering_product(oc, "alice", "bob")
+            assert steering_product(oc, "bob", "alice") == 0.0
 
     def test_matches_closed_form_with_damping(self, oracle_cache):
         oc = oracle_cache.covariance(1.0, 0.1, 0.0, 0.0)
