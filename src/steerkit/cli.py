@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import numbers
-import operator
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -296,9 +295,11 @@ class Scenario:
 
 @dataclass
 class RunRecord:
-    """What one run computed.  ``points`` is a sequence of row dicts, one
-    per CSV row, keyed by ``columns`` and holding Python floats; a
-    heatmap's is a view over its grid (``_GridPoints``)."""
+    """What one run computed.  ``points`` reads as a sequence of row
+    dicts, one per CSV row, keyed by ``columns`` and holding Python floats.
+    It is a view over the run's float array: a one-axis run's
+    (points x columns) table (``_Table``), or a heatmap's grid
+    (``_GridPoints``), which the CSV and SVG writers read."""
 
     scenario_digest: str
     tool_version: str
@@ -447,12 +448,35 @@ def _case_label(i: int, case: dict):
     return case.get("label", f"case{i}") if case else "E"
 
 
+@dataclass(frozen=True, eq=False)
+class _Table(Sequence):
+    """A one-axis run's points as a view over its table: ``cells[i, k]`` is
+    column ``columns[k]`` at point ``i``.  Reads as one dict of floats per
+    row; the CSV and SVG writers read the table."""
+
+    columns: list[str]
+    cells: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i: int) -> dict:
+        return dict(zip(self.columns, self.cells[i].tolist()))
+
+
+def _point_warning(var: str, i: int, v: float, tag, exc) -> str:
+    """The warning of point ``i`` of a sweep of ``var`` at value ``v`` that
+    failed with ``exc`` in the step named ``tag`` (if any)."""
+    where = f"{var}={v:.6g}" + (f", {tag}" if tag else "")
+    return f"point {i} ({where}): {exc}"
+
+
 def _sweep_rows(sc: Scenario, columns: list[str],
-                steps) -> tuple[list[dict], list[str]]:
-    """The rows of a one-axis sweep, in point order.
+                steps) -> tuple[_Table, list[str]]:
+    """The table of a one-axis sweep, one row per point in order.
 
     ``steps`` is a list of ``(tag, fill)``; ``fill(i, v, row)`` writes its
-    columns of point ``i`` at sweep value ``v`` into ``row``.  A
+    columns of point ``i`` at sweep value ``v`` into the dict ``row``.  A
     ``SteerkitError`` from a fill adds the warning ``point i
     (<variable>=v[, tag]): <error>``, and every column of ``columns`` that
     no fill wrote is NaN.
@@ -465,11 +489,9 @@ def _sweep_rows(sc: Scenario, columns: list[str],
             try:
                 fill(i, v, row)
             except SteerkitError as exc:
-                where = f"{var}={v:.6g}" + (f", {tag}" if tag else "")
-                warnings.append(f"point {i} ({where}): {exc}")
-        rows.append(row if len(row) == len(columns)
-                    else {c: row.get(c, math.nan) for c in columns})
-    return rows, warnings
+                warnings.append(_point_warning(var, i, v, tag, exc))
+        rows.append([row.get(c, math.nan) for c in columns])
+    return _Table(columns, np.array(rows, dtype=float)), warnings
 
 
 def _run_curve(sc: Scenario, base: dict, tol: dict):
@@ -480,32 +502,46 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
     cases = list(sc.cases) or [{}]
     labelled = len(cases) > 1 or "label" in cases[0]
 
-    def case_fill(over: dict, col: str, ocol: str, E, ocs):
-        def fill(i: int, v: float, row: dict) -> None:
-            if closed:
-                row[col] = float(E[i])
-                if math.isnan(row[col]):
-                    # raises unless NaN is the value
-                    _witness({**_apply(base, var, v), **over})
-            if oracle:
-                row[ocol] = steering.steering_product(
-                    _raised(ocs[i]), dynamics.A_M_OUT, dynamics.W_OUT)
-        return fill
-
-    columns, steps = [var], []
+    # per case: its label, overrides, and closed and oracle column (index
+    # or None) with the oracle's sweep
+    columns, cells, specs = [var], [values], []
     for i, case in enumerate(cases):
         lab = _case_label(i, case)
         over = {k: float(v) for k, v in case.items() if k != "label"}
-        col, ocol = (f"E[{lab}]", f"E_oracle[{lab}]") if labelled \
-            else ("E", "E_oracle")
-        E = _witness_grid({**_apply(base, var, values), **over},
-                          values.shape) if closed else None
-        ocs = _oracle_sweep([{**_apply(base, var, v), **over}
-                             for v in values.tolist()]) if oracle else None
-        columns += [col] * closed + [ocol] * oracle
-        steps.append((lab, case_fill(over, col, ocol, E, ocs)))
-    points, warnings = _sweep_rows(sc, columns, steps)
-    return columns, points, warnings, {}
+        ccol = ocol = ocs = None
+        if closed:
+            ccol = len(columns)
+            columns.append(f"E[{lab}]" if labelled else "E")
+            cells.append(_witness_grid({**_apply(base, var, values), **over},
+                                       values.shape))
+        if oracle:
+            ocol = len(columns)
+            columns.append(f"E_oracle[{lab}]" if labelled else "E_oracle")
+            cells.append(np.full(values.shape, math.nan))
+            ocs = _oracle_sweep([{**_apply(base, var, v), **over}
+                                 for v in values.tolist()])
+        specs.append((lab, over, ccol, ocol, ocs))
+    table = np.column_stack(cells)
+
+    # a NaN closed-form cell is explained by the float call's error, which
+    # also leaves that case's oracle cell NaN; the oracle fills its columns
+    # point by point
+    visit = range(len(values)) if oracle \
+        else np.flatnonzero(np.isnan(table).any(axis=1)).tolist()
+    warnings = []
+    for i in visit:
+        v = values[i].item()
+        for lab, over, ccol, ocol, ocs in specs:
+            try:
+                if ccol is not None and math.isnan(table[i, ccol]):
+                    # raises unless NaN is the value
+                    _witness({**_apply(base, var, v), **over})
+                if ocol is not None:
+                    table[i, ocol] = steering.steering_product(
+                        _raised(ocs[i]), dynamics.A_M_OUT, dynamics.W_OUT)
+            except SteerkitError as exc:
+                warnings.append(_point_warning(var, i, v, lab, exc))
+    return columns, _Table(columns, table), warnings, {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,11 +576,12 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
     var1, var2 = sc.sweep.variable, sc.sweep2.variable
     v1 = sc.sweep.values()
     v2 = sc.sweep2.values()
-    # contour of E = 1/2 along the first sweep axis, per second-axis row
-    contour: list[tuple[float, float]] = []
+    # an (r, gamma/G) map has the contour of E = 1/2 along r, per gamma/G
+    # row; a map over other axes has none, and writes no contour file
+    summary = {}
     if var1 == "r" and var2 == "gamma_over_G":
         region = steering.steering_region(v1, v2, base["n0"], base["n"])
-        E, contour = region.E, list(region.contour)
+        E, summary["contour"] = region.E, list(region.contour)
     else:
         E = _witness_grid(_apply(_apply(base, var1, v1), var2, v2[:, None]),
                           (len(v2), len(v1)))
@@ -557,7 +594,7 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
             _witness(_apply(_apply(base, var1, p[var1]), var2, p[var2]))
         except SteerkitError as exc:
             warnings.append(f"point {idx}: {exc}")
-    return [var1, var2, "E"], points, warnings, {"contour": contour}
+    return [var1, var2, "E"], points, warnings, summary
 
 
 def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
@@ -626,7 +663,7 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
 
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     points, warnings = _sweep_rows(sc, columns, [(None, fill)])
-    rels = [p["max_rel"] for p in points]
+    rels = points.cells[:, -1].tolist()
     summary = {"max_rel_discrepancy": max(rels),
                "tolerance": tol["oracle_rel"],
                "validated": all(rel <= tol["oracle_rel"] for rel in rels)}
@@ -667,13 +704,12 @@ def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
     full, reduced = (_oracle_sweep(rungs, engine=engine,
                                    which=dynamics.DEFAULT_OUTPUT_MODES)
                      for engine in ("full", "reduced"))
-    points = []
-    for ratio, got, ref in zip(ratios, full, reduced):
+    rels = []
+    for got, ref in zip(full, reduced):
         got, ref = _raised(got).sigma, _raised(ref).sigma
         mask = np.abs(ref) > 1e-6
-        rel = float(np.max(np.abs(got[mask] - ref[mask]) / np.abs(ref[mask])))
-        points.append({"kappa_over_g": ratio, "max_rel_discrepancy": rel})
-    rels = [p["max_rel_discrepancy"] for p in points]
+        rels.append(float(np.max(np.abs(got[mask] - ref[mask])
+                                 / np.abs(ref[mask]))))
     decreasing = all(a > b for a, b in zip(rels[:-1], rels[1:]))
     ok = rels[-1] <= tol["adiabatic_rel"] and decreasing
     warnings = [] if decreasing else [
@@ -681,7 +717,9 @@ def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
     summary = {"final_discrepancy": rels[-1],
                "tolerance": tol["adiabatic_rel"],
                "monotone_decreasing": decreasing, "validated": ok}
-    return ["kappa_over_g", "max_rel_discrepancy"], points, warnings, summary
+    columns = ["kappa_over_g", "max_rel_discrepancy"]
+    return columns, _Table(columns, np.column_stack((ratios, rels))), \
+        warnings, summary
 
 
 def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
@@ -707,7 +745,8 @@ def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
         "gamma_over_G": dq.gamma_over_G,
         "max_residual": max(res),
     }
-    return list(row), [row], warnings_out, {}
+    return list(row), _Table(list(row), np.array([list(row.values())])), \
+        warnings_out, {}
 
 
 def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
@@ -899,13 +938,12 @@ def _text(cells: np.ndarray) -> str:
 def _write_rows(out, columns: list[str], rows) -> None:
     """Write a CSV header and one ``%.11e`` line per row of floats.
 
-    ``rows`` is a list with one float per column per row, as a tuple (a
-    bare float for one column), or a heatmap's ``_GridPoints``.  The header
-    goes through ``csv`` because labels such as ``E[n0=0,n=0]`` need
-    quoting; formatted floats never do.
+    ``rows`` is a float array with one column per column name, or a
+    heatmap's ``_GridPoints``.  The header goes through ``csv`` because
+    labels such as ``E[n0=0,n=0]`` need quoting; formatted floats never do.
 
     A table of fewer than ``_KERNEL_MIN_CELLS`` cells is written with one
-    ``%`` template per row, which is faster there.  A larger one is
+    ``%`` row template, which is faster there.  A larger one is
     formatted by ``_cells`` in blocks of about ``_BLOCK_CELLS`` cells that
     go straight to ``out``, so no text of the table's size is ever held
     and the temporaries stay a fraction of the file's size; in a heatmap
@@ -927,10 +965,12 @@ def _write_rows(out, columns: list[str], rows) -> None:
     csv.writer(out, lineterminator="\n").writerow(columns)
     grid = isinstance(rows, _GridPoints)
     if len(rows) * len(columns) < _KERNEL_MIN_CELLS:
+        if grid:  # the (cells x 3) table, row-major with var2 outer
+            rows = np.stack(np.broadcast_arrays(
+                np.array(rows.v1), np.array(rows.v2)[:, None], rows.E),
+                axis=-1).reshape(-1, 3)
         line = ",".join(["%.11e"] * len(columns)) + "\n"
-        for row in map(operator.itemgetter(*columns), rows) if grid \
-                else rows:
-            out.write(line % row)
+        out.write((line * len(rows)) % tuple(rows.ravel().tolist()))
     elif grid:
         axes = _cells(np.array(rows.v1 + rows.v2), ord(","))
         x1, x2 = axes[:len(rows.v1)], axes[len(rows.v1):, None]
@@ -943,11 +983,10 @@ def _write_rows(out, columns: list[str], rows) -> None:
             block[..., 2] = _cells(E, ord("\n"))
             out.write(_text(block))
     else:
-        x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
         seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         step = max(1, _BLOCK_CELLS // len(columns))
-        for i in range(0, len(x), step):
-            out.write(_text(_cells(x[i:i + step], seps)))
+        for i in range(0, len(rows), step):
+            out.write(_text(_cells(rows[i:i + step], seps)))
 
 
 @contextlib.contextmanager
@@ -969,15 +1008,15 @@ def _write_csv(path: str, record: RunRecord, contour=None) -> None:
         fh.write(f"# scenario_digest: {record.scenario_digest}\n"
                  f"# tool: steerkit {record.tool_version}\n")
         if contour is not None:
-            _write_rows(fh, ["r", "gamma_over_G"], contour)
+            _write_rows(fh, ["r", "gamma_over_G"],
+                        np.array(contour, dtype=float).reshape(-1, 2))
             return
         fh.writelines(f"# warning: {w}\n" for w in record.warnings)
         fh.writelines(f"# {key}: {val}\n" for key, val
                       in sorted(record.summary.items()) if key != "contour")
         points = record.points
-        if not isinstance(points, _GridPoints):
-            points = list(map(operator.itemgetter(*record.columns), points))
-        _write_rows(fh, record.columns, points)
+        _write_rows(fh, record.columns, points
+                    if isinstance(points, _GridPoints) else points.cells)
 
 
 def _write_json(path: str, record: RunRecord) -> None:
@@ -1009,11 +1048,10 @@ def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
                             x_scale=scenario.sweep.scale,
                             y_scale=scenario.sweep2.scale)
         else:
-            xcol = record.columns[0]
-            xs = [p[xcol] for p in record.points]
-            series = {c: [p[c] for p in record.points]
-                      for c in record.columns[1:]}
-            svgplot.line_chart(xs, series, path, x_label=xcol,
+            cells = record.points.cells
+            xcol, *ycols = record.columns
+            svgplot.line_chart(cells[:, 0], dict(zip(ycols, cells[:, 1:].T)),
+                               path, x_label=xcol,
                                hline=0.5 if scenario.mode == "curve" else None,
                                x_scale=scenario.sweep.scale
                                if scenario.sweep else "linear")

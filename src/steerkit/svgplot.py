@@ -45,12 +45,68 @@ def _scale(lo: float, hi: float, a: float, b: float, scale: str = "linear"):
     return lambda v: a + (v - lo) / span * (b - a)
 
 
-def _points(px: list[float], py: list[float]) -> str:
+# A polyline coordinate as the kernel writes it: "%.6g" and its separator
+# in 8 bytes, one little-endian word, NUL where a digit is absent.  The
+# plot area maps every finite value into [20, 620] px, inside the kernel's
+# range [10, 1000), where "%.6g" is fixed-point with 4 decimals below 100
+# and 3 from 100: the integer digits at bytes 0-2, the decimals at 2-6 (or
+# 3-6), the separator at 7.
+# by integer part i in [10, 1000): its 2 or 3 ASCII digits
+_I = np.arange(1000, dtype="<u8")
+_INT = np.where(_I < 100, 48 + _I // 10 | (48 + _I % 10) << 8,
+                48 + _I // 100 | (48 + _I // 10 % 10) << 8
+                | (48 + _I % 10) << 16)
+# by four-digit fraction f: "." and its digits, trailing zeros stripped;
+# nothing for f = 0
+_F = np.arange(10000, dtype="<u8")
+_KEPT = np.select([_F % 10 > 0, _F % 100 > 0, _F % 1000 > 0, _F > 0],
+                  [5, 4, 3, 2], 0).astype("<u8")  # bytes kept, "." included
+_FRAC = (46 | (48 + _F // 1000) << 8 | (48 + _F // 100 % 10) << 16
+         | (48 + _F // 10 % 10) << 24 | (48 + _F % 10) << 32) \
+    & ((np.uint64(1) << 8 * _KEPT) - 1)
+# the x and y separators at byte 7
+_SEPS = np.array([ord(","), ord(" ")], "<u8") << 56
+# below about this many points one "%" template is faster than the kernel
+_KERNEL_MIN_POINTS = 50
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
     """``points`` of a polyline through (px[k], py[k]), each coordinate as
-    ``_fmt`` writes it (``'%.6g' % v`` is ``f"{v:.6g}"``)."""
-    xy = [0.0] * (2 * len(px))
-    xy[0::2], xy[1::2] = px, py
-    return ("%.6g,%.6g " * len(px))[:-1] % tuple(xy)
+    ``'%.6g' % v`` writes it (which is ``_fmt``).
+
+    A polyline of fewer than ``_KERNEL_MIN_POINTS`` points, or with a
+    coordinate outside [10, 1000), is written with one ``%`` template.
+    Otherwise each ``v`` is scaled to ``s = v * 10**k``, k = 4 below 100
+    and 3 from 100, and ``m = rint(s)``.  As ``s < 2**20``, it is within
+    1.2e-10 of the exact ``t = v * 10**k``.  When ``|s - m| < 0.5 - 1e-6``
+    and ``m < 10**6``, m is t rounded to nearest, as correctly rounded
+    ``%`` rounds it, and the coordinate is m's integer digits and its
+    decimals with trailing zeros stripped.  Every other coordinate
+    (decimal ties such as 78.59375, and values that round to a seventh
+    digit, such as 99.99995) goes through ``%``.
+    """
+    xy = np.empty((len(px), 2))
+    xy[:, 0], xy[:, 1] = px, py
+    if len(px) < _KERNEL_MIN_POINTS or not (xy.min() >= 10.0
+                                            and xy.max() < 1e3):
+        return ("%.6g,%.6g " * len(px))[:-1] % tuple(xy.ravel().tolist())
+    big = xy >= 100.0
+    p = np.where(big, 1e3, 1e4)
+    s = xy * p
+    m = np.rint(s)
+    fast = (np.abs(s - m) < 0.5 - 1e-6) & (m < 1e6)
+    m = np.where(fast, m, 1e5)  # so that every cell indexes the tables
+    i = np.floor(m / p)  # exact: m and p are integers below 2**20
+    f = (m - i * p) * np.where(big, 10.0, 1.0)
+    words = (_INT.take(i.astype(np.intp))
+             | _FRAC.take(f.astype(np.intp)) << (16 + 8 * big.astype("<u8"))
+             | _SEPS)
+    slow = ~fast
+    if slow.any():
+        words.view(np.uint8).reshape(-1, 8)[slow.ravel(), :7] = np.array(
+            ["%.6g" % v for v in xy[slow].tolist()],
+            dtype="S7").view(np.uint8).reshape(-1, 7)
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _write(path: str, parts: list[str], sx, sy, x_ticks, y_ticks,
@@ -79,26 +135,31 @@ def _write(path: str, parts: list[str], sx, sy, x_ticks, y_ticks,
         fh.write("\n".join([*parts, *after, "</svg>\n"]))
 
 
-def line_chart(x, series: dict[str, list[float]], path: str, *,
-               x_label: str = "", hline: float | None = None,
-               x_scale: str = "linear") -> None:
-    """Write a multi-curve line chart; NaN and ±inf points break the
-    polyline.
+def _range(v: np.ndarray) -> tuple[float, float]:
+    """The least and the greatest value of ``v``; of equal values (-0.0 and
+    0.0) the first, as ``min`` and ``max`` take them."""
+    return v[v.argmin()].item(), v[v.argmax()].item()
+
+
+def line_chart(x, series: dict, path: str, *, x_label: str = "",
+               hline: float | None = None, x_scale: str = "linear") -> None:
+    """Write a multi-curve line chart of the arrays ``series`` over the
+    array ``x``; NaN and ±inf points break the polyline.
 
     The x axis is linear, or log10 for ``x_scale="log"`` (positive x only),
     with ticks at the ends and the middle of the axis: the mean of the ends,
     or their geometric mean on a log axis.
     """
-    xs = list(x)
-    yvs = [np.array(ys, dtype=float) for ys in series.values()]
+    x = np.asarray(x, dtype=float)
+    yvs = [np.asarray(ys, dtype=float) for ys in series.values()]
     all_y = np.concatenate([np.empty(0)] + [yv[np.isfinite(yv)]
-                                            for yv in yvs]).tolist()
-    if not xs or not all_y:
+                                            for yv in yvs])
+    if not x.size or not all_y.size:
         raise NothingToPlot("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = _range(x)
+    y_lo, y_hi = _range(all_y)
     sx = _scale(x_lo, x_hi, _ML, _W - _MR, x_scale)
-    sy = _scale(min(all_y + ([hline] if hline is not None else [])),
-                max(all_y + ([hline] if hline is not None else [])),
+    sy = _scale(*_range(all_y if hline is None else np.append(all_y, hline)),
                 _H - _MB, _MT)
     axes = [f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" '
             f'y2="{_H - _MB}" stroke="black"/>',
@@ -109,13 +170,14 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
         y = _fmt(sy(hline))
         parts.append(f'<line x1="{_ML}" y1="{y}" x2="{_W - _MR}" y2="{y}" '
                      f'stroke="#888888" stroke-dasharray="5,4"/>')
-    px = sx(np.array(xs, dtype=float)).tolist()
+    px = sx(x)
     for k, (name, yv) in enumerate(zip(series, yvs)):
         color = _COLORS[k % len(_COLORS)]
-        py = sy(yv).tolist()
+        py = sy(yv)
         # [start, stop) of each run of finite values
-        edges = np.flatnonzero(np.diff(np.isfinite(yv), prepend=False,
-                                       append=False)).tolist()
+        finite = np.zeros(len(yv) + 2, dtype=bool)
+        finite[1:-1] = np.isfinite(yv)
+        edges = np.flatnonzero(finite[1:] != finite[:-1]).tolist()
         for i, j in zip(edges[0::2], edges[1::2]):
             parts.append(f'<polyline fill="none" stroke="{color}" '
                          f'stroke-width="1.5" points="'
@@ -126,8 +188,7 @@ def line_chart(x, series: dict[str, list[float]], path: str, *,
     x_mid = math.sqrt(x_lo) * math.sqrt(x_hi) if x_scale == "log" \
         else 0.5 * (x_lo + x_hi)
     _write(path, axes, sx, sy, (x_lo, x_mid, x_hi),
-           (min(all_y), 0.5 * (min(all_y) + max(all_y)), max(all_y)), x_label,
-           after=parts)
+           (y_lo, 0.5 * (y_lo + y_hi), y_hi), x_label, after=parts)
 
 
 def _png(rgb: np.ndarray) -> bytes:
@@ -172,8 +233,9 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     sx = _scale(min(xs), max(xs), _ML, _W - _MR, x_scale)
     sy = _scale(min(ys), max(ys), _H - _MB, _MT, y_scale)
     # pixel size: cell centres run from one end of each axis to the other
-    cw = (_W - _ML - _MR) / max(len(xs) - 1, 1)
-    ch = (_H - _MT - _MB) / max(len(ys) - 1, 1)
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB  # the plot area's size
+    cw = pw / max(len(xs) - 1, 1)
+    ch = ph / max(len(ys) - 1, 1)
 
     # the blue-green-red ramp over [lo, hi], each channel written
     # straight into the uint8 image, which truncates toward zero as int()
@@ -186,14 +248,18 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
     rgb[..., 2] = 255 * (1.0 - t)
     rgb[~finite] = 0xcc
     png = base64.b64encode(_png(rgb[::-1])).decode("ascii")
-    parts = [f'<image x="{_fmt(_ML - cw / 2)}" y="{_fmt(_MT - ch / 2)}" '
+    # the nested viewport clips the edge pixels' outer halves, which lie
+    # outside the plot area
+    parts = [f'<svg x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
+             f'viewBox="{_ML} {_MT} {pw} {ph}">',
+             f'<image x="{_fmt(_ML - cw / 2)}" y="{_fmt(_MT - ch / 2)}" '
              f'width="{_fmt(cw * len(xs))}" height="{_fmt(ch * len(ys))}" '
              f'preserveAspectRatio="none" image-rendering="pixelated" '
-             f'href="data:image/png;base64,{png}"/>']
+             f'href="data:image/png;base64,{png}"/>', '</svg>']
     if contour:
         cx, cy = np.array(contour, dtype=float).T
         parts.append(f'<polyline fill="none" stroke="black" '
                      f'stroke-width="1.5" points="'
-                     f'{_points(sx(cx).tolist(), sy(cy).tolist())}"/>')
+                     f'{_points(sx(cx), sy(cy))}"/>')
     _write(path, parts, sx, sy, (min(xs), max(xs)), (min(ys), max(ys)),
            x_label, y_label)

@@ -337,6 +337,30 @@ class TestCurveRuns:
         assert calls == [5, 5]
         assert not record.warnings
 
+    def test_witness_float_call_runs_once_per_nan_cell(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        witness = cli._witness
+
+        def counted(knobs):
+            calls.append(knobs)
+            return witness(knobs)
+
+        monkeypatch.setattr(cli, "_witness", counted)
+        record = run(PRESETS["fig3a"](), output=str(tmp_path / "fig3a.csv"))
+        assert len(record.points) * 3 == 903 and calls == []
+        sc = Scenario(mode="curve",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("n", -1.0, 1.0, 5),
+                      cases=({"label": "a", "n0": 0.0},
+                             {"label": "b", "n0": 2.0}))
+        record = run(sc)
+        nan_cells = [(p["n"], c) for p in record.points
+                     for c in record.columns[1:] if math.isnan(p[c])]
+        assert len(nan_cells) == 4
+        assert [(k["n"], k["n0"]) for k in calls] == [
+            (-1.0, 0.0), (-1.0, 2.0), (-0.5, 0.0), (-0.5, 2.0)]
+
     def test_cold_curve_dips_then_recovers_toward_plateau(self):
         sc = Scenario(
             mode="curve",
@@ -393,6 +417,19 @@ class TestOtherModes:
         assert [(p["r"], p["gamma_over_G"]) for p in points] \
             == [(x1, x2) for x2 in v2.tolist() for x1 in v1.tolist()]
         assert list(points) == cells
+
+    def test_heatmap_off_the_steering_plane_writes_no_contour_file(
+            self, tmp_path):
+        # only an (r, gamma/G) map has an E = 1/2 contour; a map over other
+        # axes, here (r, n), writes its CSV and SVG and no contour file
+        sc = Scenario(mode="heatmap",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 0.0, 2.0, 5),
+                      sweep2=Sweep("n", 0.0, 5.0, 4))
+        record = run(sc, output=str(tmp_path / "map.csv"), svg=True)
+        assert "contour" not in record.summary
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["map.csv", "map.svg"]
 
     def test_heatmap_out_of_domain_cells_warn_in_point_order(self):
         sc = Scenario(
@@ -639,11 +676,10 @@ class TestFileFormats:
         record = cli.RunRecord(
             scenario_digest="ab" * 32, tool_version="0.0", wall_time_s=0.0,
             columns=["r", "E[n0=0,n=0]", "E_oracle[hot]"],
-            points=[{"r": 0.0, "E[n0=0,n=0]": nan, "E_oracle[hot]": inf},
-                    {"r": -0.0, "E[n0=0,n=0]": -inf,
-                     "E_oracle[hot]": 1e-300},
-                    {"r": 2.5, "E[n0=0,n=0]": 0.1,
-                     "E_oracle[hot]": -123456.789}],
+            points=cli._Table(["r", "E[n0=0,n=0]", "E_oracle[hot]"],
+                              np.array([[0.0, nan, inf],
+                                        [-0.0, -inf, 1e-300],
+                                        [2.5, 0.1, -123456.789]])),
             warnings=["point 1 (r=0, hot): closed-form moments overflow"],
             summary={"validated": False, "tolerance": 1e-6,
                      "contour": [(1.0, 0.1)]})
@@ -841,11 +877,19 @@ class TestFileFormats:
          "9f15bbd41f13c7ebac4506aaa713cb6329e3d6873af9adb0e588f7a4adfc1fc2"),
         ("long.svg",
          "bc43cceded7eadf7e744169e7a62ae23fb9294a911db5c9e17b36d9439810caf"),
+        ("fig3a.svg",
+         "30e6c20cb0281fa4c60e5ca34cd39c9d5060fc8cc649a12901c5cc7708122d84"),
+        ("fig3b.svg",
+         "373d5151c3f59fb5702f620f84dcfeca598e345bb31e280090520de6170d2829"),
     ])
     def test_svg_bytes_are_pinned(self, tmp_path, name, digest):
         nan, inf = math.nan, math.inf
         path = tmp_path / name
-        if name == "curve.svg":
+        if name.startswith("fig3"):
+            # the presets' charts, drawn through cli.run
+            run(PRESETS[name[:-4]](), output=str(path.with_suffix(".csv")),
+                svg=True)
+        elif name == "curve.svg":
             svgplot.line_chart([0.0, 1.0, 2.0, 3.0, 4.0],
                                {"a": [0.1, 0.4, nan, 0.6, 0.5],
                                 "b": [0.9, 0.7, 0.5, inf, 0.2]},
@@ -893,13 +937,13 @@ class TestFileFormats:
     # PNG's decoded scanlines
     @pytest.mark.parametrize("name, text_digest, scanline_digest", [
         ("fig4",
-         "e94c72a63fb2434771e50b2986a08faf8622cc3bd92ff00f9797e0fdbca38b21",
+         "67383ef3d882c226532b913b6e1a8892885c37b2dfcccfa1b29ca310fab6b7e9",
          "5f1ccee4644fe6226459ab259f8c8c11b7cd6b10ae24029759f368b6a0d18db9"),
         ("nonfinite",
-         "dc57153ed8970d19c2266c742ad0a2864d3320fcc3aa1fc59331871df29bc409",
+         "b14ded4747311fabca5e9da42a0d3f9dac1cf343c61f108176f9d166ba7f157a",
          "64cf6b5970572fd62d7d51388254506c99f2b29ff58ee1e3d174a4f1fc9f98f8"),
         ("constant",
-         "32500da3d87d51979114b1386300c0baffec7f131b80d0ff32b5b1f25b1ea8e0",
+         "a9f0439fa4fb60b12ee25ebe37d46099a6ac615f6c9829b7b28cc2dc998beba9",
          "e68260c73fe74f3435ee1b200e27517941dc3d63d22702d7b914a107779556e5"),
     ], ids=["fig4", "nonfinite", "constant"])
     def test_heatmap_svg_is_pinned(self, tmp_path, name, text_digest,
@@ -909,6 +953,25 @@ class TestFileFormats:
         assert text.count("<image ") == 1 and text.count("<rect ") == 1
         assert hashlib.sha256(cut.encode()).hexdigest() == text_digest
         assert hashlib.sha256(scanlines).hexdigest() == scanline_digest
+
+    @pytest.mark.parametrize("name", ["fig4", "nonfinite", "constant"])
+    def test_heatmap_image_is_clipped_to_the_plot_area(self, tmp_path, name):
+        # the edge pixels are centred on the plot area's edges, so their
+        # outer halves lie outside it (x in [-67.5, 757.5] for "constant");
+        # the image sits in a nested viewport equal to the plot rectangle
+        text, _ = self.draw_heatmap(name, tmp_path)
+        lines = text.splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("<image "))
+        x, y = svgplot._ML, svgplot._MT
+        w = svgplot._W - svgplot._ML - svgplot._MR
+        h = svgplot._H - svgplot._MT - svgplot._MB
+        assert lines[k - 1] == (f'<svg x="{x}" y="{y}" width="{w}" '
+                                f'height="{h}" viewBox="{x} {y} {w} {h}">')
+        assert lines[k + 1] == "</svg>"
+        image = {key: float(v) for key, v in re.findall(
+            r'(\w+)="([-\d.e+]+)"', lines[k].split("href")[0])}
+        assert image["x"] < x and image["x"] + image["width"] > x + w
+        assert image["y"] < y and image["y"] + image["height"] > y + h
 
     @pytest.mark.parametrize("name", ["fig4", "nonfinite", "constant"])
     def test_heatmap_pixels_are_the_ramp_colors(self, tmp_path, name):
@@ -967,6 +1030,18 @@ class TestFileFormats:
         first = text.split('points="')[1].split('"')[0].split()
         assert [float(p.split(",")[0]) for p in first] == pytest.approx(
             [70 + 550 * k / 40 for k in range(41)], abs=1e-3)
+
+    @pytest.mark.parametrize("ys, low", [
+        ([-0.0, 0.0, 1.0], "-0"), ([0.0, -0.0, 1.0], "0"),
+        ([1.0, 0.0, -0.0], "0"), ([1.0, -0.0, 0.0], "-0")])
+    def test_line_chart_range_is_the_first_least_value(self, tmp_path, ys,
+                                                       low):
+        # -0.0 == 0.0: the least y is the first of them, as min() takes it
+        path = tmp_path / "zeros.svg"
+        svgplot.line_chart(np.array([0.0, 1.0, 2.0]), {"E": np.array(ys)},
+                           str(path))
+        ticks = re.findall(r'text-anchor="end">([^<]*)<', path.read_text())
+        assert ticks == [low, "0.5", "1"]
 
     def test_heatmap_contour_line_is_pinned(self, tmp_path):
         path = tmp_path / "contour.svg"
@@ -1045,6 +1120,55 @@ class TestCellKernel:
         with path.open("rb") as fh:
             assert sum(1 for _ in fh) == 1001 * 1001 + 3
         assert peak < 0.25 * path.stat().st_size
+
+
+class TestPolylineKernel:
+    """``svgplot._points`` writes what the ``"%.6g"`` template writes."""
+
+    # the ends of the kernel's range [10, 1000), values whose rounding to
+    # six digits carries into a seventh, and odd multiples of 2**-6, whose
+    # sixth digit is an exact decimal tie that "%" rounds half to even
+    SPECIAL = [10.0, 100.0, 1000.0, 99.99995, 999.9995, 78.59375,
+               np.nextafter(10.0, 0.0), np.nextafter(1000.0, 0.0),
+               np.nextafter(100.0, 0.0), 99.999949999, 999.99949999]
+    TIES = st.integers(640, 63999).map(lambda k: k / 64)
+    # values next to a decimal tie in the sixth digit
+    NEAR_TIES = st.one_of(
+        st.integers(100000, 999999).map(lambda k: (k + 0.5) / 1e4),
+        st.integers(100000, 999999).map(lambda k: (k + 0.5) / 1e3))
+
+    @staticmethod
+    def assert_exact(px, py):
+        px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+        assert svgplot._points(px, py) == " ".join(
+            f"{x:.6g},{y:.6g}" for x, y in zip(px.tolist(), py.tolist()))
+
+    @staticmethod
+    def polyline(data, values):
+        """Up to 64 drawn values, repeated to 1-160 points as x and y: on
+        both sides of the kernel's size threshold (50 points)."""
+        drawn = data.draw(arrays(np.float64, st.integers(1, 64),
+                                 elements=values))
+        n = data.draw(st.integers(1, 160))
+        return np.resize(drawn, (2, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_in_the_kernel_range(self, data):
+        self.assert_exact(*self.polyline(data, st.one_of(
+            st.floats(10.0, 1000.0, exclude_max=True),
+            st.sampled_from(self.SPECIAL), self.TIES, self.NEAR_TIES)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_range(self, data):
+        self.assert_exact(*self.polyline(data, st.one_of(
+            st.floats(0.0, 1100.0), st.sampled_from(self.SPECIAL),
+            self.TIES)))
+
+    def test_every_tie_of_the_grid(self):
+        x = np.arange(640, 64000) / 64
+        self.assert_exact(x, x[::-1])
 
 
 class TestPresets:
@@ -1477,8 +1601,9 @@ class TestEntryPoint:
     ], ids=["heatmap", "curve"])
     def test_svg_with_nothing_to_plot_is_skipped(self, tmp_path, capsys,
                                                  doc):
-        # every cell is NaN (r < 0): the run writes its CSV and contour as
-        # without --svg, no SVG, and one warning line on stderr
+        # every cell is NaN (r < 0): the run writes its CSV as without
+        # --svg, no SVG, and one warning line on stderr; neither the (r, n)
+        # map nor the curve has a contour file
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({**valid_doc(doc["mode"]), **doc}))
         outputs = {}
@@ -1493,6 +1618,7 @@ class TestEntryPoint:
             err = capsys.readouterr().err
         assert outputs[()] == outputs[("--svg",)]
         assert not list(tmp_path.glob("*.svg"))
+        assert not list(tmp_path.glob("*.contour.csv"))
         assert err == (f"steerkit: warning: no finite value to plot; "
                        f"{tmp_path / 'plain1.svg'} not written\n")
         lines = (tmp_path / "plain1.csv").read_text().splitlines()
