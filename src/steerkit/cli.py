@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -219,9 +220,10 @@ class Scenario:
                     mode.sweep_variables:
                 raise ConfigError(f"mode {self.mode!r} sweeps "
                                   f"{' or '.join(mode.sweep_variables)}")
-        if mode.sweeps == 2 and self.sweep.variable == self.sweep2.variable:
-            raise ConfigError(f"mode {self.mode!r} needs two different "
-                              f"sweep variables")
+        if mode.sweeps == 2 and \
+                _knob(self.sweep.variable) == _knob(self.sweep2.variable):
+            raise ConfigError(f"mode {self.mode!r} needs sweep variables that "
+                              f"set two different knobs ('tau' sets 'r')")
         if self.cases and not mode.cases:
             raise ConfigError(f"mode {self.mode!r} reads no cases")
         unread = set(self.tolerances) - set(mode.tolerances)
@@ -373,13 +375,14 @@ def _rate_block(cls, params: dict, kind: str):
         raise ConfigError(f"{kind} params missing {exc}") from exc
 
 
+def _knob(variable: str) -> str:
+    """The ratio knob a sweep variable sets: ``tau`` sets ``r``, because
+    net gain is the unit of rate in ratio form."""
+    return "r" if variable == "tau" else variable
+
+
 def _apply(knobs: dict, variable: str, value: float) -> dict:
-    out = dict(knobs)
-    if variable == "tau":
-        out["r"] = value  # net gain is the unit of rate in ratio form
-    else:
-        out[variable] = value
-    return out
+    return {**knobs, _knob(variable): value}
 
 
 def _reduced(knobs: dict) -> ReducedParams:
@@ -825,12 +828,20 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.  Points run in order on one thread.  ``threads``
-    is not read: it stays only because ``benchmark/worker.py`` passes it.
+    failed its tolerance.  The format, the scenario and the table and SVG
+    paths are checked before any point is computed; the contour path, which
+    only the runner decides on, when it is written.  Points run in order on
+    one thread.  ``threads`` is not read: it stays only because
+    ``benchmark/worker.py`` passes it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format {fmt!r} not csv|json")
     scenario.validate()
+    path = output or scenario.output
+    if path:
+        _check_output(path)
+        if svg:
+            _check_output(_with_suffix(path, ".svg"))
     mode = _MODES[scenario.mode]
     tol = {k: float(v)
            for k, v in {**mode.tolerances, **scenario.tolerances}.items()}
@@ -847,7 +858,6 @@ def run(scenario: Scenario, *, output: str | None = None,
         summary=summary,
         exit_code=0 if summary.get("validated", True) else 3,
     )
-    path = output or scenario.output
     if path:
         if fmt == "csv":
             _write_csv(path, record)
@@ -998,6 +1008,17 @@ def _output(path: str):
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Refuse an output whose directory is missing, or that is a directory,
+    with a ``ConfigError`` that names it as ``_output``'s does; create
+    nothing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path!r}: no directory {folder!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it is a directory")
 
 
 def _write_csv(path: str, record: RunRecord, contour=None) -> None:

@@ -31,7 +31,7 @@ from .errors import DegenerateVariance, InvalidParams, NoThreshold
 # settings of the threshold searches; the CLI's defaults read R_MAX and N_TOL
 R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
-N_CAP = 1e6  # noise_threshold gives up past this n
+N_CAP = 1e6  # noise_threshold gives up where steering survives at this n
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
 PASS_ROUNDS = 3  # bisection rounds per witness pass of steering_region
 
@@ -70,47 +70,29 @@ class ThresholdResult:
     bracket: tuple[float, float]
 
 
-def _check_search(r_max: float, tol: float) -> None:
-    if not 0.0 < r_max < math.inf:
-        raise InvalidParams(f"r_max must be finite and > 0, got {r_max!r}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be > 0, got {tol!r}")
-
-
-def _bisect(up, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Shrink ``[lo, hi]`` to width ``tol`` keeping ``up(lo)`` true and
-    ``up(hi)`` false, or until no float lies strictly between them."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if up(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
                     tol: float = N_TOL) -> ThresholdResult:
     """Largest bath occupation with collective steering at every pulse area.
 
-    Bisect on n for the condition ``E <= 1/2 at every r in (0, r_max]``,
-    after doubling n from 1, down to a bracket of width ``tol`` or of
-    adjacent floats.  Raises ``NoThreshold`` when even n = 0 fails (too
-    much damping, or a warm mirror: with n0 > 0 the witness tends to
-    n0 + 1/2 > 1/2 as r -> 0, so the condition fails at every n) or when
-    steering survives past ``N_CAP`` (damping too weak to set a bound).
-
     For a ground-state mirror E <= 1/2 holds at pulse area r exactly up to
-    ``closedform.max_occupation``, which falls monotonically in r.  The
-    condition thus holds exactly for n <= n*, the bound at ``r_max``, and
-    every step of the search takes that comparison.
+    ``closedform.max_occupation``, which falls monotonically in r, so the
+    condition ``E <= 1/2 at every r in (0, r_max]`` holds exactly for
+    n <= n*, the bound at ``r_max``.  The bracket is found as a search on
+    that condition would find it: double n from 1 while n <= n*, then
+    halve the bracket, comparing each midpoint with n*, down to width
+    ``tol`` or to adjacent floats.  Raises ``NoThreshold`` when n* < 0,
+    so even n = 0 fails (too much damping, or a warm mirror: with n0 > 0
+    the witness tends to n0 + 1/2 > 1/2 as r -> 0, so the condition fails
+    at every n), or when n* >= ``N_CAP``, so steering survives at the cap
+    (damping too weak to set a bound).
     """
     if not 0.0 < gamma_over_G < 1.0:
         raise InvalidParams(
             f"gamma_over_G must be in (0, 1), got {gamma_over_G!r}")
-    _check_search(r_max, tol)
+    if not 0.0 < r_max < math.inf:
+        raise InvalidParams(f"r_max must be finite and > 0, got {r_max!r}")
+    if not tol > 0.0:
+        raise InvalidParams(f"tol must be > 0, got {tol!r}")
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
     if n0 > 0.0:
@@ -119,24 +101,26 @@ def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
             f"mirror: E tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = {n0})")
 
     n_star = max_occupation(r_max, gamma_over_G, n0)
-
-    def ok(n: float) -> bool:
-        return n <= n_star
-
-    if not ok(0.0):
+    if not n_star >= 0.0:
         raise NoThreshold(
             f"no collective steering over (0, {r_max}] even at n = 0 "
             f"for gamma/G = {gamma_over_G}")
+    if n_star >= N_CAP:
+        raise NoThreshold(
+            f"steering survives past the n = {N_CAP:.3g} search cap for "
+            f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
+            "survives any bath occupation")
     lo, hi = 0.0, 1.0
-    while ok(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > N_CAP:
-            raise NoThreshold(
-                f"steering survives past the n = {N_CAP:.3g} search cap for "
-                f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
-                "survives any bath occupation")
-    lo, hi = _bisect(ok, lo, hi, tol)
+    while hi <= n_star:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid <= n_star:
+            lo = mid
+        else:
+            hi = mid
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
 
 

@@ -33,12 +33,7 @@ from steerkit.closedform import (
 )
 from steerkit.cli import _BLOCK_MOMENTS
 from steerkit.errors import DegenerateVariance
-from steerkit.steering import (
-    BISECTION_ROUNDS,
-    N_CAP,
-    ThresholdResult,
-    _bisect,
-)
+from steerkit.steering import BISECTION_ROUNDS, N_CAP, ThresholdResult
 from steerkit.dynamics import (
     B_TILDE,
     U_OUT,
@@ -233,21 +228,34 @@ def _sup_over_r(x: float, n0: float, n: float, r_max: float,
                (collective_steering_value(r_best, x, n0, n), float(r_best)))
 
 
+def _bisect(up, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` to width ``tol`` keeping ``up(lo)`` true and
+    ``up(hi)`` false, or until no float lies strictly between them."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def sup_threshold(x: float, n0: float, r_max: float,
                   tol: float) -> ThresholdResult | None:
     """``noise_threshold``'s doubling and bisection on n with every step
-    taking ``_sup_over_r``; None where it finds no threshold."""
+    taking ``_sup_over_r``; None where it finds no threshold: where the
+    condition fails at n = 0, or still holds at n = ``N_CAP``."""
 
     def ok(n: float) -> bool:
         return _sup_over_r(x, n0, n, r_max)[0] <= 0.5
 
-    if not ok(0.0):
+    if not ok(0.0) or ok(N_CAP):
         return None
     lo, hi = 0.0, 1.0
     while ok(hi):
         lo, hi = hi, 2.0 * hi
-        if hi > N_CAP:
-            return None
     lo, hi = _bisect(ok, lo, hi, tol)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
 

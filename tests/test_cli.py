@@ -453,6 +453,15 @@ class TestOtherModes:
         assert record.points[4]["E"] == collective_steering_value(
             0.0, 0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("pair", [("tau", "r"), ("r", "tau")])
+    def test_heatmap_over_tau_and_r_exits_2(self, tmp_path, capsys, pair):
+        # tau sets r in ratio form: both axes would set one knob, and the
+        # map would be constant along one of them
+        doc = valid_doc("heatmap")
+        doc["sweep"] = {**SMALL_SWEEP, "variable": pair[0]}
+        doc["sweep2"] = {**SMALL_SWEEP, "variable": pair[1]}
+        assert_exit_2(tmp_path, capsys, doc)
+
     def test_negative_pulse_areas_in_a_steering_region_map(
             self, tmp_path, capsys):
         # the (r, gamma/G) pair goes through steering_region: its cells
@@ -1262,6 +1271,32 @@ class TestEntryPoint:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"cannot write {path!r}: ")
+
+    @pytest.mark.parametrize("args, path", [
+        (["inset", "--run"], "missing/x.csv"),
+        (["inset", "--run", "--format", "json"], "missing/x.csv"),
+        (["inset", "--run", "--svg"], "missing/x.csv"),
+        (["inset", "--run"], "x.csv"),
+        (["inset", "--run", "--svg"], "x.svg"),
+    ], ids=["csv", "json", "svg-missing-dir", "csv-dir", "svg"])
+    def test_unwritable_output_fails_before_computing(
+            self, tmp_path, capsys, monkeypatch, args, path):
+        # the table and SVG paths are checked before any point is computed,
+        # and a refused run writes none of its files
+        def computed(*args, **kwargs):
+            pytest.fail("the scenario ran")
+
+        monkeypatch.setattr(steering, "noise_threshold", computed)
+        monkeypatch.chdir(tmp_path)
+        missing = path.startswith("missing/")
+        if not missing:
+            Path(path).mkdir()
+        output = path if missing else "x.csv"
+        assert cli.main(["preset", *args, "--output", output]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"cannot write {path!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if missing
+                                                        else [path])
 
     @pytest.mark.parametrize("edit", [
         {"cases": [1]},

@@ -29,8 +29,14 @@ from steerkit import (
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit import steering
-from steerkit.closedform import LARGE_R, SCALED_R
-from steerkit.steering import BISECTION_ROUNDS, PASS_ROUNDS, R_MAX
+from steerkit.closedform import LARGE_R, SCALED_R, max_occupation
+from steerkit.steering import (
+    BISECTION_ROUNDS,
+    N_CAP,
+    PASS_ROUNDS,
+    R_MAX,
+    ThresholdResult,
+)
 
 E2 = math.e ** 2
 
@@ -258,6 +264,18 @@ class TestNoiseThreshold:
     def test_weak_damping_escapes_the_cap(self):
         with pytest.raises(NoThreshold):
             noise_threshold(1e-4, 0.0)
+        # n* = 1.2e6, just past the cap
+        assert max_occupation(R_MAX, 0.0075, 0.0) > N_CAP
+        with pytest.raises(NoThreshold):
+            noise_threshold(0.0075, 0.0)
+
+    @pytest.mark.parametrize("x, bracket", [
+        (0.0098, (541653.0, 541653.5)), (0.008, (992187.0, 992187.5))])
+    def test_thresholds_between_2_to_the_19_and_the_cap(self, x, bracket):
+        # the cap is read on n* itself, not on the doubling's next step
+        assert 2.0 ** 19 < max_occupation(R_MAX, x, 0.0) < N_CAP
+        assert noise_threshold(x, 0.0) \
+            == ThresholdResult(0.5 * sum(bracket), bracket)
 
     def test_warm_mirror_has_no_all_pulse_threshold(self):
         # with n0 > 0 the witness starts above 1/2, so no bath occupation
@@ -273,7 +291,8 @@ class TestNoiseThreshold:
                 noise_threshold(0.3, n0)
 
     @pytest.mark.parametrize("x, r_max", [
-        (0.1, 10.0), (0.05, 6.0), (0.3, 50.0), (0.0049, 10.0), (0.9, 0.3)])
+        (0.1, 10.0), (0.05, 6.0), (0.3, 50.0), (0.0049, 10.0), (0.9, 0.3),
+        (0.0098, 10.0), (0.008, 10.0)])
     @pytest.mark.parametrize("tol", [0.5, 1e-9])
     def test_same_result_as_the_search_on_the_sup(self, x, r_max, tol):
         # the closed-form bound answers the doubling and bisection steps
