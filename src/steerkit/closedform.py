@@ -4,10 +4,11 @@ Everything here is a function of the dimensionless pulse area ``r = G tau``,
 the damping ratio ``x = gamma/G``, the gain split ``G1/G2`` (the single-mode
 witness takes the measured mode's fraction ``G_j/G`` instead), and the two
 thermal occupations ``(n0, n)``.  The moment formulas are definitions; the
-steering values are conditional variances computed from them, evaluated in
-an algebraically equivalent expanded form that stays accurate where the
-naive ``var - cov^2/var`` subtraction loses all significant digits (large
-pulse area with a hot mirror).
+steering values are conditional variances computed from them, each
+evaluated as one rational expression in factors of r that stay within
+[0, 1] (``_r_factors``): it stays accurate where the naive ``var -
+cov^2/var`` subtraction loses all significant digits (large pulse area
+with a hot mirror), and needs no band or asymptote at any r.
 
 Conventions: symmetric (Weyl) ordering, vacuum variance 1/2, quadratures
 ``X = (a + a^dag)/sqrt(2)`` and ``P = (a - a^dag)/(i sqrt(2))``.  By the
@@ -25,16 +26,12 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidParams
 
-# Beyond this pulse area e^{2r} overflows; closed asymptotes take over.
+# Beyond this pulse area 4 r e^{2r} nears the end of the float range, and
+# gain_filter_ratio takes its other form.
 LARGE_R = 350.0
 
 # Below this pulse area sinh(r) - r is summed as its Taylor series.
 SINH_SERIES_R = 0.5
-
-# Above this pulse area the witnesses divide their terms by u = e^{2r} - 1
-# before multiplying: products such as a*u overflow short of LARGE_R once
-# the occupations are large.  Below it the terms are formed as written.
-SCALED_R = 100.0
 
 
 def _sinh_series(y2):
@@ -44,6 +41,31 @@ def _sinh_series(y2):
     return 1.0 / 6.0 + y2 * (1.0 / 120.0 + y2 * (
         1.0 / 5040.0 + y2 * (1.0 / 362880.0 + y2 * (
             1.0 / 39916800.0 + y2 / 6227020800.0))))
+
+
+def _r_factors(r, r_lo=0.0, r_hi=np.inf) -> tuple:
+    """The factors of r that both witnesses and ``max_occupation`` are
+    written in, each within [0, 1] for r > 0, so that no r needs a band or
+    an asymptote: ``(t, v, h, q, dm)`` with ``t = 1 - e^{-2r}``, ``v =
+    e^{-2r}``, ``h = r v / t = r / (e^{2r} - 1)``, ``q = 2 r e^{-r}`` and
+    ``dm = t - q = 2 e^{-r} (sinh r - r)``.  ``dm`` cancels at small r and
+    is summed as its series below ``SINH_SERIES_R``; a caller that knows
+    bounds ``r_lo <= r <= r_hi`` (NaN for unknown) passes them, so that
+    only the branch r needs is built, with no per-cell choice.  Floats and
+    numpy arrays alike, under the caller's numpy error state; r = 0 and
+    r = inf give NaN in ``h`` (and in ``q`` at inf)."""
+    er = np.exp(-r)
+    t = -np.expm1(-2.0 * r)
+    v = er * er
+    q = 2.0 * (r * er)
+    if r_lo >= SINH_SERIES_R:
+        dm = t - q
+    else:
+        y2 = r * r
+        dm = 2.0 * er * (r * y2 * _sinh_series(y2))
+        if not r_hi < SINH_SERIES_R:
+            dm = np.where(r < SINH_SERIES_R, dm, t - q)
+    return t, v, r * v / t, q, dm
 
 
 def gain_filter_ratio(r: float) -> float:
@@ -171,33 +193,18 @@ def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
                      [c2, 0.0, 0.0, c12, 0.0, v2]])
 
 
-def _plateau(x, b):
-    """Large-r limit of the collective witness for damping ratio ``x > 0``;
-    ``b = 1/2 + x (n + 1)``."""
-    return x * x * b / ((1.0 + x) * (1.0 + x))
-
-
 def _coefficients(x, n0, n) -> tuple:
-    """The factors of the collective witness that do not depend on r:
-    ``(x, n0, a, b, c, 16 x^2 b^2, 8 x b (2 n0 + 1) (1 + x), 4 x^2 a b,
-    (1 + x)^2, x b)`` with ``a = n0 + 1 + x (n + 1)``, ``b = 1/2 + x (n +
-    1)`` and ``c = 2 b (2 n0 + 1) (2 x^2 + 2 x + 1)``.  Each is the
-    left-to-right prefix of a product in ``_collective_terms``, so computing
-    it once for many r changes no bit.  Squares are products, as a float
-    ``**`` is C ``pow``: it rounds otherwise and raises ``OverflowError``."""
-    a = n0 + 1.0 + x * (n + 1.0)
+    """The factors of the collective witness that do not depend on r, as
+    ``_collective_cells`` reads them, with ``b = 1/2 + x (n + 1)`` and ``s
+    = x / (1 + x)``: ``(n0, s, s^2, 4 s^2 b^2, 2 b (2 n0 + 1), 4 b, 2 (2 n0
+    + 1))``, so a caller computes them once for many r.  Squares are
+    products, as a float ``**`` is C ``pow``: it rounds otherwise and
+    raises ``OverflowError``."""
     b = 0.5 + x * (n + 1.0)
-    return (x, n0, a, b,
-            2.0 * b * (2.0 * n0 + 1.0) * (2.0 * x * x + 2.0 * x + 1.0),
-            16.0 * x * x * b * b, 8.0 * x * b * (2.0 * n0 + 1.0) * (1.0 + x),
-            4.0 * x * x * a * b, (1.0 + x) * (1.0 + x), x * b)
-
-
-def _var_W(co: tuple, u, kr):
-    """``var_XW_out`` from ``_coefficients``, with ``u = e^{2r} - 1`` and
-    ``kr = gain_filter_ratio(r)``."""
-    x, _, a, b, _, _, _, _, g2, xb = co
-    return g2 * (a * u + b) + xb * (x - (1.0 + x) * kr)
+    s = x / (1.0 + x)
+    sb = s * b
+    return (n0, s, s * s, 4.0 * sb * sb, 2.0 * b * (2.0 * n0 + 1.0), 4.0 * b,
+            2.0 * (2.0 * n0 + 1.0))
 
 
 def _w_moments(r: float, x: float, n0: float, n: float) -> tuple[float, float]:
@@ -206,33 +213,18 @@ def _w_moments(r: float, x: float, n0: float, n: float) -> tuple[float, float]:
     float.  W is no mode of that block: it carries the mirror's bath input
     (``collective_steering_value``)."""
     u = _growth(r)
-    co = _coefficients(x, n0, n)
-    var_W = _var_W(co, u, gain_filter_ratio(r))
+    a = n0 + 1.0 + x * (n + 1.0)
+    b = 0.5 + x * (n + 1.0)
+    var_W = (1.0 + x) * (1.0 + x) * (a * u + b) \
+        + x * b * (x - (1.0 + x) * gain_filter_ratio(r))
     if r == 0.0:
         cov_W = 0.0
     else:
-        cov_W = -(1.0 + x) * (math.exp(r) * math.sqrt(u)) * co[2] \
-            + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * co[3]
+        cov_W = -(1.0 + x) * (math.exp(r) * math.sqrt(u)) * a \
+            + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * b
     if not (math.isfinite(var_W) and math.isfinite(cov_W)):
         raise _overflow(r)
     return var_W, cov_W
-
-
-def _collective_terms(co: tuple, r, u, kr, scaled: bool):
-    """``(var_XW_out, numerator / u)`` of the collective witness: the part
-    that depends on r, from the ``_coefficients`` ``co``, with
-    ``u = e^{2r} - 1`` and ``kr = gain_filter_ratio(r)``.  The numerator of
-    ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` is expanded so that no
-    catastrophic cancellation occurs anywhere in parameter space.  With
-    ``scaled`` (for ``r > SCALED_R``) both terms come divided by ``u``, so
-    no product with ``u`` is formed and nothing overflows below ``LARGE_R``.
-    """
-    x, _, a, b, c, k_rr, k_r, k_u, g2, xb = co
-    rterm = k_rr * r * r + k_r * r
-    if scaled:
-        return (g2 * (a + b / u) + xb * (x - (1.0 + x) * kr) / u,
-                k_u + (c - rterm * (1.0 + 1.0 / u)) / u)
-    return _var_W(co, u, kr), k_u * u + c - rterm * (1.0 + 1.0 / u)
 
 
 def collective_steering_value(r: float | np.ndarray,
@@ -242,10 +234,14 @@ def collective_steering_value(r: float | np.ndarray,
     """Steering witness of the mirror given the collective mode W.
 
     Equals ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` (``S[0, 0]`` of
-    ``output_block``, and ``_w_moments``), evaluated through the expanded
-    numerator of that rational function so no catastrophic cancellation
-    occurs anywhere in parameter space.  For
-    zero damping the expression reduces exactly to
+    ``output_block``, and ``_w_moments``), evaluated as one rational
+    expression in the bounded factors of ``_r_factors`` at every r > 0
+    (``_collective_cells``).  Against an mpmath evaluation of that
+    definition at 4r/ln 10 + 60 digits it is within 5e-15 relative (4.5e-15
+    measured) over gamma/G in {0, 0.1, 1, 3}, n0 in {0, 1, 20}, n in {0, 10,
+    10^3, 10^6} and r in [1e-8, 400] (for gamma = 0 up to r = 350, where E
+    leaves the float range).  For zero damping the
+    expression reduces exactly to
 
         ``(n0 + 1/2) / (2 (n0 + 1) (e^{2r} - 1) + 1)``.
 
@@ -268,30 +264,29 @@ def collective_steering_value(r: float | np.ndarray,
     counts once.  The factors that depend on r alone are computed on r's
     axes and those that do not on those of ``(gamma_over_G, n0, n)``; only
     the final expression takes the full shape, so each cell rounds as the
-    float call does.  A cell outside the
-    domain (a negative or NaN argument), with a non-positive
-    ``var_XW_out`` or past the float range is NaN.  A float call is one
-    cell: it raises ``InvalidParams`` outside the domain and
-    ``DegenerateVariance`` where the cell is NaN.
+    float call does.  A cell outside the domain (a negative or NaN
+    argument) or past the float range is NaN.  A float call is one cell:
+    it raises ``InvalidParams`` outside the domain and
+    ``DegenerateVariance`` where the cell is not a finite float.
     """
     if not any(isinstance(v, np.ndarray) for v in (r, gamma_over_G, n0, n)):
         _check_inputs(r, gamma_over_G, n0, n)
         E = _collective_cells(np.float64(r), _coefficients(
-            float(gamma_over_G), float(n0), float(n)))
-        if np.isnan(E):
+            float(gamma_over_G), float(n0), float(n)), (r, r))
+        if not np.isfinite(E):
             raise DegenerateVariance(
-                f"var_XW_out is not positive or a term leaves the float "
-                f"range at (r, gamma_over_G, n0, n) = "
-                f"{(r, gamma_over_G, n0, n)!r}")
+                f"a term leaves the float range at (r, gamma_over_G, n0, n) "
+                f"= {(r, gamma_over_G, n0, n)!r}")
         return float(E)
     args = [np.asarray(v, dtype=float) for v in (r, gamma_over_G, n0, n)]
     shape = np.broadcast(*args).shape
     # a float knob stays a float, which numpy combines with arrays faster
     r = _own_axes(args[0])
     x, n0, n = (_own_axes(a) if a.ndim else float(a) for a in args[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         co = _coefficients(x, n0, n)
-    E = _collective_cells(r, co, (x >= 0.0) & (n0 >= 0.0) & (n >= 0.0))
+    E = _collective_cells(r, co, ok=(x >= 0.0) & (n0 >= 0.0) & (n >= 0.0))
+    np.copyto(E, np.nan, where=np.isinf(E))  # past the float range
     if E.shape != shape:  # a view's repeated axis the knobs do not span
         E = np.broadcast_to(E, shape).copy()
     return E
@@ -306,56 +301,89 @@ def _own_axes(a: np.ndarray) -> np.ndarray:
                    for s in a.strides)]
 
 
-def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
+def _collective_cells(r: np.ndarray, co: tuple, bounds=None,
+                      ok=True) -> np.ndarray:
     """The collective witness over the broadcast of ``r`` (a numpy float is
     one cell) and ``co``, the ``_coefficients`` with each entry a scalar or
-    an array, so a caller may compute them once for many r.  Each branch of
-    r is one numpy expression over the whole broadcast, kept where r lies
-    in it.  The least and greatest r decide which branches a call needs (a
-    NaN r needs them all), so a call whose r lies in the direct band
-    ``(0, SCALED_R]`` builds no per-cell branch mask.  Cells outside the
-    mask ``ok`` (skipped when it is True), or with r negative or NaN, are
-    NaN."""
+    an array, so a caller may compute them once for many r.
+
+    With the factors ``(t, v, h, q, dm)`` of ``_r_factors``, ``A_r = dm (t
+    + q) / t = t - 4 r h`` (a product, so that its r^3 behaviour at small r
+    is not a difference), ``w = v A_r / t = v - 4 h^2``, ``s = x / (1 + x)``
+    and ``b = 1/2 + x (n + 1)``, the numerator and ``var_XW_out`` of
+    ``var_Xm_out - cov_Xm_PW^2 / var_XW_out``, divided by e^{2r} and by
+    (1 + x)^2 / 4, are
+
+        ``num = 4 x^2 b^2 / (1 + x)^2 A_r + 2 b (2 n0 + 1) ((s - 2h)^2 + w)``
+        ``den = 2 (2 n0 + 1) t + 4 b ((1 - 2 s h)^2 + s^2 w)``
+
+    and ``E = num / den``.  Both are sums of products of factors that are
+    not negative, so no term cancels another at any r or knob.  (Multiplied
+    out, ``num`` is ``4 x^2 b^2 A_r + 4 x^2 b (n0 + 1/2) t + 2 b (2 n0 + 1)
+    ((2 x^2 + 2 x + 1) v - 4 x (1 + x) h)`` times 4 / (1 + x)^2, whose terms
+    cancel up to 75-fold near r = 0.23 at gamma/G = 3, n0 = 20, and a float
+    evaluation of it errs by up to 3e-14.)  ``1 - 2h`` cancels at small r,
+    but there ``s - 2h`` and ``1 - 2 s h`` are near ``s - 1`` and ``1 -
+    s``, so their absolute accuracy is enough.  ``den`` is positive for every knob
+    in the domain.  Past r ~ 372 ``v`` and ``h`` underflow to 0 and E sits
+    on the plateau ``x^2 b / (1 + x)^2``, up to rounding; r = inf is
+    evaluated at r = 1e3, as ``r e^{-r}`` is NaN there.
+
+    ``bounds`` are a lower and an upper bound of r (NaN where r may be
+    NaN), which choose the branch of ``dm`` and whether the pins below are
+    needed; a caller that evaluates many passes within known brackets
+    passes them, and by default they are the least and greatest r.  r = 0
+    is ``n0 + 1/2``.  Cells outside the mask ``ok`` (skipped when it is
+    True), or with r negative or NaN, are NaN; a cell where a term leaves
+    the float range is NaN or inf."""
     # the least and greatest r, NaN if any r is
-    r_lo, r_hi = r.min(initial=np.inf), r.max(initial=-np.inf)
-    E = _collective_band(co, r, False)
-    if not r_hi <= SCALED_R:  # only grids reaching SCALED_R pay this band
-        hi = (r > SCALED_R) & (r <= LARGE_R)
-        if hi.any():
-            np.copyto(E, _collective_band(co, r, True), where=hi)
-    if not (r_lo > 0.0 and r_hi <= LARGE_R):
-        x, n0, _, b = co[:4]
-        np.copyto(E, n0 + 0.5, where=r == 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.copyto(E, np.where(x == 0.0, 0.0, _plateau(x, b)),
-                      where=r > LARGE_R)
-        np.copyto(E, np.nan, where=~(r >= 0.0))
+    r_lo, r_hi = bounds or (r.min(initial=np.inf), r.max(initial=-np.inf))
+    n0, s, ss, k_a, k_s, b4, k_t = co
+    if not r_hi < np.inf:
+        r = np.minimum(r, 1e3)
+    # overflow to inf passes silently, as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t, v, h, q, dm = _r_factors(r, r_lo, r_hi)
+        A = dm * (t + q) / t
+        w = v * A / t
+        h2 = 2.0 * h
+        # np.square is a product, and keeps no named temporary of the full
+        # shape, which large maps pay for
+        num = k_a * A + k_s * (np.square(s - h2) + w)
+        den = k_t * t + b4 * (np.square(1.0 - s * h2) + ss * w)
+        E = np.asarray(num / den)  # an array also for one cell
+        if not (r_lo > 0.0 and r_hi < np.inf):
+            np.copyto(E, n0 + 0.5, where=r == 0.0)
+            np.copyto(E, np.nan, where=~(r >= 0.0))
     if ok is not True and not np.all(ok):
         np.copyto(E, np.nan, where=~np.asarray(ok))
     return E
-
-
-def _collective_band(co, r: np.ndarray, scaled: bool) -> np.ndarray:
-    """The witness as at pulse areas in (0, ``LARGE_R``]:
-    ``gain_filter_ratio`` on r's shape and ``_collective_terms`` over the
-    broadcast, NaN where ``var_XW_out`` is not positive.  Cells outside
-    that range hold values of no meaning."""
-    u2 = 2.0 * r
-    # overflow to inf passes silently, as in float arithmetic
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = np.expm1(u2)
-        kr = 4.0 * r * np.exp(u2) / u
-        var_W, num_over_u = _collective_terms(co, r, u, kr, scaled)
-        return np.where(var_W > 0.0, num_over_u / (4.0 * var_W), np.nan)
 
 
 def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
                           Gj_over_G: float) -> float:
     """Steering witness of the mirror given one cavity output mode alone.
 
-    Equals ``var_Xm_out - cov_Xm_Pj^2 / var_Xj_out`` evaluated through the
-    expanded numerator.  ``Gj_over_G`` is the gain fraction of the measured
-    mode; swapping the two fractions swaps the two witnesses exactly.
+    Equals ``var_Xm_out - cov_Xm_Pj^2 / var_Xj_out`` (entries of
+    ``output_block``), evaluated as one rational expression in the bounded
+    factors of ``_r_factors`` at every r > 0, as the collective witness
+    is.  With ``f = Gj_over_G``, ``y = x (n + 1)``, ``A_r = dm (t + q) /
+    t`` and ``K = 1 + v - 4 h = 2 (sinh 2r - 2r) v / t`` (the amplified
+    noise of ``var_Xj_out`` over e^{2r}, summed as its series below 2r =
+    ``SINH_SERIES_R``), numerator and ``var_Xj_out`` divided by e^{2r} are
+
+        ``num = 4 f y^2 A_r + 2 y (f (2 n0 + 1) K + t) + (2 n0 + 1) v
+        + 2 (n0 + 1) (1 - f) t``
+        ``den = v / 2 + f (n0 + 1) t + f y K``
+
+    and ``E = num / (4 den)``, sums of terms that are not negative but for
+    the last of ``num`` where f > 1.  Against the mpmath evaluation of the
+    collective witness's docstring it is within 5e-15 relative (4.0e-15
+    measured) over the same knobs, at G1/G2 in {1/2, 1, 2}.
+    ``Gj_over_G`` is the gain fraction of the measured mode; swapping the
+    two fractions swaps the two witnesses exactly.  ``Gj_over_G = 0``
+    gives ``var_Xm_out``.  Raises ``DegenerateVariance`` where the value
+    is not a finite float.
     """
     x = gamma_over_G
     f = Gj_over_G
@@ -364,32 +392,26 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
         raise InvalidParams(f"Gj_over_G = {f!r} outside [0, 1 + gamma/G]")
     if r == 0.0:
         return n0 + 0.5
-    if r > LARGE_R:
-        if f == 0.0:
-            return math.inf
-        return (2.0 * f * x * (n + 1.0) - f + 1.0) / (2.0 * f)
-
-    u = math.expm1(2.0 * r)
-    s = u if r > SCALED_R else 1.0  # divides exactly by 1 below SCALED_R
-    a = n0 + 1.0 + x * (n + 1.0)
-    var_j = 0.5 / s + f * (n0 + 1.0) * (u / s) \
-        + f * x * (n + 1.0) * (2.0 * coherence_factor(r) / s)
-    if not var_j > 0.0:
-        raise DegenerateVariance(f"var_Xj_out = {var_j!r} is not positive")
-    try:
-        # C pow, not a product, which would move E_m1's last digits; past
-        # the float range it raises OverflowError
-        bath2 = (n + 1.0) ** 2
-    except OverflowError:
+    y = x * (n + 1.0)
+    d = 2.0 * n0 + 1.0
+    # as in _collective_cells; no factor of r in (0, 1e3] leaves the float
+    # range, and Python floats overflow to inf without a warning
+    rf = min(r, 1e3)
+    t, v, h, q, dm = map(float, _r_factors(rf, rf, rf))
+    z = 2.0 * rf
+    if z < SINH_SERIES_R:
+        K = 2.0 * (z * (z * z) * _sinh_series(z * z)) * v / t
+    else:
+        K = 1.0 + v - 4.0 * h
+    num = (4.0 * f * y * y * (dm * (t + q) / t) + 2.0 * y * (f * d * K + t)
+           + d * v + 2.0 * (n0 + 1.0) * (1.0 - f) * t)
+    den = 4.0 * (0.5 * v + f * (n0 + 1.0) * t + f * y * K)
+    E = num / den if den > 0.0 else math.inf  # den is 0 only where f = v = 0
+    if not math.isfinite(E):
         raise DegenerateVariance(
-            f"(n + 1)^2 leaves the float range at (r, gamma_over_G, n0, n, "
-            f"Gj_over_G) = {(r, x, n0, n, f)!r}") from None
-    rterm = 16.0 * f * x * x * bath2 * r * r \
-        + 8.0 * f * x * (n + 1.0) * (2.0 * n0 + 1.0) * r
-    num_over_u3 = (2.0 * a * (2.0 * f * x * (n + 1.0) - f + 1.0) * (u / s)
-                   + (2.0 * n0 + 1.0) * (4.0 * f * x * (n + 1.0) + 1.0) / s
-                   - rterm / s - rterm / u / s)
-    return num_over_u3 / (4.0 * var_j)
+            f"a term leaves the float range at (r, gamma_over_G, n0, n, "
+            f"Gj_over_G) = {(r, x, n0, n, f)!r}")
+    return float(E)
 
 
 def threshold_r(n0: float) -> float:
@@ -404,25 +426,20 @@ def threshold_r(n0: float) -> float:
     return 0.5 * math.log1p(n0 / (n0 + 1.0))
 
 
-def _occupation_quadratic(r, x, n0, t, er, dm):
+def _occupation_quadratic(x, n0, t, v, h, q, dm):
     """``(A, B, C)`` with ``E <= 1/2`` exactly where ``A b^2 + B b + C <= 0``,
     ``b = 1/2 + x (n + 1)``.
 
-    This is ``(numerator / u - 2 var_XW_out) / e^{2r}`` of
-    ``_collective_terms``, each factor written as a polynomial in b (with
-    ``a = b + n0 + 1/2``).  The r-dependent parts are ``t = 1 - e^{-2r}``,
-    ``er = e^{-r}``, ``h = r / (e^{2r} - 1)`` and ``dm = t - 2 r e^{-r}
-    = 2 e^{-r} (sinh r - r)``, passed in so that the same arithmetic serves
-    floats and numpy arrays; none overflows, so no r needs an asymptote.
-    ``A = 4 x^2 (t - 4 r h)``, written as a product so that its r^3
-    behaviour at small r is not a difference, is positive and ``C`` is
+    This is ``N - 2 D`` for the witness's numerator N and ``D =
+    var_XW_out``, both over e^{2r}, multiplied out (``_collective_cells``)
+    and each written as a polynomial in b (with ``a = b + n0 + 1/2``), in
+    the factors of ``_r_factors``, so that the same arithmetic serves
+    floats and numpy arrays.  ``A = 4 x^2 A_r`` is positive and ``C`` is
     negative: one root is positive, and it bounds b.
     """
     d = n0 + 0.5
     g2 = (1.0 + x) * (1.0 + x)
-    v = er * er
-    h = r * v / t
-    A = 4.0 * x * x * dm * (t + 2.0 * (r * er)) / t
+    A = 4.0 * x * x * dm * (t + q) / t
     B = (4.0 * n0 * (2.0 * x * x + 2.0 * x + 1.0) * v
          + (4.0 * x * x * d - 2.0 * g2) * t
          - 16.0 * x * (1.0 + x) * n0 * h)
@@ -440,7 +457,8 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     the cancellation-free form ``q = -(B + sign(B) sqrt(disc)) / 2``.  A
     negative value means no steering even at n = 0.  As r grows it falls
     toward ``n_inf = (1 + 2x) / (2 x^3) - 1`` (x = gamma/G), the bath the
-    plateau ``_plateau`` allows; n_inf is 0 at the root x* = 1.1915 of
+    witness's plateau ``x^2 b / (1 + x)^2`` allows; n_inf is 0 at the root
+    x* = 1.1915 of
     ``2x^3 - 2x - 1``.
 
     Needs r > 0 and gamma/G > 0.  Accepts numpy arrays as
@@ -457,12 +475,7 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     # A underflows to 0 below r ~ 1e-100, where the bound is inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                      under="ignore"):
-        er = np.exp(-r)
-        t = -np.expm1(-2.0 * r)
-        dm = np.where(r < SINH_SERIES_R,
-                      2.0 * er * (r * (r * r) * _sinh_series(r * r)),
-                      t - 2.0 * (r * er))
-        A, B, C = _occupation_quadratic(r, x, n0, t, er, dm)
+        A, B, C = _occupation_quadratic(x, n0, *_r_factors(r))
         S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
         b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)
         n_max = (b - 0.5) / x - 1.0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
+    SINH_SERIES_R,
     _check_inputs,
     _coefficients,
     _collective_cells,
@@ -152,26 +153,33 @@ class SteeringRegion:
     contour: tuple[tuple[float, float], ...]  # (r, gamma/G) where E = 1/2
 
 
-def _bisection_pass(lo: np.ndarray, hi: np.ndarray, co: tuple,
-                    sign: np.ndarray, rounds: int,
+def _bisection_pass(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
+                    co: tuple, bounds: tuple, sign: np.ndarray, rounds: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """``rounds`` rounds of the contour bisection from one witness pass.
 
     The pass evaluates every midpoint the rounds can reach, ``2**rounds -
     1`` per bracket, built level by level as ``0.5 * (lo + hi)`` of the
-    bracket each one splits.  Each bracket then walks the rounds on the
-    signs of those cells: it keeps the midpoint as its lower end where
-    ``E - 1/2`` has the lower end's ``sign`` there, and as its upper end
-    otherwise (a NaN midpoint counts as past the crossing).  So it meets
-    the midpoints and ends that one round per pass would.
+    bracket each one splits; the first level is ``mid``, which the caller
+    has formed so.  Each bracket then walks the rounds on the signs of
+    those cells: it keeps the midpoint as its lower end where ``E - 1/2``
+    has the lower end's ``sign`` there, and as its upper end otherwise (a
+    NaN midpoint counts as past the crossing).  So it meets the midpoints
+    and ends that one round per pass would.  ``co``, the witness's r-free
+    factors, and ``sign`` hold the ``2**PASS_ROUNDS - 1`` rows of a full
+    pass; ``bounds`` bound every midpoint.
     """
     width, m = 1 << rounds, lo.size
+    if rounds < PASS_ROUNDS:  # the rows this shorter pass takes
+        co = tuple(c[:width - 1] if np.ndim(c) else c for c in co)
+        sign = sign[:width - 1]
     ends = np.empty((width + 1, m))  # row k: each bracket's k-th point
-    ends[0], ends[width] = lo, hi
-    for level in range(rounds):
+    ends[0], ends[width >> 1], ends[width] = lo, mid, hi
+    for level in range(1, rounds):
         step = width >> level
         ends[step >> 1::step] = 0.5 * (ends[:-1:step] + ends[step::step])
-    up = ((_collective_cells(ends[1:-1], co) - 0.5) * sign > 0.0).ravel()
+    E = _collective_cells(ends[1:-1], co, bounds)
+    up = ((E - 0.5) * sign > 0.0).ravel()
     # walk each bracket down the rounds, as a flat index into ends: the
     # bracket (ends[k], ends[k + 2 step]) has its midpoint at ends[k + step],
     # row k + step - 1 of up
@@ -239,20 +247,30 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     bisect = cross[i, j]
     lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
     if lo.size:
-        # the r-free factors once; each pass evaluates only the part of the
-        # witness that depends on r
+        # the r-free factors once, copied to the rows of a full pass, so
+        # that a pass evaluates only the part of the witness that depends
+        # on r and broadcasts no operand
         with np.errstate(over="ignore", invalid="ignore"):
             co = _coefficients(xs[i[bisect]], float(n0), float(n))
-
-        sign = row[i[bisect], j[bisect]]
+        rows = ((1 << PASS_ROUNDS) - 1, lo.size)
+        co = tuple(np.broadcast_to(c, rows).copy() if np.ndim(c) else c
+                   for c in co)
+        sign = np.broadcast_to(row[i[bisect], j[bisect]], rows).copy()
+        # every midpoint lies between the least lower and the greatest upper
+        # end, which tell the witness whether a pass needs its small-r
+        # series; brackets only shrink, so they are re-read only while they
+        # straddle the series' end
+        bounds = lo.min(), hi.max()
         done = 0
         while done < BISECTION_ROUNDS:
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
             rounds = min(PASS_ROUNDS, BISECTION_ROUNDS - done)
-            lo, hi = _bisection_pass(lo, hi, co, sign, rounds)
+            lo, hi = _bisection_pass(lo, mid, hi, co, bounds, sign, rounds)
             done += rounds
+            if bounds[0] < SINH_SERIES_R <= bounds[1]:
+                bounds = lo.min(), hi.max()
     r_cross = rs[j]
     r_cross[bisect] = 0.5 * (lo + hi)
     contour = tuple(zip(r_cross.tolist(), xs[i].tolist()))

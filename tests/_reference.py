@@ -6,8 +6,8 @@ collective-mode filters against the oracle's collective rows, the
 symplectic spectrum of a covariance block (physicality), the named
 closed-form moments and the cavity cross-correlation read off
 ``output_block``, the optimal inference gain, the monogamy of single-party
-witnesses, the noise threshold searched on the sup over r alone, the
-collective witness evaluated in float arithmetic with its own branches, and
+witnesses, the noise threshold searched on the sup over r alone, both
+closed-form witnesses evaluated from their defining moments in mpmath, and
 the steering contour bisected one round per witness pass.
 """
 
@@ -16,23 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from steerkit import collective_steering_value, steering_product
 from steerkit.closedform import (
-    LARGE_R,
-    SCALED_R,
-    _check_inputs,
     _coefficients,
     _collective_cells,
-    _collective_terms,
-    _plateau,
     _w_moments,
-    gain_filter_ratio,
     output_block,
 )
 from steerkit.cli import _BLOCK_MOMENTS
-from steerkit.errors import DegenerateVariance
 from steerkit.steering import BISECTION_ROUNDS, N_CAP, ThresholdResult
 from steerkit.dynamics import (
     B_TILDE,
@@ -260,27 +254,52 @@ def sup_threshold(x: float, n0: float, r_max: float,
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
 
 
-def float_witness(r: float, gamma_over_G: float, n0: float,
-                  n: float) -> float:
-    """``collective_steering_value`` at one point in float arithmetic, with
-    the C library's ``expm1`` and ``exp`` and a branch of its own at r = 0
-    and above ``LARGE_R``: the reference the array witness is held to."""
-    x = gamma_over_G
-    _check_inputs(r, x, n0, n)
-    if r == 0.0:
-        return n0 + 0.5
-    if r > LARGE_R:
-        # e^{2r} overflows; the witness has already reached its plateau
-        if x == 0.0:
-            return 0.0
-        return _plateau(x, 0.5 + x * (n + 1.0))
+def _mp_digits(r: float) -> int:
+    """Significant digits for the mpmath witnesses at pulse area r: 60,
+    plus 4r/ln 10 for the e^{4r} by which ``var - cov^2/var`` cancels."""
+    return int(4.0 * r / math.log(10.0)) + 60
 
-    var_W, num_over_u = _collective_terms(
-        _coefficients(x, n0, n), r, math.expm1(2.0 * r),
-        gain_filter_ratio(r), r > SCALED_R)
-    if not var_W > 0.0:
-        raise DegenerateVariance(f"var_XW_out = {var_W!r} is not positive")
-    return num_over_u / (4.0 * var_W)
+
+def _mp_moments(r, x, n0, n):
+    """``(u, a, b, var_Xm_out)`` in mpmath at the current precision, with
+    ``u = e^{2r} - 1``, ``a = n0 + 1 + x (n + 1)`` and ``b = 1/2 + x (n +
+    1)``, as ``output_block`` defines them."""
+    half = mpmath.mpf(1) / 2
+    u = mpmath.expm1(2 * r)
+    a = n0 + 1 + x * (n + 1)
+    return u, a, half + x * (n + 1), n0 + half + a * u
+
+
+def collective_witness_reference(r: float, gamma_over_G: float, n0: float,
+                                 n: float) -> float:
+    """``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` from the defining formulas
+    of ``output_block``'s ``S[0, 0]`` and of ``_w_moments``, in mpmath at
+    ``_mp_digits(r)`` digits, which absorbs every cancellation of that
+    naive difference for r > 0."""
+    with mpmath.workdps(_mp_digits(r)):
+        r, x, n0, n = (mpmath.mpf(v) for v in (r, gamma_over_G, n0, n))
+        u, a, b, var_m = _mp_moments(r, x, n0, n)
+        kr = 4 * r * (u + 1) / u
+        var_W = (1 + x) ** 2 * (a * u + b) + x * b * (x - (1 + x) * kr)
+        cov_W = -(1 + x) * mpmath.exp(r) * mpmath.sqrt(u) * a \
+            + x * (2 * r * mpmath.exp(r) / mpmath.sqrt(u)) * b
+        return float(var_m - cov_W ** 2 / var_W)
+
+
+def single_witness_reference(r: float, gamma_over_G: float, n0: float,
+                             n: float, Gj_over_G: float) -> float:
+    """``var_Xm_out - cov_Xm_Pj^2 / var_Xj_out`` from the defining formulas
+    of ``output_block`` (``coherence_factor`` written as ``e^{2r} (sinh 2r
+    - 2r) / (e^{2r} - 1)``), in mpmath at ``_mp_digits(r)`` digits."""
+    with mpmath.workdps(_mp_digits(r)):
+        r, x, n0, n, f = (mpmath.mpf(v)
+                          for v in (r, gamma_over_G, n0, n, Gj_over_G))
+        u, _, _, var_m = _mp_moments(r, x, n0, n)
+        amp = 2 * (u + 1) * (mpmath.sinh(2 * r) - 2 * r) / u
+        var_j = mpmath.mpf(1) / 2 + f * (n0 + 1) * u + f * x * (n + 1) * amp
+        cov_j = -mpmath.sqrt(f) * mpmath.exp(r) * mpmath.sqrt(u) \
+            * (n0 + 1 + x * (n + 1) * (1 - 2 * r / u))
+        return float(var_m - cov_j ** 2 / var_j)
 
 
 def one_round_contour(r_grid, gamma_over_G_grid, n0: float,

@@ -705,7 +705,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("name, digest", [
         ("fig4.csv",
-         "ed2613f642d34eef57fa6a71420c6585e058024f7009224033122a452acdf724"),
+         "2b6d59cdfda14b3620da1967201d60f1c2ca74c4217c52a9f3d9d3ef42a4d211"),
         ("fig4.contour.csv",
          "89e3cb34cb5d2fa23fb48e5c4925db4e334d8778ce336dbeaea1624f89a20256"),
     ])
@@ -731,12 +731,10 @@ class TestFileFormats:
         assert hashlib.sha256(data).hexdigest() == (
             "f91210fe678c19e40385f945414981be0b50f484e0c84dd8dcf8b30261be46ec")
 
-    # fig4's contour brackets lie in the direct band only.  CROSSINGS has
-    # 263 contour cells; LOG_R's 4-point r axis makes wide brackets whose
-    # midpoints reach below r = 1e-4 and take the direct, scaled (r > 100)
-    # and plateau (r > 350) branches.  A bracket reaches past 350 only when its
-    # upper end does: E sits on its plateau to the last bit well below
-    # r = 100, so no crossing lies there.
+    # CROSSINGS has 263 contour cells; LOG_R's 4-point r axis makes wide
+    # brackets whose midpoints reach from below r = 1e-4, through the
+    # witness's small-r series (r < 0.5), to past r = 350, where E sits on
+    # its plateau.
     CROSSINGS = Scenario(
         mode="heatmap", params={"kind": "ratios", "n0": 0.5, "n": 0.5},
         sweep=Sweep("r", 0.0, 3.0, 201),
@@ -750,7 +748,7 @@ class TestFileFormats:
         ("CROSSINGS", 263,
          "2b76cceac5b9e4190a55f1ffce55f1528dbf7fd0374299dac6632c779672912c"),
         ("LOG_R", 99,
-         "996bfee97bfae647c49dc72d4e0189e8ca4e7ceb39b8cacb49b3bc51bab4f7e2"),
+         "9c9d9a3c5d7f2cf18b50eeb0eb6a2c4e8b530d54a6c641bb544b946aa15ee58b"),
     ])
     def test_contour_bytes_are_pinned(self, tmp_path, name, cells, digest):
         record = run(getattr(self, name), output=str(tmp_path / "map.csv"))
@@ -775,7 +773,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("name, digest", [
         ("BIG_HEATMAP",
-         "6a6c74cecf9e0d1948c38e8e43b784bebc0bc0a032747d25e920a038574b61eb"),
+         "151fe71adc98115f16dc64715575d7de80c9d30d07f0d055116a285736e5b3f9"),
         ("BIG_CURVE",
          "49110ec9913c1e2af9a02b9c01423ce74333cc7820e3f3c6321ae949fdd6dd41"),
     ])
@@ -790,8 +788,10 @@ class TestFileFormats:
             es = [c[2] for c in cells]
             assert len(es) == 1024 and len(record.warnings) == 960
             assert es.count(b"nan") == 960
-            assert es.count(b"0.00000000000e+00") == 8
-            assert sum(e[-5:-4] == b"e" for e in es) == 38
+            # E = (n0 + 1/2) / (2 (n0 + 1) (e^{2r} - 1) + 1) is a float
+            # up to r ~ 372 (subnormal past r ~ 354) and 0 beyond
+            assert es.count(b"0.00000000000e+00") == 5
+            assert sum(e[-5:-4] == b"e" for e in es) == 41
             assert cells[-1][1] == b"-0.00000000000e+00"
         else:
             assert len(record.warnings) == 60
@@ -815,7 +815,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("name, exit_code, digest", [
         ("VALIDATE_ORACLE", 3,
-         "34284e433f4d4c52069f03d0eeb2bc81ef4ab37867c73b75279dcc4d1930cf43"),
+         "4c17981368f07722a95755dac56974e1abc2c5dc2b0976a3c6fcbb34ae5b3730"),
         ("CLOSED_CROSS_CORRELATION", 0,
          "43443e4a40c0410a63c38a35b795dc6493f9008b0f8fd31d0ae6386a5328ebde"),
     ])
@@ -828,7 +828,7 @@ class TestFileFormats:
 
     # a 2 x 3 heatmap: out-of-domain cells (n < 0), a -0.0 axis value
     # (linspace makes a -0.0 start +0.0, so it is the stop), and a log r
-    # axis over small (r < 1e-4), direct and asymptote (r > 350) cells
+    # axis over small (r < 1e-4), middle and plateau (r > 350) cells
     TINY_HEATMAP = Scenario(
         mode="heatmap",
         params={"kind": "ratios", "gamma_over_G": 0.1, "n0": 0.5},
@@ -857,7 +857,7 @@ class TestFileFormats:
         assert doc.pop("wall_time_s") >= 0.0
         nan = math.nan
         rs = (4.9999999999999996e-05, 0.1414213562373095, 400.0000000000001)
-        es = (0.9996784174811454, 0.4800220181164984, 0.0049586776859504135)
+        es = (0.9996784174811449, 0.4800220181164986, 0.004958677685950413)
         # NaN != NaN, so the documents are compared as canonical JSON text
         assert json.dumps(doc, sort_keys=True) == json.dumps({
             "columns": ["n", "r", "E"],
@@ -1553,9 +1553,10 @@ class TestEntryPoint:
             assert out.read_text().splitlines()[-1].endswith(",nan")
 
     def test_single_witness_overflow_becomes_nan_rows(self, tmp_path):
-        # (n + 1)^2 leaves the float range in the single-mode witness while
-        # the collective witness is still finite: NaN rows, no traceback
-        n = 1.5e154
+        # 4 f y^2 with y = x (n + 1) leaves the float range in the
+        # single-mode witness while the collective witness, whose square
+        # carries x^2, is still finite: NaN rows, no traceback
+        n = 1.5e155
         assert math.isfinite(collective_steering_value(0.5, 0.1, 0.0, n))
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({**valid_doc("validate-oracle"), "params": {
@@ -1568,9 +1569,9 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stderr) == (3, "")
         lines = out.read_text().splitlines()
         assert [ln for ln in lines if ln.startswith("# warning:")] == [
-            f"# warning: point {i} (r={r:g}): (n + 1)^2 leaves the float "
+            f"# warning: point {i} (r={r:g}): a term leaves the float "
             f"range at (r, gamma_over_G, n0, n, Gj_over_G) = "
-            f"({r!r}, 0.1, 0.0, 1.5e+154, 0.55)"
+            f"({r!r}, 0.1, 0.0, 1.5e+155, 0.55)"
             for i, r in ((0, 0.5), (1, 1.0))]
         assert all(row.split(",")[1:] == ["nan"] * 10 for row in lines[-2:])
 
@@ -1710,7 +1711,8 @@ class TestEntryPoint:
         assert not out.exists()
 
     def test_damping_past_the_float_range_becomes_nan_rows(self, tmp_path):
-        # (1 + gamma/G)^2 is not a float: each point is NaN with a warning
+        # 4 x^2 b^2 / (1 + x)^2 is not a float at x = gamma/G = 1e200: each
+        # point is NaN with a warning
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({
             **valid_doc("curve"),
@@ -1720,9 +1722,9 @@ class TestEntryPoint:
                          str(out)]) == 0
         lines = out.read_text().splitlines()
         assert [ln for ln in lines if ln.startswith("# warning:")] == [
-            f"# warning: point {i} (r={r}, E): var_XW_out is not positive "
-            f"or a term leaves the float range at (r, gamma_over_G, n0, n) "
-            f"= ({float(r)}, 1e+200, 0.0, 0.0)" for i, r in ((0, 0.5), (1, 1))]
+            f"# warning: point {i} (r={r}, E): a term leaves the float "
+            f"range at (r, gamma_over_G, n0, n) = ({float(r)}, 1e+200, 0.0, "
+            f"0.0)" for i, r in ((0, 0.5), (1, 1))]
         assert [row.split(",")[1] for row in lines[-2:]] == ["nan", "nan"]
 
     def test_working_point_past_the_float_range_is_a_typed_error(

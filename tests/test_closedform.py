@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from _reference import (
     block,
+    collective_witness_reference,
     cross_correlation,
-    float_witness,
     moment_set,
+    single_witness_reference,
 )
 from steerkit import (
     collective_steering_value,
@@ -25,7 +26,6 @@ from steerkit import (
 from steerkit import closedform
 from steerkit.closedform import (
     LARGE_R,
-    SCALED_R,
     SINH_SERIES_R,
     _gain_fractions,
     coherence_factor,
@@ -354,34 +354,75 @@ class TestCollectiveWitness:
             collective_steering_value(1.0, -0.1, 0.0, 0.0)
 
 
-class TestArrayWitness:
-    """The array witness against the float-arithmetic reference, cell by
-    cell."""
+# the knobs of the scans against the mpmath witnesses
+SCAN_KNOBS = [(x, n0, n) for x in (0.0, 0.1, 1.0, 3.0)
+              for n0 in (0.0, 1.0, 20.0) for n in (0.0, 10.0, 1e3, 1e6)]
 
-    @pytest.mark.parametrize("branch, rs", [
-        ("zero", [0.0]),
-        ("small", np.geomspace(1e-12, 1e-4 * (1 - 1e-9), 9)),
-        ("direct", np.concatenate([
-            1e-4 * (1 + np.geomspace(1e-9, 1.0, 4)),
-            np.geomspace(1e-3, LARGE_R, 12)])),
-        ("asymptote", LARGE_R * np.array([1 + 1e-12, 1.01, 1.5, 3.0])),
-    ])
-    def test_matches_float_witness(self, branch, rs):
-        xs = np.array([0.0, 0.05, 0.3, 1.5])
-        r, x = np.meshgrid(np.asarray(rs, dtype=float), xs)
-        for n0, n in ((0.0, 0.0), (0.5, 5.0), (5.0, 100.0)):
+
+def _scan_rs(lo: float, hi: float, seed: int, edges=()) -> np.ndarray:
+    """Eight pulse areas log-uniform in [lo, hi], the ends, and each edge
+    with the floats on either side of it."""
+    rng = np.random.default_rng(seed)
+    rs = [lo, hi, *np.exp(rng.uniform(math.log(lo), math.log(hi), 8))]
+    for e in edges:
+        rs += [math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)]
+    return np.unique(rs)
+
+
+# pulse-area ranges with the edges where the witnesses once changed form (a
+# scaled band above r = 100, a plateau above 350) or change series today
+# (r = 0.25 and 0.5, see SINH_SERIES_R); past r ~ 372 e^{-2r} underflows
+WITNESS_RANGES = [
+    ("zero", np.array([0.0])),
+    ("small", _scan_rs(1e-8, 1e-4, 1)),
+    ("middle", _scan_rs(1e-4, 100.0, 2, edges=(0.25, 0.5, 100.0))),
+    ("large", _scan_rs(100.0, 400.0, 3, edges=(100.0, 350.0, 372.0))),
+]
+
+
+class TestArrayWitness:
+    """The array witness against mpmath and against its own float call,
+    cell by cell."""
+
+    @pytest.mark.parametrize("branch, rs", WITNESS_RANGES)
+    def test_matches_the_mpmath_witness(self, branch, rs):
+        # within 1e-14 relative; at gamma = 0 E falls like e^{-2r} and
+        # leaves the float range past r = 350
+        for x, n0, n in SCAN_KNOBS:
+            r = rs[rs <= 350.0] if x == 0.0 else rs
             got = collective_steering_value(r, x, n0, n)
-            assert got.shape == r.shape
-            ref = np.array([float_witness(float(a), float(b), n0, n)
-                            for a, b in zip(r.ravel(), x.ravel())])
-            np.testing.assert_allclose(got, ref.reshape(r.shape), rtol=1e-13,
-                                       atol=0.0, err_msg=branch)
+            ref = np.array([n0 + 0.5 if v == 0.0 else
+                            collective_witness_reference(v, x, n0, n)
+                            for v in r.tolist()])
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0,
+                                       err_msg=f"{branch} {(x, n0, n)}")
+
+    @pytest.mark.parametrize("r, x", [(3e-3, 3.0), (3e-3, 1.0), (1e-3, 3.0),
+                                      (1e-4, 3.0)])
+    def test_hot_bath_small_pulse_corner(self, r, x):
+        # where the former expanded numerator lost up to 11 digits (2.3e-11
+        # relative at r = 3e-3, gamma/G = 3, n = 10^6)
+        assert collective_steering_value(r, x, 0.0, 1e6) == pytest.approx(
+            collective_witness_reference(r, x, 0.0, 1e6), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x, n0, n", [(0.3, 0.0, 2.0), (3.0, 20.0, 1e6),
+                                          (1e-3, 1.0, 10.0), (0.0, 5.0, 3.0)])
+    def test_plateau_at_the_largest_pulse_areas(self, x, n0, n):
+        # past r ~ 372 e^{-2r} is 0 and E is the plateau x^2 b / (1 + x)^2
+        # to rounding (undamped, 0 but for e^{-744} = 5e-324 at r = 372);
+        # r = inf is evaluated at r = 1e3
+        plateau = x * x * (0.5 + x * (n + 1.0)) / ((1.0 + x) * (1.0 + x))
+        rs = np.array([372.0, 1e4, math.inf])
+        for got in (collective_steering_value(rs, x, n0, n),
+                    [collective_steering_value(r, x, n0, n)
+                     for r in rs.tolist()]):
+            np.testing.assert_allclose(got, plateau, rtol=4e-16, atol=5e-324)
 
     @settings(max_examples=150, deadline=None)
     @given(rs=st.lists(st.sampled_from([0.0])
                        | st.floats(1e-12, 1e-4, exclude_max=True)
-                       | st.floats(1e-4, SCALED_R)
-                       | st.floats(SCALED_R, LARGE_R, exclude_min=True)
+                       | st.floats(1e-4, 100.0)
+                       | st.floats(100.0, LARGE_R, exclude_min=True)
                        | st.floats(LARGE_R, 1e3, exclude_min=True),
                        min_size=1, max_size=8),
            knobs=st.lists(st.tuples(*[st.floats(-0.5, 60.0)
@@ -429,8 +470,9 @@ class TestArrayWitness:
         r = np.full(3, 0.7)
         n = np.array([0.0, 5.0, 50.0])
         got = collective_steering_value(r, 0.1, 1.0, n)
-        ref = [float_witness(0.7, 0.1, 1.0, float(v)) for v in n]
-        assert got == pytest.approx(ref, rel=1e-13)
+        ref = [collective_witness_reference(0.7, 0.1, 1.0, float(v))
+               for v in n]
+        assert got == pytest.approx(ref, rel=1e-14)
 
     def test_out_of_domain_cells_are_nan(self):
         r = np.array([1.0, -1.0, 1.0, 1.0, 1.0, math.nan, 0.0, 400.0])
@@ -478,9 +520,9 @@ class TestArrayWitness:
 
 
 class TestWitnessesBelowLargeR:
-    """Both witnesses stay finite up to ``LARGE_R``, where ``e^{2r} - 1``
-    times the occupation terms would overflow, and meet the asymptotes
-    that take over above it."""
+    """Both witnesses stay finite up to ``LARGE_R``, where the moments'
+    ``e^{2r} - 1`` times the occupation terms nears the end of the float
+    range, and join their value just above it."""
 
     RS = np.append(np.linspace(300.0, LARGE_R, 51), 349.99)
 
@@ -550,6 +592,39 @@ class TestSingleModeWitness:
                     got = single_steering_value(r, 1e-9, n0, 0.0, f1)
                     assert got == pytest.approx(weak(r, n0, f1, 1.0 - f1),
                                                 rel=1e-6)
+
+    @pytest.mark.parametrize("branch, rs", WITNESS_RANGES[1:])
+    def test_matches_the_mpmath_witness(self, branch, rs):
+        # within 1e-14 relative, at gain splits G1/G2 of 1/2, 1 and 2
+        for x, n0, n in SCAN_KNOBS:
+            for ratio in (0.5, 1.0, 2.0):
+                f, _ = _gain_fractions(x, ratio)
+                for r in rs.tolist():
+                    assert single_steering_value(r, x, n0, n, f) \
+                        == pytest.approx(single_witness_reference(
+                            r, x, n0, n, f), rel=1e-14, abs=0.0), \
+                        (branch, r, x, n0, n, ratio)
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-6, 1e-4])
+    def test_hot_bath_small_pulse_corner(self, r):
+        # where the former expanded numerator lost up to 9 digits (3.2e-9
+        # relative at r = 1e-8, gamma/G = 3, equal gains)
+        f, _ = _gain_fractions(3.0, 1.0)
+        assert single_steering_value(r, 3.0, 0.0, 1e6, f) == pytest.approx(
+            single_witness_reference(r, 3.0, 0.0, 1e6, f), rel=1e-14,
+            abs=0.0)
+
+    def test_unmeasured_gain_gives_the_mirror_variance(self):
+        # Gj_over_G = 0 is var_Xm_out where that is a float, and a typed
+        # error where it is not (var_Xj_out / e^{2r} underflows to 0)
+        for r in (1e-8, 1.0, 300.0):
+            assert single_steering_value(r, 0.1, 1.0, 5.0, 0.0) \
+                == pytest.approx(float(output_block(r, 0.1, 1.0, 5.0)[0, 0]),
+                                 rel=1e-15)
+        for r in (355.0, 400.0, math.inf):
+            with pytest.raises(DegenerateVariance,
+                               match="leaves the float range"):
+                single_steering_value(r, 0.1, 1.0, 5.0, 0.0)
 
     def test_mode_index_dispatch(self):
         f1, _ = _gain_fractions(0.0, 3.0)

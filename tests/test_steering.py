@@ -29,7 +29,7 @@ from steerkit import (
 from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit import steering
-from steerkit.closedform import LARGE_R, SCALED_R, max_occupation
+from steerkit.closedform import LARGE_R, max_occupation
 from steerkit.steering import (
     BISECTION_ROUNDS,
     N_CAP,
@@ -499,7 +499,7 @@ class TestContourBisection:
     @settings(max_examples=200, deadline=None)
     @given(log_r=st.booleans(), r_lo=st.floats(-1.0, 0.0),
            r_top=st.one_of(st.floats(0.5, 10.0),
-                           st.floats(0.9 * SCALED_R, 1.2 * SCALED_R),
+                           st.floats(90.0, 120.0),
                            st.floats(0.9 * LARGE_R, 800.0)),
            r_points=st.integers(2, 40), x_lo=st.floats(-0.3, 0.0),
            x_top=st.floats(0.0, 1.5), x_points=st.integers(1, 8),
