@@ -399,27 +399,33 @@ _ORACLE_MODES = (dynamics.A_1_OUT, dynamics.A_2_OUT, dynamics.B_TILDE)
 
 
 def _oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
-                  which: tuple[str, ...] = _ORACLE_MODES) -> list:
-    """The oracle's output covariance at every point of a sweep, in one
-    stacked call; a point that fails holds its ``SteerkitError`` instead."""
-    points = []
-    for k in sweep_knobs:
+                  which: tuple[str, ...] = _ORACLE_MODES) -> tuple:
+    """The oracle's output covariances over a sweep as one stacked
+    ``OutputCovariance``, NaN on each slice whose point failed, and the
+    failures keyed by point index, from one stacked call."""
+    rps, failures = [], {}
+    for i, k in enumerate(sweep_knobs):
         try:
-            points.append(_reduced(k))
+            rps.append(_reduced(k))
         except SteerkitError as exc:
-            points.append(exc)
-    done = iter(dynamics.output_covariances(
-        [p for p in points if not isinstance(p, SteerkitError)],
-        engine=engine, which=which))
-    return [p if isinstance(p, SteerkitError) else next(done)
-            for p in points]
+            failures[i] = exc
+    index = [i for i in range(len(sweep_knobs)) if i not in failures]
+    stack, failed = dynamics.output_covariances(rps, engine=engine,
+                                                which=which)
+    sigma = np.full((len(sweep_knobs),) + stack.sigma.shape[1:], math.nan)
+    sigma[index] = stack.sigma
+    failures.update((index[j], exc) for j, exc in failed.items())
+    return dynamics.OutputCovariance(stack.mode_labels, sigma), failures
 
 
-def _raised(result):
-    """``result`` of ``_oracle_sweep``, or its point's error raised."""
-    if isinstance(result, SteerkitError):
-        raise result
-    return result
+def _slice(sweep: tuple, i: int):
+    """Point ``i`` of an ``_oracle_sweep`` as a one-slice covariance, whose
+    reads raise the error that explains a NaN cell of the stack's reads;
+    a point that failed raises its failure here."""
+    stack, failures = sweep
+    if i in failures:
+        raise failures[i]
+    return dynamics.OutputCovariance(stack.mode_labels, stack.sigma[i])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +517,7 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
     for i, case in enumerate(cases):
         lab = _case_label(i, case)
         over = {k: float(v) for k, v in case.items() if k != "label"}
-        ccol = ocol = ocs = None
+        ccol = ocol = sweep = None
         if closed:
             ccol = len(columns)
             columns.append(f"E[{lab}]" if labelled else "E")
@@ -520,29 +526,29 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
         if oracle:
             ocol = len(columns)
             columns.append(f"E_oracle[{lab}]" if labelled else "E_oracle")
-            cells.append(np.full(values.shape, math.nan))
-            ocs = _oracle_sweep([{**_apply(base, var, v), **over}
-                                 for v in values.tolist()])
-        specs.append((lab, over, ccol, ocol, ocs))
+            sweep = _oracle_sweep([{**_apply(base, var, v), **over}
+                                   for v in values.tolist()])
+            cells.append(steering.steering_product(sweep[0], dynamics.A_M_OUT,
+                                                   dynamics.W_OUT))
+        specs.append((lab, over, ccol, ocol, sweep))
     table = np.column_stack(cells)
 
-    # a NaN closed-form cell is explained by the float call's error, which
-    # also leaves that case's oracle cell NaN; the oracle fills its columns
-    # point by point
-    visit = range(len(values)) if oracle \
-        else np.flatnonzero(np.isnan(table).any(axis=1)).tolist()
+    # a NaN cell is explained by its point's float call or oracle failure;
+    # a closed-form error also leaves that case's oracle cell NaN
     warnings = []
-    for i in visit:
+    for i in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
         v = values[i].item()
-        for lab, over, ccol, ocol, ocs in specs:
+        for lab, over, ccol, ocol, sweep in specs:
             try:
                 if ccol is not None and math.isnan(table[i, ccol]):
                     # raises unless NaN is the value
                     _witness({**_apply(base, var, v), **over})
-                if ocol is not None:
-                    table[i, ocol] = steering.steering_product(
-                        _raised(ocs[i]), dynamics.A_M_OUT, dynamics.W_OUT)
+                if ocol is not None and math.isnan(table[i, ocol]):
+                    steering.steering_product(_slice(sweep, i),
+                                              dynamics.A_M_OUT, dynamics.W_OUT)
             except SteerkitError as exc:
+                if ocol is not None:
+                    table[i, ocol] = math.nan
                 warnings.append(_point_warning(var, i, v, lab, exc))
     return columns, _Table(columns, table), warnings, {}
 
@@ -625,49 +631,51 @@ _BLOCK_MOMENTS = {"var_Xm_out": (0, 0), "var_X1_out": (2, 2),
                   "cov_Xm_P2": (0, 5)}
 
 
-def _oracle_moment_row(knobs: dict, oc, E_mW: float) -> dict:
-    """Closed-form vs oracle values and relative errors at one point, from
-    its ``_oracle_sweep`` result ``oc`` and its ``_witness_grid`` cell
-    ``E_mW``."""
-    r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0", "n",
-                                             "G1_over_G2"))
-    block = closedform.output_block(r, x, n0, n, G1_over_G2=ratio)
-    var_W, cov_W = closedform._w_moments(r, x, n0, n)
-    oc = _raised(oc)
-    m, w = dynamics.A_M_OUT, dynamics.W_OUT
-    # (closed, oracle) per compared value
-    pairs = {key: (float(block[ij]), float(oc.sigma[ij]))
-             for key, ij in _BLOCK_MOMENTS.items()}
-    pairs["var_XW_out"] = var_W, oc.variance(w)
-    pairs["cov_Xm_PW"] = cov_W, oc.covariance((m, "X"), (w, "P"))
-    E_mW_oracle = steering.steering_product(oc, m, w)
-    E_m1_oracle = steering.steering_product(oc, m, dynamics.A_1_OUT)
-    if math.isnan(E_mW):
-        _witness(knobs)  # raises the cell's error
-    pairs["E_mW"] = E_mW, E_mW_oracle
-    pairs["E_m1"] = closedform.single_steering_value(
-        r, x, n0, n, closedform._gain_fractions(x, ratio)[0]), E_m1_oracle
-    row = {}
-    for key in _ORACLE_COMPARED:
-        ref, got = pairs[key]
-        row[f"rel_{key}"] = abs(got - ref) / max(abs(ref), 1e-9)
-    row["max_rel"] = max(0.0, *row.values())
-    return row
-
-
 def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
     values = sc.sweep.values()
-    ocs = _oracle_sweep([_apply(base, var, v) for v in values.tolist()])
+    sweep = _oracle_sweep([_apply(base, var, v) for v in values.tolist()])
+    stack, m, w = sweep[0], dynamics.A_M_OUT, dynamics.W_OUT
+    # the oracle's side of every compared value at every point, read from
+    # the stack in array calls
+    oracle = {key: stack.sigma[:, i, j]
+              for key, (i, j) in _BLOCK_MOMENTS.items()}
+    oracle["var_XW_out"] = stack.variance(w)
+    oracle["cov_Xm_PW"] = stack.covariance((m, "X"), (w, "P"))
+    oracle["E_mW"] = steering.steering_product(stack, m, w)
+    oracle["E_m1"] = steering.steering_product(stack, m, dynamics.A_1_OUT)
+    oracle = {key: col.tolist() for key, col in oracle.items()}
     E = _witness_grid(_apply(base, var, values), values.shape).tolist()
 
     def fill(i: int, v: float, row: dict) -> None:
-        row.update(_oracle_moment_row(_apply(base, var, v), ocs[i], E[i]))
+        # the closed-form side at this point, and the relative errors
+        knobs = _apply(base, var, v)
+        r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0",
+                                                 "n", "G1_over_G2"))
+        block = closedform.output_block(r, x, n0, n, G1_over_G2=ratio)
+        var_W, cov_W = closedform._w_moments(r, x, n0, n)
+        if math.isnan(oracle["E_mW"][i]) or math.isnan(oracle["E_m1"][i]):
+            # raises the point's oracle failure or the one-slice call's error
+            for party in (w, dynamics.A_1_OUT):
+                steering.steering_product(_slice(sweep, i), m, party)
+        if math.isnan(E[i]):
+            _witness(knobs)  # raises the cell's error
+        f1 = closedform._gain_fractions(x, ratio)[0]
+        closed = {key: float(block[ij]) for key, ij in _BLOCK_MOMENTS.items()}
+        closed.update(var_XW_out=var_W, cov_Xm_PW=cov_W, E_mW=E[i],
+                      E_m1=closedform.single_steering_value(r, x, n0, n, f1))
+        rel = {f"rel_{key}": abs(oracle[key][i] - closed[key])
+               / max(abs(closed[key]), 1e-9) for key in _ORACLE_COMPARED}
+        row.update(rel, max_rel=max(0.0, *rel.values()))
 
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     points, warnings = _sweep_rows(sc, columns, [(None, fill)])
     rels = points.cells[:, -1].tolist()
-    summary = {"max_rel_discrepancy": max(rels),
+    # the largest discrepancy over the rows that resolved; a failed row
+    # reads NaN and fails the validation
+    summary = {"max_rel_discrepancy": max(
+                   (rel for rel in rels if not math.isnan(rel)),
+                   default=math.nan),
                "tolerance": tol["oracle_rel"],
                "validated": all(rel <= tol["oracle_rel"] for rel in rels)}
     return columns, points, warnings, summary
@@ -704,15 +712,17 @@ def _adiabatic_params(params: dict) -> tuple[list[float], list[dict]]:
 def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):
     ratios, rungs = params
     # the whole covariance is compared, so every standard mode is kept
-    full, reduced = (_oracle_sweep(rungs, engine=engine,
-                                   which=dynamics.DEFAULT_OUTPUT_MODES)
-                     for engine in ("full", "reduced"))
-    rels = []
-    for got, ref in zip(full, reduced):
-        got, ref = _raised(got).sigma, _raised(ref).sigma
-        mask = np.abs(ref) > 1e-6
-        rels.append(float(np.max(np.abs(got[mask] - ref[mask])
-                                 / np.abs(ref[mask]))))
+    (got, got_failures), (ref, ref_failures) = (
+        _oracle_sweep(rungs, engine=e, which=dynamics.DEFAULT_OUTPUT_MODES)
+        for e in ("full", "reduced"))
+    failures = {**ref_failures, **got_failures}
+    if failures:  # the first rung's, the full model's first
+        raise failures[min(failures)]
+    # per rung, the largest relative error over the entries above 1e-6
+    mask = np.abs(ref.sigma) > 1e-6
+    rels = np.divide(np.abs(got.sigma - ref.sigma), np.abs(ref.sigma),
+                     out=np.zeros(mask.shape),
+                     where=mask).max(axis=(1, 2)).tolist()
     decreasing = all(a > b for a, b in zip(rels[:-1], rels[1:]))
     ok = rels[-1] <= tol["adiabatic_rel"] and decreasing
     warnings = [] if decreasing else [

@@ -248,18 +248,17 @@ def output_kernels(rp: ReducedParams, *, full: bool,
     return kernels
 
 
-def _collective_weights(dq: DerivedQuantities,
+def _collective_weights(G1, G2, G,
                         ) -> dict[str, tuple[tuple[str, float],
                                              tuple[str, float], float]]:
-    """The one table of collective-mode weights.
+    """The one table of collective-mode weights at the gain rates ``G1``,
+    ``G2`` and the net gain ``G``, floats or arrays over points.
 
     ``label -> ((mode_1, c_1), (mode_2, c_2), b)`` defines ``label = c_1
     mode_1 + c_2 mode_2 + i b B~^dag``; in quadratures ``X = c_1 X_1 + c_2
     X_2 + b P_B~`` and ``P = c_1 P_1 + c_2 P_2 + b X_B~``.
     """
-    G = dq.G
-    w1, w2, wg = (math.sqrt(dq.G1 / G), math.sqrt(dq.G2 / G),
-                  math.sqrt(dq.gamma / G))
+    w1, w2, wg = (np.sqrt(G1 / G), np.sqrt(G2 / G), np.sqrt((G1 + G2 - G) / G))
     return {
         W_OUT: ((A_1_OUT, w1), (A_2_OUT, w2), wg),
         U_OUT: ((A_1_OUT, w2), (A_2_OUT, -w1), wg),
@@ -287,7 +286,9 @@ def _quad_index(mode_labels: tuple[str, ...], label: str, quad: str) -> int:
 class OutputCovariance:
     """Symmetrized quadrature covariance over a declared list of modes.
 
-    Layout: two rows (X, P) per mode in ``mode_labels`` order.  For Monte
+    Layout: two rows (X, P) per mode in ``mode_labels`` order.  ``sigma``
+    is one (n, n) covariance, or a (points, n, n) stack of them, on which
+    ``variance`` and ``covariance`` return one entry per slice.  For Monte
     Carlo results ``standard_errors`` carries the per-entry statistical
     error of the covariance estimate.
     """
@@ -298,7 +299,7 @@ class OutputCovariance:
 
     def __post_init__(self) -> None:
         nq = 2 * len(self.mode_labels)
-        if self.sigma.shape != (nq, nq):
+        if self.sigma.ndim not in (2, 3) or self.sigma.shape[-2:] != (nq, nq):
             raise InvalidParams(
                 f"sigma shape {self.sigma.shape} does not match "
                 f"{len(self.mode_labels)} modes")
@@ -306,12 +307,13 @@ class OutputCovariance:
     def index(self, label: str, quad: str = "X") -> int:
         return _quad_index(self.mode_labels, label, quad)
 
-    def variance(self, label: str, quad: str = "X") -> float:
-        i = self.index(label, quad)
-        return float(self.sigma[i, i])
+    def variance(self, label: str, quad: str = "X") -> float | np.ndarray:
+        return self.covariance((label, quad), (label, quad))
 
-    def covariance(self, sel1: tuple[str, str], sel2: tuple[str, str]) -> float:
-        return float(self.sigma[self.index(*sel1), self.index(*sel2)])
+    def covariance(self, sel1: tuple[str, str], sel2: tuple[str, str],
+                   ) -> float | np.ndarray:
+        cell = self.sigma[..., self.index(*sel1), self.index(*sel2)]
+        return cell if cell.ndim else float(cell)
 
 
 # 2x2 real forms on (X, P), as indices into a value's (re, im, -re, -im):
@@ -466,10 +468,11 @@ def _propagate(models: list[LinearModel], kernels: list[list[TemporalKernel]],
     covariances, and the failures of ``_step_maps``.  A slice that is not
     finite and has no failure is left for the caller to refuse
     (``_refuse_non_finite``)."""
-    st = _Stack(models, kernels, taus, phases)
-    T = st.end_map
-    # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range
+    # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range, and
+    # below r ~ 1e-308 the squared kernel normalization in the diffusion
     with np.errstate(over="ignore", invalid="ignore"):
+        st = _Stack(models, kernels, taus, phases)
+        T = st.end_map
         phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
         S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
                  + q) @ T.swapaxes(1, 2)
@@ -576,43 +579,40 @@ def monte_carlo_output_covariance(model: LinearModel,
     return OutputCovariance(exact.mode_labels, mean, errors)
 
 
-def _collective_rows(mode_labels: tuple[str, ...],
-                     dqs: list[DerivedQuantities],
+def _collective_rows(mode_labels: tuple[str, ...], gains: np.ndarray,
                      labels: tuple[str, ...]) -> np.ndarray:
     """Quadrature rows (X, P per label) of collective modes over the modes
-    ``mode_labels``, one slice per point of ``dqs``."""
-    tables = [_collective_weights(dq) for dq in dqs]
-    # each label's weights (c_1, c_2, b) per point, and where each goes
-    weights = np.array([[w for lab in labels
-                         for w in (t[lab][0][1], t[lab][1][1], t[lab][2])]
-                        for t in tables]).reshape(len(dqs), -1)
-    rows, cols, picks = [], [], []
+    ``mode_labels``, one slice per point: per row ``(G1, G2, G)`` of
+    ``gains``."""
+    table = _collective_weights(*gains.T)
+    out = np.zeros((len(gains), 2 * len(labels), 2 * len(mode_labels)))
     for i, label in enumerate(labels):
-        (m1, _), (m2, _), _ = tables[0][label]
+        (m1, c1), (m2, c2), b = table[label]
         x1, x2, xb = (_quad_index(mode_labels, m, "X")
                       for m in (m1, m2, B_TILDE))
         # the X row reads X_1, X_2 and P_B~; the P row P_1, P_2 and X_B~
-        rows += [2 * i] * 3 + [2 * i + 1] * 3
-        cols += [x1, x2, xb + 1, x1 + 1, x2 + 1, xb]
-        picks += [3 * i, 3 * i + 1, 3 * i + 2] * 2
-    out = np.zeros((len(dqs), 2 * len(labels), 2 * len(mode_labels)))
-    out[:, rows, cols] = weights[:, picks]
+        out[:, 2 * i, [x1, x2, xb + 1]] = out[:, 2 * i + 1,
+                                              [x1 + 1, x2 + 1, xb]] \
+            = np.stack([c1, c2, b], axis=1)
     return out
 
 
 def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
                        which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
-                       ) -> list[OutputCovariance | SteerkitError]:
+                       ) -> tuple[OutputCovariance, dict[int, SteerkitError]]:
     """``output_covariance`` at every point of a sweep, propagated as one
     stack.
 
     ``which`` selects the output kernels as in ``output_kernels``; a
     collective mode is appended only when its parts (the two modes it
-    combines and ``B_tilde_m``) are among them.  Returns, per point, its
-    ``OutputCovariance`` or the ``SteerkitError`` the point raises when run
-    alone.  A point that fails before propagation never enters the stack,
-    and every slice of the stack is computed as it would be alone, so each
-    result is bit for bit that of the point on its own.
+    combines and ``B_tilde_m``) are among them.  Returns one
+    ``OutputCovariance`` whose ``sigma`` has a slice per point, NaN on each
+    slice whose point fails, and the ``SteerkitError`` that each such
+    point raises when run alone, keyed by its index.  A point that fails
+    before propagation never enters the stack, and every slice of the stack
+    is computed as it would be alone, so each slice is bit for bit that of
+    the point on its own.  An unknown ``engine``, or a ``which`` that names
+    a mode twice, raises ``InvalidParams``.
     """
     if engine == "reduced":
         build = build_reduced_model
@@ -620,8 +620,7 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
         build = build_full_model
     else:
         raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
-    results: list = list(rps)
-    points = []
+    failures, points = {}, []
     for i, rp in enumerate(rps):
         try:
             points.append((i, build(rp),
@@ -629,30 +628,28 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
                                           which=which),
                            mirror_output_phase(rp), derived_quantities(rp)))
         except SteerkitError as exc:
-            results[i] = exc
-    if not points:
-        return results
-    index, models, kernels, phases, dqs = zip(*points)
-    try:
-        labels, sigma, failures = _propagate(
-            models, kernels, [rps[i].tau for i in index], phases)
-    except SteerkitError as exc:  # the same for every point
-        for i in index:
-            results[i] = exc
-        return results
+            failures[i] = exc
+    index, models, kernels, phases, dqs = zip(*points) if points else [()] * 5
+    labels = (A_M_OUT,) + tuple(which)
+    gains = np.array([(dq.G1, dq.G2, dq.G) for dq in dqs]).reshape(-1, 3)
     extra = tuple(lab for lab, ((m1, _), (m2, _), _)
-                  in _collective_weights(dqs[0]).items()
+                  in _collective_weights(*gains.T).items()
                   if {m1, m2, B_TILDE} <= set(labels))
-    N = sigma.shape[1]
-    T = np.concatenate([np.broadcast_to(np.eye(N), sigma.shape),
-                        _collective_rows(labels, dqs, extra)], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = T @ sigma @ T.swapaxes(1, 2)
-    _refuse_non_finite(out, failures)
-    for j, i in enumerate(index):
-        results[i] = failures.get(j) or OutputCovariance(labels + extra,
-                                                         out[j])
-    return results
+    nq = 2 * len(labels + extra)
+    out = np.full((len(rps), nq, nq), math.nan)
+    if points:
+        _, sigma, failed = _propagate(models, kernels,
+                                      [rps[i].tau for i in index], phases)
+        T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
+                                            sigma.shape),
+                            _collective_rows(labels, gains, extra)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = T @ sigma @ T.swapaxes(1, 2)
+        _refuse_non_finite(sigma, failed)
+        out[list(index)] = sigma
+        failures.update((index[j], exc) for j, exc in failed.items())
+    out[list(failures)] = math.nan
+    return OutputCovariance(labels + extra, out), failures
 
 
 def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
@@ -674,10 +671,10 @@ def output_covariance(rp: ReducedParams, *, engine: str = "reduced",
     overview describes W as a combination of the cavity outputs alone; the
     README records this discrepancy.
     """
-    (result,) = output_covariances([rp], engine=engine)
-    if isinstance(result, SteerkitError):
-        raise result
-    return result
+    stack, failures = output_covariances([rp], engine=engine)
+    if failures:
+        raise failures[0]
+    return OutputCovariance(stack.mode_labels, stack.sigma[0])
 
 
 def mode_cross_correlation(oc: OutputCovariance, label1: str, label2: str,

@@ -38,7 +38,7 @@ PASS_ROUNDS = 3  # bisection rounds per witness pass of steering_region
 
 
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
-                     ) -> float:
+                     ) -> float | np.ndarray:
     """Steering witness E of ``steered_mode`` given ``party_mode``.
 
     ``E = sqrt(V_X) sqrt(V_P)``, where ``V_X`` is the inference variance of
@@ -46,21 +46,27 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
     the party's X (each clipped at 0 against rounding).  This pairing is
     optimal because the only nonzero mirror-field correlations are of X-P
     type.  Each inference variance is ``Var(s) - Cov(s, p)^2 / Var(p)``,
-    the minimum over u of ``Var(s + u p)``.  Raises ``DegenerateVariance``
-    when a party variance is below 1e-15.
+    the minimum over u of ``Var(s + u p)``.
+
+    On a stack of covariances E is an array with one cell per slice, NaN
+    where the slice is NaN or a party variance is below 1e-15.  A single
+    covariance is one cell of the same expression, returned as a float;
+    where its party variance is below 1e-15 it raises
+    ``DegenerateVariance``.
     """
-    sig = oc.sigma
-    vs = []
+    sig, E = oc.sigma, 1.0
     for sq, pq in (("X", "P"), ("P", "X")):
         s, p = oc.index(steered_mode, sq), oc.index(party_mode, pq)
-        var_p = float(sig[p, p])
-        if var_p < 1e-15:
+        var_p, cov = sig[..., p, p], sig[..., s, p]
+        if sig.ndim == 2 and var_p < 1e-15:
             raise DegenerateVariance(
                 f"party quadrature {(party_mode, pq)!r} has variance "
-                f"{var_p!r}")
-        cov = float(sig[s, p])
-        vs.append(max(float(sig[s, s]) - cov * cov / var_p, 0.0))
-    return math.sqrt(vs[0]) * math.sqrt(vs[1])
+                f"{float(var_p)!r}")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v = sig[..., s, s] - cov * cov / var_p
+        E = np.where(var_p < 1e-15, math.nan,
+                     E * np.sqrt(np.where(v < 0.0, 0.0, v)))
+    return E if E.ndim else float(E)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
     """Direct filters for the collective modes W_out, U_out and the constant
     of motion U_tilde_in, bypassing the per-mode covariance transform (the
     kernel-side reference for ``dynamics._collective_rows``)."""
-    table = _collective_weights(derived_quantities(rp))
+    dq = derived_quantities(rp)
+    table = _collective_weights(dq.G1, dq.G2, dq.G)
     base = {k.label: k for k in output_kernels(rp, full=full)}
     bath = base[B_TILDE].terms
 
@@ -81,7 +82,8 @@ def block(oc: OutputCovariance, labels: tuple[str, ...]) -> OutputCovariance:
     se = None
     if oc.standard_errors is not None:
         se = oc.standard_errors[np.ix_(idx, idx)]
-    return OutputCovariance(tuple(labels), oc.sigma[np.ix_(idx, idx)], se)
+    return OutputCovariance(tuple(labels), oc.sigma[..., idx[:, None], idx],
+                            se)
 
 
 def symplectic_eigenvalues(oc: OutputCovariance) -> np.ndarray:

@@ -246,10 +246,10 @@ class TestCurveRuns:
         sweep = dynamics.output_covariances
 
         def output_covariances(rps, **kw):
-            results = sweep(rps, **kw)
-            oracle_n.append([rp.n for rp, oc in zip(rps, results)
-                             if isinstance(oc, dynamics.OutputCovariance)])
-            return results
+            stack, failures = sweep(rps, **kw)
+            oracle_n.append([rp.n for i, rp in enumerate(rps)
+                             if i not in failures])
+            return stack, failures
 
         monkeypatch.setattr(dynamics, "output_covariances", output_covariances)
         sc = Scenario(
@@ -289,6 +289,33 @@ class TestCurveRuns:
             "3.50000000000e+02,4.95867768595e-03,0.00000000000e+00\n"
             "3.60000000000e+02,4.95867768595e-03,nan\n"
             "3.70000000000e+02,4.95867768595e-03,nan\n")
+
+    def test_knob_and_oracle_refusals_interleave_by_point(self, tmp_path):
+        # every point of "warm" is refused by its knobs, in both engines;
+        # "cold" is refused by the oracle from r = 355: the warnings run
+        # point by point, case by case, as the cells do
+        sc = Scenario(mode="curve",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 353.0, 356.0, 4), engine="both",
+                      cases=({"label": "warm", "n0": -1.0},
+                             {"label": "cold", "n": 0.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = csv_text(run(sc), tmp_path)
+        assert text.split("\n", 2)[2] == (
+            "# warning: point 0 (r=353, warm): n0 must be >= 0, got -1.0\n"
+            "# warning: point 1 (r=354, warm): n0 must be >= 0, got -1.0\n"
+            "# warning: point 2 (r=355, warm): n0 must be >= 0, got -1.0\n"
+            "# warning: point 2 (r=355, cold): output kernel normalization "
+            "overflows at G*tau = 355\n"
+            "# warning: point 3 (r=356, warm): n0 must be >= 0, got -1.0\n"
+            "# warning: point 3 (r=356, cold): output kernel normalization "
+            "overflows at G*tau = 356\n"
+            "r,E[warm],E_oracle[warm],E[cold],E_oracle[cold]\n"
+            "3.53000000000e+02,nan,nan,4.95867768595e-03,0.00000000000e+00\n"
+            "3.54000000000e+02,nan,nan,4.95867768595e-03,0.00000000000e+00\n"
+            "3.55000000000e+02,nan,nan,4.95867768595e-03,nan\n"
+            "3.56000000000e+02,nan,nan,4.95867768595e-03,nan\n")
 
     @pytest.mark.parametrize("gamma_over_G, sweep, rows", [
         # the covariance passes half the float maximum from r ~ 354.5, and
@@ -1584,6 +1611,31 @@ class TestEntryPoint:
         assert record.points[0]["max_rel"] < 1e-6
         assert math.isnan(record.points[1]["max_rel"])
         assert record.warnings[0].startswith("point 1 (r=400): ")
+        assert not record.summary["validated"]
+        assert record.exit_code == 3
+
+    @pytest.mark.parametrize("params, sweep, failed, expect", [
+        # the first two points fail; the rest read ~1e-13
+        ({"gamma_over_G": 0.1, "r": 1.0}, Sweep("n", -1.0, 1.0, 5), [0, 1],
+         1.3594591848657277e-13),
+        # the last two points fail; the rest read 1 (the witness floor)
+        ({"gamma_over_G": 0.1, "G1_over_G2": 1.5}, Sweep("r", 353.0, 356.0, 4),
+         [2, 3], 1.0),
+        # no point resolves
+        ({"gamma_over_G": 0.1, "r": 1.0}, Sweep("n", -2.0, -1.0, 2), [0, 1],
+         math.nan),
+    ], ids=["first-failed", "last-failed", "all-failed"])
+    def test_max_rel_discrepancy_is_over_the_resolved_rows(
+            self, params, sweep, failed, expect):
+        sc = Scenario(mode="validate-oracle",
+                      params={"kind": "ratios", **params}, sweep=sweep)
+        record = run(sc)
+        rels = [p["max_rel"] for p in record.points]
+        assert [i for i, rel in enumerate(rels) if math.isnan(rel)] == failed
+        got = record.summary["max_rel_discrepancy"]
+        assert got == expect or math.isnan(got) and math.isnan(expect)
+        assert [w.split(" (")[0] for w in record.warnings] == [
+            f"point {i}" for i in failed]
         assert not record.summary["validated"]
         assert record.exit_code == 3
 

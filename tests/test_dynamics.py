@@ -383,35 +383,53 @@ class TestSweeps:
     def test_stack_matches_one_point_at_a_time(self, engine):
         sweep = self.sweep(**({"kappa": 1.3 * 40.0 ** 2}
                               if engine == "full" else {}))
-        stacked = output_covariances(sweep, engine=engine)
-        for rp, oc in zip(sweep, stacked):
+        stack, failures = output_covariances(sweep, engine=engine)
+        assert not failures
+        assert stack.sigma.shape[0] == len(sweep)
+        for rp, sigma in zip(sweep, stack.sigma):
             alone = output_covariance(rp, engine=engine)
-            assert oc.mode_labels == alone.mode_labels
-            assert oc.sigma.tobytes() == alone.sigma.tobytes()
+            assert stack.mode_labels == alone.mode_labels
+            assert sigma.tobytes() == alone.sigma.tobytes()
 
     def test_kernel_subset_keeps_its_entries(self):
         subset = (A_1_OUT, A_2_OUT, B_TILDE)
         sweep = self.sweep()
-        for full_set, part in zip(output_covariances(sweep),
-                                  output_covariances(sweep, which=subset)):
-            kept = (A_M_OUT,) + subset + (W_OUT, U_OUT)
-            assert part.mode_labels == kept
-            assert part.sigma.tobytes() == block(full_set, kept).sigma.tobytes()
+        full_set, _ = output_covariances(sweep)
+        part, _ = output_covariances(sweep, which=subset)
+        kept = (A_M_OUT,) + subset + (W_OUT, U_OUT)
+        assert part.mode_labels == kept
+        assert part.sigma.tobytes() == block(full_set, kept).sigma.tobytes()
 
     def test_failed_points_keep_their_errors(self):
         good = self.sweep()[6]
         bad_gain = ReducedParams(kappa=1.0, Delta=0.0, g1=0.1, g2=0.1,
                                  gamma=1.0, tau=1.0, n0=0.0, n=0.0)
         huge = reduced_from_ratios(360.0, 0.1)
-        got = output_covariances([good, bad_gain, huge, good])
-        for rp, res in zip((bad_gain, huge), got[1:3]):
-            with pytest.raises(type(res)) as alone:
+        stack, failures = output_covariances([good, bad_gain, huge, good])
+        assert sorted(failures) == [1, 2]
+        for i, rp in ((1, bad_gain), (2, huge)):
+            with pytest.raises(type(failures[i])) as alone:
                 output_covariance(rp)
-            assert str(alone.value) == str(res)
-        assert isinstance(got[1], GainNotPositive)
-        assert isinstance(got[2], IntegratorFailure)
+            assert str(alone.value) == str(failures[i])
+            assert np.isnan(stack.sigma[i]).all()
+        assert isinstance(failures[1], GainNotPositive)
+        assert isinstance(failures[2], IntegratorFailure)
         solo = output_covariance(good).sigma.tobytes()
-        assert got[0].sigma.tobytes() == got[3].sigma.tobytes() == solo
+        assert stack.sigma[0].tobytes() == stack.sigma[3].tobytes() == solo
+
+    def test_no_point_propagated(self):
+        # the labels and the NaN slices come without any point to build
+        stack, failures = output_covariances([reduced_from_ratios(360.0, 0.1)])
+        labels, _ = output_covariances([self.sweep()[0]])
+        assert stack.mode_labels == labels.mode_labels
+        assert np.isnan(stack.sigma).all() and list(failures) == [0]
+        empty, failures = output_covariances([])
+        assert empty.sigma.shape == (0,) + labels.sigma.shape[1:]
+        assert failures == {}
+
+    def test_a_mode_named_twice_is_the_call_s_error(self):
+        with pytest.raises(InvalidParams, match="duplicate kernel labels"):
+            output_covariances(self.sweep(), which=(A_1_OUT, A_1_OUT))
 
 
 def test_import_leaves_scipy_unloaded():
@@ -479,8 +497,9 @@ class TestCollectiveModes:
     def test_missing_modes_rejected(self):
         oc = OutputCovariance((A_M_OUT,), np.eye(2))
         with pytest.raises(MissingModes):
-            _collective_rows(oc.mode_labels, [derived_quantities(
-                reduced_from_ratios(1.0, 0.1))], (W_OUT, U_OUT))
+            dq = derived_quantities(reduced_from_ratios(1.0, 0.1))
+            _collective_rows(oc.mode_labels, np.array([[dq.G1, dq.G2, dq.G]]),
+                             (W_OUT, U_OUT))
 
 
 class TestPhysicality:

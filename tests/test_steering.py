@@ -21,12 +21,21 @@ from steerkit import (
     collective_steering_value,
     noise_threshold,
     r_crossing,
+    reduced_from_ratios,
     single_steering_value,
     steering_product,
     steering_region,
     threshold_r,
 )
-from steerkit.dynamics import A_1_OUT, A_2_OUT, A_M_OUT, W_OUT, OutputCovariance
+from steerkit.dynamics import (
+    A_1_OUT,
+    A_2_OUT,
+    A_M_OUT,
+    W_OUT,
+    OutputCovariance,
+    output_covariance,
+    output_covariances,
+)
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit import steering
 from steerkit.closedform import LARGE_R, max_occupation
@@ -186,6 +195,50 @@ class TestSteeringProduct:
     def test_witness_bits(self, oracle_cache, point, steered, party, bits):
         oc = oracle_cache.covariance(*point)
         assert steering_product(oc, steered, party).hex() == bits
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(rs=st.lists(st.floats(0.0, 360.0), min_size=1, max_size=4),
+           x=st.sampled_from([0.0, 0.1, 0.3]), ratio=st.floats(0.2, 5.0),
+           engine=st.sampled_from(["reduced", "full"]),
+           roles=st.sampled_from([(A_M_OUT, W_OUT), (W_OUT, A_M_OUT),
+                                  (A_M_OUT, A_1_OUT)]))
+    @example(rs=[0.0, 1.0, 354.8, 360.0], x=0.1, ratio=1.5,
+             engine="reduced", roles=(A_M_OUT, W_OUT))
+    def test_stack_cells_are_the_float_calls(self, rs, x, ratio, engine,
+                                             roles):
+        # each cell of the stacked read keeps every bit of the one-point
+        # float call; a refused point's slice and cell read NaN
+        rps = [reduced_from_ratios(r, x, G1_over_G2=ratio, n0=0.5, n=5.0)
+               for r in rs]
+        stack, failures = output_covariances(rps, engine=engine)
+        E = steering_product(stack, *roles)
+        assert E.shape == (len(rs),)
+        for i, rp in enumerate(rps):
+            if i in failures:
+                assert math.isnan(E[i])
+                continue
+            one = steering_product(output_covariance(rp, engine=engine),
+                                   *roles)
+            assert float(E[i]).hex() == one.hex()
+
+    def test_nan_and_degenerate_slices_read_nan(self):
+        # a fine slice, a NaN one, and two whose party P has a variance
+        # below 1e-15; the stacked read warns of nothing
+        sigma = np.stack([np.eye(4), np.full((4, 4), math.nan), np.eye(4),
+                          np.eye(4)])
+        sigma[2, 3, 3], sigma[3, 3, 3] = 1e-16, 0.0
+        E = steering_product(OutputCovariance(("alice", "bob"), sigma),
+                             "alice", "bob")
+        one = [OutputCovariance(("alice", "bob"), s) for s in sigma]
+        assert E[0] == steering_product(one[0], "alice", "bob") == 1.0
+        assert np.isnan(E[1:]).all()
+        assert math.isnan(steering_product(one[1], "alice", "bob"))
+        for oc, var in ((one[2], "1e-16"), (one[3], "0.0")):
+            with pytest.raises(DegenerateVariance) as exc:
+                steering_product(oc, "alice", "bob")
+            assert str(exc.value) == \
+                f"party quadrature ('bob', 'P') has variance {var}"
 
 
 class TestMonogamy:
