@@ -644,33 +644,43 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     oracle["cov_Xm_PW"] = stack.covariance((m, "X"), (w, "P"))
     oracle["E_mW"] = steering.steering_product(stack, m, w)
     oracle["E_m1"] = steering.steering_product(stack, m, dynamics.A_1_OUT)
-    oracle = {key: col.tolist() for key, col in oracle.items()}
-    E = _witness_grid(_apply(base, var, values), values.shape).tolist()
 
-    def fill(i: int, v: float, row: dict) -> None:
-        # the closed-form side at this point, and the relative errors
-        knobs = _apply(base, var, v)
-        r, x, n0, n, ratio = (knobs[k] for k in ("r", "gamma_over_G", "n0",
-                                                 "n", "G1_over_G2"))
-        block = closedform.output_block(r, x, n0, n, G1_over_G2=ratio)
-        var_W, cov_W = closedform._w_moments(r, x, n0, n)
-        if math.isnan(oracle["E_mW"][i]) or math.isnan(oracle["E_m1"][i]):
-            # raises the point's oracle failure or the one-slice call's error
-            for party in (w, dynamics.A_1_OUT):
-                steering.steering_product(_slice(sweep, i), m, party)
-        if math.isnan(E[i]):
-            _witness(knobs)  # raises the cell's error
-        f1 = closedform._gain_fractions(x, ratio)[0]
-        closed = {key: float(block[ij]) for key, ij in _BLOCK_MOMENTS.items()}
-        closed.update(var_XW_out=var_W, cov_Xm_PW=cov_W, E_mW=E[i],
-                      E_m1=closedform.single_steering_value(r, x, n0, n, f1))
-        rel = {f"rel_{key}": abs(oracle[key][i] - closed[key])
-               / max(abs(closed[key]), 1e-9) for key in _ORACLE_COMPARED}
-        row.update(rel, max_rel=max(0.0, *rel.values()))
+    def closed(k: dict, i: int | None = None) -> dict:
+        # the closed-form side at knobs k, one call per column: array calls
+        # over the sweep, or float calls at point i, which raise its first
+        # error, with the oracle's after W's moments
+        args = k["r"], k["gamma_over_G"], k["n0"], k["n"]
+        S = closedform.output_block(*args, G1_over_G2=k["G1_over_G2"])
+        out = {key: S[..., a, b] for key, (a, b) in _BLOCK_MOMENTS.items()}
+        out["var_XW_out"], out["cov_Xm_PW"] = closedform._w_moments(*args)
+        for party in () if i is None else (w, dynamics.A_1_OUT):
+            steering.steering_product(_slice(sweep, i), m, party)
+        out["E_mW"] = closedform.collective_steering_value(*args)
+        out["E_m1"] = closedform.single_steering_value(*args, (
+            closedform._gain_fractions(args[1], k["G1_over_G2"])[0]))
+        return out
 
+    # r as a view of the sweep's shape, so that a witness counts its points
+    knobs = _apply(base, var, values)
+    got, want = (np.array([side[key] for key in _ORACLE_COMPARED]).T
+                 for side in (oracle, closed({**knobs, "r": np.broadcast_to(
+                     knobs["r"], values.shape)})))
+    rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-9)
+    table = np.column_stack((values, rel, np.fmax.reduce(rel, axis=1,
+                                                         initial=0.0)))
+    # a row whose closed or oracle side failed is explained by the point's
+    # float calls; its first error is its warning
+    warnings = []
+    bad = np.isnan(want).any(axis=1) | np.isnan(got[:, -2:]).any(axis=1)
+    for i in np.flatnonzero(bad).tolist():
+        v = values[i].item()
+        try:
+            closed(_apply(base, var, v), i)
+        except SteerkitError as exc:
+            table[i, 1:] = math.nan
+            warnings.append(_point_warning(var, i, v, None, exc))
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
-    points, warnings = _sweep_rows(sc, columns, [(None, fill)])
-    rels = points.cells[:, -1].tolist()
+    rels = table[:, -1].tolist()
     # the largest discrepancy over the rows that resolved; a failed row
     # reads NaN and fails the validation
     summary = {"max_rel_discrepancy": max(
@@ -678,7 +688,7 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
                    default=math.nan),
                "tolerance": tol["oracle_rel"],
                "validated": all(rel <= tol["oracle_rel"] for rel in rels)}
-    return columns, points, warnings, summary
+    return columns, _Table(columns, table), warnings, summary
 
 
 def _adiabatic_params(params: dict) -> tuple[list[float], list[dict]]:
@@ -765,11 +775,16 @@ def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
 def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
 
+    def block(k: dict) -> np.ndarray:
+        return closedform.output_block(k["r"], k["gamma_over_G"], k["n0"],
+                                       k["n"], G1_over_G2=k["G1_over_G2"])
+
+    cross = block(_apply(base, var, sc.sweep.values()))[..., 2, 4].tolist()
+
     def closed(i: int, v: float, row: dict) -> None:
-        k = _apply(base, var, v)
-        row["cross_corr"] = float(closedform.output_block(
-            k["r"], k["gamma_over_G"], k["n0"], k["n"],
-            G1_over_G2=k["G1_over_G2"])[2, 4])
+        # a NaN cell is the point's float call, which raises its error
+        row["cross_corr"] = cross[i] if not math.isnan(cross[i]) else \
+            float(block(_apply(base, var, v))[2, 4])
 
     def mc(i: int, v: float, row: dict) -> None:
         rp = _reduced(_apply(base, var, v))

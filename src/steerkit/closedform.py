@@ -10,6 +10,15 @@ evaluated as one rational expression in factors of r that stay within
 cov^2/var`` subtraction loses all significant digits (large pulse area
 with a hot mirror), and needs no band or asymptote at any r.
 
+``output_block``, W's two moments (``_w_moments``) and both witnesses take
+floats or numpy arrays alike (``_evaluate``): an array call broadcasts its
+arguments, evaluates the factors of r alone on r's own axes and those of
+the knobs on theirs, and is NaN on every cell outside the domain or past
+the float range; a float call is one cell of the same expression, with
+the same bits, and raises a typed error where that cell is NaN.  The
+branches of the one small-r series are chosen per call from r's bounds
+(``_branches``), under one numpy error state.
+
 Conventions: symmetric (Weyl) ordering, vacuum variance 1/2, quadratures
 ``X = (a + a^dag)/sqrt(2)`` and ``P = (a - a^dag)/(i sqrt(2))``.  By the
 phase symmetry of the model every mode has equal X and P variance and the
@@ -26,12 +35,14 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidParams
 
-# Beyond this pulse area 4 r e^{2r} nears the end of the float range, and
-# gain_filter_ratio takes its other form.
-LARGE_R = 350.0
-
 # Below this pulse area sinh(r) - r is summed as its Taylor series.
 SINH_SERIES_R = 0.5
+
+# The entries (m, v1, v2, c1, c2, c12, 0) of output_block in its (6, 6)
+# layout: X and P of A_m_out, A_1_out and A_2_out.
+_LAYOUT = np.array([[0, 6, 6, 3, 6, 4], [6, 0, 3, 6, 4, 6],
+                    [6, 3, 1, 6, 5, 6], [3, 6, 6, 1, 6, 5],
+                    [6, 4, 5, 6, 2, 6], [4, 6, 6, 5, 6, 2]])
 
 
 def _sinh_series(y2):
@@ -43,6 +54,24 @@ def _sinh_series(y2):
             1.0 / 39916800.0 + y2 / 6227020800.0))))
 
 
+def _bounds(r) -> tuple:
+    """The least and greatest r, NaN if any r is."""
+    r = np.asarray(r)
+    return r.min(initial=np.inf), r.max(initial=-np.inf)
+
+
+def _branches(z, z_lo, z_hi, below, above):
+    """``below()`` where ``z < SINH_SERIES_R`` and ``above()`` elsewhere,
+    building only the branches that bounds ``z_lo <= z <= z_hi`` reach
+    (both where a bound is NaN), so a caller that knows its bounds makes
+    no per-cell choice."""
+    if z_lo >= SINH_SERIES_R:
+        return above()
+    if z_hi < SINH_SERIES_R:
+        return below()
+    return np.where(z < SINH_SERIES_R, below(), above())
+
+
 def _r_factors(r, r_lo=0.0, r_hi=np.inf) -> tuple:
     """The factors of r that both witnesses and ``max_occupation`` are
     written in, each within [0, 1] for r > 0, so that no r needs a band or
@@ -51,92 +80,122 @@ def _r_factors(r, r_lo=0.0, r_hi=np.inf) -> tuple:
     ``dm = t - q = 2 e^{-r} (sinh r - r)``.  ``dm`` cancels at small r and
     is summed as its series below ``SINH_SERIES_R``; a caller that knows
     bounds ``r_lo <= r <= r_hi`` (NaN for unknown) passes them, so that
-    only the branch r needs is built, with no per-cell choice.  Floats and
-    numpy arrays alike, under the caller's numpy error state; r = 0 and
-    r = inf give NaN in ``h`` (and in ``q`` at inf)."""
+    only the branch r needs is built (``_branches``).  Floats and numpy
+    arrays alike, under the caller's numpy error state; r = 0 and r = inf
+    give NaN in ``h`` (and in ``q`` at inf)."""
     er = np.exp(-r)
     t = -np.expm1(-2.0 * r)
     v = er * er
     q = 2.0 * (r * er)
-    if r_lo >= SINH_SERIES_R:
-        dm = t - q
-    else:
-        y2 = r * r
-        dm = 2.0 * er * (r * y2 * _sinh_series(y2))
-        if not r_hi < SINH_SERIES_R:
-            dm = np.where(r < SINH_SERIES_R, dm, t - q)
+    dm = _branches(r, r_lo, r_hi, lambda: 2.0 * er * (
+        r * (r * r) * _sinh_series(r * r)), lambda: t - q)
     return t, v, r * v / t, q, dm
 
 
-def gain_filter_ratio(r: float) -> float:
-    """``4 r e^{2r} / (e^{2r} - 1)``, limit 2 at r = 0; past ``LARGE_R``
-    written as ``4 r / (1 - e^{-2r})``, as ``4 r e^{2r}`` leaves the float
-    range near r = 351.27.  ``expm1`` keeps both forms within 2 ulps at
-    every r > 0."""
-    if r == 0.0:
-        return 2.0
-    u = 2.0 * r
-    if r > LARGE_R:
-        return 4.0 * r / -math.expm1(-u)
-    return 4.0 * r * math.exp(u) / math.expm1(u)
+def gain_filter_ratio(r):
+    """``4 r e^{2r} / (e^{2r} - 1)``, written as ``4 r / (1 - e^{-2r})`` so
+    that no intermediate leaves the float range at any r; 2 at r = 0.
+    ``expm1`` keeps it within 2 ulps of mpmath (1.31 measured) at every
+    r > 0.  Floats and numpy arrays alike, as a numpy array."""
+    return np.divide(4.0 * r, -np.expm1(-2.0 * r),
+                     out=np.full(np.shape(r), 2.0), where=r != 0.0)
 
 
-def coherence_factor(r: float) -> float:
+def coherence_factor(r):
     """``e^{2r} (sinh 2r - 2r) / (e^{2r} - 1)``, vanishing like (2/3) r^2.
 
     Written as ``(sinh u - u) / (1 - e^{-u})`` with ``u = 2r`` to avoid the
     e^{4r} intermediate that would overflow long before the value itself
     does.  Below ``SINH_SERIES_R``, where ``sinh u - u`` cancels, it is
     ``r^2 ((sinh r - r)/r^3 cosh r + 2 (sinh(r/2)/r)^2) gain_filter_ratio(r)
-    / 2``, a sum of positive terms.  Twice this is the amplified noise
-    ``e^{2r} + 1 - gain_filter_ratio(r)`` of the cavity output variances.
+    / 2``, a sum of positive terms, with the last factor taken as ``u / (1
+    - e^{-u})``, its value.  Twice this is the amplified noise ``e^{2r} + 1
+    - gain_filter_ratio(r)`` of the cavity output variances.  Floats and
+    numpy arrays alike, each branch built only where r's bounds reach it,
+    under the caller's numpy error state (r = 0 divides 0 by 0 before its
+    value 0 is put in).
     """
-    if r == 0.0:
-        return 0.0
-    if r < SINH_SERIES_R:
-        h = math.sinh(0.5 * r) / r
-        return r * r * (_sinh_series(r * r) * math.cosh(r) + 2.0 * h * h) \
-            * (gain_filter_ratio(r) / 2.0)
+    r_lo, r_hi = _bounds(r)
     u = 2.0 * r
-    return (math.sinh(u) - u) / (-math.expm1(-u))
+    t = -np.expm1(-u)
+    cf = _branches(r, r_lo, r_hi, lambda: r * r * (
+        _sinh_series(r * r) * np.cosh(r)
+        + 2.0 * np.square(np.sinh(0.5 * r) / r)) * (u / t),
+        lambda: (np.sinh(u) - u) / t)
+    return cf if r_lo > 0.0 else np.where(r == 0.0, 0.0, cf)
 
 
-def _check_inputs(r: float, x: float, n0: float, n: float) -> None:
-    if not r >= 0.0:
-        raise InvalidParams(f"pulse area r must be >= 0, got {r!r}")
-    if not x >= 0.0:
-        raise InvalidParams(f"gamma_over_G must be >= 0, got {x!r}")
-    if not n0 >= 0.0:
-        raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
-    if not n >= 0.0:
-        raise InvalidParams(f"n must be >= 0, got {n!r}")
+def _check_inputs(r: float, x: float, n0: float, n: float,
+                  G1_over_G2: float = 1.0) -> None:
+    for name, v in (("pulse area r", r), ("gamma_over_G", x), ("n0", n0),
+                    ("n", n)):
+        if not v >= 0.0:
+            raise InvalidParams(f"{name} must be >= 0, got {v!r}")
+    if not G1_over_G2 > 0.0:
+        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
 
 
-def _overflow(r: float) -> InvalidParams:
+def _overflow(r: float, *_) -> InvalidParams:
     return InvalidParams(f"closed-form moments overflow at pulse area "
                          f"r = {r!r}")
 
 
-def _growth(r: float) -> float:
-    """``u = e^{2r} - 1`` for the moment formulas, which have no asymptote:
-    past r ~ 354.9 it is not a float, and ``InvalidParams`` says so."""
-    try:
-        return math.expm1(2.0 * r)
-    except OverflowError:
-        raise _overflow(r) from None
+def _degenerate(*args) -> DegenerateVariance:
+    names = ", ".join("r gamma_over_G n0 n Gj_over_G".split()[:len(args)])
+    return DegenerateVariance(f"a term leaves the float range at ({names}) "
+                              f"= {tuple(map(float, args))!r}")
 
 
-def _gain_fractions(x: float, G1_over_G2: float) -> tuple[float, float]:
-    """``(G1/G, G2/G)``: the gain sum ``1 + x`` split as ``G1_over_G2``."""
-    if not G1_over_G2 > 0.0:
-        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+def _evaluate(cells, args, check, error):
+    """A call of the closed-form function whose arithmetic is ``cells(r,
+    *knobs, ok)``, with ``args = (r, gamma_over_G, n0, n, ...)``.
+
+    A float call (no argument a numpy array) is one cell: ``check(*args)``
+    raises ``InvalidParams`` outside the domain, ``error(*args)`` is raised
+    where the cell is NaN, and a cell of one value is a Python float.  An
+    array call broadcasts the arguments by numpy's rules, each evaluated
+    on its own axes (an axis that a broadcast view repeats, stride 0,
+    counts once; a 0-d knob is a float, which numpy combines with arrays
+    faster), with ``ok`` the cells whose ``(gamma_over_G, n0, n)`` are not
+    negative or NaN; the result has the arguments' broadcast shape,
+    followed by that of one cell.
+    """
+    if not any(isinstance(v, np.ndarray) for v in args):
+        check(*args)
+        out = cells(np.float64(args[0]), *map(float, args[1:]))
+        if np.isnan(out).any():
+            raise error(*args)
+        return out if out.ndim else float(out)
+    arrays = [np.asarray(v, dtype=float) for v in args]
+    r, x, n0, n, *rest = [_own_axes(arrays[0])] + [
+        _own_axes(a) if a.ndim else float(a) for a in arrays[1:]]
+    out = cells(r, x, n0, n, *rest, ok=(x >= 0.0) & (n0 >= 0.0) & (n >= 0.0))
+    shape = np.broadcast(*arrays).shape
+    if out.shape[:len(shape)] != shape:  # a view's repeated axis
+        out = np.broadcast_to(out, shape + out.shape[len(shape):]).copy()
+    return out
+
+
+def _columns(values: tuple, ok) -> np.ndarray:
+    """``values`` (floats or arrays that broadcast) stacked on a last axis,
+    every value of a cell NaN where ``ok`` is False or one of its values
+    is not a finite float."""
+    out = np.empty(np.broadcast(*values, ok).shape + (len(values),))
+    for k, value in enumerate(values):
+        out[..., k] = value
+    out[~(np.isfinite(out).all(-1) & ok)] = np.nan
+    return out
+
+
+def _gain_fractions(x, G1_over_G2) -> tuple:
+    """``(G1/G, G2/G)``: the gain sum ``1 + x`` split as ``G1_over_G2``,
+    NaN where ``G1_over_G2`` is not > 0; floats and numpy arrays alike."""
     gsum = 1.0 + x
-    f2 = gsum / (1.0 + G1_over_G2)
+    f2 = gsum / (1.0 + np.where(G1_over_G2 > 0.0, G1_over_G2, np.nan))
     return gsum - f2, f2
 
 
-def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
-                 G1_over_G2: float = 1.0) -> np.ndarray:
+def output_block(r, gamma_over_G, n0, n, *, G1_over_G2=1.0) -> np.ndarray:
     """The (6, 6) covariance of the output modes (A_m_out, A_1_out, A_2_out).
 
     Rows and columns are X and P per mode, in that mode order: the layout
@@ -155,42 +214,46 @@ def output_block(r: float, gamma_over_G: float, n0: float, n: float, *,
     mode of the block, as it carries the mirror's bath input (``_w_moments``
     gives its two moments).
 
-    Raises ``InvalidParams`` outside the domain and where an entry is not a
-    finite float: every r past ~354.9, and somewhat below it at large
-    occupations.
+    Accepts numpy arrays as ``collective_steering_value`` does: the five
+    arguments broadcast on their own axes, the factors of r alone are
+    computed on r's, and the result has their broadcast shape followed by
+    (6, 6).  Every entry of a cell outside the domain, or of a cell where
+    an entry is not a finite float (every r past ~354.9, and somewhat
+    below it at large occupations), is NaN.  A float call is one cell: it
+    raises ``InvalidParams`` outside the domain and, naming r, where that
+    cell is NaN.
     """
-    x = gamma_over_G
-    _check_inputs(r, x, n0, n)
-    f1, f2 = _gain_fractions(x, G1_over_G2)
-    u = _growth(r)
-    amp = 2.0 * coherence_factor(r)
-    m = (n0 + 0.5) + (n0 + 1.0 + x * (n + 1.0)) * u
-    v1 = 0.5 + f1 * (n0 + 1.0) * u + f1 * x * (n + 1.0) * amp
-    v2 = 0.5 + f2 * (n0 + 1.0) * u + f2 * x * (n + 1.0) * amp
-    if r == 0.0:
-        c1 = c2 = 0.0
-    else:
-        er_su = math.exp(r) * math.sqrt(u)
-        if 2.0 * r < SINH_SERIES_R:
-            # 1 - 2r/u = (e^{2r} - 1 - 2r)/u, summed as (sinh 2r - 2r)
-            # + (cosh 2r - 1), both positive, not as a difference near 1
-            y, sh = 2.0 * r, math.sinh(r)
-            excess = (y * (y * y) * _sinh_series(y * y) + 2.0 * sh * sh) / u
-        else:
-            excess = 1.0 - 2.0 * r / u
+    return _evaluate(_block_cells, (r, gamma_over_G, n0, n, G1_over_G2),
+                     _check_inputs, _overflow)
+
+
+def _block_cells(r, x, n0, n, ratio, ok=True) -> np.ndarray:
+    """``output_block`` over the broadcast of ``r`` and the knobs, NaN where
+    ``ok`` is False or an entry is not finite.  With ``u = e^{2r} - 1`` the
+    mirror-field moments carry ``1 - 2r/u``, summed below
+    ``SINH_SERIES_R`` as ``(coherence_factor (1 - e^{-2r}) + 2 sinh^2 r) /
+    u``, that is ``((sinh 2r - 2r) + (cosh 2r - 1)) / u``, both positive,
+    not as a difference near 1."""
+    r_lo, r_hi = _bounds(r)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f1, f2 = _gain_fractions(x, ratio)
+        y = 2.0 * r
+        u = np.expm1(y)
+        cf = coherence_factor(r)
+        excess = _branches(r, r_lo, r_hi, lambda: (
+            cf * -np.expm1(-y) + 2.0 * np.square(np.sinh(r))) / u,
+            lambda: 1.0 - y / u)
+        if not r_lo > 0.0:  # 0/0 at r = 0, where c1 and c2 vanish
+            excess = np.where(r == 0.0, 0.0, excess)
+        # the cavity moments are 1/2 + f_j p and <X_1, X_2> = sqrt(f1 f2) p
+        p = (n0 + 1.0) * u + 2.0 * x * (n + 1.0) * cf
+        er_su = np.exp(r) * np.sqrt(u)
         common = n0 + 1.0 + x * (n + 1.0) * excess
-        c1 = -math.sqrt(f1) * er_su * common
-        c2 = -math.sqrt(f2) * er_su * common
-    c12 = math.sqrt(f1 * f2) * ((n0 + 1.0) * u
-                                + 2.0 * (n + 1.0) * x * coherence_factor(r))
-    if not all(map(math.isfinite, (m, v1, v2, c1, c2, c12))):
-        raise _overflow(r)
-    return np.array([[m, 0.0, 0.0, c1, 0.0, c2],
-                     [0.0, m, c1, 0.0, c2, 0.0],
-                     [0.0, c1, v1, 0.0, c12, 0.0],
-                     [c1, 0.0, 0.0, v1, 0.0, c12],
-                     [0.0, c2, c12, 0.0, v2, 0.0],
-                     [c2, 0.0, 0.0, c12, 0.0, v2]])
+        return _columns((
+            (n0 + 0.5) + (n0 + 1.0 + x * (n + 1.0)) * u, 0.5 + f1 * p,
+            0.5 + f2 * p, -np.sqrt(f1) * er_su * common,
+            -np.sqrt(f2) * er_su * common, np.sqrt(f1 * f2) * p, 0.0),
+            ok)[..., _LAYOUT]
 
 
 def _coefficients(x, n0, n) -> tuple:
@@ -207,30 +270,34 @@ def _coefficients(x, n0, n) -> tuple:
             2.0 * (2.0 * n0 + 1.0))
 
 
-def _w_moments(r: float, x: float, n0: float, n: float) -> tuple[float, float]:
-    """``(var_XW_out, cov_Xm_PW)`` of the collective mode W at a point that
-    ``output_block`` accepts, or ``InvalidParams`` where one is not a finite
-    float.  W is no mode of that block: it carries the mirror's bath input
-    (``collective_steering_value``)."""
-    u = _growth(r)
-    a = n0 + 1.0 + x * (n + 1.0)
-    b = 0.5 + x * (n + 1.0)
-    var_W = (1.0 + x) * (1.0 + x) * (a * u + b) \
-        + x * b * (x - (1.0 + x) * gain_filter_ratio(r))
-    if r == 0.0:
-        cov_W = 0.0
-    else:
-        cov_W = -(1.0 + x) * (math.exp(r) * math.sqrt(u)) * a \
-            + x * (2.0 * r * math.exp(r) / math.sqrt(u)) * b
-    if not (math.isfinite(var_W) and math.isfinite(cov_W)):
-        raise _overflow(r)
-    return var_W, cov_W
+def _w_moments(r, x, n0, n) -> tuple:
+    """``(var_XW_out, cov_Xm_PW)`` of the collective mode W, evaluated as
+    ``output_block`` is: floats and numpy arrays alike, both NaN in a cell
+    outside the domain or where one is not a finite float, where a float
+    call raises ``InvalidParams``.  W is no mode of that block: it carries
+    the mirror's bath input (``collective_steering_value``)."""
+    W = _evaluate(_w_cells, (r, x, n0, n), _check_inputs, _overflow)
+    return tuple(np.moveaxis(W, -1, 0))
 
 
-def collective_steering_value(r: float | np.ndarray,
-                              gamma_over_G: float | np.ndarray,
-                              n0: float | np.ndarray, n: float | np.ndarray,
-                              ) -> float | np.ndarray:
+def _w_cells(r, x, n0, n, ok=True) -> np.ndarray:
+    """W's two moments over the broadcast of ``r`` and the knobs, on a last
+    axis, NaN where ``ok`` is False or one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = 2.0 * r
+        u = np.expm1(y)
+        er, su = np.exp(r), np.sqrt(u)
+        # 2r e^r / sqrt(u), 0 at r = 0, where cov_W vanishes
+        g = np.divide(y * er, su, out=np.zeros(np.shape(su)), where=r != 0.0)
+        a = n0 + 1.0 + x * (n + 1.0)
+        b = 0.5 + x * (n + 1.0)
+        return _columns((
+            (1.0 + x) * (1.0 + x) * (a * u + b)
+            + x * b * (x - (1.0 + x) * gain_filter_ratio(r)),
+            -(1.0 + x) * (er * su) * a + x * g * b), ok)
+
+
+def collective_steering_value(r, gamma_over_G, n0, n):
     """Steering witness of the mirror given the collective mode W.
 
     Equals ``var_Xm_out - cov_Xm_PW^2 / var_XW_out`` (``S[0, 0]`` of
@@ -269,34 +336,22 @@ def collective_steering_value(r: float | np.ndarray,
     it raises ``InvalidParams`` outside the domain and
     ``DegenerateVariance`` where the cell is not a finite float.
     """
-    if not any(isinstance(v, np.ndarray) for v in (r, gamma_over_G, n0, n)):
-        _check_inputs(r, gamma_over_G, n0, n)
-        E = _collective_cells(np.float64(r), _coefficients(
-            float(gamma_over_G), float(n0), float(n)), (r, r))
-        if not np.isfinite(E):
-            raise DegenerateVariance(
-                f"a term leaves the float range at (r, gamma_over_G, n0, n) "
-                f"= {(r, gamma_over_G, n0, n)!r}")
-        return float(E)
-    args = [np.asarray(v, dtype=float) for v in (r, gamma_over_G, n0, n)]
-    shape = np.broadcast(*args).shape
-    # a float knob stays a float, which numpy combines with arrays faster
-    r = _own_axes(args[0])
-    x, n0, n = (_own_axes(a) if a.ndim else float(a) for a in args[1:])
+    return _evaluate(_collective, (r, gamma_over_G, n0, n), _check_inputs,
+                     _degenerate)
+
+
+def _collective(r, x, n0, n, ok=True) -> np.ndarray:
+    """The collective witness for ``_evaluate``: ``_collective_cells`` on
+    the knobs' ``_coefficients``, with a cell past the float range NaN."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        co = _coefficients(x, n0, n)
-    E = _collective_cells(r, co, ok=(x >= 0.0) & (n0 >= 0.0) & (n >= 0.0))
+        E = _collective_cells(r, _coefficients(x, n0, n), ok=ok)
     np.copyto(E, np.nan, where=np.isinf(E))  # past the float range
-    if E.shape != shape:  # a view's repeated axis the knobs do not span
-        E = np.broadcast_to(E, shape).copy()
     return E
 
 
 def _own_axes(a: np.ndarray) -> np.ndarray:
     """``a`` with each axis of stride 0, which a broadcast view repeats,
     cut to its first entry; the result broadcasts back to ``a``."""
-    if all(a.strides):
-        return a
     return a[tuple(slice(None, 1) if s == 0 else slice(None)
                    for s in a.strides)]
 
@@ -337,7 +392,7 @@ def _collective_cells(r: np.ndarray, co: tuple, bounds=None,
     True), or with r negative or NaN, are NaN; a cell where a term leaves
     the float range is NaN or inf."""
     # the least and greatest r, NaN if any r is
-    r_lo, r_hi = bounds or (r.min(initial=np.inf), r.max(initial=-np.inf))
+    r_lo, r_hi = bounds or _bounds(r)
     n0, s, ss, k_a, k_s, b4, k_t = co
     if not r_hi < np.inf:
         r = np.minimum(r, 1e3)
@@ -360,8 +415,7 @@ def _collective_cells(r: np.ndarray, co: tuple, bounds=None,
     return E
 
 
-def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
-                          Gj_over_G: float) -> float:
+def single_steering_value(r, gamma_over_G, n0, n, Gj_over_G):
     """Steering witness of the mirror given one cavity output mode alone.
 
     Equals ``var_Xm_out - cov_Xm_Pj^2 / var_Xj_out`` (entries of
@@ -382,36 +436,46 @@ def single_steering_value(r: float, gamma_over_G: float, n0: float, n: float,
     measured) over the same knobs, at G1/G2 in {1/2, 1, 2}.
     ``Gj_over_G`` is the gain fraction of the measured mode; swapping the
     two fractions swaps the two witnesses exactly.  ``Gj_over_G = 0``
-    gives ``var_Xm_out``.  Raises ``DegenerateVariance`` where the value
-    is not a finite float.
+    gives ``var_Xm_out``.
+
+    Accepts numpy arrays as ``collective_steering_value`` does: a cell
+    outside the domain (a negative or NaN argument, or ``Gj_over_G``
+    outside [0, 1 + gamma/G]) or past the float range is NaN.  A float
+    call is one cell: it raises ``InvalidParams`` outside the domain and
+    ``DegenerateVariance`` where the cell is not a finite float.
     """
-    x = gamma_over_G
-    f = Gj_over_G
+    return _evaluate(_single_cells, (r, gamma_over_G, n0, n, Gj_over_G),
+                     _check_single, _degenerate)
+
+
+def _check_single(r, x, n0, n, f) -> None:
     _check_inputs(r, x, n0, n)
     if not 0.0 <= f <= 1.0 + x:
         raise InvalidParams(f"Gj_over_G = {f!r} outside [0, 1 + gamma/G]")
-    if r == 0.0:
-        return n0 + 0.5
-    y = x * (n + 1.0)
-    d = 2.0 * n0 + 1.0
-    # as in _collective_cells; no factor of r in (0, 1e3] leaves the float
-    # range, and Python floats overflow to inf without a warning
-    rf = min(r, 1e3)
-    t, v, h, q, dm = map(float, _r_factors(rf, rf, rf))
-    z = 2.0 * rf
-    if z < SINH_SERIES_R:
-        K = 2.0 * (z * (z * z) * _sinh_series(z * z)) * v / t
-    else:
-        K = 1.0 + v - 4.0 * h
-    num = (4.0 * f * y * y * (dm * (t + q) / t) + 2.0 * y * (f * d * K + t)
-           + d * v + 2.0 * (n0 + 1.0) * (1.0 - f) * t)
-    den = 4.0 * (0.5 * v + f * (n0 + 1.0) * t + f * y * K)
-    E = num / den if den > 0.0 else math.inf  # den is 0 only where f = v = 0
-    if not math.isfinite(E):
-        raise DegenerateVariance(
-            f"a term leaves the float range at (r, gamma_over_G, n0, n, "
-            f"Gj_over_G) = {(r, x, n0, n, f)!r}")
-    return float(E)
+
+
+def _single_cells(r, x, n0, n, f, ok=True) -> np.ndarray:
+    """The single-mode witness over the broadcast of ``r`` and the knobs,
+    NaN where ``ok`` is False, r or ``f`` is outside the domain, or the
+    value is not finite (``den`` is 0 only where f = v = 0)."""
+    r_lo, r_hi = _bounds(r)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # as in _collective_cells: no factor of r in (0, 1e3] leaves the
+        # float range
+        r = np.minimum(r, 1e3)
+        t, v, h, q, dm = _r_factors(r, r_lo, r_hi)
+        z = 2.0 * r
+        K = _branches(z, 2.0 * r_lo, 2.0 * r_hi, lambda: 2.0 * (z * (
+            z * z) * _sinh_series(z * z)) * v / t, lambda: 1.0 + v - 4.0 * h)
+        y = x * (n + 1.0)
+        d = 2.0 * n0 + 1.0
+        E = (4.0 * f * y * y * (dm * (t + q) / t) + 2.0 * y * (f * d * K + t)
+             + d * v + 2.0 * (n0 + 1.0) * (1.0 - f) * t) \
+            / (4.0 * (0.5 * v + f * (n0 + 1.0) * t + f * y * K))
+        if not r_lo > 0.0:
+            E = np.where(r == 0.0, n0 + 0.5, E)
+        return np.where(ok & (f >= 0.0) & (f <= 1.0 + x) & (r >= 0.0)
+                        & np.isfinite(E), E, np.nan)
 
 
 def threshold_r(n0: float) -> float:

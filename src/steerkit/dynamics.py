@@ -190,14 +190,19 @@ def build_reduced_model(rp: ReducedParams) -> LinearModel:
 
 
 def _output_norm(dq: DerivedQuantities, tau: float) -> float:
-    """Normalization of the growing envelope ``e^{G t}`` over [0, tau]."""
+    """Normalization of the growing envelope ``e^{G t}`` over [0, tau], or
+    ``IntegratorFailure`` where it is not a finite float: e^{2 G tau}
+    leaves the float range past G tau ~ 354.9, and below G tau ~ 5.6e-309
+    the quotient does (Python float division overflows to inf)."""
     G = dq.G
     try:
-        return math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
-    except OverflowError as exc:
-        raise IntegratorFailure(
-            f"output kernel normalization overflows at G*tau = "
-            f"{G * tau:.6g}") from exc
+        norm = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise IntegratorFailure(f"output kernel normalization overflows at "
+                                f"G*tau = {G * tau:.6g}")
+    return norm
 
 
 def output_kernels(rp: ReducedParams, *, full: bool,

@@ -7,7 +7,8 @@ symplectic spectrum of a covariance block (physicality), the named
 closed-form moments and the cavity cross-correlation read off
 ``output_block``, the optimal inference gain, the monogamy of single-party
 witnesses, the noise threshold searched on the sup over r alone, both
-closed-form witnesses evaluated from their defining moments in mpmath, and
+closed-form witnesses and the distinct entries of the covariance block
+evaluated from their defining moments in mpmath, and
 the steering contour bisected one round per witness pass.
 """
 
@@ -302,6 +303,37 @@ def single_witness_reference(r: float, gamma_over_G: float, n0: float,
         cov_j = -mpmath.sqrt(f) * mpmath.exp(r) * mpmath.sqrt(u) \
             * (n0 + 1 + x * (n + 1) * (1 - 2 * r / u))
         return float(var_m - cov_j ** 2 / var_j)
+
+
+def block_reference(r: float, gamma_over_G: float, n0: float, n: float,
+                    G1_over_G2: float) -> dict[str, float]:
+    """The distinct entries of ``output_block`` and W's two moments, keyed
+    ``S00``, ``S22``, ``S03``, ``S24``, ``var_XW_out`` and ``cov_Xm_PW``,
+    from their defining formulas (``coherence_factor`` written as ``e^{2r}
+    (sinh 2r - 2r) / (e^{2r} - 1)``, the gain split exact) in mpmath at 60
+    digits: none of them is a difference that cancels by more than a few
+    digits."""
+    with mpmath.workdps(60):
+        r, x, n0, n, ratio = (mpmath.mpf(v) for v in (
+            r, gamma_over_G, n0, n, G1_over_G2))
+        u, a, b, var_m = _mp_moments(r, x, n0, n)
+        f2 = (1 + x) / (1 + ratio)
+        f1 = 1 + x - f2
+        cf = (u + 1) * (mpmath.sinh(2 * r) - 2 * r) / u
+        er_su = mpmath.exp(r) * mpmath.sqrt(u)
+        kr = 4 * r * (u + 1) / u
+        return {key: float(value) for key, value in (
+            ("S00", var_m),
+            ("S22", mpmath.mpf(1) / 2 + f1 * (n0 + 1) * u
+             + 2 * f1 * x * (n + 1) * cf),
+            ("S03", -mpmath.sqrt(f1) * er_su
+             * (n0 + 1 + x * (n + 1) * (1 - 2 * r / u))),
+            ("S24", mpmath.sqrt(f1 * f2) * ((n0 + 1) * u
+                                           + 2 * (n + 1) * x * cf)),
+            ("var_XW_out", (1 + x) ** 2 * (a * u + b)
+             + x * b * (x - (1 + x) * kr)),
+            ("cov_Xm_PW", -(1 + x) * er_su * a
+             + x * (2 * r * mpmath.exp(r) / mpmath.sqrt(u)) * b))}
 
 
 def one_round_contour(r_grid, gamma_over_G_grid, n0: float,

@@ -317,6 +317,24 @@ class TestCurveRuns:
             "3.55000000000e+02,nan,nan,4.95867768595e-03,nan\n"
             "3.56000000000e+02,nan,nan,4.95867768595e-03,nan\n")
 
+    def test_a_subnormal_pulse_area_refuses_its_kernel_normalization(
+            self, tmp_path):
+        # below G tau ~ 5.6e-309, 2G / (e^{2 G tau} - 1) overflows in float
+        # division, which raises nothing: the normalization says so, as it
+        # does past r ~ 354.9; at r = 6e-309 it is finite and E resolves
+        sc = Scenario(mode="curve", engine="oracle",
+                      params={"kind": "ratios", "gamma_over_G": 0.1},
+                      sweep=Sweep("r", 1e-311, 6e-309, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = csv_text(run(sc), tmp_path)
+        assert text.split("\n", 2)[2] == (
+            "# warning: point 0 (r=1e-311, E): output kernel normalization "
+            "overflows at G*tau = 1e-311\n"
+            "r,E_oracle\n"
+            "1.00000000000e-311,nan\n"
+            "6.00000000000e-309,5.00000000000e-01\n")
+
     @pytest.mark.parametrize("gamma_over_G, sweep, rows", [
         # the covariance passes half the float maximum from r ~ 354.5, and
         # its symmetrization overflows
@@ -635,15 +653,15 @@ class TestOtherModes:
 
     def test_validate_oracle_closed_side_is_the_direct_closed_form(
             self, monkeypatch):
-        # the moments and E_m1 are float calls per point; E_mW is one
-        # array call per sweep whose every cell is the point's float call
+        # each closed-form column is one array call per sweep, and each of
+        # its cells is the point's float call
         seen = []
         for name in ("output_block", "_w_moments",
                      "collective_steering_value", "single_steering_value"):
             def spy(*args, _fn=getattr(closedform, name), _name=name,
                     **kwargs):
-                seen.append((_name, _fn(*args, **kwargs)))
-                return seen[-1][1]
+                seen.append((_name, args, _fn(*args, **kwargs)))
+                return seen[-1][2]
             monkeypatch.setattr(closedform, name, spy)
         sc = Scenario(
             mode="validate-oracle",
@@ -654,22 +672,23 @@ class TestOtherModes:
         run(sc)
         monkeypatch.undo()
         rs = sc.sweep.values().tolist()
+        assert [name for name, _, _ in seen] == [
+            "output_block", "_w_moments", "collective_steering_value",
+            "single_steering_value"]
+        assert all(isinstance(args[0], np.ndarray) and args[0].shape == (3,)
+                   for _, args, _ in seen)
+        (_, _, S), (_, _, W), (_, _, E), (_, args, E1) = seen
         f1 = (1.0 + 0.1) - (1.0 + 0.1) / (1.0 + 1.5)
-        expect = []
-        for r in rs:
-            expect += [
-                ("output_block", closedform.output_block(
-                    r, 0.1, 0.5, 5.0, G1_over_G2=1.5).tolist()),
-                ("_w_moments", closedform._w_moments(r, 0.1, 0.5, 5.0)),
-                ("single_steering_value",
-                 closedform.single_steering_value(r, 0.1, 0.5, 5.0, f1))]
-        (name, E), *rest = seen
-        assert name == "collective_steering_value"
-        assert [(name, v.tolist() if name == "output_block" else v)
-                for name, v in rest] == expect
-        assert E.tolist() == [
-            closedform.collective_steering_value(r, 0.1, 0.5, 5.0)
-            for r in rs]
+        assert args[4] == f1
+        for i, r in enumerate(rs):
+            assert S[i].tolist() == closedform.output_block(
+                r, 0.1, 0.5, 5.0, G1_over_G2=1.5).tolist()
+            assert (W[0][i], W[1][i]) == closedform._w_moments(
+                r, 0.1, 0.5, 5.0)
+            assert E[i] == closedform.collective_steering_value(
+                r, 0.1, 0.5, 5.0)
+            assert E1[i] == closedform.single_steering_value(
+                r, 0.1, 0.5, 5.0, f1)
 
     @pytest.mark.parametrize("mode", sorted(cli._MODES))
     def test_every_cell_is_a_python_float(self, mode):
@@ -842,7 +861,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("name, exit_code, digest", [
         ("VALIDATE_ORACLE", 3,
-         "4c17981368f07722a95755dac56974e1abc2c5dc2b0976a3c6fcbb34ae5b3730"),
+         "6d2fde465b46466bf7e88b52a914604140107c495e51839f07ff50f1a91a7e50"),
         ("CLOSED_CROSS_CORRELATION", 0,
          "43443e4a40c0410a63c38a35b795dc6493f9008b0f8fd31d0ae6386a5328ebde"),
     ])

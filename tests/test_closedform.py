@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _reference import (
     block,
+    block_reference,
     collective_witness_reference,
     cross_correlation,
     moment_set,
@@ -25,7 +26,6 @@ from steerkit import (
 )
 from steerkit import closedform
 from steerkit.closedform import (
-    LARGE_R,
     SINH_SERIES_R,
     _gain_fractions,
     coherence_factor,
@@ -104,7 +104,7 @@ class TestSmallPulseAccuracy:
         assert gain_filter_ratio(0.0) == 2.0
         rng = np.random.default_rng(2)
         rs = np.exp(rng.uniform(math.log(1e-300), math.log(1e4), 2000))
-        for r in [*rs.tolist(), LARGE_R, math.nextafter(LARGE_R, 1e4)]:
+        for r in [*rs.tolist(), 350.0, math.nextafter(350.0, 1e4)]:
             with mpmath.workdps(50):
                 u = 2 * mpmath.mpf(r)
                 ref = float(2 * u / -mpmath.expm1(-u))
@@ -212,10 +212,12 @@ class TestMoments:
 
     def test_gain_filter_ratio_is_finite_past_large_r(self):
         # 4 r e^{2r} leaves the float range near r = 351.27, which refused
-        # every moment past it; 4 r / (1 - e^{-2r}) does not
-        assert gain_filter_ratio(352.0) == 4.0 * 352.0
-        assert gain_filter_ratio(LARGE_R) == 4.0 * LARGE_R * math.exp(
-            2.0 * LARGE_R) / math.expm1(2.0 * LARGE_R)
+        # every moment past it; 4 r / (1 - e^{-2r}) is 4 r exactly once
+        # e^{-2r} is below half an ulp of 1, and finite through r = 354.8,
+        # where the block still is
+        rs = np.append(np.linspace(340.0, 354.8, 149), [351.27, 352.0])
+        assert all(gain_filter_ratio(r) == 4.0 * r for r in rs.tolist())
+        assert (gain_filter_ratio(rs) == 4.0 * rs).all()
         assert np.isfinite(output_block(354.8, 0.1, 0.0, 0.0)).all()
 
 
@@ -294,6 +296,122 @@ class TestOutputBlock:
         omega = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
         least = np.linalg.eigvalsh(S + 0.5j * omega)[0]
         assert least >= -1e-12 * np.abs(S).max()
+
+
+def float_call_error(r, x, n0, n, *, ratio=None, f=None):
+    """The typed error and message a float call of ``output_block`` (with
+    ``ratio``), ``_w_moments`` (neither) or ``single_steering_value`` (with
+    ``f``) raises at a NaN cell of its array call."""
+    for name, v in (("pulse area r", r), ("gamma_over_G", x), ("n0", n0),
+                    ("n", n)):
+        if not v >= 0.0:
+            return InvalidParams, f"{name} must be >= 0, got {v!r}"
+    if ratio is not None and not ratio > 0.0:
+        return InvalidParams, f"G1_over_G2 must be > 0, got {ratio!r}"
+    if f is None:
+        return InvalidParams, (f"closed-form moments overflow at pulse area "
+                               f"r = {r!r}")
+    if not 0.0 <= f <= 1.0 + x:
+        return InvalidParams, f"Gj_over_G = {f!r} outside [0, 1 + gamma/G]"
+    return DegenerateVariance, (f"a term leaves the float range at (r, "
+                                f"gamma_over_G, n0, n, Gj_over_G) = "
+                                f"{(r, x, n0, n, f)!r}")
+
+
+def accuracy_draws(size: int = 3000):
+    """``(r, gamma/G, n0, n, G1/G2)`` columns: r log-uniform in [1e-8,
+    10^2.5], the knobs drawn from the levels of the witness scans."""
+    rng = np.random.default_rng(20131219)
+    return (np.exp(rng.uniform(math.log(1e-8), 2.5 * math.log(10.0), size)),
+            rng.choice([0.0, 0.1, 1.0, 3.0], size),
+            rng.choice([0.0, 1.0, 20.0], size),
+            rng.choice([0.0, 10.0, 1e3, 1e6], size),
+            rng.choice([0.5, 1.0, 2.0], size))
+
+
+KNOB = st.floats(0.2, 5.0) | st.floats(-1.0, 0.0) | st.just(math.nan)
+
+
+class TestArrayForms:
+    """``output_block``, ``_w_moments`` and ``single_steering_value`` take
+    arrays, and a float call is one cell of the array expression."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rs=st.lists(st.floats(0.0, 360.0)
+                       | st.sampled_from([0.0, 0.25, 0.5, 354.8, 355.0,
+                                          -0.5, math.nan]),
+                       min_size=1, max_size=6),
+           knobs=st.lists(st.tuples(KNOB, KNOB, KNOB | st.just(1e300), KNOB,
+                                    st.floats(-0.5, 6.0)),
+                          min_size=1, max_size=4))
+    def test_array_cells_are_float_calls(self, rs, knobs):
+        # r as a row, the knobs as columns; every cell's float.hex is its
+        # float call's, and a NaN cell is a float call that raises
+        r = np.array(rs)
+        x, n0, n, ratio, f = (np.array(col)[:, None] for col in zip(*knobs))
+        S = output_block(r, x, n0, n, G1_over_G2=ratio)
+        W = np.stack(closedform._w_moments(r, x, n0, n), axis=-1)
+        E = single_steering_value(r, x, n0, n, f)
+        assert S.shape == (len(knobs), len(rs), 6, 6)
+        assert W.shape[:-1] == E.shape == (len(knobs), len(rs))
+        hexes = np.vectorize(float.hex, otypes=[object])
+        for (i, j), cell in np.ndenumerate(E):
+            rj = rs[j]
+            xi, n0i, ni, qi, fi = knobs[i]
+            for got, call, kwargs in (
+                    (S[i, j], lambda: output_block(
+                        rj, xi, n0i, ni, G1_over_G2=qi), {"ratio": qi}),
+                    (W[i, j], lambda: closedform._w_moments(rj, xi, n0i, ni),
+                     {}),
+                    (np.array(cell), lambda: single_steering_value(
+                        rj, xi, n0i, ni, fi), {"f": fi})):
+                if np.isnan(got).any():
+                    assert np.isnan(got).all()
+                    error, message = float_call_error(rj, xi, n0i, ni,
+                                                      **kwargs)
+                    with pytest.raises(error) as info:
+                        call()
+                    assert str(info.value) == message
+                else:
+                    expect = np.array(call(), dtype=float)
+                    assert (hexes(expect) == hexes(got)).all()
+
+    def test_views_and_float_knobs(self):
+        # a broadcast view of r is evaluated once per distinct r, and float
+        # knobs with an array r fill r's shape
+        r = np.array([0.0, 0.3, 0.7, 2.0])
+        grid = np.broadcast_to(r, (3, 4))
+        x = np.array([[0.0], [0.1], [3.0]])
+        S = output_block(grid, x, 0.5, 5.0, G1_over_G2=1.5)
+        assert S.shape == (3, 4, 6, 6) and S.flags.writeable
+        assert (S == output_block(r, x, 0.5, 5.0, G1_over_G2=1.5)).all()
+        assert (S[1] == output_block(r, 0.1, 0.5, 5.0, G1_over_G2=1.5)).all()
+        for got, row in zip(closedform._w_moments(grid, 0.1, 0.5, 5.0),
+                            closedform._w_moments(r, 0.1, 0.5, 5.0)):
+            assert got.shape == (3, 4) and (got == row).all()
+        assert (single_steering_value(grid, 0.1, 0.5, 5.0, 0.4)
+                == single_steering_value(r, 0.1, 0.5, 5.0, 0.4)).all()
+
+    def test_as_accurate_as_the_float_form(self):
+        # 3000 draws against 60-digit mpmath (tests/_reference.py); each
+        # bound is the former float-only form's worst on these draws,
+        # rounded up at its second digit
+        bounds = {"S00": 2.5e-16, "S22": 8.8e-16, "S03": 6.6e-16,
+                  "S24": 8.8e-16, "var_XW_out": 7.7e-15, "cov_Xm_PW": 2.1e-15}
+        r, x, n0, n, ratio = accuracy_draws()
+        S = output_block(r, x, n0, n, G1_over_G2=ratio)
+        got = {"S00": S[:, 0, 0], "S22": S[:, 2, 2], "S03": S[:, 0, 3],
+               "S24": S[:, 2, 4]}
+        got["var_XW_out"], got["cov_Xm_PW"] = closedform._w_moments(
+            r, x, n0, n)
+        worst = dict.fromkeys(bounds, 0.0)
+        for i, point in enumerate(zip(*(a.tolist() for a in
+                                        (r, x, n0, n, ratio)))):
+            for key, ref in block_reference(*point).items():
+                if ref != 0.0:
+                    worst[key] = max(worst[key],
+                                     abs(got[key][i] - ref) / abs(ref))
+        assert all(worst[key] <= bounds[key] for key in bounds), worst
 
 
 class TestCollectiveWitness:
@@ -422,8 +540,8 @@ class TestArrayWitness:
     @given(rs=st.lists(st.sampled_from([0.0])
                        | st.floats(1e-12, 1e-4, exclude_max=True)
                        | st.floats(1e-4, 100.0)
-                       | st.floats(100.0, LARGE_R, exclude_min=True)
-                       | st.floats(LARGE_R, 1e3, exclude_min=True),
+                       | st.floats(100.0, 350.0, exclude_min=True)
+                       | st.floats(350.0, 1e3, exclude_min=True),
                        min_size=1, max_size=8),
            knobs=st.lists(st.tuples(*[st.floats(-0.5, 60.0)
                                       | st.just(math.nan)] * 3),
@@ -520,17 +638,17 @@ class TestArrayWitness:
 
 
 class TestWitnessesBelowLargeR:
-    """Both witnesses stay finite up to ``LARGE_R``, where the moments'
-    ``e^{2r} - 1`` times the occupation terms nears the end of the float
-    range, and join their value just above it."""
+    """Both witnesses stay finite up to r = 350, where the moments' ``e^{2r}
+    - 1`` times the occupation terms nears the end of the float range, and
+    join their value just above it."""
 
-    RS = np.append(np.linspace(300.0, LARGE_R, 51), 349.99)
+    RS = np.append(np.linspace(300.0, 350.0, 51), 349.99)
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 1.5])
     @pytest.mark.parametrize("n0", [0.0, 5.0])
     @pytest.mark.parametrize("n", [0.0, 100.0])
     def test_finite_and_joining_the_asymptote(self, x, n0, n):
-        above = math.nextafter(LARGE_R, math.inf)
+        above = math.nextafter(350.0, math.inf)
         cases = [([collective_steering_value(float(r), x, n0, n)
                    for r in self.RS],
                   collective_steering_value(above, x, n0, n)),
@@ -725,7 +843,7 @@ class TestMaxOccupation:
         assert n_inf(0.1) == pytest.approx(599.0, rel=1e-14)
         assert closedform.max_occupation(10.0, 0.1, 0.0) - 599.0 \
             == pytest.approx(4.947e-4, rel=1e-3)
-        for r in (40.0, LARGE_R, 500.0):
+        for r in (40.0, 350.0, 500.0):
             assert closedform.max_occupation(r, 0.1, 0.0) \
                 == pytest.approx(599.0, rel=1e-14)
 

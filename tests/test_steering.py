@@ -38,7 +38,7 @@ from steerkit.dynamics import (
 )
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
 from steerkit import steering
-from steerkit.closedform import LARGE_R, max_occupation
+from steerkit.closedform import max_occupation
 from steerkit.steering import (
     BISECTION_ROUNDS,
     N_CAP,
@@ -553,7 +553,7 @@ class TestContourBisection:
     @given(log_r=st.booleans(), r_lo=st.floats(-1.0, 0.0),
            r_top=st.one_of(st.floats(0.5, 10.0),
                            st.floats(90.0, 120.0),
-                           st.floats(0.9 * LARGE_R, 800.0)),
+                           st.floats(0.9 * 350.0, 800.0)),
            r_points=st.integers(2, 40), x_lo=st.floats(-0.3, 0.0),
            x_top=st.floats(0.0, 1.5), x_points=st.integers(1, 8),
            n0=st.one_of(st.just(1e-12), st.floats(1e-12, 5.0),
