@@ -418,26 +418,58 @@ def _oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
     return dynamics.OutputCovariance(stack.mode_labels, sigma), failures
 
 
-def _slice(sweep: tuple, i: int):
-    """Point ``i`` of an ``_oracle_sweep`` as a one-slice covariance, whose
-    reads raise the error that explains a NaN cell of the stack's reads;
-    a point that failed raises its failure here."""
+def _oracle_refusal(sweep: tuple, party: str) -> Callable:
+    """``refusal(at)`` (``_refusals``) of an ``_oracle_sweep``'s witness with
+    ``party``: for each point of ``at``, its failure, else its party
+    variance below 1e-15 (``steering._refusal``), or None."""
     stack, failures = sweep
-    if i in failures:
-        raise failures[i]
-    return dynamics.OutputCovariance(stack.mode_labels, stack.sigma[i])
+    return lambda at: (failures.get(i) or steering._refusal(stack, party, (i,))
+                       for i in at)
+
+
+def _closed_refusal(kind: tuple, shape: tuple, knobs: dict, *more) -> Callable:
+    """``refusal(at)`` (``_refusals``) of a closed-form array call over a
+    grid of ``shape``, of the function whose ``(domain, error)`` is
+    ``kind``: for each cell of ``at`` (row-major) in turn, the error that
+    ``closedform._refusal`` reads from the cell's arguments alone.  The
+    arguments are the knobs r, gamma/G, n0 and n, then ``more``, each a
+    float or an array on its own axes of the grid, as the call took them;
+    a cell reads each as a Python float."""
+    args = knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"], *more
+    return lambda at: (closedform._refusal(cell, kind) for cell in zip(
+        *(np.broadcast_to(a, shape).flat[at].tolist() for a in args)))
+
+
+def _refusals(steps: list) -> list[tuple[int, object, str]]:
+    """The refused cells of a run as ``(point, tag, message)``, by point and
+    then in the order of ``steps``: the one step that turns a run's NaN
+    cells into its warnings.
+
+    ``steps`` is a list of ``(tag, column, refusal)``: ``column`` holds one
+    column's cells over the run's points, and ``refusal(at)`` the errors
+    that refuse the NaN cells ``at`` (flat indices), read from their
+    inputs, each None where nothing does.  A tag refuses a point once, with
+    its first step's error.  Only the error's message is kept, so that a
+    map of many refused cells keeps no error objects alive for the garbage
+    collector to walk (it tripled the time of a 401 x 401 map).
+    """
+    # keyed by point and by the tag's first step, so that sorting orders
+    # them by point and then by tag
+    first, tags = {}, [tag for tag, _, _ in steps]
+    for tag, column, refusal in steps:
+        at = np.flatnonzero(np.isnan(column)).tolist()
+        for i, exc in zip(at, refusal(at) if at else ()):
+            if exc is not None:
+                first.setdefault((i, tags.index(tag)), (tag, str(exc)))
+    return [(i, *found) for (i, _), found in sorted(first.items())]
 
 
 # ---------------------------------------------------------------------------
 # mode runners: ``runner(scenario, parsed params, tolerances)`` returns
-# (columns, points, warnings, summary) with every column in every point
-
-
-def _witness(knobs: dict) -> float:
-    """The collective witness at one point by the float call, which raises
-    the error that explains a NaN cell of ``_witness_grid``."""
-    return closedform.collective_steering_value(
-        knobs["r"], knobs["gamma_over_G"], knobs["n0"], knobs["n"])
+# (columns, points, warnings, summary) with every column in every point; a
+# runner that computes a column in one array call warns of its NaN cells
+# through ``_refusals``, and one that fills point by point through
+# ``_sweep_rows``
 
 
 def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -506,51 +538,35 @@ def _sweep_rows(sc: Scenario, columns: list[str],
 def _run_curve(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
     values = sc.sweep.values()
-    closed = sc.engine in ("closedform", "both")
-    oracle = sc.engine in ("oracle", "both")
+    closed = sc.engine != "oracle"
     cases = list(sc.cases) or [{}]
     labelled = len(cases) > 1 or "label" in cases[0]
+    m, w = dynamics.A_M_OUT, dynamics.W_OUT
 
-    # per case: its label, overrides, and closed and oracle column (index
-    # or None) with the oracle's sweep
-    columns, cells, specs = [var], [values], []
+    # per case, its columns and what refuses their NaN cells: the witness's
+    # knobs, then the oracle's failure; a refused closed-form cell also
+    # leaves that case's oracle cell NaN
+    columns, cells, steps = [var], [values], []
     for i, case in enumerate(cases):
         lab = _case_label(i, case)
         over = {k: float(v) for k, v in case.items() if k != "label"}
-        ccol = ocol = sweep = None
+        knobs = {**_apply(base, var, values), **over}
         if closed:
-            ccol = len(columns)
             columns.append(f"E[{lab}]" if labelled else "E")
-            cells.append(_witness_grid({**_apply(base, var, values), **over},
-                                       values.shape))
-        if oracle:
-            ocol = len(columns)
+            cells.append(_witness_grid(knobs, values.shape))
+            steps.append((lab, cells[-1], _closed_refusal(
+                closedform._WITNESS, values.shape, knobs)))
+        if sc.engine != "closedform":
             columns.append(f"E_oracle[{lab}]" if labelled else "E_oracle")
             sweep = _oracle_sweep([{**_apply(base, var, v), **over}
                                    for v in values.tolist()])
-            cells.append(steering.steering_product(sweep[0], dynamics.A_M_OUT,
-                                                   dynamics.W_OUT))
-        specs.append((lab, over, ccol, ocol, sweep))
-    table = np.column_stack(cells)
-
-    # a NaN cell is explained by its point's float call or oracle failure;
-    # a closed-form error also leaves that case's oracle cell NaN
-    warnings = []
-    for i in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
-        v = values[i].item()
-        for lab, over, ccol, ocol, sweep in specs:
-            try:
-                if ccol is not None and math.isnan(table[i, ccol]):
-                    # raises unless NaN is the value
-                    _witness({**_apply(base, var, v), **over})
-                if ocol is not None and math.isnan(table[i, ocol]):
-                    steering.steering_product(_slice(sweep, i),
-                                              dynamics.A_M_OUT, dynamics.W_OUT)
-            except SteerkitError as exc:
-                if ocol is not None:
-                    table[i, ocol] = math.nan
-                warnings.append(_point_warning(var, i, v, lab, exc))
-    return columns, _Table(columns, table), warnings, {}
+            cells.append(steering.steering_product(sweep[0], m, w))
+            if closed:
+                cells[-1][np.isnan(cells[-2])] = math.nan
+            steps.append((lab, cells[-1], _oracle_refusal(sweep, w)))
+    warnings = [_point_warning(var, i, values[i].item(), lab, message)
+                for i, lab, message in _refusals(steps)]
+    return columns, _Table(columns, np.column_stack(cells)), warnings, {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,6 +601,8 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
     var1, var2 = sc.sweep.variable, sc.sweep2.variable
     v1 = sc.sweep.values()
     v2 = sc.sweep2.values()
+    shape = len(v2), len(v1)
+    knobs = _apply(_apply(base, var1, v1), var2, v2[:, None])
     # an (r, gamma/G) map has the contour of E = 1/2 along r, per gamma/G
     # row; a map over other axes has none, and writes no contour file
     summary = {}
@@ -592,17 +610,11 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
         region = steering.steering_region(v1, v2, base["n0"], base["n"])
         E, summary["contour"] = region.E, list(region.contour)
     else:
-        E = _witness_grid(_apply(_apply(base, var1, v1), var2, v2[:, None]),
-                          (len(v2), len(v1)))
+        E = _witness_grid(knobs, shape)
 
     points = _GridPoints(var1, var2, v1.tolist(), v2.tolist(), E)
-    warnings = []
-    for idx in np.flatnonzero(np.isnan(E)).tolist():
-        p = points[idx]
-        try:
-            _witness(_apply(_apply(base, var1, p[var1]), var2, p[var2]))
-        except SteerkitError as exc:
-            warnings.append(f"point {idx}: {exc}")
+    warnings = [f"point {k}: {message}" for k, _, message in _refusals([(
+        None, E, _closed_refusal(closedform._WITNESS, shape, knobs))])]
     return [var1, var2, "E"], points, warnings, summary
 
 
@@ -636,6 +648,7 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     values = sc.sweep.values()
     sweep = _oracle_sweep([_apply(base, var, v) for v in values.tolist()])
     stack, m, w = sweep[0], dynamics.A_M_OUT, dynamics.W_OUT
+    shape = values.shape
     # the oracle's side of every compared value at every point, read from
     # the stack in array calls
     oracle = {key: stack.sigma[:, i, j]
@@ -645,40 +658,35 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
     oracle["E_mW"] = steering.steering_product(stack, m, w)
     oracle["E_m1"] = steering.steering_product(stack, m, dynamics.A_1_OUT)
 
-    def closed(k: dict, i: int | None = None) -> dict:
-        # the closed-form side at knobs k, one call per column: array calls
-        # over the sweep, or float calls at point i, which raise its first
-        # error, with the oracle's after W's moments
-        args = k["r"], k["gamma_over_G"], k["n0"], k["n"]
-        S = closedform.output_block(*args, G1_over_G2=k["G1_over_G2"])
-        out = {key: S[..., a, b] for key, (a, b) in _BLOCK_MOMENTS.items()}
-        out["var_XW_out"], out["cov_Xm_PW"] = closedform._w_moments(*args)
-        for party in () if i is None else (w, dynamics.A_1_OUT):
-            steering.steering_product(_slice(sweep, i), m, party)
-        out["E_mW"] = closedform.collective_steering_value(*args)
-        out["E_m1"] = closedform.single_steering_value(*args, (
-            closedform._gain_fractions(args[1], k["G1_over_G2"])[0]))
-        return out
-
-    # r as a view of the sweep's shape, so that a witness counts its points
-    knobs = _apply(base, var, values)
+    # the closed-form side, one array call per column, with r as a view of
+    # the sweep's shape, so that a witness counts its points
+    k = _apply(base, var, values)
+    args = np.broadcast_to(k["r"], shape), k["gamma_over_G"], k["n0"], k["n"]
+    f = closedform._gain_fractions(args[1], k["G1_over_G2"])[0]
+    S = closedform.output_block(*args, G1_over_G2=k["G1_over_G2"])
+    closed = {key: S[..., a, b] for key, (a, b) in _BLOCK_MOMENTS.items()}
+    closed["var_XW_out"], closed["cov_Xm_PW"] = closedform._w_moments(*args)
+    closed["E_mW"] = closedform.collective_steering_value(*args)
+    closed["E_m1"] = closedform.single_steering_value(*args, f)
     got, want = (np.array([side[key] for key in _ORACLE_COMPARED]).T
-                 for side in (oracle, closed({**knobs, "r": np.broadcast_to(
-                     knobs["r"], values.shape)})))
+                 for side in (oracle, closed))
     rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-9)
     table = np.column_stack((values, rel, np.fmax.reduce(rel, axis=1,
                                                          initial=0.0)))
-    # a row whose closed or oracle side failed is explained by the point's
-    # float calls; its first error is its warning
-    warnings = []
-    bad = np.isnan(want).any(axis=1) | np.isnan(got[:, -2:]).any(axis=1)
-    for i in np.flatnonzero(bad).tolist():
-        v = values[i].item()
-        try:
-            closed(_apply(base, var, v), i)
-        except SteerkitError as exc:
-            table[i, 1:] = math.nan
-            warnings.append(_point_warning(var, i, v, None, exc))
+    # a refused row warns with its first error, in the order block and W's
+    # moments (one domain check and one overflow text: W's check is the
+    # block's without G1/G2), oracle (W party, then A_1), witness, single
+    # witness, and reads NaN in every rel_* cell
+    refused = _refusals([(None, column, refusal) for column, refusal in (
+        (closed["var_Xm_out"] + closed["var_XW_out"], _closed_refusal(
+            closedform._MOMENTS, shape, k, k["G1_over_G2"])),
+        (oracle["E_mW"], _oracle_refusal(sweep, w)),
+        (oracle["E_m1"], _oracle_refusal(sweep, dynamics.A_1_OUT)),
+        (closed["E_mW"], _closed_refusal(closedform._WITNESS, shape, k)),
+        (closed["E_m1"], _closed_refusal(closedform._SINGLE, shape, k, f)))])
+    table[[i for i, _, _ in refused], 1:] = math.nan
+    warnings = [_point_warning(var, i, values[i].item(), None, message)
+                for i, _, message in refused]
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     rels = table[:, -1].tolist()
     # the largest discrepancy over the rows that resolved; a failed row
@@ -774,17 +782,17 @@ def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
 
 def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
-
-    def block(k: dict) -> np.ndarray:
-        return closedform.output_block(k["r"], k["gamma_over_G"], k["n0"],
-                                       k["n"], G1_over_G2=k["G1_over_G2"])
-
-    cross = block(_apply(base, var, sc.sweep.values()))[..., 2, 4].tolist()
+    k = _apply(base, var, sc.sweep.values())
+    cross = closedform.output_block(
+        k["r"], k["gamma_over_G"], k["n0"], k["n"],
+        G1_over_G2=k["G1_over_G2"])[..., 2, 4].tolist()
+    refusal = _closed_refusal(closedform._MOMENTS, (len(cross),), k,
+                              k["G1_over_G2"])
 
     def closed(i: int, v: float, row: dict) -> None:
-        # a NaN cell is the point's float call, which raises its error
-        row["cross_corr"] = cross[i] if not math.isnan(cross[i]) else \
-            float(block(_apply(base, var, v))[2, 4])
+        if math.isnan(cross[i]):
+            raise next(refusal([i]))
+        row["cross_corr"] = cross[i]
 
     def mc(i: int, v: float, row: dict) -> None:
         rp = _reduced(_apply(base, var, v))

@@ -15,9 +15,12 @@ floats or numpy arrays alike (``_evaluate``): an array call broadcasts its
 arguments, evaluates the factors of r alone on r's own axes and those of
 the knobs on theirs, and is NaN on every cell outside the domain or past
 the float range; a float call is one cell of the same expression, with
-the same bits, and raises a typed error where that cell is NaN.  The
-branches of the one small-r series are chosen per call from r's bounds
-(``_branches``), under one numpy error state.
+the same bits.  What refuses a NaN cell follows from its arguments alone
+(``_refusal``): the domain check's ``InvalidParams``, else the function's
+error for a cell past the float range.  A float call raises it, and a
+caller of the array form reads it for a NaN cell without evaluating the
+cell again.  The branches of the one small-r series are chosen per call
+from r's bounds (``_branches``), under one numpy error state.
 
 Conventions: symmetric (Weyl) ordering, vacuum variance 1/2, quadratures
 ``X = (a + a^dag)/sqrt(2)`` and ``P = (a - a^dag)/(i sqrt(2))``.  By the
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidParams
+from .errors import DegenerateVariance, InvalidParams, SteerkitError
 
 # Below this pulse area sinh(r) - r is summed as its Taylor series.
 SINH_SERIES_R = 0.5
@@ -125,14 +128,21 @@ def coherence_factor(r):
     return cf if r_lo > 0.0 else np.where(r == 0.0, 0.0, cf)
 
 
-def _check_inputs(r: float, x: float, n0: float, n: float,
-                  G1_over_G2: float = 1.0) -> None:
+def _domain_error(r, x, n0, n, G1_over_G2=1.0) -> InvalidParams | None:
+    """The ``InvalidParams`` of arguments outside the closed form's domain,
+    or None; it is returned, not raised, so that a caller that explains
+    many cells builds no traceback."""
     for name, v in (("pulse area r", r), ("gamma_over_G", x), ("n0", n0),
                     ("n", n)):
         if not v >= 0.0:
-            raise InvalidParams(f"{name} must be >= 0, got {v!r}")
+            return InvalidParams(f"{name} must be >= 0, got {v!r}")
     if not G1_over_G2 > 0.0:
-        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+        return InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+
+
+def _single_domain_error(r, x, n0, n, f) -> InvalidParams | None:
+    return _domain_error(r, x, n0, n) or (None if 0.0 <= f <= 1.0 + x else (
+        InvalidParams(f"Gj_over_G = {f!r} outside [0, 1 + gamma/G]")))
 
 
 def _overflow(r: float, *_) -> InvalidParams:
@@ -146,26 +156,38 @@ def _degenerate(*args) -> DegenerateVariance:
                               f"= {tuple(map(float, args))!r}")
 
 
-def _evaluate(cells, args, check, error):
-    """A call of the closed-form function whose arithmetic is ``cells(r,
-    *knobs, ok)``, with ``args = (r, gamma_over_G, n0, n, ...)``.
+# (domain, error) of each closed-form function, as _evaluate and _refusal
+# take them: the InvalidParams of arguments outside its domain (or None),
+# and the error of a cell in the domain that leaves the float range
+_MOMENTS = (_domain_error, _overflow)  # output_block and _w_moments
+_WITNESS = (_domain_error, _degenerate)  # collective_steering_value
+_SINGLE = (_single_domain_error, _degenerate)  # single_steering_value
 
-    A float call (no argument a numpy array) is one cell: ``check(*args)``
-    raises ``InvalidParams`` outside the domain, ``error(*args)`` is raised
-    where the cell is NaN, and a cell of one value is a Python float.  An
-    array call broadcasts the arguments by numpy's rules, each evaluated
-    on its own axes (an axis that a broadcast view repeats, stride 0,
-    counts once; a 0-d knob is a float, which numpy combines with arrays
-    faster), with ``ok`` the cells whose ``(gamma_over_G, n0, n)`` are not
-    negative or NaN; the result has the arguments' broadcast shape,
-    followed by that of one cell.
+
+def _refusal(args: tuple, kind: tuple) -> SteerkitError:
+    """The error that refuses a NaN cell at ``args`` of the closed-form
+    function whose ``(domain, error)`` is ``kind``, from the arguments
+    alone, with no arithmetic: the domain's ``InvalidParams`` outside it,
+    else ``error(*args)``, as a cell in the domain is NaN only past the
+    float range."""
+    return kind[0](*args) or kind[1](*args)
+
+
+def _evaluate(cells, args, kind):
+    """A call of the closed-form function whose arithmetic is ``cells(r,
+    *knobs, ok)``, with ``args = (r, gamma_over_G, n0, n, ...)`` and
+    ``kind`` its ``(domain, error)``.
+
+    The arguments broadcast by numpy's rules, each evaluated on its own
+    axes (an axis that a broadcast view repeats, stride 0, counts once; a
+    0-d knob is a float, which numpy combines with arrays faster), with
+    ``ok`` the cells whose ``(gamma_over_G, n0, n)`` are not negative or
+    NaN.  An array call (an argument a numpy array) returns the arguments'
+    broadcast shape followed by that of one cell.  A float call is that
+    one cell, a Python float for a cell of one value, and raises
+    ``_refusal(args, kind)`` where the cell is NaN.
     """
-    if not any(isinstance(v, np.ndarray) for v in args):
-        check(*args)
-        out = cells(np.float64(args[0]), *map(float, args[1:]))
-        if np.isnan(out).any():
-            raise error(*args)
-        return out if out.ndim else float(out)
+    array = any(isinstance(v, np.ndarray) for v in args)
     arrays = [np.asarray(v, dtype=float) for v in args]
     r, x, n0, n, *rest = [_own_axes(arrays[0])] + [
         _own_axes(a) if a.ndim else float(a) for a in arrays[1:]]
@@ -173,7 +195,9 @@ def _evaluate(cells, args, check, error):
     shape = np.broadcast(*arrays).shape
     if out.shape[:len(shape)] != shape:  # a view's repeated axis
         out = np.broadcast_to(out, shape + out.shape[len(shape):]).copy()
-    return out
+    if not array and np.isnan(out).any():
+        raise _refusal(args, kind)
+    return out if array or out.ndim else float(out)
 
 
 def _columns(values: tuple, ok) -> np.ndarray:
@@ -224,7 +248,7 @@ def output_block(r, gamma_over_G, n0, n, *, G1_over_G2=1.0) -> np.ndarray:
     cell is NaN.
     """
     return _evaluate(_block_cells, (r, gamma_over_G, n0, n, G1_over_G2),
-                     _check_inputs, _overflow)
+                     _MOMENTS)
 
 
 def _block_cells(r, x, n0, n, ratio, ok=True) -> np.ndarray:
@@ -264,7 +288,10 @@ def _coefficients(x, n0, n) -> tuple:
     products, as a float ``**`` is C ``pow``: it rounds otherwise and
     raises ``OverflowError``."""
     b = 0.5 + x * (n + 1.0)
-    s = x / (1.0 + x)
+    try:
+        s = x / (1.0 + x)
+    except ZeroDivisionError:  # a float x = -1, outside the domain
+        s = math.nan
     sb = s * b
     return (n0, s, s * s, 4.0 * sb * sb, 2.0 * b * (2.0 * n0 + 1.0), 4.0 * b,
             2.0 * (2.0 * n0 + 1.0))
@@ -276,7 +303,7 @@ def _w_moments(r, x, n0, n) -> tuple:
     outside the domain or where one is not a finite float, where a float
     call raises ``InvalidParams``.  W is no mode of that block: it carries
     the mirror's bath input (``collective_steering_value``)."""
-    W = _evaluate(_w_cells, (r, x, n0, n), _check_inputs, _overflow)
+    W = _evaluate(_w_cells, (r, x, n0, n), _MOMENTS)
     return tuple(np.moveaxis(W, -1, 0))
 
 
@@ -304,10 +331,11 @@ def collective_steering_value(r, gamma_over_G, n0, n):
     ``output_block``, and ``_w_moments``), evaluated as one rational
     expression in the bounded factors of ``_r_factors`` at every r > 0
     (``_collective_cells``).  Against an mpmath evaluation of that
-    definition at 4r/ln 10 + 60 digits it is within 5e-15 relative (4.5e-15
-    measured) over gamma/G in {0, 0.1, 1, 3}, n0 in {0, 1, 20}, n in {0, 10,
-    10^3, 10^6} and r in [1e-8, 400] (for gamma = 0 up to r = 350, where E
-    leaves the float range).  For zero damping the
+    definition at 4r/ln 10 + 60 digits it is within 1e-14 relative, the
+    tests' bound, over gamma/G in {0, 0.1, 1, 3}, n0 in {0, 1, 20}, n in {0,
+    10, 10^3, 10^6} and r in [1e-8, 400] (for gamma = 0 up to r = 350, where
+    E leaves the float range); the largest error found is 5.33e-15, at
+    (r, gamma/G, n0, n) = (6.5097e-8, 3, 1, 10^6).  For zero damping the
     expression reduces exactly to
 
         ``(n0 + 1/2) / (2 (n0 + 1) (e^{2r} - 1) + 1)``.
@@ -336,8 +364,7 @@ def collective_steering_value(r, gamma_over_G, n0, n):
     it raises ``InvalidParams`` outside the domain and
     ``DegenerateVariance`` where the cell is not a finite float.
     """
-    return _evaluate(_collective, (r, gamma_over_G, n0, n), _check_inputs,
-                     _degenerate)
+    return _evaluate(_collective, (r, gamma_over_G, n0, n), _WITNESS)
 
 
 def _collective(r, x, n0, n, ok=True) -> np.ndarray:
@@ -445,13 +472,7 @@ def single_steering_value(r, gamma_over_G, n0, n, Gj_over_G):
     ``DegenerateVariance`` where the cell is not a finite float.
     """
     return _evaluate(_single_cells, (r, gamma_over_G, n0, n, Gj_over_G),
-                     _check_single, _degenerate)
-
-
-def _check_single(r, x, n0, n, f) -> None:
-    _check_inputs(r, x, n0, n)
-    if not 0.0 <= f <= 1.0 + x:
-        raise InvalidParams(f"Gj_over_G = {f!r} outside [0, 1 + gamma/G]")
+                     _SINGLE)
 
 
 def _single_cells(r, x, n0, n, f, ok=True) -> np.ndarray:
@@ -532,7 +553,8 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     x = gamma_over_G
     array = any(isinstance(v, np.ndarray) for v in (r, x, n0))
     if not array:
-        _check_inputs(r, x, n0, 0.0)
+        if (error := _domain_error(r, x, n0, 0.0)) is not None:
+            raise error
         if not (r > 0.0 and x > 0.0):
             raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
                                 f"> 0, got r = {r!r}, gamma_over_G = {x!r}")

@@ -20,9 +20,9 @@ import numpy as np
 
 from .closedform import (
     SINH_SERIES_R,
-    _check_inputs,
     _coefficients,
     _collective_cells,
+    _domain_error,
     collective_steering_value,
     max_occupation,
 )
@@ -51,22 +51,32 @@ def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
     On a stack of covariances E is an array with one cell per slice, NaN
     where the slice is NaN or a party variance is below 1e-15.  A single
     covariance is one cell of the same expression, returned as a float;
-    where its party variance is below 1e-15 it raises
+    where its party variance is below 1e-15 it raises ``_refusal``'s
     ``DegenerateVariance``.
     """
     sig, E = oc.sigma, 1.0
     for sq, pq in (("X", "P"), ("P", "X")):
         s, p = oc.index(steered_mode, sq), oc.index(party_mode, pq)
         var_p, cov = sig[..., p, p], sig[..., s, p]
-        if sig.ndim == 2 and var_p < 1e-15:
-            raise DegenerateVariance(
-                f"party quadrature {(party_mode, pq)!r} has variance "
-                f"{float(var_p)!r}")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             v = sig[..., s, s] - cov * cov / var_p
         E = np.where(var_p < 1e-15, math.nan,
                      E * np.sqrt(np.where(v < 0.0, 0.0, v)))
+    if E.ndim == 0 and (refused := _refusal(oc, party_mode)) is not None:
+        raise refused
     return E if E.ndim else float(E)
+
+
+def _refusal(oc: OutputCovariance, party_mode: str, at: tuple = ()):
+    """The error that refuses a witness of ``party_mode`` on ``oc``'s
+    covariance, or on its slice ``at`` of a stack: the ``DegenerateVariance``
+    of the first party quadrature, in ``steering_product``'s order, whose
+    variance is below 1e-15; None where there is none."""
+    for pq in ("P", "X"):
+        var_p = oc.sigma[at + (oc.index(party_mode, pq),) * 2]
+        if var_p < 1e-15:
+            return DegenerateVariance(f"party quadrature {(party_mode, pq)!r} "
+                                      f"has variance {float(var_p)!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,8 @@ def r_crossing(gamma_over_G: float, n0: float, n: float) -> float:
         raise InvalidParams(
             f"crossing search needs n0 > 0 (witness starts above 1/2), "
             f"got n0 = {n0!r}")
-    _check_inputs(0.0, gamma_over_G, n0, n)
+    if (error := _domain_error(0.0, gamma_over_G, n0, n)) is not None:
+        raise error
     contour = steering_region(np.linspace(0.0, R_MAX, 4097), [gamma_over_G],
                               n0, n).contour
     if not contour or contour[0][0] == 0.0:

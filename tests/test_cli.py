@@ -382,18 +382,25 @@ class TestCurveRuns:
         assert calls == [5, 5]
         assert not record.warnings
 
-    def test_witness_float_call_runs_once_per_nan_cell(self, tmp_path,
-                                                       monkeypatch):
-        calls = []
-        witness = cli._witness
+    def test_each_nan_cell_is_explained_once(self, tmp_path, monkeypatch):
+        # the explain step reads each NaN cell's refusal from its knobs,
+        # once, in the order of the warnings
+        explained, refused = [], []
+        refusals, refusal = cli._refusals, closedform._refusal
 
-        def counted(knobs):
-            calls.append(knobs)
-            return witness(knobs)
+        def explain(steps):
+            found = refusals(steps)
+            explained.extend(found)
+            return found
 
-        monkeypatch.setattr(cli, "_witness", counted)
+        def read(args, kind):
+            refused.append((args[3], args[2]))
+            return refusal(args, kind)
+
+        monkeypatch.setattr(cli, "_refusals", explain)
+        monkeypatch.setattr(closedform, "_refusal", read)
         record = run(PRESETS["fig3a"](), output=str(tmp_path / "fig3a.csv"))
-        assert len(record.points) * 3 == 903 and calls == []
+        assert len(record.points) * 3 == 903 and explained == refused == []
         sc = Scenario(mode="curve",
                       params={"kind": "ratios", "gamma_over_G": 0.1},
                       sweep=Sweep("n", -1.0, 1.0, 5),
@@ -403,8 +410,13 @@ class TestCurveRuns:
         nan_cells = [(p["n"], c) for p in record.points
                      for c in record.columns[1:] if math.isnan(p[c])]
         assert len(nan_cells) == 4
-        assert [(k["n"], k["n0"]) for k in calls] == [
-            (-1.0, 0.0), (-1.0, 2.0), (-0.5, 0.0), (-0.5, 2.0)]
+        n0 = {"a": 0.0, "b": 2.0}
+        cells = [(-1.0, 0.0), (-1.0, 2.0), (-0.5, 0.0), (-0.5, 2.0)]
+        assert [(record.points[i]["n"], n0[tag])
+                for i, tag, _ in explained] == cells
+        assert sorted(refused) == sorted(cells)
+        assert [message for _, _, message in explained] == [
+            w.split(": ", 1)[1] for w in record.warnings]
 
     def test_cold_curve_dips_then_recovers_toward_plateau(self):
         sc = Scenario(
@@ -1597,6 +1609,45 @@ class TestEntryPoint:
                 assert all(math.isnan(p[c]) for c in record.columns[1:]) \
                     == (p["r"] > 354.9)
             assert out.read_text().splitlines()[-1].endswith(",nan")
+
+    @pytest.mark.parametrize("doc", [
+        # the refusal edges of the four closed-form runners, as CI runs them
+        {"mode": "curve", "engine": "both",
+         "params": {"kind": "ratios", "gamma_over_G": 0.1},
+         "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
+                   "points": 4},
+         "cases": [{"label": "warm", "n0": -1.0},
+                   {"label": "cold", "n": 0.0}]},
+        TestFileFormats.BIG_HEATMAP.to_dict(),
+        {"mode": "validate-oracle",
+         "params": {"kind": "ratios", "gamma_over_G": 0.1,
+                    "G1_over_G2": 1.5, "n0": 0.5, "n": 5.0},
+         "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
+                   "points": 4}},
+        {"mode": "cross-correlation", "engine": "closedform",
+         "params": {"kind": "ratios", "gamma_over_G": 0.1,
+                    "G1_over_G2": 1.5, "n0": 0.5, "n": 5.0},
+         "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
+                   "points": 4}},
+    ], ids=["curve", "heatmap", "validate-oracle", "cross-correlation"])
+    def test_refused_cells_make_no_float_closed_form_call(self, monkeypatch,
+                                                          doc):
+        # every closed-form call is an array call, also where a cell is
+        # refused: its warning is read from its inputs, not re-run
+        calls = []
+        for name in ("collective_steering_value", "output_block",
+                     "_w_moments", "single_steering_value"):
+            def spy(*args, _name=name, _f=getattr(closedform, name), **kw):
+                calls.append((_name, any(isinstance(v, np.ndarray) for v in
+                                         (*args, *kw.values()))))
+                return _f(*args, **kw)
+
+            for module in (closedform, steering):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        record = run(Scenario.from_dict({"schema_version": 1, **doc}))
+        assert record.warnings and calls
+        assert [name for name, array in calls if not array] == []
 
     def test_single_witness_overflow_becomes_nan_rows(self, tmp_path):
         # 4 f y^2 with y = x (n + 1) leaves the float range in the

@@ -298,16 +298,21 @@ class TestOutputBlock:
         assert least >= -1e-12 * np.abs(S).max()
 
 
-def float_call_error(r, x, n0, n, *, ratio=None, f=None):
+def float_call_error(r, x, n0, n, *, ratio=None, f=None, witness=False):
     """The typed error and message a float call of ``output_block`` (with
-    ``ratio``), ``_w_moments`` (neither) or ``single_steering_value`` (with
-    ``f``) raises at a NaN cell of its array call."""
+    ``ratio``), ``_w_moments`` (none of the keywords),
+    ``collective_steering_value`` (``witness``) or ``single_steering_value``
+    (with ``f``) raises at a NaN cell of its array call."""
     for name, v in (("pulse area r", r), ("gamma_over_G", x), ("n0", n0),
                     ("n", n)):
         if not v >= 0.0:
             return InvalidParams, f"{name} must be >= 0, got {v!r}"
     if ratio is not None and not ratio > 0.0:
         return InvalidParams, f"G1_over_G2 must be > 0, got {ratio!r}"
+    if witness:
+        return DegenerateVariance, (f"a term leaves the float range at (r, "
+                                    f"gamma_over_G, n0, n) = "
+                                    f"{(r, x, n0, n)!r}")
     if f is None:
         return InvalidParams, (f"closed-form moments overflow at pulse area "
                                f"r = {r!r}")
@@ -333,8 +338,8 @@ KNOB = st.floats(0.2, 5.0) | st.floats(-1.0, 0.0) | st.just(math.nan)
 
 
 class TestArrayForms:
-    """``output_block``, ``_w_moments`` and ``single_steering_value`` take
-    arrays, and a float call is one cell of the array expression."""
+    """``output_block``, ``_w_moments`` and both witnesses take arrays, and
+    a float call is one cell of the array expression."""
 
     @settings(max_examples=150, deadline=None)
     @given(rs=st.lists(st.floats(0.0, 360.0)
@@ -346,29 +351,43 @@ class TestArrayForms:
                           min_size=1, max_size=4))
     def test_array_cells_are_float_calls(self, rs, knobs):
         # r as a row, the knobs as columns; every cell's float.hex is its
-        # float call's, and a NaN cell is a float call that raises
+        # float call's, and a NaN cell is a float call that raises the
+        # package's refusal of its arguments, whose type and text the
+        # reference derives
         r = np.array(rs)
         x, n0, n, ratio, f = (np.array(col)[:, None] for col in zip(*knobs))
         S = output_block(r, x, n0, n, G1_over_G2=ratio)
         W = np.stack(closedform._w_moments(r, x, n0, n), axis=-1)
+        C = collective_steering_value(r, x, n0, n)
         E = single_steering_value(r, x, n0, n, f)
         assert S.shape == (len(knobs), len(rs), 6, 6)
-        assert W.shape[:-1] == E.shape == (len(knobs), len(rs))
+        assert W.shape[:-1] == C.shape == E.shape == (len(knobs), len(rs))
         hexes = np.vectorize(float.hex, otypes=[object])
         for (i, j), cell in np.ndenumerate(E):
             rj = rs[j]
             xi, n0i, ni, qi, fi = knobs[i]
-            for got, call, kwargs in (
-                    (S[i, j], lambda: output_block(
-                        rj, xi, n0i, ni, G1_over_G2=qi), {"ratio": qi}),
-                    (W[i, j], lambda: closedform._w_moments(rj, xi, n0i, ni),
+            args = rj, xi, n0i, ni
+            for got, call, refusal, kwargs in (
+                    (S[i, j], lambda: output_block(*args, G1_over_G2=qi),
+                     lambda: closedform._refusal(args + (qi,),
+                                                 closedform._MOMENTS),
+                     {"ratio": qi}),
+                    (W[i, j], lambda: closedform._w_moments(*args),
+                     lambda: closedform._refusal(args, closedform._MOMENTS),
                      {}),
-                    (np.array(cell), lambda: single_steering_value(
-                        rj, xi, n0i, ni, fi), {"f": fi})):
+                    (np.array(C[i, j]),
+                     lambda: collective_steering_value(*args),
+                     lambda: closedform._refusal(args, closedform._WITNESS),
+                     {"witness": True}),
+                    (np.array(cell), lambda: single_steering_value(*args, fi),
+                     lambda: closedform._refusal(args + (fi,),
+                                                 closedform._SINGLE),
+                     {"f": fi})):
                 if np.isnan(got).any():
                     assert np.isnan(got).all()
-                    error, message = float_call_error(rj, xi, n0i, ni,
-                                                      **kwargs)
+                    error, message = float_call_error(*args, **kwargs)
+                    assert type(refusal()) is error
+                    assert str(refusal()) == message
                     with pytest.raises(error) as info:
                         call()
                     assert str(info.value) == message
@@ -470,6 +489,12 @@ class TestCollectiveWitness:
             collective_steering_value(-1.0, 0.1, 0.0, 0.0)
         with pytest.raises(InvalidParams):
             collective_steering_value(1.0, -0.1, 0.0, 0.0)
+        # gamma/G = -1 puts 1 + gamma/G = 0 in a float division: a NaN cell
+        # of an array call, and the domain's error from a float call
+        assert np.isnan(collective_steering_value(np.array([1.0, 2.0]), -1.0,
+                                                  0.0, 0.0)).all()
+        with pytest.raises(InvalidParams, match="gamma_over_G must be >= 0"):
+            collective_steering_value(1.0, -1.0, 0.0, 0.0)
 
 
 # the knobs of the scans against the mpmath witnesses
@@ -515,13 +540,17 @@ class TestArrayWitness:
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0,
                                        err_msg=f"{branch} {(x, n0, n)}")
 
-    @pytest.mark.parametrize("r, x", [(3e-3, 3.0), (3e-3, 1.0), (1e-3, 3.0),
-                                      (1e-4, 3.0)])
-    def test_hot_bath_small_pulse_corner(self, r, x):
+    @pytest.mark.parametrize("r, x, n0", [
+        (3e-3, 3.0, 0.0), (3e-3, 1.0, 0.0), (1e-3, 3.0, 0.0), (1e-4, 3.0, 0.0),
+        (6.509695400000001e-08, 3.0, 1.0)], ids=[
+        "0.003-3.0", "0.003-1.0", "0.001-3.0", "0.0001-3.0",
+        "6.5097e-08-3.0-1.0"])
+    def test_hot_bath_small_pulse_corner(self, r, x, n0):
         # where the former expanded numerator lost up to 11 digits (2.3e-11
-        # relative at r = 3e-3, gamma/G = 3, n = 10^6)
-        assert collective_steering_value(r, x, 0.0, 1e6) == pytest.approx(
-            collective_witness_reference(r, x, 0.0, 1e6), rel=1e-14, abs=0.0)
+        # relative at r = 3e-3, gamma/G = 3, n = 10^6), and the largest
+        # error found in the present form (5.33e-15, at n0 = 1)
+        assert collective_steering_value(r, x, n0, 1e6) == pytest.approx(
+            collective_witness_reference(r, x, n0, 1e6), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("x, n0, n", [(0.3, 0.0, 2.0), (3.0, 20.0, 1e6),
                                           (1e-3, 1.0, 10.0), (0.0, 5.0, 3.0)])
