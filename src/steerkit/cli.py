@@ -185,6 +185,10 @@ class Scenario:
                     continue
                 if key not in _RATIO_DEFAULTS:
                     raise ConfigError(f"unknown case override {key!r}")
+                swept = self.sweep and self.sweep.variable
+                if swept and key == _knob(swept):
+                    raise ConfigError(f"case override {key!r} sets the knob "
+                                      f"of the {swept!r} sweep")
                 _number(val, f"case override {key!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be an object")
@@ -467,9 +471,7 @@ def _refusals(steps: list) -> list[tuple[int, object, str]]:
 # ---------------------------------------------------------------------------
 # mode runners: ``runner(scenario, parsed params, tolerances)`` returns
 # (columns, points, warnings, summary) with every column in every point; a
-# runner that computes a column in one array call warns of its NaN cells
-# through ``_refusals``, and one that fills point by point through
-# ``_sweep_rows``
+# sweep runner warns of its NaN cells through ``_refusals``
 
 
 def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -505,34 +507,13 @@ class _Table(Sequence):
         return dict(zip(self.columns, self.cells[i].tolist()))
 
 
-def _point_warning(var: str, i: int, v: float, tag, exc) -> str:
-    """The warning of point ``i`` of a sweep of ``var`` at value ``v`` that
-    failed with ``exc`` in the step named ``tag`` (if any)."""
-    where = f"{var}={v:.6g}" + (f", {tag}" if tag else "")
-    return f"point {i} ({where}): {exc}"
-
-
-def _sweep_rows(sc: Scenario, columns: list[str],
-                steps) -> tuple[_Table, list[str]]:
-    """The table of a one-axis sweep, one row per point in order.
-
-    ``steps`` is a list of ``(tag, fill)``; ``fill(i, v, row)`` writes its
-    columns of point ``i`` at sweep value ``v`` into the dict ``row``.  A
-    ``SteerkitError`` from a fill adds the warning ``point i
-    (<variable>=v[, tag]): <error>``, and every column of ``columns`` that
-    no fill wrote is NaN.
-    """
-    var = sc.sweep.variable
-    rows, warnings = [], []
-    for i, v in enumerate(sc.sweep.values().tolist()):
-        row = {var: v}
-        for tag, fill in steps:
-            try:
-                fill(i, v, row)
-            except SteerkitError as exc:
-                warnings.append(_point_warning(var, i, v, tag, exc))
-        rows.append([row.get(c, math.nan) for c in columns])
-    return _Table(columns, np.array(rows, dtype=float)), warnings
+def _point_warnings(var: str, values: np.ndarray, refused: list) -> list:
+    """The warnings of a sweep of ``var`` over ``values`` for its refused
+    cells ``(i, tag, message)`` (``_refusals``): ``point i (<var>=v[,
+    tag]): <message>``, v the point's value as a Python float."""
+    return [f"point {i} ({var}={values[i].item():.6g}"
+            f"{f', {tag}' if tag else ''}): {message}"
+            for i, tag, message in refused]
 
 
 def _run_curve(sc: Scenario, base: dict, tol: dict):
@@ -564,8 +545,7 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
             if closed:
                 cells[-1][np.isnan(cells[-2])] = math.nan
             steps.append((lab, cells[-1], _oracle_refusal(sweep, w)))
-    warnings = [_point_warning(var, i, values[i].item(), lab, message)
-                for i, lab, message in _refusals(steps)]
+    warnings = _point_warnings(var, values, _refusals(steps))
     return columns, _Table(columns, np.column_stack(cells)), warnings, {}
 
 
@@ -619,18 +599,18 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
 
 
 def _run_nthreshold(sc: Scenario, base: dict, tol: dict):
-    def fill(i: int, x: float, row: dict) -> None:
-        res = steering.noise_threshold(x, base["n0"], tol["r_max"],
-                                       tol["n_tol"])
-        # n_max(r) is least at the window's end, where the bound binds
-        row.update({"n_threshold": res.value, "sup_r": tol["r_max"],
-                    "bracket_lo": res.bracket[0],
-                    "bracket_hi": res.bracket[1]})
-
+    x = sc.sweep.values()
+    args = base["n0"], tol["r_max"], tol["n_tol"]
+    res = steering.noise_threshold(x, *args)
+    # n_max(r) is least at the window's end, where the bound binds
+    sup_r = np.where(np.isnan(res.value), math.nan, tol["r_max"])
+    steps = [(None, res.value,
+              lambda at: steering._threshold_refusal(x[at], *args)[1])]
+    warnings = _point_warnings(sc.sweep.variable, x, _refusals(steps))
     columns = ["gamma_over_G", "n_threshold", "sup_r", "bracket_lo",
                "bracket_hi"]
-    points, warnings = _sweep_rows(sc, columns, [(None, fill)])
-    return columns, points, warnings, {}
+    return columns, _Table(columns, np.column_stack(
+        (x, res.value, sup_r, *res.bracket))), warnings, {}
 
 
 _ORACLE_COMPARED = ("var_Xm_out", "var_X1_out", "var_X2_out", "var_XW_out",
@@ -685,8 +665,7 @@ def _run_validate_oracle(sc: Scenario, base: dict, tol: dict):
         (closed["E_mW"], _closed_refusal(closedform._WITNESS, shape, k)),
         (closed["E_m1"], _closed_refusal(closedform._SINGLE, shape, k, f)))])
     table[[i for i, _, _ in refused], 1:] = math.nan
-    warnings = [_point_warning(var, i, values[i].item(), None, message)
-                for i, _, message in refused]
+    warnings = _point_warnings(var, values, refused)
     columns = [var] + [f"rel_{k}" for k in _ORACLE_COMPARED] + ["max_rel"]
     rels = table[:, -1].tolist()
     # the largest discrepancy over the rows that resolved; a failed row
@@ -782,41 +761,40 @@ def _run_working_point(sc: Scenario, p: PhysicalParams, tol: dict):
 
 def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
-    k = _apply(base, var, sc.sweep.values())
+    values = sc.sweep.values()
+    k = _apply(base, var, values)
     cross = closedform.output_block(
         k["r"], k["gamma_over_G"], k["n0"], k["n"],
-        G1_over_G2=k["G1_over_G2"])[..., 2, 4].tolist()
-    refusal = _closed_refusal(closedform._MOMENTS, (len(cross),), k,
-                              k["G1_over_G2"])
-
-    def closed(i: int, v: float, row: dict) -> None:
-        if math.isnan(cross[i]):
-            raise next(refusal([i]))
-        row["cross_corr"] = cross[i]
-
-    def mc(i: int, v: float, row: dict) -> None:
-        rp = _reduced(_apply(base, var, v))
-        model = dynamics.build_reduced_model(rp)
-        kernels = dynamics.output_kernels(
-            rp, full=False, which=(dynamics.A_1_OUT, dynamics.A_2_OUT))
-        # hashing (seed, point index) keeps scenarios at adjacent seeds from
-        # sharing streams
-        seed = int.from_bytes(hashlib.sha256(
-            f"{sc.seed}:{i}".encode()).digest()[:8], "little")
-        oc = dynamics.monte_carlo_output_covariance(
-            model, kernels, rp.tau, sc.trajectories, seed,
-            terminal_phase=dynamics.mirror_output_phase(rp))
-        cc, se = dynamics.mode_cross_correlation(
-            oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
-        row.update({"cross_corr_mc": float(abs(cc)),
-                    "cross_corr_mc_se": float(se)})
-
-    columns, steps = [var, "cross_corr"], [(None, closed)]
+        G1_over_G2=k["G1_over_G2"])[..., 2, 4]
+    columns, cells = [var, "cross_corr"], [values, cross]
+    steps = [(None, cross, _closed_refusal(
+        closedform._MOMENTS, values.shape, k, k["G1_over_G2"]))]
     if sc.engine != "closedform":
+        # the sampler runs point by point; a point's failure is kept by index
+        mc, failures = np.full((len(values), 2), math.nan), {}
+        for i, v in enumerate(values.tolist()):
+            try:
+                rp = _reduced(_apply(base, var, v))
+                model = dynamics.build_reduced_model(rp)
+                kernels = dynamics.output_kernels(
+                    rp, full=False, which=(dynamics.A_1_OUT, dynamics.A_2_OUT))
+                # hashing (seed, point index) keeps scenarios at adjacent
+                # seeds from sharing streams
+                seed = int.from_bytes(hashlib.sha256(
+                    f"{sc.seed}:{i}".encode()).digest()[:8], "little")
+                oc = dynamics.monte_carlo_output_covariance(
+                    model, kernels, rp.tau, sc.trajectories, seed,
+                    terminal_phase=dynamics.mirror_output_phase(rp))
+                cc, mc[i, 1] = dynamics.mode_cross_correlation(
+                    oc, dynamics.A_1_OUT, dynamics.A_2_OUT)
+                mc[i, 0] = abs(cc)
+            except SteerkitError as exc:
+                failures[i] = exc
         columns += ["cross_corr_mc", "cross_corr_mc_se"]
-        steps.append(("mc", mc))
-    points, warnings = _sweep_rows(sc, columns, steps)
-    return columns, points, warnings, {}
+        cells.append(mc)
+        steps.append(("mc", mc[:, 0], lambda at: map(failures.get, at)))
+    warnings = _point_warnings(var, values, _refusals(steps))
+    return columns, _Table(columns, np.column_stack(cells)), warnings, {}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ the steered P: the model's only mirror-field correlations are of X-P type,
 so no rotated pairing does better (a test scans the angles).
 
 The bath threshold over a window of pulse areas is the closed-form bound
-``closedform.max_occupation`` at the window's end, where the bound is least.
+``closedform.max_occupation`` at the window's end, where the bound is least,
+and its bracket is written down from that bound as a search on n would end
+it; the only search here is the contour bisection of ``steering_region``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .closedform import (
 from .dynamics import OutputCovariance
 from .errors import DegenerateVariance, InvalidParams, NoThreshold
 
-# settings of the threshold searches; the CLI's defaults read R_MAX and N_TOL
+# settings of the threshold and of the contour bisection; the CLI's defaults
+# read R_MAX and N_TOL
 R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up where steering survives at this n
@@ -81,64 +84,94 @@ def _refusal(oc: OutputCovariance, party_mode: str, at: tuple = ()):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """``noise_threshold``'s occupation and its bracket."""
+    """``noise_threshold``'s occupation and its bracket: floats, or arrays
+    over an array of damping ratios, NaN on each refused cell."""
 
-    value: float
-    bracket: tuple[float, float]
+    value: float | np.ndarray
+    bracket: tuple
 
 
-def noise_threshold(gamma_over_G: float, n0: float, r_max: float = R_MAX,
+def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
                     tol: float = N_TOL) -> ThresholdResult:
     """Largest bath occupation with collective steering at every pulse area.
 
     For a ground-state mirror E <= 1/2 holds at pulse area r exactly up to
     ``closedform.max_occupation``, which falls monotonically in r, so the
     condition ``E <= 1/2 at every r in (0, r_max]`` holds exactly for
-    n <= n*, the bound at ``r_max``.  The bracket is found as a search on
-    that condition would find it: double n from 1 while n <= n*, then
-    halve the bracket, comparing each midpoint with n*, down to width
-    ``tol`` or to adjacent floats.  Raises ``NoThreshold`` when n* < 0,
-    so even n = 0 fails (too much damping, or a warm mirror: with n0 > 0
-    the witness tends to n0 + 1/2 > 1/2 as r -> 0, so the condition fails
-    at every n), or when n* >= ``N_CAP``, so steering survives at the cap
-    (damping too weak to set a bound).
-    """
-    if not 0.0 < gamma_over_G < 1.0:
-        raise InvalidParams(
-            f"gamma_over_G must be in (0, 1), got {gamma_over_G!r}")
-    if not 0.0 < r_max < math.inf:
-        raise InvalidParams(f"r_max must be finite and > 0, got {r_max!r}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tol must be > 0, got {tol!r}")
-    if not n0 >= 0.0:
-        raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
-    if n0 > 0.0:
-        raise NoThreshold(
-            f"no collective steering over all of (0, {r_max}] for a warm "
-            f"mirror: E tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = {n0})")
+    n <= n*, the bound at ``r_max``.  The bracket is the one a search on
+    that condition ends with: double n from 1 while n <= n*, then halve
+    the bracket, comparing each midpoint with n*, down to width ``tol`` or
+    to adjacent floats.  It is written down instead of searched.  With
+    n* = m 2^e, m in [0.5, 1), the doubling's last bracket has width
+    w0 = 1 for n* < 1 and 2^(e-1) otherwise.  The halving narrows a w0
+    wider than ``tol`` to w, the largest power of two <= ``tol`` (else
+    w = w0), but stops early at w = ``np.spacing(n*)``, where no float
+    lies inside the bracket.  Every midpoint is a multiple of the
+    current width and lo <= n* < hi holds throughout, so the bracket is
+    ``lo = floor(n*/w) w``, ``hi = lo + w``, and ``value = (lo + hi)/2``;
+    below ``N_CAP`` the division by a power of two, the floor, the product
+    and the sum are exact, so these are the search's bits.
 
-    n_star = max_occupation(r_max, gamma_over_G, n0)
-    if not n_star >= 0.0:
-        raise NoThreshold(
-            f"no collective steering over (0, {r_max}] even at n = 0 "
-            f"for gamma/G = {gamma_over_G}")
-    if n_star >= N_CAP:
-        raise NoThreshold(
-            f"steering survives past the n = {N_CAP:.3g} search cap for "
-            f"gamma/G = {gamma_over_G}; in the zero-damping limit it "
-            "survives any bath occupation")
-    lo, hi = 0.0, 1.0
-    while hi <= n_star:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mid <= n_star:
-            lo = mid
-        else:
-            hi = mid
+    ``gamma_over_G`` is a float or a numpy array, the other arguments
+    floats.  A float call raises its cell's refusal (``_threshold_refusal``):
+    ``InvalidParams`` for arguments outside the domain, and ``NoThreshold``
+    when n* < 0, so even n = 0 fails (too much damping, or a warm mirror:
+    with n0 > 0 the witness tends to n0 + 1/2 > 1/2 as r -> 0, so the
+    condition fails at every n), or when n* >= ``N_CAP``, so steering
+    survives at the cap (damping too weak to set a bound).  An array call
+    is NaN on each refused cell.
+    """
+    x = np.asarray(gamma_over_G, dtype=float)
+    n_star, refused = _threshold_refusal(x, n0, r_max, tol)
+    array = isinstance(gamma_over_G, np.ndarray)
+    if refused and not array:
+        raise refused[0]
+    # the doubling's last width, narrowed to the largest power of two
+    # <= tol, but not below the spacing of the floats at n*
+    wide = np.ldexp(0.5, np.maximum(np.frexp(n_star)[1], 1))
+    w = np.maximum(np.minimum(wide, math.ldexp(0.5, math.frexp(tol)[1])),
+                   np.spacing(n_star))
+    lo = np.floor(n_star / w) * w
+    hi = lo + w
+    if not array:
+        lo, hi = float(lo), float(hi)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
+
+
+def _threshold_refusal(x: np.ndarray, n0: float, r_max: float,
+                       tol: float) -> tuple:
+    """The bound n* at ``r_max`` over gamma/G = ``x`` (an array), NaN on
+    each cell that ``noise_threshold`` refuses, and the errors that refuse
+    those cells, in row-major order: the first that holds of
+    ``InvalidParams`` for gamma/G outside (0, 1), for ``r_max``, ``tol``
+    and ``n0``, then ``NoThreshold`` for a warm mirror, n* < 0 and
+    n* >= ``N_CAP``.  A text reads the cell's gamma/G as a Python float."""
+    n_star = max_occupation(r_max, x, n0)
+    # (where it holds, error, text); a text's {v} is the cell's gamma/G
+    refusals = (
+        (~((0.0 < x) & (x < 1.0)), InvalidParams,
+         "gamma_over_G must be in (0, 1), got {v!r}"),
+        (not 0.0 < r_max < math.inf, InvalidParams,
+         f"r_max must be finite and > 0, got {r_max!r}"),
+        (not tol > 0.0, InvalidParams, f"tol must be > 0, got {tol!r}"),
+        (not n0 >= 0.0, InvalidParams, f"n0 must be >= 0, got {n0!r}"),
+        (n0 > 0.0, NoThreshold,
+         f"no collective steering over all of (0, {r_max}] for a warm "
+         f"mirror: E tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = {n0})"),
+        (~(n_star >= 0.0), NoThreshold,
+         f"no collective steering over (0, {r_max}] even at n = 0 "
+         "for gamma/G = {v}"),
+        (n_star >= N_CAP, NoThreshold,
+         f"steering survives past the n = {N_CAP:.3g} search cap for "
+         "gamma/G = {v}; in the zero-damping limit it survives any bath "
+         "occupation"))
+    first = np.full(x.shape, len(refusals))  # the first that holds per cell
+    for k in reversed(range(len(refusals))):
+        first = np.where(refusals[k][0], k, first)
+    refused = first < len(refusals)
+    return np.where(refused, math.nan, n_star), [
+        refusals[k][1](refusals[k][2].format(v=v))
+        for k, v in zip(first[refused].tolist(), x[refused].tolist())]
 
 
 def r_crossing(gamma_over_G: float, n0: float, n: float) -> float:

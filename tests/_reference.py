@@ -6,7 +6,8 @@ collective-mode filters against the oracle's collective rows, the
 symplectic spectrum of a covariance block (physicality), the named
 closed-form moments and the cavity cross-correlation read off
 ``output_block``, the optimal inference gain, the monogamy of single-party
-witnesses, the noise threshold searched on the sup over r alone, both
+witnesses, the noise threshold's bracket searched on its bound n* and on
+the sup over r alone, both
 closed-form witnesses and the distinct entries of the covariance block
 evaluated from their defining moments in mpmath, and
 the steering contour bisected one round per witness pass.
@@ -239,6 +240,21 @@ def _bisect(up, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _search(up, tol: float) -> tuple[float, float]:
+    """The bracket of a search for where ``up(n)`` turns false: double n
+    from 1 while ``up`` holds, then ``_bisect`` down to width ``tol``."""
+    lo, hi = 0.0, 1.0
+    while up(hi):
+        lo, hi = hi, 2.0 * hi
+    return _bisect(up, lo, hi, tol)
+
+
+def threshold_search(n_star: float, tol: float) -> tuple[float, float]:
+    """``noise_threshold``'s bracket as its search finds it: ``_search`` on
+    ``n <= n_star``, comparing each step with the bound n*."""
+    return _search(lambda n: n <= n_star, tol)
+
+
 def sup_threshold(x: float, n0: float, r_max: float,
                   tol: float) -> ThresholdResult | None:
     """``noise_threshold``'s doubling and bisection on n with every step
@@ -250,10 +266,7 @@ def sup_threshold(x: float, n0: float, r_max: float,
 
     if not ok(0.0) or ok(N_CAP):
         return None
-    lo, hi = 0.0, 1.0
-    while ok(hi):
-        lo, hi = hi, 2.0 * hi
-    lo, hi = _bisect(ok, lo, hi, tol)
+    lo, hi = _search(ok, tol)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi))
 
 

@@ -256,21 +256,23 @@ class TestCurveRuns:
             mode="curve",
             params={"kind": "ratios", "gamma_over_G": 0.1, "r": 0.5},
             sweep=Sweep("n", -1.0, 1.0, 3),
-            cases=({"label": "a", "n0": 0.0}, {"label": "b", "n": 2.0},
+            cases=({"label": "a", "n0": 0.0}, {"label": "b", "n0": 2.0},
                    {"label": "c", "n0": 1.0}),
             engine="both",
         )
         record = run(sc)
         assert record.warnings == [
-            "point 0 (n=-1, a): n must be >= 0, got -1.0",
-            "point 0 (n=-1, c): n must be >= 0, got -1.0",
-        ]
+            f"point 0 (n=-1, {lab}): n must be >= 0, got -1.0"
+            for lab in "abc"]
         # one oracle sweep per case; the point that failed is not propagated
-        assert oracle_n == [[0.0, 1.0], [2.0, 2.0, 2.0], [0.0, 1.0]]
-        first = record.points[0]
-        for col in ("E[a]", "E_oracle[a]", "E[c]", "E_oracle[c]"):
-            assert math.isnan(first[col])
-        assert first["E_oracle[b]"] == pytest.approx(first["E[b]"], rel=1e-9)
+        assert oracle_n == [[0.0, 1.0]] * 3
+        first, *rest = record.points
+        for lab in "abc":
+            assert math.isnan(first[f"E[{lab}]"])
+            assert math.isnan(first[f"E_oracle[{lab}]"])
+        for point in rest:
+            assert point["E_oracle[b]"] == pytest.approx(point["E[b]"],
+                                                         rel=1e-9)
 
     def test_oracle_refusal_inside_a_sweep(self, tmp_path):
         # the points past the float range leave the stacked oracle sweep
@@ -582,6 +584,20 @@ class TestOtherModes:
         record = run(sc)
         assert 500.0 <= record.points[0]["n_threshold"] <= 700.0
         assert record.points[1]["n_threshold"] < record.points[0]["n_threshold"]
+
+    def test_nthreshold_makes_one_array_call(self, monkeypatch):
+        # the inset's damping ratios go to noise_threshold as one array
+        calls, threshold = [], steering.noise_threshold
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return threshold(*args, **kwargs)
+
+        monkeypatch.setattr(steering, "noise_threshold", spy)
+        run(PRESETS["inset"]())
+        assert len(calls) == 1
+        assert isinstance(calls[0], np.ndarray)
+        assert calls[0].tolist() == PRESETS["inset"]().sweep.values().tolist()
 
     def test_validate_oracle_mode_passes_tolerance(self):
         sc = Scenario(
@@ -1371,12 +1387,17 @@ class TestEntryPoint:
         {"output": 1}, {"output": True}, {"output": 7}, {"output": ["a"]},
         {"schema_version": True}, {"schema_version": 1.0},
         {"mode": ["curve"]},
+        {"sweep": {"variable": "r", "start": 0.5, "stop": 2.0, "points": 4},
+         "cases": [{"r": 3.0}]},
+        {"sweep": {"variable": "tau", "start": 0.5, "stop": 2.0,
+                   "points": 4}, "cases": [{"r": 3.0}]},
     ], ids=["case-not-object", "ratio-not-number", "tolerance-not-number",
             "kappa-over-g-not-number", "infinite-sweep", "bool-occupation",
             "huge-integer-occupation", "string-occupation",
             "too-few-trajectories", "output-one", "output-true",
             "output-integer", "output-list", "schema-version-bool",
-            "schema-version-float", "mode-not-string"])
+            "schema-version-float", "mode-not-string", "case-sets-swept-r",
+            "case-sets-r-under-tau"])
     def test_malformed_scenarios_exit_2(self, tmp_path, capsys, edit):
         doc = {**tiny_curve_scenario().to_dict(), **edit}
         cfg = tmp_path / "scenario.json"

@@ -15,6 +15,7 @@ from _reference import (
     one_round_contour,
     optimal_gain,
     sup_threshold,
+    threshold_search,
 )
 from conftest import deadline
 from steerkit import (
@@ -362,6 +363,62 @@ class TestNoiseThreshold:
             noise_threshold(0.0, 0.0)
         with pytest.raises(InvalidParams):
             noise_threshold(1.5, 0.0)
+
+
+# bounds n* of the bracket property: 0, integers, powers of two, dyadic
+# fractions and any float below the cap
+N_STARS = st.one_of(
+    st.just(0.0), st.integers(0, int(N_CAP) - 1).map(float),
+    st.integers(-1074, 19).map(lambda j: 2.0 ** j),
+    st.builds(lambda k, j: k * 2.0 ** -j, st.integers(0, 2 ** 40),
+              st.integers(0, 60)).filter(lambda n: n < N_CAP),
+    st.floats(0.0, N_CAP, exclude_max=True))
+TOLS = st.one_of(
+    st.sampled_from([0.5, 1e-9, 1e-300, 5e-324, 1e6]),
+    st.integers(-1074, 25).map(lambda j: 2.0 ** j), st.floats(1e-6, 10.0))
+
+
+class TestClosedFormBracket:
+    """``noise_threshold``'s bracket, written down from n*, is the search's
+    bracket bit for bit, and an array call is its float calls."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(n_star=N_STARS, tol=TOLS)
+    @example(n_star=0.0, tol=5e-324)
+    @example(n_star=N_CAP - 0.5, tol=5e-324)
+    @example(n_star=599.0004947, tol=0.5)
+    def test_bracket_is_the_search_bracket(self, n_star, tol):
+        bound = lambda r, x, n0: np.full(np.shape(x), n_star)  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steering, "max_occupation", bound)
+            res = noise_threshold(0.1, 0.0, R_MAX, tol)
+        lo, hi = threshold_search(n_star, tol)
+        assert [v.hex() for v in (res.value, *res.bracket)] \
+            == [v.hex() for v in (0.5 * (lo + hi), lo, hi)]
+
+    @pytest.mark.parametrize("n0, r_max, tol", [
+        (0.0, R_MAX, 0.5), (0.0, 0.3, 1e-9), (0.0, 50.0, 5e-324),
+        (0.5, R_MAX, 0.5), (-1.0, R_MAX, 0.5), (math.nan, R_MAX, 0.5),
+        (0.0, 0.0, 0.5), (0.0, math.inf, 0.5), (0.0, R_MAX, 0.0),
+        (0.0, R_MAX, math.nan)])
+    def test_array_call_is_its_float_calls(self, n0, r_max, tol):
+        x = np.concatenate((np.logspace(-4, math.log10(1.5), 22),
+                            [0.0, -1.0, 1.0, math.nan, 0.0075, 0.0098]))
+        res = noise_threshold(x.reshape(-1, 4), n0, r_max, tol)
+        cells = np.stack((res.value, *res.bracket), -1).reshape(-1, 3)
+        nan = np.flatnonzero(np.isnan(cells[:, 0]))
+        refusals = dict(zip(nan.tolist(), steering._threshold_refusal(
+            x[nan], n0, r_max, tol)[1]))
+        for i, v in enumerate(x.tolist()):
+            try:
+                got = noise_threshold(v, n0, r_max, tol)
+            except (InvalidParams, NoThreshold) as exc:
+                assert np.isnan(cells[i]).all()
+                assert (type(refusals[i]), str(refusals[i])) \
+                    == (type(exc), str(exc))
+            else:
+                assert i not in refusals
+                assert cells[i].tolist() == [got.value, *got.bracket]
 
 
 class TestSearchTermination:
