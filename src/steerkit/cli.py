@@ -696,14 +696,17 @@ def _adiabatic_params(params: dict) -> tuple[list[float], list[dict]]:
     if base["G1_over_G2"] != 1.0:
         raise ConfigError(f"validate-adiabatic runs at G1_over_G2 = 1, got "
                           f"{base['G1_over_G2']!r}")
-    # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2
+    # kappa/g = sqrt(kappa / (2 G_j)) in G = 1 units, G1 = G2; a square
+    # that underflows to 0 or a kappa that overflows sets no kappa
     try:
-        rungs = [{**base, "kappa": (1.0 + base["gamma_over_G"]) * ratio ** 2}
-                 for ratio in ladder]
+        squares = [ratio ** 2 for ratio in ladder]
     except OverflowError:
+        squares = [math.inf]
+    kappas = [(1.0 + base["gamma_over_G"]) * square for square in squares]
+    if min(squares) == 0.0 or not all(map(math.isfinite, kappas)):
         raise ConfigError(f"kappa_over_g entries {ratios!r} put kappa past "
-                          f"the float range") from None
-    return ladder, rungs
+                          f"the float range")
+    return ladder, [{**base, "kappa": kappa} for kappa in kappas]
 
 
 def _run_validate_adiabatic(sc: Scenario, params: tuple, tol: dict):

@@ -11,7 +11,8 @@ cov^2/var`` subtraction loses all significant digits (large pulse area
 with a hot mirror), and needs no band or asymptote at any r.
 
 ``output_block``, W's two moments (``_w_moments``) and both witnesses take
-floats or numpy arrays alike (``_evaluate``): an array call broadcasts its
+floats or numpy arrays alike (``_evaluate``): an array call (an argument
+a numpy array, a list or a tuple, ``_array_call``) broadcasts its
 arguments, evaluates the factors of r alone on r's own axes and those of
 the knobs on theirs, and is NaN on every cell outside the domain or past
 the float range; a float call is one cell of the same expression, with
@@ -20,7 +21,8 @@ the same bits.  What refuses a NaN cell follows from its arguments alone
 error for a cell past the float range.  A float call raises it, and a
 caller of the array form reads it for a NaN cell without evaluating the
 cell again.  The branches of the one small-r series are chosen per call
-from r's bounds (``_branches``), under one numpy error state.
+from the bounds of the r it is given (``_branches``), here alone, under one
+numpy error state.
 
 Conventions: symmetric (Weyl) ordering, vacuum variance 1/2, quadratures
 ``X = (a + a^dag)/sqrt(2)`` and ``P = (a - a^dag)/(i sqrt(2))``.  By the
@@ -75,17 +77,17 @@ def _branches(z, z_lo, z_hi, below, above):
     return np.where(z < SINH_SERIES_R, below(), above())
 
 
-def _r_factors(r, r_lo=0.0, r_hi=np.inf) -> tuple:
+def _r_factors(r, r_lo, r_hi) -> tuple:
     """The factors of r that both witnesses and ``max_occupation`` are
     written in, each within [0, 1] for r > 0, so that no r needs a band or
     an asymptote: ``(t, v, h, q, dm)`` with ``t = 1 - e^{-2r}``, ``v =
     e^{-2r}``, ``h = r v / t = r / (e^{2r} - 1)``, ``q = 2 r e^{-r}`` and
     ``dm = t - q = 2 e^{-r} (sinh r - r)``.  ``dm`` cancels at small r and
-    is summed as its series below ``SINH_SERIES_R``; a caller that knows
-    bounds ``r_lo <= r <= r_hi`` (NaN for unknown) passes them, so that
-    only the branch r needs is built (``_branches``).  Floats and numpy
-    arrays alike, under the caller's numpy error state; r = 0 and r = inf
-    give NaN in ``h`` (and in ``q`` at inf)."""
+    is summed as its series below ``SINH_SERIES_R``; ``r_lo <= r <= r_hi``
+    bound r, as its ``_bounds`` do, so that only the branches r reaches are
+    built (``_branches``).  Floats and numpy arrays alike, under the caller's
+    numpy error state; r = 0 and r = inf give NaN in ``h`` (and in ``q``
+    at inf)."""
     er = np.exp(-r)
     t = -np.expm1(-2.0 * r)
     v = er * er
@@ -173,6 +175,14 @@ def _refusal(args: tuple, kind: tuple) -> SteerkitError:
     return kind[0](*args) or kind[1](*args)
 
 
+def _array_call(*args) -> bool:
+    """Whether a call of a float-or-array function is an array call: an
+    argument is a numpy array (0-d included) or has ``np.ndim > 0``, as a
+    list or tuple does.  Python and numpy scalars make a float call."""
+    return any(isinstance(v, np.ndarray)
+               or not isinstance(v, float) and np.ndim(v) > 0 for v in args)
+
+
 def _evaluate(cells, args, kind):
     """A call of the closed-form function whose arithmetic is ``cells(r,
     *knobs, ok)``, with ``args = (r, gamma_over_G, n0, n, ...)`` and
@@ -182,12 +192,12 @@ def _evaluate(cells, args, kind):
     axes (an axis that a broadcast view repeats, stride 0, counts once; a
     0-d knob is a float, which numpy combines with arrays faster), with
     ``ok`` the cells whose ``(gamma_over_G, n0, n)`` are not negative or
-    NaN.  An array call (an argument a numpy array) returns the arguments'
+    NaN.  An array call (``_array_call``) returns the arguments'
     broadcast shape followed by that of one cell.  A float call is that
     one cell, a Python float for a cell of one value, and raises
     ``_refusal(args, kind)`` where the cell is NaN.
     """
-    array = any(isinstance(v, np.ndarray) for v in args)
+    array = _array_call(*args)
     arrays = [np.asarray(v, dtype=float) for v in args]
     r, x, n0, n, *rest = [_own_axes(arrays[0])] + [
         _own_axes(a) if a.ndim else float(a) for a in arrays[1:]]
@@ -350,11 +360,12 @@ def collective_steering_value(r, gamma_over_G, n0, n):
     combination of the cavity outputs alone; the README records this
     discrepancy as open.
 
-    Accepts numpy arrays: when any argument is an ``ndarray`` the four
-    broadcast against each other by numpy's rules and the result is a new
-    array of their broadcast shape, so a grid is passed on its axes (r as
-    a row, gamma/G as a column), or with r as a ``np.broadcast_to`` view
-    of the grid's shape, which copies nothing.  An argument is evaluated
+    Accepts numpy arrays: in an array call (``_array_call``: an argument
+    is an ``ndarray``, a list or a tuple) the four broadcast against each
+    other by numpy's rules and the result is a new array of their
+    broadcast shape, so a grid is passed on its axes (r as a row, gamma/G
+    as a column), or with r as a ``np.broadcast_to`` view of the grid's
+    shape, which copies nothing.  An argument is evaluated
     on its own axes: an axis that a broadcast view repeats (stride 0)
     counts once.  The factors that depend on r alone are computed on r's
     axes and those that do not on those of ``(gamma_over_G, n0, n)``; only
@@ -383,8 +394,7 @@ def _own_axes(a: np.ndarray) -> np.ndarray:
                    for s in a.strides)]
 
 
-def _collective_cells(r: np.ndarray, co: tuple, bounds=None,
-                      ok=True) -> np.ndarray:
+def _collective_cells(r: np.ndarray, co: tuple, ok=True) -> np.ndarray:
     """The collective witness over the broadcast of ``r`` (a numpy float is
     one cell) and ``co``, the ``_coefficients`` with each entry a scalar or
     an array, so a caller may compute them once for many r.
@@ -411,15 +421,11 @@ def _collective_cells(r: np.ndarray, co: tuple, bounds=None,
     on the plateau ``x^2 b / (1 + x)^2``, up to rounding; r = inf is
     evaluated at r = 1e3, as ``r e^{-r}`` is NaN there.
 
-    ``bounds`` are a lower and an upper bound of r (NaN where r may be
-    NaN), which choose the branch of ``dm`` and whether the pins below are
-    needed; a caller that evaluates many passes within known brackets
-    passes them, and by default they are the least and greatest r.  r = 0
-    is ``n0 + 1/2``.  Cells outside the mask ``ok`` (skipped when it is
-    True), or with r negative or NaN, are NaN; a cell where a term leaves
-    the float range is NaN or inf."""
-    # the least and greatest r, NaN if any r is
-    r_lo, r_hi = bounds or _bounds(r)
+    r's ``_bounds`` choose the branches of ``dm`` and whether the pins
+    below are needed.  r = 0 is ``n0 + 1/2``.  Cells outside the mask
+    ``ok`` (skipped when it is True), or with r negative or NaN, are NaN; a
+    cell where a term leaves the float range is NaN or inf."""
+    r_lo, r_hi = _bounds(r)
     n0, s, ss, k_a, k_s, b4, k_t = co
     if not r_hi < np.inf:
         r = np.minimum(r, 1e3)
@@ -546,22 +552,25 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
     x* = 1.1915 of
     ``2x^3 - 2x - 1``.
 
-    Needs r > 0 and gamma/G > 0.  Accepts numpy arrays as
-    ``collective_steering_value`` does: out-of-domain cells are NaN, where
-    the float call raises ``InvalidParams``.
+    Needs r > 0 and gamma/G > 0.  Accepts numpy arrays, lists and tuples
+    as ``collective_steering_value`` does (``_array_call``): out-of-domain
+    cells are NaN, where the float call raises ``InvalidParams``.
     """
     x = gamma_over_G
-    array = any(isinstance(v, np.ndarray) for v in (r, x, n0))
-    if not array:
-        if (error := _domain_error(r, x, n0, 0.0)) is not None:
-            raise error
-        if not (r > 0.0 and x > 0.0):
-            raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
-                                f"> 0, got r = {r!r}, gamma_over_G = {x!r}")
+    # an array call takes a list or tuple as an array; a float stays a
+    # float, which numpy combines with arrays faster
+    if array := _array_call(r, x, n0):
+        r, x, n0 = (v if isinstance(v, float) else np.asarray(v, dtype=float)
+                    for v in (r, x, n0))
+    elif (error := _domain_error(r, x, n0, 0.0)) is not None:
+        raise error
+    elif not (r > 0.0 and x > 0.0):
+        raise InvalidParams(f"max_occupation needs r > 0 and gamma_over_G "
+                            f"> 0, got r = {r!r}, gamma_over_G = {x!r}")
     # A underflows to 0 below r ~ 1e-100, where the bound is inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                      under="ignore"):
-        A, B, C = _occupation_quadratic(x, n0, *_r_factors(r))
+        A, B, C = _occupation_quadratic(x, n0, *_r_factors(r, *_bounds(r)))
         S = np.sqrt(B * B - 4.0 * A * C) + np.abs(B)
         b = np.where(B < 0.0, S / (2.0 * A), -2.0 * C / S)
         n_max = (b - 0.5) / x - 1.0

@@ -628,13 +628,15 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
     failures, points = {}, []
     for i, rp in enumerate(rps):
         try:
+            # the model, its kernels, the gains' dq and, from that dq, the
+            # mirror output phase delta tau of mirror_output_phase
             points.append((i, build(rp),
                            output_kernels(rp, full=(engine == "full"),
                                           which=which),
-                           mirror_output_phase(rp), derived_quantities(rp)))
+                           (dq := derived_quantities(rp)), dq.delta * rp.tau))
         except SteerkitError as exc:
             failures[i] = exc
-    index, models, kernels, phases, dqs = zip(*points) if points else [()] * 5
+    index, models, kernels, dqs, phases = zip(*points) if points else [()] * 5
     labels = (A_M_OUT,) + tuple(which)
     gains = np.array([(dq.G1, dq.G2, dq.G) for dq in dqs]).reshape(-1, 3)
     extra = tuple(lab for lab, ((m1, _), (m2, _), _)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
-    SINH_SERIES_R,
+    _array_call,
     _coefficients,
     _collective_cells,
     _domain_error,
@@ -37,7 +37,7 @@ R_MAX = 10.0  # pulse areas searched: (0, R_MAX]
 N_TOL = 0.5  # width of the n bracket of noise_threshold
 N_CAP = 1e6  # noise_threshold gives up where steering survives at this n
 BISECTION_ROUNDS = 60  # most rounds of steering_region's contour bisection
-PASS_ROUNDS = 3  # bisection rounds per witness pass of steering_region
+PASS_ROUNDS = 3  # rounds per witness pass; BISECTION_ROUNDS is a multiple
 
 
 def steering_product(oc: OutputCovariance, steered_mode: str, party_mode: str,
@@ -112,18 +112,19 @@ def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
     below ``N_CAP`` the division by a power of two, the floor, the product
     and the sum are exact, so these are the search's bits.
 
-    ``gamma_over_G`` is a float or a numpy array, the other arguments
-    floats.  A float call raises its cell's refusal (``_threshold_refusal``):
-    ``InvalidParams`` for arguments outside the domain, and ``NoThreshold``
-    when n* < 0, so even n = 0 fails (too much damping, or a warm mirror:
-    with n0 > 0 the witness tends to n0 + 1/2 > 1/2 as r -> 0, so the
-    condition fails at every n), or when n* >= ``N_CAP``, so steering
-    survives at the cap (damping too weak to set a bound).  An array call
-    is NaN on each refused cell.
+    ``gamma_over_G`` is a float or, for an array call
+    (``closedform._array_call``), a numpy array, a list or a tuple; the
+    other arguments are floats.  A float call raises its cell's refusal
+    (``_threshold_refusal``): ``InvalidParams`` for arguments outside the
+    domain, and ``NoThreshold`` when n* < 0, so even n = 0 fails (too much
+    damping, or a warm mirror: with n0 > 0 the witness tends to n0 + 1/2 >
+    1/2 as r -> 0, so the condition fails at every n), or when n* >=
+    ``N_CAP``, so steering survives at the cap (damping too weak to set a
+    bound).  An array call is NaN on each refused cell.
     """
     x = np.asarray(gamma_over_G, dtype=float)
     n_star, refused = _threshold_refusal(x, n0, r_max, tol)
-    array = isinstance(gamma_over_G, np.ndarray)
+    array = _array_call(gamma_over_G)
     if refused and not array:
         raise refused[0]
     # the doubling's last width, narrowed to the largest power of two
@@ -204,37 +205,34 @@ class SteeringRegion:
 
 
 def _bisection_pass(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray,
-                    co: tuple, bounds: tuple, sign: np.ndarray, rounds: int,
+                    co: tuple, sign: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``rounds`` rounds of the contour bisection from one witness pass.
+    """``PASS_ROUNDS`` rounds of the contour bisection from one witness pass.
 
-    The pass evaluates every midpoint the rounds can reach, ``2**rounds -
-    1`` per bracket, built level by level as ``0.5 * (lo + hi)`` of the
-    bracket each one splits; the first level is ``mid``, which the caller
-    has formed so.  Each bracket then walks the rounds on the signs of
-    those cells: it keeps the midpoint as its lower end where ``E - 1/2``
-    has the lower end's ``sign`` there, and as its upper end otherwise (a
-    NaN midpoint counts as past the crossing).  So it meets the midpoints
-    and ends that one round per pass would.  ``co``, the witness's r-free
-    factors, and ``sign`` hold the ``2**PASS_ROUNDS - 1`` rows of a full
-    pass; ``bounds`` bound every midpoint.
+    The pass evaluates every midpoint the rounds can reach, 7 per bracket
+    (``2**PASS_ROUNDS - 1``), built level by level as ``0.5 * (lo + hi)``
+    of the bracket each one splits; the first level is ``mid``, which the
+    caller has formed so.  Each bracket then walks the rounds on the signs
+    of those cells: it keeps the midpoint as its lower end where ``E -
+    1/2`` has the lower end's ``sign`` there, and as its upper end
+    otherwise (a NaN midpoint counts as past the crossing).  So it meets
+    the midpoints and ends that one round per pass would.  ``co``, the
+    witness's r-free factors, and ``sign`` hold one row per midpoint of a
+    bracket.
     """
-    width, m = 1 << rounds, lo.size
-    if rounds < PASS_ROUNDS:  # the rows this shorter pass takes
-        co = tuple(c[:width - 1] if np.ndim(c) else c for c in co)
-        sign = sign[:width - 1]
+    width, m = 1 << PASS_ROUNDS, lo.size
     ends = np.empty((width + 1, m))  # row k: each bracket's k-th point
     ends[0], ends[width >> 1], ends[width] = lo, mid, hi
-    for level in range(1, rounds):
+    for level in range(1, PASS_ROUNDS):
         step = width >> level
         ends[step >> 1::step] = 0.5 * (ends[:-1:step] + ends[step::step])
-    E = _collective_cells(ends[1:-1], co, bounds)
+    E = _collective_cells(ends[1:-1], co)
     up = ((E - 0.5) * sign > 0.0).ravel()
     # walk each bracket down the rounds, as a flat index into ends: the
     # bracket (ends[k], ends[k + 2 step]) has its midpoint at ends[k + step],
     # row k + step - 1 of up
     at = np.arange(m)
-    for level in range(rounds - 1, -1, -1):
+    for level in range(PASS_ROUNDS - 1, -1, -1):
         step = 1 << level
         at += step * m * up[at + (step - 1) * m]
     flat = ends.ravel()
@@ -261,10 +259,11 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     NaN counts as past the crossing.  Each witness pass serves
     ``PASS_ROUNDS`` rounds: it evaluates the 7 midpoints per bracket that
     the next three rounds can reach, and each bracket walks those rounds
-    on their signs (``_bisection_pass``).  The rounds stop once no bracket
-    has a float strictly inside it, checked before each pass, or after
-    ``BISECTION_ROUNDS``, the last pass taking the rounds left; each
-    contour point is its bracket's midpoint.
+    on their signs (``_bisection_pass``); ``closedform`` picks the branch
+    of its small-r series from the midpoints a pass gives it.  The rounds
+    stop once no bracket has a float strictly inside it, checked before
+    each pass, or after ``BISECTION_ROUNDS``, a whole number of passes;
+    each contour point is its bracket's midpoint.
 
     The contour is bit for bit that of one round per pass.  A pass builds
     its midpoints with the same ``0.5 * (lo + hi)`` from the same ends and
@@ -297,7 +296,7 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     bisect = cross[i, j]
     lo, hi = rs[j[bisect]], rs[j[bisect] + 1]
     if lo.size:
-        # the r-free factors once, copied to the rows of a full pass, so
+        # the r-free factors once, copied to the rows of a pass, so
         # that a pass evaluates only the part of the witness that depends
         # on r and broadcasts no operand
         with np.errstate(over="ignore", invalid="ignore"):
@@ -306,21 +305,11 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
         co = tuple(np.broadcast_to(c, rows).copy() if np.ndim(c) else c
                    for c in co)
         sign = np.broadcast_to(row[i[bisect], j[bisect]], rows).copy()
-        # every midpoint lies between the least lower and the greatest upper
-        # end, which tell the witness whether a pass needs its small-r
-        # series; brackets only shrink, so they are re-read only while they
-        # straddle the series' end
-        bounds = lo.min(), hi.max()
-        done = 0
-        while done < BISECTION_ROUNDS:
+        for _ in range(BISECTION_ROUNDS // PASS_ROUNDS):
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break  # every bracket is down to adjacent floats
-            rounds = min(PASS_ROUNDS, BISECTION_ROUNDS - done)
-            lo, hi = _bisection_pass(lo, mid, hi, co, bounds, sign, rounds)
-            done += rounds
-            if bounds[0] < SINH_SERIES_R <= bounds[1]:
-                bounds = lo.min(), hi.max()
+            lo, hi = _bisection_pass(lo, mid, hi, co, sign)
     r_cross = rs[j]
     r_cross[bisect] = 0.5 * (lo + hi)
     contour = tuple(zip(r_cross.tolist(), xs[i].tolist()))

@@ -1836,13 +1836,15 @@ class TestEntryPoint:
         assert not out.exists()
 
     @pytest.mark.parametrize("ratio, code, error", [
-        (1e150, 1, "InvalidParams"), (1e155, 2, "ConfigError")],
-        ids=["kappa-squared", "kappa"])
+        (1e150, 1, "InvalidParams"), (1e155, 2, "ConfigError"),
+        (1e-200, 2, "ConfigError")],
+        ids=["kappa-squared", "kappa", "kappa-underflow"])
     def test_adiabatic_ladder_overflow_is_a_typed_error(
             self, tmp_path, capsys, ratio, code, error):
         # kappa = (1 + gamma/G) (kappa/g)^2 is 1.1e300 at kappa/g = 1e150,
         # and kappa^2 overflows in reduced_from_ratios; at 1e155 kappa
-        # itself overflows while the params parse
+        # itself overflows while the params parse, and at 1e-200 it
+        # underflows to 0 there
         doc = valid_doc("validate-adiabatic")
         doc["params"] = {**doc["params"], "kappa_over_g": [ratio]}
         cfg = tmp_path / "scenario.json"

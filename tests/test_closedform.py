@@ -395,6 +395,26 @@ class TestArrayForms:
                     expect = np.array(call(), dtype=float)
                     assert (hexes(expect) == hexes(got)).all()
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_lists_and_tuples_are_array_calls(self, seq):
+        # a list or a tuple makes the ndarray call, NaN cells included
+        rs, xs = [-1.0, 0.0, 0.3, 1.0, 400.0], [0.05, 0.1, -0.2, 1.0]
+        def threshold(x):
+            res = noise_threshold(x, 0.0)
+            return np.stack((res.value, *res.bracket))
+
+        hexes = np.vectorize(float.hex, otypes=[object])
+        for call, values in (
+                (lambda r: output_block(r, 0.1, 0.5, 5.0), rs),
+                (lambda r: collective_steering_value(r, 0.1, 0.5, 5.0), rs),
+                (lambda r: single_steering_value(r, 0.1, 0.5, 5.0, 0.4), rs),
+                (lambda r: closedform.max_occupation(r, 0.1, 0.0), rs),
+                (lambda x: closedform.max_occupation(1.0, x, 0.0), xs),
+                (threshold, xs)):
+            expect = call(np.array(values))
+            assert np.isnan(expect).any()
+            assert (hexes(call(seq(values))) == hexes(expect)).all()
+
     def test_views_and_float_knobs(self):
         # a broadcast view of r is evaluated once per distinct r, and float
         # knobs with an array r fill r's shape

@@ -38,8 +38,8 @@ from steerkit.dynamics import (
     output_covariances,
 )
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
-from steerkit import steering
-from steerkit.closedform import max_occupation
+from steerkit import closedform, steering
+from steerkit.closedform import SINH_SERIES_R, max_occupation
 from steerkit.steering import (
     BISECTION_ROUNDS,
     N_CAP,
@@ -323,6 +323,18 @@ class TestNoiseThreshold:
         with pytest.raises(NoThreshold):
             noise_threshold(0.0075, 0.0)
 
+    @pytest.mark.parametrize("r_max", [SINH_SERIES_R, R_MAX])
+    def test_builds_no_small_r_series_above_its_end(self, monkeypatch, r_max):
+        # max_occupation reads the branch from its own r, so n* at an r_max
+        # past the series' end never sums it
+        calls, series = [], closedform._sinh_series
+        monkeypatch.setattr(closedform, "_sinh_series",
+                            lambda y2: calls.append(y2) or series(y2))
+        noise_threshold(np.array([0.05, 0.1, 0.3]), 0.0, r_max)
+        assert not calls
+        max_occupation(np.array([0.3, 1.0]), 0.1, 0.0)
+        assert calls  # below the end it does
+
     @pytest.mark.parametrize("x, bracket", [
         (0.0098, (541653.0, 541653.5)), (0.008, (992187.0, 992187.5))])
     def test_thresholds_between_2_to_the_19_and_the_cap(self, x, bracket):
@@ -594,15 +606,19 @@ class TestContourBisection:
         assert one_round == 58
         assert passes <= math.ceil(BISECTION_ROUNDS / PASS_ROUNDS) == 20
 
-    @pytest.mark.parametrize("cap", [7, 8])
-    def test_a_cap_off_the_pass_size_ends_with_a_shorter_pass(
-            self, monkeypatch, cap):
-        # 7 and 8 rounds end with a pass of one and of two rounds; no
-        # bracket of the map is down to adjacent floats by then
+    def test_the_cap_is_a_whole_number_of_passes(self):
+        # the bisection runs BISECTION_ROUNDS // PASS_ROUNDS full passes
+        assert BISECTION_ROUNDS % PASS_ROUNDS == 0
+
+    @pytest.mark.parametrize("cap, passes", [(6, 2), (9, 3)])
+    def test_a_binding_cap_ends_after_whole_passes(self, monkeypatch, cap,
+                                                    passes):
+        # no bracket of the map is down to adjacent floats after 6 or 9
+        # rounds, so the cap ends the bisection
         monkeypatch.setattr(steering, "BISECTION_ROUNDS", cap)
         monkeypatch.setattr(_reference, "BISECTION_ROUNDS", cap)
         assert self._passes(monkeypatch, steering, steering_region,
-                            *MANY_CROSSINGS) == 3
+                            *MANY_CROSSINGS) == passes
         assert steering_region(*MANY_CROSSINGS).contour \
             == one_round_contour(*MANY_CROSSINGS)
 
