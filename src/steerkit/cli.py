@@ -320,6 +320,9 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 # parameter normalization
 
+# the ratio knobs and their defaults: exactly the parameters of
+# ``reduced_from_ratios``, so the oracle and sampler runners pass it a knob
+# dict as its keywords
 _RATIO_DEFAULTS = {"r": 1.0, "gamma_over_G": 0.0, "G1_over_G2": 1.0,
                    "n0": 0.0, "n": 0.0, "Delta_over_kappa": 1.0,
                    "kappa": 20.0}
@@ -389,14 +392,6 @@ def _apply(knobs: dict, variable: str, value: float) -> dict:
     return {**knobs, _knob(variable): value}
 
 
-def _reduced(knobs: dict) -> ReducedParams:
-    """Reduced-model parameters of a set of ratio knobs."""
-    return reduced_from_ratios(
-        knobs["r"], knobs["gamma_over_G"], G1_over_G2=knobs["G1_over_G2"],
-        n0=knobs["n0"], n=knobs["n"],
-        Delta_over_kappa=knobs["Delta_over_kappa"], kappa=knobs["kappa"])
-
-
 # the output kernels whose modes E_mW, E_m1 and the validate-oracle moments
 # read: the cavity outputs and the mirror bath, which make W_out and U_out
 _ORACLE_MODES = (dynamics.A_1_OUT, dynamics.A_2_OUT, dynamics.B_TILDE)
@@ -410,7 +405,7 @@ def _oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
     rps, failures = [], {}
     for i, k in enumerate(sweep_knobs):
         try:
-            rps.append(_reduced(k))
+            rps.append(reduced_from_ratios(**k))
         except SteerkitError as exc:
             failures[i] = exc
     index = [i for i in range(len(sweep_knobs)) if i not in failures]
@@ -570,11 +565,22 @@ class _GridPoints(Sequence):
         return {self.var1: self.v1[j], self.var2: self.v2[i],
                 "E": float(self.E[i, j])}
 
+    # ``Sequence.__iter__`` gives the same dicts through ``__getitem__``;
+    # this row walk writes fig4's JSON in 229-230 ms, against 252-253 ms
+    # without it (2-core x86 machine, min of 7 runs)
     def __iter__(self):
         var1, var2 = self.var1, self.var2
         for x2, row in zip(self.v2, self.E.tolist()):
             for x1, e in zip(self.v1, row):
                 yield {var1: x1, var2: x2, "E": e}
+
+
+def _has_contour(sc: Scenario) -> bool:
+    """Whether a run of ``sc`` has an E = 1/2 contour, and so writes
+    ``<output>.contour.csv``: a heatmap of r (``sweep``) by gamma/G
+    (``sweep2``)."""
+    return sc.mode == "heatmap" and sc.sweep.variable == "r" \
+        and sc.sweep2.variable == "gamma_over_G"
 
 
 def _run_heatmap(sc: Scenario, base: dict, tol: dict):
@@ -586,7 +592,7 @@ def _run_heatmap(sc: Scenario, base: dict, tol: dict):
     # an (r, gamma/G) map has the contour of E = 1/2 along r, per gamma/G
     # row; a map over other axes has none, and writes no contour file
     summary = {}
-    if var1 == "r" and var2 == "gamma_over_G":
+    if _has_contour(sc):
         region = steering.steering_region(v1, v2, base["n0"], base["n"])
         E, summary["contour"] = region.E, list(region.contour)
     else:
@@ -777,7 +783,7 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
         mc, failures = np.full((len(values), 2), math.nan), {}
         for i, v in enumerate(values.tolist()):
             try:
-                rp = _reduced(_apply(base, var, v))
+                rp = reduced_from_ratios(**_apply(base, var, v))
                 model = dynamics.build_reduced_model(rp)
                 kernels = dynamics.output_kernels(
                     rp, full=False, which=(dynamics.A_1_OUT, dynamics.A_2_OUT))
@@ -842,10 +848,10 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.  The format, the scenario and the table and SVG
-    paths are checked before any point is computed; the contour path, which
-    only the runner decides on, when it is written.  Points run in order on
-    one thread.  ``threads`` is not read: it stays only because
+    failed its tolerance.  The format, the scenario and every path the run
+    writes (the table, the contour of an (r, gamma/G) map and the SVG) are
+    checked before any point is computed.  Points run in order on one
+    thread.  ``threads`` is not read: it stays only because
     ``benchmark/worker.py`` passes it.
     """
     if fmt not in ("csv", "json"):
@@ -854,6 +860,8 @@ def run(scenario: Scenario, *, output: str | None = None,
     path = output or scenario.output
     if path:
         _check_output(path)
+        if _has_contour(scenario):
+            _check_output(_with_suffix(path, ".contour.csv"))
         if svg:
             _check_output(_with_suffix(path, ".svg"))
     mode = _MODES[scenario.mode]
@@ -877,9 +885,9 @@ def run(scenario: Scenario, *, output: str | None = None,
             _write_csv(path, record)
         else:
             _write_json(path, record)
-        contour = summary.get("contour")
-        if contour is not None:
-            _write_csv(_with_suffix(path, ".contour.csv"), record, contour)
+        if _has_contour(scenario):
+            _write_csv(_with_suffix(path, ".contour.csv"), record,
+                       summary["contour"])
         if svg:
             _write_svg(_with_suffix(path, ".svg"), scenario, record)
     return record
@@ -967,35 +975,28 @@ def _write_rows(out, columns: list[str], rows) -> None:
     labels such as ``E[n0=0,n=0]`` need quoting; formatted floats never do.
 
     A table of fewer than ``_KERNEL_MIN_CELLS`` cells is written with one
-    ``%`` row template, which is faster there.  A larger one is
-    formatted by ``_cells`` in blocks of about ``_BLOCK_CELLS`` cells that
-    go straight to ``out``, so no text of the table's size is ever held
-    and the temporaries stay a fraction of the file's size; in a heatmap
-    each x1 and x2 is formatted once per map.  ``_cells`` writes what
-    ``%`` writes, byte for byte.  For a finite x with ``|x| >= 1e-296`` it
-    takes ``e = floor(log10|x|)`` and ``s = |x| * P``, where ``P`` is
-    ``10**(11 - e)`` correctly rounded.  The product is correctly rounded
-    too, so ``s`` is within ``2**-52`` relative, under 2.3e-4 absolute for
-    ``s < 1e12``, of the exact ``t = |x| * 10**(11 - e)``.  A cell is
-    accepted when ``1e11 <= s``, ``m = rint(s) < 1e12`` and
-    ``|s - m| < 0.5 - 1e-3``.  Then ``|t - m| < 0.5``, so ``m`` is ``t``
-    rounded to nearest, as correctly rounded ``%`` rounds it, and the cell
-    is m's 12 digits and ``e`` (a ``t`` just under ``1e11`` rounds to 12
-    digits as ``1e11 * 10**(e - 11)``, which is this ``m``).  A zero is
-    written as ``m = 0`` at ``e = 0``.  Every other cell (NaN, infinities,
-    subnormals, ``|x| < 1e-296``, near-ties and a ``log10`` off by one)
-    goes through ``%``.
+    ``%`` row template, which is faster there.  A larger one, and a heatmap
+    of any size, is formatted by ``_cells`` in blocks of about
+    ``_BLOCK_CELLS`` cells that go straight to ``out``, so no text of the
+    table's size is ever held and the temporaries stay a fraction of the
+    file's size; in a heatmap each x1 and x2 is formatted once per map.
+    ``_cells`` writes what ``%`` writes, byte for byte.  For a finite x
+    with ``|x| >= 1e-296`` it takes ``e = floor(log10|x|)`` and
+    ``s = |x| * P``, where ``P`` is ``10**(11 - e)`` correctly rounded.
+    The product is correctly rounded too, so ``s`` is within ``2**-52``
+    relative, under 2.3e-4 absolute for ``s < 1e12``, of the exact
+    ``t = |x| * 10**(11 - e)``.  A cell is accepted when ``1e11 <= s``,
+    ``m = rint(s) < 1e12`` and ``|s - m| < 0.5 - 1e-3``.  Then
+    ``|t - m| < 0.5``, so ``m`` is ``t`` rounded to nearest, as correctly
+    rounded ``%`` rounds it, and the cell is m's 12 digits and ``e`` (a
+    ``t`` just under ``1e11`` rounds to 12 digits as
+    ``1e11 * 10**(e - 11)``, which is this ``m``).  A zero is written as
+    ``m = 0`` at ``e = 0``.  Every other cell (NaN, infinities, subnormals,
+    ``|x| < 1e-296``, near-ties and a ``log10`` off by one) goes through
+    ``%``.
     """
     csv.writer(out, lineterminator="\n").writerow(columns)
-    grid = isinstance(rows, _GridPoints)
-    if len(rows) * len(columns) < _KERNEL_MIN_CELLS:
-        if grid:  # the (cells x 3) table, row-major with var2 outer
-            rows = np.stack(np.broadcast_arrays(
-                np.array(rows.v1), np.array(rows.v2)[:, None], rows.E),
-                axis=-1).reshape(-1, 3)
-        line = ",".join(["%.11e"] * len(columns)) + "\n"
-        out.write((line * len(rows)) % tuple(rows.ravel().tolist()))
-    elif grid:
+    if isinstance(rows, _GridPoints):
         axes = _cells(np.array(rows.v1 + rows.v2), ord(","))
         x1, x2 = axes[:len(rows.v1)], axes[len(rows.v1):, None]
         step = max(1, _BLOCK_CELLS // (len(columns) * len(x1)))
@@ -1006,6 +1007,9 @@ def _write_rows(out, columns: list[str], rows) -> None:
             block[..., 1] = x2[i:i + step]
             block[..., 2] = _cells(E, ord("\n"))
             out.write(_text(block))
+    elif len(rows) * len(columns) < _KERNEL_MIN_CELLS:
+        line = ",".join(["%.11e"] * len(columns)) + "\n"
+        out.write((line * len(rows)) % tuple(rows.ravel().tolist()))
     else:
         seps = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
         step = max(1, _BLOCK_CELLS // len(columns))
@@ -1070,31 +1074,31 @@ def _write_json(path: str, record: RunRecord) -> None:
 
 
 def _write_svg(path: str, scenario: Scenario, record: RunRecord) -> None:
-    """Draw the record's chart; when it has no finite value, write no file
-    and say so in one line on stderr."""
+    """Draw the record's chart and write it through ``_output``; when it has
+    no finite value, write no file and say so in one line on stderr."""
     from . import svgplot
 
     try:
         if scenario.mode == "heatmap":
             grid = record.points
-            svgplot.heatmap(grid.v1, grid.v2, grid.E, path, x_label=grid.var1,
-                            y_label=grid.var2,
-                            contour=tuple(record.summary.get("contour", ())),
-                            x_scale=scenario.sweep.scale,
-                            y_scale=scenario.sweep2.scale)
+            text = svgplot.heatmap(
+                grid.v1, grid.v2, grid.E, x_label=grid.var1,
+                y_label=grid.var2,
+                contour=tuple(record.summary.get("contour", ())),
+                x_scale=scenario.sweep.scale, y_scale=scenario.sweep2.scale)
         else:
             cells = record.points.cells
             xcol, *ycols = record.columns
-            svgplot.line_chart(cells[:, 0], dict(zip(ycols, cells[:, 1:].T)),
-                               path, x_label=xcol,
-                               hline=0.5 if scenario.mode == "curve" else None,
-                               x_scale=scenario.sweep.scale
-                               if scenario.sweep else "linear")
+            text = svgplot.line_chart(
+                cells[:, 0], dict(zip(ycols, cells[:, 1:].T)), x_label=xcol,
+                hline=0.5 if scenario.mode == "curve" else None,
+                x_scale=scenario.sweep.scale if scenario.sweep else "linear")
     except svgplot.NothingToPlot:
         sys.stderr.write(f"steerkit: warning: no finite value to plot; {path} "
                          f"not written\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        return
+    with _output(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,9 @@ def gain_filter_ratio(r):
     """``4 r e^{2r} / (e^{2r} - 1)``, written as ``4 r / (1 - e^{-2r})`` so
     that no intermediate leaves the float range at any r; 2 at r = 0.
     ``expm1`` keeps it within 2 ulps of mpmath (1.31 measured) at every
-    r > 0.  Floats and numpy arrays alike, as a numpy array."""
+    r > 0.  Floats, numpy arrays, lists and tuples alike, as a numpy
+    array."""
+    r = np.asarray(r, dtype=float)
     return np.divide(4.0 * r, -np.expm1(-2.0 * r),
                      out=np.full(np.shape(r), 2.0), where=r != 0.0)
 
@@ -115,11 +117,12 @@ def coherence_factor(r):
     ``r^2 ((sinh r - r)/r^3 cosh r + 2 (sinh(r/2)/r)^2) gain_filter_ratio(r)
     / 2``, a sum of positive terms, with the last factor taken as ``u / (1
     - e^{-u})``, its value.  Twice this is the amplified noise ``e^{2r} + 1
-    - gain_filter_ratio(r)`` of the cavity output variances.  Floats and
-    numpy arrays alike, each branch built only where r's bounds reach it,
-    under the caller's numpy error state (r = 0 divides 0 by 0 before its
-    value 0 is put in).
+    - gain_filter_ratio(r)`` of the cavity output variances.  Floats,
+    numpy arrays, lists and tuples alike, each branch built only where r's
+    bounds reach it, under the caller's numpy error state (r = 0 divides 0
+    by 0 before its value 0 is put in).
     """
+    r = np.asarray(r, dtype=float)
     r_lo, r_hi = _bounds(r)
     u = 2.0 * r
     t = -np.expm1(-u)
@@ -510,8 +513,11 @@ def threshold_r(n0: float) -> float:
 
     ``r_th = ln[(2 n0 + 1)/(n0 + 1)] / 2``; zero for a ground-state mirror
     and approaching ``ln(2)/2`` for large occupation.  At zero damping the
-    collective witness crosses 1/2 exactly there.
+    collective witness crosses 1/2 exactly there.  It takes a float: an
+    array, a list or a tuple (``_array_call``) raises ``InvalidParams``.
     """
+    if _array_call(n0):
+        raise InvalidParams(f"n0 must be a float, got {n0!r}")
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
     return 0.5 * math.log1p(n0 / (n0 + 1.0))

@@ -1,7 +1,8 @@
 """Minimal deterministic SVG renderers for quick inspection of results.
 
 Not publication plotting: fixed size, fixed palette, numpy and the standard
-library only, and byte-stable output for identical inputs.  A line chart
+library only, and byte-stable output for identical inputs.  A renderer
+returns the SVG text and opens no file; the CLI writes it.  A line chart
 draws each finite run of a series as one ``<polyline>``; a heatmap is one
 embedded PNG image with one pixel per cell.  An axis is linear or log10, on
 the scale of the sweep it shows.
@@ -28,7 +29,7 @@ PNG_LEVEL = 1
 
 
 class NothingToPlot(ValueError):
-    """A chart has no finite value; it is not written."""
+    """A chart has no finite value; it is not drawn."""
 
 
 def _fmt(v: float) -> str:
@@ -109,12 +110,11 @@ def _points(px: np.ndarray, py: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
-def _write(path: str, parts: list[str], sx, sy, x_ticks, y_ticks,
-           x_label: str, y_label: str = "", after: list[str] | tuple = (),
-           ) -> None:
-    """Write an SVG on a white background, one element per line: ``parts``,
-    the tick values below the x axis and left of the y axis, the axis
-    labels that are set, then ``after``."""
+def _document(parts: list[str], sx, sy, x_ticks, y_ticks, x_label: str,
+              y_label: str = "", after: list[str] | tuple = ()) -> str:
+    """The text of an SVG on a white background, one element per line:
+    ``parts``, the tick values below the x axis and left of the y axis, the
+    axis labels that are set, then ``after``."""
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
              f'height="{_H}" viewBox="0 0 {_W} {_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>', *parts]
@@ -131,8 +131,7 @@ def _write(path: str, parts: list[str], sx, sy, x_ticks, y_ticks,
         parts.append(f'<text x="16" y="{(_MT + _H - _MB) // 2}" '
                      f'font-size="12" text-anchor="middle" transform='
                      f'"rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([*parts, *after, "</svg>\n"]))
+    return "\n".join([*parts, *after, "</svg>\n"])
 
 
 def _range(v: np.ndarray) -> tuple[float, float]:
@@ -141,10 +140,10 @@ def _range(v: np.ndarray) -> tuple[float, float]:
     return v[v.argmin()].item(), v[v.argmax()].item()
 
 
-def line_chart(x, series: dict, path: str, *, x_label: str = "",
-               hline: float | None = None, x_scale: str = "linear") -> None:
-    """Write a multi-curve line chart of the arrays ``series`` over the
-    array ``x``; NaN and ±inf points break the polyline.
+def line_chart(x, series: dict, *, x_label: str = "",
+               hline: float | None = None, x_scale: str = "linear") -> str:
+    """The SVG text of a multi-curve line chart of the arrays ``series``
+    over the array ``x``; NaN and ±inf points break the polyline.
 
     The x axis is linear, or log10 for ``x_scale="log"`` (positive x only),
     with ticks at the ends and the middle of the axis: the mean of the ends,
@@ -187,8 +186,8 @@ def line_chart(x, series: dict, path: str, *, x_label: str = "",
                      f'{name}</text>')
     x_mid = math.sqrt(x_lo) * math.sqrt(x_hi) if x_scale == "log" \
         else 0.5 * (x_lo + x_hi)
-    _write(path, axes, sx, sy, (x_lo, x_mid, x_hi),
-           (y_lo, 0.5 * (y_lo + y_hi), y_hi), x_label, after=parts)
+    return _document(axes, sx, sy, (x_lo, x_mid, x_hi),
+                     (y_lo, 0.5 * (y_lo + y_hi), y_hi), x_label, after=parts)
 
 
 def _png(rgb: np.ndarray) -> bytes:
@@ -209,11 +208,11 @@ def _png(rgb: np.ndarray) -> bytes:
         chunk(b"IEND", b"")])
 
 
-def heatmap(x, y, values, path: str, *, x_label: str = "",
-            y_label: str = "", contour: tuple[tuple[float, float], ...] = (),
-            x_scale: str = "linear", y_scale: str = "linear") -> None:
-    """Write a heatmap as one embedded PNG image, one pixel per cell, with
-    an optional contour overlay of ``(x, y)`` points.
+def heatmap(x, y, values, *, x_label: str = "", y_label: str = "",
+            contour: tuple[tuple[float, float], ...] = (),
+            x_scale: str = "linear", y_scale: str = "linear") -> str:
+    """The SVG text of a heatmap drawn as one embedded PNG image, one pixel
+    per cell, with an optional contour overlay of ``(x, y)`` points.
 
     ``values[i][j]`` corresponds to ``(y[i], x[j])``; ``x`` and ``y``
     ascend and are evenly spaced on their axis, linear or log10
@@ -261,5 +260,5 @@ def heatmap(x, y, values, path: str, *, x_label: str = "",
         parts.append(f'<polyline fill="none" stroke="black" '
                      f'stroke-width="1.5" points="'
                      f'{_points(sx(cx), sy(cy))}"/>')
-    _write(path, parts, sx, sy, (min(xs), max(xs)), (min(ys), max(ys)),
-           x_label, y_label)
+    return _document(parts, sx, sy, (min(xs), max(xs)), (min(ys), max(ys)),
+                     x_label, y_label)

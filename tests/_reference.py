@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use.
 
-Each one checks a result of ``steerkit`` by a second route: direct
-collective-mode filters against the oracle's collective rows, the
+``oracle_point`` reads the oracle at one point, as a sweep of that point
+alone.  Each other one checks a result of ``steerkit`` by a second route:
+direct collective-mode filters against the oracle's collective rows, the
 ``B Sigma B^T`` diffusion of a model against its stacked propagation, the
 symplectic spectrum of a covariance block (physicality), the named
 closed-form moments and the cavity cross-correlation read off
@@ -40,6 +41,7 @@ from steerkit.dynamics import (
     OutputCovariance,
     TemporalKernel,
     _collective_weights,
+    output_covariances,
     output_kernels,
 )
 from steerkit.model import ReducedParams, derived_quantities
@@ -68,6 +70,16 @@ def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
         return TemporalKernel(label, terms)
 
     return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
+
+
+def oracle_point(rp: ReducedParams, *, engine: str = "reduced",
+                 ) -> OutputCovariance:
+    """The oracle's output covariance at one point: the one slice of a sweep
+    of that point alone, whose failure it raises."""
+    stack, failures = output_covariances([rp], engine=engine)
+    if failures:
+        raise failures[0]
+    return OutputCovariance(stack.mode_labels, stack.sigma[0])
 
 
 def diffusion(model: LinearModel) -> np.ndarray:

@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+from _reference import oracle_point
 from steerkit import dynamics, reduced_from_ratios
 
 # grid used for oracle-vs-closed-form equivalence and its dependents
@@ -31,7 +32,7 @@ class OracleCache:
         key = (r, x, n0, n, ratio, engine)
         if key not in self._store:
             rp = reduced_from_ratios(r, x, G1_over_G2=ratio, n0=n0, n=n)
-            self._store[key] = dynamics.output_covariance(rp, engine=engine)
+            self._store[key] = oracle_point(rp, engine=engine)
         return self._store[key]
 
 

@@ -16,7 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from _reference import block, moment_set, symplectic_eigenvalues
+from _reference import (
+    block,
+    moment_set,
+    oracle_point,
+    symplectic_eigenvalues,
+)
 from conftest import ORACLE_GRID
 from heisenberg_reference import pulse, witness_with_error
 from steerkit import (
@@ -42,7 +47,6 @@ from steerkit.dynamics import (
     mirror_output_phase,
     mode_cross_correlation,
     monte_carlo_output_covariance,
-    output_covariance,
     output_kernels,
     propagate_output_covariance,
 )
@@ -170,8 +174,8 @@ def test_criterion_08_adiabatic_validity():
     x = 0.01
     for ratio in (5.0, 10.0, 20.0, 40.0):
         rp = reduced_from_ratios(1.0, x, kappa=(1.0 + x) * ratio ** 2)
-        oc_full = output_covariance(rp, engine="full")
-        oc_red = output_covariance(rp, engine="reduced")
+        oc_full = oracle_point(rp, engine="full")
+        oc_red = oracle_point(rp, engine="reduced")
         ref = oc_red.sigma
         mask = np.abs(ref) > 1e-6
         rels.append(float(np.max(np.abs(oc_full.sigma[mask] - ref[mask])
@@ -227,7 +231,7 @@ def test_criterion_10_physicality(oracle_cache, mc_result):
                         float(symplectic_eigenvalues(block(oc, labels)).min()))
     # full-model covariance at one adiabatic point
     rp = reduced_from_ratios(1.0, 0.01, kappa=1.01 * 400.0)
-    oc_full = output_covariance(rp, engine="full")
+    oc_full = oracle_point(rp, engine="full")
     worst = min(worst, float(symplectic_eigenvalues(block(
         oc_full, (A_M_OUT, A_1_OUT, A_2_OUT))).min()))
     det_ok = worst >= 0.5 - 1e-9

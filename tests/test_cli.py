@@ -4,6 +4,7 @@ import ast
 import base64
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -193,6 +194,17 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError):
             Scenario(mode="heatmap", params={},
                      sweep=Sweep("r", 0.0, 1.0, 5)).validate()
+
+    def test_ratio_knobs_are_the_parameters_of_reduced_from_ratios(self):
+        # the oracle and sampler runners call reduced_from_ratios(**knobs):
+        # a knob it does not take, or a default that differs, would break
+        # them or change their points
+        params = inspect.signature(steerkit.reduced_from_ratios).parameters
+        assert set(params) == set(cli._RATIO_DEFAULTS)
+        assert {name: p.default for name, p in params.items()
+                if p.kind is p.KEYWORD_ONLY} == {
+            name: v for name, v in cli._RATIO_DEFAULTS.items()
+            if name not in ("r", "gamma_over_G")}
 
     def test_digest_tracks_content(self):
         a = tiny_curve_scenario()
@@ -943,6 +955,37 @@ class TestFileFormats:
             "tool_version": "0.1.0",
             "warnings": self.TINY_WARNINGS}, sort_keys=True)
 
+    @pytest.mark.parametrize("name", ["fig3a", "fig4"])
+    def test_svg_is_rendered_as_text_and_written_by_cli(
+            self, tmp_path, monkeypatch, name):
+        # svgplot's renderers return the SVG text and create no file; cli
+        # opens the SVG, as every other file of a run, through _output
+        monkeypatch.chdir(tmp_path)
+        opened, rendered = [], []
+        output = cli._output
+
+        def spy_output(path):
+            opened.append(os.path.basename(path))
+            return output(path)
+
+        def spy(render):
+            def rendering(*args, **kwargs):
+                before = sorted(tmp_path.iterdir())
+                rendered.append(render(*args, **kwargs))
+                assert sorted(tmp_path.iterdir()) == before
+                return rendered[-1]
+            return rendering
+
+        monkeypatch.setattr(cli, "_output", spy_output)
+        for renderer in ("line_chart", "heatmap"):
+            monkeypatch.setattr(svgplot, renderer,
+                                spy(getattr(svgplot, renderer)))
+        run(PRESETS[name](), output=f"{name}.csv", svg=True)
+        contour = [f"{name}.contour.csv"] if name == "fig4" else []
+        assert opened == [f"{name}.csv", *contour, f"{name}.svg"]
+        assert [type(text) for text in rendered] == [str]
+        assert Path(f"{name}.svg").read_text() == rendered[0]
+
     @pytest.mark.parametrize("output", [None, "fig4.xml"])
     def test_unknown_format_fails_before_computing(self, tmp_path,
                                                    monkeypatch, output):
@@ -973,10 +1016,10 @@ class TestFileFormats:
             run(PRESETS[name[:-4]](), output=str(path.with_suffix(".csv")),
                 svg=True)
         elif name == "curve.svg":
-            svgplot.line_chart([0.0, 1.0, 2.0, 3.0, 4.0],
-                               {"a": [0.1, 0.4, nan, 0.6, 0.5],
-                                "b": [0.9, 0.7, 0.5, inf, 0.2]},
-                               str(path), x_label="r", hline=0.5)
+            path.write_text(svgplot.line_chart(
+                [0.0, 1.0, 2.0, 3.0, 4.0], {"a": [0.1, 0.4, nan, 0.6, 0.5],
+                                            "b": [0.9, 0.7, 0.5, inf, 0.2]},
+                x_label="r", hline=0.5))
         else:
             # 450 points from -0.0, three series with leading, inner and
             # trailing NaN runs and lone +-inf; every value comes from
@@ -991,8 +1034,8 @@ class TestFileFormats:
             b[400:] = [nan] * 50
             c[:10] = [nan] * 10
             c[200] = inf
-            svgplot.line_chart(xs, {"a": a, "b": b, "c": c}, str(path),
-                               x_label="tau", hline=0.5)
+            path.write_text(svgplot.line_chart(
+                xs, {"a": a, "b": b, "c": c}, x_label="tau", hline=0.5))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @staticmethod
@@ -1007,12 +1050,13 @@ class TestFileFormats:
         elif name == "nonfinite":
             grid = np.array([[0.2, nan, 0.7, inf], [-inf, 0.5, 0.45, 1.3],
                              [0.9, 0.25, nan, 0.6]])
-            svgplot.heatmap([0.0, 0.5, 1.0, 1.5], [0.0, 0.1, 0.2], grid,
-                            str(path), x_label="r", y_label="gamma_over_G",
-                            contour=((0.4, 0.05), (0.9, 0.15)))
+            path.write_text(svgplot.heatmap(
+                [0.0, 0.5, 1.0, 1.5], [0.0, 0.1, 0.2], grid, x_label="r",
+                y_label="gamma_over_G", contour=((0.4, 0.05), (0.9, 0.15))))
         else:  # hi == lo: every finite cell is t = 1/2
             grid = np.array([[0.5, 0.5, 0.5], [0.5, nan, 0.5]])
-            svgplot.heatmap([1.0, 2.0, 3.0], [0.0, 1.0], grid, str(path))
+            path.write_text(svgplot.heatmap([1.0, 2.0, 3.0], [0.0, 1.0],
+                                            grid))
         return path.read_text(), grid
 
     # The PNG's compressed bytes depend on the zlib build, so a heatmap is
@@ -1117,22 +1161,20 @@ class TestFileFormats:
     @pytest.mark.parametrize("ys, low", [
         ([-0.0, 0.0, 1.0], "-0"), ([0.0, -0.0, 1.0], "0"),
         ([1.0, 0.0, -0.0], "0"), ([1.0, -0.0, 0.0], "-0")])
-    def test_line_chart_range_is_the_first_least_value(self, tmp_path, ys,
-                                                       low):
+    def test_line_chart_range_is_the_first_least_value(self, ys, low):
         # -0.0 == 0.0: the least y is the first of them, as min() takes it
-        path = tmp_path / "zeros.svg"
-        svgplot.line_chart(np.array([0.0, 1.0, 2.0]), {"E": np.array(ys)},
-                           str(path))
-        ticks = re.findall(r'text-anchor="end">([^<]*)<', path.read_text())
+        text = svgplot.line_chart(np.array([0.0, 1.0, 2.0]),
+                                  {"E": np.array(ys)})
+        ticks = re.findall(r'text-anchor="end">([^<]*)<', text)
         assert ticks == [low, "0.5", "1"]
 
-    def test_heatmap_contour_line_is_pinned(self, tmp_path):
-        path = tmp_path / "contour.svg"
-        svgplot.heatmap([0.0, 0.5, 1.0, 1.5, 3.0], [0.0, 0.1, 0.3],
-                        [[0.2, 0.4, 0.6, 0.8, 1.0]] * 3, str(path),
-                        contour=((0.123456789, 0.0), (0.7, 0.05),
-                                 (1.25, 0.1), (2.9999, 0.3), (-0.0, 0.2)))
-        lines = [ln for ln in path.read_text().splitlines()
+    def test_heatmap_contour_line_is_pinned(self):
+        text = svgplot.heatmap([0.0, 0.5, 1.0, 1.5, 3.0], [0.0, 0.1, 0.3],
+                               [[0.2, 0.4, 0.6, 0.8, 1.0]] * 3,
+                               contour=((0.123456789, 0.0), (0.7, 0.05),
+                                        (1.25, 0.1), (2.9999, 0.3),
+                                        (-0.0, 0.2)))
+        lines = [ln for ln in text.splitlines()
                  if ln.startswith("<polyline")]
         assert lines == [
             '<polyline fill="none" stroke="black" stroke-width="1.5" '
@@ -1352,15 +1394,17 @@ class TestEntryPoint:
         (["inset", "--run", "--svg"], "missing/x.csv"),
         (["inset", "--run"], "x.csv"),
         (["inset", "--run", "--svg"], "x.svg"),
-    ], ids=["csv", "json", "svg-missing-dir", "csv-dir", "svg"])
+        (["fig4", "--run"], "x.contour.csv"),
+    ], ids=["csv", "json", "svg-missing-dir", "csv-dir", "svg", "contour"])
     def test_unwritable_output_fails_before_computing(
             self, tmp_path, capsys, monkeypatch, args, path):
-        # the table and SVG paths are checked before any point is computed,
-        # and a refused run writes none of its files
+        # the table, contour and SVG paths are checked before any point is
+        # computed, and a refused run writes none of its files
         def computed(*args, **kwargs):
             pytest.fail("the scenario ran")
 
         monkeypatch.setattr(steering, "noise_threshold", computed)
+        monkeypatch.setattr(steering, "steering_region", computed)
         monkeypatch.chdir(tmp_path)
         missing = path.startswith("missing/")
         if not missing:

@@ -415,6 +415,18 @@ class TestArrayForms:
             assert np.isnan(expect).any()
             assert (hexes(call(seq(values))) == hexes(expect)).all()
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_the_factors_of_r_take_lists_and_tuples(self, seq):
+        # gain_filter_ratio and coherence_factor make the ndarray call of a
+        # list or a tuple, bit for bit
+        rs = [0.0, 1e-8, 0.3, 0.5, 1.0, 400.0]
+        hexes = np.vectorize(float.hex, otypes=[object])
+        for factor in (closedform.gain_filter_ratio,
+                       closedform.coherence_factor):
+            with np.errstate(all="ignore"):  # r = 0 divides 0 by 0
+                expect, got = factor(np.array(rs)), factor(seq(rs))
+            assert (hexes(got) == hexes(expect)).all()
+
     def test_views_and_float_knobs(self):
         # a broadcast view of r is evaluated once per distinct r, and float
         # knobs with an array r fill r's shape
@@ -827,8 +839,16 @@ class TestPulseAreaThreshold:
                                                  abs=1e-6)
 
     def test_rejects_negative_occupation(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"n0 must be >= 0, got -1\.0"):
             threshold_r(-1.0)
+
+    @pytest.mark.parametrize("n0", [[0.1], (0.1,), np.array([0.1]),
+                                    np.array(0.1)],
+                             ids=["list", "tuple", "array", "0-d"])
+    def test_takes_a_float_only(self, n0):
+        # an array call is a typed refusal, not a TypeError of the arithmetic
+        with pytest.raises(InvalidParams, match="n0 must be a float"):
+            threshold_r(n0)
 
 
 

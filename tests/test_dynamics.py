@@ -14,6 +14,7 @@ from _reference import (
     block,
     collective_output_kernels,
     diffusion,
+    oracle_point,
     symplectic_eigenvalues,
 )
 from steerkit import (
@@ -35,7 +36,6 @@ from steerkit.dynamics import (
     W_OUT,
     OutputCovariance,
     mirror_output_phase,
-    output_covariance,
     output_covariances,
     output_kernels,
     _collective_rows,
@@ -387,9 +387,10 @@ class TestSweeps:
         assert not failures
         assert stack.sigma.shape[0] == len(sweep)
         for rp, sigma in zip(sweep, stack.sigma):
-            alone = output_covariance(rp, engine=engine)
+            alone, failed = output_covariances([rp], engine=engine)
+            assert not failed
             assert stack.mode_labels == alone.mode_labels
-            assert sigma.tobytes() == alone.sigma.tobytes()
+            assert sigma.tobytes() == alone.sigma[0].tobytes()
 
     def test_kernel_subset_keeps_its_entries(self):
         subset = (A_1_OUT, A_2_OUT, B_TILDE)
@@ -409,12 +410,12 @@ class TestSweeps:
         assert sorted(failures) == [1, 2]
         for i, rp in ((1, bad_gain), (2, huge)):
             with pytest.raises(type(failures[i])) as alone:
-                output_covariance(rp)
+                oracle_point(rp)
             assert str(alone.value) == str(failures[i])
             assert np.isnan(stack.sigma[i]).all()
         assert isinstance(failures[1], GainNotPositive)
         assert isinstance(failures[2], IntegratorFailure)
-        solo = output_covariance(good).sigma.tobytes()
+        solo = oracle_point(good).sigma.tobytes()
         assert stack.sigma[0].tobytes() == stack.sigma[3].tobytes() == solo
 
     def test_no_point_propagated(self):
@@ -468,7 +469,7 @@ class TestCollectiveModes:
             build_reduced_model(rp),
             output_kernels(rp, full=False) + collective_output_kernels(rp),
             rp.tau, terminal_phase=mirror_output_phase(rp))
-        transformed = output_covariance(rp)
+        transformed = oracle_point(rp)
         for lab in (W_OUT, U_OUT):
             for quad in ("X", "P"):
                 assert direct.variance(lab, quad) == pytest.approx(

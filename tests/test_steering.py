@@ -14,6 +14,7 @@ from _reference import (
     monogamy_check,
     one_round_contour,
     optimal_gain,
+    oracle_point,
     sup_threshold,
     threshold_search,
 )
@@ -34,7 +35,6 @@ from steerkit.dynamics import (
     A_M_OUT,
     W_OUT,
     OutputCovariance,
-    output_covariance,
     output_covariances,
 )
 from steerkit.errors import DegenerateVariance, InvalidParams, NoThreshold
@@ -219,8 +219,7 @@ class TestSteeringProduct:
             if i in failures:
                 assert math.isnan(E[i])
                 continue
-            one = steering_product(output_covariance(rp, engine=engine),
-                                   *roles)
+            one = steering_product(oracle_point(rp, engine=engine), *roles)
             assert float(E[i]).hex() == one.hex()
 
     def test_nan_and_degenerate_slices_read_nan(self):
