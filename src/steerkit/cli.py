@@ -401,29 +401,25 @@ def _oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
                   which: tuple[str, ...] = _ORACLE_MODES) -> tuple:
     """The oracle's output covariances over a sweep as one stacked
     ``OutputCovariance``, NaN on each slice whose point failed, and the
-    failures keyed by point index, from one stacked call."""
-    rps, failures = [], {}
-    for i, k in enumerate(sweep_knobs):
+    failures keyed by point index, from one stacked call.  Knobs that make
+    no ``ReducedParams`` go into that call as their error."""
+    rps = []
+    for k in sweep_knobs:
         try:
             rps.append(reduced_from_ratios(**k))
         except SteerkitError as exc:
-            failures[i] = exc
-    index = [i for i in range(len(sweep_knobs)) if i not in failures]
-    stack, failed = dynamics.output_covariances(rps, engine=engine,
-                                                which=which)
-    sigma = np.full((len(sweep_knobs),) + stack.sigma.shape[1:], math.nan)
-    sigma[index] = stack.sigma
-    failures.update((index[j], exc) for j, exc in failed.items())
-    return dynamics.OutputCovariance(stack.mode_labels, sigma), failures
+            rps.append(exc)
+    return dynamics.output_covariances(rps, engine=engine, which=which)
 
 
-def _oracle_refusal(sweep: tuple, party: str) -> Callable:
+def _oracle_refusal(sweep: tuple, party: str, start: int = 0) -> Callable:
     """``refusal(at)`` (``_refusals``) of an ``_oracle_sweep``'s witness with
-    ``party``: for each point of ``at``, its failure, else its party
+    ``party`` over its points from ``start`` on: for each point ``i`` of
+    ``at``, the failure of slice ``start + i``, else that slice's party
     variance below 1e-15 (``steering._refusal``), or None."""
     stack, failures = sweep
-    return lambda at: (failures.get(i) or steering._refusal(stack, party, (i,))
-                       for i in at)
+    return lambda at: (failures.get(j) or steering._refusal(stack, party, (j,))
+                       for j in (start + i for i in at))
 
 
 def _closed_refusal(kind: tuple, shape: tuple, knobs: dict, *more) -> Callable:
@@ -519,13 +515,21 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
     labelled = len(cases) > 1 or "label" in cases[0]
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
 
+    overs = [{k: float(v) for k, v in case.items() if k != "label"}
+             for case in cases]
+    if sc.engine != "closedform":
+        # every case's points in one stack, case after case; case i's
+        # cells are row i of its witness
+        sweep = _oracle_sweep([{**_apply(base, var, v), **over}
+                               for over in overs for v in values.tolist()])
+        oracle = steering.steering_product(sweep[0], m, w).reshape(
+            len(cases), len(values))
     # per case, its columns and what refuses their NaN cells: the witness's
     # knobs, then the oracle's failure; a refused closed-form cell also
     # leaves that case's oracle cell NaN
     columns, cells, steps = [var], [values], []
-    for i, case in enumerate(cases):
+    for i, (case, over) in enumerate(zip(cases, overs)):
         lab = _case_label(i, case)
-        over = {k: float(v) for k, v in case.items() if k != "label"}
         knobs = {**_apply(base, var, values), **over}
         if closed:
             columns.append(f"E[{lab}]" if labelled else "E")
@@ -534,12 +538,11 @@ def _run_curve(sc: Scenario, base: dict, tol: dict):
                 closedform._WITNESS, values.shape, knobs)))
         if sc.engine != "closedform":
             columns.append(f"E_oracle[{lab}]" if labelled else "E_oracle")
-            sweep = _oracle_sweep([{**_apply(base, var, v), **over}
-                                   for v in values.tolist()])
-            cells.append(steering.steering_product(sweep[0], m, w))
+            cells.append(oracle[i])
             if closed:
                 cells[-1][np.isnan(cells[-2])] = math.nan
-            steps.append((lab, cells[-1], _oracle_refusal(sweep, w)))
+            steps.append((lab, cells[-1],
+                          _oracle_refusal(sweep, w, i * len(values))))
     warnings = _point_warnings(var, values, _refusals(steps))
     return columns, _Table(columns, np.column_stack(cells)), warnings, {}
 

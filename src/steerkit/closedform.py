@@ -35,6 +35,7 @@ the two minimized inference standard deviations.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -513,10 +514,11 @@ def threshold_r(n0: float) -> float:
 
     ``r_th = ln[(2 n0 + 1)/(n0 + 1)] / 2``; zero for a ground-state mirror
     and approaching ``ln(2)/2`` for large occupation.  At zero damping the
-    collective witness crosses 1/2 exactly there.  It takes a float: an
-    array, a list or a tuple (``_array_call``) raises ``InvalidParams``.
+    collective witness crosses 1/2 exactly there.  It takes a real number
+    (``numbers.Real``, numpy's included): anything else, such as an array,
+    a list, a string, None or a complex number, raises ``InvalidParams``.
     """
-    if _array_call(n0):
+    if not isinstance(n0, numbers.Real):
         raise InvalidParams(f"n0 must be a float, got {n0!r}")
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")

@@ -25,9 +25,15 @@ evaluated by a fixed-degree Taylor series on a scaled step followed by
 exact doubling.  The deterministic oracle applies it once over the whole
 pulse from the factorized initial state (cavities vacuum, mirror thermal),
 and ``output_covariances`` runs it over a sweep of points as one stack (a
-sweep of one point is the one-point read).  No ODE is integrated, so the
-only error is floating-point rounding.  The Monte Carlo sampler draws each
-trajectory's output modes from the oracle's output covariance.
+sweep of one point is the one-point read).  A sweep's stack is built in
+one pass over its points, each from one ``derived_quantities`` call and
+the floats and complex numbers its model and kernels are made of
+(``_full_system``, ``_reduced_system`` and ``_kernel_terms``, which the
+one-point builders read too), with no model or kernel object per point;
+the one-point API's objects map onto the same stack input (``_Stack``).
+No ODE is integrated, so the only error is floating-point rounding.  The
+Monte Carlo sampler draws each trajectory's output modes from the
+oracle's output covariance.
 
 Quadrature layout: system modes first, two rows (X, P) per mode, filters
 appended in kernel order.  Symmetric ordering, vacuum variance 1/2.
@@ -94,17 +100,6 @@ class LinearModel:
     def dimension(self) -> int:
         return len(self.mode_labels)
 
-    @property
-    def noise_intensities(self) -> np.ndarray:
-        """Per-quadrature symmetric-ordering intensities, length 2c."""
-        return np.repeat([ch.occupation + 0.5 for ch in self.noise_channels], 2)
-
-    def channel_index(self, name: str) -> int:
-        for i, ch in enumerate(self.noise_channels):
-            if ch.name == name:
-                return i
-        raise MissingModes(f"noise channel {name!r} not in model")
-
 
 @dataclass(frozen=True)
 class KernelTerm:
@@ -130,6 +125,59 @@ class TemporalKernel:
     terms: tuple[KernelTerm, ...]
 
 
+# the system modes of the two models (the mirror last) and their noise
+# channels: the two cavity inputs and the mirror's bath
+_FULL_MODES = ("a_1", "a_2", "b_m")
+_REDUCED_MODES = ("b_m",)
+_CHANNELS = ("a1_in", "a2_in", "b_in")
+
+
+def _full_system(rp: ReducedParams) -> tuple:
+    """The numbers the full model at ``rp`` is made of (``build_full_model``):
+    its drift and noise input as row-major lists, and the occupations of its
+    noise channels and of its modes at the start of the pulse."""
+    k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
+    drift = [
+        -k,    D,   0.0,  0.0,  0.0, -g1,
+        -D,   -k,   0.0,  0.0, -g1,  0.0,
+        0.0,  0.0, -k,   -D,   0.0, -g2,
+        0.0,  0.0,  D,   -k,  -g2,  0.0,
+        0.0, -g1,  0.0, -g2,  -gm,  0.0,
+        -g1,  0.0, -g2,  0.0,  0.0, -gm,
+    ]
+    sk = math.sqrt(2.0 * k)
+    sg = math.sqrt(2.0 * gm)
+    noise = [0.0] * 36
+    noise[::7] = (-sk, -sk, -sk, -sk, -sg, -sg)  # the diagonal
+    return drift, noise, (0.0, 0.0, rp.n), (0.0, 0.0, rp.n0)
+
+
+def _reduced_system(rp: ReducedParams, dq: DerivedQuantities) -> tuple:
+    """The numbers the reduced model at ``rp`` is made of
+    (``build_reduced_model``), from its derived quantities ``dq``, as
+    ``_full_system`` gives them."""
+    G1, G2, G, delta, phi = dq.G1, dq.G2, dq.G, dq.delta, dq.phi
+    c, s = math.cos(phi), math.sin(phi)
+    r1, r2 = math.sqrt(2.0 * G1), math.sqrt(2.0 * G2)
+    rg = math.sqrt(2.0 * rp.gamma)
+    noise = [-r1 * s, r1 * c, r2 * s,  r2 * c, -rg, 0.0,
+             r1 * c, r1 * s, r2 * c, -r2 * s, 0.0, -rg]
+    return [G, -delta, delta, G], noise, (0.0, 0.0, rp.n), (rp.n0,)
+
+
+def _linear_model(modes: tuple[str, ...], system: tuple) -> LinearModel:
+    """The ``LinearModel`` of ``modes`` made of the numbers ``system``."""
+    drift, noise, occupations, initial = system
+    m = 2 * len(modes)
+    return LinearModel(
+        mode_labels=modes,
+        drift=np.array(drift).reshape(m, m),
+        noise_input=np.array(noise).reshape(m, -1),
+        noise_channels=tuple(map(NoiseChannel, _CHANNELS, occupations)),
+        initial_occupations=initial,
+    )
+
+
 def build_full_model(rp: ReducedParams) -> LinearModel:
     """Three-mode rotating-frame model with cavities kept dynamical.
 
@@ -138,28 +186,7 @@ def build_full_model(rp: ReducedParams) -> LinearModel:
     strength g_j; the mirror decays at gamma into a bath of occupation n.
     """
     rp.validate()
-    k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
-    drift = np.array([
-        [-k,    D,   0.0,  0.0,  0.0, -g1],
-        [-D,   -k,   0.0,  0.0, -g1,  0.0],
-        [0.0,  0.0, -k,   -D,   0.0, -g2],
-        [0.0,  0.0,  D,   -k,  -g2,  0.0],
-        [0.0, -g1,  0.0, -g2,  -gm,  0.0],
-        [-g1,  0.0, -g2,  0.0,  0.0, -gm],
-    ])
-    noise = np.zeros((6, 6))
-    sk = math.sqrt(2.0 * k)
-    sg = math.sqrt(2.0 * gm)
-    noise[0, 0] = noise[1, 1] = noise[2, 2] = noise[3, 3] = -sk
-    noise[4, 4] = noise[5, 5] = -sg
-    return LinearModel(
-        mode_labels=("a_1", "a_2", "b_m"),
-        drift=drift,
-        noise_input=noise,
-        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
-                        NoiseChannel("b_in", rp.n)),
-        initial_occupations=(0.0, 0.0, rp.n0),
-    )
+    return _linear_model(_FULL_MODES, _full_system(rp))
 
 
 def build_reduced_model(rp: ReducedParams) -> LinearModel:
@@ -170,24 +197,8 @@ def build_reduced_model(rp: ReducedParams) -> LinearModel:
     channels with rates 2*G_j and phases +/-phi, alongside the mechanical
     damping channel.
     """
-    dq = derived_quantities(rp)
-    G1, G2, G, delta, phi = dq.G1, dq.G2, dq.G, dq.delta, dq.phi
-    gm = rp.gamma
-    drift = np.array([[G, -delta], [delta, G]])
-    c, s = math.cos(phi), math.sin(phi)
-    r1, r2, rg = math.sqrt(2.0 * G1), math.sqrt(2.0 * G2), math.sqrt(2.0 * gm)
-    noise = np.array([
-        [-r1 * s, r1 * c, r2 * s,  r2 * c, -rg, 0.0],
-        [ r1 * c, r1 * s, r2 * c, -r2 * s, 0.0, -rg],
-    ])
-    return LinearModel(
-        mode_labels=("b_m",),
-        drift=drift,
-        noise_input=noise,
-        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
-                        NoiseChannel("b_in", rp.n)),
-        initial_occupations=(rp.n0,),
-    )
+    return _linear_model(_REDUCED_MODES,
+                         _reduced_system(rp, derived_quantities(rp)))
 
 
 def _output_norm(dq: DerivedQuantities, tau: float) -> float:
@@ -206,6 +217,48 @@ def _output_norm(dq: DerivedQuantities, tau: float) -> float:
     return norm
 
 
+# per cavity output or incident mode: its cavity j, j's input channel and
+# j's mode in the full model
+_CAVITY = {A_1_OUT: (1, "a1_in", "a_1"), A_TILDE_1_IN: (1, "a1_in", "a_1"),
+           A_2_OUT: (2, "a2_in", "a_2"), A_TILDE_2_IN: (2, "a2_in", "a_2")}
+
+
+def _kernel_terms(rp: ReducedParams, dq: DerivedQuantities, full: bool,
+                  which: tuple[str, ...]) -> list[tuple]:
+    """The kernels of ``output_kernels`` at ``rp``, from its derived
+    quantities ``dq``, as ``(label, rate, terms)``: each term is ``(kind,
+    target, dagger, amplitude)`` of a ``KernelTerm`` of that rate."""
+    n_out = _output_norm(dq, rp.tau)
+    zout = complex(dq.G, dq.delta)
+    zmir = complex(dq.G, -dq.delta)
+    # e^{(-1)^j i phi} per cavity j
+    ph = (None, cmath.exp(-1j * dq.phi), cmath.exp(+1j * dq.phi))
+    sqk = math.sqrt(2.0 * rp.kappa)
+    kernels = []
+    for name in which:
+        if name == B_TILDE:
+            kernels.append((name, zmir,
+                            (("noise", "b_in", False, complex(n_out)),)))
+            continue
+        if name not in _CAVITY:
+            unknown = set(which) - set(DEFAULT_OUTPUT_MODES)
+            raise InvalidParams(f"unknown output modes {sorted(unknown)!r}")
+        j, channel, mode = _CAVITY[name]
+        if name in (A_TILDE_1_IN, A_TILDE_2_IN):
+            terms = (("noise", channel, False, ph[j] * n_out),)
+        elif full:
+            terms = (("noise", channel, False, ph[j].conjugate() * n_out),
+                     ("system", mode, False,
+                      ph[j].conjugate() * n_out * sqk))
+        else:
+            G_j = dq.G1 if j == 1 else dq.G2
+            terms = (("noise", channel, False, -ph[j] * n_out),
+                     ("system", "b_m", True,
+                      -1j * math.sqrt(2.0 * G_j) * n_out))
+        kernels.append((name, zout, terms))
+    return kernels
+
+
 def output_kernels(rp: ReducedParams, *, full: bool,
                    which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
                    ) -> list[TemporalKernel]:
@@ -218,40 +271,11 @@ def output_kernels(rp: ReducedParams, *, full: bool,
     the identical mode definitions.  ``which`` names the modes, in order,
     from ``DEFAULT_OUTPUT_MODES``.
     """
-    dq = derived_quantities(rp)
-    n_out = _output_norm(dq, rp.tau)
-    zout = complex(dq.G, dq.delta)
-    zmir = complex(dq.G, -dq.delta)
-    # e^{(-1)^j i phi} per cavity j
-    ph = {1: cmath.exp(-1j * dq.phi), 2: cmath.exp(+1j * dq.phi)}
-    sqk = math.sqrt(2.0 * rp.kappa)
-    unknown = set(which) - set(DEFAULT_OUTPUT_MODES)
-    if unknown:
-        raise InvalidParams(f"unknown output modes {sorted(unknown)!r}")
-    kernels = []
-    for name in which:
-        j = 1 if name in (A_1_OUT, A_TILDE_1_IN) else 2
-        if name == B_TILDE:
-            terms = (KernelTerm("noise", "b_in", False, complex(n_out), zmir),)
-        elif name in (A_TILDE_1_IN, A_TILDE_2_IN):
-            terms = (KernelTerm("noise", f"a{j}_in", False, ph[j] * n_out,
-                                zout),)
-        elif full:
-            terms = (
-                KernelTerm("noise", f"a{j}_in", False,
-                           ph[j].conjugate() * n_out, zout),
-                KernelTerm("system", f"a_{j}", False,
-                           ph[j].conjugate() * n_out * sqk, zout),
-            )
-        else:
-            G_j = dq.G1 if j == 1 else dq.G2
-            terms = (
-                KernelTerm("noise", f"a{j}_in", False, -ph[j] * n_out, zout),
-                KernelTerm("system", "b_m", True,
-                           -1j * math.sqrt(2.0 * G_j) * n_out, zout),
-            )
-        kernels.append(TemporalKernel(name, terms))
-    return kernels
+    return [TemporalKernel(label, tuple(
+                KernelTerm(kind, target, dagger, amplitude, rate)
+                for kind, target, dagger, amplitude in terms))
+            for label, rate, terms
+            in _kernel_terms(rp, derived_quantities(rp), full, which)]
 
 
 def _collective_weights(G1, G2, G,
@@ -340,77 +364,81 @@ _R, _NEG_R, _R_DAGGER = range(3)
 
 class _Stack:
     """Time-invariant augmented systems ``(A, V)`` and end maps ``T`` of a
-    stack of points that share one structure: one model kind, and kernels
-    with the same labels and terms as the first point's.
+    stack of points that share one structure: the system modes ``modes``
+    (the mirror last), the noise channels ``channels``, and kernels with the
+    same labels and terms as the first point's.
 
-    The terms of a kernel share one rate ``s`` (as every kernel of
-    ``output_kernels`` does; a kernel whose terms mix rates is refused).
-    Each kernel gets one accumulator pair ``h`` with ``dh/dt = -R(s) h +
-    sum_i R(amp_i) D_i y_i``, and its filter output is ``R(e^{s tau})
-    h(tau)``.  ``T`` maps the augmented state at ``tau`` to the modes
-    ``labels``: the terminal mirror rotated by ``phase``, then one mode per
-    kernel.  Every array has the point as its first axis; each 2x2 block is
-    written for the whole stack at once, and a term's block is added onto
-    zeros.
+    A point is ``(system, kernels, tau, phase)``.  ``system`` holds the
+    numbers a ``LinearModel`` is made of: its drift and noise input (arrays,
+    or row-major lists), and the occupations of its noise channels and of
+    its modes at the start.  ``kernels`` holds ``(label, rate, terms)`` per
+    kernel, each term ``(kind, target, dagger, amplitude)`` as in
+    ``KernelTerm``, all of the kernel's rate ``s``.  Each kernel gets one
+    accumulator pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i
+    y_i``, and its filter output is ``R(e^{s tau}) h(tau)``.  ``T`` maps the
+    augmented state at ``tau`` to the modes ``labels``: the terminal mirror
+    rotated by ``phase``, then one mode per kernel.  Every array has the
+    point as its first axis; each 2x2 block is written for the whole stack
+    at once, and a term's block is added onto zeros.
     """
 
-    def __init__(self, models: list[LinearModel],
-                 kernels: list[list[TemporalKernel]], taus: list[float],
-                 phases: list[float]):
-        model, first = models[0], kernels[0]
-        labels = [k.label for k in first]
+    def __init__(self, modes: tuple[str, ...], channels: tuple[str, ...],
+                 points: list[tuple]):
+        first = points[0][1]
+        labels = [label for label, _, _ in first]
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate kernel labels in {labels!r}")
         self.labels = (A_M_OUT,) + tuple(labels)
         # per point: the mirror's phase factor, then per kernel its rate, its
         # end factor e^{s tau} and its terms' amplitudes
         values = []
-        for ks, tau, phase in zip(kernels, taus, phases):
+        for _, kernels, tau, phase in points:
             row = [cmath.exp(-1j * phase)]
-            for kern in ks:
-                if len({t.rate for t in kern.terms}) != 1:
-                    raise InvalidParams(
-                        f"kernel {kern.label!r} needs terms of one rate")
-                rate = kern.terms[0].rate
+            for _, rate, terms in kernels:
                 row += [rate, cmath.exp(rate * tau)]
-                row += [t.amplitude for t in kern.terms]
+                row += [t[3] for t in terms]
             values.append(row)
         v = np.asarray(values, dtype=complex).view(float).reshape(
             len(values), -1, 2)
         blocks = np.concatenate([v, -v], axis=2)[:, :, _FORMS]
-        P, n_sys = len(models), 2 * model.dimension
+        P, n_sys = len(points), 2 * len(modes)
         n = n_sys + 2 * len(first)
-        sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
+        drift, noise, occupations, initial = zip(*(p[0] for p in points))
         A = np.zeros((P, n, n))
-        B = np.zeros((P, n, 2 * len(model.noise_channels)))
-        A[:, :n_sys, :n_sys] = [m.drift for m in models]
-        B[:, :n_sys] = [m.noise_input for m in models]
+        B = np.zeros((P, n, 2 * len(channels)))
+        A[:, :n_sys, :n_sys] = np.array(drift).reshape(P, n_sys, n_sys)
+        B[:, :n_sys] = np.array(noise).reshape(P, n_sys, -1)
         T = np.zeros((P, 2 + 2 * len(first), n))
         # the mirror is the last system mode
         T[:, :2, n_sys - 2:n_sys] = blocks[:, 0, _R]
         at = 1
-        for k, kern in enumerate(first):
+        for k, (_, _, terms) in enumerate(first):
             row = slice(n_sys + 2 * k, n_sys + 2 * k + 2)
             A[:, row, row] = blocks[:, at, _NEG_R]
             T[:, 2 + 2 * k:4 + 2 * k, row] += blocks[:, at + 1, _R]
-            for j, t in enumerate(kern.terms, start=at + 2):
-                if t.kind == "system":
-                    tgt, col = A, 2 * sys_index[t.target]
-                elif t.kind == "noise":
-                    tgt, col = B, 2 * model.channel_index(t.target)
+            for j, (kind, target, dagger, _) in enumerate(terms, start=at + 2):
+                if kind == "system":
+                    tgt, names = A, modes
+                elif kind == "noise":
+                    tgt, names = B, channels
                 else:
-                    raise InvalidParams(f"unknown kernel term kind {t.kind!r}")
-                tgt[:, row, col:col + 2] += blocks[:, j, _R_DAGGER if t.dagger
+                    raise InvalidParams(f"unknown kernel term kind {kind!r}")
+                if target not in names:
+                    raise MissingModes(f"{kind} {target!r} not in model")
+                col = 2 * names.index(target)
+                tgt[:, row, col:col + 2] += blocks[:, j, _R_DAGGER if dagger
                                                    else _R]
-            at += 2 + len(kern.terms)
-        intensities = np.array([m.noise_intensities for m in models])
+            at += 2 + len(terms)
+        # symmetric ordering: occupation occ is variance occ + 1/2 per
+        # quadrature, of the state and of the white noise alike
+        intensities = np.array([[occ + 0.5 for occ in o]
+                                for o in occupations]).repeat(2, axis=1)
         self.drift = A
         self.diffusion = (B * intensities[:, None, :]) @ B.swapaxes(1, 2)
         self.end_map = T
         self.initial_variances = np.zeros((P, n))
-        self.initial_variances[:, :n_sys] = [
-            [x for occ in m.initial_occupations for x in [occ + 0.5] * 2]
-            for m in models]
+        self.initial_variances[:, :n_sys] = np.array(
+            [[occ + 0.5 for occ in o] for o in initial]).repeat(2, axis=1)
 
 
 _TAYLOR_DEGREE = 18
@@ -479,21 +507,22 @@ def _step_maps(A: np.ndarray, V: np.ndarray, h: list[float],
     return phi, 0.5 * (q + q.swapaxes(1, 2)), failures
 
 
-def _propagate(models: list[LinearModel], kernels: list[list[TemporalKernel]],
-               taus: list[float], phases: list[float],
+def _propagate(modes: tuple[str, ...], channels: tuple[str, ...],
+               points: list[tuple],
                ) -> tuple[tuple[str, ...], np.ndarray,
                           dict[int, IntegratorFailure]]:
-    """Exact second-moment propagation of a stack of points (see
-    ``propagate_output_covariance``): the mode labels, the stacked output
-    covariances, and the failures of ``_step_maps``.  A slice that is not
-    finite and has no failure is left for the caller to refuse
+    """Exact second-moment propagation of a stack of points (``_Stack``;
+    see ``propagate_output_covariance``): the mode labels, the stacked
+    output covariances, and the failures of ``_step_maps``.  A slice that
+    is not finite and has no failure is left for the caller to refuse
     (``_refuse_non_finite``)."""
     # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range, and
     # below r ~ 1e-308 the squared kernel normalization in the diffusion
     with np.errstate(over="ignore", invalid="ignore"):
-        st = _Stack(models, kernels, taus, phases)
+        st = _Stack(modes, channels, points)
         T = st.end_map
-        phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
+        phi, q, failures = _step_maps(st.drift, st.diffusion,
+                                      [tau for _, _, tau, _ in points])
         S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
                  + q) @ T.swapaxes(1, 2)
         S = 0.5 * (S + S.swapaxes(1, 2))
@@ -523,12 +552,23 @@ def propagate_output_covariance(model: LinearModel,
     floating-point rounding is the only error source.  The mirror state at
     the end of the pulse is rotated by
     ``terminal_phase`` and returned as the mode ``A_m_out`` alongside all
-    filtered modes.
+    filtered modes.  A kernel whose terms mix rates is refused.
     """
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    labels, sigma, failures = _propagate([model], [kernels], [tau],
-                                         [terminal_phase])
+    rows = []
+    for kern in kernels:
+        if len({t.rate for t in kern.terms}) != 1:
+            raise InvalidParams(f"kernel {kern.label!r} needs terms of one rate")
+        rows.append((kern.label, kern.terms[0].rate,
+                     [(t.kind, t.target, t.dagger, t.amplitude)
+                      for t in kern.terms]))
+    system = (model.drift, model.noise_input,
+              [ch.occupation for ch in model.noise_channels],
+              model.initial_occupations)
+    labels, sigma, failures = _propagate(
+        model.mode_labels, tuple(ch.name for ch in model.noise_channels),
+        [(system, rows, tau, terminal_phase)])
     _refuse_non_finite(sigma, failures)
     if failures:
         raise failures[0]
@@ -622,58 +662,64 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
                        ) -> tuple[OutputCovariance, dict[int, SteerkitError]]:
     """The oracle at every point of a sweep, propagated as one stack.
 
-    Builds each point's model (``engine``) and output kernels, propagates
-    them through the pulse exactly (as ``propagate_output_covariance``
-    does), and appends the collective modes of ``_collective_weights`` with
-    exact cross moments to everything else; a sweep of one point is the
-    one-point read.
+    Takes each point's model (``engine``) and output kernels as the numbers
+    they are made of, from one ``derived_quantities`` call, propagates them
+    through the pulse exactly (as ``propagate_output_covariance`` does), and
+    appends the collective modes of ``_collective_weights`` with exact cross
+    moments to everything else; a sweep of one point is the one-point read.
 
     ``which`` selects the output kernels as in ``output_kernels``; a
     collective mode is appended only when its parts (the two modes it
     combines and ``B_tilde_m``) are among them.  Returns one
     ``OutputCovariance`` whose ``sigma`` has a slice per point, NaN on each
     slice whose point fails, and the ``SteerkitError`` that each such
-    point raises when run alone, keyed by its index.  A point that fails
-    before propagation never enters the stack, and every slice of the stack
-    is computed as it would be alone, so each slice is bit for bit that of
+    point raises when run alone, keyed by its index.  An entry of ``rps``
+    may be, in place of a point's parameters, the ``SteerkitError`` that
+    refused them; that point fails with it.  A point that fails before
+    propagation never enters the stack, and every slice of the stack is
+    computed as it would be alone, so each slice is bit for bit that of
     the point on its own.  An unknown ``engine``, or a ``which`` that names
     a mode twice, raises ``InvalidParams``.
     """
     if engine == "reduced":
-        build = build_reduced_model
+        modes = _REDUCED_MODES
     elif engine == "full":
-        build = build_full_model
+        modes = _FULL_MODES
     else:
         raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
-    failures, points = {}, []
+    full = engine == "full"
+    failures, index, points, gains = {}, [], [], []
     for i, rp in enumerate(rps):
+        if isinstance(rp, SteerkitError):
+            failures[i] = rp
+            continue
         try:
-            # the model, its kernels, the gains' dq and, from that dq, the
-            # mirror output phase delta tau of mirror_output_phase
-            points.append((i, build(rp),
-                           output_kernels(rp, full=(engine == "full"),
-                                          which=which),
-                           (dq := derived_quantities(rp)), dq.delta * rp.tau))
+            dq = derived_quantities(rp)
+            kernels = _kernel_terms(rp, dq, full, which)
         except SteerkitError as exc:
             failures[i] = exc
-    index, models, kernels, dqs, phases = zip(*points) if points else [()] * 5
+            continue
+        index.append(i)
+        # the mirror output phase is delta tau, as in mirror_output_phase
+        points.append((_full_system(rp) if full else _reduced_system(rp, dq),
+                       kernels, rp.tau, dq.delta * rp.tau))
+        gains.append((dq.G1, dq.G2, dq.G))
     labels = (A_M_OUT,) + tuple(which)
-    gains = np.array([(dq.G1, dq.G2, dq.G) for dq in dqs]).reshape(-1, 3)
+    gains = np.array(gains).reshape(-1, 3)
     extra = tuple(lab for lab, ((m1, _), (m2, _), _)
                   in _collective_weights(*gains.T).items()
                   if {m1, m2, B_TILDE} <= set(labels))
     nq = 2 * len(labels + extra)
     out = np.full((len(rps), nq, nq), math.nan)
     if points:
-        _, sigma, failed = _propagate(models, kernels,
-                                      [rps[i].tau for i in index], phases)
+        _, sigma, failed = _propagate(modes, _CHANNELS, points)
         T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
                                             sigma.shape),
                             _collective_rows(labels, gains, extra)], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = T @ sigma @ T.swapaxes(1, 2)
         _refuse_non_finite(sigma, failed)
-        out[list(index)] = sigma
+        out[index] = sigma
         failures.update((index[j], exc) for j, exc in failed.items())
     out[list(failures)] = math.nan
     return OutputCovariance(labels + extra, out), failures

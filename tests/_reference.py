@@ -11,11 +11,13 @@ witnesses, the noise threshold's bracket searched on its bound n* and on
 the sup over r alone, both
 closed-form witnesses and the distinct entries of the covariance block
 evaluated from their defining moments in mpmath, and
-the steering contour bisected one round per witness pass.
+the steering contour bisected one round per witness pass, and the
+oracle's sweep as it was built from per-point model and kernel objects.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,22 +31,46 @@ from steerkit.closedform import (
     _w_moments,
     output_block,
 )
-from steerkit.cli import _BLOCK_MOMENTS
+from steerkit.cli import _BLOCK_MOMENTS, _ORACLE_MODES
 from steerkit.steering import BISECTION_ROUNDS, N_CAP, ThresholdResult
 from steerkit.dynamics import (
+    A_1_OUT,
+    A_M_OUT,
+    A_TILDE_1_IN,
+    A_TILDE_2_IN,
     B_TILDE,
+    DEFAULT_OUTPUT_MODES,
     U_OUT,
     U_TILDE_IN,
     W_OUT,
+    _FORMS,
+    _NEG_R,
+    _R,
+    _R_DAGGER,
     KernelTerm,
     LinearModel,
+    NoiseChannel,
     OutputCovariance,
     TemporalKernel,
+    _collective_rows,
     _collective_weights,
+    _refuse_non_finite,
+    _step_maps,
     output_covariances,
     output_kernels,
 )
-from steerkit.model import ReducedParams, derived_quantities
+from steerkit.errors import (
+    IntegratorFailure,
+    InvalidParams,
+    MissingModes,
+    SteerkitError,
+)
+from steerkit.model import (
+    DerivedQuantities,
+    ReducedParams,
+    derived_quantities,
+    reduced_from_ratios,
+)
 
 
 def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
@@ -84,7 +110,7 @@ def oracle_point(rp: ReducedParams, *, engine: str = "reduced",
 
 def diffusion(model: LinearModel) -> np.ndarray:
     """Symmetric noise-intensity matrix ``B Sigma B^T`` of a model."""
-    return (model.noise_input * model.noise_intensities) @ model.noise_input.T
+    return (model.noise_input * _noise_intensities(model)) @ model.noise_input.T
 
 
 def block(oc: OutputCovariance, labels: tuple[str, ...]) -> OutputCovariance:
@@ -390,3 +416,278 @@ def one_round_contour(r_grid, gamma_over_G_grid, n0: float,
     r_cross = rs[j]
     r_cross[bisect] = 0.5 * (lo + hi)
     return tuple(zip(r_cross.tolist(), xs[i].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The oracle's sweep as it was built from per-point objects: a model, its
+# noise channels, kernel terms and kernels per point, read by an object
+# stack.  Copied verbatim from the code it was replaced by, but for the two
+# ``LinearModel`` methods it read (``_channel_index``, ``_noise_intensities``)
+# and the names; ``test_dynamics.TestObjectPath`` holds the stack built from
+# per-point numbers to it byte for byte.
+
+
+def _channel_index(model: LinearModel, name: str) -> int:
+    for i, ch in enumerate(model.noise_channels):
+        if ch.name == name:
+            return i
+    raise MissingModes(f"noise channel {name!r} not in model")
+
+
+def _noise_intensities(model: LinearModel) -> np.ndarray:
+    """Per-quadrature symmetric-ordering intensities, length 2c."""
+    return np.repeat([ch.occupation + 0.5 for ch in model.noise_channels], 2)
+
+
+def object_full_model(rp: ReducedParams) -> LinearModel:
+    rp.validate()
+    k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
+    drift = np.array([
+        [-k,    D,   0.0,  0.0,  0.0, -g1],
+        [-D,   -k,   0.0,  0.0, -g1,  0.0],
+        [0.0,  0.0, -k,   -D,   0.0, -g2],
+        [0.0,  0.0,  D,   -k,  -g2,  0.0],
+        [0.0, -g1,  0.0, -g2,  -gm,  0.0],
+        [-g1,  0.0, -g2,  0.0,  0.0, -gm],
+    ])
+    noise = np.zeros((6, 6))
+    sk = math.sqrt(2.0 * k)
+    sg = math.sqrt(2.0 * gm)
+    noise[0, 0] = noise[1, 1] = noise[2, 2] = noise[3, 3] = -sk
+    noise[4, 4] = noise[5, 5] = -sg
+    return LinearModel(
+        mode_labels=("a_1", "a_2", "b_m"),
+        drift=drift,
+        noise_input=noise,
+        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
+                        NoiseChannel("b_in", rp.n)),
+        initial_occupations=(0.0, 0.0, rp.n0),
+    )
+
+
+def object_reduced_model(rp: ReducedParams) -> LinearModel:
+    dq = derived_quantities(rp)
+    G1, G2, G, delta, phi = dq.G1, dq.G2, dq.G, dq.delta, dq.phi
+    gm = rp.gamma
+    drift = np.array([[G, -delta], [delta, G]])
+    c, s = math.cos(phi), math.sin(phi)
+    r1, r2, rg = math.sqrt(2.0 * G1), math.sqrt(2.0 * G2), math.sqrt(2.0 * gm)
+    noise = np.array([
+        [-r1 * s, r1 * c, r2 * s,  r2 * c, -rg, 0.0],
+        [ r1 * c, r1 * s, r2 * c, -r2 * s, 0.0, -rg],
+    ])
+    return LinearModel(
+        mode_labels=("b_m",),
+        drift=drift,
+        noise_input=noise,
+        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
+                        NoiseChannel("b_in", rp.n)),
+        initial_occupations=(rp.n0,),
+    )
+
+
+def _object_output_norm(dq: DerivedQuantities, tau: float) -> float:
+    G = dq.G
+    try:
+        norm = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise IntegratorFailure(f"output kernel normalization overflows at "
+                                f"G*tau = {G * tau:.6g}")
+    return norm
+
+
+def object_output_kernels(rp: ReducedParams, *, full: bool,
+                          which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
+                          ) -> list[TemporalKernel]:
+    dq = derived_quantities(rp)
+    n_out = _object_output_norm(dq, rp.tau)
+    zout = complex(dq.G, dq.delta)
+    zmir = complex(dq.G, -dq.delta)
+    # e^{(-1)^j i phi} per cavity j
+    ph = {1: cmath.exp(-1j * dq.phi), 2: cmath.exp(+1j * dq.phi)}
+    sqk = math.sqrt(2.0 * rp.kappa)
+    unknown = set(which) - set(DEFAULT_OUTPUT_MODES)
+    if unknown:
+        raise InvalidParams(f"unknown output modes {sorted(unknown)!r}")
+    kernels = []
+    for name in which:
+        j = 1 if name in (A_1_OUT, A_TILDE_1_IN) else 2
+        if name == B_TILDE:
+            terms = (KernelTerm("noise", "b_in", False, complex(n_out), zmir),)
+        elif name in (A_TILDE_1_IN, A_TILDE_2_IN):
+            terms = (KernelTerm("noise", f"a{j}_in", False, ph[j] * n_out,
+                                zout),)
+        elif full:
+            terms = (
+                KernelTerm("noise", f"a{j}_in", False,
+                           ph[j].conjugate() * n_out, zout),
+                KernelTerm("system", f"a_{j}", False,
+                           ph[j].conjugate() * n_out * sqk, zout),
+            )
+        else:
+            G_j = dq.G1 if j == 1 else dq.G2
+            terms = (
+                KernelTerm("noise", f"a{j}_in", False, -ph[j] * n_out, zout),
+                KernelTerm("system", "b_m", True,
+                           -1j * math.sqrt(2.0 * G_j) * n_out, zout),
+            )
+        kernels.append(TemporalKernel(name, terms))
+    return kernels
+
+
+class _ObjectStack:
+    def __init__(self, models: list[LinearModel],
+                 kernels: list[list[TemporalKernel]], taus: list[float],
+                 phases: list[float]):
+        model, first = models[0], kernels[0]
+        labels = [k.label for k in first]
+        if len(set(labels)) != len(labels):
+            raise InvalidParams(f"duplicate kernel labels in {labels!r}")
+        self.labels = (A_M_OUT,) + tuple(labels)
+        # per point: the mirror's phase factor, then per kernel its rate, its
+        # end factor e^{s tau} and its terms' amplitudes
+        values = []
+        for ks, tau, phase in zip(kernels, taus, phases):
+            row = [cmath.exp(-1j * phase)]
+            for kern in ks:
+                if len({t.rate for t in kern.terms}) != 1:
+                    raise InvalidParams(
+                        f"kernel {kern.label!r} needs terms of one rate")
+                rate = kern.terms[0].rate
+                row += [rate, cmath.exp(rate * tau)]
+                row += [t.amplitude for t in kern.terms]
+            values.append(row)
+        v = np.asarray(values, dtype=complex).view(float).reshape(
+            len(values), -1, 2)
+        blocks = np.concatenate([v, -v], axis=2)[:, :, _FORMS]
+        P, n_sys = len(models), 2 * model.dimension
+        n = n_sys + 2 * len(first)
+        sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
+        A = np.zeros((P, n, n))
+        B = np.zeros((P, n, 2 * len(model.noise_channels)))
+        A[:, :n_sys, :n_sys] = [m.drift for m in models]
+        B[:, :n_sys] = [m.noise_input for m in models]
+        T = np.zeros((P, 2 + 2 * len(first), n))
+        # the mirror is the last system mode
+        T[:, :2, n_sys - 2:n_sys] = blocks[:, 0, _R]
+        at = 1
+        for k, kern in enumerate(first):
+            row = slice(n_sys + 2 * k, n_sys + 2 * k + 2)
+            A[:, row, row] = blocks[:, at, _NEG_R]
+            T[:, 2 + 2 * k:4 + 2 * k, row] += blocks[:, at + 1, _R]
+            for j, t in enumerate(kern.terms, start=at + 2):
+                if t.kind == "system":
+                    tgt, col = A, 2 * sys_index[t.target]
+                elif t.kind == "noise":
+                    tgt, col = B, 2 * _channel_index(model, t.target)
+                else:
+                    raise InvalidParams(f"unknown kernel term kind {t.kind!r}")
+                tgt[:, row, col:col + 2] += blocks[:, j, _R_DAGGER if t.dagger
+                                                   else _R]
+            at += 2 + len(kern.terms)
+        intensities = np.array([_noise_intensities(m) for m in models])
+        self.drift = A
+        self.diffusion = (B * intensities[:, None, :]) @ B.swapaxes(1, 2)
+        self.end_map = T
+        self.initial_variances = np.zeros((P, n))
+        self.initial_variances[:, :n_sys] = [
+            [x for occ in m.initial_occupations for x in [occ + 0.5] * 2]
+            for m in models]
+
+
+def _object_propagate(models: list[LinearModel],
+                      kernels: list[list[TemporalKernel]],
+                      taus: list[float], phases: list[float],
+                      ) -> tuple[tuple[str, ...], np.ndarray,
+                                 dict[int, IntegratorFailure]]:
+    # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range, and
+    # below r ~ 1e-308 the squared kernel normalization in the diffusion
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = _ObjectStack(models, kernels, taus, phases)
+        T = st.end_map
+        phi, q, failures = _step_maps(st.drift, st.diffusion, taus)
+        S = T @ ((phi * st.initial_variances[:, None, :]) @ phi.swapaxes(1, 2)
+                 + q) @ T.swapaxes(1, 2)
+        S = 0.5 * (S + S.swapaxes(1, 2))
+    return st.labels, S, failures
+
+
+def object_propagate_output_covariance(model: LinearModel,
+                                       kernels: list[TemporalKernel],
+                                       tau: float, *,
+                                       terminal_phase: float = 0.0,
+                                       ) -> OutputCovariance:
+    if not tau > 0.0:
+        raise InvalidParams(f"tau must be > 0, got {tau!r}")
+    labels, sigma, failures = _object_propagate([model], [kernels], [tau],
+                                                [terminal_phase])
+    _refuse_non_finite(sigma, failures)
+    if failures:
+        raise failures[0]
+    return OutputCovariance(labels, sigma[0])
+
+
+def object_output_covariances(rps: list[ReducedParams], *,
+                              engine: str = "reduced",
+                              which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
+                              ) -> tuple[OutputCovariance,
+                                         dict[int, SteerkitError]]:
+    if engine == "reduced":
+        build = object_reduced_model
+    elif engine == "full":
+        build = object_full_model
+    else:
+        raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
+    failures, points = {}, []
+    for i, rp in enumerate(rps):
+        try:
+            # the model, its kernels, the gains' dq and, from that dq, the
+            # mirror output phase delta tau of mirror_output_phase
+            points.append((i, build(rp),
+                           object_output_kernels(rp, full=(engine == "full"),
+                                                 which=which),
+                           (dq := derived_quantities(rp)), dq.delta * rp.tau))
+        except SteerkitError as exc:
+            failures[i] = exc
+    index, models, kernels, dqs, phases = zip(*points) if points else [()] * 5
+    labels = (A_M_OUT,) + tuple(which)
+    gains = np.array([(dq.G1, dq.G2, dq.G) for dq in dqs]).reshape(-1, 3)
+    extra = tuple(lab for lab, ((m1, _), (m2, _), _)
+                  in _collective_weights(*gains.T).items()
+                  if {m1, m2, B_TILDE} <= set(labels))
+    nq = 2 * len(labels + extra)
+    out = np.full((len(rps), nq, nq), math.nan)
+    if points:
+        _, sigma, failed = _object_propagate(models, kernels,
+                                             [rps[i].tau for i in index],
+                                             phases)
+        T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
+                                            sigma.shape),
+                            _collective_rows(labels, gains, extra)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = T @ sigma @ T.swapaxes(1, 2)
+        _refuse_non_finite(sigma, failed)
+        out[list(index)] = sigma
+        failures.update((index[j], exc) for j, exc in failed.items())
+    out[list(failures)] = math.nan
+    return OutputCovariance(labels + extra, out), failures
+
+
+def object_oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",
+                        which: tuple[str, ...] = _ORACLE_MODES) -> tuple:
+    """``cli._oracle_sweep`` over ``object_output_covariances``."""
+    rps, failures = [], {}
+    for i, k in enumerate(sweep_knobs):
+        try:
+            rps.append(reduced_from_ratios(**k))
+        except SteerkitError as exc:
+            failures[i] = exc
+    index = [i for i in range(len(sweep_knobs)) if i not in failures]
+    stack, failed = object_output_covariances(rps, engine=engine,
+                                              which=which)
+    sigma = np.full((len(sweep_knobs),) + stack.sigma.shape[1:], math.nan)
+    sigma[index] = stack.sigma
+    failures.update((index[j], exc) for j, exc in failed.items())
+    return OutputCovariance(stack.mode_labels, sigma), failures

@@ -276,8 +276,9 @@ class TestCurveRuns:
         assert record.warnings == [
             f"point 0 (n=-1, {lab}): n must be >= 0, got -1.0"
             for lab in "abc"]
-        # one oracle sweep per case; the point that failed is not propagated
-        assert oracle_n == [[0.0, 1.0]] * 3
+        # one oracle sweep for the three cases; the point that failed is not
+        # propagated
+        assert oracle_n == [[0.0, 1.0] * 3]
         first, *rest = record.points
         for lab in "abc":
             assert math.isnan(first[f"E[{lab}]"])
@@ -378,22 +379,55 @@ class TestCurveRuns:
             text = csv_text(run(sc), tmp_path)
         assert text.split("\n", 2)[2] == rows
 
-    def test_one_oracle_call_per_case(self, monkeypatch):
-        calls = []
-        sweep = dynamics.output_covariances
+    def test_cases_in_one_stack_are_the_cases_alone(self):
+        # a case's oracle cells and warnings in the shared stack are those
+        # of the case run alone, bit for bit, up to the float range's edge;
+        # the third case's rates leave the float range at every point
+        cases = ({"label": "warm", "n0": 1.5, "n": 2.0},
+                 {"label": "edge", "gamma_over_G": 0.05},
+                 {"label": "wide", "Delta_over_kappa": 1e160})
+
+        def curve(*cases):
+            return run(Scenario(
+                mode="curve", engine="both", cases=cases,
+                params={"kind": "ratios", "gamma_over_G": 0.1,
+                        "G1_over_G2": 1.5},
+                sweep=Sweep("r", 0.5, 354.8, 6)))
+
+        both = curve(*cases)
+        assert len(both.warnings) == 8
+        for case in cases:
+            alone, lab = curve(case), case["label"]
+            col = f"E_oracle[{lab}]"
+            assert [p[col].hex() for p in both.points] \
+                == [p[col].hex() for p in alone.points]
+            assert [w for w in both.warnings if f", {lab})" in w] \
+                == alone.warnings
+
+    def test_one_oracle_stack_per_curve(self, monkeypatch):
+        # the three cases' points go into one stack and one witness call
+        calls, witness_calls = [], []
+        sweep, witness = dynamics.output_covariances, steering.steering_product
 
         def output_covariances(rps, **kw):
             calls.append(len(rps))
             return sweep(rps, **kw)
 
+        def steering_product(oc, *args):
+            witness_calls.append(oc.sigma.shape[0])
+            return witness(oc, *args)
+
         monkeypatch.setattr(dynamics, "output_covariances", output_covariances)
+        monkeypatch.setattr(steering, "steering_product", steering_product)
         sc = Scenario(mode="curve",
                       params={"kind": "ratios", "gamma_over_G": 0.1},
                       sweep=Sweep("r", 0.5, 2.5, 5), engine="both",
                       cases=({"label": "a", "n": 0.0},
-                             {"label": "b", "n": 5.0}))
+                             {"label": "b", "n": 5.0},
+                             {"label": "c", "n0": 1.0}))
         record = run(sc)
-        assert calls == [5, 5]
+        assert calls == [15]
+        assert witness_calls == [15]
         assert not record.warnings
 
     def test_each_nan_cell_is_explained_once(self, tmp_path, monkeypatch):

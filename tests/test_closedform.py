@@ -843,12 +843,22 @@ class TestPulseAreaThreshold:
             threshold_r(-1.0)
 
     @pytest.mark.parametrize("n0", [[0.1], (0.1,), np.array([0.1]),
-                                    np.array(0.1)],
-                             ids=["list", "tuple", "array", "0-d"])
+                                    np.array(0.1), "0.1", None, 1 + 2j],
+                             ids=["list", "tuple", "array", "0-d", "str",
+                                  "None", "complex"])
     def test_takes_a_float_only(self, n0):
-        # an array call is a typed refusal, not a TypeError of the arithmetic
+        # an array call or a non-number is a typed refusal, not a TypeError
+        # of the arithmetic
         with pytest.raises(InvalidParams, match="n0 must be a float"):
             threshold_r(n0)
+
+    @pytest.mark.parametrize("n0", [0.0, 5e-324, 0.3, 5.0, 1e300])
+    def test_real_numbers_keep_the_float_bits(self, n0):
+        want = (0.5 * math.log1p(n0 / (n0 + 1.0))).hex()
+        assert threshold_r(n0).hex() == want
+        assert float(threshold_r(np.float64(n0))).hex() == want
+        if n0 == int(n0):
+            assert threshold_r(int(n0)).hex() == want
 
 
 

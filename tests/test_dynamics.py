@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp, trapezoid
 from scipy.linalg import expm
 
@@ -14,6 +16,12 @@ from _reference import (
     block,
     collective_output_kernels,
     diffusion,
+    object_full_model,
+    object_oracle_sweep,
+    object_output_covariances,
+    object_output_kernels,
+    object_propagate_output_covariance,
+    object_reduced_model,
     oracle_point,
     symplectic_eigenvalues,
 )
@@ -26,19 +34,28 @@ from steerkit import (
     propagate_output_covariance,
     reduced_from_ratios,
 )
+from steerkit import cli, dynamics
 from steerkit.dynamics import (
     A_1_OUT,
     A_2_OUT,
     A_M_OUT,
     B_TILDE,
+    DEFAULT_OUTPUT_MODES,
     U_OUT,
     U_TILDE_IN,
     W_OUT,
+    KernelTerm,
     OutputCovariance,
     mirror_output_phase,
     output_covariances,
     output_kernels,
+    _CHANNELS,
+    _FULL_MODES,
+    _REDUCED_MODES,
     _collective_rows,
+    _full_system,
+    _kernel_terms,
+    _reduced_system,
     _Stack,
     _step_maps,
 )
@@ -47,6 +64,7 @@ from steerkit.errors import (
     IntegratorFailure,
     InvalidParams,
     MissingModes,
+    SteerkitError,
 )
 
 E2 = math.e ** 2
@@ -101,7 +119,7 @@ def time_dependent_reference(model, kernels, tau, phase):
                     B[row:row + 2, col:col + 2] += blk
         return M, B
 
-    sig = model.noise_intensities
+    sig = np.repeat([ch.occupation + 0.5 for ch in model.noise_channels], 2)
 
     def rhs(t, y):
         S = y.reshape(n, n)
@@ -309,6 +327,28 @@ class TestAgainstTimeDependentForm:
             propagate_output_covariance(build_reduced_model(rp), [a1, mixed],
                                         rp.tau)
 
+    def test_a_term_outside_the_model_is_refused(self):
+        # the full model's kernels read cavity modes the reduced model lacks
+        rp = reduced_from_ratios(1.5, 0.1)
+        model = build_reduced_model(rp)
+        with pytest.raises(MissingModes, match="system 'a_1' not in model"):
+            propagate_output_covariance(model, output_kernels(rp, full=True),
+                                        rp.tau)
+        (bt,) = output_kernels(rp, full=False, which=(B_TILDE,))
+        stray = TemporalKernel("stray", (KernelTerm(
+            "noise", "c_in", False, 1.0 + 0.0j, bt.terms[0].rate),))
+        with pytest.raises(MissingModes, match="noise 'c_in' not in model"):
+            propagate_output_covariance(model, [stray], rp.tau)
+
+
+def one_point_stack(rp, full):
+    """The ``_Stack`` of ``rp`` alone, with every standard kernel."""
+    dq = derived_quantities(rp)
+    system = _full_system(rp) if full else _reduced_system(rp, dq)
+    return _Stack(_FULL_MODES if full else _REDUCED_MODES, _CHANNELS,
+                  [(system, _kernel_terms(rp, dq, full, DEFAULT_OUTPUT_MODES),
+                    rp.tau, 0.0)])
+
 
 class TestStepMap:
     @pytest.mark.parametrize("full, h", [(False, 0.01), (False, 0.3),
@@ -316,9 +356,7 @@ class TestStepMap:
                                          (True, 0.1)])
     def test_matches_van_loan_block_exponential(self, full, h):
         rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
-        build = build_full_model if full else build_reduced_model
-        st = _Stack([build(rp)], [output_kernels(rp, full=full)], [rp.tau],
-                    [0.0])
+        st = one_point_stack(rp, full)
         A, V = st.drift[0], st.diffusion[0]
         n = A.shape[0]
         generator = np.block([[-A, V], [np.zeros((n, n)), A.T]])
@@ -334,8 +372,7 @@ class TestStepMap:
         # one stack mixes 0, 3 and 7 doublings; each slice takes its own
         # and matches its one-slice map bit for bit
         rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
-        st = _Stack([build_reduced_model(rp)], [output_kernels(rp, full=False)],
-                    [rp.tau], [0.0])
+        st = one_point_stack(rp, full=False)
         hs = [0.01, 0.3, 2.5, 40.0, 0.05]
         A = np.repeat(st.drift, len(hs), axis=0)
         V = np.repeat(st.diffusion, len(hs), axis=0)
@@ -431,6 +468,87 @@ class TestSweeps:
     def test_a_mode_named_twice_is_the_call_s_error(self):
         with pytest.raises(InvalidParams, match="duplicate kernel labels"):
             output_covariances(self.sweep(), which=(A_1_OUT, A_1_OUT))
+
+
+def errors(failures: dict) -> dict:
+    return {i: (type(exc), str(exc)) for i, exc in failures.items()}
+
+
+def one_point(rp, full, which, build, kernels, propagate):
+    """The model of ``rp`` and its one-point read from model and kernel
+    objects, as bytes and labels, or the type and text of their error."""
+    try:
+        model = build(rp)
+        oc = propagate(model, kernels(rp, full=full, which=which), rp.tau,
+                       terminal_phase=mirror_output_phase(rp))
+    except SteerkitError as exc:
+        return type(exc), str(exc)
+    return (model.drift.tobytes(), model.noise_input.tobytes(),
+            model.mode_labels, model.noise_channels,
+            model.initial_occupations, oc.mode_labels, oc.sigma.tobytes())
+
+
+# pulse areas up to the overflow edge, and the three refusals: r = 0 (tau
+# must be > 0), r = -1 (no reduced parameters) and r = 360 (the kernel
+# normalization overflows)
+_PULSE_AREAS = st.one_of(st.floats(1e-6, 12.0), st.floats(340.0, 356.0),
+               st.sampled_from([0.0, -1.0, 360.0]))
+_KNOBS = st.fixed_dictionaries({
+    "r": _PULSE_AREAS, "gamma_over_G": st.floats(0.0, 1.0),
+    "G1_over_G2": st.floats(0.2, 5.0), "n0": st.floats(0.0, 10.0),
+    "n": st.floats(0.0, 100.0), "Delta_over_kappa": st.sampled_from([0.0, 1.0]),
+    "kappa": st.sampled_from([20.0, 2080.0])})
+
+
+class TestObjectPath:
+    """The stack built from per-point numbers against the one built from
+    per-point model and kernel objects (``_reference``), byte for byte:
+    slices, mode labels, and each failure's type and text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(engine=st.sampled_from(["reduced", "full"]),
+           which=st.sampled_from([cli._ORACLE_MODES, DEFAULT_OUTPUT_MODES]),
+           sweep=st.lists(_KNOBS, min_size=1, max_size=12))
+    def test_sweep_is_the_object_sweep(self, engine, which, sweep):
+        new, new_failures = cli._oracle_sweep(sweep, engine=engine,
+                                              which=which)
+        old, old_failures = object_oracle_sweep(sweep, engine=engine,
+                                                which=which)
+        assert new.mode_labels == old.mode_labels
+        assert new.sigma.tobytes() == old.sigma.tobytes()
+        assert errors(new_failures) == errors(old_failures)
+        # the same points without the ones that make no reduced parameters
+        rps = [reduced_from_ratios(**k) for k in sweep if k["r"] >= 0.0]
+        new, new_failures = output_covariances(rps, engine=engine, which=which)
+        old, old_failures = object_output_covariances(rps, engine=engine,
+                                                      which=which)
+        assert new.sigma.tobytes() == old.sigma.tobytes()
+        assert errors(new_failures) == errors(old_failures)
+        # and the first of them through the one-point objects
+        full = engine == "full"
+        for rp in rps[:1]:
+            assert one_point(
+                rp, full, which, build_full_model if full
+                else build_reduced_model, output_kernels,
+                propagate_output_covariance) == one_point(
+                rp, full, which, object_full_model if full
+                else object_reduced_model, object_output_kernels,
+                object_propagate_output_covariance)
+
+    def test_one_derived_quantities_per_point(self, monkeypatch):
+        calls = []
+        derive = dynamics.derived_quantities
+
+        def spy(rp):
+            calls.append(rp)
+            return derive(rp)
+
+        monkeypatch.setattr(dynamics, "derived_quantities", spy)
+        rps = [reduced_from_ratios(r, 0.1, n0=0.5) for r in (0.5, 2.0, 9.0)]
+        for engine in ("reduced", "full"):
+            calls.clear()
+            output_covariances(rps, engine=engine)
+            assert calls == rps
 
 
 def test_import_leaves_scipy_unloaded():
