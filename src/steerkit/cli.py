@@ -108,6 +108,10 @@ class Sweep:
             raise ConfigError(
                 f"sweep range must have start < stop, got "
                 f"[{self.start}, {self.stop}]")
+        if self.stop - self.start == math.inf:
+            raise ConfigError(
+                f"sweep range [{self.start}, {self.stop}] is wider than the "
+                f"float range")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale {self.scale!r} not linear|log")
         if self.scale == "log" and self.start <= 0:

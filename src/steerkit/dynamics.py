@@ -25,12 +25,13 @@ evaluated by a fixed-degree Taylor series on a scaled step followed by
 exact doubling.  The deterministic oracle applies it once over the whole
 pulse from the factorized initial state (cavities vacuum, mirror thermal),
 and ``output_covariances`` runs it over a sweep of points as one stack (a
-sweep of one point is the one-point read).  A sweep's stack is built in
-one pass over its points, each from one ``derived_quantities`` call and
-the floats and complex numbers its model and kernels are made of
-(``_full_system``, ``_reduced_system`` and ``_kernel_terms``, which the
-one-point builders read too), with no model or kernel object per point;
-the one-point API's objects map onto the same stack input (``_Stack``).
+sweep of one point is the one-point read).  A model and its kernels have
+one representation: ``LinearModel``, ``TemporalKernel`` and ``KernelTerm``
+are named tuples, and the stack (``_Stack``) reads them as they are.  A
+sweep's stack is built in one pass over its points, each from one
+``derived_quantities`` call and plain tuples in the same layouts
+(``_full_system``, ``_reduced_system`` and ``_kernel_terms``); the
+one-point builders return the named forms of those tuples.
 No ODE is integrated, so the only error is floating-point rounding.  The
 Monte Carlo sampler draws each trajectory's output modes from the
 oracle's output covariance.
@@ -43,7 +44,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,29 +74,23 @@ U_TILDE_IN = "U_tilde_in"
 DEFAULT_OUTPUT_MODES = (A_1_OUT, A_2_OUT, B_TILDE, A_TILDE_1_IN, A_TILDE_2_IN)
 
 
-@dataclass(frozen=True)
-class NoiseChannel:
-    """One bosonic white-noise input; symmetric-ordering intensity is
-    ``occupation + 1/2`` per quadrature."""
-
-    name: str
-    occupation: float
-
-
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     """Quadrature-level linear stochastic model ``dz = A z dt + B xi dt``.
 
     ``mode_labels`` are the system bosonic modes (the mirror last), ``drift``
-    the real (2m, 2m) drift matrix, ``noise_input`` the (2m, 2c) routing of
-    the 2c noise quadratures into the state, and ``initial_occupations`` the
-    thermal occupation of each system mode at the start of the pulse.
+    the entries of the real (2m, 2m) drift matrix and ``noise_input`` those
+    of the (2m, 2c) routing of the 2c quadratures of the noise channels
+    ``channels`` into the state, each row-major (a list, or an array of the
+    same entries).  ``occupations`` are the thermal occupations of the
+    noise channels, and ``initial_occupations`` those of the system modes
+    at the start of the pulse.
     """
 
     mode_labels: tuple[str, ...]
-    drift: np.ndarray
-    noise_input: np.ndarray
-    noise_channels: tuple[NoiseChannel, ...]
+    drift: list[float]
+    noise_input: list[float]
+    channels: tuple[str, ...]
+    occupations: tuple[float, ...]
     initial_occupations: tuple[float, ...]
 
     @property
@@ -101,27 +98,26 @@ class LinearModel:
         return len(self.mode_labels)
 
 
-@dataclass(frozen=True)
-class KernelTerm:
-    """One exponential coupling ``amplitude * exp(rate*t)`` of a temporal mode
-    to a system mode or noise channel (``dagger`` for creation-type)."""
+class KernelTerm(NamedTuple):
+    """One coupling ``amplitude * exp(rate*t)`` of a temporal mode of that
+    rate to a system mode or noise channel (``dagger`` for creation-type)."""
 
     kind: str  # "system" | "noise"
     target: str
     dagger: bool
     amplitude: complex
-    rate: complex
 
 
-@dataclass(frozen=True)
-class TemporalKernel:
-    """A temporal output mode: a labelled list of kernel terms.
+class TemporalKernel(NamedTuple):
+    """A temporal output mode: a label, the rate ``s`` of its envelope
+    ``e^{s t}`` and its kernel terms.
 
     The defining (first) envelope of every standard mode grows toward the
     end of the pulse and has unit L2 norm over it.
     """
 
     label: str
+    rate: complex
     terms: tuple[KernelTerm, ...]
 
 
@@ -133,9 +129,8 @@ _CHANNELS = ("a1_in", "a2_in", "b_in")
 
 
 def _full_system(rp: ReducedParams) -> tuple:
-    """The numbers the full model at ``rp`` is made of (``build_full_model``):
-    its drift and noise input as row-major lists, and the occupations of its
-    noise channels and of its modes at the start of the pulse."""
+    """The full model at ``rp`` as a plain tuple in ``LinearModel``'s layout
+    (``build_full_model``)."""
     k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
     drift = [
         -k,    D,   0.0,  0.0,  0.0, -g1,
@@ -149,33 +144,21 @@ def _full_system(rp: ReducedParams) -> tuple:
     sg = math.sqrt(2.0 * gm)
     noise = [0.0] * 36
     noise[::7] = (-sk, -sk, -sk, -sk, -sg, -sg)  # the diagonal
-    return drift, noise, (0.0, 0.0, rp.n), (0.0, 0.0, rp.n0)
+    return (_FULL_MODES, drift, noise, _CHANNELS, (0.0, 0.0, rp.n),
+            (0.0, 0.0, rp.n0))
 
 
 def _reduced_system(rp: ReducedParams, dq: DerivedQuantities) -> tuple:
-    """The numbers the reduced model at ``rp`` is made of
-    (``build_reduced_model``), from its derived quantities ``dq``, as
-    ``_full_system`` gives them."""
+    """The reduced model at ``rp`` (``build_reduced_model``), from its
+    derived quantities ``dq``, as ``_full_system`` gives it."""
     G1, G2, G, delta, phi = dq.G1, dq.G2, dq.G, dq.delta, dq.phi
     c, s = math.cos(phi), math.sin(phi)
     r1, r2 = math.sqrt(2.0 * G1), math.sqrt(2.0 * G2)
     rg = math.sqrt(2.0 * rp.gamma)
     noise = [-r1 * s, r1 * c, r2 * s,  r2 * c, -rg, 0.0,
              r1 * c, r1 * s, r2 * c, -r2 * s, 0.0, -rg]
-    return [G, -delta, delta, G], noise, (0.0, 0.0, rp.n), (rp.n0,)
-
-
-def _linear_model(modes: tuple[str, ...], system: tuple) -> LinearModel:
-    """The ``LinearModel`` of ``modes`` made of the numbers ``system``."""
-    drift, noise, occupations, initial = system
-    m = 2 * len(modes)
-    return LinearModel(
-        mode_labels=modes,
-        drift=np.array(drift).reshape(m, m),
-        noise_input=np.array(noise).reshape(m, -1),
-        noise_channels=tuple(map(NoiseChannel, _CHANNELS, occupations)),
-        initial_occupations=initial,
-    )
+    return (_REDUCED_MODES, [G, -delta, delta, G], noise, _CHANNELS,
+            (0.0, 0.0, rp.n), (rp.n0,))
 
 
 def build_full_model(rp: ReducedParams) -> LinearModel:
@@ -186,7 +169,7 @@ def build_full_model(rp: ReducedParams) -> LinearModel:
     strength g_j; the mirror decays at gamma into a bath of occupation n.
     """
     rp.validate()
-    return _linear_model(_FULL_MODES, _full_system(rp))
+    return LinearModel._make(_full_system(rp))
 
 
 def build_reduced_model(rp: ReducedParams) -> LinearModel:
@@ -197,21 +180,22 @@ def build_reduced_model(rp: ReducedParams) -> LinearModel:
     channels with rates 2*G_j and phases +/-phi, alongside the mechanical
     damping channel.
     """
-    return _linear_model(_REDUCED_MODES,
-                         _reduced_system(rp, derived_quantities(rp)))
+    return LinearModel._make(_reduced_system(rp, derived_quantities(rp)))
 
 
 def _output_norm(dq: DerivedQuantities, tau: float) -> float:
     """Normalization of the growing envelope ``e^{G t}`` over [0, tau], or
-    ``IntegratorFailure`` where it is not a finite float: e^{2 G tau}
-    leaves the float range past G tau ~ 354.9, and below G tau ~ 5.6e-309
-    the quotient does (Python float division overflows to inf)."""
+    ``IntegratorFailure`` where it is not a finite float > 0: e^{2 G tau}
+    leaves the float range past G tau ~ 354.9 (from G tau ~ 9e307 2 G tau
+    is inf, which ``expm1`` returns without raising, and the quotient 0),
+    and below G tau ~ 5.6e-309 the quotient does (Python float division
+    overflows to inf)."""
     G = dq.G
     try:
         norm = math.sqrt(2.0 * G / math.expm1(2.0 * G * tau))
     except OverflowError:
         norm = math.inf
-    if not math.isfinite(norm):
+    if not 0.0 < norm < math.inf:
         raise IntegratorFailure(f"output kernel normalization overflows at "
                                 f"G*tau = {G * tau:.6g}")
     return norm
@@ -226,8 +210,8 @@ _CAVITY = {A_1_OUT: (1, "a1_in", "a_1"), A_TILDE_1_IN: (1, "a1_in", "a_1"),
 def _kernel_terms(rp: ReducedParams, dq: DerivedQuantities, full: bool,
                   which: tuple[str, ...]) -> list[tuple]:
     """The kernels of ``output_kernels`` at ``rp``, from its derived
-    quantities ``dq``, as ``(label, rate, terms)``: each term is ``(kind,
-    target, dagger, amplitude)`` of a ``KernelTerm`` of that rate."""
+    quantities ``dq``, as plain tuples in ``TemporalKernel``'s layout, each
+    term in ``KernelTerm``'s."""
     n_out = _output_norm(dq, rp.tau)
     zout = complex(dq.G, dq.delta)
     zmir = complex(dq.G, -dq.delta)
@@ -271,9 +255,7 @@ def output_kernels(rp: ReducedParams, *, full: bool,
     the identical mode definitions.  ``which`` names the modes, in order,
     from ``DEFAULT_OUTPUT_MODES``.
     """
-    return [TemporalKernel(label, tuple(
-                KernelTerm(kind, target, dagger, amplitude, rate)
-                for kind, target, dagger, amplitude in terms))
+    return [TemporalKernel(label, rate, tuple(map(KernelTerm._make, terms)))
             for label, rate, terms
             in _kernel_terms(rp, derived_quantities(rp), full, which)]
 
@@ -364,27 +346,25 @@ _R, _NEG_R, _R_DAGGER = range(3)
 
 class _Stack:
     """Time-invariant augmented systems ``(A, V)`` and end maps ``T`` of a
-    stack of points that share one structure: the system modes ``modes``
-    (the mirror last), the noise channels ``channels``, and kernels with the
-    same labels and terms as the first point's.
+    stack of points that share one structure: the first point's system
+    modes (the mirror last) and noise channels, and kernels with the same
+    labels and terms as the first point's.
 
-    A point is ``(system, kernels, tau, phase)``.  ``system`` holds the
-    numbers a ``LinearModel`` is made of: its drift and noise input (arrays,
-    or row-major lists), and the occupations of its noise channels and of
-    its modes at the start.  ``kernels`` holds ``(label, rate, terms)`` per
-    kernel, each term ``(kind, target, dagger, amplitude)`` as in
-    ``KernelTerm``, all of the kernel's rate ``s``.  Each kernel gets one
-    accumulator pair ``h`` with ``dh/dt = -R(s) h + sum_i R(amp_i) D_i
-    y_i``, and its filter output is ``R(e^{s tau}) h(tau)``.  ``T`` maps the
-    augmented state at ``tau`` to the modes ``labels``: the terminal mirror
-    rotated by ``phase``, then one mode per kernel.  Every array has the
-    point as its first axis; each 2x2 block is written for the whole stack
-    at once, and a term's block is added onto zeros.
+    A point is ``(model, kernels, tau, phase)``: a ``LinearModel`` and a
+    list of ``TemporalKernel``s, or plain tuples in their layouts.  A
+    kernel of rate ``s`` gets one accumulator pair ``h`` with ``dh/dt =
+    -R(s) h + sum_i R(amp_i) D_i y_i``, and its filter output is ``R(e^{s
+    tau}) h(tau)``; an end factor ``e^{s tau}`` past the float range raises
+    ``IntegratorFailure``.  ``T`` maps the augmented state at ``tau`` to the
+    modes ``labels``: the terminal mirror rotated by ``phase``, then one
+    mode per kernel.  Every array has the point as its first axis; each 2x2
+    block is written for the whole stack at once, and a term's block is
+    added onto zeros.
     """
 
-    def __init__(self, modes: tuple[str, ...], channels: tuple[str, ...],
-                 points: list[tuple]):
-        first = points[0][1]
+    def __init__(self, points: list[tuple]):
+        model, first = points[0][:2]
+        modes, channels = model[0], model[3]
         labels = [label for label, _, _ in first]
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate kernel labels in {labels!r}")
@@ -392,18 +372,23 @@ class _Stack:
         # per point: the mirror's phase factor, then per kernel its rate, its
         # end factor e^{s tau} and its terms' amplitudes
         values = []
-        for _, kernels, tau, phase in points:
-            row = [cmath.exp(-1j * phase)]
-            for _, rate, terms in kernels:
-                row += [rate, cmath.exp(rate * tau)]
-                row += [t[3] for t in terms]
-            values.append(row)
+        try:
+            for _, kernels, tau, phase in points:
+                row = [cmath.exp(-1j * phase)]
+                for label, rate, terms in kernels:
+                    row += [rate, cmath.exp(rate * tau)]
+                    row += [t[3] for t in terms]
+                values.append(row)
+        except OverflowError:
+            raise IntegratorFailure(
+                f"end factor of kernel {label!r} overflows at s*tau = "
+                f"{rate * tau:.6g}") from None
         v = np.asarray(values, dtype=complex).view(float).reshape(
             len(values), -1, 2)
         blocks = np.concatenate([v, -v], axis=2)[:, :, _FORMS]
         P, n_sys = len(points), 2 * len(modes)
         n = n_sys + 2 * len(first)
-        drift, noise, occupations, initial = zip(*(p[0] for p in points))
+        _, drift, noise, _, occupations, initial = zip(*(p[0] for p in points))
         A = np.zeros((P, n, n))
         B = np.zeros((P, n, 2 * len(channels)))
         A[:, :n_sys, :n_sys] = np.array(drift).reshape(P, n_sys, n_sys)
@@ -507,8 +492,7 @@ def _step_maps(A: np.ndarray, V: np.ndarray, h: list[float],
     return phi, 0.5 * (q + q.swapaxes(1, 2)), failures
 
 
-def _propagate(modes: tuple[str, ...], channels: tuple[str, ...],
-               points: list[tuple],
+def _propagate(points: list[tuple],
                ) -> tuple[tuple[str, ...], np.ndarray,
                           dict[int, IntegratorFailure]]:
     """Exact second-moment propagation of a stack of points (``_Stack``;
@@ -519,7 +503,7 @@ def _propagate(modes: tuple[str, ...], channels: tuple[str, ...],
     # from r ~ 354.5 (gamma/G = 0.1) the moments pass the float range, and
     # below r ~ 1e-308 the squared kernel normalization in the diffusion
     with np.errstate(over="ignore", invalid="ignore"):
-        st = _Stack(modes, channels, points)
+        st = _Stack(points)
         T = st.end_map
         phi, q, failures = _step_maps(st.drift, st.diffusion,
                                       [tau for _, _, tau, _ in points])
@@ -552,23 +536,15 @@ def propagate_output_covariance(model: LinearModel,
     floating-point rounding is the only error source.  The mirror state at
     the end of the pulse is rotated by
     ``terminal_phase`` and returned as the mode ``A_m_out`` alongside all
-    filtered modes.  A kernel whose terms mix rates is refused.
+    filtered modes.  A ``tau`` that is not finite and > 0 raises
+    ``InvalidParams``.
     """
     if not tau > 0.0:
         raise InvalidParams(f"tau must be > 0, got {tau!r}")
-    rows = []
-    for kern in kernels:
-        if len({t.rate for t in kern.terms}) != 1:
-            raise InvalidParams(f"kernel {kern.label!r} needs terms of one rate")
-        rows.append((kern.label, kern.terms[0].rate,
-                     [(t.kind, t.target, t.dagger, t.amplitude)
-                      for t in kern.terms]))
-    system = (model.drift, model.noise_input,
-              [ch.occupation for ch in model.noise_channels],
-              model.initial_occupations)
-    labels, sigma, failures = _propagate(
-        model.mode_labels, tuple(ch.name for ch in model.noise_channels),
-        [(system, rows, tau, terminal_phase)])
+    if tau == math.inf:
+        raise InvalidParams(f"tau must be finite, got {tau!r}")
+    labels, sigma, failures = _propagate([(model, kernels, tau,
+                                           terminal_phase)])
     _refuse_non_finite(sigma, failures)
     if failures:
         raise failures[0]
@@ -605,10 +581,14 @@ def monte_carlo_output_covariance(model: LinearModel,
     estimator, its standard errors and its reproducibility, not the model
     assembly.
 
-    Raises ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
+    Raises ``InvalidParams`` for a trajectory count that is not an integer,
+    ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
     trajectories, and ``IntegratorFailure`` when ``Sigma_out``, the moment
     sums or their standard errors are not finite.
     """
+    if not isinstance(trajectories, numbers.Integral):
+        raise InvalidParams(f"trajectories must be an integer, got "
+                            f"{trajectories!r}")
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
@@ -681,11 +661,7 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
     the point on its own.  An unknown ``engine``, or a ``which`` that names
     a mode twice, raises ``InvalidParams``.
     """
-    if engine == "reduced":
-        modes = _REDUCED_MODES
-    elif engine == "full":
-        modes = _FULL_MODES
-    else:
+    if engine not in ("reduced", "full"):
         raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
     full = engine == "full"
     failures, index, points, gains = {}, [], [], []
@@ -712,7 +688,7 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
     nq = 2 * len(labels + extra)
     out = np.full((len(rps), nq, nq), math.nan)
     if points:
-        _, sigma, failed = _propagate(modes, _CHANNELS, points)
+        _, sigma, failed = _propagate(points)
         T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
                                             sigma.shape),
                             _collective_rows(labels, gains, extra)], axis=1)

@@ -49,7 +49,6 @@ from steerkit.dynamics import (
     _R_DAGGER,
     KernelTerm,
     LinearModel,
-    NoiseChannel,
     OutputCovariance,
     TemporalKernel,
     _collective_rows,
@@ -81,19 +80,21 @@ def collective_output_kernels(rp: ReducedParams, *, full: bool = False,
     dq = derived_quantities(rp)
     table = _collective_weights(dq.G1, dq.G2, dq.G)
     base = {k.label: k for k in output_kernels(rp, full=full)}
-    bath = base[B_TILDE].terms
+    bath = base[B_TILDE]
 
     def combine(label: str) -> TemporalKernel:
         (m1, c1), (m2, c2), b = table[label]
         terms = tuple(
-            KernelTerm(t.kind, t.target, t.dagger, c * t.amplitude, t.rate)
+            KernelTerm(t.kind, t.target, t.dagger, c * t.amplitude)
             for mode, c in ((m1, c1), (m2, c2)) for t in base[mode].terms)
-        # i b B~^dag: conjugate envelopes, flip dagger flags
+        # i b B~^dag: conjugate envelopes, flip dagger flags; the bath's
+        # conjugate rate G + i delta is the rate of the two cavity modes
+        assert bath.rate.conjugate() == base[m1].rate == base[m2].rate
         terms += tuple(
             KernelTerm(t.kind, t.target, not t.dagger,
-                       1j * b * t.amplitude.conjugate(), t.rate.conjugate())
-            for t in bath)
-        return TemporalKernel(label, terms)
+                       1j * b * t.amplitude.conjugate())
+            for t in bath.terms)
+        return TemporalKernel(label, base[m1].rate, terms)
 
     return [combine(label) for label in (W_OUT, U_OUT, U_TILDE_IN)]
 
@@ -110,7 +111,8 @@ def oracle_point(rp: ReducedParams, *, engine: str = "reduced",
 
 def diffusion(model: LinearModel) -> np.ndarray:
     """Symmetric noise-intensity matrix ``B Sigma B^T`` of a model."""
-    return (model.noise_input * _noise_intensities(model)) @ model.noise_input.T
+    B = np.reshape(model.noise_input, (2 * model.dimension, -1))
+    return (B * np.repeat([occ + 0.5 for occ in model.occupations], 2)) @ B.T
 
 
 def block(oc: OutputCovariance, labels: tuple[str, ...]) -> OutputCovariance:
@@ -427,19 +429,73 @@ def one_round_contour(r_grid, gamma_over_G_grid, n0: float,
 # per-point numbers to it byte for byte.
 
 
-def _channel_index(model: LinearModel, name: str) -> int:
+@dataclass(frozen=True)
+class ObjectNoiseChannel:
+    """One bosonic white-noise input; symmetric-ordering intensity is
+    ``occupation + 1/2`` per quadrature."""
+
+    name: str
+    occupation: float
+
+
+@dataclass(frozen=True)
+class ObjectLinearModel:
+    """Quadrature-level linear stochastic model ``dz = A z dt + B xi dt``.
+
+    ``mode_labels`` are the system bosonic modes (the mirror last), ``drift``
+    the real (2m, 2m) drift matrix, ``noise_input`` the (2m, 2c) routing of
+    the 2c noise quadratures into the state, and ``initial_occupations`` the
+    thermal occupation of each system mode at the start of the pulse.
+    """
+
+    mode_labels: tuple[str, ...]
+    drift: np.ndarray
+    noise_input: np.ndarray
+    noise_channels: tuple[ObjectNoiseChannel, ...]
+    initial_occupations: tuple[float, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.mode_labels)
+
+
+@dataclass(frozen=True)
+class ObjectKernelTerm:
+    """One exponential coupling ``amplitude * exp(rate*t)`` of a temporal mode
+    to a system mode or noise channel (``dagger`` for creation-type)."""
+
+    kind: str  # "system" | "noise"
+    target: str
+    dagger: bool
+    amplitude: complex
+    rate: complex
+
+
+@dataclass(frozen=True)
+class ObjectTemporalKernel:
+    """A temporal output mode: a labelled list of kernel terms.
+
+    The defining (first) envelope of every standard mode grows toward the
+    end of the pulse and has unit L2 norm over it.
+    """
+
+    label: str
+    terms: tuple[ObjectKernelTerm, ...]
+
+
+def _channel_index(model: ObjectLinearModel, name: str) -> int:
     for i, ch in enumerate(model.noise_channels):
         if ch.name == name:
             return i
     raise MissingModes(f"noise channel {name!r} not in model")
 
 
-def _noise_intensities(model: LinearModel) -> np.ndarray:
+def _noise_intensities(model: ObjectLinearModel) -> np.ndarray:
     """Per-quadrature symmetric-ordering intensities, length 2c."""
     return np.repeat([ch.occupation + 0.5 for ch in model.noise_channels], 2)
 
 
-def object_full_model(rp: ReducedParams) -> LinearModel:
+def object_full_model(rp: ReducedParams) -> ObjectLinearModel:
     rp.validate()
     k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
     drift = np.array([
@@ -455,17 +511,18 @@ def object_full_model(rp: ReducedParams) -> LinearModel:
     sg = math.sqrt(2.0 * gm)
     noise[0, 0] = noise[1, 1] = noise[2, 2] = noise[3, 3] = -sk
     noise[4, 4] = noise[5, 5] = -sg
-    return LinearModel(
+    return ObjectLinearModel(
         mode_labels=("a_1", "a_2", "b_m"),
         drift=drift,
         noise_input=noise,
-        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
-                        NoiseChannel("b_in", rp.n)),
+        noise_channels=(ObjectNoiseChannel("a1_in", 0.0),
+                        ObjectNoiseChannel("a2_in", 0.0),
+                        ObjectNoiseChannel("b_in", rp.n)),
         initial_occupations=(0.0, 0.0, rp.n0),
     )
 
 
-def object_reduced_model(rp: ReducedParams) -> LinearModel:
+def object_reduced_model(rp: ReducedParams) -> ObjectLinearModel:
     dq = derived_quantities(rp)
     G1, G2, G, delta, phi = dq.G1, dq.G2, dq.G, dq.delta, dq.phi
     gm = rp.gamma
@@ -476,12 +533,13 @@ def object_reduced_model(rp: ReducedParams) -> LinearModel:
         [-r1 * s, r1 * c, r2 * s,  r2 * c, -rg, 0.0],
         [ r1 * c, r1 * s, r2 * c, -r2 * s, 0.0, -rg],
     ])
-    return LinearModel(
+    return ObjectLinearModel(
         mode_labels=("b_m",),
         drift=drift,
         noise_input=noise,
-        noise_channels=(NoiseChannel("a1_in", 0.0), NoiseChannel("a2_in", 0.0),
-                        NoiseChannel("b_in", rp.n)),
+        noise_channels=(ObjectNoiseChannel("a1_in", 0.0),
+                        ObjectNoiseChannel("a2_in", 0.0),
+                        ObjectNoiseChannel("b_in", rp.n)),
         initial_occupations=(rp.n0,),
     )
 
@@ -500,7 +558,7 @@ def _object_output_norm(dq: DerivedQuantities, tau: float) -> float:
 
 def object_output_kernels(rp: ReducedParams, *, full: bool,
                           which: tuple[str, ...] = DEFAULT_OUTPUT_MODES,
-                          ) -> list[TemporalKernel]:
+                          ) -> list[ObjectTemporalKernel]:
     dq = derived_quantities(rp)
     n_out = _object_output_norm(dq, rp.tau)
     zout = complex(dq.G, dq.delta)
@@ -515,31 +573,33 @@ def object_output_kernels(rp: ReducedParams, *, full: bool,
     for name in which:
         j = 1 if name in (A_1_OUT, A_TILDE_1_IN) else 2
         if name == B_TILDE:
-            terms = (KernelTerm("noise", "b_in", False, complex(n_out), zmir),)
+            terms = (ObjectKernelTerm("noise", "b_in", False, complex(n_out),
+                                      zmir),)
         elif name in (A_TILDE_1_IN, A_TILDE_2_IN):
-            terms = (KernelTerm("noise", f"a{j}_in", False, ph[j] * n_out,
-                                zout),)
+            terms = (ObjectKernelTerm("noise", f"a{j}_in", False,
+                                      ph[j] * n_out, zout),)
         elif full:
             terms = (
-                KernelTerm("noise", f"a{j}_in", False,
-                           ph[j].conjugate() * n_out, zout),
-                KernelTerm("system", f"a_{j}", False,
-                           ph[j].conjugate() * n_out * sqk, zout),
+                ObjectKernelTerm("noise", f"a{j}_in", False,
+                                 ph[j].conjugate() * n_out, zout),
+                ObjectKernelTerm("system", f"a_{j}", False,
+                                 ph[j].conjugate() * n_out * sqk, zout),
             )
         else:
             G_j = dq.G1 if j == 1 else dq.G2
             terms = (
-                KernelTerm("noise", f"a{j}_in", False, -ph[j] * n_out, zout),
-                KernelTerm("system", "b_m", True,
-                           -1j * math.sqrt(2.0 * G_j) * n_out, zout),
+                ObjectKernelTerm("noise", f"a{j}_in", False, -ph[j] * n_out,
+                                 zout),
+                ObjectKernelTerm("system", "b_m", True,
+                                 -1j * math.sqrt(2.0 * G_j) * n_out, zout),
             )
-        kernels.append(TemporalKernel(name, terms))
+        kernels.append(ObjectTemporalKernel(name, terms))
     return kernels
 
 
 class _ObjectStack:
-    def __init__(self, models: list[LinearModel],
-                 kernels: list[list[TemporalKernel]], taus: list[float],
+    def __init__(self, models: list[ObjectLinearModel],
+                 kernels: list[list[ObjectTemporalKernel]], taus: list[float],
                  phases: list[float]):
         model, first = models[0], kernels[0]
         labels = [k.label for k in first]
@@ -597,8 +657,8 @@ class _ObjectStack:
             for m in models]
 
 
-def _object_propagate(models: list[LinearModel],
-                      kernels: list[list[TemporalKernel]],
+def _object_propagate(models: list[ObjectLinearModel],
+                      kernels: list[list[ObjectTemporalKernel]],
                       taus: list[float], phases: list[float],
                       ) -> tuple[tuple[str, ...], np.ndarray,
                                  dict[int, IntegratorFailure]]:
@@ -614,8 +674,8 @@ def _object_propagate(models: list[LinearModel],
     return st.labels, S, failures
 
 
-def object_propagate_output_covariance(model: LinearModel,
-                                       kernels: list[TemporalKernel],
+def object_propagate_output_covariance(model: ObjectLinearModel,
+                                       kernels: list[ObjectTemporalKernel],
                                        tau: float, *,
                                        terminal_phase: float = 0.0,
                                        ) -> OutputCovariance:

@@ -336,19 +336,29 @@ class TestCurveRuns:
             self, tmp_path):
         # below G tau ~ 5.6e-309, 2G / (e^{2 G tau} - 1) overflows in float
         # division, which raises nothing: the normalization says so, as it
-        # does past r ~ 354.9; at r = 6e-309 it is finite and E resolves
-        sc = Scenario(mode="curve", engine="oracle",
-                      params={"kind": "ratios", "gamma_over_G": 0.1},
-                      sweep=Sweep("r", 1e-311, 6e-309, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            text = csv_text(run(sc), tmp_path)
-        assert text.split("\n", 2)[2] == (
-            "# warning: point 0 (r=1e-311, E): output kernel normalization "
-            "overflows at G*tau = 1e-311\n"
-            "r,E_oracle\n"
-            "1.00000000000e-311,nan\n"
-            "6.00000000000e-309,5.00000000000e-01\n")
+        # does past r ~ 354.9; at r = 6e-309 it is finite and E resolves.
+        # From G tau ~ 9e307, 2 G tau is inf, which expm1 returns without
+        # raising, and the quotient is 0: refused as well
+        for sweep, rows in (
+                (Sweep("r", 1e-311, 6e-309, 2),
+                 "# warning: point 0 (r=1e-311, E): output kernel "
+                 "normalization overflows at G*tau = 1e-311\n"
+                 "r,E_oracle\n"
+                 "1.00000000000e-311,nan\n"
+                 "6.00000000000e-309,5.00000000000e-01\n"),
+                (Sweep("r", 1.0, 1e308, 2),
+                 "# warning: point 1 (r=1e+308, E): output kernel "
+                 "normalization overflows at G*tau = 1e+308\n"
+                 "r,E_oracle\n"
+                 "1.00000000000e+00,2.67457857222e-02\n"
+                 "1.00000000000e+308,nan\n")):
+            sc = Scenario(mode="curve", engine="oracle",
+                          params={"kind": "ratios", "gamma_over_G": 0.1},
+                          sweep=sweep)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                text = csv_text(run(sc), tmp_path)
+            assert text.split("\n", 2)[2] == rows
 
     @pytest.mark.parametrize("gamma_over_G, sweep, rows", [
         # the covariance passes half the float maximum from r ~ 354.5, and
@@ -1531,9 +1541,10 @@ class TestEntryPoint:
          "scael": "log"},
         {"variable": "r", "start": 0.0, "stop": 2.0},
         [0.0, 2.0, 3],
+        {"variable": "r", "start": -1e308, "stop": 1e308, "points": 3},
     ], ids=["points-float", "points-string", "points-bool", "start-bool",
             "start-string", "misspelt-scale", "points-missing",
-            "not-an-object"])
+            "not-an-object", "width-overflows"])
     def test_malformed_sweep_blocks_exit_2(self, tmp_path, capsys, sweep):
         doc = {**tiny_curve_scenario().to_dict(), "sweep": sweep}
         cfg = tmp_path / "scenario.json"

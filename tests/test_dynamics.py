@@ -26,11 +26,13 @@ from _reference import (
     symplectic_eigenvalues,
 )
 from steerkit import (
+    LinearModel,
     ReducedParams,
     TemporalKernel,
     build_full_model,
     build_reduced_model,
     derived_quantities,
+    monte_carlo_output_covariance,
     propagate_output_covariance,
     reduced_from_ratios,
 )
@@ -49,9 +51,6 @@ from steerkit.dynamics import (
     mirror_output_phase,
     output_covariances,
     output_kernels,
-    _CHANNELS,
-    _FULL_MODES,
-    _REDUCED_MODES,
     _collective_rows,
     _full_system,
     _kernel_terms,
@@ -96,18 +95,18 @@ def time_dependent_reference(model, kernels, tau, phase):
     n_sys = 2 * model.dimension
     n = n_sys + 2 * len(kernels)
     sys_index = {lab: i for i, lab in enumerate(model.mode_labels)}
-    chan_index = {ch.name: i for i, ch in enumerate(model.noise_channels)}
+    chan_index = {name: i for i, name in enumerate(model.channels)}
     conj = np.diag([1.0, -1.0])
 
     def matrices(t):
         M = np.zeros((n, n))
         B = np.zeros((n, 2 * len(chan_index)))
-        M[:n_sys, :n_sys] = model.drift
-        B[:n_sys] = model.noise_input
+        M[:n_sys, :n_sys] = np.reshape(model.drift, (n_sys, n_sys))
+        B[:n_sys] = np.reshape(model.noise_input, (n_sys, -1))
         for k, kern in enumerate(kernels):
             row = n_sys + 2 * k
             for term in kern.terms:
-                c = term.amplitude * cmath.exp(term.rate * t)
+                c = term.amplitude * cmath.exp(kern.rate * t)
                 blk = np.array([[c.real, -c.imag], [c.imag, c.real]])
                 if term.dagger:
                     blk = blk @ conj
@@ -119,7 +118,7 @@ def time_dependent_reference(model, kernels, tau, phase):
                     B[row:row + 2, col:col + 2] += blk
         return M, B
 
-    sig = np.repeat([ch.occupation + 0.5 for ch in model.noise_channels], 2)
+    sig = np.repeat([occ + 0.5 for occ in model.occupations], 2)
 
     def rhs(t, y):
         S = y.reshape(n, n)
@@ -149,9 +148,8 @@ class TestKernels:
         ts = np.linspace(0.0, rp.tau, 20001)
         for full in (False, True):
             for kern in output_kernels(rp, full=full):
-                term = kern.terms[0]
-                env2 = np.abs(term.amplitude
-                              * np.exp(term.rate * ts)) ** 2
+                env2 = np.abs(kern.terms[0].amplitude
+                              * np.exp(kern.rate * ts)) ** 2
                 norm = math.sqrt(trapezoid(env2, ts))
                 assert norm == pytest.approx(1.0, abs=1e-8), kern.label
 
@@ -159,7 +157,7 @@ class TestKernels:
         rp = reduced_from_ratios(1.0, 0.0)
         for full in (False, True):
             for kern in output_kernels(rp, full=full):
-                assert kern.terms[0].rate.real > 0.0, kern.label
+                assert kern.rate.real > 0.0, kern.label
 
 
 class TestModelBuilders:
@@ -168,7 +166,7 @@ class TestModelBuilders:
                        tau=1.0)
         from steerkit.model import ReducedParams
         model = build_full_model(ReducedParams(g1=0.0, g2=0.0, **rp_args))
-        off = model.drift.copy()
+        off = np.reshape(model.drift, (6, 6))
         off[:2, :2] = 0.0
         off[2:4, 2:4] = 0.0
         off[4:, 4:] = 0.0
@@ -191,7 +189,7 @@ class TestModelBuilders:
         # one slow amplified direction near +G, fast decay near -kappa
         rp = reduced_from_ratios(1.0, 0.01, kappa=400.0)
         dq = derived_quantities(rp)
-        ev = np.linalg.eigvals(build_full_model(rp).drift)
+        ev = np.linalg.eigvals(np.reshape(build_full_model(rp).drift, (6, 6)))
         slow = ev[np.argmax(ev.real)]
         assert slow.real == pytest.approx(dq.G, rel=0.05)
         fast = ev[np.argmin(ev.real)]
@@ -205,7 +203,8 @@ class TestModelBuilders:
                            n0=0.5, n=0.0, tau=3.0)
         model = build_full_model(rp)
         S0 = np.diag([0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
-        ref = lyapunov_endpoint(model.drift, diffusion(model), S0, rp.tau)
+        ref = lyapunov_endpoint(np.reshape(model.drift, (6, 6)),
+                                diffusion(model), S0, rp.tau)
         oc = propagate_output_covariance(
             model, output_kernels(rp, full=True), rp.tau)
         assert oc.variance(A_M_OUT) == pytest.approx(ref[4, 4], rel=1e-8)
@@ -213,7 +212,8 @@ class TestModelBuilders:
     def test_reduced_noise_intensities(self):
         rp = reduced_from_ratios(1.0, 0.1, n0=2.0, n=7.0)
         model = build_reduced_model(rp)
-        assert [ch.occupation for ch in model.noise_channels] == [0.0, 0.0, 7.0]
+        assert model.channels == ("a1_in", "a2_in", "b_in")
+        assert model.occupations == (0.0, 0.0, 7.0)
         dq = derived_quantities(rp)
         D = diffusion(model)
         expect = dq.G1 + dq.G2 + 2.0 * rp.gamma * (rp.n + 0.5)
@@ -284,6 +284,27 @@ class TestReducedPropagation:
         with pytest.raises(InvalidParams):
             propagate_output_covariance(model, kernels + kernels, 1.0)
 
+    @pytest.mark.parametrize("tau, trajectories, error, match", [
+        (800.0, 1000, IntegratorFailure,
+         r"end factor of kernel 'A_1_out' overflows at s\*tau = 800\+0j"),
+        (math.inf, 1000, InvalidParams, "tau must be finite, got inf"),
+        (1.0, 1000.5, InvalidParams,
+         "trajectories must be an integer, got 1000.5"),
+    ], ids=["end-factor-overflow", "infinite-tau", "fractional-trajectories"])
+    def test_caller_inputs_raise_typed_errors(self, tau, trajectories, error,
+                                              match):
+        # the one-point read and the sampler take any tau and trajectory
+        # count a caller passes; the sampler's count is checked first
+        rp = reduced_from_ratios(1.0, 0.1)
+        model = build_reduced_model(rp)
+        kernels = output_kernels(rp, full=False)
+        with pytest.raises(error, match=match):
+            monte_carlo_output_covariance(model, kernels, tau, trajectories,
+                                          seed=1)
+        if trajectories == 1000:
+            with pytest.raises(error, match=match):
+                propagate_output_covariance(model, kernels, tau)
+
 
 class TestAgainstTimeDependentForm:
     """The exact propagation against the retired time-dependent moment
@@ -316,17 +337,6 @@ class TestAgainstTimeDependentForm:
         assert self.worst_scaled_error(rp, full=True) <= 1e-9
 
 
-    def test_kernel_mixing_rates_is_refused(self):
-        # one accumulator pair per kernel needs one rate per kernel: the
-        # cavity-output rate G + i delta and the bath rate G - i delta differ
-        rp = reduced_from_ratios(1.5, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
-        a1, bt = output_kernels(rp, full=False, which=(A_1_OUT, B_TILDE))
-        assert a1.terms[0].rate != bt.terms[0].rate
-        mixed = TemporalKernel("mixed", a1.terms + bt.terms)
-        with pytest.raises(InvalidParams, match="one rate"):
-            propagate_output_covariance(build_reduced_model(rp), [a1, mixed],
-                                        rp.tau)
-
     def test_a_term_outside_the_model_is_refused(self):
         # the full model's kernels read cavity modes the reduced model lacks
         rp = reduced_from_ratios(1.5, 0.1)
@@ -335,8 +345,8 @@ class TestAgainstTimeDependentForm:
             propagate_output_covariance(model, output_kernels(rp, full=True),
                                         rp.tau)
         (bt,) = output_kernels(rp, full=False, which=(B_TILDE,))
-        stray = TemporalKernel("stray", (KernelTerm(
-            "noise", "c_in", False, 1.0 + 0.0j, bt.terms[0].rate),))
+        stray = TemporalKernel("stray", bt.rate, (KernelTerm(
+            "noise", "c_in", False, 1.0 + 0.0j),))
         with pytest.raises(MissingModes, match="noise 'c_in' not in model"):
             propagate_output_covariance(model, [stray], rp.tau)
 
@@ -345,8 +355,7 @@ def one_point_stack(rp, full):
     """The ``_Stack`` of ``rp`` alone, with every standard kernel."""
     dq = derived_quantities(rp)
     system = _full_system(rp) if full else _reduced_system(rp, dq)
-    return _Stack(_FULL_MODES if full else _REDUCED_MODES, _CHANNELS,
-                  [(system, _kernel_terms(rp, dq, full, DEFAULT_OUTPUT_MODES),
+    return _Stack([(system, _kernel_terms(rp, dq, full, DEFAULT_OUTPUT_MODES),
                     rp.tau, 0.0)])
 
 
@@ -443,15 +452,22 @@ class TestSweeps:
         bad_gain = ReducedParams(kappa=1.0, Delta=0.0, g1=0.1, g2=0.1,
                                  gamma=1.0, tau=1.0, n0=0.0, n=0.0)
         huge = reduced_from_ratios(360.0, 0.1)
-        stack, failures = output_covariances([good, bad_gain, huge, good])
-        assert sorted(failures) == [1, 2]
-        for i, rp in ((1, bad_gain), (2, huge)):
+        # from G tau ~ 9e307, 2 G tau is inf and expm1 returns inf
+        # without raising: the normalization would read 0
+        far = reduced_from_ratios(1e308, 0.1)
+        stack, failures = output_covariances([good, bad_gain, huge, good,
+                                              far])
+        assert sorted(failures) == [1, 2, 4]
+        for i, rp in ((1, bad_gain), (2, huge), (4, far)):
             with pytest.raises(type(failures[i])) as alone:
                 oracle_point(rp)
             assert str(alone.value) == str(failures[i])
             assert np.isnan(stack.sigma[i]).all()
         assert isinstance(failures[1], GainNotPositive)
         assert isinstance(failures[2], IntegratorFailure)
+        assert isinstance(failures[4], IntegratorFailure)
+        assert str(failures[4]) == ("output kernel normalization overflows "
+                                    "at G*tau = 1e+308")
         solo = oracle_point(good).sigma.tobytes()
         assert stack.sigma[0].tobytes() == stack.sigma[3].tobytes() == solo
 
@@ -474,18 +490,36 @@ def errors(failures: dict) -> dict:
     return {i: (type(exc), str(exc)) for i, exc in failures.items()}
 
 
-def one_point(rp, full, which, build, kernels, propagate):
-    """The model of ``rp`` and its one-point read from model and kernel
-    objects, as bytes and labels, or the type and text of their error."""
+def model_numbers(model):
+    """The numbers of a ``LinearModel``: its drift and noise input as
+    matrix bytes, its labels and its occupations."""
+    m = 2 * model.dimension
+    return (np.reshape(model.drift, (m, m)).tobytes(),
+            np.reshape(model.noise_input, (m, -1)).tobytes(),
+            model.mode_labels, model.channels, model.occupations,
+            model.initial_occupations)
+
+
+def object_model_numbers(model):
+    """``model_numbers`` of a ``_reference.ObjectLinearModel``."""
+    return (model.drift.tobytes(), model.noise_input.tobytes(),
+            model.mode_labels,
+            tuple(ch.name for ch in model.noise_channels),
+            tuple(ch.occupation for ch in model.noise_channels),
+            model.initial_occupations)
+
+
+def one_point(rp, full, which, build, kernels, propagate, numbers):
+    """The model of ``rp`` and its one-point read from the model and its
+    kernels, as bytes and labels (``numbers`` reads the model), or the type
+    and text of their error."""
     try:
         model = build(rp)
         oc = propagate(model, kernels(rp, full=full, which=which), rp.tau,
                        terminal_phase=mirror_output_phase(rp))
     except SteerkitError as exc:
         return type(exc), str(exc)
-    return (model.drift.tobytes(), model.noise_input.tobytes(),
-            model.mode_labels, model.noise_channels,
-            model.initial_occupations, oc.mode_labels, oc.sigma.tobytes())
+    return numbers(model) + (oc.mode_labels, oc.sigma.tobytes())
 
 
 # pulse areas up to the overflow edge, and the three refusals: r = 0 (tau
@@ -530,10 +564,31 @@ class TestObjectPath:
             assert one_point(
                 rp, full, which, build_full_model if full
                 else build_reduced_model, output_kernels,
-                propagate_output_covariance) == one_point(
+                propagate_output_covariance, model_numbers) == one_point(
                 rp, full, which, object_full_model if full
                 else object_reduced_model, object_output_kernels,
-                object_propagate_output_covariance)
+                object_propagate_output_covariance, object_model_numbers)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_a_model_of_matrices_is_the_model_of_lists(self, full):
+        # a hand-built model with (2m, 2m) and (2m, 2c) arrays reads as the
+        # builder's row-major lists, byte for byte
+        rp = reduced_from_ratios(1.3, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
+        built = (build_full_model if full else build_reduced_model)(rp)
+        m = 2 * built.dimension
+        model = LinearModel(
+            mode_labels=built.mode_labels,
+            drift=np.array(built.drift).reshape(m, m),
+            noise_input=np.array(built.noise_input).reshape(m, -1),
+            channels=built.channels, occupations=built.occupations,
+            initial_occupations=built.initial_occupations)
+        kernels = output_kernels(rp, full=full)
+        phase = mirror_output_phase(rp)
+        lists, arrays = (propagate_output_covariance(
+            mdl, kernels, rp.tau, terminal_phase=phase).sigma.tobytes()
+            for mdl in (built, model))
+        assert isinstance(built.drift, list)
+        assert arrays == lists
 
     def test_one_derived_quantities_per_point(self, monkeypatch):
         calls = []
