@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -62,6 +62,14 @@ def _number(value, what: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return x
+
+
+def _refuse_unknown(keys, known, what: str) -> None:
+    """Refuse any of ``keys`` that is not in ``known`` with a
+    ``ConfigError`` that lists them: ``unknown <what> [...]``."""
+    unknown = set(keys).difference(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} {sorted(unknown)}")
 
 
 def parse_rate(value) -> float:
@@ -123,16 +131,11 @@ class Sweep:
                                self.points)
         return np.linspace(self.start, self.stop, self.points)
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in declaration order
-
     @classmethod
     def from_dict(cls, d: dict) -> "Sweep":
         if not isinstance(d, dict):
             raise ConfigError(f"sweep block must be an object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown sweep fields {sorted(unknown)}")
+        _refuse_unknown(d, [f.name for f in fields(cls)], "sweep fields")
         missing = {f.name for f in fields(cls)
                    if f.default is MISSING} - set(d)
         if missing:
@@ -241,23 +244,16 @@ class Scenario:
                               f"{sorted(mode.tolerances)}")
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "engine": self.engine,
-            "params": self.params,
-            "seed": self.seed,
-            "trajectories": self.trajectories,
-            "tolerances": self.tolerances,
-        }
-        if self.sweep is not None:
-            d["sweep"] = self.sweep.to_dict()
-        if self.sweep2 is not None:
-            d["sweep2"] = self.sweep2.to_dict()
-        if self.cases:
-            d["cases"] = list(self.cases)
-        if self.output is not None:
-            d["output"] = self.output
+        """The scenario document: ``schema_version`` and every field, a
+        sweep block as a dict and ``cases`` as a list, less the fields that
+        are unset (None) or empty sequences: ``sweep``, ``sweep2``,
+        ``output`` and ``cases`` at their defaults."""
+        d: dict = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (v is None or isinstance(v, (tuple, list)) and not v):
+                d[f.name] = dict(vars(v)) if isinstance(v, Sweep) \
+                    else list(v) if isinstance(v, tuple) else v
         return d
 
     @classmethod
@@ -272,9 +268,8 @@ class Scenario:
                 f"unsupported schema_version {d['schema_version']!r} "
                 f"(tool speaks {SCHEMA_VERSION})")
         kwargs = {k: v for k, v in d.items() if k != "schema_version"}
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
+        _refuse_unknown(kwargs, [f.name for f in fields(cls)],
+                        "scenario fields")
         try:
             for key in ("sweep", "sweep2"):
                 if key in kwargs:
@@ -342,9 +337,7 @@ def ratio_params(params: dict) -> dict:
     kind = params.get("kind", "ratios")
     out = dict(_RATIO_DEFAULTS)
     if kind == "ratios":
-        unknown = set(params) - set(_RATIO_DEFAULTS) - {"kind"}
-        if unknown:
-            raise ConfigError(f"unknown ratios params {sorted(unknown)}")
+        _refuse_unknown(params, [*_RATIO_DEFAULTS, "kind"], "ratios params")
         for key in _RATIO_DEFAULTS:
             if key in params:
                 out[key] = _number(params[key], f"params {key!r}")
@@ -375,9 +368,8 @@ def _rate_block(cls, params: dict, kind: str):
     """``cls`` from a params block that sets each of its fields and nothing
     else, in field order: ``n0``, ``n`` and ``tau`` are numbers, every other
     field a rate (``parse_rate``)."""
-    unknown = set(params) - {f.name for f in fields(cls)} - {"kind"}
-    if unknown:
-        raise ConfigError(f"unknown {kind} params {sorted(unknown)}")
+    _refuse_unknown(params, [*(f.name for f in fields(cls)), "kind"],
+                    f"{kind} params")
     try:
         return cls(**{f.name: _number(params[f.name], f"params {f.name!r}")
                       if f.name in ("n0", "n", "tau")
@@ -855,22 +847,19 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.  The format, the scenario and every path the run
-    writes (the table, the contour of an (r, gamma/G) map and the SVG) are
-    checked before any point is computed.  Points run in order on one
+    failed its tolerance.  The format and the scenario are checked, then
+    each file of the run's one list (``_files``: the table, the contour of
+    an (r, gamma/G) map and the SVG) before any point is computed, and the
+    same list is written in its order.  Points run in order on one
     thread.  ``threads`` is not read: it stays only because
     ``benchmark/worker.py`` passes it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format {fmt!r} not csv|json")
     scenario.validate()
-    path = output or scenario.output
-    if path:
+    files = _files(scenario, output or scenario.output, fmt, svg)
+    for path, _ in files:
         _check_output(path)
-        if _has_contour(scenario):
-            _check_output(_with_suffix(path, ".contour.csv"))
-        if svg:
-            _check_output(_with_suffix(path, ".svg"))
     mode = _MODES[scenario.mode]
     tol = {k: float(v)
            for k, v in {**mode.tolerances, **scenario.tolerances}.items()}
@@ -887,23 +876,29 @@ def run(scenario: Scenario, *, output: str | None = None,
         summary=summary,
         exit_code=0 if summary.get("validated", True) else 3,
     )
-    if path:
-        if fmt == "csv":
-            _write_csv(path, record)
-        else:
-            _write_json(path, record)
-        if _has_contour(scenario):
-            _write_csv(_with_suffix(path, ".contour.csv"), record,
-                       summary["contour"])
-        if svg:
-            _write_svg(_with_suffix(path, ".svg"), scenario, record)
+    for path, write in files:
+        write(path, record)
     return record
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    stem = path[:-4] if path.endswith(".csv") or path.endswith(".json") \
-        else path
-    return stem + suffix
+def _files(scenario: Scenario, path: str | None, fmt: str,
+           svg: bool) -> list[tuple[str, Callable]]:
+    """Every file a run of ``scenario`` writes to ``path``, in writing
+    order, with its ``writer(path, record)``: the table as ``fmt``, the
+    E = 1/2 contour of an (r, gamma/G) map (``_has_contour``) and, with
+    ``svg``, the chart; none without a path.  The contour and the chart
+    take the path less its last four characters when it ends in ``.csv``
+    or ``.json``, plus ``.contour.csv`` and ``.svg``."""
+    if not path:
+        return []
+    stem = path[:-4] if path.endswith((".csv", ".json")) else path
+    files = [(path, _write_csv if fmt == "csv" else _write_json)]
+    if _has_contour(scenario):
+        files.append((stem + ".contour.csv", _write_contour))
+    if svg:
+        files.append((stem + ".svg",
+                      lambda path, record: _write_svg(path, scenario, record)))
+    return files
 
 
 # A CSV cell as the kernel writes it: "%.11e" and its separator in 20
@@ -1046,23 +1041,33 @@ def _check_output(path: str) -> None:
         raise ConfigError(f"cannot write {path!r}: it is a directory")
 
 
-def _write_csv(path: str, record: RunRecord, contour=None) -> None:
-    """Write the record's table, or its E = 1/2 ``contour`` (a list of
-    ``(r, gamma/G)``), to a CSV file as it is formatted: the digest and
-    tool lines, the table's warning and summary lines, then the rows."""
+def _csv_head(record: RunRecord) -> str:
+    """The digest and tool lines that open each CSV file of a run."""
+    return (f"# scenario_digest: {record.scenario_digest}\n"
+            f"# tool: steerkit {record.tool_version}\n")
+
+
+def _write_csv(path: str, record: RunRecord) -> None:
+    """Write the record's table to a CSV file as it is formatted: the
+    digest and tool lines, the warning and summary lines, then the rows."""
     with _output(path) as fh:
-        fh.write(f"# scenario_digest: {record.scenario_digest}\n"
-                 f"# tool: steerkit {record.tool_version}\n")
-        if contour is not None:
-            _write_rows(fh, ["r", "gamma_over_G"],
-                        np.array(contour, dtype=float).reshape(-1, 2))
-            return
+        fh.write(_csv_head(record))
         fh.writelines(f"# warning: {w}\n" for w in record.warnings)
         fh.writelines(f"# {key}: {val}\n" for key, val
                       in sorted(record.summary.items()) if key != "contour")
         points = record.points
         _write_rows(fh, record.columns, points
                     if isinstance(points, _GridPoints) else points.cells)
+
+
+def _write_contour(path: str, record: RunRecord) -> None:
+    """Write the record's E = 1/2 contour, ``summary["contour"]`` (a list
+    of ``(r, gamma/G)``), to a CSV file: the digest and tool lines, then
+    the rows."""
+    with _output(path) as fh:
+        fh.write(_csv_head(record))
+        _write_rows(fh, ["r", "gamma_over_G"], np.array(
+            record.summary["contour"], dtype=float).reshape(-1, 2))
 
 
 def _write_json(path: str, record: RunRecord) -> None:
@@ -1218,7 +1223,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             scenario = _load_scenario(args.config)
         if args.seed is not None:
-            scenario = Scenario(**{**scenario.__dict__, "seed": args.seed})
+            scenario = replace(scenario, seed=args.seed)
             scenario.validate()
         if args.command == "validate" \
                 and not scenario.mode.startswith("validate-"):

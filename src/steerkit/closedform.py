@@ -142,8 +142,8 @@ def _domain_error(r, x, n0, n, G1_over_G2=1.0) -> InvalidParams | None:
                     ("n", n)):
         if not v >= 0.0:
             return InvalidParams(f"{name} must be >= 0, got {v!r}")
-    if not G1_over_G2 > 0.0:
-        return InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+    if not G1_over_G2 >= 0.0:
+        return InvalidParams(f"G1_over_G2 must be >= 0, got {G1_over_G2!r}")
 
 
 def _single_domain_error(r, x, n0, n, f) -> InvalidParams | None:
@@ -227,9 +227,9 @@ def _columns(values: tuple, ok) -> np.ndarray:
 
 def _gain_fractions(x, G1_over_G2) -> tuple:
     """``(G1/G, G2/G)``: the gain sum ``1 + x`` split as ``G1_over_G2``,
-    NaN where ``G1_over_G2`` is not > 0; floats and numpy arrays alike."""
+    NaN where ``G1_over_G2`` is not >= 0; floats and numpy arrays alike."""
     gsum = 1.0 + x
-    f2 = gsum / (1.0 + np.where(G1_over_G2 > 0.0, G1_over_G2, np.nan))
+    f2 = gsum / (1.0 + np.where(G1_over_G2 >= 0.0, G1_over_G2, np.nan))
     return gsum - f2, f2
 
 

@@ -581,10 +581,12 @@ def monte_carlo_output_covariance(model: LinearModel,
     estimator, its standard errors and its reproducibility, not the model
     assembly.
 
-    Raises ``InvalidParams`` for a trajectory count that is not an integer,
-    ``InsufficientTrajectories`` for fewer than ``MIN_TRAJECTORIES``
-    trajectories, and ``IntegratorFailure`` when ``Sigma_out``, the moment
-    sums or their standard errors are not finite.
+    Raises ``InvalidParams`` for a trajectory count or a seed that is not
+    an integer (a seed that is a bool included) and for a seed outside
+    ``[0, 2**64)``, ``InsufficientTrajectories`` for fewer than
+    ``MIN_TRAJECTORIES`` trajectories, and ``IntegratorFailure`` when
+    ``Sigma_out``, the moment sums or their standard errors are not
+    finite.
     """
     if not isinstance(trajectories, numbers.Integral):
         raise InvalidParams(f"trajectories must be an integer, got "
@@ -592,12 +594,16 @@ def monte_carlo_output_covariance(model: LinearModel,
     if trajectories < MIN_TRAJECTORIES:
         raise InsufficientTrajectories(
             f"need >= {MIN_TRAJECTORIES} trajectories, got {trajectories}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidParams(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidParams(f"seed must be in [0, 2**64), got {seed}")
     exact = propagate_output_covariance(model, kernels, tau,
                                         terminal_phase=terminal_phase)
     scale = np.sqrt(np.diag(exact.sigma))
     w, vec = np.linalg.eigh(exact.sigma / scale[:, None] / scale)
     factor = vec * np.sqrt(np.maximum(w, 0.0))
-    key_hi = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    key_hi = np.uint64(seed)
     sums, sums2 = 0.0, 0.0  # second- and fourth-moment sums, in batch order
     for b in range(math.ceil(trajectories / _BATCH)):
         gen = np.random.Generator(np.random.Philox(

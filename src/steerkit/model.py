@@ -399,8 +399,8 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
         raise InvalidParams(f"r must be >= 0, got {r!r}")
     if gamma_over_G < 0:
         raise InvalidParams(f"gamma_over_G must be >= 0, got {gamma_over_G!r}")
-    if G1_over_G2 <= 0:
-        raise InvalidParams(f"G1_over_G2 must be > 0, got {G1_over_G2!r}")
+    if not G1_over_G2 >= 0:
+        raise InvalidParams(f"G1_over_G2 must be >= 0, got {G1_over_G2!r}")
     if not kappa > 0:
         raise InvalidParams(f"kappa must be > 0, got {kappa!r}")
     gamma = gamma_over_G  # G = 1

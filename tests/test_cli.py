@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 import zlib
+from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -163,9 +164,44 @@ class TestRateParsing:
 
 class TestScenarioSchema:
     def test_round_trip_is_identity(self):
-        for sc in [tiny_curve_scenario(), PRESETS["fig3a"](),
-                   PRESETS["fig4"](), PRESETS["inset"]()]:
+        # scenarios with and without sweep, sweep2, cases and output:
+        # to_dict leaves out each unset one, and the digests are pinned
+        heatmap = Scenario(mode="heatmap",
+                           params={"kind": "ratios", "n0": 0.5},
+                           sweep=Sweep("r", 0.0, 2.0, 5),
+                           sweep2=Sweep("n", 0.0, 4.0, 3))
+        adiabatic = Scenario(mode="validate-adiabatic", params={
+            "kind": "ratios", "gamma_over_G": 0.1,
+            "kappa_over_g": [10.0, 20.0]},
+            tolerances={"adiabatic_rel": 0.1})
+        cross = Scenario(mode="cross-correlation", engine="both",
+                         params={"kind": "ratios", "gamma_over_G": 0.1},
+                         sweep=Sweep("r", 0.5, 1.0, 2), seed=7,
+                         trajectories=2000, output="x.json")
+        scenarios = [
+            (tiny_curve_scenario(), {"sweep2", "output"}),
+            (tiny_curve_scenario(cases=(), output="c.csv"),
+             {"sweep2", "cases"}),
+            (PRESETS["fig3a"](), {"sweep2"}),
+            (PRESETS["fig4"](), {"cases"}),
+            (PRESETS["inset"](), {"sweep2", "cases"}),
+            (heatmap, {"cases", "output"}),
+            (adiabatic, {"sweep", "sweep2", "cases", "output"}),
+            (cross, {"sweep2", "cases"})]
+        digests = [
+            "a0702f728bec6190c2129d1d919835a62c2b6c2feaa1f500f6870195a396a3ab",
+            "216713411271458a8c95c5985aaa2a49e1fa63de46b7890d04c7b3d5ace78b99",
+            "015b11cf41489c5fb5819cbd36d731aa0dbc10f1ef868f91fdf0ffcf71b7ab05",
+            "4b77dd69015d42f384ae4e90b14cd9ebb3182209e7588cf3531c01d1ff4f1327",
+            "4d5f51efe03d46a581f7d82efd9c623b55ea35832a8f438a9142eecd988bbb9e",
+            "af25863c4a26b11475ccdaa93e12684619e71da5129b496af6cc7dc315093090",
+            "1defbd7028663abc45ed20bd2f81141c02121a845ac7bbe56dcaebffe16bb449",
+            "934cb6c0e6d7fd9a160b2d3ebc5d6799ae26ba85b153f4024a3787a727547f7e"]
+        names = {"schema_version", *(f.name for f in fields(Scenario))}
+        for (sc, unset), digest in zip(scenarios, digests, strict=True):
             assert Scenario.from_json(sc.to_json()) == sc
+            assert set(sc.to_dict()) == names - unset
+            assert sc.digest() == digest
 
     def test_schema_version_is_mandatory(self):
         doc = tiny_curve_scenario().to_dict()
@@ -508,6 +544,41 @@ class TestCurveRuns:
 
 
 class TestOtherModes:
+    def test_either_coupling_may_be_zero(self):
+        # (g1, g2) = (0, g) and (g, 0) are one device with its cavities
+        # swapped: each run resolves every point with no warning, and what
+        # does not tell cavity 1 from cavity 2 is equal
+        def rows(mode, engine="closedform", **kw):
+            out = []
+            for g1, g2 in ((0.0, 9.0), (9.0, 0.0)):
+                params = {"kind": "reduced", "g1": g1, "g2": g2,
+                          "kappa": 20.0, "Delta": 20.0, "gamma": 0.05,
+                          "n0": 0.5, "n": 5.0, "tau": 1.0}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    record = run(Scenario(
+                        mode=mode, engine=engine, params=params,
+                        sweep=Sweep("tau", 0.5, 2.0, 3), **kw))
+                assert record.warnings == []
+                assert record.summary.get("validated", True)
+                assert not np.isnan(record.points.cells).any()
+                out.append(list(record.points))
+            return out
+
+        zero, inf = rows("curve", "both")
+        assert zero == inf
+        # rel_E_m1 reads the single witness of cavity 1, which is the idle
+        # cavity in one run and the driven one in the other
+        swap = str.maketrans("12", "21")
+        zero, inf = rows("validate-oracle")
+        assert [{k.translate(swap): v for k, v in row.items()
+                 if k not in ("rel_E_m1", "max_rel")} for row in zero] == [
+            {k: v for k, v in row.items() if k not in ("rel_E_m1", "max_rel")}
+            for row in inf]
+        zero, inf = rows("cross-correlation", "oracle", trajectories=1000)
+        assert [row["cross_corr"] for row in zero] == [
+            row["cross_corr"] for row in inf] == [0.0] * 3
+
     def test_heatmap_long_format_and_contour_file(self, tmp_path):
         sc = Scenario(
             mode="heatmap",
@@ -641,7 +712,7 @@ class TestOtherModes:
         assert 500.0 <= record.points[0]["n_threshold"] <= 700.0
         assert record.points[1]["n_threshold"] < record.points[0]["n_threshold"]
 
-    def test_nthreshold_makes_one_array_call(self, monkeypatch):
+    def test_nthreshold_makes_one_array_call(self, tmp_path, monkeypatch):
         # the inset's damping ratios go to noise_threshold as one array
         calls, threshold = [], steering.noise_threshold
 
@@ -650,6 +721,7 @@ class TestOtherModes:
             return threshold(*args, **kwargs)
 
         monkeypatch.setattr(steering, "noise_threshold", spy)
+        monkeypatch.chdir(tmp_path)  # the preset writes inset.csv
         run(PRESETS["inset"]())
         assert len(calls) == 1
         assert isinstance(calls[0], np.ndarray)
@@ -998,6 +1070,41 @@ class TestFileFormats:
             "summary": {},
             "tool_version": "0.1.0",
             "warnings": self.TINY_WARNINGS}, sort_keys=True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("svg", [False, True], ids=["no-svg", "svg"])
+    @pytest.mark.parametrize("var2", ["gamma_over_G", "n"],
+                             ids=["contour", "no-contour"])
+    def test_the_files_checked_are_the_files_written(
+            self, tmp_path, monkeypatch, fmt, svg, var2):
+        # a run lists its files once: the check stage walks the list
+        # before any point is computed, the write stage after, in order
+        monkeypatch.chdir(tmp_path)
+        events = []
+
+        def spy(stage, fn):
+            def spied(path):
+                events.append((stage, path))
+                return fn(path)
+            return spied
+
+        monkeypatch.setattr(cli, "_check_output",
+                            spy("check", cli._check_output))
+        monkeypatch.setattr(cli, "_output", spy("write", cli._output))
+        sc = Scenario(mode="heatmap",
+                      params={"kind": "ratios", "n0": 0.0, "n": 0.0},
+                      sweep=Sweep("r", 0.5, 2.0, 4),
+                      sweep2=Sweep(var2, 0.0, 0.3, 3))
+        run(sc, output=f"map.{fmt}", fmt=fmt, svg=svg)
+        checked = [path for stage, path in events if stage == "check"]
+        assert events == [("check", path) for path in checked] + [
+            ("write", path) for path in checked]
+        suffixes = [f".{fmt}"] + [".contour.csv"] * (var2 == "gamma_over_G") \
+            + [".svg"] * svg
+        assert len(checked) == len(suffixes)
+        assert all(path.startswith("map") and path.endswith(suffix)
+                   for path, suffix in zip(checked, suffixes))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(checked)
 
     @pytest.mark.parametrize("name", ["fig3a", "fig4"])
     def test_svg_is_rendered_as_text_and_written_by_cli(

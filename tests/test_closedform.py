@@ -191,10 +191,27 @@ class TestMoments:
                 assert moment_set(r, x, 0.0, 0.0)["var_Xm_out"] >= 0.5
 
     @pytest.mark.parametrize("fn", [moment_set, cross_correlation])
-    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("ratio", [-1.0, math.nan])
     def test_rejects_a_gain_split_that_is_not_positive(self, fn, ratio):
-        with pytest.raises(InvalidParams, match="G1_over_G2"):
+        with pytest.raises(InvalidParams,
+                           match=f"G1_over_G2 must be >= 0, got {ratio!r}"):
             fn(1.0, 0.1, 0.0, 0.0, G1_over_G2=ratio)
+
+    def test_moment_set_accepts_a_zero_gain_split(self):
+        # G1/G2 = 0 is g1 = 0, the mirror image of G1/G2 = inf (g2 = 0):
+        # cavity 1's moments at 0 are cavity 2's at inf
+        zero, inf = (moment_set(1.0, 0.1, 0.5, 5.0, G1_over_G2=ratio)
+                     for ratio in (0.0, math.inf))
+        swap = str.maketrans("12", "21")
+        assert zero == {key.translate(swap): value
+                        for key, value in inf.items()}
+        assert zero["var_X1_out"] == 0.5
+
+    def test_cross_correlation_accepts_a_zero_gain_split(self):
+        # with one coupling zero the two cavities share no coherence
+        for ratio in (0.0, math.inf):
+            assert cross_correlation(1.0, 0.1, 0.5, 5.0,
+                                     G1_over_G2=ratio) == 0.0
 
     @pytest.mark.parametrize("fn", [moment_set, cross_correlation])
     @pytest.mark.parametrize("r, n0", [(354.9, 0.0), (400.0, 0.0),
@@ -307,8 +324,8 @@ def float_call_error(r, x, n0, n, *, ratio=None, f=None, witness=False):
                     ("n", n)):
         if not v >= 0.0:
             return InvalidParams, f"{name} must be >= 0, got {v!r}"
-    if ratio is not None and not ratio > 0.0:
-        return InvalidParams, f"G1_over_G2 must be > 0, got {ratio!r}"
+    if ratio is not None and not ratio >= 0.0:
+        return InvalidParams, f"G1_over_G2 must be >= 0, got {ratio!r}"
     if witness:
         return DegenerateVariance, (f"a term leaves the float range at (r, "
                                     f"gamma_over_G, n0, n) = "

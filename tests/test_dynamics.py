@@ -284,24 +284,35 @@ class TestReducedPropagation:
         with pytest.raises(InvalidParams):
             propagate_output_covariance(model, kernels + kernels, 1.0)
 
-    @pytest.mark.parametrize("tau, trajectories, error, match", [
-        (800.0, 1000, IntegratorFailure,
+    @pytest.mark.parametrize("tau, trajectories, seed, error, match", [
+        (800.0, 1000, 1, IntegratorFailure,
          r"end factor of kernel 'A_1_out' overflows at s\*tau = 800\+0j"),
-        (math.inf, 1000, InvalidParams, "tau must be finite, got inf"),
-        (1.0, 1000.5, InvalidParams,
+        (math.inf, 1000, 1, InvalidParams, "tau must be finite, got inf"),
+        (1.0, 1000.5, 1, InvalidParams,
          "trajectories must be an integer, got 1000.5"),
-    ], ids=["end-factor-overflow", "infinite-tau", "fractional-trajectories"])
-    def test_caller_inputs_raise_typed_errors(self, tau, trajectories, error,
-                                              match):
-        # the one-point read and the sampler take any tau and trajectory
-        # count a caller passes; the sampler's count is checked first
+        (1.0, 1000, 1.5, InvalidParams, "seed must be an integer, got 1.5"),
+        (1.0, 1000, "3", InvalidParams, "seed must be an integer, got '3'"),
+        (1.0, 1000, True, InvalidParams,
+         "seed must be an integer, got True"),
+        (1.0, 1000, 2 ** 64, InvalidParams,
+         r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        (1.0, 1000, -1, InvalidParams,
+         r"seed must be in \[0, 2\*\*64\), got -1"),
+    ], ids=["end-factor-overflow", "infinite-tau", "fractional-trajectories",
+            "seed-float", "seed-string", "seed-bool", "seed-2**64",
+            "seed-negative"])
+    def test_caller_inputs_raise_typed_errors(self, tau, trajectories, seed,
+                                              error, match):
+        # the one-point read and the sampler take any tau, trajectory count
+        # and seed a caller passes; the sampler checks its count and seed
+        # first, and takes only a seed that keys its streams as it is
         rp = reduced_from_ratios(1.0, 0.1)
         model = build_reduced_model(rp)
         kernels = output_kernels(rp, full=False)
         with pytest.raises(error, match=match):
             monte_carlo_output_covariance(model, kernels, tau, trajectories,
-                                          seed=1)
-        if trajectories == 1000:
+                                          seed=seed)
+        if not match.startswith(("trajectories", "seed")):
             with pytest.raises(error, match=match):
                 propagate_output_covariance(model, kernels, tau)
 

@@ -229,8 +229,14 @@ class TestRatioConstructors:
             reduced_from_ratios(-1.0, 0.1)
         with pytest.raises(InvalidParams):
             reduced_from_ratios(1.0, -0.1)
-        with pytest.raises(InvalidParams):
-            reduced_from_ratios(1.0, 0.1, G1_over_G2=0.0)
+        for ratio in (-1.0, math.nan):
+            with pytest.raises(InvalidParams, match=f"G1_over_G2 must be "
+                                                    f">= 0, got {ratio!r}"):
+                reduced_from_ratios(1.0, 0.1, G1_over_G2=ratio)
+        # G1/G2 = 0 is g1 = 0, the mirror image of G1/G2 = inf
+        zero, inf = (reduced_from_ratios(1.0, 0.1, G1_over_G2=ratio)
+                     for ratio in (0.0, math.inf))
+        assert (zero.g1, zero.g2) == (inf.g2, inf.g1) and zero.g1 == 0.0
 
     @pytest.mark.parametrize("kappa, message", [
         (0.0, "kappa must be > 0"), (-1.0, "kappa must be > 0"),
