@@ -97,13 +97,16 @@ def parse_rate(value) -> float:
 
 @dataclass(frozen=True)
 class Sweep:
+    """One sweep axis; building one refuses a bad value with
+    ``ConfigError``."""
+
     variable: str
     start: float
     stop: float
     points: int
     scale: str = "linear"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep variable {self.variable!r} not in "
                               f"{SWEEP_VARIABLES}")
@@ -144,10 +147,8 @@ class Sweep:
         if isinstance(points, bool) or not isinstance(points, int):
             raise ConfigError(f"sweep points must be an integer, got "
                               f"{points!r}")
-        sweep = cls(**{**d, "start": _number(d["start"], "sweep start"),
-                       "stop": _number(d["stop"], "sweep stop")})
-        sweep.validate()
-        return sweep
+        return cls(**{**d, "start": _number(d["start"], "sweep start"),
+                      "stop": _number(d["stop"], "sweep stop")})
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,10 @@ class Scenario:
     trajectories: int = 100_000
     tolerances: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check every field's value, then that the mode reads every field
         that is set (``_MODES``): a field the mode would ignore is an
-        error."""
+        error.  A sweep block checked itself when it was built."""
         mode = _MODES.get(self.mode) if isinstance(self.mode, str) else None
         if mode is None:
             raise ConfigError(f"mode {self.mode!r} not in {tuple(_MODES)}")
@@ -175,9 +176,6 @@ class Scenario:
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
         mode.params(self.params)
-        for block in (self.sweep, self.sweep2):
-            if block is not None:
-                block.validate()
         labels = set()
         for i, case in enumerate(self.cases):
             if not isinstance(case, dict):
@@ -276,11 +274,9 @@ class Scenario:
                     kwargs[key] = Sweep.from_dict(kwargs[key])
             if "cases" in kwargs:
                 kwargs["cases"] = tuple(kwargs["cases"])
-            scenario = cls(**kwargs)
+            return cls(**kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
-        scenario.validate()
-        return scenario
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -811,8 +807,8 @@ class _Mode:
     parser of its params block, the sweep blocks it takes (0: none, 1:
     ``sweep``, 2: ``sweep`` and ``sweep2`` on different variables) and the
     variables they may sweep, whether it reads ``engine`` and ``cases``,
-    and the tolerances it reads with their defaults.  ``Scenario.validate``
-    refuses any field a mode does not read."""
+    and the tolerances it reads with their defaults.  Building a
+    ``Scenario`` refuses any field its mode does not read."""
 
     runner: Callable
     params: Callable
@@ -847,16 +843,15 @@ def run(scenario: Scenario, *, output: str | None = None,
     """Execute a scenario and write its artifacts.
 
     Returns the run record; ``exit_code`` is nonzero when a validation mode
-    failed its tolerance.  The format and the scenario are checked, then
-    each file of the run's one list (``_files``: the table, the contour of
-    an (r, gamma/G) map and the SVG) before any point is computed, and the
-    same list is written in its order.  Points run in order on one
-    thread.  ``threads`` is not read: it stays only because
-    ``benchmark/worker.py`` passes it.
+    failed its tolerance.  The format is checked (the scenario checked
+    itself when it was built), then each file of the run's one list
+    (``_files``: the table, the contour of an (r, gamma/G) map and the SVG)
+    before any point is computed, and the same list is written in its
+    order.  Points run in order on one thread.  ``threads`` is not read:
+    it stays only because ``benchmark/worker.py`` passes it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format {fmt!r} not csv|json")
-    scenario.validate()
     files = _files(scenario, output or scenario.output, fmt, svg)
     for path, _ in files:
         _check_output(path)
@@ -887,11 +882,11 @@ def _files(scenario: Scenario, path: str | None, fmt: str,
     order, with its ``writer(path, record)``: the table as ``fmt``, the
     E = 1/2 contour of an (r, gamma/G) map (``_has_contour``) and, with
     ``svg``, the chart; none without a path.  The contour and the chart
-    take the path less its last four characters when it ends in ``.csv``
-    or ``.json``, plus ``.contour.csv`` and ``.svg``."""
+    take the path less its ``.csv`` or ``.json`` suffix, if it has one,
+    plus ``.contour.csv`` and ``.svg``."""
     if not path:
         return []
-    stem = path[:-4] if path.endswith((".csv", ".json")) else path
+    stem = path.removesuffix(".csv" if path.endswith(".csv") else ".json")
     files = [(path, _write_csv if fmt == "csv" else _write_json)]
     if _has_contour(scenario):
         files.append((stem + ".contour.csv", _write_contour))
@@ -1224,7 +1219,6 @@ def main(argv: list[str] | None = None) -> int:
             scenario = _load_scenario(args.config)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
-            scenario.validate()
         if args.command == "validate" \
                 and not scenario.mode.startswith("validate-"):
             raise ConfigError(

@@ -120,17 +120,19 @@ def coherence_factor(r):
     - e^{-u})``, its value.  Twice this is the amplified noise ``e^{2r} + 1
     - gain_filter_ratio(r)`` of the cavity output variances.  Floats,
     numpy arrays, lists and tuples alike, each branch built only where r's
-    bounds reach it, under the caller's numpy error state (r = 0 divides 0
-    by 0 before its value 0 is put in).
+    bounds reach it, under its own numpy error state: r = 0 divides 0 by 0
+    before its value 0 is put in, and ``sinh`` overflows past r ~ 355, so
+    it raises no ``RuntimeWarning``.
     """
     r = np.asarray(r, dtype=float)
     r_lo, r_hi = _bounds(r)
-    u = 2.0 * r
-    t = -np.expm1(-u)
-    cf = _branches(r, r_lo, r_hi, lambda: r * r * (
-        _sinh_series(r * r) * np.cosh(r)
-        + 2.0 * np.square(np.sinh(0.5 * r) / r)) * (u / t),
-        lambda: (np.sinh(u) - u) / t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = 2.0 * r
+        t = -np.expm1(-u)
+        cf = _branches(r, r_lo, r_hi, lambda: r * r * (
+            _sinh_series(r * r) * np.cosh(r)
+            + 2.0 * np.square(np.sinh(0.5 * r) / r)) * (u / t),
+            lambda: (np.sinh(u) - u) / t)
     return cf if r_lo > 0.0 else np.where(r == 0.0, 0.0, cf)
 
 
@@ -177,6 +179,16 @@ def _refusal(args: tuple, kind: tuple) -> SteerkitError:
     else ``error(*args)``, as a cell in the domain is NaN only past the
     float range."""
     return kind[0](*args) or kind[1](*args)
+
+
+def _reals(**args) -> None:
+    """Refuse the first of ``args`` that is not a real number
+    (``numbers.Real``, numpy's included), such as an array, a list, a
+    string, None or a complex number: ``InvalidParams`` ``<name> must be a
+    float, got <value>``."""
+    for name, v in args.items():
+        if not isinstance(v, numbers.Real):
+            raise InvalidParams(f"{name} must be a float, got {v!r}")
 
 
 def _array_call(*args) -> bool:
@@ -518,8 +530,7 @@ def threshold_r(n0: float) -> float:
     (``numbers.Real``, numpy's included): anything else, such as an array,
     a list, a string, None or a complex number, raises ``InvalidParams``.
     """
-    if not isinstance(n0, numbers.Real):
-        raise InvalidParams(f"n0 must be a float, got {n0!r}")
+    _reals(n0=n0)
     if not n0 >= 0.0:
         raise InvalidParams(f"n0 must be >= 0, got {n0!r}")
     return 0.5 * math.log1p(n0 / (n0 + 1.0))

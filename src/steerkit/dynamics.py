@@ -168,7 +168,6 @@ def build_full_model(rp: ReducedParams) -> LinearModel:
     the mirror through the two-mode-squeezing (phase-conjugating) term of
     strength g_j; the mirror decays at gamma into a bath of occupation n.
     """
-    rp.validate()
     return LinearModel._make(_full_system(rp))
 
 

@@ -62,6 +62,9 @@ class PhysicalParams:
         Thermal occupation of the mechanical bath.
     tau : float
         Pulse duration (s).
+
+    Building one refuses a rate or ``tau`` that is not > 0, and a coupling,
+    drive or occupation that is not >= 0, with ``InvalidParams``.
     """
 
     omega1: float
@@ -79,7 +82,7 @@ class PhysicalParams:
     n: float
     tau: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         strictly_positive = {
             "omega1": self.omega1,
             "omega2": self.omega2,
@@ -132,7 +135,10 @@ class ReducedParams:
 
     ``Delta = (omega1 - omega2)/2`` is half the cavity frequency difference;
     it may take any sign.  ``gamma`` may be zero: that is the idealized
-    undamped-mirror limit used heavily in analysis.
+    undamped-mirror limit used heavily in analysis.  Building one refuses
+    a ``kappa`` or ``tau`` that is not > 0, a ``gamma``, coupling or
+    occupation that is not >= 0 and a ``Delta`` that is not finite, with
+    ``InvalidParams``.
     """
 
     g1: float
@@ -144,7 +150,7 @@ class ReducedParams:
     n: float
     tau: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.kappa > 0.0:
             raise InvalidParams(f"kappa must be > 0, got {self.kappa!r}")
         if not self.gamma >= 0.0:
@@ -204,15 +210,14 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
     Raises
     ------
     InvalidParams
-        If ``p`` violates its invariants, ``tol`` is not positive, or the
-        drives put ``|alpha_j|^2`` or ``x_s`` past the float range.
+        If ``tol`` is not positive, or the drives put ``|alpha_j|^2`` or
+        ``x_s`` past the float range.
     NonConvergence
         If the bisection cannot shrink its bracket below ``tol``.  Its
         bracket always exists, so this happens only where ``tol`` is finer
         than the float spacing at the root it closes in on (about ``eps *
         |x_s|``); a bistable map still yields one of its roots.
     """
-    p.validate()
     if not tol > 0.0:
         raise InvalidParams(f"tol must be > 0, got {tol!r}")
 
@@ -302,7 +307,7 @@ def working_point_residuals(p: PhysicalParams, wp: WorkingPoint) -> tuple[float,
 
 
 def reduce(p: PhysicalParams, wp: WorkingPoint) -> ReducedParams:
-    """Collapse validated physical parameters onto the rotating-frame model.
+    """Collapse physical parameters onto the rotating-frame model.
 
     Requires the drive on the blue sideband of the average cavity frequency,
     ``omega_L = (omega1 + omega2)/2 + omega_m``, within ``RESONANCE_RTOL *
@@ -311,7 +316,6 @@ def reduce(p: PhysicalParams, wp: WorkingPoint) -> ReducedParams:
     or resolved-sideband ratios ``g_j/kappa`` and ``kappa/omega_m`` exceed
     ``WARN_RATIO``.
     """
-    p.validate()
     omega0 = 0.5 * (p.omega1 + p.omega2)
     offset = p.omega_L - omega0 - p.omega_m
     if abs(offset) > RESONANCE_RTOL * p.omega_m:
@@ -358,7 +362,6 @@ def derived_quantities(rp: ReducedParams) -> DerivedQuantities:
     Raises ``InvalidParams`` when a rate leaves the float range and
     ``GainNotPositive`` when ``G <= 0``.
     """
-    rp.validate()
     try:
         c2 = rp.kappa ** 2 + rp.Delta ** 2
         G1 = rp.g1 ** 2 * rp.kappa / c2
@@ -393,7 +396,9 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
     time unit, so ``tau = r`` exactly, and distributes ``G1 + G2 = 1 +
     gamma_over_G`` according to ``G1_over_G2``.  The cavity scale ``kappa``
     only sets how deep in the adiabatic regime the companion full model is.
-    Raises ``InvalidParams`` when a rate leaves the float range.
+    Raises ``InvalidParams`` when a rate leaves the float range, or when
+    the parameters are not valid ``ReducedParams`` (``r = 0`` gives
+    ``tau = 0``).
     """
     if r < 0:
         raise InvalidParams(f"r must be >= 0, got {r!r}")

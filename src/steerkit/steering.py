@@ -25,6 +25,7 @@ from .closedform import (
     _coefficients,
     _collective_cells,
     _domain_error,
+    _reals,
     collective_steering_value,
     max_occupation,
 )
@@ -114,7 +115,8 @@ def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
 
     ``gamma_over_G`` is a float or, for an array call
     (``closedform._array_call``), a numpy array, a list or a tuple; the
-    other arguments are floats.  A float call raises its cell's refusal
+    other arguments are real numbers (``numbers.Real``), and anything else
+    raises ``InvalidParams``.  A float call raises its cell's refusal
     (``_threshold_refusal``): ``InvalidParams`` for arguments outside the
     domain, and ``NoThreshold`` when n* < 0, so even n = 0 fails (too much
     damping, or a warm mirror: with n0 > 0 the witness tends to n0 + 1/2 >
@@ -122,6 +124,7 @@ def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
     ``N_CAP``, so steering survives at the cap (damping too weak to set a
     bound).  An array call is NaN on each refused cell.
     """
+    _reals(n0=n0, r_max=r_max, tol=tol)
     x = np.asarray(gamma_over_G, dtype=float)
     n_star, refused = _threshold_refusal(x, n0, r_max, tol)
     array = _array_call(gamma_over_G)
@@ -179,7 +182,10 @@ def r_crossing(gamma_over_G: float, n0: float, n: float) -> float:
     """Smallest pulse area in (0, ``R_MAX``] where the collective witness
     drops to 1/2: the first point of ``steering_region``'s contour over
     4097 pulse areas in [0, ``R_MAX``].  A first point at r = 0 (n0 below
-    ~1e-16, so that E(0) = n0 + 1/2 rounds to 1/2) is not a crossing."""
+    ~1e-16, so that E(0) = n0 + 1/2 rounds to 1/2) is not a crossing.
+    Each argument is a real number (``numbers.Real``); anything else
+    raises ``InvalidParams``."""
+    _reals(gamma_over_G=gamma_over_G, n0=n0, n=n)
     if not n0 > 0.0:
         raise InvalidParams(
             f"crossing search needs n0 > 0 (witness starts above 1/2), "

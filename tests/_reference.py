@@ -496,7 +496,6 @@ def _noise_intensities(model: ObjectLinearModel) -> np.ndarray:
 
 
 def object_full_model(rp: ReducedParams) -> ObjectLinearModel:
-    rp.validate()
     k, D, g1, g2, gm = rp.kappa, rp.Delta, rp.g1, rp.g2, rp.gamma
     drift = np.array([
         [-k,    D,   0.0,  0.0,  0.0, -g1],
@@ -702,6 +701,9 @@ def object_output_covariances(rps: list[ReducedParams], *,
         raise InvalidParams(f"engine must be 'reduced' or 'full', got {engine!r}")
     failures, points = {}, []
     for i, rp in enumerate(rps):
+        if isinstance(rp, SteerkitError):  # the error that refused a point
+            failures[i] = rp
+            continue
         try:
             # the model, its kernels, the gains' dq and, from that dq, the
             # mirror output phase delta tau of mirror_output_phase
@@ -733,6 +735,16 @@ def object_output_covariances(rps: list[ReducedParams], *,
         failures.update((index[j], exc) for j, exc in failed.items())
     out[list(failures)] = math.nan
     return OutputCovariance(labels + extra, out), failures
+
+
+def reduced_or_error(*args, **knobs) -> ReducedParams | SteerkitError:
+    """``reduced_from_ratios(*args, **knobs)``, or the ``SteerkitError``
+    that refuses them, which ``output_covariances`` takes in place of a
+    point, as ``cli._oracle_sweep`` passes it."""
+    try:
+        return reduced_from_ratios(*args, **knobs)
+    except SteerkitError as exc:
+        return exc
 
 
 def object_oracle_sweep(sweep_knobs: list[dict], *, engine: str = "reduced",

@@ -15,7 +15,7 @@ import sys
 import tracemalloc
 import warnings
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -213,23 +213,93 @@ class TestScenarioSchema:
             Scenario.from_dict(doc)
 
     def test_sweep_validation(self):
-        with pytest.raises(ConfigError):
-            Sweep("bogus", 0.0, 1.0, 10).validate()
-        with pytest.raises(ConfigError):
-            Sweep("r", 1.0, 0.0, 10).validate()
-        with pytest.raises(ConfigError):
-            Sweep("r", 0.0, 1.0, 1).validate()
-        with pytest.raises(ConfigError):
-            Sweep("r", 0.0, 1.0, 10, scale="log").validate()
+        # a sweep refuses a bad value when built, directly or through
+        # dataclasses.replace, which builds anew
+        base = Sweep("r", 0.0, 1.0, 10)
+        for edit, message in [
+            ({"variable": "bogus"}, f"sweep variable 'bogus' not in "
+                                    f"{cli.SWEEP_VARIABLES}"),
+            ({"start": 1.0, "stop": 0.0},
+             "sweep range must have start < stop, got [1.0, 0.0]"),
+            ({"points": 1}, "sweep needs >= 2 points, got 1"),
+            ({"stop": math.inf}, "sweep range must be finite, got [0.0, inf]"),
+            ({"start": -1e308, "stop": 1e308}, "sweep range [-1e+308, "
+                                               "1e+308] is wider than the "
+                                               "float range"),
+            ({"scale": "cubic"}, "sweep scale 'cubic' not linear|log"),
+            ({"scale": "log"}, "log sweep needs start > 0"),
+        ]:
+            with pytest.raises(ConfigError) as built:
+                Sweep(**{**vars(base), **edit})
+            with pytest.raises(ConfigError) as replaced:
+                replace(base, **edit)
+            assert str(built.value) == str(replaced.value) == message
 
     def test_mode_requirements(self):
-        with pytest.raises(ConfigError):
-            Scenario(mode="bogus", params={}).validate()
-        with pytest.raises(ConfigError):
-            Scenario(mode="curve", params={}).validate()  # sweep missing
-        with pytest.raises(ConfigError):
-            Scenario(mode="heatmap", params={},
-                     sweep=Sweep("r", 0.0, 1.0, 5)).validate()
+        # as a sweep, a scenario refuses a bad value when built
+        base = tiny_curve_scenario()
+        for edit, message in [
+            ({"mode": "bogus"}, f"mode 'bogus' not in {tuple(cli._MODES)}"),
+            ({"sweep": None}, "mode 'curve' takes one sweep block"),
+            ({"mode": "heatmap"}, "mode 'heatmap' takes a sweep and a "
+                                  "sweep2 block"),
+            ({"seed": -1}, "seed must be in [0, 2**64), got -1"),
+            ({"engine": "magic"}, "engine 'magic' not in "
+                                  "('closedform', 'oracle', 'both')"),
+            ({"params": {"kind": "ratios", "gamma": 0.1}},
+             "unknown ratios params ['gamma']"),
+            ({"tolerances": {"n_tol": 0.5}}, "mode 'curve' reads no "
+                                             "tolerances ['n_tol']; it reads "
+                                             "[]"),
+        ]:
+            with pytest.raises(ConfigError) as built:
+                Scenario(**{**{f.name: getattr(base, f.name)
+                               for f in fields(Scenario)}, **edit})
+            with pytest.raises(ConfigError) as replaced:
+                replace(base, **edit)
+            assert str(built.value) == str(replaced.value) == message
+
+    def test_a_seed_override_is_checked(self, tmp_path, capsys):
+        # --seed replaces the preset's seed, which builds a new, checked
+        # scenario; -1 exits 2 with the seed's message and writes nothing
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["preset", "fig4", "--run", "--seed", "-1",
+                         "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "seed must be in [0, 2**64), got -1"}
+        assert not any(tmp_path.iterdir())
+
+    def test_a_run_checks_each_value_once(self, tmp_path, monkeypatch):
+        # a scenario, its sweep and each sampler point's ReducedParams are
+        # checked once, when built; the params block is parsed when the
+        # scenario is built and once more for its runner
+        counts = dict.fromkeys(("sweep", "scenario", "params", "point"), 0)
+
+        def spy(key, fn):
+            def spied(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return spied
+
+        for key, cls in (("sweep", Sweep), ("scenario", Scenario),
+                         ("point", steerkit.ReducedParams)):
+            monkeypatch.setattr(cls, "__post_init__",
+                                spy(key, cls.__post_init__))
+        mode = cli._MODES["cross-correlation"]
+        monkeypatch.setitem(cli._MODES, "cross-correlation", replace(
+            mode, params=spy("params", mode.params)))
+        sc = Scenario.from_dict({
+            "schema_version": 1, "mode": "cross-correlation",
+            "engine": "both", "trajectories": 1000,
+            "params": {"kind": "ratios", "gamma_over_G": 0.1, "n0": 0.5,
+                       "n": 5.0},
+            "sweep": {"variable": "r", "start": 0.5, "stop": 2.5,
+                      "points": 5}})
+        record = run(sc, output=str(tmp_path / "cc.csv"))
+        assert len(record.points) == 5 and not record.warnings
+        assert counts == {"sweep": 1, "scenario": 1, "params": 2,
+                          "point": 5}
 
     def test_ratio_knobs_are_the_parameters_of_reduced_from_ratios(self):
         # the oracle and sampler runners call reduced_from_ratios(**knobs):
@@ -1099,11 +1169,9 @@ class TestFileFormats:
         checked = [path for stage, path in events if stage == "check"]
         assert events == [("check", path) for path in checked] + [
             ("write", path) for path in checked]
-        suffixes = [f".{fmt}"] + [".contour.csv"] * (var2 == "gamma_over_G") \
-            + [".svg"] * svg
-        assert len(checked) == len(suffixes)
-        assert all(path.startswith("map") and path.endswith(suffix)
-                   for path, suffix in zip(checked, suffixes))
+        # the contour and the chart take the stem less its .csv or .json
+        assert checked == [f"map.{fmt}"] + ["map.contour.csv"] * (
+            var2 == "gamma_over_G") + ["map.svg"] * svg
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(checked)
 
     @pytest.mark.parametrize("name", ["fig3a", "fig4"])

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -77,6 +78,18 @@ class TestSmallPulseLimits:
         r_lo = math.nextafter(SINH_SERIES_R, 0.0)
         assert coherence_factor(r_lo) == pytest.approx(
             coherence_factor(SINH_SERIES_R), rel=4e-15, abs=0.0)
+
+    def test_coherence_factor_raises_no_runtime_warning(self):
+        # r = 0 divides 0 by 0 before its value 0 is put in, sinh overflows
+        # past r ~ 355 and r = inf subtracts inf from inf: none of them
+        # warns, whatever the caller's numpy error state
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            values = [coherence_factor(r) for r in (0.0, 1.0, 400.0, math.inf)]
+            array = coherence_factor(np.array([0.0, 1.0, 400.0]))
+        assert values[0] == 0.0 and values[2] == math.inf
+        assert math.isnan(values[3])
+        assert array.tolist() == [0.0, float(values[1]), math.inf]
 
     def test_moment_set_continuous_at_crossover(self):
         lo = SINH_SERIES_R * (1 - 1e-9)

@@ -23,6 +23,7 @@ from _reference import (
     object_propagate_output_covariance,
     object_reduced_model,
     oracle_point,
+    reduced_or_error,
     symplectic_eigenvalues,
 )
 from steerkit import (
@@ -533,9 +534,9 @@ def one_point(rp, full, which, build, kernels, propagate, numbers):
     return numbers(model) + (oc.mode_labels, oc.sigma.tobytes())
 
 
-# pulse areas up to the overflow edge, and the three refusals: r = 0 (tau
-# must be > 0), r = -1 (no reduced parameters) and r = 360 (the kernel
-# normalization overflows)
+# pulse areas up to the overflow edge, and the three refusals: r = 0 and
+# r = -1 (no reduced parameters: tau must be > 0, r must be >= 0) and r =
+# 360 (the kernel normalization overflows)
 _PULSE_AREAS = st.one_of(st.floats(1e-6, 12.0), st.floats(340.0, 356.0),
                st.sampled_from([0.0, -1.0, 360.0]))
 _KNOBS = st.fixed_dictionaries({
@@ -562,16 +563,18 @@ class TestObjectPath:
         assert new.mode_labels == old.mode_labels
         assert new.sigma.tobytes() == old.sigma.tobytes()
         assert errors(new_failures) == errors(old_failures)
-        # the same points without the ones that make no reduced parameters
-        rps = [reduced_from_ratios(**k) for k in sweep if k["r"] >= 0.0]
+        # the same points, each that makes no reduced parameters (r <= 0)
+        # as its error
+        rps = [reduced_or_error(**k) for k in sweep]
         new, new_failures = output_covariances(rps, engine=engine, which=which)
         old, old_failures = object_output_covariances(rps, engine=engine,
                                                       which=which)
         assert new.sigma.tobytes() == old.sigma.tobytes()
         assert errors(new_failures) == errors(old_failures)
-        # and the first of them through the one-point objects
+        # and the first that makes reduced parameters through the one-point
+        # objects
         full = engine == "full"
-        for rp in rps[:1]:
+        for rp in [rp for rp in rps if isinstance(rp, ReducedParams)][:1]:
             assert one_point(
                 rp, full, which, build_full_model if full
                 else build_reduced_model, output_kernels,

@@ -1,5 +1,6 @@
 """Working point, reduction, and derived quantities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -100,10 +101,21 @@ class TestWorkingPoint:
             derive_working_point(p, tol=1e-15)
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidParams):
-            make_physical(kappa1=-1.0).validate()
-        with pytest.raises(InvalidParams):
-            make_physical(n0=-0.5).validate()
+        # a physical parameter set refuses a bad value when built, directly
+        # or through dataclasses.replace, which builds anew
+        bad = [*((name, value, f"{name} must be > 0, got {value!r}")
+                 for name in ("omega1", "omega2", "omega_m", "omega_L",
+                              "kappa1", "kappa2", "gamma", "tau")
+                 for value in (0.0, -1.0, math.nan)),
+               *((name, value, f"{name} must be >= 0, got {value!r}")
+                 for name in ("g01", "g02", "E1", "E2", "n0", "n")
+                 for value in (-0.5, math.nan))]
+        for name, value, message in bad:
+            with pytest.raises(InvalidParams) as built:
+                make_physical(**{name: value})
+            with pytest.raises(InvalidParams) as replaced:
+                dataclasses.replace(make_physical(), **{name: value})
+            assert str(built.value) == str(replaced.value) == message
         with pytest.raises(InvalidParams):
             derive_working_point(make_physical(), tol=0.0)
 
@@ -171,6 +183,23 @@ class TestDerivedQuantities:
         dq = derived_quantities(self.chan11_reduced())
         assert dq.delta == 0.0
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("kappa", 0.0, "kappa must be > 0, got 0.0"),
+        ("gamma", -0.1, "gamma must be >= 0, got -0.1"),
+        ("tau", 0.0, "tau must be > 0, got 0.0"),
+        *((name, math.nan, f"{name} must be >= 0, got nan")
+          for name in ("g1", "g2", "n0", "n")),
+        ("Delta", math.inf, "Delta must be finite, got inf")])
+    def test_invalid_parameters_are_refused_when_built(self, name, value,
+                                                       message):
+        # directly, or through dataclasses.replace, which builds anew
+        rp = self.chan11_reduced()
+        with pytest.raises(InvalidParams) as built:
+            ReducedParams(**{**vars(rp), name: value})
+        with pytest.raises(InvalidParams) as replaced:
+            dataclasses.replace(rp, **{name: value})
+        assert str(built.value) == str(replaced.value) == message
+
     def test_gain_must_be_positive(self):
         rp = ReducedParams(g1=1.0, g2=1.0, kappa=100.0, Delta=0.0,
                            gamma=1.0, n0=0.0, n=0.0, tau=1.0)
@@ -229,6 +258,17 @@ class TestRatioConstructors:
             reduced_from_ratios(-1.0, 0.1)
         with pytest.raises(InvalidParams):
             reduced_from_ratios(1.0, -0.1)
+        # tau = r, so a pulse area of 0 or NaN makes no ReducedParams: its
+        # constructor refuses them, as it refuses a negative occupation
+        for args, knobs, message in [
+                ((0.0, 0.1), {}, "tau must be > 0, got 0.0"),
+                ((math.nan, 0.1), {}, "tau must be > 0, got nan"),
+                ((1.0, math.nan), {}, "gamma must be >= 0, got nan"),
+                ((1.0, 0.1), {"n0": -0.5}, "n0 must be >= 0, got -0.5"),
+                ((1.0, 0.1), {"n": -1.0}, "n must be >= 0, got -1.0")]:
+            with pytest.raises(InvalidParams) as exc:
+                reduced_from_ratios(*args, **knobs)
+            assert str(exc.value) == message
         for ratio in (-1.0, math.nan):
             with pytest.raises(InvalidParams, match=f"G1_over_G2 must be "
                                                     f">= 0, got {ratio!r}"):

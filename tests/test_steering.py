@@ -15,6 +15,7 @@ from _reference import (
     one_round_contour,
     optimal_gain,
     oracle_point,
+    reduced_or_error,
     sup_threshold,
     threshold_search,
 )
@@ -23,7 +24,6 @@ from steerkit import (
     collective_steering_value,
     noise_threshold,
     r_crossing,
-    reduced_from_ratios,
     single_steering_value,
     steering_product,
     steering_region,
@@ -61,6 +61,13 @@ def two_mode_squeezed(s: float) -> OutputCovariance:
         [0.0, -q, 0.0, c],
     ])
     return OutputCovariance(("alice", "bob"), sigma)
+
+
+# arguments that are not real numbers, which the float-only arguments of
+# noise_threshold and r_crossing refuse, as threshold_r does
+_NOT_FLOATS = [[0.1], (0.1,), np.array([0.1]), np.array(0.1), "0.1", None,
+               1 + 2j]
+_NOT_FLOAT_IDS = ["list", "tuple", "array", "0-d", "str", "None", "complex"]
 
 
 class TestInferredVariance:
@@ -209,8 +216,10 @@ class TestSteeringProduct:
     def test_stack_cells_are_the_float_calls(self, rs, x, ratio, engine,
                                              roles):
         # each cell of the stacked read keeps every bit of the one-point
-        # float call; a refused point's slice and cell read NaN
-        rps = [reduced_from_ratios(r, x, G1_over_G2=ratio, n0=0.5, n=5.0)
+        # float call; a refused point's slice and cell read NaN, also
+        # where r = 0 makes no reduced parameters and its error goes in
+        # in its place
+        rps = [reduced_or_error(r, x, G1_over_G2=ratio, n0=0.5, n=5.0)
                for r in rs]
         stack, failures = output_covariances(rps, engine=engine)
         E = steering_product(stack, *roles)
@@ -454,8 +463,26 @@ class TestSearchTermination:
         with pytest.raises(InvalidParams):
             noise_threshold(0.1, 0.0, r_max)
 
+    @pytest.mark.parametrize("name", ["n0", "r_max", "tol"])
+    @pytest.mark.parametrize("value", _NOT_FLOATS, ids=_NOT_FLOAT_IDS)
+    def test_takes_floats_only_but_for_gamma_over_G(self, name, value):
+        # as threshold_r: a typed refusal, not a TypeError or ValueError of
+        # the arithmetic
+        args = {"n0": 0.0, "r_max": R_MAX, "tol": 0.5, name: value}
+        with pytest.raises(InvalidParams) as exc:
+            noise_threshold(0.1, **args)
+        assert str(exc.value) == f"{name} must be a float, got {value!r}"
+
 
 class TestPulseAreaCrossing:
+    @pytest.mark.parametrize("name", ["gamma_over_G", "n0", "n"])
+    @pytest.mark.parametrize("value", _NOT_FLOATS, ids=_NOT_FLOAT_IDS)
+    def test_takes_floats_only(self, name, value):
+        args = {"gamma_over_G": 0.1, "n0": 5.0, "n": 5.0, name: value}
+        with pytest.raises(InvalidParams) as exc:
+            r_crossing(**args)
+        assert str(exc.value) == f"{name} must be a float, got {value!r}"
+
     def test_undamped_crossing_matches_analytic_threshold(self):
         for n0 in (0.5, 5.0, 50.0):
             r = r_crossing(0.0, n0, 0.0)
