@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import math
 import numbers
@@ -29,6 +28,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto (3.5 MB resident on x86-64 Linux) for
+# the one hash used here; the interpreter's built-in SHA-256 gives the same
+# digests
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, closedform, dynamics, steering
 from .errors import ConfigError, SteerkitError
@@ -291,7 +301,7 @@ class Scenario:
     def digest(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
 
 @dataclass
@@ -784,7 +794,7 @@ def _run_cross_correlation(sc: Scenario, base: dict, tol: dict):
                     rp, full=False, which=(dynamics.A_1_OUT, dynamics.A_2_OUT))
                 # hashing (seed, point index) keeps scenarios at adjacent
                 # seeds from sharing streams
-                seed = int.from_bytes(hashlib.sha256(
+                seed = int.from_bytes(sha256(
                     f"{sc.seed}:{i}".encode()).digest()[:8], "little")
                 oc = dynamics.monte_carlo_output_covariance(
                     model, kernels, rp.tau, sc.trajectories, seed,

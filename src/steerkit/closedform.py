@@ -16,13 +16,15 @@ a numpy array, a list or a tuple, ``_array_call``) broadcasts its
 arguments, evaluates the factors of r alone on r's own axes and those of
 the knobs on theirs, and is NaN on every cell outside the domain or past
 the float range; a float call is one cell of the same expression, with
-the same bits.  What refuses a NaN cell follows from its arguments alone
-(``_refusal``): the domain check's ``InvalidParams``, else the function's
-error for a cell past the float range.  A float call raises it, and a
-caller of the array form reads it for a NaN cell without evaluating the
-cell again.  The branches of the one small-r series are chosen per call
-from the bounds of the r it is given (``_branches``), here alone, under one
-numpy error state.
+the same bits.  Any other argument, a numeric string or a list of them
+included, is refused with ``InvalidParams`` before any arithmetic
+(``_real_arrays``).  What refuses a NaN cell follows from its arguments
+alone (``_refusal``): the domain check's ``InvalidParams``, else the
+function's error for a cell past the float range.  A float call raises
+it, and a caller of the array form reads it for a NaN cell without
+evaluating the cell again.  The branches of the one small-r series are
+chosen per call from the bounds of the r it is given (``_branches``),
+here alone, under one numpy error state.
 
 Conventions: symmetric (Weyl) ordering, vacuum variance 1/2, quadratures
 ``X = (a + a^dag)/sqrt(2)`` and ``P = (a - a^dag)/(i sqrt(2))``.  By the
@@ -103,7 +105,8 @@ def gain_filter_ratio(r):
     that no intermediate leaves the float range at any r; 2 at r = 0.
     ``expm1`` keeps it within 2 ulps of mpmath (1.31 measured) at every
     r > 0.  Floats, numpy arrays, lists and tuples alike, as a numpy
-    array."""
+    array; anything else raises ``InvalidParams`` (``_real_arrays``)."""
+    _real_arrays(r=r)
     r = np.asarray(r, dtype=float)
     return np.divide(4.0 * r, -np.expm1(-2.0 * r),
                      out=np.full(np.shape(r), 2.0), where=r != 0.0)
@@ -122,8 +125,10 @@ def coherence_factor(r):
     numpy arrays, lists and tuples alike, each branch built only where r's
     bounds reach it, under its own numpy error state: r = 0 divides 0 by 0
     before its value 0 is put in, and ``sinh`` overflows past r ~ 355, so
-    it raises no ``RuntimeWarning``.
+    it raises no ``RuntimeWarning``.  Anything else raises
+    ``InvalidParams`` (``_real_arrays``).
     """
+    _real_arrays(r=r)
     r = np.asarray(r, dtype=float)
     r_lo, r_hi = _bounds(r)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -191,6 +196,24 @@ def _reals(**args) -> None:
             raise InvalidParams(f"{name} must be a float, got {v!r}")
 
 
+def _real_arrays(**args) -> None:
+    """Refuse the first of ``args`` that is neither a real number (as
+    ``_reals`` takes one) nor an array, a list or a tuple of a real numpy
+    dtype (kinds ``b``, ``i``, ``u`` and ``f``), such as a string, None, a
+    complex number, a list holding one or a ragged list: ``InvalidParams``
+    ``<name> must be a float or an array of floats, got <value>``.  A
+    numeric string is refused, not parsed."""
+    for name, v in args.items():
+        try:
+            real = isinstance(v, numbers.Real) \
+                or np.asarray(v).dtype.kind in "biuf"
+        except ValueError:  # numpy refuses a ragged list
+            real = False
+        if not real:
+            raise InvalidParams(
+                f"{name} must be a float or an array of floats, got {v!r}")
+
+
 def _array_call(*args) -> bool:
     """Whether a call of a float-or-array function is an array call: an
     argument is a numpy array (0-d included) or has ``np.ndim > 0``, as a
@@ -199,20 +222,24 @@ def _array_call(*args) -> bool:
                or not isinstance(v, float) and np.ndim(v) > 0 for v in args)
 
 
-def _evaluate(cells, args, kind):
+def _evaluate(cells, kind, **args):
     """A call of the closed-form function whose arithmetic is ``cells(r,
-    *knobs, ok)``, with ``args = (r, gamma_over_G, n0, n, ...)`` and
-    ``kind`` its ``(domain, error)``.
+    *knobs, ok)``, with ``kind`` its ``(domain, error)`` and ``args`` its
+    arguments by name, in the order ``r, gamma_over_G, n0, n, ...``.
 
-    The arguments broadcast by numpy's rules, each evaluated on its own
-    axes (an axis that a broadcast view repeats, stride 0, counts once; a
-    0-d knob is a float, which numpy combines with arrays faster), with
-    ``ok`` the cells whose ``(gamma_over_G, n0, n)`` are not negative or
-    NaN.  An array call (``_array_call``) returns the arguments'
-    broadcast shape followed by that of one cell.  A float call is that
-    one cell, a Python float for a cell of one value, and raises
-    ``_refusal(args, kind)`` where the cell is NaN.
+    An argument that is not a real number or an array of them is refused
+    (``_real_arrays``) before any arithmetic.  The arguments broadcast by
+    numpy's rules, each evaluated on its own axes (an axis that a
+    broadcast view repeats, stride 0, counts once; a 0-d knob is a float,
+    which numpy combines with arrays faster), with ``ok`` the cells whose
+    ``(gamma_over_G, n0, n)`` are not negative or NaN.  An array call
+    (``_array_call``) returns the arguments' broadcast shape followed by
+    that of one cell.  A float call is that one cell, a Python float for
+    a cell of one value, and raises ``_refusal(args, kind)`` where the
+    cell is NaN.
     """
+    _real_arrays(**args)
+    args = tuple(args.values())
     array = _array_call(*args)
     arrays = [np.asarray(v, dtype=float) for v in args]
     r, x, n0, n, *rest = [_own_axes(arrays[0])] + [
@@ -273,8 +300,8 @@ def output_block(r, gamma_over_G, n0, n, *, G1_over_G2=1.0) -> np.ndarray:
     raises ``InvalidParams`` outside the domain and, naming r, where that
     cell is NaN.
     """
-    return _evaluate(_block_cells, (r, gamma_over_G, n0, n, G1_over_G2),
-                     _MOMENTS)
+    return _evaluate(_block_cells, _MOMENTS, r=r, gamma_over_G=gamma_over_G,
+                     n0=n0, n=n, G1_over_G2=G1_over_G2)
 
 
 def _block_cells(r, x, n0, n, ratio, ok=True) -> np.ndarray:
@@ -329,7 +356,7 @@ def _w_moments(r, x, n0, n) -> tuple:
     outside the domain or where one is not a finite float, where a float
     call raises ``InvalidParams``.  W is no mode of that block: it carries
     the mirror's bath input (``collective_steering_value``)."""
-    W = _evaluate(_w_cells, (r, x, n0, n), _MOMENTS)
+    W = _evaluate(_w_cells, _MOMENTS, r=r, gamma_over_G=x, n0=n0, n=n)
     return tuple(np.moveaxis(W, -1, 0))
 
 
@@ -389,9 +416,12 @@ def collective_steering_value(r, gamma_over_G, n0, n):
     float call does.  A cell outside the domain (a negative or NaN
     argument) or past the float range is NaN.  A float call is one cell:
     it raises ``InvalidParams`` outside the domain and
-    ``DegenerateVariance`` where the cell is not a finite float.
+    ``DegenerateVariance`` where the cell is not a finite float.  An
+    argument that is neither a real number nor an array, list or tuple of
+    a real dtype, a numeric string included, raises ``InvalidParams``.
     """
-    return _evaluate(_collective, (r, gamma_over_G, n0, n), _WITNESS)
+    return _evaluate(_collective, _WITNESS, r=r, gamma_over_G=gamma_over_G,
+                     n0=n0, n=n)
 
 
 def _collective(r, x, n0, n, ok=True) -> np.ndarray:
@@ -493,8 +523,8 @@ def single_steering_value(r, gamma_over_G, n0, n, Gj_over_G):
     call is one cell: it raises ``InvalidParams`` outside the domain and
     ``DegenerateVariance`` where the cell is not a finite float.
     """
-    return _evaluate(_single_cells, (r, gamma_over_G, n0, n, Gj_over_G),
-                     _SINGLE)
+    return _evaluate(_single_cells, _SINGLE, r=r, gamma_over_G=gamma_over_G,
+                     n0=n0, n=n, Gj_over_G=Gj_over_G)
 
 
 def _single_cells(r, x, n0, n, f, ok=True) -> np.ndarray:
@@ -573,8 +603,10 @@ def max_occupation(r: float | np.ndarray, gamma_over_G: float | np.ndarray,
 
     Needs r > 0 and gamma/G > 0.  Accepts numpy arrays, lists and tuples
     as ``collective_steering_value`` does (``_array_call``): out-of-domain
-    cells are NaN, where the float call raises ``InvalidParams``.
+    cells are NaN, where the float call raises ``InvalidParams``; so does
+    an argument that is not real (``_real_arrays``).
     """
+    _real_arrays(r=r, gamma_over_G=gamma_over_G, n0=n0)
     x = gamma_over_G
     # an array call takes a list or tuple as an array; a float stays a
     # float, which numpy combines with arrays faster

@@ -295,10 +295,13 @@ def mirror_output_phase(rp: ReducedParams) -> float:
 
 def _quad_index(mode_labels: tuple[str, ...], label: str, quad: str) -> int:
     """Row of quadrature ``quad`` of mode ``label`` in the two-rows-per-mode
-    layout of ``mode_labels``."""
+    layout of ``mode_labels``; a ``quad`` other than ``"X"`` or ``"P"``
+    raises ``InvalidParams``."""
     if label not in mode_labels:
         raise MissingModes(f"mode {label!r} not in covariance "
                            f"(have {list(mode_labels)})")
+    if quad not in ("X", "P"):
+        raise InvalidParams(f"quadrature must be 'X' or 'P', got {quad!r}")
     return 2 * mode_labels.index(label) + (0 if quad == "X" else 1)
 
 

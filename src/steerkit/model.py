@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .closedform import _reals
 from .errors import (
     AsymmetricDamping,
     GainNotPositive,
@@ -396,10 +397,13 @@ def reduced_from_ratios(r: float, gamma_over_G: float, *,
     time unit, so ``tau = r`` exactly, and distributes ``G1 + G2 = 1 +
     gamma_over_G`` according to ``G1_over_G2``.  The cavity scale ``kappa``
     only sets how deep in the adiabatic regime the companion full model is.
-    Raises ``InvalidParams`` when a rate leaves the float range, or when
-    the parameters are not valid ``ReducedParams`` (``r = 0`` gives
-    ``tau = 0``).
+    Raises ``InvalidParams`` when an argument is not a real number
+    (``numbers.Real``: a numeric string is refused, not parsed), when a
+    rate leaves the float range, or when the parameters are not valid
+    ``ReducedParams`` (``r = 0`` gives ``tau = 0``).
     """
+    _reals(r=r, gamma_over_G=gamma_over_G, G1_over_G2=G1_over_G2, n0=n0,
+           n=n, Delta_over_kappa=Delta_over_kappa, kappa=kappa)
     if r < 0:
         raise InvalidParams(f"r must be >= 0, got {r!r}")
     if gamma_over_G < 0:

@@ -25,6 +25,7 @@ from .closedform import (
     _coefficients,
     _collective_cells,
     _domain_error,
+    _real_arrays,
     _reals,
     collective_steering_value,
     max_occupation,
@@ -114,9 +115,10 @@ def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
     and the sum are exact, so these are the search's bits.
 
     ``gamma_over_G`` is a float or, for an array call
-    (``closedform._array_call``), a numpy array, a list or a tuple; the
-    other arguments are real numbers (``numbers.Real``), and anything else
-    raises ``InvalidParams``.  A float call raises its cell's refusal
+    (``closedform._array_call``), a numpy array, a list or a tuple of a
+    real dtype; the other arguments are real numbers (``numbers.Real``),
+    and anything else, a numeric string included, raises
+    ``InvalidParams``.  A float call raises its cell's refusal
     (``_threshold_refusal``): ``InvalidParams`` for arguments outside the
     domain, and ``NoThreshold`` when n* < 0, so even n = 0 fails (too much
     damping, or a warm mirror: with n0 > 0 the witness tends to n0 + 1/2 >
@@ -125,6 +127,7 @@ def noise_threshold(gamma_over_G, n0: float, r_max: float = R_MAX,
     bound).  An array call is NaN on each refused cell.
     """
     _reals(n0=n0, r_max=r_max, tol=tol)
+    _real_arrays(gamma_over_G=gamma_over_G)
     x = np.asarray(gamma_over_G, dtype=float)
     n_star, refused = _threshold_refusal(x, n0, r_max, tol)
     array = _array_call(gamma_over_G)
@@ -254,11 +257,12 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     grid's shape, so that no argument is copied to the grid's shape and
     the call's r still counts the grid's cells, as ``benchmark/tracer.py``
     counts a witness call's evaluations: NaN where an argument leaves the
-    domain (a negative r, gamma/G, n0 or n).  Both grids are 1-D, and the
-    r grid must increase strictly.  The contour is found per damping-ratio
-    row by bisection between adjacent finite cells with opposite sign of
-    E - 1/2; NaN cells never join it, and a cell where E is exactly 1/2
-    joins it as it is.
+    domain (a negative r, gamma/G, n0 or n).  Both grids are 1-D arrays,
+    lists or tuples of a real dtype, and the r grid must increase
+    strictly; other grids raise ``InvalidParams``.  The contour is found
+    per damping-ratio row by bisection between adjacent finite cells with
+    opposite sign of E - 1/2; NaN cells never join it, and a cell where E
+    is exactly 1/2 joins it as it is.
     All crossing cells are bisected together.  The factors of the witness
     that do not depend on r are computed once (``closedform._coefficients``),
     so a round evaluates only its r-dependent part; a midpoint where it is
@@ -280,6 +284,7 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     grid end's is the grid cell's, which rounds as the pass does), so the
     round keeps both ends.
     """
+    _real_arrays(r_grid=r_grid, gamma_over_G_grid=gamma_over_G_grid)
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
     if rs.ndim != 1 or xs.ndim != 1:

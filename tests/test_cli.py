@@ -2310,6 +2310,52 @@ def test_python_dash_m_runs_the_cli_module(tmp_path):
     assert outputs["steerkit.cli"] == outputs["steerkit"]
 
 
+# run in a fresh interpreter, as pytest and hypothesis import hashlib
+# themselves: a closed-form and an oracle run, then the digests of the
+# scenarios on stdin, with the modules loaded by then
+FOOTPRINT_SCRIPT = """
+import json, sys
+from steerkit.cli import Scenario, main
+out, config = sys.argv[1:]
+codes = [main(["preset", "fig4", "--run", "--output", out + "/fig4.csv"]),
+         main(["validate", "--config", config, "--output", out + "/vo.csv"])]
+digests = [Scenario.from_dict(doc).digest() for doc in json.load(sys.stdin)]
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+print(json.dumps({"codes": codes, "digests": digests, "loaded": loaded}))
+"""
+
+
+def test_a_closed_form_or_oracle_run_loads_no_openssl(tmp_path):
+    """A closed-form run (the fig4 preset) and an oracle run (a small
+    validate-oracle sweep) import neither ``hashlib`` nor ``_hashlib``, the
+    module that loads OpenSSL: a scenario's digest is the interpreter's
+    built-in SHA-256, and equals ``hashlib.sha256`` of its canonical JSON.
+    A sampler run is exempt: ``numpy.random`` imports ``secrets``, which
+    imports ``hmac``, which loads ``_hashlib``."""
+    oracle = replace(TestFileFormats.VALIDATE_ORACLE,
+                     sweep=Sweep("r", 0.5, 3.0, 6))
+    config = tmp_path / "vo.json"
+    config.write_text(oracle.to_json())
+    scenarios = [PRESETS[name]() for name in ("fig3a", "fig3b", "inset",
+                                              "fig4")] + [
+        oracle, tiny_curve_scenario(), TestFileFormats.BIG_HEATMAP,
+        TestFileFormats.CLOSED_CROSS_CORRELATION,
+        Scenario(mode="cross-correlation", engine="both",
+                 params={"kind": "ratios", "gamma_over_G": 0.1},
+                 sweep=Sweep("r", 0.5, 1.0, 2), seed=7, trajectories=2000)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), str(config)],
+        input=json.dumps([sc.to_dict() for sc in scenarios]),
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0] and got["loaded"] == []
+    canon = [json.dumps(sc.to_dict(), sort_keys=True, separators=(",", ":"))
+             for sc in scenarios]
+    assert got["digests"] == [hashlib.sha256(c.encode()).hexdigest()
+                              for c in canon]
+
+
 # stdout of scripts/feasibility.py: it reads r_crossing and prints the
 # search-cap message of noise_threshold, so it pins both searches' settings
 FEASIBILITY_STDOUT = "\n".join([

@@ -366,6 +366,13 @@ def accuracy_draws(size: int = 3000):
 
 KNOB = st.floats(0.2, 5.0) | st.floats(-1.0, 0.0) | st.just(math.nan)
 
+# values that are neither a real number nor an array of a real dtype
+NOT_REAL = ["1.0", np.str_("1.0"), None, 1j, np.array("1.0"), ["1.0"],
+            (0.5, "1.0"), [None], np.array([1j]), [0.5, None], [[0.5], 1.0]]
+NOT_REAL_IDS = ["str", "np-str", "None", "complex", "0-d-str", "str-list",
+                "str-tuple", "None-list", "complex-array", "mixed-list",
+                "ragged"]
+
 
 class TestArrayForms:
     """``output_block``, ``_w_moments`` and both witnesses take arrays, and
@@ -456,6 +463,26 @@ class TestArrayForms:
             with np.errstate(all="ignore"):  # r = 0 divides 0 by 0
                 expect, got = factor(np.array(rs)), factor(seq(rs))
             assert (hexes(got) == hexes(expect)).all()
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_takes_real_numbers_and_arrays_only(self, value):
+        # a numeric string was parsed as its number, and None, a complex,
+        # a list of them or a ragged list ended in an untyped TypeError or
+        # ValueError
+        knobs = {"gamma_over_G": 0.1, "n0": 0.5, "n": 5.0}
+        for call, args in (
+                (output_block, {**knobs, "G1_over_G2": 1.5}),
+                (lambda r, gamma_over_G, n0, n: closedform._w_moments(
+                    r, gamma_over_G, n0, n), knobs),
+                (collective_steering_value, knobs),
+                (single_steering_value, {**knobs, "Gj_over_G": 0.4}),
+                (closedform.max_occupation, {"gamma_over_G": 0.1, "n0": 0.0}),
+                (gain_filter_ratio, {}), (coherence_factor, {})):
+            for name in ("r", *args):
+                with pytest.raises(InvalidParams) as exc:
+                    call(**{"r": 1.0, **args, name: value})
+                assert str(exc.value) == (f"{name} must be a float or an "
+                                          f"array of floats, got {value!r}")
 
     def test_views_and_float_knobs(self):
         # a broadcast view of r is evaluated once per distinct r, and float

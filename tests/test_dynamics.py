@@ -682,6 +682,21 @@ class TestCollectiveModes:
             - oc.covariance((A_1_OUT, "X"), (A_2_OUT, "X"))
         assert oc.variance(U_OUT) == pytest.approx(manual, rel=1e-9)
 
+    @pytest.mark.parametrize("quad", ["Y", "x", "p", "Q", "", None])
+    def test_unknown_quadrature_rejected(self, quad):
+        # any quad but "X" was read as P: index 3, the P variance and the
+        # X-P entry, each a plausible wrong number
+        oc = OutputCovariance((A_M_OUT, A_1_OUT),
+                              np.arange(16.0).reshape(4, 4))
+        message = f"quadrature must be 'X' or 'P', got {quad!r}"
+        for call in (lambda: oc.index(A_1_OUT, quad),
+                     lambda: oc.variance(A_M_OUT, quad),
+                     lambda: oc.covariance((A_M_OUT, "X"), (A_1_OUT, quad))):
+            with pytest.raises(InvalidParams) as exc:
+                call()
+            assert str(exc.value) == message
+        assert [oc.index(A_1_OUT, q) for q in "XP"] == [2, 3]
+
     def test_missing_modes_rejected(self):
         oc = OutputCovariance((A_M_OUT,), np.eye(2))
         with pytest.raises(MissingModes):

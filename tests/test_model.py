@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,17 @@ class TestRatioConstructors:
         zero, inf = (reduced_from_ratios(1.0, 0.1, G1_over_G2=ratio)
                      for ratio in (0.0, math.inf))
         assert (zero.g1, zero.g2) == (inf.g2, inf.g1) and zero.g1 == 0.0
+
+    @pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(1.0)],
+                             ids=["str", "None", "complex", "list", "0-d"])
+    @pytest.mark.parametrize("name", ["r", "gamma_over_G", "G1_over_G2", "n0",
+                                      "n", "Delta_over_kappa", "kappa"])
+    def test_takes_real_numbers_only(self, name, value):
+        # a string, None or a complex ended in an untyped TypeError
+        args = {"r": 1.0, "gamma_over_G": 0.1, name: value}
+        with pytest.raises(InvalidParams) as exc:
+            reduced_from_ratios(**args)
+        assert str(exc.value) == f"{name} must be a float, got {value!r}"
 
     @pytest.mark.parametrize("kappa, message", [
         (0.0, "kappa must be > 0"), (-1.0, "kappa must be > 0"),

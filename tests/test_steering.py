@@ -68,6 +68,11 @@ def two_mode_squeezed(s: float) -> OutputCovariance:
 _NOT_FLOATS = [[0.1], (0.1,), np.array([0.1]), np.array(0.1), "0.1", None,
                1 + 2j]
 _NOT_FLOAT_IDS = ["list", "tuple", "array", "0-d", "str", "None", "complex"]
+# neither a real number nor an array, list or tuple of a real dtype
+_NOT_REAL = ["0.1", None, 1j, ["0.1"], ("0", "1"), np.array(["0.1"]),
+             [None], [0.1, 1j], [[0.1], 0.2]]
+_NOT_REAL_IDS = ["str", "None", "complex", "str-list", "str-tuple",
+                 "str-array", "None-list", "complex-list", "ragged"]
 
 
 class TestInferredVariance:
@@ -473,6 +478,15 @@ class TestSearchTermination:
             noise_threshold(0.1, **args)
         assert str(exc.value) == f"{name} must be a float, got {value!r}"
 
+    @pytest.mark.parametrize("value", _NOT_REAL, ids=_NOT_REAL_IDS)
+    def test_takes_real_gamma_over_G_only(self, value):
+        # a numeric string, or a list of them, was parsed as its numbers,
+        # and a ragged list ended in numpy's ValueError
+        with pytest.raises(InvalidParams) as exc:
+            noise_threshold(value, 0.0)
+        assert str(exc.value) == ("gamma_over_G must be a float or an array "
+                                  f"of floats, got {value!r}")
+
 
 class TestPulseAreaCrossing:
     @pytest.mark.parametrize("name", ["gamma_over_G", "n0", "n"])
@@ -603,6 +617,17 @@ class TestSteeringRegion:
         # grid in "too many values to unpack"
         with pytest.raises(InvalidParams, match="1-D"):
             steering_region(rs, xs, 0.5, 5.0)
+
+    @pytest.mark.parametrize("value", _NOT_REAL, ids=_NOT_REAL_IDS)
+    @pytest.mark.parametrize("name", ["r_grid", "gamma_over_G_grid"])
+    def test_takes_real_grids_only(self, name, value):
+        # a grid of numeric strings was parsed as its numbers, and a
+        # ragged one ended in numpy's ValueError
+        grids = {"r_grid": [0.0, 1.0], "gamma_over_G_grid": [0.1], name: value}
+        with pytest.raises(InvalidParams) as exc:
+            steering_region(**grids, n0=0.0, n=0.0)
+        assert str(exc.value) == (f"{name} must be a float or an array of "
+                                  f"floats, got {value!r}")
 
 
 # the map of many crossings: 21 contour points, each bracket down to
