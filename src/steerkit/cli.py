@@ -570,15 +570,6 @@ class _GridPoints(Sequence):
         return {self.var1: self.v1[j], self.var2: self.v2[i],
                 "E": float(self.E[i, j])}
 
-    # ``Sequence.__iter__`` gives the same dicts through ``__getitem__``;
-    # this row walk writes fig4's JSON in 229-230 ms, against 252-253 ms
-    # without it (2-core x86 machine, min of 7 runs)
-    def __iter__(self):
-        var1, var2 = self.var1, self.var2
-        for x2, row in zip(self.v2, self.E.tolist()):
-            for x1, e in zip(self.v1, row):
-                yield {var1: x1, var2: x2, "E": e}
-
 
 def _has_contour(sc: Scenario) -> bool:
     """Whether a run of ``sc`` has an E = 1/2 contour, and so writes

@@ -188,25 +188,25 @@ def _refusal(args: tuple, kind: tuple) -> SteerkitError:
 
 def _reals(**args) -> None:
     """Refuse the first of ``args`` that is not a real number
-    (``numbers.Real``, numpy's included), such as an array, a list, a
-    string, None or a complex number: ``InvalidParams`` ``<name> must be a
-    float, got <value>``."""
+    (``numbers.Real``, numpy's included, but for a bool), such as a bool,
+    an array, a list, a string, None or a complex number: ``InvalidParams``
+    ``<name> must be a float, got <value>``."""
     for name, v in args.items():
-        if not isinstance(v, numbers.Real):
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise InvalidParams(f"{name} must be a float, got {v!r}")
 
 
 def _real_arrays(**args) -> None:
     """Refuse the first of ``args`` that is neither a real number (as
     ``_reals`` takes one) nor an array, a list or a tuple of a real numpy
-    dtype (kinds ``b``, ``i``, ``u`` and ``f``), such as a string, None, a
-    complex number, a list holding one or a ragged list: ``InvalidParams``
-    ``<name> must be a float or an array of floats, got <value>``.  A
-    numeric string is refused, not parsed."""
+    dtype (kinds ``i``, ``u`` and ``f``), such as a bool, a string, None, a
+    complex number, a list holding one, a bool array or a ragged list:
+    ``InvalidParams`` ``<name> must be a float or an array of floats, got
+    <value>``.  A numeric string is refused, not parsed."""
     for name, v in args.items():
         try:
-            real = isinstance(v, numbers.Real) \
-                or np.asarray(v).dtype.kind in "biuf"
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool) \
+                or np.asarray(v).dtype.kind in "iuf"
         except ValueError:  # numpy refuses a ragged list
             real = False
         if not real:

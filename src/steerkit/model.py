@@ -193,8 +193,7 @@ class DerivedQuantities:
         return self.gamma / self.G
 
 
-def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
-                         ) -> WorkingPoint:
+def derive_working_point(p: PhysicalParams, *, tol: float) -> WorkingPoint:
     """Solve the classical self-consistency for the driven working point.
 
     The fixed point couples the static mirror displacement to the cavity
@@ -206,7 +205,9 @@ def derive_working_point(p: PhysicalParams, tol: float = 1e-12,
 
     Damped Picard iteration on ``x_s``, with a bisection fallback on the
     scalar self-consistency equation (the displacement map is bounded, so a
-    bracket always exists).  Each stage runs at most ``MAX_ITER`` steps.
+    bracket always exists).  Each stage runs at most ``MAX_ITER`` steps and
+    stops once a step of ``x_s``, or the bracket, is below ``tol``, which
+    has no default: the working-point mode passes its ``fixed_point_tol``.
 
     Raises
     ------

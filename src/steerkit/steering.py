@@ -258,8 +258,9 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     the call's r still counts the grid's cells, as ``benchmark/tracer.py``
     counts a witness call's evaluations: NaN where an argument leaves the
     domain (a negative r, gamma/G, n0 or n).  Both grids are 1-D arrays,
-    lists or tuples of a real dtype, and the r grid must increase
-    strictly; other grids raise ``InvalidParams``.  The contour is found
+    lists or tuples of a real dtype, the r grid must increase strictly,
+    and n0 and n are real numbers (``closedform._reals``); other arguments
+    raise ``InvalidParams``.  The contour is found
     per damping-ratio row by bisection between adjacent finite cells with
     opposite sign of E - 1/2; NaN cells never join it, and a cell where E
     is exactly 1/2 joins it as it is.
@@ -285,6 +286,7 @@ def steering_region(r_grid, gamma_over_G_grid, n0: float, n: float,
     round keeps both ends.
     """
     _real_arrays(r_grid=r_grid, gamma_over_G_grid=gamma_over_G_grid)
+    _reals(n0=n0, n=n)
     rs = np.asarray(r_grid, dtype=float)
     xs = np.asarray(gamma_over_G_grid, dtype=float)
     if rs.ndim != 1 or xs.ndim != 1:

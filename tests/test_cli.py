@@ -2,6 +2,7 @@
 
 import ast
 import base64
+import csv
 import hashlib
 import importlib.util
 import inspect
@@ -422,8 +423,9 @@ class TestCurveRuns:
                              {"label": "cold", "n": 0.0}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            text = csv_text(run(sc), tmp_path)
-        assert text.split("\n", 2)[2] == (
+            record = run(sc)
+        assert record.exit_code == 0
+        assert csv_text(record, tmp_path).split("\n", 2)[2] == (
             "# warning: point 0 (r=353, warm): n0 must be >= 0, got -1.0\n"
             "# warning: point 1 (r=354, warm): n0 must be >= 0, got -1.0\n"
             "# warning: point 2 (r=355, warm): n0 must be >= 0, got -1.0\n"
@@ -808,6 +810,14 @@ class TestOtherModes:
         assert record.exit_code == 0
         assert record.summary["validated"]
         assert record.summary["max_rel_discrepancy"] < 1e-6
+        # at small r, a hot bath and strong damping, the mirror-field
+        # moments and cavity 1's witness agree to a few ulps
+        record = run(replace(sc, params={
+            "kind": "ratios", "gamma_over_G": 3.0, "n0": 0.0, "n": 1e6},
+            sweep=Sweep("r", 1e-8, 1e-4, 5, scale="log")))
+        assert record.exit_code == 0 and len(record.points) == 5
+        assert max(p[c] for p in record.points for c in (
+            "rel_cov_Xm_P1", "rel_cov_Xm_P2", "rel_E_m1")) <= 1e-14
 
     def test_validate_adiabatic_mode(self):
         sc = Scenario(
@@ -1050,7 +1060,9 @@ class TestFileFormats:
          "49110ec9913c1e2af9a02b9c01423ce74333cc7820e3f3c6321ae949fdd6dd41"),
     ])
     def test_large_csv_bytes_are_pinned(self, tmp_path, name, digest):
-        record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
         assert record.exit_code == 0
         data = (tmp_path / "t.csv").read_bytes()
         cells = [line.split(b",") for line in data.splitlines()[
@@ -1093,7 +1105,9 @@ class TestFileFormats:
     ])
     def test_block_mode_csv_bytes_are_pinned(self, tmp_path, name, exit_code,
                                              digest):
-        record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(getattr(self, name), output=str(tmp_path / "t.csv"))
         assert record.exit_code == exit_code and not record.warnings
         data = (tmp_path / "t.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -1263,8 +1277,10 @@ class TestFileFormats:
         nan, inf = math.nan, math.inf
         path = tmp_path / f"{name}.svg"
         if name == "fig4":
-            record = run(PRESETS["fig4"](), output=str(tmp_path / "fig4.csv"),
-                         svg=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                record = run(PRESETS["fig4"](),
+                             output=str(tmp_path / "fig4.csv"), svg=True)
             grid = record.points.E
         elif name == "nonfinite":
             grid = np.array([[0.2, nan, 0.7, inf], [-inf, 0.5, 0.45, 1.3],
@@ -1297,6 +1313,7 @@ class TestFileFormats:
         text, _ = self.draw_heatmap(name, tmp_path)
         cut, scanlines, _ = svg_png(text)
         assert text.count("<image ") == 1 and text.count("<rect ") == 1
+        assert len(text.encode()) < 100_000
         assert hashlib.sha256(cut.encode()).hexdigest() == text_digest
         assert hashlib.sha256(scanlines).hexdigest() == scanline_digest
 
@@ -1564,6 +1581,74 @@ class TestPresets:
                        record) < 1.5
         assert peak_mb(cli._write_svg, str(tmp_path / "fig4.svg"), sc,
                        record) < 1.5
+
+
+# the refusal edges of the runners: a scenario, the warning lines of its CSV,
+# the NaN cells of each row that has one (None: every column but the swept
+# one) and the exit code
+EDGE_KNOBS = {"kind": "ratios", "gamma_over_G": 0.1, "G1_over_G2": 1.5,
+              "n0": 0.5, "n": 5.0}
+EDGE_R = {"variable": "r", "start": 353.0, "stop": 356.0, "points": 4}
+FAR_R = {"variable": "r", "start": 1.0, "stop": 1.7e308, "points": 3}
+LOG_GAMMA = {"variable": "gamma_over_G", "start": 0.001, "stop": 1.5,
+             "points": 9, "scale": "log"}
+OVERFLOW = "closed-form moments overflow at pulse area r = {}"
+KERNEL = "output kernel normalization overflows at G*tau = {}"
+CAP = ("steering survives past the n = 1e+06 search cap for gamma/G = {}; in "
+       "the zero-damping limit it survives any bath occupation")
+WARM = ("no collective steering over all of (0, 10.0] for a warm mirror: E "
+        "tends to n0 + 1/2 > 1/2 as r -> 0 (n0 = 0.5)")
+BAD_GAMMA = ("point 8 (gamma_over_G=1.5): gamma_over_G must be in (0, 1), "
+             "got 1.5")
+GAMMAS = ["0.001", "0.00249466", "0.00622333", "0.0155251", "0.0387298",
+          "0.0966178", "0.241029", "0.601284"]
+EDGE_WARNINGS = [f"point {i} (r={r}): " + OVERFLOW.format(f"{r}.0")
+                 for i, r in ((2, 355), (3, 356))]
+MC = ["cross_corr_mc", "cross_corr_mc_se"]
+REFUSAL_EDGES = {
+    "validate-oracle": (
+        {"mode": "validate-oracle", "params": EDGE_KNOBS, "sweep": EDGE_R},
+        EDGE_WARNINGS, {2: None, 3: None}, 3),
+    "cross-correlation": (
+        {"mode": "cross-correlation", "engine": "closedform",
+         "params": EDGE_KNOBS, "sweep": EDGE_R},
+        EDGE_WARNINGS, {2: None, 3: None}, 0),
+    "n-threshold-cold": (
+        {"mode": "n-threshold", "params": {"kind": "ratios", "n0": 0.0},
+         "sweep": LOG_GAMMA},
+        [f"point {i} (gamma_over_G={x}): " + CAP.format(full)
+         for i, x, full in ((0, GAMMAS[0], "0.001"),
+                            (1, GAMMAS[1], "0.0024946602519952056"),
+                            (2, GAMMAS[2], "0.006223329772884784"))]
+        + [BAD_GAMMA], dict.fromkeys([0, 1, 2, 8]), 0),
+    "n-threshold-warm": (
+        {"mode": "n-threshold", "params": {"kind": "ratios", "n0": 0.5},
+         "sweep": LOG_GAMMA},
+        [f"point {i} (gamma_over_G={x}): {WARM}"
+         for i, x in enumerate(GAMMAS)] + [BAD_GAMMA],
+        dict.fromkeys(range(9)), 0),
+    "sampler": (
+        {"mode": "cross-correlation", "engine": "both", "trajectories": 1000,
+         "params": {"kind": "ratios", "gamma_over_G": 0.1},
+         "sweep": {"variable": "r", "start": 0.0, "stop": 356.0,
+                   "points": 3}},
+        ["point 0 (r=0, mc): tau must be > 0, got 0.0",
+         "point 2 (r=356): " + OVERFLOW.format("356.0"),
+         "point 2 (r=356, mc): " + KERNEL.format("356")], {0: MC, 2: None}, 0),
+    "far-curve": (
+        {"mode": "curve", "engine": "both",
+         "params": {"kind": "ratios", "gamma_over_G": 0.1}, "sweep": FAR_R},
+        [f"point {i} (r={r}, E): " + KERNEL.format(r)
+         for i, r in ((1, "8.5e+307"), (2, "1.7e+308"))],
+        {1: ["E_oracle"], 2: ["E_oracle"]}, 0),
+    "far-sampler": (
+        {"mode": "cross-correlation", "engine": "oracle", "trajectories": 1000,
+         "params": {"kind": "ratios", "gamma_over_G": 0.1}, "sweep": FAR_R},
+        [f"point {i} (r={r}{tag}): " + refusal.format(r)
+         for i, r in ((1, "8.5e+307"), (2, "1.7e+308"))
+         for tag, refusal in (("", OVERFLOW), (", mc", KERNEL))],
+        {1: None, 2: None}, 0),
+}
 
 
 class TestEntryPoint:
@@ -1895,8 +1980,32 @@ class TestEntryPoint:
                     == (p["r"] > 354.9)
             assert out.read_text().splitlines()[-1].endswith(",nan")
 
+    @pytest.mark.parametrize("name", sorted(REFUSAL_EDGES))
+    def test_refusal_edges_warn_and_stay_silent(self, tmp_path, capsys, name):
+        # each edge's CSV names every refused point once and holds NaN in
+        # its cells, the run exits with its mode's code, and Python warnings
+        # as errors stop nothing and print nothing
+        doc, warned, nan, code = REFUSAL_EDGES[name]
+        cfg, out = tmp_path / "edge.json", tmp_path / "edge.csv"
+        cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(cfg), "--output",
+                             str(out)]) == code
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert [ln.removeprefix("# warning: ") for ln in lines
+                if ln.startswith("# warning: ")] == warned
+        header, *rows = [ln.split(",") for ln in lines if ln[0] != "#"]
+        assert len(rows) == doc["sweep"]["points"]
+        assert {i: [c for c, cell in zip(header, row) if cell == "nan"]
+                for i, row in enumerate(rows) if "nan" in row} \
+            == {i: cols or header[1:] for i, cols in nan.items()}
+
     @pytest.mark.parametrize("doc", [
-        # the refusal edges of the four closed-form runners, as CI runs them
+        # the refusal edges of the four closed-form runners: the curve of
+        # test_knob_and_oracle_refusals_interleave_by_point, a heatmap with
+        # 960 refused cells, and two of the refusal-edge table
         {"mode": "curve", "engine": "both",
          "params": {"kind": "ratios", "gamma_over_G": 0.1},
          "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
@@ -1904,16 +2013,8 @@ class TestEntryPoint:
          "cases": [{"label": "warm", "n0": -1.0},
                    {"label": "cold", "n": 0.0}]},
         TestFileFormats.BIG_HEATMAP.to_dict(),
-        {"mode": "validate-oracle",
-         "params": {"kind": "ratios", "gamma_over_G": 0.1,
-                    "G1_over_G2": 1.5, "n0": 0.5, "n": 5.0},
-         "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
-                   "points": 4}},
-        {"mode": "cross-correlation", "engine": "closedform",
-         "params": {"kind": "ratios", "gamma_over_G": 0.1,
-                    "G1_over_G2": 1.5, "n0": 0.5, "n": 5.0},
-         "sweep": {"variable": "r", "start": 353.0, "stop": 356.0,
-                   "points": 4}},
+        REFUSAL_EDGES["validate-oracle"][0],
+        REFUSAL_EDGES["cross-correlation"][0],
     ], ids=["curve", "heatmap", "validate-oracle", "cross-correlation"])
     def test_refused_cells_make_no_float_closed_form_call(self, monkeypatch,
                                                           doc):
@@ -2022,6 +2123,19 @@ class TestEntryPoint:
         doc = json.loads(out.read_text())
         assert doc["scenario_digest"] == sc.digest()
         assert len(doc["points"]) == 11
+        # a preset's JSON points are its CSV rows, each cell the %.11e of
+        # its point's value
+        for name in ("fig3a", "fig4"):
+            for fmt in ("csv", "json"):
+                assert cli.main(["preset", name, "--run", "--format", fmt,
+                                 "--output", str(tmp_path / f"{name}.{fmt}")
+                                 ]) == 0
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            with open(tmp_path / f"{name}.csv", newline="") as f:
+                header, *rows = csv.reader(ln for ln in f if ln[0] != "#")
+            assert header == doc["columns"]
+            assert [["%.11e" % p[c] for c in header]
+                    for p in doc["points"]] == rows != []
 
     def test_svg_emission(self, tmp_path):
         cfg = tmp_path / "scenario.json"
@@ -2265,19 +2379,32 @@ def src_env() -> dict:
 
 
 def test_reproduce_figures_script(tmp_path):
+    # silently even with warnings as errors, the script writes the bytes
+    # that steerkit preset <name> --run --svg writes
     root = Path(__file__).resolve().parents[1]
+    figs, ref = tmp_path / "figs", tmp_path / "ref"
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_figures.py"),
-         str(tmp_path)], capture_output=True, text=True, env=src_env(),
-        check=True, timeout=120)
+        [sys.executable, "-W", "error",
+         str(root / "scripts" / "reproduce_figures.py"), str(figs)],
+        capture_output=True, text=True, env=src_env(), check=True,
+        timeout=120)
+    assert out.stderr == ""
     names = ("fig3a", "fig3b", "inset", "fig4")
     assert [ln.split(":")[0] for ln in out.stdout.splitlines()] == list(names)
     assert all(ln.endswith(" ms)") for ln in out.stdout.splitlines())
+    ref.mkdir()
     for name in names:
-        csv_text = (tmp_path / f"{name}.csv").read_text()
+        assert cli.main(["preset", name, "--run", "--svg", "--output",
+                         str(ref / f"{name}.csv")]) == 0
+        csv_text = (figs / f"{name}.csv").read_text()
         assert csv_text.startswith(
             f"# scenario_digest: {PRESETS[name]().digest()}\n")
-        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+        assert (figs / f"{name}.svg").read_text().startswith("<svg")
+    written = sorted(p.name for p in figs.iterdir())
+    assert written == sorted(p.name for p in ref.iterdir())
+    assert len(written) == 9
+    for name in written:
+        assert (figs / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -2386,7 +2513,9 @@ FEASIBILITY_STDOUT = "\n".join([
 def test_feasibility_script_output_is_pinned():
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "feasibility.py")],
+        [sys.executable, "-W", "error", str(root / "scripts" /
+                                            "feasibility.py")],
         capture_output=True, text=True, env=src_env(), check=True,
         timeout=120)
     assert out.stdout == FEASIBILITY_STDOUT
+    assert out.stderr == ""

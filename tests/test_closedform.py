@@ -160,7 +160,7 @@ class TestSmallPulseAccuracy:
                 assert abs(got - ref) <= 2e-15 * abs(ref), (r, x, n0, n,
                                                             ratio)
 
-    @pytest.mark.parametrize("r", [1.5e-4, 3e-4, 1e-3])
+    @pytest.mark.parametrize("r", [1e-4, 1.5e-4, 3e-4, 1e-3])
     def test_small_pulse_cross_correlation(self, r):
         # a warm bath at strong damping, where the coherence term is as
         # large as the gain term; equal gains give G1/G = G2/G = 2
@@ -368,10 +368,11 @@ KNOB = st.floats(0.2, 5.0) | st.floats(-1.0, 0.0) | st.just(math.nan)
 
 # values that are neither a real number nor an array of a real dtype
 NOT_REAL = ["1.0", np.str_("1.0"), None, 1j, np.array("1.0"), ["1.0"],
-            (0.5, "1.0"), [None], np.array([1j]), [0.5, None], [[0.5], 1.0]]
+            (0.5, "1.0"), [None], np.array([1j]), [0.5, None], [[0.5], 1.0],
+            True, np.array([True])]
 NOT_REAL_IDS = ["str", "np-str", "None", "complex", "0-d-str", "str-list",
                 "str-tuple", "None-list", "complex-array", "mixed-list",
-                "ragged"]
+                "ragged", "bool", "bool-array"]
 
 
 class TestArrayForms:
@@ -466,9 +467,9 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
     def test_takes_real_numbers_and_arrays_only(self, value):
-        # a numeric string was parsed as its number, and None, a complex,
-        # a list of them or a ragged list ended in an untyped TypeError or
-        # ValueError
+        # a numeric string was parsed as its number, a bool as 0 or 1, and
+        # None, a complex, a list of them or a ragged list ended in an
+        # untyped TypeError or ValueError
         knobs = {"gamma_over_G": 0.1, "n0": 0.5, "n": 5.0}
         for call, args in (
                 (output_block, {**knobs, "G1_over_G2": 1.5}),

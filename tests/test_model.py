@@ -56,7 +56,7 @@ def make_physical(**overrides) -> PhysicalParams:
 class TestWorkingPoint:
     def test_undriven_cavity(self):
         p = make_physical(E1=0.0, E2=0.0)
-        wp = derive_working_point(p)
+        wp = derive_working_point(p, tol=1e-12)
         assert wp.alpha1 == 0.0 and wp.alpha2 == 0.0
         assert wp.x_s == 0.0 and wp.p_s == 0.0
         assert wp.Delta1 == pytest.approx(p.omega1 - p.omega_L)
@@ -64,7 +64,7 @@ class TestWorkingPoint:
 
     def test_no_optomechanical_coupling(self):
         p = make_physical(g01=0.0, g02=0.0, E2=0.0)
-        wp = derive_working_point(p)
+        wp = derive_working_point(p, tol=1e-12)
         d01 = p.omega1 - p.omega_L
         assert wp.x_s == 0.0
         assert wp.alpha1 == pytest.approx(p.E1 / (p.kappa1 + 1j * d01))
@@ -124,20 +124,20 @@ class TestWorkingPoint:
 class TestReduce:
     def test_exact_resonance_accepted(self):
         p = make_physical()
-        wp = derive_working_point(p)
+        wp = derive_working_point(p, tol=1e-12)
         rp = reduce(p, wp)
         assert rp.Delta == pytest.approx(0.5 * (p.omega1 - p.omega2))
         assert rp.kappa == pytest.approx(p.kappa1)
 
     def test_off_resonance_rejected(self):
         p = make_physical(omega_L=TWO_PI * 2.0e14)  # no sideband offset
-        wp = derive_working_point(p)
+        wp = derive_working_point(p, tol=1e-12)
         with pytest.raises(OffResonance):
             reduce(p, wp)
 
     def test_asymmetric_damping_rejected(self):
         p = make_physical(kappa2=TWO_PI * 5.2e8)
-        wp = derive_working_point(p)
+        wp = derive_working_point(p, tol=1e-12)
         with pytest.raises(AsymmetricDamping):
             reduce(p, wp)
 
@@ -279,12 +279,15 @@ class TestRatioConstructors:
                      for ratio in (0.0, math.inf))
         assert (zero.g1, zero.g2) == (inf.g2, inf.g1) and zero.g1 == 0.0
 
-    @pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(1.0)],
-                             ids=["str", "None", "complex", "list", "0-d"])
+    @pytest.mark.parametrize("value", ["1", None, 1j, [1.0], np.array(1.0),
+                                       True],
+                             ids=["str", "None", "complex", "list", "0-d",
+                                  "bool"])
     @pytest.mark.parametrize("name", ["r", "gamma_over_G", "G1_over_G2", "n0",
                                       "n", "Delta_over_kappa", "kappa"])
     def test_takes_real_numbers_only(self, name, value):
-        # a string, None or a complex ended in an untyped TypeError
+        # a string, None or a complex ended in an untyped TypeError, and a
+        # bool was taken as 0 or 1
         args = {"r": 1.0, "gamma_over_G": 0.1, name: value}
         with pytest.raises(InvalidParams) as exc:
             reduced_from_ratios(**args)

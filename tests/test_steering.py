@@ -66,13 +66,15 @@ def two_mode_squeezed(s: float) -> OutputCovariance:
 # arguments that are not real numbers, which the float-only arguments of
 # noise_threshold and r_crossing refuse, as threshold_r does
 _NOT_FLOATS = [[0.1], (0.1,), np.array([0.1]), np.array(0.1), "0.1", None,
-               1 + 2j]
-_NOT_FLOAT_IDS = ["list", "tuple", "array", "0-d", "str", "None", "complex"]
+               1 + 2j, True]
+_NOT_FLOAT_IDS = ["list", "tuple", "array", "0-d", "str", "None", "complex",
+                  "bool"]
 # neither a real number nor an array, list or tuple of a real dtype
 _NOT_REAL = ["0.1", None, 1j, ["0.1"], ("0", "1"), np.array(["0.1"]),
-             [None], [0.1, 1j], [[0.1], 0.2]]
+             [None], [0.1, 1j], [[0.1], 0.2], True, np.array([True])]
 _NOT_REAL_IDS = ["str", "None", "complex", "str-list", "str-tuple",
-                 "str-array", "None-list", "complex-list", "ragged"]
+                 "str-array", "None-list", "complex-list", "ragged", "bool",
+                 "bool-array"]
 
 
 class TestInferredVariance:
@@ -619,15 +621,22 @@ class TestSteeringRegion:
             steering_region(rs, xs, 0.5, 5.0)
 
     @pytest.mark.parametrize("value", _NOT_REAL, ids=_NOT_REAL_IDS)
-    @pytest.mark.parametrize("name", ["r_grid", "gamma_over_G_grid"])
+    @pytest.mark.parametrize("name", ["r_grid", "gamma_over_G_grid", "n0",
+                                      "n"])
     def test_takes_real_grids_only(self, name, value):
         # a grid of numeric strings was parsed as its numbers, and a
-        # ragged one ended in numpy's ValueError
-        grids = {"r_grid": [0.0, 1.0], "gamma_over_G_grid": [0.1], name: value}
-        with pytest.raises(InvalidParams) as exc:
-            steering_region(**grids, n0=0.0, n=0.0)
-        assert str(exc.value) == (f"{name} must be a float or an array of "
-                                  f"floats, got {value!r}")
+        # ragged one ended in numpy's ValueError; n0 and n are floats, as
+        # r_crossing takes them, where an array n0 ended in numpy's
+        # broadcast ValueError and a (2, 1) one in a TypeError
+        args = {"r_grid": np.linspace(0.0, 3.0, 31),
+                "gamma_over_G_grid": [0.1, 0.2], "n0": 0.5, "n": 5.0}
+        grid = name.endswith("_grid")
+        kind = "a float or an array of floats" if grid else "a float"
+        for v in [value] if grid else [value, np.array([0.5, 1.0]),
+                                       np.array([[0.5], [1.0]])]:
+            with pytest.raises(InvalidParams) as exc:
+                steering_region(**{**args, name: v})
+            assert str(exc.value) == f"{name} must be {kind}, got {v!r}"
 
 
 # the map of many crossings: 21 contour points, each bracket down to
