@@ -468,11 +468,13 @@ def _refusals(steps: list) -> list[tuple[int, object, str]]:
 
 
 def _witness_grid(knobs: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """The collective witness over a grid of knobs, in one array call.
-    Each knob is a float or an array on its own axes of the grid; r goes
-    in as a ``np.broadcast_to`` view of the grid's ``shape``, which copies
-    nothing, so the result has that shape also where the witness ignores
-    an axis and the call's r counts the grid's cells."""
+    """The collective witness over a grid of knobs, in one array call: a
+    heatmap's (sweep2, sweep) grid, or a curve's (cases, points) grid, all
+    its cases in the one call.  Each knob is a float or an array on its own
+    axes of the grid; r goes in as a ``np.broadcast_to`` view of the grid's
+    ``shape``, which copies nothing, so the result has that shape also
+    where the witness ignores an axis and the call's r counts the grid's
+    cells."""
     return closedform.collective_steering_value(
         np.broadcast_to(knobs["r"], shape), knobs["gamma_over_G"],
         knobs["n0"], knobs["n"])
@@ -512,39 +514,43 @@ def _point_warnings(var: str, values: np.ndarray, refused: list) -> list:
 def _run_curve(sc: Scenario, base: dict, tol: dict):
     var = sc.sweep.variable
     values = sc.sweep.values()
-    closed = sc.engine != "oracle"
     cases = list(sc.cases) or [{}]
     labelled = len(cases) > 1 or "label" in cases[0]
     m, w = dynamics.A_M_OUT, dynamics.W_OUT
+    shape = len(cases), len(values)
 
+    # each engine takes every case's points in one call, case after case:
+    # case i's cells are row i of its (cases, points) grid.  Per engine: its
+    # column, its grid, and ``refusal(start)``, what refuses the NaN cells
+    # of the case whose cells start at flat index ``start``
     overs = [{k: float(v) for k, v in case.items() if k != "label"}
              for case in cases]
+    engines = []
+    if sc.engine != "oracle":
+        # a knob that a case overrides is a (cases, 1) column; the swept
+        # knob lies on the points axis
+        knobs = _apply(base, var, values)
+        for k in set().union(*overs):
+            knobs[k] = np.array([[over.get(k, base[k])] for over in overs])
+        E = _witness_grid(knobs, shape)
+        engines.append(("E", E, lambda start: lambda at: _closed_refusal(
+            closedform._WITNESS, shape, knobs)([start + j for j in at])))
     if sc.engine != "closedform":
-        # every case's points in one stack, case after case; case i's
-        # cells are row i of its witness
         sweep = _oracle_sweep([{**_apply(base, var, v), **over}
                                for over in overs for v in values.tolist()])
-        oracle = steering.steering_product(sweep[0], m, w).reshape(
-            len(cases), len(values))
-    # per case, its columns and what refuses their NaN cells: the witness's
-    # knobs, then the oracle's failure; a refused closed-form cell also
-    # leaves that case's oracle cell NaN
+        oracle = steering.steering_product(sweep[0], m, w).reshape(shape)
+        if engines:  # a refused closed-form cell leaves its oracle cell NaN
+            oracle[np.isnan(E)] = math.nan
+        engines.append(("E_oracle", oracle,
+                        lambda start: _oracle_refusal(sweep, w, start)))
+    # per case, each engine's column; a case's closed-form refusal comes
+    # before its oracle's failure
     columns, cells, steps = [var], [values], []
-    for i, (case, over) in enumerate(zip(cases, overs)):
-        lab = _case_label(i, case)
-        knobs = {**_apply(base, var, values), **over}
-        if closed:
-            columns.append(f"E[{lab}]" if labelled else "E")
-            cells.append(_witness_grid(knobs, values.shape))
-            steps.append((lab, cells[-1], _closed_refusal(
-                closedform._WITNESS, values.shape, knobs)))
-        if sc.engine != "closedform":
-            columns.append(f"E_oracle[{lab}]" if labelled else "E_oracle")
-            cells.append(oracle[i])
-            if closed:
-                cells[-1][np.isnan(cells[-2])] = math.nan
-            steps.append((lab, cells[-1],
-                          _oracle_refusal(sweep, w, i * len(values))))
+    for i, lab in enumerate(map(_case_label, range(len(cases)), cases)):
+        for name, grid, refusal in engines:
+            columns.append(f"{name}[{lab}]" if labelled else name)
+            cells.append(grid[i])
+            steps.append((lab, grid[i], refusal(i * len(values))))
     warnings = _point_warnings(var, values, _refusals(steps))
     return columns, _Table(columns, np.column_stack(cells)), warnings, {}
 

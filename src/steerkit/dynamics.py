@@ -448,9 +448,12 @@ def _step_maps(A: np.ndarray, V: np.ndarray, h: list[float],
     never forms it.
 
     Every slice has its own ``k``: the series runs on the whole stack, and
-    each doubling round on the slices that still need it.  A stacked matmul
-    computes each slice as the one-slice product would, so a slice's result
-    does not depend on the others.  Returns ``(Phi, Q, failures)``, where
+    each doubling round on the slices that still need it.  The stack is
+    taken in order of ``k``, largest first (a stable sort), so the slices
+    that double in round ``d`` are always its leading ones, and each round
+    runs on that prefix.  A stacked matmul computes each slice as the
+    one-slice product would, so a slice's result does not depend on the
+    others.  Returns ``(Phi, Q, failures)`` in the caller's order, where
     ``failures`` maps the index of each slice whose result is not finite to
     its ``IntegratorFailure``.
     """
@@ -458,39 +461,37 @@ def _step_maps(A: np.ndarray, V: np.ndarray, h: list[float],
     norms = np.abs(A).sum(axis=2).max(axis=1).tolist()
     ks = [max(0, math.ceil(math.log2(x * hp))) if x * hp > 0.0 else 0
           for x, hp in zip(norms, h)]
+    order = sorted(range(len(ks)), key=ks.__getitem__, reverse=True)
+    # ``at`` puts the stack in that order and ``back`` restores it; a stack
+    # already in it (a one-slice stack, as the sampler's) stays as it is
+    at, back = (slice(None),) * 2 if order == sorted(order) \
+        else (order, np.argsort(order))
     h0 = np.array([hp / 2.0 ** k for hp, k in zip(h, ks)])[:, None, None]
     C = np.zeros((len(ks), 2 * n, 2 * n))
     C[:, :n, :n] = -A * h0
     C[:, :n, n:] = V * h0
     C[:, n:, n:] = A.swapaxes(1, 2) * h0
     # a full stack of identities: adding it costs half a broadcast 2-d one
-    eye = np.tile(np.eye(2 * n), (len(ks), 1, 1))
+    eye = np.eye(2 * n)[None].repeat(len(ks), axis=0)
     E, F = eye.copy(), np.empty_like(C)
     for j in range(_TAYLOR_DEGREE, 0, -1):
         np.matmul(C, E, out=F)
         F /= j
         F += eye
         E, F = F, E
-    phi = E[:, n:, n:].swapaxes(1, 2)
-    q = phi @ E[:, :n, n:]
-    for d in range(max(ks)):
-        # The masked round at every d gives the same bytes, but its mask
-        # copies the due slices out and back.  The sampler propagates
-        # one-slice stacks, where every round is all-due: on one 10 x 10
-        # system the masked round alone takes 117-149 us against 89-103 us
-        # with this branch (2-core x86 machine, min of 7 x 500 calls).
-        if d < min(ks):  # every slice is due
-            q, phi = phi @ q @ phi.swapaxes(1, 2) + q, phi @ phi
-        else:
-            due = np.array(ks) > d
-            p, qd = phi[due], q[due]
-            q[due], phi[due] = p @ qd @ p.swapaxes(1, 2) + qd, p @ p
-    finite = (np.isfinite(phi).all(axis=(1, 2))
-              & np.isfinite(q).all(axis=(1, 2)))
+    phi = E[:, n:, n:].swapaxes(1, 2)[at]
+    q = phi @ E[at, :n, n:]
+    # per round, the count of slices still doubling: they lead the stack
+    for c in [sum(k > d for k in ks) for d in range(max(ks))]:
+        p, qc = phi[:c], q[:c]
+        qc += p @ qc @ p.swapaxes(1, 2)
+        phi[:c] = p @ p
+    phi, q = phi[back], q[back]
+    ok = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
     failures = {
         i: IntegratorFailure(f"step map over h = {h[i]!r} overflowed after "
                              f"{ks[i]} doublings")
-        for i, ok in enumerate(finite.tolist()) if not ok}
+        for i, fine in enumerate(ok.tolist()) if not fine}
     return phi, 0.5 * (q + q.swapaxes(1, 2)), failures
 
 
@@ -627,13 +628,13 @@ def monte_carlo_output_covariance(model: LinearModel,
     return OutputCovariance(exact.mode_labels, mean, errors)
 
 
-def _collective_rows(mode_labels: tuple[str, ...], gains: np.ndarray,
+def _collective_rows(mode_labels: tuple[str, ...], table: dict,
                      labels: tuple[str, ...]) -> np.ndarray:
     """Quadrature rows (X, P per label) of collective modes over the modes
-    ``mode_labels``, one slice per point: per row ``(G1, G2, G)`` of
-    ``gains``."""
-    table = _collective_weights(*gains.T)
-    out = np.zeros((len(gains), 2 * len(labels), 2 * len(mode_labels)))
+    ``mode_labels``, one slice per point: ``table`` is
+    ``_collective_weights`` over the points' gains, arrays of one axis."""
+    points = len(table[W_OUT][2])  # W's bath weight, one per point
+    out = np.zeros((points, 2 * len(labels), 2 * len(mode_labels)))
     for i, label in enumerate(labels):
         (m1, c1), (m2, c2), b = table[label]
         x1, x2, xb = (_quad_index(mode_labels, m, "X")
@@ -689,9 +690,8 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
                        kernels, rp.tau, dq.delta * rp.tau))
         gains.append((dq.G1, dq.G2, dq.G))
     labels = (A_M_OUT,) + tuple(which)
-    gains = np.array(gains).reshape(-1, 3)
-    extra = tuple(lab for lab, ((m1, _), (m2, _), _)
-                  in _collective_weights(*gains.T).items()
+    table = _collective_weights(*np.array(gains).reshape(-1, 3).T)
+    extra = tuple(lab for lab, ((m1, _), (m2, _), _) in table.items()
                   if {m1, m2, B_TILDE} <= set(labels))
     nq = 2 * len(labels + extra)
     out = np.full((len(rps), nq, nq), math.nan)
@@ -699,7 +699,7 @@ def output_covariances(rps: list[ReducedParams], *, engine: str = "reduced",
         _, sigma, failed = _propagate(points)
         T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
                                             sigma.shape),
-                            _collective_rows(labels, gains, extra)], axis=1)
+                            _collective_rows(labels, table, extra)], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = T @ sigma @ T.swapaxes(1, 2)
         _refuse_non_finite(sigma, failed)

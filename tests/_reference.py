@@ -716,8 +716,8 @@ def object_output_covariances(rps: list[ReducedParams], *,
     index, models, kernels, dqs, phases = zip(*points) if points else [()] * 5
     labels = (A_M_OUT,) + tuple(which)
     gains = np.array([(dq.G1, dq.G2, dq.G) for dq in dqs]).reshape(-1, 3)
-    extra = tuple(lab for lab, ((m1, _), (m2, _), _)
-                  in _collective_weights(*gains.T).items()
+    table = _collective_weights(*gains.T)
+    extra = tuple(lab for lab, ((m1, _), (m2, _), _) in table.items()
                   if {m1, m2, B_TILDE} <= set(labels))
     nq = 2 * len(labels + extra)
     out = np.full((len(rps), nq, nq), math.nan)
@@ -727,7 +727,7 @@ def object_output_covariances(rps: list[ReducedParams], *,
                                              phases)
         T = np.concatenate([np.broadcast_to(np.eye(sigma.shape[1]),
                                             sigma.shape),
-                            _collective_rows(labels, gains, extra)], axis=1)
+                            _collective_rows(labels, table, extra)], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = T @ sigma @ T.swapaxes(1, 2)
         _refuse_non_finite(sigma, failed)

@@ -498,34 +498,43 @@ class TestCurveRuns:
         assert text.split("\n", 2)[2] == rows
 
     def test_cases_in_one_stack_are_the_cases_alone(self):
-        # a case's oracle cells and warnings in the shared stack are those
-        # of the case run alone, bit for bit, up to the float range's edge;
-        # the third case's rates leave the float range at every point
-        cases = ({"label": "warm", "n0": 1.5, "n": 2.0},
-                 {"label": "edge", "gamma_over_G": 0.05},
-                 {"label": "wide", "Delta_over_kappa": 1e160})
+        # a case's cells and warnings in the shared stacks (the closed form's
+        # and the oracle's) are those of the case run alone, bit for bit, up
+        # to the float range's edge; over r, the third case's rates leave
+        # the float range at every point; over n, each case sets r, and the
+        # cold case's n0 refuses every cell of both engines
+        curves = [(Sweep("r", 0.5, 354.8, 6),
+                   ({"label": "warm", "n0": 1.5, "n": 2.0},
+                    {"label": "edge", "gamma_over_G": 0.05},
+                    {"label": "wide", "Delta_over_kappa": 1e160}), 8),
+                  (Sweep("n", 0.0, 40.0, 5),
+                   ({"label": "short", "r": 0.5},
+                    {"label": "cold", "r": 2.0, "n0": -1.0},
+                    {"label": "edge", "r": 354.8, "gamma_over_G": 0.05}), 10)]
+        for sweep, cases, refused in curves:
+            def curve(*cases):
+                return run(Scenario(
+                    mode="curve", engine="both", cases=cases,
+                    params={"kind": "ratios", "gamma_over_G": 0.1,
+                            "G1_over_G2": 1.5},
+                    sweep=sweep))
 
-        def curve(*cases):
-            return run(Scenario(
-                mode="curve", engine="both", cases=cases,
-                params={"kind": "ratios", "gamma_over_G": 0.1,
-                        "G1_over_G2": 1.5},
-                sweep=Sweep("r", 0.5, 354.8, 6)))
+            both = curve(*cases)
+            assert len(both.warnings) == refused
+            for case in cases:
+                alone, lab = curve(case), case["label"]
+                for col in (f"E[{lab}]", f"E_oracle[{lab}]"):
+                    assert [p[col].hex() for p in both.points] \
+                        == [p[col].hex() for p in alone.points]
+                assert [w for w in both.warnings if f", {lab})" in w] \
+                    == alone.warnings
 
-        both = curve(*cases)
-        assert len(both.warnings) == 8
-        for case in cases:
-            alone, lab = curve(case), case["label"]
-            col = f"E_oracle[{lab}]"
-            assert [p[col].hex() for p in both.points] \
-                == [p[col].hex() for p in alone.points]
-            assert [w for w in both.warnings if f", {lab})" in w] \
-                == alone.warnings
-
-    def test_one_oracle_stack_per_curve(self, monkeypatch):
-        # the three cases' points go into one stack and one witness call
-        calls, witness_calls = [], []
+    def test_one_stack_per_curve_on_each_side(self, monkeypatch):
+        # the three cases' points go into one closed-form witness call, and
+        # into one oracle stack and one witness call
+        calls, witness_calls, closed_calls = [], [], []
         sweep, witness = dynamics.output_covariances, steering.steering_product
+        closed = closedform.collective_steering_value
 
         def output_covariances(rps, **kw):
             calls.append(len(rps))
@@ -535,8 +544,14 @@ class TestCurveRuns:
             witness_calls.append(oc.sigma.shape[0])
             return witness(oc, *args)
 
+        def collective_steering_value(r, *args):
+            closed_calls.append(np.shape(r))
+            return closed(r, *args)
+
         monkeypatch.setattr(dynamics, "output_covariances", output_covariances)
         monkeypatch.setattr(steering, "steering_product", steering_product)
+        monkeypatch.setattr(closedform, "collective_steering_value",
+                            collective_steering_value)
         sc = Scenario(mode="curve",
                       params={"kind": "ratios", "gamma_over_G": 0.1},
                       sweep=Sweep("r", 0.5, 2.5, 5), engine="both",
@@ -546,6 +561,7 @@ class TestCurveRuns:
         record = run(sc)
         assert calls == [15]
         assert witness_calls == [15]
+        assert closed_calls == [(3, 5)]
         assert not record.warnings
 
     def test_each_nan_cell_is_explained_once(self, tmp_path, monkeypatch):

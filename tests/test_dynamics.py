@@ -53,6 +53,7 @@ from steerkit.dynamics import (
     output_covariances,
     output_kernels,
     _collective_rows,
+    _collective_weights,
     _full_system,
     _kernel_terms,
     _reduced_system,
@@ -390,11 +391,12 @@ class TestStepMap:
         assert np.abs(q[0] - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
 
     def test_stacked_steps_match_one_at_a_time(self):
-        # one stack mixes 0, 3 and 7 doublings; each slice takes its own
-        # and matches its one-slice map bit for bit
+        # one stack mixes 0, 3 and 7 doublings, and slices of equal counts
+        # (0.3 and 0.31, 2.5 and 2.6) lie apart in it; each slice takes its
+        # own and matches its one-slice map bit for bit
         rp = reduced_from_ratios(1.0, 0.1, G1_over_G2=1.5, n0=0.5, n=5.0)
         st = one_point_stack(rp, full=False)
-        hs = [0.01, 0.3, 2.5, 40.0, 0.05]
+        hs = [0.01, 0.3, 2.5, 40.0, 0.05, 0.31, 2.6]
         A = np.repeat(st.drift, len(hs), axis=0)
         V = np.repeat(st.diffusion, len(hs), axis=0)
         phi, q, failures = _step_maps(A, V, hs)
@@ -701,8 +703,8 @@ class TestCollectiveModes:
         oc = OutputCovariance((A_M_OUT,), np.eye(2))
         with pytest.raises(MissingModes):
             dq = derived_quantities(reduced_from_ratios(1.0, 0.1))
-            _collective_rows(oc.mode_labels, np.array([[dq.G1, dq.G2, dq.G]]),
-                             (W_OUT, U_OUT))
+            _collective_rows(oc.mode_labels, _collective_weights(
+                *np.array([[dq.G1, dq.G2, dq.G]]).T), (W_OUT, U_OUT))
 
 
 class TestPhysicality:
